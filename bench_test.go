@@ -260,8 +260,39 @@ func benchVulnScenario(n int) (*vuln.Catalog, []vuln.Replica) {
 // BenchmarkWorstWindow compares the exact event-driven sweep against the
 // stepwise baseline it replaced, on 1k replicas, a 50-vuln catalog and a
 // 30-day horizon (the stepwise scan samples at 1h). The event sweep must
-// be an order of magnitude cheaper in both time and allocations.
+// be an order of magnitude cheaper in both time and allocations. The
+// grouped rungs time the production path — GroupInjector's bound-pruned
+// sweep — on the assessbench shape: 2000x50 is the monitord bench tenant
+// (nearly every instant pruned), 2000x500 the saturated catalog where every
+// bound ties and the sweep degrades to a full one.
 func BenchmarkWorstWindow(b *testing.B) {
+	for _, vulns := range []int{50, 500} {
+		b.Run(fmt.Sprintf("grouped/2000x%d", vulns), func(b *testing.B) {
+			cat, err := assessbench.Catalog(vulns)
+			if err != nil {
+				b.Fatal(err)
+			}
+			reg, err := assessbench.Registry(2000)
+			if err != nil {
+				b.Fatal(err)
+			}
+			snap, err := reg.Snapshot(registry.DefaultWeighting)
+			if err != nil {
+				b.Fatal(err)
+			}
+			gi, err := vuln.NewGroupInjector(cat, snap.BucketSpecs())
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := gi.WorstWindow(assessbench.Horizon); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 	cat, replicas := benchVulnScenario(1000)
 	const horizon = 30 * 24 * time.Hour
 	b.Run("event", func(b *testing.B) {

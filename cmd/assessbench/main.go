@@ -1,8 +1,8 @@
 // Command assessbench runs the assessment scale ladder and writes the
 // committed BENCH_assess.json: ns/op for the flat (pre-bucketing) cold
-// path, the bucketed cold rebuild, the O(Δ) incremental path and the
-// cached path, at 1k/10k/100k (and with -full 1M) replicas × 50/500
-// vulnerabilities.
+// path, the bucketed cold rebuild, the O(Δ) incremental path, the cached
+// path and the mutate-then-worst-window path, at 1k/10k/100k (and with
+// -full 1M) replicas × 50/500 vulnerabilities.
 //
 // Usage:
 //
@@ -48,18 +48,18 @@ func main() {
 	if *full {
 		rungs = assessbench.FullRungs()
 	}
-	rep := report{Schema: "assess-ladder/v1", GoOS: runtime.GOOS, GoArch: runtime.GOARCH}
-	fmt.Printf("%10s %6s %14s %14s %14s %14s %10s\n",
-		"replicas", "vulns", "flat", "cold", "incremental", "cached", "inc-speedup")
+	rep := report{Schema: "assess-ladder/v2", GoOS: runtime.GOOS, GoArch: runtime.GOARCH}
+	fmt.Printf("%10s %6s %14s %14s %14s %14s %14s %10s\n",
+		"replicas", "vulns", "flat", "cold", "incremental", "cached", "worst", "inc-speedup")
 	for _, r := range rungs {
 		m, err := assessbench.MeasureRung(r, *budget)
 		if err != nil {
 			log.Fatalf("rung %+v: %v", r, err)
 		}
 		rep.Rungs = append(rep.Rungs, m)
-		fmt.Printf("%10d %6d %14s %14s %14s %14s %9.0fx\n",
+		fmt.Printf("%10d %6d %14s %14s %14s %14s %14s %9.0fx\n",
 			m.Replicas, m.Vulns,
-			ns(m.FlatNs), ns(m.ColdNs), ns(m.IncrementalNs), ns(m.CachedNs),
+			ns(m.FlatNs), ns(m.ColdNs), ns(m.IncrementalNs), ns(m.CachedNs), ns(m.WorstNs),
 			m.SpeedupIncremental)
 	}
 	if *out == "" {

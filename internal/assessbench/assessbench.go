@@ -1,5 +1,5 @@
 // Package assessbench builds the assessment scale-ladder workload and
-// measures the four assessment paths against it:
+// measures the five assessment paths against it:
 //
 //   - flat: the pre-bucketing cold path — a per-replica exposure index
 //     rebuilt from scratch (vuln.Inject over the materialised replica
@@ -12,7 +12,10 @@
 //     long-lived monitor, exercising the journalled snapshot delta and the
 //     O(Δ) exposure patch;
 //   - cached: an assessment on an unchanged registry — pure injector
-//     evaluation.
+//     evaluation;
+//   - worst: one registry mutation followed by a worst-window assessment
+//     over the horizon — the incremental path plus the bound-pruned sweep
+//     of every critical instant, what a GET …/worst costs under churn.
 //
 // The same builder feeds BenchmarkAssessScale (bench_test.go) and
 // cmd/assessbench, which emits the committed BENCH_assess.json, so the
@@ -109,6 +112,7 @@ type Measurement struct {
 	ColdNs             float64 `json:"coldNs"`
 	IncrementalNs      float64 `json:"incrementalNs"`
 	CachedNs           float64 `json:"cachedNs"`
+	WorstNs            float64 `json:"worstNs"`
 	SpeedupIncremental float64 `json:"speedupIncrementalVsFlat"`
 }
 
@@ -134,7 +138,7 @@ func timeOp(budget time.Duration, op func() error) (float64, error) {
 	}
 }
 
-// MeasureRung builds the rung's workload and times the four paths. budget
+// MeasureRung builds the rung's workload and times the five paths. budget
 // bounds the timed loop per path (a single long operation may exceed it).
 func MeasureRung(r Rung, budget time.Duration) (Measurement, error) {
 	m := Measurement{Replicas: r.Replicas, Vulns: r.Vulns}
@@ -195,6 +199,20 @@ func MeasureRung(r Rung, budget time.Duration) (Measurement, error) {
 	// Cached: unchanged registry, pure injector evaluation.
 	m.CachedNs, err = timeOp(budget, func() error {
 		_, err := mon.Assess(Instant)
+		return err
+	})
+	if err != nil {
+		return m, err
+	}
+
+	// Worst: the same single mutation, then a fresh worst-window sweep (the
+	// mutation invalidates the monitor's memoised one).
+	m.WorstNs, err = timeOp(budget, func() error {
+		power++
+		if err := reg.SetPower("r-0000000", float64(1+power%PowerClasses)); err != nil {
+			return err
+		}
+		_, err := mon.WorstAssessment(Horizon)
 		return err
 	})
 	if err != nil {

@@ -109,6 +109,15 @@ type CacheStats struct {
 	// Hits is the number of assessments served entirely from the
 	// per-snapshot cache.
 	Hits uint64
+	// WorstSweeps is the number of worst-window sweeps actually run
+	// (memoised WorstAssessment calls count none). WorstInstants is the
+	// critical instants those sweeps covered and WorstEvaluated the ones
+	// whose exact fraction had to be evaluated because the pruning bound
+	// could not rule them out: WorstEvaluated ≈ WorstInstants means the
+	// sweep has degraded to a full one (a saturated catalog does that).
+	WorstSweeps    uint64
+	WorstInstants  uint64
+	WorstEvaluated uint64
 }
 
 // NewMonitor wires a monitor over a live registry. Every knob beyond the
@@ -265,6 +274,10 @@ func (m *Monitor) WorstAssessment(horizon time.Duration) (Assessment, error) {
 	if err != nil {
 		return Assessment{}, err
 	}
+	instants, evaluated := m.injector.LastSweep()
+	m.stats.WorstSweeps++
+	m.stats.WorstInstants += uint64(instants)
+	m.stats.WorstEvaluated += uint64(evaluated)
 	a := Assessment{
 		At:        worst.At,
 		Diversity: m.report,

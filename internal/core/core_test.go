@@ -224,6 +224,25 @@ func TestWorstAssessment(t *testing.T) {
 	if worst.At < 10*time.Hour || worst.At >= 44*time.Hour {
 		t.Fatalf("worst at %v, outside window", worst.At)
 	}
+	// One sweep so far; a memoised repeat adds nothing to the counters, a
+	// new horizon sweeps again.
+	first := mon.Stats()
+	if first.WorstSweeps != 1 || first.WorstInstants == 0 ||
+		first.WorstEvaluated == 0 || first.WorstEvaluated > first.WorstInstants {
+		t.Fatalf("after one sweep: %+v", first)
+	}
+	if _, err := mon.WorstAssessment(100 * time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if s := mon.Stats(); s.WorstSweeps != 1 || s.WorstInstants != first.WorstInstants || s.WorstEvaluated != first.WorstEvaluated {
+		t.Fatalf("memoised worst assessment moved the sweep counters: %+v -> %+v", first, s)
+	}
+	if _, err := mon.WorstAssessment(50 * time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if s := mon.Stats(); s.WorstSweeps != 2 || s.WorstInstants <= first.WorstInstants {
+		t.Fatalf("second horizon did not sweep: %+v", s)
+	}
 	if _, err := mon.WorstAssessment(-time.Hour); err == nil {
 		t.Fatal("negative horizon accepted")
 	}

@@ -1,6 +1,10 @@
 package diversity
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 // PowerClass is an aggregate of members holding identical voting power —
 // the unit the bucketed registry reasons in. A population's member-level
@@ -29,7 +33,7 @@ func MinOperatorFaultsForClasses(classes []PowerClass, threshold float64) (int, 
 		return 0, ErrNoWeight
 	}
 	sorted := append([]PowerClass(nil), classes...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Power > sorted[j].Power })
+	slices.SortFunc(sorted, func(a, b PowerClass) int { return cmp.Compare(b.Power, a.Power) })
 	limit := threshold * total
 	cum := 0.0
 	taken := 0

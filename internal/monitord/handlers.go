@@ -85,6 +85,9 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		st.CacheRebuilds += cs.Rebuilds
 		st.CacheDeltaApplies += cs.DeltaApplies
 		st.CacheHits += cs.Hits
+		st.WorstSweeps += cs.WorstSweeps
+		st.WorstInstants += cs.WorstInstants
+		st.WorstEvaluated += cs.WorstEvaluated
 	}
 	writeJSON(w, http.StatusOK, st)
 }

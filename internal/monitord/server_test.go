@@ -408,6 +408,22 @@ func TestStatsAggregation(t *testing.T) {
 	if st.CacheRebuilds != 3 || st.CacheDeltaApplies != 1 {
 		t.Fatalf("stats after churn = %+v, want 3 rebuilds / 1 delta-apply", st)
 	}
+	// Worst-window sweeps surface too: one per tenant asked, none for the
+	// memoised repeat.
+	if st.WorstSweeps != 0 {
+		t.Fatalf("worst sweeps before any worst request: %+v", st)
+	}
+	for _, path := range []string{"/tenants/t0/worst", "/tenants/t0/worst", "/tenants/t1/worst"} {
+		if code := do(t, s, "GET", path, nil, nil); code != http.StatusOK {
+			t.Fatalf("GET %s: %d", path, code)
+		}
+	}
+	if code := do(t, s, "GET", "/stats", nil, &st); code != http.StatusOK {
+		t.Fatalf("stats: %d", code)
+	}
+	if st.WorstSweeps != 2 || st.WorstEvaluated == 0 || st.WorstEvaluated > st.WorstInstants {
+		t.Fatalf("stats after worst requests = %+v, want 2 sweeps", st)
+	}
 }
 
 // TestStatsCountSlowSubscriberDrops: a watch subscriber that never drains

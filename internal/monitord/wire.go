@@ -235,6 +235,11 @@ type CacheStatsJSON struct {
 	Rebuilds     uint64 `json:"rebuilds"`
 	DeltaApplies uint64 `json:"deltaApplies"`
 	Hits         uint64 `json:"hits"`
+	// Worst-window sweeps run, the critical instants they covered and the
+	// instants the pruning bound could not skip.
+	WorstSweeps    uint64 `json:"worstSweeps"`
+	WorstInstants  uint64 `json:"worstInstants"`
+	WorstEvaluated uint64 `json:"worstEvaluated"`
 }
 
 // TenantInfo is the GET /tenants/{tenant} body.
@@ -273,7 +278,7 @@ func tenantInfo(t *Tenant) TenantInfo {
 		Watchers:     t.hub.subscribers(),
 		WatchEvents:  events,
 		WatchDropped: dropped,
-		Cache:        CacheStatsJSON{Rebuilds: cs.Rebuilds, DeltaApplies: cs.DeltaApplies, Hits: cs.Hits},
+		Cache:        CacheStatsJSON(cs),
 	}
 }
 
@@ -287,6 +292,11 @@ type ServerStats struct {
 	CacheRebuilds     uint64 `json:"cacheRebuilds"`
 	CacheDeltaApplies uint64 `json:"cacheDeltaApplies"`
 	CacheHits         uint64 `json:"cacheHits"`
+	// WorstEvaluated close to WorstInstants means worst-window sweeps are
+	// running unpruned.
+	WorstSweeps    uint64 `json:"worstSweeps"`
+	WorstInstants  uint64 `json:"worstInstants"`
+	WorstEvaluated uint64 `json:"worstEvaluated"`
 }
 
 // AdvanceSpec is the POST …/advance body; exactly one of By or To must be

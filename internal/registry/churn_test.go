@@ -2,6 +2,8 @@ package registry
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -330,4 +332,68 @@ func TestSnapshotInvalidationPerMutationKind(t *testing.T) {
 			}
 			return nil
 		})
+}
+
+// TestDeltaSnapshotCarriesPowerClasses: a delta-built snapshot inherits its
+// predecessor's power-class histogram and re-counts only the changed
+// buckets. After every mutation the carried histogram must equal one
+// counted from the per-replica view, and the report built from it must
+// equal the report of a snapshot built from scratch — through classes
+// emptying out, buckets disappearing and both weightings.
+func TestDeltaSnapshotCarriesPowerClasses(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	r := New(nil, nil)
+	weightings := []Weighting{DefaultWeighting, {Attested: 1, Declared: 0.5}}
+	var alive []ReplicaID
+	for step := 0; step < 600; step++ {
+		switch op := rng.Intn(4); {
+		case op == 0 || len(alive) < 4:
+			id := ReplicaID(fmt.Sprintf("r-%04d", step))
+			if err := r.JoinDeclared(id, testCfg(fmt.Sprintf("os-%d", rng.Intn(5))),
+				float64(1+rng.Intn(6)), time.Duration(rng.Intn(3))*time.Hour); err != nil {
+				t.Fatal(err)
+			}
+			alive = append(alive, id)
+		case op == 1:
+			i := rng.Intn(len(alive))
+			if err := r.Leave(alive[i]); err != nil {
+				t.Fatal(err)
+			}
+			alive = append(alive[:i], alive[i+1:]...)
+		case op == 2:
+			if err := r.SetPower(alive[rng.Intn(len(alive))], float64(1+rng.Intn(6))); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			if err := r.Migrate(alive[rng.Intn(len(alive))], testCfg(fmt.Sprintf("os-%d", rng.Intn(5)))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, w := range weightings {
+			snap, err := r.Snapshot(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make(map[float64]int)
+			for _, rep := range snap.Replicas() {
+				want[rep.Power]++
+			}
+			if !reflect.DeepEqual(snap.classes, want) {
+				t.Fatalf("step %d, %+v: carried classes %v, counted %v", step, w, snap.classes, want)
+			}
+			r.mu.RLock()
+			r.snapMu.Lock()
+			full, err := r.fullSnapshotLocked(w)
+			r.snapMu.Unlock()
+			r.mu.RUnlock()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err1 := snap.Report()
+			fresh, err2 := full.Report()
+			if err1 != nil || err2 != nil || got != fresh {
+				t.Fatalf("step %d, %+v: delta report %+v (%v), fresh %+v (%v)", step, w, got, err1, fresh, err2)
+			}
+		}
+	}
 }

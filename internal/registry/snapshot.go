@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"maps"
 	"sort"
 	"sync"
 
@@ -40,6 +41,10 @@ type Snapshot struct {
 	buckets []*SnapBucket // label-ascending
 	members int
 	total   float64 // Σ weighted power (== Distribution.Total())
+	// classes counts members per weighted power — the histogram Report's
+	// operator-fault resilience needs. A delta snapshot copies its
+	// predecessor's and re-counts only the changed buckets.
+	classes map[float64]int
 
 	// Per-replica views are materialised lazily: the bucketed aggregates
 	// answer the hot paths (diversity report, exposure index), and only
@@ -126,26 +131,35 @@ func (s *Snapshot) Population() *diversity.Population {
 	return s.lazyPop
 }
 
-// Report computes the full diversity report from the bucket aggregates:
-// distribution metrics from Distribution, abundance ω from per-bucket
-// counts, and operator-fault resilience from the (power → member count)
-// classes — O(#buckets + #groups), never O(#replicas). For integral powers
-// the result is bit-identical to diversity.ReportForPopulation over
-// Replicas(); the incremental-vs-cold property test pins that equivalence.
+// Report computes the full diversity report from the snapshot's
+// aggregates: distribution metrics from Distribution, abundance ω from
+// per-bucket counts, and operator-fault resilience from the (power → member
+// count) classes — O(#buckets + #power classes), never O(#groups) or
+// O(#replicas). For integral powers the result is bit-identical to
+// diversity.ReportForPopulation over Replicas(); the incremental-vs-cold
+// property test pins that equivalence.
 func (s *Snapshot) Report() (diversity.Report, error) {
 	abundance := make([]int, len(s.buckets))
-	classPowers := make(map[float64]int)
 	for i, sb := range s.buckets {
 		abundance[i] = sb.Count
-		for _, g := range sb.Groups {
-			classPowers[g.Power] += len(g.Names)
-		}
 	}
-	classes := make([]diversity.PowerClass, 0, len(classPowers))
-	for p, c := range classPowers {
+	classes := make([]diversity.PowerClass, 0, len(s.classes))
+	for p, c := range s.classes {
 		classes = append(classes, diversity.PowerClass{Power: p, Count: c})
 	}
 	return diversity.ReportForAggregates(s.Distribution, s.members, abundance, classes)
+}
+
+// countClasses adds (sign +1) or removes (sign −1) a bucket's members
+// to/from the power-class histogram, dropping classes that empty out.
+func countClasses(classes map[float64]int, sb *SnapBucket, sign int) {
+	for _, g := range sb.Groups {
+		if n := classes[g.Power] + sign*len(g.Names); n != 0 {
+			classes[g.Power] = n
+		} else {
+			delete(classes, g.Power)
+		}
+	}
 }
 
 // exportBucketLocked builds the immutable snapshot view of a bucket under
@@ -170,8 +184,9 @@ func (r *Registry) exportBucketLocked(b *bucket, w Weighting) *SnapBucket {
 	return sb
 }
 
-// finalizeSnapshot computes the aggregate fields from the bucket list.
-func (r *Registry) finalizeSnapshot(buckets []*SnapBucket, w Weighting) (*Snapshot, error) {
+// finalizeSnapshot computes the aggregate fields from the bucket list;
+// classes is the buckets' power-class histogram, owned by the snapshot.
+func (r *Registry) finalizeSnapshot(buckets []*SnapBucket, classes map[float64]int, w Weighting) (*Snapshot, error) {
 	weights := make(map[string]float64, len(buckets))
 	members := 0
 	for _, sb := range buckets {
@@ -189,6 +204,7 @@ func (r *Registry) finalizeSnapshot(buckets []*SnapBucket, w Weighting) (*Snapsh
 		buckets:      buckets,
 		members:      members,
 		total:        dist.Total(),
+		classes:      classes,
 	}, nil
 }
 
@@ -196,11 +212,14 @@ func (r *Registry) finalizeSnapshot(buckets []*SnapBucket, w Weighting) (*Snapsh
 // buckets and groups. r.mu (read) and r.snapMu must be held.
 func (r *Registry) fullSnapshotLocked(w Weighting) (*Snapshot, error) {
 	buckets := make([]*SnapBucket, 0, len(r.buckets))
+	classes := make(map[float64]int)
 	for _, b := range r.buckets {
-		buckets = append(buckets, r.exportBucketLocked(b, w))
+		sb := r.exportBucketLocked(b, w)
+		buckets = append(buckets, sb)
+		countClasses(classes, sb, +1)
 	}
 	sort.Slice(buckets, func(i, j int) bool { return buckets[i].Key < buckets[j].Key })
-	return r.finalizeSnapshot(buckets, w)
+	return r.finalizeSnapshot(buckets, classes, w)
 }
 
 // changedSinceLocked returns the distinct bucket keys touched since
@@ -248,6 +267,7 @@ func (r *Registry) deltaSnapshotLocked(prev *Snapshot, changed []config.ID, w We
 	sort.Slice(changes, func(i, j int) bool { return changes[i].label < changes[j].label })
 
 	out := make([]*SnapBucket, 0, len(prev.buckets)+len(changes))
+	classes := maps.Clone(prev.classes)
 	i := 0
 	for _, ch := range changes {
 		for i < len(prev.buckets) && prev.buckets[i].Key < ch.label {
@@ -255,14 +275,17 @@ func (r *Registry) deltaSnapshotLocked(prev *Snapshot, changed []config.ID, w We
 			i++
 		}
 		if i < len(prev.buckets) && prev.buckets[i].Key == ch.label {
-			i++ // superseded (or removed) below
+			countClasses(classes, prev.buckets[i], -1) // superseded (or removed) below
+			i++
 		}
 		if ch.b != nil {
-			out = append(out, r.exportBucketLocked(ch.b, w))
+			sb := r.exportBucketLocked(ch.b, w)
+			out = append(out, sb)
+			countClasses(classes, sb, +1)
 		}
 	}
 	out = append(out, prev.buckets[i:]...)
-	return r.finalizeSnapshot(out, w)
+	return r.finalizeSnapshot(out, classes, w)
 }
 
 // Snapshot returns the memoized derived view of the membership under w.

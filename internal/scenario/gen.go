@@ -264,8 +264,10 @@ func genDisclosureStorm(rng *rand.Rand, tl *Timeline) {
 	for i, n := 0, 12+rng.Intn(6); i < n; i++ {
 		g.join(g.hours(0, 6))
 	}
+	// Sixteen gaps of up to 29h can run past the horizon; the storm ends
+	// there (an event beyond the horizon is not a valid timeline).
 	at := Duration(genDay)
-	for i, n := 0, 8+rng.Intn(9); i < n; i++ {
+	for i, n := 0, 8+rng.Intn(9); i < n && at <= tl.Horizon; i++ {
 		g.disclose(at, Duration(genDay)+g.hours(0, 72), i)
 		at += g.hours(6, 30)
 	}

@@ -61,6 +61,40 @@ func TestGeneratedTimelinesRunClean(t *testing.T) {
 	}
 }
 
+// TestDisclosureStormStaysInsideHorizon: sixteen gaps of up to 29h from day
+// one can overrun the 15-day horizon, and Generate used to panic on the
+// invalid timeline. The two addresses are the ones `scenarios sweep -n 500
+// -seed 2006` and `-n 3000 -seed 10` (four analytic profiles) tripped over:
+// the storm must stop at the horizon, and the timeline must run clean.
+func TestDisclosureStormStaysInsideHorizon(t *testing.T) {
+	p, ok := LookupProfile("disclosure-storm")
+	if !ok {
+		t.Fatal("disclosure-storm profile missing")
+	}
+	for _, addr := range []struct {
+		seed  int64
+		index int
+	}{{2006, 30}, {10, 636}} {
+		tl := p.Generate(addr.seed, addr.index) // panics on an invalid timeline
+		disclosures := 0
+		for _, ev := range tl.Events {
+			if ev.Op == OpDisclose {
+				disclosures++
+			}
+		}
+		if disclosures < 8 {
+			t.Errorf("seed %d index %d: %d disclosures, the storm was cut short of its minimum", addr.seed, addr.index, disclosures)
+		}
+		_, violations, err := CheckRun(tl.Def(), addr.seed, DefaultInvariants())
+		if err != nil {
+			t.Fatalf("seed %d index %d: %v", addr.seed, addr.index, err)
+		}
+		for _, v := range violations {
+			t.Errorf("seed %d index %d violates %s at seq %d: %s", addr.seed, addr.index, v.Invariant, v.Seq, v.Detail)
+		}
+	}
+}
+
 // TestGeneratedReplayByteIdentical: a generated timeline's trace depends
 // only on (profile, seed, index) — replaying it serially and replaying four
 // copies concurrently produce the same bytes. This is the library-level

@@ -1,7 +1,9 @@
 package vuln
 
 import (
+	"cmp"
 	"errors"
+	"slices"
 	"sort"
 	"time"
 
@@ -52,6 +54,7 @@ type BucketSpec struct {
 type GroupInjector struct {
 	totalPower float64
 	buckets    map[string]*giBucket
+	keys       []string                 // bucket keys ascending: the one order sums over buckets are taken in
 	exposures  []*giExposure            // vulnerability-ID ascending
 	expByKey   map[string][]*giExposure // bucket key -> exposures matching it
 	known      map[ID]struct{}          // vulnerability IDs already indexed
@@ -64,17 +67,37 @@ type GroupInjector struct {
 	open    []giItem    // current exposure's open-window items
 	pos     []int       // k-way-merge cursors
 	bs      []*giBucket // current exposure's live matching buckets
+
+	// Per-sweep scratch (worstWindow): the critical instants, the upper
+	// bound on the compromised power at each, and one bucket's exposures
+	// in disclosure order. sweepInstants and sweepEvaluated describe the
+	// last sweep (LastSweep).
+	instants       []time.Duration
+	bound          []float64
+	byDisclosed    []*giExposure
+	sweepInstants  int
+	sweepEvaluated int
 }
 
 type giBucket struct {
-	key        string
 	cfg        config.Configuration
 	groups     []*giGroup // power-descending
 	maxLatency time.Duration
+	power      float64 // Σ members × power: the bucket's share of TotalPower
+
+	// lat is the latency index, built by latIndex on first use. A bucket is
+	// replaced wholesale when its groups change, which drops the index.
+	lat []latStep
+}
+
+// latStep is one entry of a bucket's latency index: a distinct patch
+// latency and the summed power of the groups patching that late or later.
+type latStep struct {
+	latency time.Duration // distinct, ascending
+	suffix  float64       // Σ members × power over groups with latency ≥ this one
 }
 
 type giGroup struct {
-	key     string // owning bucket key (item sort tie-breaker)
 	power   float64
 	latency time.Duration
 	names   []string // ascending; shared with the producer, read-only
@@ -113,12 +136,16 @@ func NewGroupInjector(catalog *Catalog, buckets []BucketSpec) (*GroupInjector, e
 	}
 	gi := &GroupInjector{
 		buckets:  make(map[string]*giBucket, len(buckets)),
+		keys:     make([]string, 0, len(buckets)),
 		expByKey: make(map[string][]*giExposure),
 		known:    make(map[ID]struct{}),
 	}
 	for _, bs := range buckets {
 		gi.buckets[bs.Key] = newGiBucket(bs)
+		gi.keys = append(gi.keys, bs.Key)
 	}
+	sort.Strings(gi.keys)
+	gi.keys = slices.Compact(gi.keys)
 	for _, v := range catalog.allSorted() {
 		gi.exposures = append(gi.exposures, gi.addVuln(v))
 	}
@@ -127,14 +154,12 @@ func NewGroupInjector(catalog *Catalog, buckets []BucketSpec) (*GroupInjector, e
 }
 
 func newGiBucket(bs BucketSpec) *giBucket {
-	b := &giBucket{key: bs.Key, cfg: bs.Config}
+	b := &giBucket{cfg: bs.Config}
 	for _, g := range bs.Groups {
 		if len(g.Names) == 0 {
 			continue
 		}
-		b.groups = append(b.groups, &giGroup{
-			key: bs.Key, power: g.Power, latency: g.Latency, names: g.Names,
-		})
+		b.groups = append(b.groups, &giGroup{power: g.Power, latency: g.Latency, names: g.Names})
 		if g.Latency > b.maxLatency {
 			b.maxLatency = g.Latency
 		}
@@ -144,7 +169,58 @@ func newGiBucket(bs BucketSpec) *giBucket {
 	// equal-power items form one class, which the take logic resolves as a
 	// unit whatever their relative order.
 	sort.Slice(b.groups, func(i, j int) bool { return b.groups[i].power > b.groups[j].power })
+	for _, g := range b.groups {
+		b.power += float64(len(g.names)) * g.power
+	}
 	return b
+}
+
+// latIndex returns the bucket's latency index, building it on first use.
+// Under any vulnerability the groups still open at t are those with
+// latency > t − PatchAt — a suffix of this index — so one lookup gives the
+// power an exposure can reach in the bucket, and the distinct latencies are
+// the bucket's distinct window-close offsets. Built lazily because most
+// buckets of a short-lived injector are never swept.
+func (b *giBucket) latIndex() []latStep {
+	if b.lat != nil || len(b.groups) == 0 {
+		return b.lat
+	}
+	lat := make([]latStep, len(b.groups))
+	for i, g := range b.groups {
+		lat[i] = latStep{latency: g.latency, suffix: float64(len(g.names)) * g.power}
+	}
+	slices.SortFunc(lat, func(x, y latStep) int { return cmp.Compare(x.latency, y.latency) })
+	n := 0
+	for _, st := range lat[1:] {
+		if st.latency == lat[n].latency {
+			lat[n].suffix += st.suffix
+		} else {
+			n++
+			lat[n] = st
+		}
+	}
+	lat = lat[:n+1]
+	for i := len(lat) - 2; i >= 0; i-- {
+		lat[i].suffix += lat[i+1].suffix
+	}
+	b.lat = lat
+	return lat
+}
+
+// openPower is the summed power of the bucket's groups with latency > x.
+func openPower(lat []latStep, x time.Duration) float64 {
+	lo, hi := 0, len(lat)
+	for lo < hi {
+		if mid := (lo + hi) / 2; lat[mid].latency > x {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	if lo == len(lat) {
+		return 0
+	}
+	return lat[lo].suffix
 }
 
 // addVuln indexes one vulnerability: match against every bucket. Exposures
@@ -184,12 +260,13 @@ func (gi *GroupInjector) refreshExposure(e *giExposure) {
 	e.keys = keys
 }
 
+// recomputeTotal sums the cached bucket powers in bucket-key order — never
+// in map order — so two injectors over the same buckets agree on the
+// denominator of every PowerFraction to the last bit. O(#buckets).
 func (gi *GroupInjector) recomputeTotal() {
 	var total float64
-	for _, b := range gi.buckets {
-		for _, g := range b.groups {
-			total += float64(len(g.names)) * g.power
-		}
+	for _, key := range gi.keys {
+		total += gi.buckets[key].power
 	}
 	gi.totalPower = total
 }
@@ -212,15 +289,16 @@ func (gi *GroupInjector) ApplyBuckets(changed []BucketSpec, removed []string) {
 		}
 		delete(gi.buckets, key)
 		delete(gi.expByKey, key)
+		i := sort.SearchStrings(gi.keys, key)
+		gi.keys = slices.Delete(gi.keys, i, i+1)
 	}
 	for _, bs := range changed {
-		b := gi.buckets[bs.Key]
-		if b == nil {
+		if gi.buckets[bs.Key] == nil {
 			// New bucket: its matching vulnerability set is computed once
 			// here and stays valid for the bucket's lifetime (the key is
 			// the configuration digest, so the config never changes).
-			b = newGiBucket(bs)
-			gi.buckets[bs.Key] = b
+			gi.buckets[bs.Key] = newGiBucket(bs)
+			gi.keys = slices.Insert(gi.keys, sort.SearchStrings(gi.keys, bs.Key), bs.Key)
 			var exps []*giExposure
 			for _, e := range gi.exposures {
 				if e.vuln.Affects(bs.Config) {
@@ -235,8 +313,7 @@ func (gi *GroupInjector) ApplyBuckets(changed []BucketSpec, removed []string) {
 			gi.expByKey[bs.Key] = exps
 			continue
 		}
-		nb := newGiBucket(bs)
-		b.groups, b.maxLatency = nb.groups, nb.maxLatency
+		gi.buckets[bs.Key] = newGiBucket(bs)
 		for _, e := range gi.expByKey[bs.Key] {
 			affected[e] = struct{}{}
 		}
@@ -518,9 +595,16 @@ func (gi *GroupInjector) materialize(k int, out *[]string) float64 {
 // [0, horizon] where the fault picture can change: 0, each disclosure, and
 // each (vulnerability, group) window close. Groups partition replicas by
 // patch latency, so the distinct close instants are exactly the flat
-// injector's per-replica ones.
+// injector's per-replica ones — and a bucket's latency index already holds
+// its distinct latencies, so the walk is O(vulns × latencies), not
+// O(vulns × groups).
 func (gi *GroupInjector) CriticalInstants(horizon time.Duration) []time.Duration {
-	events := []time.Duration{0}
+	return gi.criticalInstants(horizon, nil)
+}
+
+// criticalInstants is CriticalInstants appending into buf's storage.
+func (gi *GroupInjector) criticalInstants(horizon time.Duration, buf []time.Duration) []time.Duration {
+	events := append(buf[:0], 0)
 	for _, e := range gi.exposures {
 		if d := e.vuln.Disclosed; d > 0 && d <= horizon {
 			events = append(events, d)
@@ -530,21 +614,15 @@ func (gi *GroupInjector) CriticalInstants(horizon time.Duration) []time.Duration
 			if b == nil {
 				continue
 			}
-			for _, g := range b.groups {
-				if c := e.vuln.PatchAt + g.latency; c > 0 && c <= horizon {
+			for _, st := range b.latIndex() {
+				if c := e.vuln.PatchAt + st.latency; c > 0 && c <= horizon {
 					events = append(events, c)
 				}
 			}
 		}
 	}
-	sort.Slice(events, func(a, b int) bool { return events[a] < events[b] })
-	out := events[:1]
-	for _, t := range events[1:] {
-		if t != out[len(out)-1] {
-			out = append(out, t)
-		}
-	}
-	return out
+	slices.Sort(events)
+	return slices.Compact(events)
 }
 
 // WorstWindow sweeps the critical instants of [0, horizon] and returns the
@@ -560,17 +638,118 @@ func (gi *GroupInjector) WorstWindowSummary(horizon time.Duration) (Injection, e
 	return gi.worstWindow(horizon, false)
 }
 
+// LastSweep reports how many critical instants the most recent worst-window
+// sweep covered and at how many of them it had to evaluate the exact
+// fraction. evaluated == instants means the bound pruned nothing and the
+// sweep cost what the flat reference's does; it is never more.
+func (gi *GroupInjector) LastSweep() (instants, evaluated int) {
+	return gi.sweepInstants, gi.sweepEvaluated
+}
+
+// boundSlack is the relative slack the pruning test grants the bound; see
+// worstWindow for what it has to cover.
+const boundSlack = 1e-9
+
+// sweepBounds fills gi.bound with an upper bound on the deduplicated
+// compromised power at each instant. Inside a bucket the groups open at t
+// under a vulnerability are those with latency > t − PatchAt, so the open
+// sets of all disclosed vulnerabilities matching the bucket are nested and
+// their union is the one with the latest PatchAt; whatever the severities
+// take lies inside that union. Summing its power over the buckets bounds
+// the numerator of the fraction from above, and equals it when every
+// severity is 1. Only non-negative terms are added, in bucket-key order.
+func (gi *GroupInjector) sweepBounds(instants []time.Duration) []float64 {
+	if cap(gi.bound) < len(instants) {
+		gi.bound = make([]float64, len(instants))
+	}
+	bound := gi.bound[:len(instants)]
+	clear(bound)
+	for _, key := range gi.keys {
+		b := gi.buckets[key]
+		if b.power == 0 || len(gi.expByKey[key]) == 0 {
+			continue
+		}
+		exps := append(gi.byDisclosed[:0], gi.expByKey[key]...)
+		gi.byDisclosed = exps[:0]
+		slices.SortFunc(exps, func(x, y *giExposure) int { return cmp.Compare(x.vuln.Disclosed, y.vuln.Disclosed) })
+		lat := b.latIndex()
+		// Walk the instants from the first disclosure on, tracking the
+		// latest PatchAt among the vulnerabilities disclosed so far. While
+		// nothing is open, jump straight to the next disclosure (itself a
+		// critical instant whenever it lies in the horizon).
+		next := 0
+		var patch time.Duration
+		for i, _ := slices.BinarySearch(instants, exps[0].vuln.Disclosed); i < len(instants); {
+			t := instants[i]
+			for ; next < len(exps) && exps[next].vuln.Disclosed <= t; next++ {
+				if p := exps[next].vuln.PatchAt; next == 0 || p > patch {
+					patch = p
+				}
+			}
+			if t-patch >= b.maxLatency {
+				if next == len(exps) {
+					break
+				}
+				i, _ = slices.BinarySearch(instants, exps[next].vuln.Disclosed)
+				continue
+			}
+			bound[i] += openPower(lat, t-patch)
+			i++
+		}
+	}
+	return bound
+}
+
 func (gi *GroupInjector) worstWindow(horizon time.Duration, names bool) (Injection, error) {
 	if horizon < 0 {
 		return Injection{}, errors.New("vuln: negative horizon " + horizon.String())
 	}
-	bestT := time.Duration(0)
-	bestF := gi.TotalFractionAt(0)
-	for _, t := range gi.CriticalInstants(horizon)[1:] {
-		if f := gi.TotalFractionAt(t); f > bestF {
+	gi.sweepInstants, gi.sweepEvaluated = 0, 0
+	if gi.totalPower == 0 {
+		return Injection{}, nil
+	}
+	gi.instants = gi.criticalInstants(horizon, gi.instants)
+	instants := gi.instants
+	bound := gi.sweepBounds(instants)
+
+	// Bound-and-prune. Seed the search at the instant with the largest
+	// bound, then walk the instants evaluating the exact fraction only
+	// where the bound can still reach the best found. Why the result is the
+	// flat sweep's, bit for bit:
+	//
+	//   - A skipped instant has bound(t)·(1+boundSlack) < best·total. The
+	//     exact numerator at t sums a subset of what bound(t) sums, so in
+	//     real arithmetic it is ≤ bound(t); hence f(t) < best strictly, t is
+	//     not a maximiser, and the earliest maximiser is never skipped.
+	//   - Every comparison that decides bestT is between two exact
+	//     TotalFractionAt values, with ties going to the earlier instant —
+	//     the flat sweep's "first strict improvement in time order".
+	//
+	// boundSlack covers float rounding only: bound and numerator add
+	// non-negative terms in different orders, so each sum is off by at most
+	// about (#groups)·2⁻⁵³ relative — 1.1e-10 even if every one of the
+	// scale ladder's 1M replicas were its own group — and best·total adds
+	// two more roundings: the two sides drift apart by under 2.3e-10 <
+	// 1e-9. Do not replace the exact evaluations by running float sums:
+	// near-ties would then pick a different instant than the flat oracle.
+	seed := 0
+	for i, v := range bound {
+		if v > bound[seed] {
+			seed = i
+		}
+	}
+	bestT, bestF := instants[seed], gi.TotalFractionAt(instants[seed])
+	evaluated := 1
+	for i, t := range instants {
+		if i == seed || bound[i]*(1+boundSlack) < bestF*gi.totalPower {
+			continue
+		}
+		evaluated++
+		if f := gi.TotalFractionAt(t); f > bestF || (f == bestF && t < bestT) {
 			bestT, bestF = t, f
 		}
 	}
+	gi.sweepInstants, gi.sweepEvaluated = len(instants), evaluated
 	if bestF == 0 {
 		// Match Injector.WorstWindow: no instant compromises anything, so
 		// report the zero injection rather than a fault-free picture at 0.
