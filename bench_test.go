@@ -15,18 +15,21 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"testing"
 	"time"
 
 	"repro/internal/assessbench"
 	"repro/internal/attest"
 	"repro/internal/bft"
+	"repro/internal/bftlive"
 	"repro/internal/committee"
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/cryptoutil"
 	"repro/internal/experiment"
 	"repro/internal/gossip"
+	_ "repro/internal/liveloop" // registers the live-attach hook lossy-wire timelines need
 	"repro/internal/nakamoto"
 	"repro/internal/planner"
 	"repro/internal/pooldata"
@@ -569,6 +572,88 @@ func BenchmarkScenario(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// --- the live loop's wire path: scheduler, simnet, bftlive ---
+
+// BenchmarkSchedulerEvents measures the bare event queue: schedule a batch
+// of no-op events at distinct instants, then fire them all.
+func BenchmarkSchedulerEvents(b *testing.B) {
+	const batch = 1024
+	b.ReportAllocs()
+	for i := 0; i < b.N; i += batch {
+		sched := sim.NewScheduler(1)
+		for j := 0; j < batch; j++ {
+			sched.After(time.Duration((j*7919)%batch), "noop", func() {})
+		}
+		if fired := sched.RunAll(0); fired != batch {
+			b.Fatalf("fired %d of %d", fired, batch)
+		}
+	}
+}
+
+// BenchmarkSimClusterCommit measures one committed value on a 7-replica
+// bftlive.SimCluster with view changes on, over a clean wire and one that
+// loses a tenth of its messages — the shape of the repository benchmark's
+// bftlive.commit_us / lossy_commit_us rungs.
+func BenchmarkSimClusterCommit(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		drop float64
+	}{{"clean", 0}, {"lossy10", 0.1}} {
+		b.Run(c.name, func(b *testing.B) {
+			sched := sim.NewScheduler(42)
+			net, err := simnet.New(sched, simnet.FixedLatency(20*time.Millisecond), c.drop)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cl, err := bftlive.NewSimCluster(net, 7, bftlive.SimWithViewTimeout(10*time.Second))
+			if err != nil {
+				b.Fatal(err)
+			}
+			value := []byte("v-00000000")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				value = strconv.AppendInt(value[:2], int64(i), 10)
+				cl.Submit(value)
+				if err := sched.Run(sched.Now() + time.Minute); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if v := cl.Violation(); v != nil {
+				b.Fatalf("agreement violated: %v", v)
+			}
+			if got := cl.CommitCount(); got < b.N*cl.Quorum() {
+				b.Fatalf("%d commit events for %d values, want at least a quorum each", got, b.N)
+			}
+		})
+	}
+}
+
+// BenchmarkLossyWireTimeline times one generated lossy-wire timeline run
+// through CheckRun with the default invariants: the unit of work of the
+// repository benchmark's sweep-live workload, ~95 % of it liveloop +
+// bftlive.SimCluster + simnet.
+func BenchmarkLossyWireTimeline(b *testing.B) {
+	p, ok := scenario.LookupProfile("lossy-wire")
+	if !ok {
+		b.Fatal("no lossy-wire profile")
+	}
+	def := p.Generate(42, 0).Def()
+	invs := scenario.DefaultInvariants()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, violations, err := scenario.CheckRun(def, 42, invs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(violations) != 0 || len(res.Records) == 0 {
+			b.Fatalf("%d violations, %d records", len(violations), len(res.Records))
+		}
 	}
 }
 

@@ -91,7 +91,7 @@ type Replica struct {
 
 	pending      [][]byte // client values awaiting commitment
 	vcVotes      map[View]map[simnet.NodeID]viewChange
-	vcTimer      *sim.Timer
+	vcTimer      *sim.Event
 	vcBackoff    time.Duration
 	vcTarget     View // highest view this replica has voted to enter
 	inViewChange bool

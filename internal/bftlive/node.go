@@ -51,37 +51,71 @@ type pendingReq struct {
 	value  []byte
 }
 
+// voterSet is a counted set of replica indices: a quorum test is a count
+// read, a vote a bit set. The zero value is the empty set.
+type voterSet struct {
+	lo    uint64   // replicas 0..63
+	hi    []uint64 // replicas 64 and up, grown on demand
+	count int      // distinct voters
+}
+
+// add records a vote from replica i; a repeated vote changes nothing.
+func (v *voterSet) add(i int) {
+	word := &v.lo
+	if i >= 64 {
+		k := i/64 - 1
+		for len(v.hi) <= k {
+			v.hi = append(v.hi, 0)
+		}
+		word = &v.hi[k]
+	}
+	if bit := uint64(1) << (i % 64); *word&bit == 0 {
+		*word |= bit
+		v.count++
+	}
+}
+
+// proposal is what a round knows about one digest: the value, who voted
+// for it at each phase, and which of its own votes this replica has cast.
+type proposal struct {
+	digest   cryptoutil.Digest
+	value    []byte
+	prepares voterSet
+	commits  voterSet
+	sentPrep bool
+	sentComm bool
+}
+
 // liveRound tracks one sequence slot. Votes are kept per digest so an
 // equivocating primary's conflicting proposals accumulate separate quorums
-// instead of being conflated.
+// instead of being conflated. A round almost always sees one digest, so
+// the proposals are a slice searched in arrival order.
 type liveRound struct {
 	accepted  bool
 	digest    cryptoutil.Digest // the honest-accepted proposal
-	values    map[cryptoutil.Digest][]byte
-	prepares  map[cryptoutil.Digest]map[int]bool
-	commits   map[cryptoutil.Digest]map[int]bool
-	sentPrep  map[cryptoutil.Digest]bool
-	sentComm  map[cryptoutil.Digest]bool
 	committed bool
+	proposals []proposal
 }
 
-func newLiveRound() *liveRound {
-	return &liveRound{
-		values:   make(map[cryptoutil.Digest][]byte),
-		prepares: make(map[cryptoutil.Digest]map[int]bool),
-		commits:  make(map[cryptoutil.Digest]map[int]bool),
-		sentPrep: make(map[cryptoutil.Digest]bool),
-		sentComm: make(map[cryptoutil.Digest]bool),
+// find returns the round's state for digest d, or nil if d was never seen.
+// The pointer is good until the next call to proposal.
+func (rd *liveRound) find(d cryptoutil.Digest) *proposal {
+	for i := range rd.proposals {
+		if rd.proposals[i].digest == d {
+			return &rd.proposals[i]
+		}
 	}
+	return nil
 }
 
-func votes(m map[cryptoutil.Digest]map[int]bool, d cryptoutil.Digest) map[int]bool {
-	v, ok := m[d]
-	if !ok {
-		v = make(map[int]bool)
-		m[d] = v
+// proposal returns the round's state for digest d, creating it on first
+// sight.
+func (rd *liveRound) proposal(d cryptoutil.Digest) *proposal {
+	if p := rd.find(d); p != nil {
+		return p
 	}
-	return v
+	rd.proposals = append(rd.proposals, proposal{digest: d})
+	return &rd.proposals[len(rd.proposals)-1]
 }
 
 // node is the transport-agnostic replica state machine shared by the
@@ -101,12 +135,12 @@ type node struct {
 	// higher view.
 	onView func(v uint64)
 
-	view      uint64                  // current installed view
-	votedView uint64                  // highest view this node voted to enter
-	viewVotes map[uint64]map[int]bool // view-change votes per proposed view
-	maxSeq    uint64                  // highest sequence proposed or seen
-	pending   []pendingReq            // uncommitted client requests, arrival order
-	committed int                     // local commit count (progress signal)
+	view      uint64               // current installed view
+	votedView uint64               // highest view this node voted to enter
+	viewVotes map[uint64]*voterSet // view-change votes per proposed view
+	maxSeq    uint64               // highest sequence proposed or seen
+	pending   []pendingReq         // uncommitted client requests, arrival order
+	committed int                  // local commit count (progress signal)
 	rounds    map[uint64]*liveRound
 }
 
@@ -118,7 +152,7 @@ func newNode(id, n, quorum int, behavior func() Behavior, out func(message), onC
 		behavior:  behavior,
 		out:       out,
 		onCommit:  onCommit,
-		viewVotes: make(map[uint64]map[int]bool),
+		viewVotes: make(map[uint64]*voterSet),
 		rounds:    make(map[uint64]*liveRound),
 	}
 }
@@ -223,16 +257,16 @@ func (n *node) handleViewChange(m message) {
 	}
 	vv := n.viewVotes[v]
 	if vv == nil {
-		vv = make(map[int]bool)
+		vv = &voterSet{}
 		n.viewVotes[v] = vv
 	}
-	vv[m.from] = true
+	vv.add(m.from)
 	f := (n.n - 1) / 3
-	if len(vv) >= f+1 && n.votedView < v {
+	if vv.count >= f+1 && n.votedView < v {
 		n.votedView = v
 		n.out(message{kind: kindViewChange, from: n.id, view: v})
 	}
-	if len(vv) >= n.quorum {
+	if vv.count >= n.quorum {
 		n.installView(v)
 	}
 }
@@ -240,7 +274,7 @@ func (n *node) handleViewChange(m message) {
 func (n *node) round(seq uint64) *liveRound {
 	rd, ok := n.rounds[seq]
 	if !ok {
-		rd = newLiveRound()
+		rd = &liveRound{}
 		n.rounds[seq] = rd
 	}
 	return rd
@@ -271,23 +305,24 @@ func (n *node) handle(m message) {
 			n.maxSeq = m.seq
 		}
 		rd := n.round(m.seq)
-		rd.values[m.digest] = append([]byte(nil), m.value...)
+		p := rd.proposal(m.digest)
+		p.value = append([]byte(nil), m.value...)
 		switch n.behavior() {
 		case Promiscuous:
-			if !rd.sentPrep[m.digest] {
-				rd.sentPrep[m.digest] = true
+			if !p.sentPrep {
+				p.sentPrep = true
 				n.out(message{kind: kindPrepare, from: n.id, seq: m.seq, digest: m.digest})
 			}
-			if !rd.sentComm[m.digest] {
-				rd.sentComm[m.digest] = true
+			if !p.sentComm {
+				p.sentComm = true
 				n.out(message{kind: kindCommit, from: n.id, seq: m.seq, digest: m.digest})
 			}
 		default:
 			if !rd.accepted {
 				rd.accepted = true
 				rd.digest = m.digest
-				if !rd.sentPrep[m.digest] {
-					rd.sentPrep[m.digest] = true
+				if !p.sentPrep {
+					p.sentPrep = true
 					n.out(message{kind: kindPrepare, from: n.id, seq: m.seq, digest: m.digest})
 				}
 			}
@@ -295,13 +330,14 @@ func (n *node) handle(m message) {
 		n.progress(m.seq, rd)
 	case kindPrepare:
 		rd := n.round(m.seq)
-		votes(rd.prepares, m.digest)[m.from] = true
+		rd.proposal(m.digest).prepares.add(m.from)
 		n.progress(m.seq, rd)
 	case kindCommit:
 		rd := n.round(m.seq)
-		votes(rd.commits, m.digest)[m.from] = true
+		p := rd.proposal(m.digest)
+		p.commits.add(m.from)
 		n.progress(m.seq, rd)
-		n.certCommit(m.seq, rd, m.digest)
+		n.certCommit(m.seq, rd, p)
 	case kindViewChange:
 		n.handleViewChange(m)
 	}
@@ -315,14 +351,15 @@ func (n *node) progress(seq uint64, rd *liveRound) {
 	if !rd.accepted {
 		return
 	}
-	if !rd.sentComm[rd.digest] && len(rd.prepares[rd.digest]) >= n.quorum {
-		rd.sentComm[rd.digest] = true
+	p := rd.find(rd.digest)
+	if !p.sentComm && p.prepares.count >= n.quorum {
+		p.sentComm = true
 		n.out(message{kind: kindCommit, from: n.id, seq: seq, digest: rd.digest})
 	}
-	if !rd.committed && len(rd.commits[rd.digest]) >= n.quorum {
+	if !rd.committed && p.commits.count >= n.quorum {
 		rd.committed = true
 		n.committed++
-		n.onCommit(Commit{Replica: n.id, Seq: seq, Value: rd.values[rd.digest]})
+		n.onCommit(Commit{Replica: n.id, Seq: seq, Value: p.value})
 		n.removePending(rd.digest)
 	}
 }
@@ -330,24 +367,22 @@ func (n *node) progress(seq uint64, rd *liveRound) {
 // certCommit commits on a bare commit certificate: a quorum of commit
 // votes for a digest whose value this replica knows (from the request
 // backlog or an earlier pre-prepare) even though a lossy link ate the
-// pre-prepare. Only the just-delivered digest is checked — never a map
-// scan — keeping the path deterministic.
-func (n *node) certCommit(seq uint64, rd *liveRound, d cryptoutil.Digest) {
-	if rd.committed || len(rd.commits[d]) < n.quorum {
+// pre-prepare. Only the just-delivered digest's proposal p is checked —
+// never a scan — keeping the path deterministic.
+func (n *node) certCommit(seq uint64, rd *liveRound, p *proposal) {
+	if rd.committed || p.commits.count < n.quorum {
 		return
 	}
-	value := rd.values[d]
-	if value == nil {
-		value = n.pendingValue(d)
+	if p.value == nil {
+		p.value = n.pendingValue(p.digest)
 	}
-	if value == nil {
+	if p.value == nil {
 		return
 	}
 	rd.committed = true
 	rd.accepted = true
-	rd.digest = d
-	rd.values[d] = value
+	rd.digest = p.digest
 	n.committed++
-	n.onCommit(Commit{Replica: n.id, Seq: seq, Value: value})
-	n.removePending(d)
+	n.onCommit(Commit{Replica: n.id, Seq: seq, Value: p.value})
+	n.removePending(p.digest)
 }

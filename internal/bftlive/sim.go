@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/cryptoutil"
+	"repro/internal/sim"
 	"repro/internal/simnet"
 )
 
@@ -170,10 +171,19 @@ func (s *SimCluster) Quorum() int { return s.quorum }
 // handling.
 func (s *SimCluster) broadcast(from int, m message) {
 	s.net.Broadcast(simnet.NodeID(from), m)
-	s.net.Scheduler().After(0, fmt.Sprintf("self-deliver %d", from), func() {
-		s.nodes[from].handle(m)
-	})
+	d := &selfDelivery{nd: s.nodes[from], m: m}
+	s.net.Scheduler().Schedule(&d.ev, 0, "self-deliver", d)
 }
+
+// selfDelivery is a replica's own broadcast on its way back to it.
+type selfDelivery struct {
+	ev sim.Event
+	nd *node
+	m  message
+}
+
+// Fire implements sim.Action.
+func (d *selfDelivery) Fire() { d.nd.handle(d.m) }
 
 // Submit schedules a client value for every replica after the client hop:
 // the current primary proposes it, the rest bank it for re-proposal after
@@ -246,7 +256,7 @@ func (s *SimCluster) EquivocateNext(a, b []byte) error {
 		}
 	}
 	// The primary endorses both of its own proposals too.
-	s.net.Scheduler().After(0, fmt.Sprintf("self-deliver %d", p), func() {
+	s.net.Scheduler().After(0, "self-deliver", func() {
 		nd.handle(ma)
 		nd.handle(mb)
 	})

@@ -148,3 +148,87 @@ func TestSimClusterEquivocationNeedsByzantinePrimary(t *testing.T) {
 		t.Fatal("honest primary allowed to equivocate")
 	}
 }
+
+// TestSimClusterWirePinned replays a fixed lossy, faulty, crash-and-recover
+// run and compares every wire counter with the values the container/heap,
+// map-per-round implementation produced: a change to scheduling order or
+// RNG draw order anywhere under the live loop moves at least one of them.
+func TestSimClusterWirePinned(t *testing.T) {
+	for _, tc := range []struct {
+		drop           float64
+		stats          simnet.Stats
+		fired          uint64
+		views, commits int
+	}{
+		{0, simnet.Stats{Sent: 4980, Delivered: 4570, NodeDown: 381, LinkDropped: 32, Duplicated: 9, Reordered: 34}, 5750, 1, 335},
+		{0.1, simnet.Stats{Sent: 13914, Delivered: 11678, Dropped: 1344, NodeDown: 845, LinkDropped: 50, Duplicated: 15, Reordered: 86}, 14349, 90, 518},
+	} {
+		sched := sim.NewScheduler(42)
+		net, err := simnet.New(sched, simnet.FixedLatency(20*time.Millisecond), tc.drop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl, err := NewSimCluster(net, 7, SimWithViewTimeout(10*time.Second))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := net.SetLinkFault(0, 3, simnet.Fault{Drop: 0.2, Jitter: 15 * time.Millisecond, Duplicate: 0.1, Reorder: 0.1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := net.SetLinkFault(5, 0, simnet.Fault{ExtraLatency: 5 * time.Millisecond, Reorder: 0.3}); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 50; i++ {
+			cl.Submit([]byte(fmt.Sprintf("v-%04d", i)))
+			switch i {
+			case 20:
+				net.SetDown(0, true)
+			case 35:
+				net.SetDown(0, false)
+			}
+			if err := sched.Run(sched.Now() + time.Minute); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := net.Stats(); got != tc.stats {
+			t.Errorf("drop %v: stats = %+v, want %+v", tc.drop, got, tc.stats)
+		}
+		if sched.Fired() != tc.fired || cl.ViewChanges() != tc.views || cl.CommitCount() != tc.commits {
+			t.Errorf("drop %v: fired %d, %d view changes, %d commits; want %d, %d, %d",
+				tc.drop, sched.Fired(), cl.ViewChanges(), cl.CommitCount(), tc.fired, tc.views, tc.commits)
+		}
+		if v := cl.Violation(); v != nil {
+			t.Errorf("drop %v: agreement violated: %v", tc.drop, v)
+		}
+	}
+}
+
+// TestSimClusterCommitAllocations pins a clean 7-replica commit — 15
+// broadcasts, 90 messages, 7 rounds; 173 objects when written — well
+// under the 592 it cost when every message carried an event, a timer, a
+// closure and a formatted label, and every round five maps.
+func TestSimClusterCommitAllocations(t *testing.T) {
+	sched := sim.NewScheduler(1)
+	net, err := simnet.New(sched, simnet.FixedLatency(20*time.Millisecond), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := NewSimCluster(net, 7, SimWithViewTimeout(10*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	value := []byte("v-0")
+	got := testing.AllocsPerRun(200, func() {
+		value[2]++
+		cl.Submit(value)
+		if err := sched.Run(sched.Now() + time.Minute); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if cl.CommitCount() != 201*7 {
+		t.Fatalf("%d commit events, want %d", cl.CommitCount(), 201*7)
+	}
+	if got > 180 {
+		t.Errorf("a clean 7-replica commit allocates %.0f objects, want at most 180", got)
+	}
+}

@@ -12,7 +12,6 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -23,62 +22,59 @@ import (
 // before reaching its horizon.
 var ErrStopped = errors.New("sim: scheduler stopped")
 
-// Event is a unit of work scheduled at a virtual instant.
+// Action is work the scheduler runs at an event's instant. At, After and
+// Every wrap a func(); a caller that already allocates a record per event
+// (simnet's in-flight message) implements Action on the record and queues
+// it with Schedule instead of paying for a closure.
+type Action interface {
+	Fire()
+}
+
+type funcAction func()
+
+func (f funcAction) Fire() { f() }
+
+// Event is a unit of work scheduled at a virtual instant, and the handle
+// that cancels it.
 type Event struct {
-	At   time.Duration // virtual time at which the event fires
-	Seq  uint64        // tie-breaker: order of scheduling
-	Fn   func()        // callback; runs with the clock set to At
-	Name string        // optional label for tracing
-	idx  int           // heap index
-	dead bool          // cancelled
+	Name string // static label, for a debugger; never formatted per event
+	act  Action // runs with the clock set to the event's instant
+	// state is idle (never queued, fired, or reaped), pending or cancelled;
+	// the last two mean the queue holds a pointer to the event.
+	state uint8
 }
 
-// Timer is a handle to a scheduled event that can be cancelled.
-type Timer struct {
-	ev *Event
-}
+const (
+	idle uint8 = iota
+	pending
+	cancelled
+)
 
-// Stop cancels the timer. It reports whether the event had not yet fired.
-// Stopping an already-fired or already-stopped timer is a no-op.
-func (t *Timer) Stop() bool {
-	if t == nil || t.ev == nil || t.ev.dead {
+// Stop cancels the event. It reports whether the event had not yet fired.
+// Stopping an already-fired or already-stopped event is a no-op.
+func (e *Event) Stop() bool {
+	if e == nil || e.state != pending {
 		return false
 	}
-	t.ev.dead = true
-	t.ev.Fn = nil
+	e.state = cancelled
+	e.act = nil
 	return true
 }
 
-type eventHeap []*Event
+// entry is one queue slot. The sort key sits beside the pointer so the
+// heap compares without touching the events.
+type entry struct {
+	at  time.Duration // virtual time at which the event fires
+	seq uint64        // tie-breaker: order of scheduling
+	ev  *Event
+}
 
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].At != h[j].At {
-		return h[i].At < h[j].At
+// before is the queue order: (at, seq), a total order because seq is unique.
+func (e entry) before(o entry) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return h[i].Seq < h[j].Seq
-}
-
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
-	ev.idx = len(*h)
-	*h = append(*h, ev)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+	return e.seq < o.seq
 }
 
 // Scheduler is a deterministic discrete-event scheduler. The zero value is
@@ -86,11 +82,10 @@ func (h *eventHeap) Pop() any {
 type Scheduler struct {
 	now     time.Duration
 	seq     uint64
-	queue   eventHeap
+	queue   []entry // binary min-heap on entry.before
 	rng     *rand.Rand
 	stopped bool
 	fired   uint64
-	trace   func(Event)
 }
 
 // NewScheduler returns a scheduler whose random source is seeded with seed.
@@ -113,62 +108,147 @@ func (s *Scheduler) Fired() uint64 { return s.fired }
 // have not been reaped yet).
 func (s *Scheduler) Pending() int { return len(s.queue) }
 
-// SetTrace installs a hook invoked just before each event fires. A nil hook
-// disables tracing.
-func (s *Scheduler) SetTrace(fn func(Event)) { s.trace = fn }
+// push queues ev at instant at, sifting it up from the last leaf.
+func (s *Scheduler) push(ev *Event, at time.Duration, name string, act Action) {
+	s.seq++
+	ev.Name, ev.act, ev.state = name, act, pending
+	e := entry{at: at, seq: s.seq, ev: ev}
+	q := append(s.queue, e)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = e
+	s.queue = q
+}
 
-// At schedules fn to run at absolute virtual time at. Scheduling in the past
-// is an error: deterministic replay requires a causally ordered event log.
-func (s *Scheduler) At(at time.Duration, name string, fn func()) (*Timer, error) {
+// pop removes and returns the earliest queue entry, sifting the last leaf
+// down from the root.
+func (s *Scheduler) pop() entry {
+	q := s.queue
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = entry{}
+	q = q[:n]
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if right := child + 1; right < n && q[right].before(q[child]) {
+			child = right
+		}
+		if !q[child].before(last) {
+			break
+		}
+		q[i] = q[child]
+		i = child
+	}
+	if n > 0 {
+		q[i] = last
+	}
+	s.queue = q
+	return top
+}
+
+// queueAt queues ev for the absolute instant at. Scheduling in the past is
+// an error: deterministic replay requires a causally ordered event log.
+func (s *Scheduler) queueAt(ev *Event, at time.Duration, name string, act Action) error {
+	if at < s.now {
+		return fmt.Errorf("sim: schedule at %v before now %v", at, s.now)
+	}
+	s.push(ev, at, name, act)
+	return nil
+}
+
+// At schedules fn to run at absolute virtual time at; an instant before
+// Now is an error.
+//
+// name is a static label: pass a constant. Nothing reads it on the run
+// path, so a label formatted per event is pure cost — a fifth of a
+// live-loop timeline, when simnet did it per message.
+func (s *Scheduler) At(at time.Duration, name string, fn func()) (*Event, error) {
 	if fn == nil {
 		return nil, errors.New("sim: nil event func")
 	}
-	if at < s.now {
-		return nil, fmt.Errorf("sim: schedule at %v before now %v", at, s.now)
+	ev := &Event{}
+	if err := s.queueAt(ev, at, name, funcAction(fn)); err != nil {
+		return nil, err
 	}
-	s.seq++
-	ev := &Event{At: at, Seq: s.seq, Fn: fn, Name: name}
-	heap.Push(&s.queue, ev)
-	return &Timer{ev: ev}, nil
+	return ev, nil
 }
 
 // After schedules fn to run delay after the current virtual time. A negative
-// delay is clamped to zero.
-func (s *Scheduler) After(delay time.Duration, name string, fn func()) *Timer {
+// delay is clamped to zero. name is a constant label, as for At.
+func (s *Scheduler) After(delay time.Duration, name string, fn func()) *Event {
 	if delay < 0 {
 		delay = 0
 	}
-	t, err := s.At(s.now+delay, name, fn)
+	ev, err := s.At(s.now+delay, name, fn)
 	if err != nil {
-		// Unreachable: now+delay >= now by construction.
+		// Unreachable for a non-nil fn: now+delay >= now by construction.
 		panic(err)
 	}
-	return t
+	return ev
+}
+
+// Schedule queues ev, an event the caller allocated — typically embedded
+// in the record act is a method of, so the two cost one allocation — to
+// run act delay after the current virtual time. A negative delay is
+// clamped to zero. ev must not be queued: a fired event may be scheduled
+// again, a pending or stopped-but-unreaped one may not. name is a constant
+// label, as for At.
+func (s *Scheduler) Schedule(ev *Event, delay time.Duration, name string, act Action) {
+	if act == nil {
+		panic("sim: nil event action")
+	}
+	if ev.state != idle {
+		panic("sim: event " + ev.Name + " scheduled while still queued")
+	}
+	if delay < 0 {
+		delay = 0
+	}
+	s.push(ev, s.now+delay, name, act)
 }
 
 // Repeat is a handle to a self-rescheduling periodic event created by
 // Every. Stopping it cancels the pending occurrence and prevents further
 // rescheduling.
 type Repeat struct {
-	stopped bool
-	timer   *Timer
+	ev       Event // the pending occurrence; re-queued in place each period
+	sched    *Scheduler
+	interval time.Duration
+	fn       func()
 }
 
 // Stop cancels the repeat. It reports whether a pending occurrence was
 // cancelled.
 func (r *Repeat) Stop() bool {
-	if r == nil || r.stopped {
-		return false
-	}
-	r.stopped = true
-	return r.timer.Stop()
+	return r != nil && r.ev.Stop()
+}
+
+// occurrence is a Repeat as the scheduler sees it, so that Fire is not a
+// method of the handle callers hold.
+type occurrence Repeat
+
+// Fire queues the next occurrence before fn runs, so fn may itself Stop
+// the handle.
+func (o *occurrence) Fire() {
+	o.sched.Schedule(&o.ev, o.interval, o.ev.Name, o)
+	o.fn()
 }
 
 // Every schedules fn at start and then every interval of virtual time
 // thereafter, until the handle is stopped or the run's horizon cuts the
 // series off (the next occurrence stays queued past the horizon, like any
-// other event). Each occurrence reschedules the next before fn runs, so
-// fn may itself Stop the handle.
+// other event). name is a constant label, as for At.
 func (s *Scheduler) Every(start, interval time.Duration, name string, fn func()) (*Repeat, error) {
 	if fn == nil {
 		return nil, errors.New("sim: nil event func")
@@ -176,20 +256,10 @@ func (s *Scheduler) Every(start, interval time.Duration, name string, fn func())
 	if interval <= 0 {
 		return nil, fmt.Errorf("sim: non-positive interval %v", interval)
 	}
-	r := &Repeat{}
-	var tick func()
-	tick = func() {
-		if r.stopped {
-			return
-		}
-		r.timer = s.After(interval, name, tick)
-		fn()
-	}
-	t, err := s.At(start, name, tick)
-	if err != nil {
+	r := &Repeat{sched: s, interval: interval, fn: fn}
+	if err := s.queueAt(&r.ev, start, name, (*occurrence)(r)); err != nil {
 		return nil, err
 	}
-	r.timer = t
 	return r, nil
 }
 
@@ -197,16 +267,18 @@ func (s *Scheduler) Every(start, interval time.Duration, name string, fn func())
 // It reports whether an event was executed.
 func (s *Scheduler) Step() bool {
 	for len(s.queue) > 0 {
-		ev := heap.Pop(&s.queue).(*Event)
-		if ev.dead {
+		e := s.pop()
+		ev := e.ev
+		live := ev.state == pending
+		ev.state = idle
+		if !live {
 			continue
 		}
-		s.now = ev.At
+		s.now = e.at
 		s.fired++
-		if s.trace != nil {
-			s.trace(*ev)
-		}
-		ev.Fn()
+		act := ev.act
+		ev.act = nil
+		act.Fire()
 		return true
 	}
 	return false
@@ -226,11 +298,11 @@ func (s *Scheduler) Run(horizon time.Duration) error {
 			return ErrStopped
 		}
 		next := s.queue[0]
-		if next.dead {
-			heap.Pop(&s.queue)
+		if next.ev.state == cancelled {
+			s.pop().ev.state = idle
 			continue
 		}
-		if next.At > horizon {
+		if next.at > horizon {
 			s.now = horizon
 			return nil
 		}

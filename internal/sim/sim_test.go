@@ -121,9 +121,22 @@ func TestTimerStopAfterFire(t *testing.T) {
 	s := NewScheduler(1)
 	tm := s.After(1*time.Millisecond, "quick", func() {})
 	s.Run(time.Second)
-	_ = tm // firing does not mark dead; Stop after fire returns true but is harmless
 	if s.Fired() != 1 {
 		t.Fatalf("fired = %d, want 1", s.Fired())
+	}
+	if tm.Stop() {
+		t.Fatal("Stop on an already-fired timer = true")
+	}
+	rep, err := s.Every(s.Now(), time.Hour, "once", func() {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Run(s.Now() + time.Minute)
+	if !rep.Stop() {
+		t.Fatal("Repeat.Stop with the next occurrence pending = false")
+	}
+	if rep.Stop() {
+		t.Fatal("second Repeat.Stop = true")
 	}
 }
 
@@ -194,24 +207,17 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	}
 }
 
-// Property: for any set of non-negative delays, events fire in sorted order.
+// Property: whatever mix of At, After, nested scheduling, Stop and Every a
+// script drives, events fire in the order a stable sort on (At, Seq) gives.
 func TestPropEventsFireSorted(t *testing.T) {
-	f := func(raw []uint16) bool {
-		s := NewScheduler(3)
-		var fired []time.Duration
-		for _, r := range raw {
-			d := time.Duration(r) * time.Microsecond
-			s.After(d, "p", func() { fired = append(fired, s.Now()) })
+	f := func(script []byte) bool {
+		got, want := runScript(newRealSched(), script), runScript(&refSched{}, script)
+		if got != want {
+			t.Logf("script %x\nscheduler: %s\nreference: %s", script, got, want)
 		}
-		s.RunAll(0)
-		for i := 1; i < len(fired); i++ {
-			if fired[i] < fired[i-1] {
-				return false
-			}
-		}
-		return len(fired) == len(raw)
+		return got == want
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -18,7 +18,9 @@ import (
 	"repro/internal/sim"
 )
 
-// NodeID identifies a node on the network.
+// NodeID identifies a node on the network. Ids are small non-negative
+// integers: the network keeps its per-node state in a table indexed by id,
+// so a node costs a table row up to the largest id mentioned.
 type NodeID int
 
 // Handler receives delivered messages. Implementations are single-threaded:
@@ -121,9 +123,6 @@ func (f Fault) Validate() error {
 	return nil
 }
 
-// linkKey addresses one directed link.
-type linkKey struct{ from, to NodeID }
-
 // Verdict is a filter's decision about a message in flight.
 type Verdict int
 
@@ -140,17 +139,52 @@ type Filter func(from, to NodeID, msg any) Verdict
 // Network is a simulated network. It is not safe for concurrent use; all
 // access must happen from scheduler callbacks or the driving test.
 type Network struct {
-	sched     *sim.Scheduler
-	latency   LatencyModel
-	dropRate  float64
-	handlers  map[NodeID]Handler
-	ids       []NodeID       // registered ids, sorted, for deterministic iteration
-	partition map[NodeID]int // partition group per node; absent = group 0
-	down      map[NodeID]bool
-	faults    map[linkKey]Fault
-	filters   []Filter
-	stats     Stats
-	perNode   map[NodeID]*Stats
+	sched    *sim.Scheduler
+	latency  LatencyModel
+	dropRate float64
+	nodes    []node   // per-node state, indexed by NodeID
+	ids      []NodeID // registered ids, sorted, for deterministic iteration
+	filters  []Filter
+	stats    Stats
+}
+
+// node is one row of the per-node table. A row exists for every id up to
+// the largest one registered, crashed or partitioned; the zero row is a
+// node nobody mentioned: unregistered, up, in partition group 0.
+type node struct {
+	handler Handler // nil until registered
+	group   int     // partition group; 0 = unlisted
+	down    bool
+	stats   Stats   // counted only once registered
+	faults  []Fault // outgoing link faults, indexed by destination id; zero = clean
+}
+
+// faultTo returns the fault on the link from this node to dst.
+func (nd *node) faultTo(dst NodeID) Fault {
+	if dst >= 0 && int(dst) < len(nd.faults) {
+		return nd.faults[dst]
+	}
+	return Fault{}
+}
+
+// noNode stands in for ids beyond the table, so Send reads any id without
+// a bounds branch per field. It is never written.
+var noNode node
+
+// row returns id's table row for reading.
+func (n *Network) row(id NodeID) *node {
+	if id >= 0 && int(id) < len(n.nodes) {
+		return &n.nodes[id]
+	}
+	return &noNode
+}
+
+// grow returns id's table row for writing, extending the table to hold it.
+func (n *Network) grow(id NodeID) *node {
+	for int(id) >= len(n.nodes) {
+		n.nodes = append(n.nodes, node{})
+	}
+	return &n.nodes[id]
 }
 
 // New creates a network driven by the given scheduler. latency must be
@@ -166,16 +200,7 @@ func New(sched *sim.Scheduler, latency LatencyModel, dropRate float64) (*Network
 	if dropRate < 0 || dropRate >= 1 {
 		return nil, fmt.Errorf("simnet: drop rate %v out of [0,1)", dropRate)
 	}
-	return &Network{
-		sched:     sched,
-		latency:   latency,
-		dropRate:  dropRate,
-		handlers:  make(map[NodeID]Handler),
-		partition: make(map[NodeID]int),
-		down:      make(map[NodeID]bool),
-		faults:    make(map[linkKey]Fault),
-		perNode:   make(map[NodeID]*Stats),
-	}, nil
+	return &Network{sched: sched, latency: latency, dropRate: dropRate}, nil
 }
 
 // SetDropRate changes the global per-message loss probability at runtime.
@@ -200,19 +225,21 @@ func (n *Network) SetLinkFault(from, to NodeID, f Fault) error {
 	if err := f.Validate(); err != nil {
 		return err
 	}
-	k := linkKey{from, to}
-	if f.IsZero() {
-		delete(n.faults, k)
-		return nil
+	if from < 0 || to < 0 {
+		return fmt.Errorf("simnet: negative node id on link %d->%d", from, to)
 	}
-	n.faults[k] = f
+	src := n.grow(from)
+	for int(to) >= len(src.faults) {
+		src.faults = append(src.faults, Fault{})
+	}
+	src.faults[to] = f
 	return nil
 }
 
 // LinkFault returns the fault installed on the directed link, if any.
 func (n *Network) LinkFault(from, to NodeID) (Fault, bool) {
-	f, ok := n.faults[linkKey{from, to}]
-	return f, ok
+	f := n.row(from).faultTo(to)
+	return f, !f.IsZero()
 }
 
 // Register attaches a handler for id, replacing any previous registration.
@@ -220,35 +247,38 @@ func (n *Network) Register(id NodeID, h Handler) error {
 	if h == nil {
 		return errors.New("simnet: nil handler")
 	}
-	if _, exists := n.handlers[id]; !exists {
+	if id < 0 {
+		return fmt.Errorf("simnet: negative node id %d", id)
+	}
+	nd := n.grow(id)
+	if nd.handler == nil {
 		// Insert keeping ids sorted so Broadcast order is deterministic.
 		pos := sort.Search(len(n.ids), func(i int) bool { return n.ids[i] >= id })
 		n.ids = append(n.ids, 0)
 		copy(n.ids[pos+1:], n.ids[pos:])
 		n.ids[pos] = id
 	}
-	n.handlers[id] = h
-	if n.perNode[id] == nil {
-		n.perNode[id] = &Stats{}
-	}
+	nd.handler = h
 	return nil
 }
 
 // SetDown marks a node crashed (true) or recovered (false). Messages to or
 // from a crashed node are lost.
-func (n *Network) SetDown(id NodeID, down bool) { n.down[id] = down }
+func (n *Network) SetDown(id NodeID, down bool) { n.grow(id).down = down }
 
 // IsDown reports whether a node is marked crashed.
-func (n *Network) IsDown(id NodeID) bool { return n.down[id] }
+func (n *Network) IsDown(id NodeID) bool { return n.row(id).down }
 
 // SetPartitions splits the network into groups; nodes in different groups
 // cannot exchange messages. Nodes not listed fall into group 0. Passing no
 // groups heals all partitions.
 func (n *Network) SetPartitions(groups ...[]NodeID) {
-	n.partition = make(map[NodeID]int)
+	for i := range n.nodes {
+		n.nodes[i].group = 0
+	}
 	for g, nodes := range groups {
 		for _, id := range nodes {
-			n.partition[id] = g + 1
+			n.grow(id).group = g + 1
 		}
 	}
 }
@@ -267,25 +297,23 @@ func (n *Network) Stats() Stats { return n.stats }
 // NodeStats returns the counters for one node (messages it sent /
 // received). The zero Stats is returned for unknown nodes.
 func (n *Network) NodeStats(id NodeID) Stats {
-	if s := n.perNode[id]; s != nil {
-		return *s
-	}
-	return Stats{}
+	return n.row(id).stats
 }
 
 // Send schedules delivery of msg from -> to, applying loss, partitions,
 // crash state, filters and per-link faults. It never fails synchronously:
 // all loss modes are counted in Stats, mirroring a real datagram network.
 func (n *Network) Send(from, to NodeID, msg any) {
+	src, dst := n.row(from), n.row(to)
 	n.stats.Sent++
-	if s := n.perNode[from]; s != nil {
-		s.Sent++
+	if src.handler != nil {
+		src.stats.Sent++
 	}
-	if n.down[from] || n.down[to] {
+	if src.down || dst.down {
 		n.stats.NodeDown++
 		return
 	}
-	if n.partition[from] != n.partition[to] {
+	if src.group != dst.group {
 		n.stats.Partition++
 		return
 	}
@@ -302,13 +330,14 @@ func (n *Network) Send(from, to NodeID, msg any) {
 	// Per-link fault, layered over the base latency. The RNG draw order is
 	// fixed — drop, jitter, reorder, duplicate (then the duplicate's own
 	// latency and jitter) — so the replay contract survives faulty links.
-	fault, faulty := n.faults[linkKey{from, to}]
-	if faulty && fault.Drop > 0 && n.sched.Rand().Float64() < fault.Drop {
+	// The row is looked up again: a filter may have grown the table.
+	fault := n.row(from).faultTo(to)
+	if fault.Drop > 0 && n.sched.Rand().Float64() < fault.Drop {
 		n.stats.LinkDropped++
 		return
 	}
 	n.deliver(from, to, msg, n.faultDelay(from, to, fault))
-	if faulty && fault.Duplicate > 0 && n.sched.Rand().Float64() < fault.Duplicate {
+	if fault.Duplicate > 0 && n.sched.Rand().Float64() < fault.Duplicate {
 		n.stats.Duplicated++
 		n.deliver(from, to, msg, n.faultDelay(from, to, fault))
 	}
@@ -319,11 +348,7 @@ func (n *Network) Send(from, to NodeID, msg any) {
 // hold-back of up to the accumulated delay again (at least 1ms, so even
 // zero-latency links actually let later traffic overtake).
 func (n *Network) faultDelay(from, to NodeID, fault Fault) time.Duration {
-	delay := n.latency.Sample(n.sched.Rand(), from, to)
-	if fault.IsZero() {
-		return delay
-	}
-	delay += fault.ExtraLatency
+	delay := n.latency.Sample(n.sched.Rand(), from, to) + fault.ExtraLatency
 	if fault.Jitter > 0 {
 		delay += time.Duration(n.sched.Rand().Int63n(int64(fault.Jitter) + 1))
 	}
@@ -338,25 +363,37 @@ func (n *Network) faultDelay(from, to NodeID, fault Fault) time.Duration {
 	return delay
 }
 
-// deliver schedules one delivery attempt after delay, re-checking the
-// destination's registration and crash state at delivery time.
+// delivery is one message in flight: the record the scheduler fires, and
+// the only allocation a Send makes.
+type delivery struct {
+	ev       sim.Event
+	net      *Network
+	from, to NodeID
+	msg      any
+}
+
+// deliver schedules one delivery attempt after delay.
 func (n *Network) deliver(from, to NodeID, msg any, delay time.Duration) {
-	n.sched.After(delay, fmt.Sprintf("deliver %d->%d", from, to), func() {
-		h, ok := n.handlers[to]
-		if !ok {
-			n.stats.Unknown++
-			return
-		}
-		if n.down[to] {
-			n.stats.NodeDown++
-			return
-		}
-		n.stats.Delivered++
-		if s := n.perNode[to]; s != nil {
-			s.Delivered++
-		}
-		h.HandleMessage(from, msg)
-	})
+	d := &delivery{net: n, from: from, to: to, msg: msg}
+	n.sched.Schedule(&d.ev, delay, "deliver", d)
+}
+
+// Fire hands the message over, re-checking the destination's registration
+// and crash state at delivery time.
+func (d *delivery) Fire() {
+	n := d.net
+	dst := n.row(d.to)
+	if dst.handler == nil {
+		n.stats.Unknown++
+		return
+	}
+	if dst.down {
+		n.stats.NodeDown++
+		return
+	}
+	n.stats.Delivered++
+	dst.stats.Delivered++
+	dst.handler.HandleMessage(d.from, d.msg)
 }
 
 // Broadcast sends msg from -> every registered node except the sender, in

@@ -290,3 +290,76 @@ func TestDeterministicDelivery(t *testing.T) {
 		}
 	}
 }
+
+// TestNodeTable covers the per-node table's edges: ids it has no row for
+// read as a node nobody mentioned, rows appear for crashed or partitioned
+// ids that never registered, and negative ids are refused where an error
+// can say so.
+func TestNodeTable(t *testing.T) {
+	n, sched := newNet(t, FixedLatency(0), 0)
+	r := &recorder{}
+	if err := n.Register(-1, r); err == nil {
+		t.Error("negative id registered")
+	}
+	if err := n.SetLinkFault(-1, 0, Fault{Drop: 0.5}); err == nil {
+		t.Error("fault on a link from a negative id accepted")
+	}
+	if err := n.SetLinkFault(0, -1, Fault{Drop: 0.5}); err == nil {
+		t.Error("fault on a link to a negative id accepted")
+	}
+	n.Register(1, r)
+	if n.IsDown(500) || n.IsDown(-3) {
+		t.Error("an id beyond the table reads as down")
+	}
+	if _, ok := n.LinkFault(500, 1); ok {
+		t.Error("an id beyond the table has a link fault")
+	}
+	n.SetDown(40, true) // never registered: a row, but no stats and no handler
+	n.Send(1, 40, "to a crashed stranger")
+	n.Send(40, 1, "from a crashed stranger")
+	n.SetDown(40, false)
+	n.SetPartitions([]NodeID{1}, []NodeID{60})
+	n.Send(60, 1, "across the cut")
+	n.SetPartitions()
+	n.Send(60, 1, "stranger to node")
+	n.Send(1, 60, "node to stranger")
+	sched.Run(time.Second)
+	want := Stats{Sent: 5, NodeDown: 2, Partition: 1, Delivered: 1, Unknown: 1}
+	if got := n.Stats(); got != want {
+		t.Errorf("stats = %+v, want %+v", got, want)
+	}
+	if got := n.NodeStats(40); got != (Stats{}) {
+		t.Errorf("unregistered node 40 has stats %+v", got)
+	}
+	if got := n.NodeStats(1); got.Sent != 2 || got.Delivered != 1 {
+		t.Errorf("node 1 stats = %+v, want 2 sent, 1 delivered", got)
+	}
+	if len(r.got) != 1 || r.got[0] != "stranger to node" {
+		t.Errorf("node 1 received %v", r.got)
+	}
+}
+
+// TestSendAllocations pins the wire's cost per message: the delivery record
+// and nothing else — no event, closure or label beside it.
+func TestSendAllocations(t *testing.T) {
+	n, sched := newNet(t, FixedLatency(time.Millisecond), 0)
+	sink := HandlerFunc(func(NodeID, any) {})
+	n.Register(0, sink)
+	n.Register(1, sink)
+	if err := n.SetLinkFault(0, 1, Fault{ExtraLatency: time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	var msg any = "boxed once, outside the measurement"
+	for _, link := range [][2]NodeID{{1, 0}, {0, 1}} { // clean, then faulty
+		from, to := link[0], link[1]
+		if got := testing.AllocsPerRun(1000, func() {
+			n.Send(from, to, msg)
+			sched.Step()
+		}); got > 1 {
+			t.Errorf("Send %d->%d + delivery allocates %.0f objects, want at most 1", from, to, got)
+		}
+	}
+	if s := n.Stats(); s.Delivered != s.Sent || s.Sent != 2002 {
+		t.Errorf("stats = %+v, want 2002 sent and delivered", s)
+	}
+}
