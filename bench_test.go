@@ -554,6 +554,48 @@ func TestAssessPathAllocations(t *testing.T) {
 	}
 }
 
+// TestAnalyticPathAllocations pins what "derive once per snapshot, never
+// per record" bought on the analytic run: a fresh group injector is carved
+// out of three slabs (it was 4-5 objects per bucket plus one per group:
+// 2501 on this shape), and a whole checked timeline stays under ~70 % of the
+// 6164 objects it took when every record rebuilt its derived views.
+func TestAnalyticPathAllocations(t *testing.T) {
+	reg, err := assessbench.Registry(2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	catalog, err := assessbench.Catalog(50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := reg.Snapshot(registry.DefaultWeighting)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := snap.BucketSpecs()
+	if got := testing.AllocsPerRun(20, func() {
+		if _, err := vuln.NewGroupInjector(catalog, specs); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 200 {
+		t.Fatalf("NewGroupInjector on 2000 replicas x 50 vulns allocates %.0f objects/op, want ≤ 200", got)
+	}
+
+	p, ok := scenario.LookupProfile("churn-heavy")
+	if !ok {
+		t.Fatal("no churn-heavy profile")
+	}
+	def := p.Generate(42, 0).Def()
+	invs := scenario.DefaultInvariants()
+	if got := testing.AllocsPerRun(10, func() {
+		if _, violations, err := scenario.CheckRun(def, 42, invs); err != nil || len(violations) != 0 {
+			t.Fatalf("%d violations, err %v", len(violations), err)
+		}
+	}); got > 4300 {
+		t.Fatalf("CheckRun of churn-heavy#0@42 allocates %.0f objects/op, want ≤ 4300", got)
+	}
+}
+
 // BenchmarkScenario times one full deterministic scenario run per
 // library entry: the entire churn + disclosure + adversary timeline,
 // every inline assessment and the trace encoding, from the registry the
@@ -653,6 +695,57 @@ func BenchmarkLossyWireTimeline(b *testing.B) {
 		}
 		if len(violations) != 0 || len(res.Records) == 0 {
 			b.Fatalf("%d violations, %d records", len(violations), len(res.Records))
+		}
+	}
+}
+
+// --- the analytic run: scheduler, emit, invariant observers, no wire ---
+
+// analyticProfiles are the four generator families of the repository
+// benchmark's sweep-analytic workload.
+var analyticProfiles = []string{"churn-heavy", "disclosure-storm", "partition-flap", "adaptive-adversary"}
+
+// BenchmarkAnalyticTimeline times one generated timeline of each analytic
+// profile through CheckRun with the default invariants: the unit of work of
+// sweep-analytic, all of it emit (snapshot, report, assess, worst window)
+// and the observers.
+func BenchmarkAnalyticTimeline(b *testing.B) {
+	invs := scenario.DefaultInvariants()
+	for _, name := range analyticProfiles {
+		p, ok := scenario.LookupProfile(name)
+		if !ok {
+			b.Fatalf("no %s profile", name)
+		}
+		def := p.Generate(42, 0).Def()
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, violations, err := scenario.CheckRun(def, 42, invs)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(violations) != 0 || len(res.Records) == 0 {
+					b.Fatalf("%d violations, %d records", len(violations), len(res.Records))
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSweepAnalytic times one sweep-analytic job in-process: 250
+// generated timelines over the four analytic profiles on one worker,
+// generation and report aggregation included.
+func BenchmarkSweepAnalytic(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rep, err := scenario.Sweep(context.Background(), scenario.SweepOptions{
+			Profiles: analyticProfiles, Runs: 250, Seed: 42, Workers: 1,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.Runs != 250 || len(rep.Violating) != 0 {
+			b.Fatalf("%d runs, %d violating", rep.Runs, len(rep.Violating))
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -43,13 +44,31 @@ func FromWeights(weights map[string]float64) (Distribution, error) {
 		labels = append(labels, label)
 	}
 	sort.Strings(labels)
-	d := Distribution{labels: labels, weights: make([]float64, len(labels))}
+	ws := make([]float64, len(labels))
 	for i, label := range labels {
-		w := weights[label]
-		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			return Distribution{}, fmt.Errorf("diversity: invalid weight %v for %q", w, label)
+		ws[i] = weights[label]
+	}
+	return FromSorted(labels, ws)
+}
+
+// FromSorted builds a distribution from parallel label and weight slices
+// already in canonical order: labels strictly ascending (so no duplicates),
+// weights[i] belonging to labels[i]. It is the constructor for producers
+// that keep their labels sorted anyway (the registry's bucket list) and
+// yields exactly the distribution FromWeights would. The distribution keeps
+// both slices: the caller must not modify them afterwards.
+func FromSorted(labels []string, weights []float64) (Distribution, error) {
+	if len(labels) != len(weights) {
+		return Distribution{}, fmt.Errorf("diversity: %d labels for %d weights", len(labels), len(weights))
+	}
+	d := Distribution{labels: labels, weights: weights}
+	for i, w := range weights {
+		if i > 0 && labels[i-1] >= labels[i] {
+			return Distribution{}, fmt.Errorf("diversity: labels not strictly ascending at %q", labels[i])
 		}
-		d.weights[i] = w
+		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+			return Distribution{}, fmt.Errorf("diversity: invalid weight %v for %q", w, labels[i])
+		}
 		d.total += w
 	}
 	return d, nil
@@ -153,13 +172,27 @@ func (d Distribution) Entropy() (float64, error) {
 	if err != nil {
 		return 0, err
 	}
+	return entropyBits(ps), nil
+}
+
+// entropyBits is H(p) in bits over normalized weights, summed in label
+// order.
+func entropyBits(ps []float64) float64 {
 	h := 0.0
 	for _, p := range ps {
 		if p > 0 {
 			h -= p * math.Log2(p)
 		}
 	}
-	return h, nil
+	return h
+}
+
+// normalizeEntropy is h over the maximum entropy of the given support.
+func normalizeEntropy(h float64, support int) float64 {
+	if support <= 1 {
+		return 0
+	}
+	return h / math.Log2(float64(support))
 }
 
 // NormalizedEntropy returns H(p) / log2(support), the fraction of the
@@ -171,11 +204,7 @@ func (d Distribution) NormalizedEntropy() (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	s := d.Support()
-	if s <= 1 {
-		return 0, nil
-	}
-	return h / math.Log2(float64(s)), nil
+	return normalizeEntropy(h, d.Support()), nil
 }
 
 // EffectiveConfigurations returns 2^H — the Hill number of order 1, i.e.
@@ -198,11 +227,16 @@ func (d Distribution) SimpsonIndex() (float64, error) {
 	if err != nil {
 		return 0, err
 	}
+	return simpson(ps), nil
+}
+
+// simpson is Σ p_i² over normalized weights, summed in label order.
+func simpson(ps []float64) float64 {
 	s := 0.0
 	for _, p := range ps {
 		s += p * p
 	}
-	return s, nil
+	return s
 }
 
 // GiniSimpson returns 1 - Σ p_i², the complementary diversity index.
@@ -283,27 +317,30 @@ func (d Distribution) Kappa(tol float64) (int, bool) {
 // This is the operational resilience of Sec. II-C: an adversary holding one
 // exploit per configuration needs this many independent vulnerabilities to
 // push Σ f_t^i past the protocol's tolerance. It returns (0, ErrNoWeight)
-// for an empty distribution and (support+1 impossible case) as
-// (-1, nil) when even compromising every configuration cannot exceed the
-// threshold (threshold >= 1).
+// for a distribution with no positive weight, and (-1, nil) when even
+// compromising every configuration cannot exceed the threshold
+// (threshold >= 1).
 func (d Distribution) MinFaultsToExceed(threshold float64) (int, error) {
 	ps, err := d.Probabilities()
 	if err != nil {
 		return 0, err
 	}
-	sorted := append([]float64(nil), ps...)
-	sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
+	slices.Sort(ps)
+	return minFaults(ps, threshold), nil
+}
+
+// minFaults walks ascending-sorted normalized weights from the largest down
+// and returns how many it takes for their running sum to strictly exceed
+// threshold, or -1 when the positive ones never do.
+func minFaults(ascending []float64, threshold float64) int {
 	cum := 0.0
-	for i, p := range sorted {
-		if p <= 0 {
-			break
-		}
-		cum += p
+	for i := len(ascending) - 1; i >= 0 && ascending[i] > 0; i-- {
+		cum += ascending[i]
 		if cum > threshold {
-			return i + 1, nil
+			return len(ascending) - i
 		}
 	}
-	return -1, nil
+	return -1
 }
 
 // TopShares returns the n largest normalized weights with their labels, in

@@ -3,6 +3,7 @@ package diversity
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -202,35 +203,27 @@ type Report struct {
 }
 
 // ReportForDistribution computes a Report for a bare power distribution
-// (member-level metrics are zero).
+// (member-level metrics are zero). It normalizes the weights once and feeds
+// every metric from that one slice with the float operations of the
+// individual Distribution methods in their order, so each field is
+// bit-identical to the method it is named after.
 func ReportForDistribution(d Distribution) (Report, error) {
-	var r Report
-	var err error
-	if r.Entropy, err = d.Entropy(); err != nil {
+	ps, err := d.Probabilities()
+	if err != nil {
 		return Report{}, err
 	}
-	if r.NormalizedEntropy, err = d.NormalizedEntropy(); err != nil {
-		return Report{}, err
+	r := Report{Support: d.Support()}
+	r.Entropy = entropyBits(ps)
+	r.NormalizedEntropy = normalizeEntropy(r.Entropy, r.Support)
+	r.EffectiveConfigurations = math.Exp2(r.Entropy)
+	r.SimpsonIndex = simpson(ps)
+	if d.IsUniform(0) {
+		r.Kappa = r.Support
 	}
-	if r.EffectiveConfigurations, err = d.EffectiveConfigurations(); err != nil {
-		return Report{}, err
-	}
-	if r.SimpsonIndex, err = d.SimpsonIndex(); err != nil {
-		return Report{}, err
-	}
-	if _, share, err2 := d.MaxShare(); err2 == nil {
-		r.MaxShare = share
-	}
-	r.Support = d.Support()
-	if k, ok := d.Kappa(0); ok {
-		r.Kappa = k
-	}
-	if r.MinConfigFaultsToThird, err = d.MinFaultsToExceed(1.0 / 3.0); err != nil {
-		return Report{}, err
-	}
-	if r.MinConfigFaultsToHalf, err = d.MinFaultsToExceed(0.5); err != nil {
-		return Report{}, err
-	}
+	slices.Sort(ps) // label order is no longer needed
+	r.MaxShare = ps[len(ps)-1]
+	r.MinConfigFaultsToThird = minFaults(ps, 1.0/3.0)
+	r.MinConfigFaultsToHalf = minFaults(ps, 0.5)
 	return r, nil
 }
 

@@ -1,8 +1,9 @@
 package registry
 
 import (
+	"cmp"
 	"maps"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/config"
@@ -46,13 +47,17 @@ type Snapshot struct {
 	// predecessor's and re-counts only the changed buckets.
 	classes map[float64]int
 
-	// Per-replica views are materialised lazily: the bucketed aggregates
-	// answer the hot paths (diversity report, exposure index), and only
-	// consumers that genuinely need per-replica data (scenario probes,
-	// liveloop membership) pay the O(N) expansion — once per snapshot.
-	lazyOnce sync.Once
-	lazyPop  *diversity.Population
+	// The two per-replica views are materialised lazily and separately: the
+	// bucketed aggregates answer the hot paths (diversity report, exposure
+	// index), and only consumers that genuinely need per-replica data pay
+	// the O(N log N) expansion — once per snapshot and per view. Replicas
+	// feeds the scenario oracle's flat injector (the main consumer),
+	// adversary probes and the liveloop membership; Population only the
+	// probes and Registry.Population.
+	repsOnce sync.Once
 	lazyReps []vuln.Replica
+	popOnce  sync.Once
+	lazyPop  *diversity.Population
 }
 
 // NumReplicas reports the population size in O(1).
@@ -74,36 +79,51 @@ func (s *Snapshot) BucketSpecs() []vuln.BucketSpec {
 	return out
 }
 
-// lazyBuild materialises the per-replica views from the snapshot's own
-// pinned group data (not live registry state, which may have moved on).
-func (s *Snapshot) lazyBuild() {
-	s.lazyOnce.Do(func() {
+// Replicas returns the membership adapted for vuln fault injection,
+// ID-sorted, built lazily from the snapshot's own pinned group data (not
+// live registry state, which may have moved on). Read-only: do not modify
+// elements or append.
+func (s *Snapshot) Replicas() []vuln.Replica {
+	s.repsOnce.Do(func() {
+		reps := make([]vuln.Replica, 0, s.members)
+		for _, sb := range s.buckets {
+			for _, g := range sb.Groups {
+				for _, name := range g.Names {
+					reps = append(reps, vuln.Replica{
+						Name:         name,
+						Config:       sb.Config,
+						Power:        g.Power,
+						PatchLatency: g.Latency,
+					})
+				}
+			}
+		}
+		slices.SortFunc(reps, func(a, b vuln.Replica) int { return cmp.Compare(a.Name, b.Name) })
+		s.lazyReps = reps
+	})
+	return s.lazyReps
+}
+
+// Population returns the weighted membership for diversity metrics,
+// ID-sorted, built lazily. Shared and read-only.
+func (s *Snapshot) Population() *diversity.Population {
+	s.popOnce.Do(func() {
 		type entry struct {
-			rep   vuln.Replica
-			label string
+			name string
+			m    diversity.Member
 		}
 		entries := make([]entry, 0, s.members)
 		for _, sb := range s.buckets {
 			for _, g := range sb.Groups {
 				for _, name := range g.Names {
-					entries = append(entries, entry{
-						rep: vuln.Replica{
-							Name:         name,
-							Config:       sb.Config,
-							Power:        g.Power,
-							PatchLatency: g.Latency,
-						},
-						label: sb.Key,
-					})
+					entries = append(entries, entry{name: name, m: diversity.Member{Label: sb.Key, Power: g.Power}})
 				}
 			}
 		}
-		sort.Slice(entries, func(i, j int) bool { return entries[i].rep.Name < entries[j].rep.Name })
-		reps := make([]vuln.Replica, len(entries))
+		slices.SortFunc(entries, func(a, b entry) int { return cmp.Compare(a.name, b.name) })
 		members := make([]diversity.Member, len(entries))
 		for i, e := range entries {
-			reps[i] = e.rep
-			members[i] = diversity.Member{Label: e.label, Power: e.rep.Power}
+			members[i] = e.m
 		}
 		pop, err := diversity.NewPopulation(members)
 		if err != nil {
@@ -111,23 +131,8 @@ func (s *Snapshot) lazyBuild() {
 			// validated at join time.
 			panic(err)
 		}
-		s.lazyReps = reps
 		s.lazyPop = pop
 	})
-}
-
-// Replicas returns the membership adapted for vuln fault injection,
-// ID-sorted, built lazily from the snapshot's buckets. Read-only: do not
-// modify elements or append.
-func (s *Snapshot) Replicas() []vuln.Replica {
-	s.lazyBuild()
-	return s.lazyReps
-}
-
-// Population returns the weighted membership for diversity metrics,
-// ID-sorted, built lazily. Shared and read-only.
-func (s *Snapshot) Population() *diversity.Population {
-	s.lazyBuild()
 	return s.lazyPop
 }
 
@@ -187,13 +192,16 @@ func (r *Registry) exportBucketLocked(b *bucket, w Weighting) *SnapBucket {
 // finalizeSnapshot computes the aggregate fields from the bucket list;
 // classes is the buckets' power-class histogram, owned by the snapshot.
 func (r *Registry) finalizeSnapshot(buckets []*SnapBucket, classes map[float64]int, w Weighting) (*Snapshot, error) {
-	weights := make(map[string]float64, len(buckets))
+	labels := make([]string, len(buckets))
+	weights := make([]float64, len(buckets))
 	members := 0
-	for _, sb := range buckets {
-		weights[sb.Key] = sb.Power
+	for i, sb := range buckets {
+		labels[i], weights[i] = sb.Key, sb.Power
 		members += sb.Count
 	}
-	dist, err := diversity.FromWeights(weights)
+	// The bucket list is label-ascending, which is the distribution's
+	// canonical order: no map, no re-sort.
+	dist, err := diversity.FromSorted(labels, weights)
 	if err != nil {
 		return nil, err
 	}
@@ -218,7 +226,7 @@ func (r *Registry) fullSnapshotLocked(w Weighting) (*Snapshot, error) {
 		buckets = append(buckets, sb)
 		countClasses(classes, sb, +1)
 	}
-	sort.Slice(buckets, func(i, j int) bool { return buckets[i].Key < buckets[j].Key })
+	slices.SortFunc(buckets, func(a, b *SnapBucket) int { return cmp.Compare(a.Key, b.Key) })
 	return r.finalizeSnapshot(buckets, classes, w)
 }
 
@@ -262,9 +270,15 @@ func (r *Registry) deltaSnapshotLocked(prev *Snapshot, changed []config.ID, w We
 	}
 	changes := make([]change, 0, len(changed))
 	for _, key := range changed {
-		changes = append(changes, change{label: key.String(), b: r.buckets[key]})
+		ch := change{b: r.buckets[key]}
+		if ch.b != nil {
+			ch.label = ch.b.label // the digest's hex form, cached at bucket creation
+		} else {
+			ch.label = key.String()
+		}
+		changes = append(changes, ch)
 	}
-	sort.Slice(changes, func(i, j int) bool { return changes[i].label < changes[j].label })
+	slices.SortFunc(changes, func(a, b change) int { return cmp.Compare(a.label, b.label) })
 
 	out := make([]*SnapBucket, 0, len(prev.buckets)+len(changes))
 	classes := maps.Clone(prev.classes)

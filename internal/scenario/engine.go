@@ -36,7 +36,8 @@ type Engine struct {
 	mon     *core.Monitor
 
 	seq       uint64
-	records   []Record
+	records   []Record // the trace; Run sizes it once, emit fills it in place
+	emitting  bool     // an emit is in progress (emit is not re-entrant)
 	runErr    error
 	observers []Observer
 
@@ -129,9 +130,14 @@ type EventInfo struct {
 	Fault *LinkFault
 }
 
-// Observer is called after every event's assessment, before the record is
-// appended to the trace. Observers may annotate the record (the live loop
-// writes its cross-check and recovery-span fields this way); an error
+// Observer is called after every event's assessment with a pointer to the
+// event's record, which already sits in its slot of the trace: what an
+// observer writes there (the live loop annotates its cross-check and
+// recovery-span fields this way) is the stored record. The pointer is valid
+// only during the call — the trace may grow between two records — so an
+// observer keeps values, never the pointer. An observer may schedule further
+// events (Engine.At) but must not cause a record to be emitted before it
+// returns: emit is not re-entrant, and a nested emit fails the run. An error
 // aborts the run. Observers run in registration order on the scheduler
 // goroutine.
 type Observer interface {
@@ -547,20 +553,28 @@ func (e *Engine) ProbeAt(t time.Duration, s adversary.Strategy) error {
 }
 
 // emit assesses the membership at the current instant and appends one
-// trace record. A membership with no effective power (empty registry, or
-// everyone partitioned) yields a structural record with zeroed metrics —
-// there is nothing to assess and nothing to compromise. Observers run
-// after the assessment and may annotate the record before it is appended.
+// trace record, filled in place: the record is appended first and the
+// assessment and the observers write through a pointer to its slot. A
+// membership with no effective power (empty registry, or everyone
+// partitioned) yields a structural record with zeroed metrics — there is
+// nothing to assess and nothing to compromise. Any error aborts the run,
+// which drops the trace together with the half-filled record.
 func (e *Engine) emit(event, detail string, adv *adversary.Plan, info EventInfo) error {
+	if e.emitting {
+		return fmt.Errorf("scenario: %s at %v: emit re-entered while a record is being observed", event, e.sched.Now())
+	}
+	e.emitting = true
+	defer func() { e.emitting = false }()
 	now := e.sched.Now()
-	rec := Record{
+	e.records = append(e.records, Record{
 		Seq:      e.seq,
 		T:        now.String(),
 		TNanos:   int64(now),
 		Scenario: e.def.Name,
 		Event:    event,
 		Detail:   detail,
-	}
+	})
+	rec := &e.records[len(e.records)-1]
 	e.seq++
 	snap, err := e.reg.Snapshot(registry.DefaultWeighting)
 	if err != nil {
@@ -596,11 +610,10 @@ func (e *Engine) emit(event, detail string, adv *adversary.Plan, info EventInfo)
 		rec.AdvBreaks = adv.Breaks
 	}
 	for _, o := range e.observers {
-		if err := o.AfterEvent(e, info, &rec); err != nil {
+		if err := o.AfterEvent(e, info, rec); err != nil {
 			return fmt.Errorf("observer: %s at %v: %w", event, now, err)
 		}
 	}
-	e.records = append(e.records, rec)
 	return nil
 }
 
@@ -690,6 +703,10 @@ func Run(def Def, baseSeed int64, opts ...RunOpt) (*Result, error) {
 	if tick <= 0 {
 		tick = def.Horizon
 	}
+	// Size the trace once: every event scheduled so far emits at most one
+	// record, then one per tick and the final one. Only a run that schedules
+	// events mid-run (the live loop's reactions) can outgrow this.
+	e.records = make([]Record, 0, e.sched.Pending()+int(def.Horizon/tick)+2)
 	if _, err := e.sched.Every(0, tick, "tick", func() {
 		if e.runErr != nil {
 			return

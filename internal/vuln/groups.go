@@ -134,45 +134,88 @@ func NewGroupInjector(catalog *Catalog, buckets []BucketSpec) (*GroupInjector, e
 	if catalog == nil {
 		return nil, errors.New("vuln: nil catalog")
 	}
+	vulns := catalog.allSorted()
 	gi := &GroupInjector{
-		buckets:  make(map[string]*giBucket, len(buckets)),
-		keys:     make([]string, 0, len(buckets)),
-		expByKey: make(map[string][]*giExposure),
-		known:    make(map[ID]struct{}),
+		buckets:   make(map[string]*giBucket, len(buckets)),
+		keys:      make([]string, 0, len(buckets)),
+		exposures: make([]*giExposure, 0, len(vulns)),
+		expByKey:  make(map[string][]*giExposure, len(buckets)),
+		known:     make(map[ID]struct{}, len(vulns)),
 	}
+	// Buckets, groups and group-pointer lists are carved out of three slabs
+	// sized from the specs. ApplyBuckets replaces a bucket by pointing the
+	// map at a stand-alone one, so its slab neighbours are never touched.
+	nGroups := 0
 	for _, bs := range buckets {
-		gi.buckets[bs.Key] = newGiBucket(bs)
+		nGroups += liveGroups(bs)
+	}
+	bucketSlab := make([]giBucket, len(buckets))
+	groupSlab := make([]giGroup, nGroups)
+	ptrSlab := make([]*giGroup, nGroups)
+	off := 0
+	for i, bs := range buckets {
+		b := &bucketSlab[i]
+		off += b.fill(bs, groupSlab[off:], ptrSlab[off:])
+		gi.buckets[bs.Key] = b
 		gi.keys = append(gi.keys, bs.Key)
 	}
-	sort.Strings(gi.keys)
+	slices.Sort(gi.keys)
 	gi.keys = slices.Compact(gi.keys)
-	for _, v := range catalog.allSorted() {
+	for _, v := range vulns {
 		gi.exposures = append(gi.exposures, gi.addVuln(v))
 	}
 	gi.recomputeTotal()
 	return gi, nil
 }
 
+// liveGroups counts the spec's non-empty groups — the ones a giBucket keeps.
+func liveGroups(bs BucketSpec) int {
+	n := 0
+	for _, g := range bs.Groups {
+		if len(g.Names) > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// newGiBucket builds one stand-alone bucket (ApplyBuckets' unit of change).
 func newGiBucket(bs BucketSpec) *giBucket {
-	b := &giBucket{cfg: bs.Config}
+	n := liveGroups(bs)
+	b := new(giBucket)
+	b.fill(bs, make([]giGroup, n), make([]*giGroup, n))
+	return b
+}
+
+// fill initialises b from the spec, storing its n = liveGroups(bs) groups at
+// the front of groups and the power-descending pointer list over them at
+// the front of ptrs, and returns n.
+func (b *giBucket) fill(bs BucketSpec, groups []giGroup, ptrs []*giGroup) int {
+	b.cfg = bs.Config
+	n := 0
 	for _, g := range bs.Groups {
 		if len(g.Names) == 0 {
 			continue
 		}
-		b.groups = append(b.groups, &giGroup{power: g.Power, latency: g.Latency, names: g.Names})
+		groups[n] = giGroup{power: g.Power, latency: g.Latency, names: g.Names}
+		ptrs[n] = &groups[n]
+		n++
 		if g.Latency > b.maxLatency {
 			b.maxLatency = g.Latency
 		}
 	}
+	b.groups = ptrs[:n:n]
 	// Power-descending: activeAt merges these lists directly into the
 	// attack-priority order walkTake consumes. Ties need no tie-break —
 	// equal-power items form one class, which the take logic resolves as a
 	// unit whatever their relative order.
-	sort.Slice(b.groups, func(i, j int) bool { return b.groups[i].power > b.groups[j].power })
+	if n > 1 {
+		slices.SortFunc(b.groups, func(x, y *giGroup) int { return cmp.Compare(y.power, x.power) })
+	}
 	for _, g := range b.groups {
 		b.power += float64(len(g.names)) * g.power
 	}
-	return b
+	return n
 }
 
 // latIndex returns the bucket's latency index, building it on first use.
@@ -229,13 +272,12 @@ func openPower(lat []latStep, x time.Duration) float64 {
 // vulnerabilities in ID order; ApplyCatalog inserts at the sorted position.
 func (gi *GroupInjector) addVuln(v Vulnerability) *giExposure {
 	e := &giExposure{vuln: v}
-	for key, b := range gi.buckets {
-		if v.Affects(b.cfg) {
+	for _, key := range gi.keys { // ascending, so e.keys comes out sorted
+		if v.Affects(gi.buckets[key].cfg) {
 			e.keys = append(e.keys, key)
 			gi.expByKey[key] = append(gi.expByKey[key], e)
 		}
 	}
-	sort.Strings(e.keys)
 	gi.refreshExposure(e)
 	gi.known[v.ID] = struct{}{}
 	return e
