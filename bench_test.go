@@ -3,7 +3,7 @@
 // cmd/experiments prints — so every registered table and figure is timed
 // and the two surfaces cannot drift. The remaining benchmarks isolate the
 // substrate hot paths (BFT commit, PoW simulation, entropy, selection,
-// attestation, gossip). Run with
+// attestation). Run with
 //
 //	go test -bench=. -benchmem
 //
@@ -15,6 +15,8 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"testing"
 	"time"
@@ -28,8 +30,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/cryptoutil"
 	"repro/internal/experiment"
-	"repro/internal/gossip"
 	_ "repro/internal/liveloop" // registers the live-attach hook lossy-wire timelines need
+	"repro/internal/monitord"
 	"repro/internal/nakamoto"
 	"repro/internal/planner"
 	"repro/internal/pooldata"
@@ -356,9 +358,10 @@ func BenchmarkAssess(b *testing.B) {
 }
 
 // BenchmarkWatchTick measures one Watch tick on an unchanged registry —
-// the steady-state monitoring cost. With the snapshot cache this is just
-// an injector evaluation at the clock instant; it must sit far below
-// BenchmarkAssess.
+// the steady-state monitoring cost — on an hourly clock over a catalog
+// whose disclosures and closes fall every other hour: a snapshot-cache hit
+// plus, on the ticks that leave the memoised interval, one injector
+// evaluation. It must sit far below BenchmarkAssess.
 func BenchmarkWatchTick(b *testing.B) {
 	_, mon := benchMonitor(b)
 	if _, err := mon.Assess(0); err != nil { // warm the snapshot cache
@@ -385,7 +388,7 @@ func BenchmarkWatchTick(b *testing.B) {
 //     population-independent once group counts saturate;
 //   - incremental: one mutation + assessment on a live monitor — the O(Δ)
 //     journal/delta/patch path;
-//   - cached: unchanged registry, pure injector evaluation.
+//   - cached: unchanged registry and instant, the memoised assessment.
 func BenchmarkAssessScale(b *testing.B) {
 	sizes := []int{1_000, 10_000, 100_000}
 	if *scaleFull {
@@ -750,34 +753,120 @@ func BenchmarkSweepAnalytic(b *testing.B) {
 	}
 }
 
-// BenchmarkGossipBroadcast measures epidemic dissemination to 100 nodes.
-func BenchmarkGossipBroadcast(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sched := sim.NewScheduler(int64(i))
-		net, err := simnet.New(sched, simnet.FixedLatency(5*time.Millisecond), 0)
-		if err != nil {
-			b.Fatal(err)
+// serveReadTenant hosts the bench workload's tenant — assessbench's 2000
+// replicas × 50 vulnerabilities, on a virtual clock at the probe instant —
+// on an in-process monitord.
+func serveReadTenant(tb testing.TB) (*monitord.Server, *monitord.Tenant) {
+	tb.Helper()
+	reg, err := assessbench.Registry(2000)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cat, err := assessbench.Catalog(50)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	srv := monitord.NewServer()
+	tb.Cleanup(srv.Close)
+	tenant, err := srv.Manager().Create("bench", monitord.TenantSpec{Virtual: true})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, r := range reg.Records() {
+		if err := tenant.Registry.JoinDeclared(r.ID, r.Config, r.Power, r.PatchLatency); err != nil {
+			tb.Fatal(err)
 		}
-		o, err := gossip.NewOverlay(net, gossip.Config{Fanout: 6})
-		if err != nil {
-			b.Fatal(err)
+	}
+	for _, v := range cat.All() {
+		if err := tenant.Catalog.Add(v); err != nil {
+			tb.Fatal(err)
 		}
-		for j := 0; j < 100; j++ {
-			if _, err := o.Join(simnet.NodeID(j), nil); err != nil {
-				b.Fatal(err)
+	}
+	if _, err := tenant.AdvanceTo(assessbench.Instant); err != nil {
+		tb.Fatal(err)
+	}
+	return srv, tenant
+}
+
+// serveReadRoutes are the read routes, worst at the bench's horizon.
+var serveReadRoutes = []struct{ name, path string }{
+	{"assessment", "/tenants/bench/assessment"},
+	{"report", "/tenants/bench/report"},
+	{"worst", "/tenants/bench/worst?horizon=" + assessbench.Horizon.String()},
+}
+
+// nullWriter is a ResponseWriter that keeps nothing, so a measurement
+// around ServeHTTP sees the service's cost and not a recorder's.
+type nullWriter struct {
+	header http.Header
+	status int
+	bytes  int
+}
+
+func (w *nullWriter) Header() http.Header  { return w.header }
+func (w *nullWriter) WriteHeader(code int) { w.status = code }
+func (w *nullWriter) Write(b []byte) (int, error) {
+	w.bytes += len(b)
+	return len(b), nil
+}
+
+// BenchmarkServeRead is serve-read's unit of work without the socket: one
+// GET through Server.ServeHTTP — mux, tenant lookup, monitor, body — on a
+// tenant whose state does not change.
+func BenchmarkServeRead(b *testing.B) {
+	srv, _ := serveReadTenant(b)
+	for _, route := range serveReadRoutes {
+		b.Run(route.name, func(b *testing.B) {
+			req := httptest.NewRequest(http.MethodGet, route.path, nil)
+			w := &nullWriter{header: make(http.Header)}
+			srv.ServeHTTP(w, req) // the one miss: evaluate, encode, keep
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.bytes = 0
+				srv.ServeHTTP(w, req)
+				if w.bytes == 0 || w.status/100 == 4 || w.status/100 == 5 {
+					b.Fatalf("GET %s: status %d, %d bytes", route.path, w.status, w.bytes)
+				}
 			}
+		})
+	}
+}
+
+// TestServeReadAllocations pins the read of unchanged state: nothing at or
+// below core.Monitor allocates, and a whole GET stays within what routing,
+// the query string and two response headers cost — 4 objects, 7 on worst;
+// it was 21, 14 and 13 (7.2, 6.2 and 1.5 kB) when every read evaluated and
+// encoded afresh. The ceiling leaves room for another Go version's mux.
+func TestServeReadAllocations(t *testing.T) {
+	const ceiling = 10
+	srv, tenant := serveReadTenant(t)
+	mon := tenant.Monitor
+	if _, err := mon.Assess(tenant.Now()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mon.WorstAssessment(assessbench.Horizon); err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		if _, _, err := mon.AssessMemo(tenant.Now()); err != nil {
+			t.Fatal(err)
 		}
-		msg, err := o.Publish(0, []byte("block"))
-		if err != nil {
-			b.Fatal(err)
+		if _, _, err := mon.WorstAssessmentMemo(assessbench.Horizon); err != nil {
+			t.Fatal(err)
 		}
-		if err := sched.Run(10 * time.Second); err != nil {
-			b.Fatal(err)
-		}
-		// Epidemic spread is probabilistic: the overwhelming majority must
-		// be reached, but an unlucky seed can strand a few nodes.
-		if o.Coverage(msg.ID) < 90 {
-			b.Fatalf("coverage %d/100", o.Coverage(msg.ID))
+	}); got > 0 {
+		t.Fatalf("memoised Assess + WorstAssessment allocate %.0f objects/op, want 0", got)
+	}
+	if hits := mon.Stats().AssessMemoHits; hits < 100 {
+		t.Fatalf("%d memo hits over 100+ reads of unchanged state", hits)
+	}
+	for _, route := range serveReadRoutes {
+		req := httptest.NewRequest(http.MethodGet, route.path, nil)
+		w := &nullWriter{header: make(http.Header)}
+		srv.ServeHTTP(w, req)
+		if got := testing.AllocsPerRun(100, func() { srv.ServeHTTP(w, req) }); got > ceiling {
+			t.Errorf("GET %s allocates %.0f objects/op, want ≤ %d", route.path, got, ceiling)
 		}
 	}
 }

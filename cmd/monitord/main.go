@@ -11,6 +11,10 @@
 //	monitord -drain 5s          # shutdown drain budget
 //	monitord -timeout 30s       # per-request budget for non-watch routes
 //
+// A request that overruns -timeout — a slow handler, or a client that
+// stops reading its reply — ends with the connection closed, not with an
+// error body.
+//
 // SIGINT or SIGTERM starts a graceful shutdown: the listener closes, new
 // requests are refused with 503, every SSE stream ends cleanly, and
 // in-flight requests get -drain to finish before the process exits.
@@ -25,7 +29,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -38,7 +41,7 @@ func main() {
 	var (
 		addr    = flag.String("addr", ":8642", "listen address")
 		drain   = flag.Duration("drain", 10*time.Second, "graceful-shutdown budget for in-flight requests")
-		timeout = flag.Duration("timeout", 30*time.Second, "per-request handler budget for non-watch routes (0 disables)")
+		timeout = flag.Duration("timeout", 30*time.Second, "per-request budget for non-watch routes, from request read to reply written (0 disables)")
 	)
 	flag.Parse()
 	if err := run(*addr, *drain, *timeout); err != nil {
@@ -51,13 +54,7 @@ func run(addr string, drain, timeout time.Duration) error {
 	defer stop()
 
 	svc := monitord.NewServer()
-	httpSrv := &http.Server{
-		Handler:           timeoutMux(svc, timeout),
-		ReadHeaderTimeout: 10 * time.Second,
-		// Reap idle keep-alive connections so stuck clients cannot pin
-		// sockets forever; SSE streams write continuously and stay alive.
-		IdleTimeout: 2 * time.Minute,
-	}
+	httpSrv := newHTTPServer(svc, timeout)
 
 	// Listen before announcing readiness so -addr :0 can log the bound
 	// port and a supervisor can scrape it.
@@ -94,30 +91,19 @@ func run(addr string, drain, timeout time.Duration) error {
 	return nil
 }
 
-// timeoutMux bounds every handler with http.TimeoutHandler except the SSE
-// watch streams, which are long-lived by design — and TimeoutHandler's
-// buffered ResponseWriter implements no Flusher, so wrapping them would
-// break the protocol outright, not just cut it short.
-func timeoutMux(svc http.Handler, timeout time.Duration) http.Handler {
-	if timeout <= 0 {
-		return svc
+// newHTTPServer is the daemon's http.Server around the service. timeout is
+// the per-request budget: a write deadline the connection gets once the
+// request has been read, so a reply not fully written by then — the handler
+// overran, or the client stopped reading — fails and closes the connection.
+// The SSE watch handler, long-lived by design, clears its own deadline.
+// Zero (or less) sets no budget.
+func newHTTPServer(svc http.Handler, timeout time.Duration) *http.Server {
+	return &http.Server{
+		Handler:           svc,
+		ReadHeaderTimeout: 10 * time.Second,
+		WriteTimeout:      timeout,
+		// Reap idle keep-alive connections so stuck clients cannot pin
+		// sockets forever; SSE streams write continuously and stay alive.
+		IdleTimeout: 2 * time.Minute,
 	}
-	bounded := http.TimeoutHandler(svc, timeout, "request exceeded the handler budget\n")
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodGet && isWatchPath(r.URL.Path) {
-			svc.ServeHTTP(w, r)
-			return
-		}
-		bounded.ServeHTTP(w, r)
-	})
-}
-
-// isWatchPath matches exactly GET /tenants/{tenant}/watch.
-func isWatchPath(path string) bool {
-	rest, ok := strings.CutPrefix(path, "/tenants/")
-	if !ok {
-		return false
-	}
-	tenant, leaf, ok := strings.Cut(rest, "/")
-	return ok && tenant != "" && leaf == "watch"
 }

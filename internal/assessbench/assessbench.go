@@ -11,8 +11,8 @@
 //   - incremental: one registry mutation followed by an assessment on a
 //     long-lived monitor, exercising the journalled snapshot delta and the
 //     O(Δ) exposure patch;
-//   - cached: an assessment on an unchanged registry — pure injector
-//     evaluation;
+//   - cached: an assessment on an unchanged registry at an unchanged
+//     instant — the monitor's memoised answer;
 //   - worst: one registry mutation followed by a worst-window assessment
 //     over the horizon — the incremental path plus the bound-pruned sweep
 //     of every critical instant, what a GET …/worst costs under churn.

@@ -52,13 +52,16 @@ type Assessment struct {
 // Monitor continuously assesses a registry against a vulnerability catalog.
 //
 // Assessment state is cached per registry snapshot: the diversity report
-// and the vulnerability exposure index (vuln.Injector) are rebuilt only
-// when the registry mutates or the catalog grows, so Watch ticks and
-// repeated Assess calls on an unchanged membership only evaluate the
-// per-instant fault picture.
+// and the vulnerability exposure index (vuln.GroupInjector) are patched
+// only when the registry mutates or the catalog grows. On top of that the
+// last Assess is memoised with the interval on which it stays true — the
+// fault picture is a step function of time — so Watch ticks and repeated
+// Assess calls on an unchanged membership evaluate nothing until the clock
+// crosses the next disclosure or window close.
 // The monitor's own methods are safe for concurrent use (Watch assesses
 // from its own goroutine), and registry mutation during a live stream is
-// synchronized by the registry itself — see Watch.
+// synchronized by the registry itself — see Watch. Returned assessments
+// share their slices with the memo: treat them as read-only.
 type Monitor struct {
 	reg       *registry.Registry
 	catalog   *vuln.Catalog
@@ -84,6 +87,19 @@ type Monitor struct {
 	worst        Assessment
 	worstHorizon time.Duration
 	worstValid   bool
+	worstFill    uint64
+	// assessed memoizes the last Assess: for an unchanged (snapshot, catalog
+	// generation) the fault picture filled in at assessed.At holds on
+	// [assessed.At, assessedUntil) — up to the next disclosure or window
+	// close — so only At differs between assessments inside that interval.
+	// Invalidated together with worst.
+	assessed      Assessment
+	assessedUntil time.Duration
+	assessedValid bool
+	assessedFill  uint64
+	// fills numbers the computations behind the two memos above; see
+	// AssessMemo.
+	fills uint64
 
 	stats CacheStats
 }
@@ -109,6 +125,9 @@ type CacheStats struct {
 	// Hits is the number of assessments served entirely from the
 	// per-snapshot cache.
 	Hits uint64
+	// AssessMemoHits counts the Hits of Assess whose instant also lay inside
+	// the memoised interval, so that no fault picture was evaluated at all.
+	AssessMemoHits uint64
 	// WorstSweeps is the number of worst-window sweeps actually run
 	// (memoised WorstAssessment calls count none). WorstInstants is the
 	// critical instants those sweeps covered and WorstEvaluated the ones
@@ -201,7 +220,7 @@ func (m *Monitor) refreshLocked() error {
 		}
 		m.stats.DeltaApplies++
 		m.snap, m.catGen = snap, catGen
-		m.worstValid = false
+		m.worstValid, m.assessedValid = false, false
 		return nil
 	}
 	m.stats.Rebuilds++
@@ -215,7 +234,7 @@ func (m *Monitor) refreshLocked() error {
 	}
 	m.report = report
 	m.snap, m.catGen, m.injector = snap, catGen, injector
-	m.worstValid = false
+	m.worstValid, m.assessedValid = false, false
 	return nil
 }
 
@@ -229,24 +248,50 @@ func (m *Monitor) injectLocked(t time.Duration) vuln.Injection {
 }
 
 // Assess computes the full report at virtual time t. On an unchanged
-// registry only the per-instant fault picture is recomputed; the
-// diversity report and the vulnerability exposure index come from the
-// snapshot cache.
+// registry the diversity report and the vulnerability exposure index come
+// from the snapshot cache, and the fault picture is evaluated only when t
+// has left the interval the last evaluation holds on.
 func (m *Monitor) Assess(t time.Duration) (Assessment, error) {
+	a, _, err := m.AssessMemo(t)
+	return a, err
+}
+
+// AssessMemo is Assess also reporting which evaluation the result came
+// from: fill is equal for two results (of AssessMemo or
+// WorstAssessmentMemo) exactly when both are the same memoised
+// computation, in which case they differ at most in At. A caller that
+// derives something costly from an assessment — monitord's encoded bodies
+// — keys it on fill.
+func (m *Monitor) AssessMemo(t time.Duration) (a Assessment, fill uint64, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if err := m.refreshLocked(); err != nil {
-		return Assessment{}, err
+		return Assessment{}, 0, err
+	}
+	if m.assessedValid && m.assessed.At <= t && t < m.assessedUntil {
+		m.stats.AssessMemoHits++
+		a = m.assessed
+		a.At, a.Injection.At = t, t
+		return a, m.assessedFill, nil
 	}
 	inj := m.injectLocked(t)
+	m.fills++
+	m.assessed = m.assessmentLocked(inj)
+	m.assessedUntil, m.assessedValid, m.assessedFill = m.injector.NextBoundary(), true, m.fills
+	return m.assessed, m.assessedFill, nil
+}
+
+// assessmentLocked judges one fault picture against the cached diversity
+// report and the substrate. m.mu must be held and the caches fresh.
+func (m *Monitor) assessmentLocked(inj vuln.Injection) Assessment {
 	return Assessment{
-		At:        t,
+		At:        inj.At,
 		Diversity: m.report,
 		Injection: inj,
 		Substrate: m.substrate.Name(),
 		Threshold: m.substrate.Tolerance(),
 		Safe:      m.substrate.Assess(inj),
-	}, nil
+	}
 }
 
 // WorstAssessment sweeps the critical instants of [0, horizon] and returns
@@ -256,38 +301,37 @@ func (m *Monitor) Assess(t time.Duration) (Assessment, error) {
 // happen against one snapshot, so a concurrent mutation cannot slip in
 // between finding the worst instant and reporting it.
 func (m *Monitor) WorstAssessment(horizon time.Duration) (Assessment, error) {
+	a, _, err := m.WorstAssessmentMemo(horizon)
+	return a, err
+}
+
+// WorstAssessmentMemo is WorstAssessment also reporting the sweep the
+// result came from; see AssessMemo.
+func (m *Monitor) WorstAssessmentMemo(horizon time.Duration) (a Assessment, fill uint64, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if err := m.refreshLocked(); err != nil {
-		return Assessment{}, err
+		return Assessment{}, 0, err
 	}
 	if m.worstValid && m.worstHorizon == horizon {
-		return m.worst, nil
+		return m.worst, m.worstFill, nil
 	}
 	var worst vuln.Injection
-	var err error
 	if m.summaryFaults {
 		worst, err = m.injector.WorstWindowSummary(horizon)
 	} else {
 		worst, err = m.injector.WorstWindow(horizon)
 	}
 	if err != nil {
-		return Assessment{}, err
+		return Assessment{}, 0, err
 	}
 	instants, evaluated := m.injector.LastSweep()
 	m.stats.WorstSweeps++
 	m.stats.WorstInstants += uint64(instants)
 	m.stats.WorstEvaluated += uint64(evaluated)
-	a := Assessment{
-		At:        worst.At,
-		Diversity: m.report,
-		Injection: worst,
-		Substrate: m.substrate.Name(),
-		Threshold: m.substrate.Tolerance(),
-		Safe:      m.substrate.Assess(worst),
-	}
-	m.worst, m.worstHorizon, m.worstValid = a, horizon, true
-	return a, nil
+	m.fills++
+	m.worst, m.worstHorizon, m.worstValid, m.worstFill = m.assessmentLocked(worst), horizon, true, m.fills
+	return m.worst, m.worstFill, nil
 }
 
 // CapShares applies the share-capping enforcement policy: every

@@ -22,8 +22,9 @@ import (
 //
 // Ticks on an unchanged registry are near-free: the diversity report and
 // the vulnerability exposure index come from the monitor's per-snapshot
-// cache (see Monitor), so each tick only evaluates the fault picture at
-// the tick instant.
+// cache (see Monitor), and the fault picture itself is re-evaluated only by
+// the first tick past a disclosure or window close — every other tick is
+// the memoised assessment with a new At.
 //
 // Registry churn during a live stream is supported: mutation and snapshot
 // reads are synchronized inside the registry, so every assessment sees

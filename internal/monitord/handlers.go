@@ -1,11 +1,14 @@
 package monitord
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/registry"
@@ -29,7 +32,67 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
-// decodeBody strictly decodes a JSON body into v. An empty body leaves v
+// encodedBody is the response one read route last sent for a tenant: the
+// JSON of the assessment the monitor handed out under fill, newline
+// included, exactly as writeJSON renders it. It is immutable once stored;
+// a tenant keeps one per route, replaced whenever the monitor reports
+// another fill.
+type encodedBody struct {
+	fill uint64
+	body []byte
+	// An assessment body also serves the other instants of its fill, which
+	// differ only in the "at" value: at is the instant it was encoded for
+	// and body[atLo:atHi] the value's bytes. atHi is 0 for a body that
+	// carries no instant (report), which at == 0 always matches.
+	at         time.Duration
+	atLo, atHi int
+}
+
+// atJSON is the bytes Duration.MarshalJSON produces for at: a duration
+// string holds nothing JSON escapes.
+func atJSON(at time.Duration) string { return `"` + at.String() + `"` }
+
+// serveEncoded answers a read route with the JSON of v() for the monitor's
+// fill at instant at: from the tenant's kept body when that came from the
+// same fill — a 200 with Content-Length and one Write of the kept bytes, or
+// head + instant + tail where only the instant moved — and otherwise by
+// encoding v() and keeping the result. Concurrent misses each encode and
+// store; whichever body stays is checked against the next reader's fill
+// like any other. Write errors mean the client is gone, as in writeJSON.
+func serveEncoded(w http.ResponseWriter, kept *atomic.Pointer[encodedBody], fill uint64, at time.Duration, v func() any) {
+	b := kept.Load()
+	if b == nil || b.fill != fill || (b.at != at && b.atHi == 0) {
+		var buf bytes.Buffer
+		if err := json.NewEncoder(&buf).Encode(v()); err != nil {
+			writeError(w, http.StatusInternalServerError, "encode: %v", err)
+			return
+		}
+		b = &encodedBody{fill: fill, body: buf.Bytes(), at: at}
+		// The tenant name before the instant holds no quote
+		// (validTenantName), so the first "at" key is the field.
+		key, stamp := []byte(`"at":`), atJSON(at)
+		if i := bytes.Index(b.body, key); i >= 0 && bytes.HasPrefix(b.body[i+len(key):], []byte(stamp)) {
+			b.atLo = i + len(key)
+			b.atHi = b.atLo + len(stamp)
+		}
+		kept.Store(b)
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	if at == b.at {
+		h.Set("Content-Length", strconv.Itoa(len(b.body)))
+		_, _ = w.Write(b.body)
+		return
+	}
+	stamp := atJSON(at)
+	h.Set("Content-Length", strconv.Itoa(b.atLo+len(stamp)+len(b.body)-b.atHi))
+	_, _ = w.Write(b.body[:b.atLo])
+	_, _ = io.WriteString(w, stamp)
+	_, _ = w.Write(b.body[b.atHi:])
+}
+
+// decodeBody strictly decodes a JSON body into v: unknown fields and
+// anything but whitespace after the value are a 400. An empty body leaves v
 // at its zero value, so "PUT /tenants/x" with no body creates a default
 // tenant.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
@@ -40,6 +103,10 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 			return true
 		}
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		return false
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		writeError(w, http.StatusBadRequest, "bad request body: data after the JSON value")
 		return false
 	}
 	return true
@@ -85,6 +152,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		st.CacheRebuilds += cs.Rebuilds
 		st.CacheDeltaApplies += cs.DeltaApplies
 		st.CacheHits += cs.Hits
+		st.AssessMemoHits += cs.AssessMemoHits
 		st.WorstSweeps += cs.WorstSweeps
 		st.WorstInstants += cs.WorstInstants
 		st.WorstEvaluated += cs.WorstEvaluated
@@ -222,12 +290,12 @@ func (s *Server) handleAssessment(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	a, err := t.Monitor.Assess(t.Now())
+	a, fill, err := t.Monitor.AssessMemo(t.Now())
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, "assess: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, assessmentJSON(t.Name, a))
+	serveEncoded(w, &t.assessmentBody, fill, a.At, func() any { return assessmentJSON(t.Name, a) })
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
@@ -235,12 +303,12 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	a, err := t.Monitor.Assess(t.Now())
+	a, fill, err := t.Monitor.AssessMemo(t.Now())
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, "assess: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, reportJSON(a.Diversity))
+	serveEncoded(w, &t.reportBody, fill, 0, func() any { return reportJSON(a.Diversity) })
 }
 
 // defaultWorstHorizon bounds the sweep when the query omits ?horizon=.
@@ -260,12 +328,13 @@ func (s *Server) handleWorst(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	a, err := t.Monitor.WorstAssessment(horizon)
+	// A sweep's fill is of one horizon, so the fill alone keys the body.
+	a, fill, err := t.Monitor.WorstAssessmentMemo(horizon)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, "worst window: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, assessmentJSON(t.Name, a))
+	serveEncoded(w, &t.worstBody, fill, a.At, func() any { return assessmentJSON(t.Name, a) })
 }
 
 func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
@@ -321,6 +390,9 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer t.hub.unsubscribe(id)
+	// The daemon gives every reply a write deadline (its -timeout); a stream
+	// outlives it by design. A writer without deadlines has none to clear.
+	_ = http.NewResponseController(w).SetWriteDeadline(time.Time{})
 
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")

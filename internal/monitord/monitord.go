@@ -13,9 +13,13 @@
 // monitor's memoized per-snapshot assessment — one Watch stream feeds an
 // SSE hub that fans out to every subscriber, and GET readers hit the same
 // snapshot cache, so N watchers cost one computation per registry
-// generation (core.Monitor.Stats exposes the proof). Registry mutation
-// during live streams is safe: the registry synchronizes churn against
-// snapshot readers internally.
+// generation (core.Monitor.Stats exposes the proof). A GET that finds the
+// registry, the catalog and the constant interval of the fault picture
+// unchanged re-sends the bytes the route last encoded (one body per read
+// route per tenant, keyed on the monitor's fill, checked on every read —
+// so never older than an acknowledged mutation). Registry mutation during
+// live streams is safe: the registry synchronizes churn against snapshot
+// readers internally.
 //
 // Endpoints (JSON bodies unless noted):
 //

@@ -202,6 +202,28 @@ func TestMutationAndAssessmentEndpoints(t *testing.T) {
 	if code := do(t, s, "POST", "/tenants/x/advance", AdvanceSpec{}, nil); code != http.StatusBadRequest {
 		t.Fatalf("empty advance: %d", code)
 	}
+	// Strict bodies: each of these is accepted without its tail (trailing
+	// whitespace included) and a 400 with it.
+	for _, c := range []struct{ method, path, body string }{
+		{"POST", "/tenants/x/replicas", `{"id":"strict","power":1,"components":[{"class":"operating-system","name":"plan9"}]}`},
+		{"PATCH", "/tenants/x/replicas/strict", `{"power":2}`},
+		{"POST", "/tenants/x/vulns", `{"id":"CVE-strict","class":"operating-system","product":"plan9","disclosed":"1h","patchAt":"2h","severity":1}`},
+		{"POST", "/tenants/x/advance", `{"by":"1s"}`},
+		{"PUT", "/tenants/strict", `{"virtual":true}`},
+	} {
+		for _, tail := range []string{" garbage", `{}`, " 1", "]"} {
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, httptest.NewRequest(c.method, c.path, strings.NewReader(c.body+tail)))
+			if rec.Code != http.StatusBadRequest {
+				t.Fatalf("%s %s with %q after the value: %d, want 400", c.method, c.path, tail, rec.Code)
+			}
+		}
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(c.method, c.path, strings.NewReader(c.body+" \n\t")))
+		if rec.Code/100 != 2 {
+			t.Fatalf("%s %s with trailing whitespace: %d %s", c.method, c.path, rec.Code, rec.Body)
+		}
+	}
 	// Wall tenants reject advance.
 	if code := do(t, s, "PUT", "/tenants/wall", nil, nil); code != http.StatusCreated {
 		t.Fatalf("wall create: %d", code)
@@ -407,6 +429,23 @@ func TestStatsAggregation(t *testing.T) {
 	}
 	if st.CacheRebuilds != 3 || st.CacheDeltaApplies != 1 {
 		t.Fatalf("stats after churn = %+v, want 3 rebuilds / 1 delta-apply", st)
+	}
+	// Reads that find state and interval unchanged evaluate nothing; the
+	// tenant and the aggregate both say how many.
+	if st.AssessMemoHits != 0 {
+		t.Fatalf("memo hits before any repeated read: %+v", st)
+	}
+	for _, path := range []string{"/tenants/t0/assessment", "/tenants/t0/report", "/tenants/t1/assessment"} {
+		if code := do(t, s, "GET", path, nil, nil); code != http.StatusOK {
+			t.Fatalf("GET %s: %d", path, code)
+		}
+	}
+	var info TenantInfo
+	if code := do(t, s, "GET", "/tenants/t0", nil, &info); code != http.StatusOK || info.Cache.AssessMemoHits != 2 {
+		t.Fatalf("tenant t0: %d, cache %+v, want 2 memo hits", code, info.Cache)
+	}
+	if code := do(t, s, "GET", "/stats", nil, &st); code != http.StatusOK || st.AssessMemoHits != 3 || st.CacheHits != 3 {
+		t.Fatalf("stats after repeated reads: %d %+v, want 3 hits, all 3 memo hits", code, st)
 	}
 	// Worst-window sweeps surface too: one per tenant asked, none for the
 	// memoised repeat.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bft"
@@ -37,6 +38,10 @@ type Tenant struct {
 	created   time.Time
 	vt        *core.VirtualTime // nil → wall clock
 	hub       *hub
+
+	// The last body sent on each read route (see encodedBody): a read that
+	// finds the monitor's fill unchanged re-sends it instead of encoding.
+	assessmentBody, reportBody, worstBody atomic.Pointer[encodedBody]
 }
 
 // Now returns the tenant's current instant: virtual-clock position for

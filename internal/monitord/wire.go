@@ -235,6 +235,9 @@ type CacheStatsJSON struct {
 	Rebuilds     uint64 `json:"rebuilds"`
 	DeltaApplies uint64 `json:"deltaApplies"`
 	Hits         uint64 `json:"hits"`
+	// Assessments that evaluated no fault picture: the instant lay inside
+	// the interval the previous evaluation holds on.
+	AssessMemoHits uint64 `json:"assessMemoHits"`
 	// Worst-window sweeps run, the critical instants they covered and the
 	// instants the pruning bound could not skip.
 	WorstSweeps    uint64 `json:"worstSweeps"`
@@ -292,6 +295,9 @@ type ServerStats struct {
 	CacheRebuilds     uint64 `json:"cacheRebuilds"`
 	CacheDeltaApplies uint64 `json:"cacheDeltaApplies"`
 	CacheHits         uint64 `json:"cacheHits"`
+	// AssessMemoHits of CacheHits skipped the fault-picture evaluation too:
+	// how often a read is really free.
+	AssessMemoHits uint64 `json:"assessMemoHits"`
 	// WorstEvaluated close to WorstInstants means worst-window sweeps are
 	// running unpruned.
 	WorstSweeps    uint64 `json:"worstSweeps"`

@@ -3,6 +3,7 @@ package vuln
 import (
 	"cmp"
 	"errors"
+	"math"
 	"slices"
 	"sort"
 	"time"
@@ -67,6 +68,10 @@ type GroupInjector struct {
 	open    []giItem    // current exposure's open-window items
 	pos     []int       // k-way-merge cursors
 	bs      []*giBucket // current exposure's live matching buckets
+
+	// nextBoundary is the earliest disclosure or window close activeAt has
+	// seen lie after the instant under evaluation (NextBoundary).
+	nextBoundary time.Duration
 
 	// Per-sweep scratch (worstWindow): the critical instants, the upper
 	// bound on the compromised power at each, and one bucket's exposures
@@ -390,7 +395,18 @@ func (gi *GroupInjector) TotalPower() float64 { return gi.totalPower }
 func (gi *GroupInjector) beginInstant() {
 	gi.markGen++
 	gi.touched = gi.touched[:0]
+	gi.nextBoundary = Never
 }
+
+// Never is the NextBoundary of a fault picture that cannot change any more.
+const Never = time.Duration(math.MaxInt64)
+
+// NextBoundary returns the first critical instant after the instant t that
+// Inject, InjectSummary or TotalFractionAt last evaluated: the earliest
+// disclosure or window close strictly later than t, or Never. The fault
+// picture is a step function of time, so on [t, NextBoundary) every
+// evaluation of an unchanged index returns the same picture.
+func (gi *GroupInjector) NextBoundary() time.Duration { return gi.nextBoundary }
 
 // activeAt fills gi.open with the exposure's open-window items at t in
 // power-descending order — a k-way merge of the matching buckets'
@@ -400,7 +416,11 @@ func (gi *GroupInjector) beginInstant() {
 // one product version) is a straight filtered copy.
 func (gi *GroupInjector) activeAt(e *giExposure, t time.Duration) int {
 	gi.open = gi.open[:0]
-	if t < e.vuln.Disclosed || t >= e.maxClose {
+	if t < e.vuln.Disclosed {
+		gi.nextBoundary = min(gi.nextBoundary, e.vuln.Disclosed)
+		return 0
+	}
+	if t >= e.maxClose {
 		return 0
 	}
 	bs := gi.bs[:0]
@@ -415,6 +435,7 @@ func (gi *GroupInjector) activeAt(e *giExposure, t time.Duration) int {
 		for _, g := range bs[0].groups {
 			if c := e.vuln.PatchAt + g.latency; t < c {
 				gi.open = append(gi.open, giItem{g: g, closeAt: c})
+				gi.nextBoundary = min(gi.nextBoundary, c)
 				m += len(g.names)
 			}
 		}
@@ -444,6 +465,7 @@ func (gi *GroupInjector) activeAt(e *giExposure, t time.Duration) int {
 		pos[best]++
 		if c := e.vuln.PatchAt + g.latency; t < c {
 			gi.open = append(gi.open, giItem{g: g, closeAt: c})
+			gi.nextBoundary = min(gi.nextBoundary, c)
 			m += len(g.names)
 		}
 	}
