@@ -584,12 +584,7 @@ func TestAnalyticPathAllocations(t *testing.T) {
 		t.Fatalf("NewGroupInjector on 2000 replicas x 50 vulns allocates %.0f objects/op, want ≤ 200", got)
 	}
 
-	p, ok := scenario.LookupProfile("churn-heavy")
-	if !ok {
-		t.Fatal("no churn-heavy profile")
-	}
-	def := p.Generate(42, 0).Def()
-	invs := scenario.DefaultInvariants()
+	def, invs := generatedDef(t, "churn-heavy"), scenario.DefaultInvariants()
 	if got := testing.AllocsPerRun(10, func() {
 		if _, violations, err := scenario.CheckRun(def, 42, invs); err != nil || len(violations) != 0 {
 			t.Fatalf("%d violations, err %v", len(violations), err)
@@ -648,15 +643,7 @@ func BenchmarkSimClusterCommit(b *testing.B) {
 		drop float64
 	}{{"clean", 0}, {"lossy10", 0.1}} {
 		b.Run(c.name, func(b *testing.B) {
-			sched := sim.NewScheduler(42)
-			net, err := simnet.New(sched, simnet.FixedLatency(20*time.Millisecond), c.drop)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cl, err := bftlive.NewSimCluster(net, 7, bftlive.SimWithViewTimeout(10*time.Second))
-			if err != nil {
-				b.Fatal(err)
-			}
+			sched, cl := liveWireCluster(b, c.drop)
 			value := []byte("v-00000000")
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -678,17 +665,37 @@ func BenchmarkSimClusterCommit(b *testing.B) {
 	}
 }
 
+// liveWireCluster boots the 7-replica rotating SimCluster of the wire-path
+// benchmarks on a 20 ms fixed-latency network losing drop of its messages.
+func liveWireCluster(tb testing.TB, drop float64) (*sim.Scheduler, *bftlive.SimCluster) {
+	sched := sim.NewScheduler(42)
+	net, err := simnet.New(sched, simnet.FixedLatency(20*time.Millisecond), drop)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cl, err := bftlive.NewSimCluster(net, 7, bftlive.SimWithViewTimeout(10*time.Second))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sched, cl
+}
+
+// generatedDef is timeline #0 at seed 42 of a generator profile, the unit of
+// work the timeline benchmarks and allocation ceilings share.
+func generatedDef(tb testing.TB, profile string) scenario.Def {
+	p, ok := scenario.LookupProfile(profile)
+	if !ok {
+		tb.Fatalf("no %s profile", profile)
+	}
+	return p.Generate(42, 0).Def()
+}
+
 // BenchmarkLossyWireTimeline times one generated lossy-wire timeline run
 // through CheckRun with the default invariants: the unit of work of the
 // repository benchmark's sweep-live workload, ~95 % of it liveloop +
 // bftlive.SimCluster + simnet.
 func BenchmarkLossyWireTimeline(b *testing.B) {
-	p, ok := scenario.LookupProfile("lossy-wire")
-	if !ok {
-		b.Fatal("no lossy-wire profile")
-	}
-	def := p.Generate(42, 0).Def()
-	invs := scenario.DefaultInvariants()
+	def, invs := generatedDef(b, "lossy-wire"), scenario.DefaultInvariants()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -699,6 +706,38 @@ func BenchmarkLossyWireTimeline(b *testing.B) {
 		if len(violations) != 0 || len(res.Records) == 0 {
 			b.Fatalf("%d violations, %d records", len(violations), len(res.Records))
 		}
+	}
+}
+
+// TestLiveWireAllocations pins what one queue entry per broadcast bought:
+// a warm clean commit on seven replicas (90 messages, 112 scheduler events)
+// was 173 objects when every message was its own delivery record, and a
+// whole checked lossy-wire timeline 9831; they are 83 and 4878 with
+// deliveries fired as bursts from reused records.
+func TestLiveWireAllocations(t *testing.T) {
+	sched, cl := liveWireCluster(t, 0)
+	value, i := []byte("v-00000000"), 0
+	if got := testing.AllocsPerRun(200, func() {
+		i++
+		value = strconv.AppendInt(value[:2], int64(i), 10)
+		cl.Submit(value)
+		if err := sched.Run(sched.Now() + time.Minute); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 100 {
+		t.Errorf("a clean 7-replica commit allocates %.0f objects, want ≤ 100", got)
+	}
+	if v := cl.Violation(); v != nil {
+		t.Fatalf("agreement violated: %v", v)
+	}
+
+	def, invs := generatedDef(t, "lossy-wire"), scenario.DefaultInvariants()
+	if got := testing.AllocsPerRun(10, func() {
+		if _, violations, err := scenario.CheckRun(def, 42, invs); err != nil || len(violations) != 0 {
+			t.Fatalf("%d violations, err %v", len(violations), err)
+		}
+	}); got > 5500 {
+		t.Errorf("CheckRun of lossy-wire#0@42 allocates %.0f objects, want ≤ 5500", got)
 	}
 }
 
@@ -715,11 +754,7 @@ var analyticProfiles = []string{"churn-heavy", "disclosure-storm", "partition-fl
 func BenchmarkAnalyticTimeline(b *testing.B) {
 	invs := scenario.DefaultInvariants()
 	for _, name := range analyticProfiles {
-		p, ok := scenario.LookupProfile(name)
-		if !ok {
-			b.Fatalf("no %s profile", name)
-		}
-		def := p.Generate(42, 0).Def()
+		def := generatedDef(b, name)
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

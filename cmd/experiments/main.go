@@ -1,7 +1,7 @@
 // Command experiments regenerates every table and figure series of the
-// paper reproduction (see DESIGN.md's per-experiment index) and prints
-// them as aligned text tables, or as markdown with -markdown (the format
-// EXPERIMENTS.md embeds). It drives off the experiment registry
+// paper reproduction (-list prints the per-experiment index) and prints
+// them as aligned text tables, or as markdown with -markdown. It drives
+// off the experiment registry
 // (internal/experiment), the same index bench_test.go times, so the CLI
 // and the benchmarks cannot drift.
 //

@@ -12,10 +12,6 @@
 //	scenarios replay timeline.json -json # run a timeline file's trace
 //	scenarios shrink timeline.json       # minimize a violating timeline
 //
-// The pre-subcommand spellings keep working: -list, -run name -seed 42
-// -json, -live, -parallel N and -sweep N are deprecated aliases for the
-// subcommands above, so existing CI invocations do not change.
-//
 // Determinism contract: identical (selection, -seed) produce byte-identical
 // output for every -parallel setting. Per-scenario seeds derive from
 // (seed, scenario name) — never from scheduling — and parallel runs buffer
@@ -49,60 +45,18 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("scenarios: ")
+	commands := map[string]func(args []string){
+		"list": cmdList, "run": cmdRun, "sweep": cmdSweep,
+		"gen": cmdGen, "replay": cmdReplay, "shrink": cmdShrink,
+	}
 	if len(os.Args) > 1 {
-		args := os.Args[2:]
-		switch os.Args[1] {
-		case "list":
-			cmdList(args)
-			return
-		case "run":
-			cmdRun(args)
-			return
-		case "sweep":
-			cmdSweep(args)
-			return
-		case "gen":
-			cmdGen(args)
-			return
-		case "replay":
-			cmdReplay(args)
-			return
-		case "shrink":
-			cmdShrink(args)
+		if cmd, ok := commands[os.Args[1]]; ok {
+			cmd(os.Args[2:])
 			return
 		}
 	}
-	legacyMain()
-}
-
-// legacyMain is the pre-subcommand flag surface, kept verbatim so existing
-// invocations (the CI determinism job among them) run unchanged. -sweep N
-// is the flag spelling of the sweep subcommand.
-func legacyMain() {
-	var (
-		list     = flag.Bool("list", false, "deprecated alias for the list subcommand")
-		run      = flag.String("run", "all", "comma-separated scenario names, or 'all'")
-		seed     = flag.Int64("seed", 7, "base seed; per-scenario seeds derive from (seed, name)")
-		jsonOut  = flag.Bool("json", false, "emit the trace as JSON lines")
-		csvOut   = flag.Bool("csv", false, "emit the trace as CSV")
-		live     = flag.Bool("live", false, "run only the live-loop scenarios (tag 'live')")
-		parallel = flag.Int("parallel", 1, "concurrent scenario runs (0 = all cores, 1 = serial)")
-		sweep    = flag.Int("sweep", 0, "deprecated alias for the sweep subcommand: generate and check N timelines")
-	)
-	flag.Parse()
-	if *list {
-		fmt.Print(listTable().String())
-		return
-	}
-	if *sweep > 0 {
-		doSweep(scenario.SweepOptions{Runs: *sweep, Seed: *seed, Workers: workersFor(*parallel)}, "", "")
-		return
-	}
-	mode, err := pickMode(*jsonOut, *csvOut)
-	if err != nil {
-		log.Fatal(err)
-	}
-	doRun(*run, *live, *seed, *parallel, mode)
+	fmt.Fprintln(os.Stderr, "usage: scenarios list|run|sweep|gen|replay|shrink [flags] (each subcommand takes -h)")
+	os.Exit(2)
 }
 
 // --- shared flag groups ---

@@ -33,7 +33,7 @@ func TestSelectDefs(t *testing.T) {
 }
 
 // TestOutputDeterminismAcrossParallel is the in-process version of the CI
-// determinism gate: -run all -seed 42 renders byte-identically for serial
+// determinism gate: run -seed 42 renders byte-identically for serial
 // and parallel execution, in JSON, CSV and summary modes.
 func TestOutputDeterminismAcrossParallel(t *testing.T) {
 	defs, err := selectDefs("all")

@@ -7,10 +7,10 @@
 // under shared-fault adversaries.
 //
 // The public surface lives in the internal packages (this module is a
-// self-contained reproduction); see README.md for the map and DESIGN.md
-// for the per-experiment index. Three pieces tie it together: the
-// experiment registry (internal/experiment) that cmd/experiments,
-// bench_test.go and EXPERIMENTS regeneration all drive off; the
+// self-contained reproduction); see README.md for the map and
+// `go run ./cmd/experiments -list` for the per-experiment index. Three
+// pieces tie it together: the experiment registry (internal/experiment)
+// that cmd/experiments and bench_test.go both drive off; the
 // functional-options core.Monitor with its streaming Watch; and the
 // core.Substrate interface through which callers select a consensus
 // family (bft, nakamoto, committee) by value.

@@ -119,5 +119,5 @@ func main() {
 			fmt.Printf("  %s t=%-8s %s: %s diverged=%t\n", r.Event, r.T, r.Check, r.CheckDetail, r.Divergence)
 		}
 	}
-	fmt.Println("(run the full live set: go run ./cmd/scenarios -live)")
+	fmt.Println("(run the full live set: go run ./cmd/scenarios run -live)")
 }

@@ -100,5 +100,5 @@ func main() {
 	s := first.Summary()
 	fmt.Printf("\nflash-churn @ seed 42: %d records, min entropy %.3fb, worst Σf %.3f at %v, replay byte-identical: %t\n",
 		s.Records, s.MinEntropy, s.MaxComp, s.MaxCompAt, identical)
-	fmt.Println("(the scenarios CLI lists and runs the full library: go run ./cmd/scenarios -list)")
+	fmt.Println("(the scenarios CLI lists and runs the full library: go run ./cmd/scenarios list)")
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // This file is the experiment catalog: every table and figure of the
-// reproduction self-registers here (see DESIGN.md's per-experiment
+// reproduction self-registers here (cmd/experiments -list prints the
 // index). cmd/experiments drives the CLI off this registry and
 // bench_test.go times the same entries, so the three surfaces cannot
 // drift. Parameters that a Params knob covers (seed, trials, scale) come

@@ -1,7 +1,7 @@
 // Package experiment regenerates every table and figure of the paper plus
-// the extension experiments listed in DESIGN.md. Each experiment is a pure
-// function returning structured results and a metrics.Table; cmd/experiments
-// prints them, bench_test.go times them, and EXPERIMENTS.md records them.
+// the extension experiments cmd/experiments -list enumerates. Each
+// experiment is a pure function returning structured results and a
+// metrics.Table; cmd/experiments prints them and bench_test.go times them.
 package experiment
 
 import (

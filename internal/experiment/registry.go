@@ -84,9 +84,9 @@ var (
 )
 
 // Register adds an experiment to the registry. Every experiment
-// self-registers at init time; cmd/experiments, bench_test.go and
-// EXPERIMENTS regeneration all iterate the same registry so they cannot
-// drift. Registration errors are programmer errors and panic.
+// self-registers at init time; cmd/experiments and bench_test.go iterate
+// the same registry so they cannot drift. Registration errors are
+// programmer errors and panic.
 func Register(id, title string, tags []string, run RunFunc) {
 	if id == "" || title == "" || run == nil {
 		panic(fmt.Sprintf("experiment: incomplete registration %q", id))

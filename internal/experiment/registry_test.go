@@ -7,8 +7,9 @@ import (
 	"repro/internal/pooldata"
 )
 
-// catalogIDs is the canonical experiment index (DESIGN.md order); the
-// registry must list exactly these, each exactly once.
+// catalogIDs is the canonical experiment index, in the order
+// cmd/experiments -list prints it; the registry must list exactly these,
+// each exactly once.
 var catalogIDs = []string{
 	"F1", "T1", "P1", "P2", "P3", "D12", "X1", "X2", "X4", "X5",
 	"SEC2C", "ADV", "ABL", "M1", "M2", "M3", "CHURN", "PLAN", "M4", "X6", "NT",

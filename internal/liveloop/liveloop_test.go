@@ -174,7 +174,7 @@ func TestLiveTracesAreByteDeterministic(t *testing.T) {
 }
 
 // TestLiveScenariosRegistered: the library registers every live scenario
-// under the "live" tag that cmd/scenarios -live selects.
+// under the "live" tag that cmd/scenarios run -live selects.
 func TestLiveScenariosRegistered(t *testing.T) {
 	want := []string{"live-partition-probe", "live-compromise-cascade", "live-reactive-recovery",
 		"live-primary-failover", "live-lossy-rotation"}

@@ -1,7 +1,7 @@
 // Package metrics provides the summary statistics, histograms and aligned
 // text tables shared by every experiment harness in the repository. All
 // experiment binaries and benchmarks print their results through
-// metrics.Table so that EXPERIMENTS.md rows are regenerated byte-for-byte.
+// metrics.Table so that a table regenerates byte-for-byte from its seed.
 package metrics
 
 import (
@@ -235,8 +235,8 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// Markdown renders the table as GitHub-flavored markdown, used when
-// regenerating EXPERIMENTS.md.
+// Markdown renders the table as GitHub-flavored markdown (cmd/experiments
+// -markdown).
 func (t *Table) Markdown() string {
 	var b strings.Builder
 	if t.Title != "" {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -43,4 +44,59 @@ func TestGoldenTimeline(t *testing.T) {
 	for _, v := range violations {
 		t.Errorf("golden timeline violates %s at seq %d: %s", v.Invariant, v.Seq, v.Detail)
 	}
+}
+
+// FuzzParseTimeline feeds ParseTimeline, which reads files an operator
+// hands the CLI, arbitrary bytes: it must reject or accept without
+// panicking, and whatever it accepts re-marshals to a fixed point — the
+// canonical artifact — that parses back to an equal timeline. Seeded from
+// the committed golden timelines, the every-op test timeline and one
+// generated timeline per profile (lossy-wire's carries a Live block and
+// FaultSpecs). The generated seeds are 5–15 kB: run it with
+// -fuzzminimizetime 1s or minimizing them eats the budget.
+func FuzzParseTimeline(f *testing.F) {
+	golden, err := filepath.Glob(filepath.Join("testdata", "*.json"))
+	if err != nil || len(golden) == 0 {
+		f.Fatalf("no golden timelines: %v", err)
+	}
+	for _, path := range golden {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	seeds := []*Timeline{fullGrammarTimeline()} // small: cheap to mutate and to minimize
+	for _, p := range Profiles() {
+		seeds = append(seeds, p.Generate(42, 0))
+	}
+	for _, tl := range seeds {
+		data, err := tl.MarshalIndent()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tl, err := ParseTimeline(data)
+		if err != nil {
+			return
+		}
+		canonical, err := tl.MarshalIndent()
+		if err != nil {
+			t.Fatalf("accepted timeline does not marshal: %v", err)
+		}
+		again, err := ParseTimeline(canonical)
+		if err != nil {
+			t.Fatalf("canonical form rejected: %v\n%s", err, canonical)
+		}
+		if second, err := again.MarshalIndent(); err != nil || !bytes.Equal(canonical, second) {
+			t.Fatalf("canonical form is not a fixed point (%v):\n%s\nthen\n%s", err, canonical, second)
+		}
+		// Clone maps an empty list and an absent one to the same value, as
+		// the encoding does.
+		if !reflect.DeepEqual(tl.Clone(), again.Clone()) {
+			t.Fatalf("canonical form parses to a different timeline:\n%s\nfrom\n%s", canonical, data)
+		}
+	})
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // The named scenario library. Every scenario self-registers at init time,
-// mirroring the experiment registry, so cmd/scenarios -list, the tests
+// mirroring the experiment registry, so cmd/scenarios list, the tests
 // and the benchmarks iterate one index.
 func init() {
 	Register(flashChurn())

@@ -16,28 +16,42 @@ type schedAPI interface {
 	now() time.Duration
 	at(t time.Duration, fn func()) (stop func() bool, err error)
 	after(d time.Duration, fn func()) (stop func() bool)
+	burst(d time.Duration, n int, fn func()) (stop func() bool)
 	every(start, interval time.Duration, fn func()) (stop func() bool, err error)
-	run(horizon time.Duration)
+	run(horizon time.Duration) (stopped bool)
+	runAll(max uint64) uint64
+	step() bool
+	halt()
 	fired() uint64
+	pending() int
 }
 
 type realSched struct{ s *Scheduler }
 
 func newRealSched() realSched { return realSched{NewScheduler(1)} }
 
-func (r realSched) now() time.Duration { return r.s.Now() }
-func (r realSched) fired() uint64      { return r.s.Fired() }
-func (r realSched) run(h time.Duration) {
-	if err := r.s.Run(h); err != nil {
-		panic(err)
-	}
-}
+func (r realSched) now() time.Duration       { return r.s.Now() }
+func (r realSched) fired() uint64            { return r.s.Fired() }
+func (r realSched) pending() int             { return r.s.Pending() }
+func (r realSched) runAll(max uint64) uint64 { return r.s.RunAll(max) }
+func (r realSched) step() bool               { return r.s.Step() }
+func (r realSched) halt()                    { r.s.Stop() }
+func (r realSched) run(h time.Duration) bool { return r.s.Run(h) == ErrStopped }
 func (r realSched) at(t time.Duration, fn func()) (func() bool, error) {
 	ev, err := r.s.At(t, "at", fn)
 	return ev.Stop, err
 }
 func (r realSched) after(d time.Duration, fn func()) func() bool {
 	return r.s.After(d, "after", fn).Stop
+}
+func (r realSched) burst(d time.Duration, n int, fn func()) func() bool {
+	rec := &record{fn: fn}
+	if n == 1 {
+		r.s.Schedule(&rec.ev, d, "schedule", rec)
+	} else {
+		r.s.ScheduleN(&rec.ev, d, "burst", rec, n)
+	}
+	return rec.ev.Stop
 }
 func (r realSched) every(start, interval time.Duration, fn func()) (func() bool, error) {
 	rep, err := r.s.Every(start, interval, "every", fn)
@@ -47,46 +61,73 @@ func (r realSched) every(start, interval time.Duration, fn func()) (func() bool,
 // refSched is the reference: pending events in scheduling order, the next
 // one found by a stable sort on the instant alone — so ties keep
 // scheduling order, which is what Seq encodes. Every is the textbook
-// closure that re-arms itself before calling fn.
+// closure that re-arms itself before calling fn, and a burst is n separate
+// events under one handle. The model reaps a stopped event where the
+// scheduler does — when it reaches the head — so that Pending agrees too.
 type refSched struct {
 	clock   time.Duration
-	pending []*refEvent
+	queue   []*refEvent
 	count   uint64
-}
-
-type refEvent struct {
-	at      time.Duration
-	fn      func()
 	stopped bool
-	done    bool
 }
 
-func (e *refEvent) stop() bool {
-	if e.stopped || e.done {
+// refEvent is one firing; the firings of a burst share a refHandle.
+type refEvent struct {
+	at time.Duration
+	fn func()
+	h  *refHandle
+}
+
+type refHandle struct {
+	left    int // firings not yet made
+	stopped bool
+}
+
+func (h *refHandle) stop() bool {
+	if h == nil || h.stopped || h.left == 0 {
 		return false
 	}
-	e.stopped = true
+	h.stopped = true
 	return true
 }
 
 func (r *refSched) now() time.Duration { return r.clock }
 func (r *refSched) fired() uint64      { return r.count }
+func (r *refSched) halt()              { r.stopped = true }
+
+// pending counts handles, not firings: a burst is one queue entry.
+func (r *refSched) pending() int {
+	seen := map[*refHandle]bool{}
+	for _, e := range r.queue {
+		seen[e.h] = true
+	}
+	return len(seen)
+}
+
+func (r *refSched) queueN(t time.Duration, n int, fn func()) func() bool {
+	h := &refHandle{left: n}
+	for ; n > 0; n-- {
+		r.queue = append(r.queue, &refEvent{at: t, fn: fn, h: h})
+	}
+	return h.stop
+}
 
 func (r *refSched) at(t time.Duration, fn func()) (func() bool, error) {
 	if t < r.clock {
-		return (*refEvent)(nil).stop, fmt.Errorf("past")
+		return (*refHandle)(nil).stop, fmt.Errorf("past")
 	}
-	e := &refEvent{at: t, fn: fn}
-	r.pending = append(r.pending, e)
-	return e.stop, nil
+	return r.queueN(t, 1, fn), nil
 }
 
 func (r *refSched) after(d time.Duration, fn func()) func() bool {
+	return r.burst(d, 1, fn)
+}
+
+func (r *refSched) burst(d time.Duration, n int, fn func()) func() bool {
 	if d < 0 {
 		d = 0
 	}
-	stop, _ := r.at(r.clock+d, fn)
-	return stop
+	return r.queueN(r.clock+d, n, fn)
 }
 
 func (r *refSched) every(start, interval time.Duration, fn func()) (func() bool, error) {
@@ -113,32 +154,65 @@ func (r *refSched) every(start, interval time.Duration, fn func()) (func() bool,
 	}, nil
 }
 
-func (r *refSched) run(horizon time.Duration) {
-	for {
-		sort.SliceStable(r.pending, func(i, j int) bool { return r.pending[i].at < r.pending[j].at })
-		for len(r.pending) > 0 && r.pending[0].stopped {
-			r.pending = r.pending[1:]
+// head sorts the queue and returns its first event, nil when empty.
+func (r *refSched) head() *refEvent {
+	sort.SliceStable(r.queue, func(i, j int) bool { return r.queue[i].at < r.queue[j].at })
+	if len(r.queue) == 0 {
+		return nil
+	}
+	return r.queue[0]
+}
+
+func (r *refSched) step() bool {
+	for e := r.head(); e != nil; e = r.head() {
+		r.queue = r.queue[1:]
+		if e.h.stopped {
+			continue
 		}
-		if len(r.pending) == 0 || r.pending[0].at > horizon {
-			break
-		}
-		e := r.pending[0]
-		r.pending = r.pending[1:]
-		e.done = true
+		e.h.left--
 		r.clock = e.at
 		r.count++
 		e.fn()
+		return true
+	}
+	return false
+}
+
+func (r *refSched) runAll(max uint64) uint64 {
+	var n uint64
+	for (max == 0 || n < max) && r.step() {
+		n++
+	}
+	return n
+}
+
+func (r *refSched) run(horizon time.Duration) bool {
+	r.stopped = false
+	for e := r.head(); e != nil; e = r.head() {
+		switch {
+		case r.stopped:
+			return true
+		case e.h.stopped:
+			r.queue = r.queue[1:]
+		case e.at > horizon:
+			r.clock = horizon
+			return false
+		default:
+			r.step()
+		}
 	}
 	if r.clock < horizon {
 		r.clock = horizon
 	}
+	return false
 }
 
 // runScript interprets script as scheduler operations — two bytes each, an
 // opcode and an argument — and returns a log of everything observable:
-// which event fired when, what every Stop and rejected call returned, the
-// final clock and fired count. Callbacks of nested events read further
-// operations from the same script, so the log also depends on firing order.
+// which event fired when, what every Stop and rejected call returned, and
+// the clock, fired count and queue length after every top-level operation.
+// Callbacks of nested events read further operations from the same script,
+// so the log also depends on firing order.
 func runScript(api schedAPI, script []byte) string {
 	const unit = time.Millisecond
 	var log strings.Builder
@@ -149,10 +223,10 @@ func runScript(api schedAPI, script []byte) string {
 		if next+1 >= len(script) {
 			return
 		}
-		code, arg := script[next]%6, time.Duration(script[next+1])
+		code, arg := script[next]%10, time.Duration(script[next+1])
 		next += 2
-		if code == 5 && depth > 0 {
-			code = 0 // Run is not re-entrant: callbacks only schedule and stop
+		if (code == 5 || code >= 8) && depth > 0 {
+			code = 0 // Run, RunAll and Step are not re-entrant: callbacks only schedule, stop and halt
 		}
 		id++
 		me := id
@@ -199,15 +273,42 @@ func runScript(api schedAPI, script []byte) string {
 			}
 			stops = append(stops, stop)
 		case 5:
-			api.run(api.now() + arg*unit)
-			fmt.Fprintf(&log, "ran->%v ", api.now())
+			stopped := api.run(api.now() + arg*unit)
+			fmt.Fprintf(&log, "ran->%v stopped=%t ", api.now(), stopped)
+		case 6:
+			// A burst of 1–5 firings, 0–7 units out. Its second firing runs
+			// two more operations — zero-delay events, stops of anything
+			// including itself, a halt — and, for one argument in four, its
+			// third stops the burst from inside.
+			n, k := int(arg%5)+1, 0
+			var stop func() bool
+			stop = api.burst((arg/5%8)*unit, n, func() {
+				fire()
+				switch k++; {
+				case k == 2 && depth < 3:
+					op(depth + 1)
+					op(depth + 1)
+				case k == 3 && arg%4 == 3:
+					fmt.Fprintf(&log, "%d:self-stop=%t ", me, stop())
+				}
+			})
+			stops = append(stops, stop)
+		case 7:
+			api.halt()
+		case 8:
+			fmt.Fprintf(&log, "stepped=%t ", api.step())
+		case 9:
+			fmt.Fprintf(&log, "ranall=%d ", api.runAll(uint64(arg%8)+1))
 		}
 	}
 	for next+1 < len(script) {
 		op(0)
+		fmt.Fprintf(&log, "[%v %d %d] ", api.now(), api.fired(), api.pending())
 	}
-	api.run(api.now() + 300*unit)
-	fmt.Fprintf(&log, "end@%v fired=%d", api.now(), api.fired())
+	for horizon := api.now() + 300*unit; api.run(horizon); {
+		fmt.Fprintf(&log, "halted@%v ", api.now())
+	}
+	fmt.Fprintf(&log, "end@%v fired=%d pending=%d", api.now(), api.fired(), api.pending())
 	return log.String()
 }
 
@@ -216,12 +317,17 @@ func runScript(api schedAPI, script []byte) string {
 func scriptSeeds() [][]byte {
 	seeds := [][]byte{
 		{},
-		{0, 5, 0, 5, 0, 5},                  // ties break by scheduling order
-		{0, 9, 3, 0, 3, 0},                  // stop, then stop again
-		{0, 1, 5, 10, 3, 0},                 // stop after fire
-		{2, 3, 0, 0, 2, 0, 4, 9, 3, 1},      // nested scheduling at the same instant
-		{4, 2, 4, 6, 5, 20, 3, 0, 3, 1},     // repeats stopped from outside mid-run
-		{5, 100, 1, 0, 1, 64, 1, 200, 0, 0}, // At in the past is rejected
+		{0, 5, 0, 5, 0, 5},                   // ties break by scheduling order
+		{0, 9, 3, 0, 3, 0},                   // stop, then stop again
+		{0, 1, 5, 10, 3, 0},                  // stop after fire
+		{2, 3, 0, 0, 2, 0, 4, 9, 3, 1},       // nested scheduling at the same instant
+		{4, 2, 4, 6, 5, 20, 3, 0, 3, 1},      // repeats stopped from outside mid-run
+		{5, 100, 1, 0, 1, 64, 1, 200, 0, 0},  // At in the past is rejected
+		{6, 4, 0, 0, 5, 1},                   // a burst, then a later event at its instant
+		{6, 4, 8, 0, 8, 0, 0, 0, 0, 0, 5, 9}, // Step twice into a burst; the second firing schedules at its instant
+		{6, 4, 7, 0, 0, 0, 5, 5, 0, 0},       // a burst halts the Run from its second firing
+		{6, 7, 9, 3, 3, 0, 8, 0, 5, 2},       // RunAll ends mid-burst; it is stopped from outside
+		{6, 3, 6, 2, 3, 0, 5, 1},             // a burst starts a burst and stops itself
 	}
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 4; i++ {
@@ -273,12 +379,20 @@ func TestSchedulerAllocations(t *testing.T) {
 	}
 }
 
+// record is a caller's own event record: the Event embedded beside what
+// its action needs.
 type record struct {
 	ev    Event
 	fired int
+	fn    func() // optional
 }
 
-func (r *record) Fire() { r.fired++ }
+func (r *record) Fire() {
+	r.fired++
+	if r.fn != nil {
+		r.fn()
+	}
+}
 
 func TestScheduleRejectsQueuedEvent(t *testing.T) {
 	mustPanic := func(name string, fn func()) {

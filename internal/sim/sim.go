@@ -5,6 +5,13 @@
 // scheduled for the same instant fire in scheduling order, which — together
 // with an explicitly seeded random source — makes every run replayable.
 //
+// A burst (ScheduleN) is n firings of one action at one instant held as a
+// single queue entry. It reserves n consecutive sequence numbers and takes
+// the next one at each firing, so the run's (time, sequence) order — what
+// fires before and after each firing, what Fired counts, where a horizon or
+// Stop cuts in — is the order n separate events would have produced, for
+// one heap push and one heap pop instead of n of each.
+//
 // The engine is intentionally single-threaded. Consensus protocols built on
 // top of it (internal/bft, internal/nakamoto) are message-driven state
 // machines whose nondeterminism is confined to the seeded RNG, so a safety
@@ -42,6 +49,7 @@ type Event struct {
 	// state is idle (never queued, fired, or reaped), pending or cancelled;
 	// the last two mean the queue holds a pointer to the event.
 	state uint8
+	last  uint64 // while pending, the last sequence number reserved for it
 }
 
 const (
@@ -51,7 +59,9 @@ const (
 )
 
 // Stop cancels the event. It reports whether the event had not yet fired.
-// Stopping an already-fired or already-stopped event is a no-op.
+// Stopping an already-fired or already-stopped event is a no-op. A burst
+// counts as fired after its last firing: stopping it earlier, from inside
+// its own action included, cancels the firings that remain.
 func (e *Event) Stop() bool {
 	if e == nil || e.state != pending {
 		return false
@@ -65,7 +75,7 @@ func (e *Event) Stop() bool {
 // heap compares without touching the events.
 type entry struct {
 	at  time.Duration // virtual time at which the event fires
-	seq uint64        // tie-breaker: order of scheduling
+	seq uint64        // tie-breaker: order of scheduling; a burst's next firing
 	ev  *Event
 }
 
@@ -104,15 +114,16 @@ func (s *Scheduler) Rand() *rand.Rand { return s.rng }
 // Fired reports how many events have been executed so far.
 func (s *Scheduler) Fired() uint64 { return s.fired }
 
-// Pending reports how many events are queued (including cancelled ones that
-// have not been reaped yet).
+// Pending reports how many entries are queued (including cancelled ones that
+// have not been reaped yet). A burst is one entry until its last firing.
 func (s *Scheduler) Pending() int { return len(s.queue) }
 
-// push queues ev at instant at, sifting it up from the last leaf.
-func (s *Scheduler) push(ev *Event, at time.Duration, name string, act Action) {
-	s.seq++
-	ev.Name, ev.act, ev.state = name, act, pending
-	e := entry{at: at, seq: s.seq, ev: ev}
+// push queues ev for n firings at instant at under the next n sequence
+// numbers, sifting its one entry up from the last leaf.
+func (s *Scheduler) push(ev *Event, at time.Duration, name string, act Action, n int) {
+	e := entry{at: at, seq: s.seq + 1, ev: ev}
+	s.seq += uint64(n)
+	ev.Name, ev.act, ev.state, ev.last = name, act, pending, s.seq
 	q := append(s.queue, e)
 	i := len(q) - 1
 	for i > 0 {
@@ -164,7 +175,7 @@ func (s *Scheduler) queueAt(ev *Event, at time.Duration, name string, act Action
 	if at < s.now {
 		return fmt.Errorf("sim: schedule at %v before now %v", at, s.now)
 	}
-	s.push(ev, at, name, act)
+	s.push(ev, at, name, act, 1)
 	return nil
 }
 
@@ -206,16 +217,29 @@ func (s *Scheduler) After(delay time.Duration, name string, fn func()) *Event {
 // again, a pending or stopped-but-unreaped one may not. name is a constant
 // label, as for At.
 func (s *Scheduler) Schedule(ev *Event, delay time.Duration, name string, act Action) {
+	s.ScheduleN(ev, delay, name, act, 1)
+}
+
+// ScheduleN is Schedule for a burst: act fires n times at the one instant,
+// back to back, exactly where n events scheduled by n consecutive Schedule
+// calls would have fired — anything an earlier firing schedules for that
+// instant runs after the last one. The queue holds one entry for all n;
+// ev stays pending, and so may not be scheduled again, until the last
+// firing. n below 1 is a caller's bug and panics.
+func (s *Scheduler) ScheduleN(ev *Event, delay time.Duration, name string, act Action, n int) {
 	if act == nil {
 		panic("sim: nil event action")
 	}
 	if ev.state != idle {
 		panic("sim: event " + ev.Name + " scheduled while still queued")
 	}
+	if n < 1 {
+		panic(fmt.Sprintf("sim: burst of %d firings", n))
+	}
 	if delay < 0 {
 		delay = 0
 	}
-	s.push(ev, s.now+delay, name, act)
+	s.push(ev, s.now+delay, name, act, n)
 }
 
 // Repeat is a handle to a self-rescheduling periodic event created by
@@ -264,27 +288,36 @@ func (s *Scheduler) Every(start, interval time.Duration, name string, fn func())
 }
 
 // Step executes the next pending event, advancing the clock to its instant.
-// It reports whether an event was executed.
+// It reports whether an event was executed. One firing of a burst is one
+// event.
 func (s *Scheduler) Step() bool {
 	for len(s.queue) > 0 {
-		e := s.pop()
-		ev := e.ev
-		live := ev.state == pending
-		ev.state = idle
-		if !live {
+		root := &s.queue[0]
+		ev := root.ev
+		if ev.state != pending {
+			s.pop()
+			ev.state = idle
 			continue
 		}
-		s.now = e.at
+		s.now = root.at
 		s.fired++
 		act := ev.act
-		ev.act = nil
+		if root.seq < ev.last {
+			// A burst with firings to spare stays at the root under its
+			// next reserved number: every other entry sorts after all of them.
+			root.seq++
+		} else {
+			s.pop()
+			ev.state, ev.act = idle, nil
+		}
 		act.Fire()
 		return true
 	}
 	return false
 }
 
-// Stop halts a Run in progress after the current event completes.
+// Stop halts a Run in progress after the current event completes; inside a
+// burst, after the current firing, the rest staying queued.
 func (s *Scheduler) Stop() { s.stopped = true }
 
 // Run executes events until the queue drains, the virtual clock would pass

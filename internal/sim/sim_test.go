@@ -207,8 +207,10 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	}
 }
 
-// Property: whatever mix of At, After, nested scheduling, Stop and Every a
-// script drives, events fire in the order a stable sort on (At, Seq) gives.
+// Property: whatever mix of At, After, Schedule, bursts, nested scheduling,
+// Every, Event.Stop, Scheduler.Stop, Run, RunAll and Step a script drives,
+// events fire in the order a stable sort on (At, Seq) gives, with the
+// model's clock, fired count and queue length after every operation.
 func TestPropEventsFireSorted(t *testing.T) {
 	f := func(script []byte) bool {
 		got, want := runScript(newRealSched(), script), runScript(&refSched{}, script)

@@ -36,6 +36,7 @@ type HandlerFunc func(from NodeID, msg any)
 func (f HandlerFunc) HandleMessage(from NodeID, msg any) { f(from, msg) }
 
 // LatencyModel samples a one-way delivery latency for a (from, to) pair.
+// Sample runs in the middle of a Send and must not send or schedule.
 type LatencyModel interface {
 	Sample(rng *rand.Rand, from, to NodeID) time.Duration
 }
@@ -146,6 +147,9 @@ type Network struct {
 	ids      []NodeID // registered ids, sorted, for deterministic iteration
 	filters  []Filter
 	stats    Stats
+	run      *delivery     // the open run of the Send or Broadcast in progress, if any
+	runDelay time.Duration // its deliveries' common delay
+	free     []*delivery   // fired records, reused by later runs
 }
 
 // node is one row of the per-node table. A row exists for every id up to
@@ -263,22 +267,29 @@ func (n *Network) Register(id NodeID, h Handler) error {
 }
 
 // SetDown marks a node crashed (true) or recovered (false). Messages to or
-// from a crashed node are lost.
-func (n *Network) SetDown(id NodeID, down bool) { n.grow(id).down = down }
+// from a crashed node are lost. A negative id is ignored: no node can be
+// registered under one.
+func (n *Network) SetDown(id NodeID, down bool) {
+	if id >= 0 {
+		n.grow(id).down = down
+	}
+}
 
 // IsDown reports whether a node is marked crashed.
 func (n *Network) IsDown(id NodeID) bool { return n.row(id).down }
 
 // SetPartitions splits the network into groups; nodes in different groups
 // cannot exchange messages. Nodes not listed fall into group 0. Passing no
-// groups heals all partitions.
+// groups heals all partitions. Negative ids are ignored, as by SetDown.
 func (n *Network) SetPartitions(groups ...[]NodeID) {
 	for i := range n.nodes {
 		n.nodes[i].group = 0
 	}
 	for g, nodes := range groups {
 		for _, id := range nodes {
-			n.grow(id).group = g + 1
+			if id >= 0 {
+				n.grow(id).group = g + 1
+			}
 		}
 	}
 }
@@ -303,7 +314,30 @@ func (n *Network) NodeStats(id NodeID) Stats {
 // Send schedules delivery of msg from -> to, applying loss, partitions,
 // crash state, filters and per-link faults. It never fails synchronously:
 // all loss modes are counted in Stats, mirroring a real datagram network.
+// It is the one-destination case of Broadcast: both make their decisions
+// in route and queue what survives through deliver and flush.
 func (n *Network) Send(from, to NodeID, msg any) {
+	n.route(from, to, msg)
+	n.flush()
+}
+
+// Broadcast sends msg from -> every registered node except the sender, in
+// ascending id order (delivery order is then randomized by per-link
+// latency, but the send sequence — and hence RNG consumption — is
+// deterministic). Deliveries that land on one instant share a queue entry
+// (see delivery); on clean fixed-latency links that is the whole broadcast.
+func (n *Network) Broadcast(from NodeID, msg any) {
+	for _, id := range n.ids {
+		if id != from {
+			n.route(from, id, msg)
+		}
+	}
+	n.flush()
+}
+
+// route makes every send-time decision for one message and hands what
+// survives to deliver.
+func (n *Network) route(from, to NodeID, msg any) {
 	src, dst := n.row(from), n.row(to)
 	n.stats.Sent++
 	if src.handler != nil {
@@ -317,10 +351,15 @@ func (n *Network) Send(from, to NodeID, msg any) {
 		n.stats.Partition++
 		return
 	}
-	for _, f := range n.filters {
-		if f(from, to, msg) == Drop {
-			n.stats.Intercepts++
-			return
+	if len(n.filters) > 0 {
+		// A filter may send or schedule: the open run takes its sequence
+		// numbers first, as its deliveries did when each was its own event.
+		n.flush()
+		for _, f := range n.filters {
+			if f(from, to, msg) == Drop {
+				n.stats.Intercepts++
+				return
+			}
 		}
 	}
 	if n.dropRate > 0 && n.sched.Rand().Float64() < n.dropRate {
@@ -363,48 +402,70 @@ func (n *Network) faultDelay(from, to NodeID, fault Fault) time.Duration {
 	return delay
 }
 
-// delivery is one message in flight: the record the scheduler fires, and
-// the only allocation a Send makes.
+// delivery is a run of messages in flight: consecutive deliveries of one
+// Send or Broadcast that land on the same instant, queued as one scheduler
+// burst that fires once per destination. A run closes — is queued, taking
+// one sequence number per destination — when the next delivery's delay
+// differs, before any filter runs, and when the call returns, so nothing
+// else is ever scheduled between two of its deliveries: their sequence
+// numbers are the consecutive ones they would have drawn as separate
+// events, and the firing order is exactly that of one event per message.
+// A record is reused once its last handler has returned, which is what
+// makes a warm broadcast allocation-free.
 type delivery struct {
-	ev       sim.Event
-	net      *Network
-	from, to NodeID
-	msg      any
+	ev   sim.Event
+	net  *Network
+	from NodeID
+	msg  any
+	to   []NodeID // destinations, in send order
+	next int      // index into to of the next firing
 }
 
-// deliver schedules one delivery attempt after delay.
+// deliver adds one delivery attempt after delay to the open run, closing
+// it first if its deliveries land on a different instant.
 func (n *Network) deliver(from, to NodeID, msg any, delay time.Duration) {
-	d := &delivery{net: n, from: from, to: to, msg: msg}
-	n.sched.Schedule(&d.ev, delay, "deliver", d)
+	if n.run != nil && n.runDelay != delay {
+		n.flush()
+	}
+	if n.run == nil {
+		if last := len(n.free) - 1; last >= 0 {
+			n.run, n.free = n.free[last], n.free[:last]
+		} else {
+			n.run = &delivery{net: n}
+		}
+		n.run.from, n.run.msg, n.runDelay = from, msg, delay
+	}
+	n.run.to = append(n.run.to, to)
 }
 
-// Fire hands the message over, re-checking the destination's registration
-// and crash state at delivery time.
+// flush closes the open run, if there is one.
+func (n *Network) flush() {
+	if d := n.run; d != nil {
+		n.run = nil
+		n.sched.ScheduleN(&d.ev, n.runDelay, "deliver", d, len(d.to))
+	}
+}
+
+// Fire hands the message to the run's next destination, re-checking its
+// registration and crash state at delivery time.
 func (d *delivery) Fire() {
 	n := d.net
-	dst := n.row(d.to)
-	if dst.handler == nil {
+	dst := n.row(d.to[d.next])
+	d.next++
+	switch {
+	case dst.handler == nil:
 		n.stats.Unknown++
-		return
-	}
-	if dst.down {
+	case dst.down:
 		n.stats.NodeDown++
-		return
+	default:
+		n.stats.Delivered++
+		dst.stats.Delivered++
+		dst.handler.HandleMessage(d.from, d.msg)
 	}
-	n.stats.Delivered++
-	dst.stats.Delivered++
-	dst.handler.HandleMessage(d.from, d.msg)
-}
-
-// Broadcast sends msg from -> every registered node except the sender, in
-// ascending id order (delivery order is then randomized by per-link
-// latency, but the send sequence — and hence RNG consumption — is
-// deterministic).
-func (n *Network) Broadcast(from NodeID, msg any) {
-	for _, id := range n.ids {
-		if id != from {
-			n.Send(from, id, msg)
-		}
+	// Only now, with the last handler back, may a send reuse the record.
+	if d.next == len(d.to) {
+		d.msg, d.to, d.next = nil, d.to[:0], 0
+		n.free = append(n.free, d)
 	}
 }
 
