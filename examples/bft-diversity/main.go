@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/bft"
+	"repro/internal/bftlive"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 )
@@ -44,11 +45,7 @@ func runCase(title string, kappa int) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	weights := make([]float64, n)
-	for i := range weights {
-		weights[i] = 1
-	}
-	cluster, err := bft.NewCluster(net, bft.Config{Weights: weights})
+	cluster, err := bftlive.NewSimCluster(net, n) // one vote per replica
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -57,7 +54,9 @@ func runCase(title string, kappa int) {
 	for i := 0; i < n; i++ {
 		if i%kappa == 0 { // configuration 0 is the vulnerable one
 			compromised = append(compromised, i)
-			cluster.SetBehavior(i, bft.Promiscuous)
+			if err := cluster.SetBehavior(i, bftlive.Promiscuous); err != nil {
+				log.Fatal(err)
+			}
 		}
 	}
 	frac := float64(len(compromised)) / n

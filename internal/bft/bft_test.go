@@ -1,180 +1,208 @@
-package bft
+// The tests of this package run the repo's one BFT runtime,
+// bftlive.SimCluster, against the bound bft.Substrate declares: safety
+// while Byzantine voting power is at most 1/3, liveness while a quorum of
+// strictly more than 2/3 can talk.
+package bft_test
 
 import (
 	"fmt"
 	"testing"
 	"time"
 
+	"repro/internal/bft"
+	"repro/internal/bftlive"
+	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 )
 
-func newCluster(t *testing.T, seed int64, weights []float64) (*Cluster, *sim.Scheduler) {
-	t.Helper()
-	sched := sim.NewScheduler(seed)
-	net, err := simnet.New(sched, simnet.UniformLatency{Min: time.Millisecond, Max: 10 * time.Millisecond}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, err := NewCluster(net, Config{Weights: weights, Timeout: 300 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cl, sched
+// testCluster is a SimCluster with the scheduler and network it runs on.
+type testCluster struct {
+	*bftlive.SimCluster
+	net   *simnet.Network
+	sched *sim.Scheduler
 }
 
-func unitWeights(n int) []float64 {
-	w := make([]float64, n)
-	for i := range w {
-		w[i] = 1
+// newCluster builds an n-replica cluster on a 1–10 ms jittery wire with a
+// 300 ms view timeout; opts may add bftlive.SimWithPower or override the
+// timeout.
+func newCluster(t *testing.T, seed int64, n int, opts ...bftlive.SimOption) *testCluster {
+	t.Helper()
+	return newClusterOn(t, seed, simnet.UniformLatency{Min: time.Millisecond, Max: 10 * time.Millisecond}, 0, n, opts...)
+}
+
+func newClusterOn(t *testing.T, seed int64, lat simnet.LatencyModel, drop float64, n int, opts ...bftlive.SimOption) *testCluster {
+	t.Helper()
+	sched := sim.NewScheduler(seed)
+	net, err := simnet.New(sched, lat, drop)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return w
+	opts = append([]bftlive.SimOption{bftlive.SimWithViewTimeout(300 * time.Millisecond)}, opts...)
+	cl, err := bftlive.NewSimCluster(net, n, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &testCluster{SimCluster: cl, net: net, sched: sched}
+}
+
+// setBehavior is SetBehavior for an index the test knows is in range.
+func (c *testCluster) setBehavior(t *testing.T, i int, b bftlive.Behavior) {
+	t.Helper()
+	if err := c.SetBehavior(i, b); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func (c *testCluster) run(t *testing.T, horizon time.Duration) {
+	t.Helper()
+	if err := c.sched.Run(horizon); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestNewClusterValidation(t *testing.T) {
 	sched := sim.NewScheduler(1)
 	net, _ := simnet.New(sched, simnet.FixedLatency(0), 0)
-	if _, err := NewCluster(nil, Config{Weights: unitWeights(4)}); err == nil {
+	if _, err := bftlive.NewSimCluster(nil, 4); err == nil {
 		t.Fatal("nil network accepted")
 	}
-	if _, err := NewCluster(net, Config{Weights: unitWeights(3)}); err == nil {
+	if _, err := bftlive.NewSimCluster(net, 3); err == nil {
 		t.Fatal("3 replicas accepted")
 	}
-	if _, err := NewCluster(net, Config{Weights: []float64{1, 1, 1, -1}}); err == nil {
+	if _, err := bftlive.NewSimCluster(net, 4, bftlive.SimWithPower([]float64{1, 1, 1, -1})); err == nil {
 		t.Fatal("negative weight accepted")
 	}
-	if _, err := NewCluster(net, Config{Weights: []float64{1, 1, 1, 0}}); err == nil {
+	if _, err := bftlive.NewSimCluster(net, 4, bftlive.SimWithPower([]float64{1, 1, 1, 0})); err == nil {
 		t.Fatal("zero weight accepted")
+	}
+	if s := bft.Substrate(); s.Name() != "bft" || s.Tolerance() != core.BFTThreshold {
+		t.Fatalf("substrate %q tolerates %v, want bft at %v", s.Name(), s.Tolerance(), core.BFTThreshold)
 	}
 }
 
 func TestCommitSingleValue(t *testing.T) {
-	cl, sched := newCluster(t, 1, unitWeights(4))
+	cl := newCluster(t, 1, 4)
 	cl.Submit([]byte("tx-1"))
-	sched.Run(5 * time.Second)
+	// A commit costs virtual time: the client hop and three wire phases.
+	cl.run(t, time.Millisecond)
+	if n := cl.CommitCount(); n != 0 {
+		t.Fatalf("%d commits within the client hop", n)
+	}
+	cl.run(t, 5*time.Second)
 	if v := cl.Violation(); v != nil {
 		t.Fatalf("unexpected violation: %v", v)
 	}
-	for i := 0; i < 4; i++ {
-		got := cl.Replica(i).Committed()
-		if len(got) != 1 || string(got[0]) != "tx-1" {
-			t.Fatalf("replica %d committed %q", i, got)
-		}
-	}
-	if lat, ok := cl.CommitLatency([]byte("tx-1")); !ok || lat <= 0 {
-		t.Fatalf("latency = %v, %v", lat, ok)
+	// Every replica committed tx-1 and nothing else.
+	if by, total := cl.CommittedBy([]byte("tx-1")), cl.CommitCount(); by != 4 || total != 4 {
+		t.Fatalf("tx-1 committed by %d replicas, %d commits in all; want 4 and 4", by, total)
 	}
 }
 
 func TestCommitManyValuesInOrderEverywhere(t *testing.T) {
-	cl, sched := newCluster(t, 2, unitWeights(7))
+	cl := newCluster(t, 2, 7)
 	const total = 20
 	for i := 0; i < total; i++ {
 		cl.Submit([]byte(fmt.Sprintf("tx-%03d", i)))
 	}
-	sched.Run(time.Minute)
+	cl.run(t, time.Minute)
+	// No violation means no two replicas filled a slot differently, so with
+	// every value on every replica exactly once the logs are equal.
 	if v := cl.Violation(); v != nil {
 		t.Fatalf("violation: %v", v)
 	}
-	ref := cl.Replica(0).Committed()
-	if len(ref) != total {
-		t.Fatalf("replica 0 committed %d of %d", len(ref), total)
+	for i := 0; i < total; i++ {
+		if n := cl.CommittedBy([]byte(fmt.Sprintf("tx-%03d", i))); n != cl.N() {
+			t.Fatalf("tx-%03d committed by %d of %d replicas", i, n, cl.N())
+		}
 	}
-	for i := 1; i < cl.N(); i++ {
-		got := cl.Replica(i).Committed()
-		if len(got) != total {
-			t.Fatalf("replica %d committed %d of %d", i, len(got), total)
-		}
-		for s := range ref {
-			if string(got[s]) != string(ref[s]) {
-				t.Fatalf("replica %d slot %d = %q, replica 0 has %q", i, s, got[s], ref[s])
-			}
-		}
+	if n := cl.CommitCount(); n != total*cl.N() {
+		t.Fatalf("%d commits, want %d: each value once per replica", n, total*cl.N())
 	}
 }
 
 func TestDuplicateSubmitCommitsOnce(t *testing.T) {
-	cl, sched := newCluster(t, 3, unitWeights(4))
+	cl := newCluster(t, 3, 4)
 	cl.Submit([]byte("dup"))
-	sched.Run(2 * time.Second)
+	cl.run(t, 2*time.Second)
 	cl.Submit([]byte("dup"))
-	sched.Run(5 * time.Second)
-	got := cl.Replica(0).Committed()
-	if len(got) != 1 {
-		t.Fatalf("committed %d, want 1 (duplicate suppressed)", len(got))
+	cl.run(t, 5*time.Second)
+	if by, total := cl.CommittedBy([]byte("dup")), cl.CommitCount(); by != 4 || total != 4 {
+		t.Fatalf("dup committed %d times, %d commits in all; want 4 and 4 (duplicate suppressed)", by, total)
 	}
 }
 
 func TestToleratesSilentMinority(t *testing.T) {
-	cl, sched := newCluster(t, 4, unitWeights(7))
-	cl.SetBehavior(2, Silent)
-	cl.SetBehavior(5, Silent) // 2 of 7 < 1/3
+	cl := newCluster(t, 4, 7)
+	cl.setBehavior(t, 2, bftlive.Silent)
+	cl.setBehavior(t, 5, bftlive.Silent) // 2 of 7 < 1/3
 	cl.Submit([]byte("tx"))
-	sched.Run(10 * time.Second)
+	cl.run(t, 10*time.Second)
 	if v := cl.Violation(); v != nil {
 		t.Fatalf("violation: %v", v)
 	}
-	if n := cl.HonestCommittedCount([]byte("tx")); n != 5 {
+	if n := cl.CommittedBy([]byte("tx")); n != 5 {
 		t.Fatalf("honest commits = %d, want 5", n)
 	}
 }
 
 func TestViewChangeAfterPrimaryCrash(t *testing.T) {
-	cl, sched := newCluster(t, 5, unitWeights(4))
-	cl.SetBehavior(0, Silent) // view-0 primary is dead from the start
+	cl := newCluster(t, 5, 4)
+	cl.setBehavior(t, 0, bftlive.Silent) // view-0 primary is dead from the start
 	cl.Submit([]byte("survive"))
-	sched.Run(time.Minute)
+	cl.run(t, time.Minute)
 	if v := cl.Violation(); v != nil {
 		t.Fatalf("violation: %v", v)
 	}
-	if n := cl.HonestCommittedCount([]byte("survive")); n != 3 {
+	if n := cl.CommittedBy([]byte("survive")); n != 3 {
 		t.Fatalf("honest commits = %d, want 3 (after view change)", n)
 	}
-	// Replicas moved past view 0.
-	for i := 1; i < 4; i++ {
-		if cl.Replica(i).View() == 0 {
-			t.Fatalf("replica %d still in view 0", i)
-		}
+	// The cluster moved past view 0.
+	if cl.View() == 0 || cl.ViewChanges() == 0 {
+		t.Fatalf("still in view %d after %d view changes", cl.View(), cl.ViewChanges())
 	}
 }
 
 func TestViewChangeAfterRepeatedCrashes(t *testing.T) {
-	cl, sched := newCluster(t, 6, unitWeights(7))
-	cl.SetBehavior(0, Silent)
-	cl.SetBehavior(1, Silent) // primaries of views 0 and 1 both dead (2 < 7/3)
+	cl := newCluster(t, 6, 7)
+	cl.setBehavior(t, 0, bftlive.Silent)
+	cl.setBehavior(t, 1, bftlive.Silent) // primaries of views 0 and 1 both dead (2 < 7/3)
 	cl.Submit([]byte("keep-going"))
-	sched.Run(2 * time.Minute)
-	if n := cl.HonestCommittedCount([]byte("keep-going")); n != 5 {
+	cl.run(t, 2*time.Minute)
+	if n := cl.CommittedBy([]byte("keep-going")); n != 5 {
 		t.Fatalf("honest commits = %d, want 5 (view must advance twice)", n)
+	}
+	if cl.View() < 2 {
+		t.Fatalf("view %d, want at least 2", cl.View())
 	}
 }
 
 func TestCrashedPrimaryMidstream(t *testing.T) {
-	cl, sched := newCluster(t, 7, unitWeights(4))
+	cl := newCluster(t, 7, 4)
 	cl.Submit([]byte("first"))
-	sched.Run(2 * time.Second)
+	cl.run(t, 2*time.Second)
 	// Kill the primary, then submit more work.
-	cl.SetBehavior(0, Silent)
+	cl.setBehavior(t, 0, bftlive.Silent)
 	cl.net.SetDown(0, true)
 	cl.Submit([]byte("second"))
-	sched.Run(2 * time.Minute)
+	cl.run(t, 2*time.Minute)
 	if v := cl.Violation(); v != nil {
 		t.Fatalf("violation: %v", v)
 	}
-	if n := cl.HonestCommittedCount([]byte("second")); n != 3 {
+	if n := cl.CommittedBy([]byte("second")); n != 3 {
 		t.Fatalf("honest commits of second = %d, want 3", n)
 	}
 }
 
 func TestEquivocationBelowThresholdIsSafe(t *testing.T) {
 	// 7 unit replicas; 2 Byzantine (primary + 1 colluder) = 2/7 < 1/3.
-	cl, sched := newCluster(t, 8, unitWeights(7))
-	cl.SetBehavior(0, Promiscuous) // view-0 primary
-	cl.SetBehavior(3, Promiscuous)
+	cl := newCluster(t, 8, 7)
+	cl.setBehavior(t, 0, bftlive.Promiscuous) // view-0 primary
+	cl.setBehavior(t, 3, bftlive.Promiscuous)
 	if err := cl.EquivocateNext([]byte("A"), []byte("B")); err != nil {
 		t.Fatal(err)
 	}
-	sched.Run(time.Minute)
+	cl.run(t, time.Minute)
 	if v := cl.Violation(); v != nil {
 		t.Fatalf("safety violated with Byzantine weight within bound: %v", v)
 	}
@@ -182,25 +210,25 @@ func TestEquivocationBelowThresholdIsSafe(t *testing.T) {
 
 func TestEquivocationAboveThresholdViolatesSafety(t *testing.T) {
 	// 7 unit replicas; 3 Byzantine (primary + 2 colluders) = 3/7 > 1/3.
-	cl, sched := newCluster(t, 9, unitWeights(7))
-	cl.SetBehavior(0, Promiscuous)
-	cl.SetBehavior(3, Promiscuous)
-	cl.SetBehavior(5, Promiscuous)
+	cl := newCluster(t, 9, 7)
+	cl.setBehavior(t, 0, bftlive.Promiscuous)
+	cl.setBehavior(t, 3, bftlive.Promiscuous)
+	cl.setBehavior(t, 5, bftlive.Promiscuous)
 	if err := cl.EquivocateNext([]byte("A"), []byte("B")); err != nil {
 		t.Fatal(err)
 	}
-	sched.Run(time.Minute)
+	cl.run(t, time.Minute)
 	v := cl.Violation()
 	if v == nil {
 		t.Fatal("no violation despite Byzantine weight above bound")
 	}
-	if v.DigestA == v.DigestB {
+	if v.Digests[0] == v.Digests[1] {
 		t.Fatalf("violation with equal digests: %v", v)
 	}
 }
 
 func TestEquivocationRequiresByzantinePrimary(t *testing.T) {
-	cl, _ := newCluster(t, 10, unitWeights(4))
+	cl := newCluster(t, 10, 4)
 	if err := cl.EquivocateNext([]byte("A"), []byte("B")); err == nil {
 		t.Fatal("honest primary equivocated")
 	}
@@ -212,48 +240,49 @@ func TestWeightedByzantineBound(t *testing.T) {
 	// 1 of 5 replicas — voting power, not replica count, is what matters
 	// (Sec. II-A).
 	weights := []float64{2.5, 1, 1, 1, 0.75} // replica 0: 2.5/6.25 = 40%
-	cl, sched := newCluster(t, 11, weights)
-	cl.SetBehavior(0, Promiscuous) // the heavyweight is also view-0 primary
+	cl := newCluster(t, 11, len(weights), bftlive.SimWithPower(weights))
+	cl.setBehavior(t, 0, bftlive.Promiscuous) // the heavyweight is also view-0 primary
 	if err := cl.EquivocateNext([]byte("A"), []byte("B")); err != nil {
 		t.Fatal(err)
 	}
-	sched.Run(time.Minute)
+	cl.run(t, time.Minute)
 	if cl.Violation() == nil {
 		t.Fatal("40% Byzantine power did not break safety")
 	}
 }
 
+// TestByzantineWeightAccounting: of total weight 4 the tolerated Byzantine
+// weight is 4/3 — more than one replica's, less than two's. The bound is
+// read off the outcomes: one silent replica of four and the rest commit,
+// two and the cluster stalls.
 func TestByzantineWeightAccounting(t *testing.T) {
-	cl, _ := newCluster(t, 12, unitWeights(4))
-	if cl.ByzantineWeight() != 0 {
-		t.Fatal("fresh cluster has Byzantine weight")
-	}
-	cl.SetBehavior(1, Silent)
-	if cl.ByzantineWeight() != 1 {
-		t.Fatalf("byz weight = %v", cl.ByzantineWeight())
-	}
-	if cl.TotalWeight() != 4 || cl.ToleratedWeight() <= 1.3 || cl.ToleratedWeight() >= 1.4 {
-		t.Fatalf("total %v tolerated %v", cl.TotalWeight(), cl.ToleratedWeight())
+	for silent, want := range []int{4, 3, 0} {
+		cl := newCluster(t, 12, 4)
+		for i := 1; i <= silent; i++ {
+			cl.setBehavior(t, i, bftlive.Silent)
+		}
+		cl.Submit([]byte("tx"))
+		cl.run(t, 30*time.Second)
+		if n := cl.CommittedBy([]byte("tx")); n != want {
+			t.Fatalf("%d of 4 silent: committed by %d, want %d", silent, n, want)
+		}
+		if v := cl.Violation(); v != nil {
+			t.Fatalf("%d of 4 silent: violation %v", silent, v)
+		}
 	}
 }
 
 func TestDeterministicRuns(t *testing.T) {
-	run := func() (int, string) {
-		cl, sched := newCluster(t, 77, unitWeights(7))
+	run := func() string {
+		cl := newCluster(t, 77, 7)
 		for i := 0; i < 10; i++ {
 			cl.Submit([]byte(fmt.Sprintf("tx-%d", i)))
 		}
-		sched.Run(30 * time.Second)
-		var tail string
-		if got := cl.Replica(3).Committed(); len(got) > 0 {
-			tail = string(got[len(got)-1])
-		}
-		return len(cl.Commits()), tail
+		cl.run(t, 30*time.Second)
+		return fmt.Sprintf("commits=%d wire=%+v fired=%d view=%d", cl.CommitCount(), cl.net.Stats(), cl.sched.Fired(), cl.View())
 	}
-	n1, t1 := run()
-	n2, t2 := run()
-	if n1 != n2 || t1 != t2 {
-		t.Fatalf("runs diverged: (%d,%q) vs (%d,%q)", n1, t1, n2, t2)
+	if a, b := run(), run(); a != b {
+		t.Fatalf("runs diverged: %s vs %s", a, b)
 	}
 }
 
@@ -261,10 +290,10 @@ func TestMessageOverheadGrowsWithN(t *testing.T) {
 	// Proposition 3's cost side: per-consensus message count grows with
 	// replica count.
 	count := func(n int) uint64 {
-		cl, sched := newCluster(t, 13, unitWeights(n))
+		cl := newCluster(t, 13, n)
 		cl.Submit([]byte("x"))
-		sched.Run(10 * time.Second)
-		if cl.HonestCommittedCount([]byte("x")) != n {
+		cl.run(t, 10*time.Second)
+		if cl.CommittedBy([]byte("x")) != n {
 			t.Fatalf("n=%d: not all replicas committed", n)
 		}
 		return cl.net.Stats().Sent
@@ -276,71 +305,42 @@ func TestMessageOverheadGrowsWithN(t *testing.T) {
 }
 
 func TestCommitsUnderLossyNetwork(t *testing.T) {
-	sched := sim.NewScheduler(21)
-	net, _ := simnet.New(sched, simnet.UniformLatency{Min: time.Millisecond, Max: 10 * time.Millisecond}, 0.05)
-	cl, err := NewCluster(net, Config{Weights: unitWeights(7), Timeout: 300 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := newClusterOn(t, 21, simnet.UniformLatency{Min: time.Millisecond, Max: 10 * time.Millisecond}, 0.05, 7)
 	cl.Submit([]byte("lossy"))
-	sched.Run(2 * time.Minute)
+	cl.run(t, 2*time.Minute)
 	if v := cl.Violation(); v != nil {
 		t.Fatalf("violation under loss: %v", v)
 	}
 	// With 5% loss and quorum redundancy the value should still commit on
 	// a strong majority of replicas.
-	if n := cl.HonestCommittedCount([]byte("lossy")); n < 5 {
+	if n := cl.CommittedBy([]byte("lossy")); n < 5 {
 		t.Fatalf("honest commits = %d under 5%% loss", n)
 	}
 }
 
 func TestAccessorsAndStrings(t *testing.T) {
-	cl, sched := newCluster(t, 51, unitWeights(4))
-	r := cl.Replica(2)
-	if r.ID() != 2 || r.Weight() != 1 || r.Behavior() != Honest {
-		t.Fatalf("accessors: id=%v w=%v b=%v", r.ID(), r.Weight(), r.Behavior())
+	cl := newCluster(t, 51, 4)
+	if cl.N() != 4 || cl.BehaviorOf(2) != bftlive.Honest || cl.Primary() != 0 {
+		t.Fatalf("accessors: n=%d behavior=%v primary=%d", cl.N(), cl.BehaviorOf(2), cl.Primary())
 	}
-	for _, b := range []Behavior{Honest, Silent, Promiscuous, Behavior(42)} {
+	for _, b := range []bftlive.Behavior{bftlive.Honest, bftlive.Silent, bftlive.Promiscuous, bftlive.Behavior(42)} {
 		if b.String() == "" {
 			t.Fatalf("empty string for behavior %d", b)
 		}
 	}
 	cl.Submit([]byte("acc"))
-	sched.Run(5 * time.Second)
-	if r.LastExecuted() != 1 {
-		t.Fatalf("last executed = %d", r.LastExecuted())
+	cl.run(t, 5*time.Second)
+	if n := cl.CommittedBy([]byte("acc")); n != 4 {
+		t.Fatalf("acc committed by %d", n)
 	}
-	if d, ok := r.CommittedAt(1); !ok || d.IsZero() {
-		t.Fatalf("CommittedAt(1) = %v,%v", d, ok)
+	if n := cl.CommittedBy([]byte("never-submitted")); n != 0 {
+		t.Fatalf("a value nobody submitted committed on %d replicas", n)
 	}
-	if _, ok := r.CommittedAt(99); ok {
-		t.Fatal("CommittedAt(99) found")
-	}
-	if _, ok := cl.CommitLatency([]byte("never-submitted")); ok {
-		t.Fatal("latency for unknown value")
-	}
-	v := &Violation{Seq: 3, ReplicaA: 1, ReplicaB: 2}
+	v := &bftlive.Violation{Seq: 3, Replicas: [2]int{1, 2}}
 	if v.String() == "" {
 		t.Fatal("empty violation string")
 	}
-	if len(cl.Commits()) == 0 {
+	if cl.CommitCount() == 0 {
 		t.Fatal("no commit events recorded")
-	}
-}
-
-func TestMalformedProposalRejected(t *testing.T) {
-	cl, sched := newCluster(t, 52, unitWeights(4))
-	// A pre-prepare whose digest does not match its value must be ignored.
-	bad := prePrepare{View: 0, Seq: 1, Digest: valueDigest([]byte("other")), Value: []byte("value")}
-	cl.net.Send(0, 1, bad)
-	// And a proposal from a non-primary must be ignored too.
-	good := prePrepare{View: 0, Seq: 1, Digest: valueDigest([]byte("v")), Value: []byte("v")}
-	cl.net.Send(2, 1, good)
-	sched.Run(5 * time.Second)
-	if len(cl.Replica(1).Committed()) != 0 {
-		t.Fatal("malformed or non-primary proposal progressed")
-	}
-	if cl.Violation() != nil {
-		t.Fatal("unexpected violation")
 	}
 }

@@ -1,5 +1,8 @@
-// Package bftlive runs the three-phase BFT commit protocol in two
-// transports that share one replica state machine (node.go):
+// Package bftlive runs the three-phase BFT commit protocol. It is the
+// repo's only BFT runtime: one replica state machine (node.go), whose
+// quorums are fractions of voting power — strictly more than 2/3 to
+// prepare, commit or install a view, so safety holds while Byzantine power
+// stays at or below 1/3 (the paper's Sec. II-C) — under two transports:
 //
 //   - Cluster: real concurrency — one goroutine per replica, in-memory
 //     channel transport, context-based lifecycle and clean shutdown. Its
@@ -8,8 +11,10 @@
 //   - SimCluster (sim.go): the same protocol over internal/simnet on the
 //     discrete-event scheduler's virtual clock — deterministic, byte-for-
 //     byte replayable, with Byzantine behaviors (Silent, Promiscuous) and
-//     primary equivocation so internal/liveloop can cross-check the
-//     Monitor's predictions against observed safety and liveness.
+//     primary equivocation, so internal/liveloop can cross-check the
+//     Monitor's predictions against observed safety and liveness and the
+//     experiments (X1, X6, P3) can show the bound on the wire. Power is
+//     equal by default; SimWithPower sets it per replica.
 //
 // Both transports rotate primaries: a replica that sees pending requests
 // make no commit progress within a view timeout votes to change views, a
@@ -57,7 +62,6 @@ type Commit struct {
 // Cluster is a set of live replicas connected by channels.
 type Cluster struct {
 	n           int
-	quorum      int
 	viewTimeout time.Duration
 	inboxes     []chan message
 	commits     chan Commit
@@ -140,7 +144,6 @@ func New(n int, opts ...Option) (*Cluster, error) {
 	}
 	c := &Cluster{
 		n:           n,
-		quorum:      2*n/3 + 1, // strictly more than 2/3 of n
 		viewTimeout: cfg.viewTimeout,
 		inboxes:     make([]chan message, n),
 		commits:     make(chan Commit, cfg.commitCapacity),
@@ -208,8 +211,9 @@ func (c *Cluster) Start(ctx context.Context) error {
 	}
 	c.started = true
 	ctx, c.cancel = context.WithCancel(ctx)
+	power := equalPower(c.n) // one vote per replica: a quorum is more than 2n/3 of them
 	for i := 0; i < c.n; i++ {
-		nd := newNode(i, c.n, c.quorum,
+		nd := newNode(i, power,
 			func() Behavior { return Honest }, // crashes drop input in run()
 			c.broadcast,
 			func(ev Commit) {

@@ -45,22 +45,28 @@ func digestOf(value []byte) cryptoutil.Digest {
 // The primary of the current view proposes from this backlog, and a newly
 // installed primary re-proposes whatever is left, so requests orphaned by
 // a crashed primary still commit. Re-proposal is at-least-once across
-// views; per-sequence agreement remains the safety property.
+// views — a backlog entry still in flight under the old primary can commit
+// at two sequence numbers — and per-sequence agreement remains the safety
+// property. A value this node has already committed is different: a
+// request for it is dropped on arrival (node.done), so submitting a
+// committed value again commits nothing.
 type pendingReq struct {
 	digest cryptoutil.Digest
 	value  []byte
 }
 
-// voterSet is a counted set of replica indices: a quorum test is a count
-// read, a vote a bit set. The zero value is the empty set.
+// voterSet is a set of replica indices that keeps the summed voting power
+// of its members: a quorum test is one read, a vote a bit set. The zero
+// value is the empty set.
 type voterSet struct {
 	lo    uint64   // replicas 0..63
 	hi    []uint64 // replicas 64 and up, grown on demand
-	count int      // distinct voters
+	power float64  // summed power of the distinct voters
 }
 
-// add records a vote from replica i; a repeated vote changes nothing.
-func (v *voterSet) add(i int) {
+// add records a vote from replica i, which holds power w; a repeated vote
+// changes nothing.
+func (v *voterSet) add(i int, w float64) {
 	word := &v.lo
 	if i >= 64 {
 		k := i/64 - 1
@@ -71,7 +77,7 @@ func (v *voterSet) add(i int) {
 	}
 	if bit := uint64(1) << (i % 64); *word&bit == 0 {
 		*word |= bit
-		v.count++
+		v.power += w
 	}
 }
 
@@ -124,8 +130,8 @@ func (rd *liveRound) proposal(d cryptoutil.Digest) *proposal {
 // goroutine loop, the SimCluster with single-threaded scheduler callbacks.
 type node struct {
 	id       int
-	n        int // replica count; primary of view v is v mod n
-	quorum   int
+	power    []float64 // voting power per replica, one slice shared by the cluster's nodes
+	total    float64   // summed power
 	behavior func() Behavior
 	// out broadcasts a message to every replica including the sender, so a
 	// replica's own vote counts toward its quorums.
@@ -142,23 +148,45 @@ type node struct {
 	pending   []pendingReq         // uncommitted client requests, arrival order
 	committed int                  // local commit count (progress signal)
 	rounds    map[uint64]*liveRound
+	// done holds the digest of every value this node has committed; a
+	// request for one of them is neither banked nor proposed.
+	done map[cryptoutil.Digest]struct{}
 }
 
-func newNode(id, n, quorum int, behavior func() Behavior, out func(message), onCommit func(Commit)) *node {
+// equalPower is the default power assignment: one vote per replica.
+func equalPower(n int) []float64 {
+	p := make([]float64, n)
+	for i := range p {
+		p[i] = 1
+	}
+	return p
+}
+
+func newNode(id int, power []float64, behavior func() Behavior, out func(message), onCommit func(Commit)) *node {
+	var total float64
+	for _, w := range power {
+		total += w
+	}
 	return &node{
 		id:        id,
-		n:         n,
-		quorum:    quorum,
+		power:     power,
+		total:     total,
 		behavior:  behavior,
 		out:       out,
 		onCommit:  onCommit,
 		viewVotes: make(map[uint64]*voterSet),
 		rounds:    make(map[uint64]*liveRound),
+		done:      make(map[cryptoutil.Digest]struct{}),
 	}
 }
 
-// primaryOf maps a view to its primary replica.
-func (n *node) primaryOf(v uint64) int { return int(v % uint64(n.n)) }
+// primaryOf maps a view to its primary replica: v mod the replica count.
+func (n *node) primaryOf(v uint64) int { return int(v % uint64(len(n.power))) }
+
+// quorate reports whether voters holding power w are a quorum: strictly
+// more than 2/3 of the total, so any two quorums share more than 1/3 —
+// more than the Byzantine power the protocol tolerates (Sec. II-C).
+func (n *node) quorate(w float64) bool { return 3*w > 2*n.total }
 
 func (n *node) hasPending() bool { return len(n.pending) > 0 }
 
@@ -212,7 +240,7 @@ func (n *node) suspect() {
 	// view number during a quorum-less stall. Re-voting the capped target
 	// is idempotent (votes dedup by sender) and doubles as a retransmit on
 	// lossy links.
-	if limit := n.view + uint64(n.n); target > limit {
+	if limit := n.view + uint64(len(n.power)); target > limit {
 		target = limit
 	}
 	n.votedView = target
@@ -246,10 +274,13 @@ func (n *node) installView(v uint64) {
 	}
 }
 
-// handleViewChange counts a rotation vote. A vote echo-joins at f+1
-// distinct voters (proof at least one honest replica timed out, and the
-// catch-up path for a replica whose own timer lags) and installs at a full
-// quorum.
+// handleViewChange counts a rotation vote. A vote echo-joins once the
+// voters hold more than 1/3 of the power — more than f, the paper's bound
+// as a power fraction, so at least one honest replica timed out; it is
+// also the catch-up path for a replica whose own timer lags — and installs
+// at a full quorum. With equal power the echo rule is floor(n/3)+1 voters:
+// the count rule (n-1)/3+1 it replaces asked for one voter fewer exactly
+// when 3 divides n.
 func (n *node) handleViewChange(m message) {
 	v := m.view
 	if v <= n.view {
@@ -260,13 +291,12 @@ func (n *node) handleViewChange(m message) {
 		vv = &voterSet{}
 		n.viewVotes[v] = vv
 	}
-	vv.add(m.from)
-	f := (n.n - 1) / 3
-	if vv.count >= f+1 && n.votedView < v {
+	vv.add(m.from, n.power[m.from])
+	if 3*vv.power > n.total && n.votedView < v {
 		n.votedView = v
 		n.out(message{kind: kindViewChange, from: n.id, view: v})
 	}
-	if vv.count >= n.quorum {
+	if n.quorate(vv.power) {
 		n.installView(v)
 	}
 }
@@ -287,17 +317,22 @@ func (n *node) handle(m message) {
 	switch m.kind {
 	case kindRequest:
 		// Every replica banks the request so a later view's primary can
-		// re-propose it; only the current view's primary proposes now.
+		// re-propose it; only the current view's primary proposes now. A
+		// value this node has already committed is not requested twice.
 		d := digestOf(m.value)
+		if _, ok := n.done[d]; ok {
+			return
+		}
 		n.addPending(d, m.value)
 		if n.id == n.primaryOf(n.view) {
 			n.propose(d, m.value)
 		}
 	case kindPrePrepare:
-		// Accept only from the claimed view's primary, and never from a
-		// view this node has already moved past. A higher view is adopted:
-		// its primary only proposes after a quorum installed it.
-		if m.from != n.primaryOf(m.view) || m.view < n.view {
+		// Accept only from the claimed view's primary, never from a view
+		// this node has already moved past, and only a proposal whose
+		// digest is the hash of its value. A higher view is adopted: its
+		// primary only proposes after a quorum installed it.
+		if m.from != n.primaryOf(m.view) || m.view < n.view || digestOf(m.value) != m.digest {
 			return
 		}
 		n.installView(m.view)
@@ -330,12 +365,12 @@ func (n *node) handle(m message) {
 		n.progress(m.seq, rd)
 	case kindPrepare:
 		rd := n.round(m.seq)
-		rd.proposal(m.digest).prepares.add(m.from)
+		rd.proposal(m.digest).prepares.add(m.from, n.power[m.from])
 		n.progress(m.seq, rd)
 	case kindCommit:
 		rd := n.round(m.seq)
 		p := rd.proposal(m.digest)
-		p.commits.add(m.from)
+		p.commits.add(m.from, n.power[m.from])
 		n.progress(m.seq, rd)
 		n.certCommit(m.seq, rd, p)
 	case kindViewChange:
@@ -352,16 +387,23 @@ func (n *node) progress(seq uint64, rd *liveRound) {
 		return
 	}
 	p := rd.find(rd.digest)
-	if !p.sentComm && p.prepares.count >= n.quorum {
+	if !p.sentComm && n.quorate(p.prepares.power) {
 		p.sentComm = true
 		n.out(message{kind: kindCommit, from: n.id, seq: seq, digest: rd.digest})
 	}
-	if !rd.committed && p.commits.count >= n.quorum {
-		rd.committed = true
-		n.committed++
-		n.onCommit(Commit{Replica: n.id, Seq: seq, Value: p.value})
-		n.removePending(rd.digest)
+	if !rd.committed && n.quorate(p.commits.power) {
+		n.commit(seq, rd, p)
 	}
+}
+
+// commit closes the round on proposal p: report it, retire the request and
+// remember the digest so a repeated request for it is dropped.
+func (n *node) commit(seq uint64, rd *liveRound, p *proposal) {
+	rd.committed = true
+	n.committed++
+	n.onCommit(Commit{Replica: n.id, Seq: seq, Value: p.value})
+	n.removePending(p.digest)
+	n.done[p.digest] = struct{}{}
 }
 
 // certCommit commits on a bare commit certificate: a quorum of commit
@@ -370,7 +412,7 @@ func (n *node) progress(seq uint64, rd *liveRound) {
 // pre-prepare. Only the just-delivered digest's proposal p is checked —
 // never a scan — keeping the path deterministic.
 func (n *node) certCommit(seq uint64, rd *liveRound, p *proposal) {
-	if rd.committed || p.commits.count < n.quorum {
+	if rd.committed || !n.quorate(p.commits.power) {
 		return
 	}
 	if p.value == nil {
@@ -379,10 +421,7 @@ func (n *node) certCommit(seq uint64, rd *liveRound, p *proposal) {
 	if p.value == nil {
 		return
 	}
-	rd.committed = true
 	rd.accepted = true
 	rd.digest = p.digest
-	n.committed++
-	n.onCommit(Commit{Replica: n.id, Seq: seq, Value: p.value})
-	n.removePending(p.digest)
+	n.commit(seq, rd, p)
 }

@@ -3,6 +3,7 @@ package bftlive
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/cryptoutil"
@@ -39,7 +40,7 @@ func (v *Violation) String() string {
 type SimCluster struct {
 	net         *simnet.Network
 	n           int
-	quorum      int
+	power       []float64 // voting power per replica; one slice for all nodes
 	viewTimeout time.Duration
 	nodes       []*node
 	behaviors   []Behavior
@@ -75,6 +76,25 @@ func SimWithViewTimeout(d time.Duration) SimOption {
 	}
 }
 
+// SimWithPower gives replica i voting power w[i]: quorums, and with them
+// the 1/3 safety bound, are then fractions of the summed power rather than
+// of the replica count (Sec. II-A's "voting power"). w must hold one
+// positive, finite entry per replica. The default is equal power.
+func SimWithPower(w []float64) SimOption {
+	return func(s *SimCluster) error {
+		if len(w) != s.n {
+			return fmt.Errorf("bftlive: %d power entries for %d replicas", len(w), s.n)
+		}
+		for i, p := range w {
+			if p <= 0 || math.IsNaN(p) || math.IsInf(p, 0) {
+				return fmt.Errorf("bftlive: invalid power %v for replica %d", p, i)
+			}
+		}
+		s.power = append([]float64(nil), w...)
+		return nil
+	}
+}
+
 // NewSimCluster registers n replicas (n >= 4) on the network. All replicas
 // start Honest.
 func NewSimCluster(net *simnet.Network, n int, opts ...SimOption) (*SimCluster, error) {
@@ -87,7 +107,6 @@ func NewSimCluster(net *simnet.Network, n int, opts ...SimOption) (*SimCluster, 
 	s := &SimCluster{
 		net:           net,
 		n:             n,
-		quorum:        2*n/3 + 1,
 		behaviors:     make([]Behavior, n),
 		committedBy:   make(map[string]int),
 		agreed:        make(map[uint64]simCommit),
@@ -101,9 +120,12 @@ func NewSimCluster(net *simnet.Network, n int, opts ...SimOption) (*SimCluster, 
 			return nil, err
 		}
 	}
+	if s.power == nil {
+		s.power = equalPower(n)
+	}
 	for i := 0; i < n; i++ {
 		i := i
-		nd := newNode(i, n, s.quorum,
+		nd := newNode(i, s.power,
 			func() Behavior { return s.behaviors[i] },
 			func(m message) { s.broadcast(i, m) },
 			func(c Commit) { s.onCommit(i, c) })
@@ -163,8 +185,10 @@ func (s *SimCluster) ViewChanges() int { return s.viewChanges }
 // N returns the replica count.
 func (s *SimCluster) N() int { return s.n }
 
-// Quorum returns the vote quorum (strictly more than 2n/3).
-func (s *SimCluster) Quorum() int { return s.quorum }
+// Quorum returns the vote quorum of an equal-power cluster as a replica
+// count: strictly more than 2n/3. Under SimWithPower a quorum is a power
+// fraction and no single count describes it.
+func (s *SimCluster) Quorum() int { return 2*s.n/3 + 1 }
 
 // broadcast sends to every other replica over the network and self-delivers
 // on the next scheduler step, so a vote counts itself without reentrant
@@ -220,7 +244,7 @@ func (s *SimCluster) BehaviorOf(i int) Behavior {
 // value a to half the honest replicas and value b to the rest at the next
 // sequence number, showing both proposals to every Byzantine colluder.
 // With Promiscuous colluders carrying strictly more than 1/3 of the
-// replicas, both conflicting quorums assemble and the violation surfaces
+// voting power, both conflicting quorums assemble and the violation surfaces
 // on Violation().
 func (s *SimCluster) EquivocateNext(a, b []byte) error {
 	p := s.Primary()

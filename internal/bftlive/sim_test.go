@@ -2,6 +2,7 @@ package bftlive
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -34,6 +35,38 @@ func TestSimClusterValidation(t *testing.T) {
 	}
 	if _, err := NewSimCluster(nil, 4); err == nil {
 		t.Fatal("nil network accepted")
+	}
+}
+
+func TestSimWithPowerValidation(t *testing.T) {
+	sched := sim.NewScheduler(1)
+	net, err := simnet.New(sched, simnet.FixedLatency(time.Millisecond), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, w := range map[string][]float64{
+		"too short": {1, 1, 1},
+		"too long":  {1, 1, 1, 1, 1},
+		"zero":      {1, 1, 1, 0},
+		"negative":  {1, 1, 1, -1},
+		"NaN":       {1, 1, 1, math.NaN()},
+		"+Inf":      {1, 1, 1, math.Inf(1)},
+		"-Inf":      {1, 1, 1, math.Inf(-1)},
+	} {
+		if _, err := NewSimCluster(net, 4, SimWithPower(w)); err == nil {
+			t.Errorf("%s power %v accepted", name, w)
+		}
+	}
+	w := []float64{2, 1, 1, 0.5}
+	s, err := NewSimCluster(net, 4, SimWithPower(w))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w[0] = 100 // the cluster keeps its own copy, and every node reads that one
+	for i, nd := range s.nodes {
+		if &nd.power[0] != &s.power[0] || nd.power[0] != 2 || nd.total != 4.5 {
+			t.Fatalf("node %d: power %v total %v, want the cluster's one slice [2 1 1 0.5]", i, nd.power, nd.total)
+		}
 	}
 }
 

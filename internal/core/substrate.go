@@ -10,9 +10,10 @@ import (
 // Substrate identifies a consensus family by value: its name, the
 // Byzantine power fraction f it tolerates, and the family's safety rule
 // applied to an injected fault picture. Callers select a family (BFT,
-// Nakamoto, committee) instead of wiring threshold constants; the
-// implementations live with the backends (internal/bft, internal/nakamoto,
-// internal/committee).
+// Nakamoto, committee) instead of wiring threshold constants; each family
+// is declared by its own package (internal/bft, internal/nakamoto,
+// internal/committee), next to or apart from the code that runs it —
+// internal/bft holds only the declaration, internal/bftlive the protocol.
 type Substrate interface {
 	// Name identifies the consensus family (e.g. "bft", "nakamoto").
 	Name() string

@@ -39,7 +39,7 @@ func Hash(parts ...[]byte) Digest {
 		h.Write(p)
 	}
 	var d Digest
-	copy(d[:], h.Sum(nil))
+	h.Sum(d[:0])
 	return d
 }
 

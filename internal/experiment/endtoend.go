@@ -5,7 +5,7 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/bft"
+	"repro/internal/bftlive"
 	"repro/internal/committee"
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -102,17 +102,15 @@ func runCommitteeAttack(name string, members []committee.Candidate, seed int64) 
 	if err != nil {
 		return EndToEndRow{}, err
 	}
-	weights := make([]float64, len(ordered))
-	for i := range weights {
-		weights[i] = 1 // one vote per seat
-	}
-	cl, err := bft.NewCluster(net, bft.Config{Weights: weights})
+	cl, err := bftlive.NewSimCluster(net, len(ordered)) // one vote per seat
 	if err != nil {
 		return EndToEndRow{}, err
 	}
 	for i, m := range ordered {
 		if m.ConfigLabel == "cfg-0" {
-			cl.SetBehavior(i, bft.Promiscuous)
+			if err := cl.SetBehavior(i, bftlive.Promiscuous); err != nil {
+				return EndToEndRow{}, err
+			}
 		}
 	}
 	if row.CompromisedSeats > 0 {

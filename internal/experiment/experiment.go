@@ -12,7 +12,7 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/attest"
-	"repro/internal/bft"
+	"repro/internal/bftlive"
 	"repro/internal/committee"
 	"repro/internal/config"
 	"repro/internal/core"
@@ -209,11 +209,7 @@ func bftMessagesPerCommit(n int) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	weights := make([]float64, n)
-	for i := range weights {
-		weights[i] = 1
-	}
-	cl, err := bft.NewCluster(net, bft.Config{Weights: weights})
+	cl, err := bftlive.NewSimCluster(net, n)
 	if err != nil {
 		return 0, err
 	}
@@ -221,8 +217,8 @@ func bftMessagesPerCommit(n int) (uint64, error) {
 	if err := sched.Run(10 * time.Second); err != nil {
 		return 0, err
 	}
-	if cl.HonestCommittedCount([]byte("probe")) != n {
-		return 0, fmt.Errorf("experiment: only %d/%d replicas committed", cl.HonestCommittedCount([]byte("probe")), n)
+	if got := cl.CommittedBy([]byte("probe")); got != n {
+		return 0, fmt.Errorf("experiment: only %d/%d replicas committed", got, n)
 	}
 	return net.Stats().Sent, nil
 }
@@ -298,16 +294,14 @@ func runSafetyCase(n, kappa int) (SafetyRow, error) {
 	if err != nil {
 		return SafetyRow{}, err
 	}
-	weights := make([]float64, n)
-	for i := range weights {
-		weights[i] = 1
-	}
-	cl, err := bft.NewCluster(net, bft.Config{Weights: weights})
+	cl, err := bftlive.NewSimCluster(net, n)
 	if err != nil {
 		return SafetyRow{}, err
 	}
 	for _, i := range compromised {
-		cl.SetBehavior(i, bft.Promiscuous)
+		if err := cl.SetBehavior(i, bftlive.Promiscuous); err != nil {
+			return SafetyRow{}, err
+		}
 	}
 	if err := cl.EquivocateNext([]byte("double-spend-A"), []byte("double-spend-B")); err != nil {
 		return SafetyRow{}, err

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/attest"
 	"repro/internal/bft"
+	"repro/internal/bftlive"
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/cryptoutil"
@@ -113,18 +114,20 @@ func TestAdmissionWeightsFeedWeightedBFT(t *testing.T) {
 			labels[i] = fmt.Sprintf("alt-%d", i)
 		}
 	}
-	run := func(weights []float64, compromised []int) *bft.Violation {
+	run := func(weights []float64, compromised []int) *bftlive.Violation {
 		sched := sim.NewScheduler(99)
 		net, err := simnet.New(sched, simnet.UniformLatency{Min: time.Millisecond, Max: 10 * time.Millisecond}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cl, err := bft.NewCluster(net, bft.Config{Weights: weights})
+		cl, err := bftlive.NewSimCluster(net, len(weights), bftlive.SimWithPower(weights))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, i := range compromised {
-			cl.SetBehavior(i, bft.Promiscuous)
+			if err := cl.SetBehavior(i, bftlive.Promiscuous); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if err := cl.EquivocateNext([]byte("A"), []byte("B")); err != nil {
 			t.Fatal(err)

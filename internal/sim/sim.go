@@ -13,7 +13,7 @@
 // one heap push and one heap pop instead of n of each.
 //
 // The engine is intentionally single-threaded. Consensus protocols built on
-// top of it (internal/bft, internal/nakamoto) are message-driven state
+// top of it (internal/bftlive, internal/nakamoto) are message-driven state
 // machines whose nondeterminism is confined to the seeded RNG, so a safety
 // violation observed once can be reproduced exactly from the seed.
 package sim

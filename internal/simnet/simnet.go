@@ -1,5 +1,5 @@
 // Package simnet provides a simulated message-passing network on top of the
-// internal/sim discrete-event scheduler. Consensus substrates (internal/bft,
+// internal/sim discrete-event scheduler. The consensus runtimes (internal/bftlive,
 // internal/nakamoto) exchange messages through a Network, which models
 // per-link latency, message loss, node crashes, network partitions and
 // runtime-mutable per-link fault models (drop, extra latency, jitter,
