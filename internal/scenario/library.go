@@ -380,10 +380,11 @@ func committeeRotation() Def {
 				err := e.At(time.Duration(d)*day-time.Hour, "join", func(e *Engine) (string, error) {
 					os := oses[e.Rand().Intn(len(oses))]
 					id := registry.ReplicaID(fmt.Sprintf("late-%02d", d))
-					if err := e.Registry().JoinDeclared(id, osCfg(os.name, os.version), float64(4+e.Rand().Intn(8)), day); err != nil {
+					cfg, power := osCfg(os.name, os.version), float64(4+e.Rand().Intn(8))
+					if err := e.Registry().JoinDeclared(id, cfg, power, day); err != nil {
 						return "", err
 					}
-					return fmt.Sprintf("%s cfg=%s", id, os.name), nil
+					return fmt.Sprintf("%s cfg=%s power=%s", id, cfg.Digest().Short(), fmtPower(power)), nil
 				})
 				if err != nil {
 					return err
