@@ -1,10 +1,11 @@
 // liveloop walks through the closed loop between the analytic monitor
 // and a real BFT cluster (internal/liveloop) twice over:
 //
-//  1. A custom inline live scenario: seven replicas run actual consensus
-//     over internal/simnet on the scenario clock while the harness
-//     cross-checks every liveness prediction against observed commits —
-//     through a partition that breaks quorum and one that doesn't.
+//  1. A custom inline live scenario: a timeline whose `live` block boots
+//     seven replicas running actual consensus over internal/simnet on the
+//     scenario clock while the harness cross-checks every liveness
+//     prediction against observed commits — through a partition that
+//     breaks quorum and one that doesn't.
 //  2. The library's reactive-recovery scenario (live-reactive-recovery)
 //     run by name: a monoculture CVE breaches the threshold, the
 //     planner migrates the implanted trio to clean configs, recovery
@@ -18,9 +19,7 @@ import (
 	"log"
 	"time"
 
-	"repro/internal/config"
-	"repro/internal/liveloop"
-	"repro/internal/registry"
+	_ "repro/internal/liveloop" // registers the live harness and the live library
 	"repro/internal/scenario"
 )
 
@@ -28,51 +27,37 @@ func main() {
 	log.SetFlags(0)
 
 	// --- 1. a custom live scenario ---
-	osCfg := func(name string) config.Configuration {
-		return config.MustNew(config.Component{
-			Class: config.ClassOperatingSystem, Name: name, Version: "1",
-		})
-	}
-	def := scenario.Def{
+	at := func(d time.Duration) scenario.Duration { return scenario.Duration(d) }
+	tl := &scenario.Timeline{
 		Name:    "example-live",
 		Title:   "live cluster, two partitions, predictions checked on the wire",
-		Horizon: 12 * time.Hour,
-		Tick:    2 * time.Hour,
-		Setup: func(e *scenario.Engine) error {
-			// Seven diverse replicas: n=7 tolerates f=2, quorum is 5.
-			for i, os := range []string{"linux", "bsd", "illumos", "haiku", "plan9", "serenity", "redox"} {
-				id := registry.ReplicaID(fmt.Sprintf("r-%02d", i))
-				if err := e.JoinAt(0, id, osCfg(os), 1, time.Hour); err != nil {
-					return err
-				}
-			}
-			// Boot the cluster at 1h; probe it every 2h. Each probe freezes
-			// the monitor-side liveness prediction, submits a real request,
-			// and the paired check compares prediction to observed commits.
-			if _, err := liveloop.Attach(e, liveloop.Config{
-				StartAt:    time.Hour,
-				ProbeEvery: 2 * time.Hour,
-			}); err != nil {
-				return err
-			}
-			// Cut two replicas away: 5 remain with the primary — exactly
-			// quorum, so commits must still flow.
-			if err := e.PartitionAt(2*time.Hour+30*time.Minute, "r-05", "r-06"); err != nil {
-				return err
-			}
-			if err := e.HealAt(4*time.Hour + 30*time.Minute); err != nil {
-				return err
-			}
-			// Cut three away: 4 < 5, the prediction flips to "stall" and
-			// the wire must agree.
-			if err := e.PartitionAt(6*time.Hour+30*time.Minute, "r-04", "r-05", "r-06"); err != nil {
-				return err
-			}
-			return e.HealAt(8*time.Hour + 30*time.Minute)
-		},
+		Horizon: at(12 * time.Hour),
+		Tick:    at(2 * time.Hour),
+		// Boot the cluster at 1h; probe it every 2h. Each probe freezes
+		// the monitor-side liveness prediction, submits a real request,
+		// and the paired check compares prediction to observed commits.
+		Live: &scenario.LiveSpec{StartAt: at(time.Hour), ProbeEvery: at(2 * time.Hour)},
 	}
+	// Seven diverse replicas: n=7 tolerates f=2, quorum is 5.
+	for i, os := range []string{"linux", "bsd", "illumos", "haiku", "plan9", "serenity", "redox"} {
+		tl.Events = append(tl.Events, scenario.Event{
+			Op: scenario.OpJoin, ID: fmt.Sprintf("r-%02d", i),
+			Config: []scenario.ComponentSpec{{Class: "operating-system", Name: os, Version: "1"}},
+			Power:  1, PatchLatency: at(time.Hour),
+		})
+	}
+	tl.Events = append(tl.Events,
+		// Cut two replicas away: 5 remain with the primary — exactly
+		// quorum, so commits must still flow.
+		scenario.Event{Op: scenario.OpPartition, At: at(2*time.Hour + 30*time.Minute), IDs: []string{"r-05", "r-06"}},
+		scenario.Event{Op: scenario.OpHeal, At: at(4*time.Hour + 30*time.Minute)},
+		// Cut three away: 4 < 5, the prediction flips to "stall" and
+		// the wire must agree.
+		scenario.Event{Op: scenario.OpPartition, At: at(6*time.Hour + 30*time.Minute), IDs: []string{"r-04", "r-05", "r-06"}},
+		scenario.Event{Op: scenario.OpHeal, At: at(8*time.Hour + 30*time.Minute)},
+	)
 
-	res, err := scenario.Run(def, 7)
+	res, err := scenario.Run(tl.Def(), 7)
 	if err != nil {
 		log.Fatal(err)
 	}

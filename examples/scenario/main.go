@@ -1,9 +1,9 @@
 // scenario walks through the deterministic scenario engine
 // (internal/scenario) twice over:
 //
-//  1. A custom inline scenario — a minimal churn + zero-day timeline
-//     programmed through the Engine's scheduling helpers — showing that a
-//     scenario is just a Def with a Setup hook.
+//  1. A custom inline scenario — a minimal churn + zero-day timeline —
+//     showing that a scenario is just a Timeline: a Go literal here, the
+//     same grammar as the JSON files `scenarios replay` runs.
 //  2. A library scenario (flash-churn) run by name, showing the registry
 //     and the replay guarantee: the same (name, seed) always produces the
 //     same trace, byte for byte.
@@ -16,48 +16,37 @@ import (
 	"log"
 	"time"
 
-	"repro/internal/adversary"
-	"repro/internal/config"
-	"repro/internal/registry"
 	"repro/internal/scenario"
-	"repro/internal/vuln"
 )
 
 func main() {
 	log.SetFlags(0)
 
 	// --- 1. a custom scenario ---
+	at := func(d time.Duration) scenario.Duration { return scenario.Duration(d) }
 	day := 24 * time.Hour
-	cfg := func(os string) config.Configuration {
-		return config.MustNew(config.Component{
-			Class: config.ClassOperatingSystem, Name: os, Version: "1",
-		})
-	}
-	def := scenario.Def{
+	tl := &scenario.Timeline{
 		Name:    "example-inline",
 		Title:   "three joins, one zero-day, one probe",
-		Horizon: 4 * day,
-		Tick:    day,
-		Setup: func(e *scenario.Engine) error {
-			for i, os := range []string{"linux", "bsd", "illumos"} {
-				id := registry.ReplicaID(fmt.Sprintf("r-%d", i))
-				if err := e.JoinAt(time.Duration(i)*time.Hour, id, cfg(os), 10, 12*time.Hour); err != nil {
-					return err
-				}
-			}
-			err := e.Disclose(vuln.Vulnerability{
-				ID: "CVE-EX-0001", Class: config.ClassOperatingSystem,
-				Product: "linux", Version: "1",
-				Disclosed: day, PatchAt: 2 * day, Severity: 1,
-			})
-			if err != nil {
-				return err
-			}
-			return e.ProbeAt(36*time.Hour, adversary.ExploitStrategy{Budget: 1})
-		},
+		Horizon: at(4 * day),
+		Tick:    at(day),
 	}
+	for i, os := range []string{"linux", "bsd", "illumos"} {
+		tl.Events = append(tl.Events, scenario.Event{
+			Op: scenario.OpJoin, At: at(time.Duration(i) * time.Hour), ID: fmt.Sprintf("r-%d", i),
+			Config: []scenario.ComponentSpec{{Class: "operating-system", Name: os, Version: "1"}},
+			Power:  10, PatchLatency: at(12 * time.Hour),
+		})
+	}
+	tl.Events = append(tl.Events,
+		scenario.Event{Op: scenario.OpDisclose, At: at(day), Vuln: &scenario.VulnSpec{
+			ID: "CVE-EX-0001", Class: "operating-system", Product: "linux", Version: "1",
+			Disclosed: at(day), PatchAt: at(2 * day), Severity: 1,
+		}},
+		scenario.Event{Op: scenario.OpProbe, At: at(36 * time.Hour), Strategy: &scenario.StrategySpec{Kind: "exploit", Budget: 1}},
+	)
 
-	res, err := scenario.Run(def, 7)
+	res, err := scenario.Run(tl.Def(), 7)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -75,7 +64,7 @@ func main() {
 
 	// --- 2. a library scenario, replayed ---
 	// Registered scenarios resolve through Lookup and run through the same
-	// unified Run entrypoint as inline defs.
+	// Run entrypoint as the inline timeline's def.
 	flashChurn, ok := scenario.Lookup("flash-churn")
 	if !ok {
 		log.Fatal("flash-churn not registered")

@@ -2,52 +2,38 @@ package liveloop
 
 import (
 	"fmt"
+	"math/rand"
 	"time"
 
 	"repro/internal/config"
-	"repro/internal/registry"
 	"repro/internal/scenario"
-	"repro/internal/vuln"
 )
 
 const day = 24 * time.Hour
 
-// osCfg builds an OS-only configuration, the single-class population the
-// live scenarios use (BFT substrate, unit powers).
-func osCfg(name, version string) config.Configuration {
-	return config.MustNew(config.Component{
-		Class: config.ClassOperatingSystem, Name: name, Version: version,
-	})
+// at converts an instant for an event literal.
+func at(d time.Duration) scenario.Duration { return scenario.Duration(d) }
+
+// osSpec is an OS-only configuration, the single-class population the live
+// scenarios use (BFT substrate, unit powers).
+func osSpec(name, version string) []scenario.ComponentSpec {
+	return []scenario.ComponentSpec{{Class: config.ClassOperatingSystem.String(), Name: name, Version: version}}
 }
 
-// osCatalog builds a migration-target catalog of OS products.
-func osCatalog(names ...string) *config.Catalog {
-	cat := config.NewCatalog()
-	for _, n := range names {
-		// Adding a valid component to a fresh catalog cannot fail.
-		_ = cat.Add(config.Component{Class: config.ClassOperatingSystem, Name: n, Version: "1"})
+// recoveryTargets are the OS products reactive recovery may migrate to.
+func recoveryTargets() (targets []scenario.ComponentSpec) {
+	for _, name := range []string{"rocky", "suse", "mint"} {
+		targets = append(targets, osSpec(name, "1")...)
 	}
-	return cat
-}
-
-// joinSeven populates seven unit-power replicas r-00..r-06 at t=0 with the
-// given per-replica OS configurations and patch latency.
-func joinSeven(e *scenario.Engine, cfgs [7]config.Configuration, patchLatency time.Duration) error {
-	for i, cfg := range cfgs {
-		id := registry.ReplicaID(fmt.Sprintf("r-%02d", i))
-		if err := e.JoinAt(0, id, cfg, 1, patchLatency); err != nil {
-			return err
-		}
-	}
-	return nil
+	return targets
 }
 
 // diverseSeven is a fully diverse fleet: seven distinct OS products.
-func diverseSeven() [7]config.Configuration {
+func diverseSeven() [7][]scenario.ComponentSpec {
 	names := [7]string{"ubuntu", "debian", "fedora", "freebsd", "openbsd", "alpine", "arch"}
-	var out [7]config.Configuration
+	var out [7][]scenario.ComponentSpec
 	for i, n := range names {
-		out[i] = osCfg(n, "1")
+		out[i] = osSpec(n, "1")
 	}
 	return out
 }
@@ -55,202 +41,176 @@ func diverseSeven() [7]config.Configuration {
 // trioOnUbuntu puts r-00, r-02 and r-04 on the same ubuntu build — the
 // correlated-failure monoculture the compromise scenarios exploit — and
 // keeps the rest diverse.
-func trioOnUbuntu() [7]config.Configuration {
+func trioOnUbuntu() [7][]scenario.ComponentSpec {
 	cfgs := diverseSeven()
 	for _, i := range []int{0, 2, 4} {
-		cfgs[i] = osCfg("ubuntu", "22.04")
+		cfgs[i] = osSpec("ubuntu", "22.04")
 	}
 	return cfgs
 }
 
-// ubuntuCVE is the disclosure both compromise scenarios inject: every
+// sevenThen is the event list every live scenario has: seven unit-power
+// replicas r-00..r-06 joining at t=0 with the given configurations and patch
+// latency, then the scenario's own events.
+func sevenThen(cfgs [7][]scenario.ComponentSpec, patchLatency time.Duration, then ...scenario.Event) []scenario.Event {
+	evs := make([]scenario.Event, 0, len(cfgs)+len(then))
+	for i, cfg := range cfgs {
+		evs = append(evs, scenario.Event{
+			Op: scenario.OpJoin, ID: fmt.Sprintf("r-%02d", i), Config: cfg, Power: 1, PatchLatency: at(patchLatency),
+		})
+	}
+	return append(evs, then...)
+}
+
+// ubuntuCVE is the disclosure the compromise scenarios inject: every
 // ubuntu 22.04 replica is exploitable from `disclosed` until the patch
 // (shipping a day later) lands per the replicas' patch latency.
-func ubuntuCVE(disclosed time.Duration) vuln.Vulnerability {
-	return vuln.Vulnerability{
-		ID:        "CVE-LIVE-0001",
-		Class:     config.ClassOperatingSystem,
-		Product:   "ubuntu",
-		Version:   "22.04",
-		Disclosed: disclosed,
-		PatchAt:   disclosed + day,
-		Severity:  1,
+func ubuntuCVE(id string, disclosed time.Duration) scenario.Event {
+	return scenario.Event{Op: scenario.OpDisclose, At: at(disclosed), Vuln: &scenario.VulnSpec{
+		ID: id, Class: config.ClassOperatingSystem.String(), Product: "ubuntu", Version: "22.04",
+		Disclosed: at(disclosed), PatchAt: at(disclosed + day), Severity: 1,
+	}}
+}
+
+// The live library registers like the analytic one: the registry keeps each
+// scenario's metadata and a Build that lists the timeline afresh per run, so
+// no event stays resident (see scenario's listed).
+func init() {
+	for _, build := range []func() *scenario.Timeline{
+		livePartitionProbe, liveCompromiseCascade, livePrimaryFailover, liveLossyRotation, liveReactiveRecovery,
+	} {
+		def := build().Def()
+		def.Build = func(*rand.Rand) *scenario.Timeline { return build() }
+		scenario.Register(def)
 	}
 }
 
-func init() {
-	scenario.Register(scenario.Def{
+func livePartitionProbe() *scenario.Timeline {
+	return &scenario.Timeline{
 		Name:    "live-partition-probe",
 		Title:   "Live BFT under partitions and a crash: every liveness prediction must match the wire",
 		Tags:    []string{"live", "robustness"},
-		Horizon: 24 * time.Hour,
-		Tick:    2 * time.Hour,
-		Setup: func(e *scenario.Engine) error {
-			if err := joinSeven(e, diverseSeven(), time.Hour); err != nil {
-				return err
-			}
-			if _, err := Attach(e, Config{
-				StartAt:    time.Hour,
-				ProbeEvery: 2 * time.Hour, // probes at odd hours, events at even ones
-			}); err != nil {
-				return err
-			}
-			// A minority cut: 5 of 7 stay with the primary, quorum holds.
-			if err := e.PartitionAt(6*time.Hour, "r-05", "r-06"); err != nil {
-				return err
-			}
-			if err := e.HealAt(10 * time.Hour); err != nil {
-				return err
-			}
-			// A threshold cut: 4 < quorum 5, commits must stall.
-			if err := e.PartitionAt(12*time.Hour, "r-04", "r-05", "r-06"); err != nil {
-				return err
-			}
-			if err := e.HealAt(16 * time.Hour); err != nil {
-				return err
-			}
-			// One crash is well inside f=2: progress continues.
-			if err := e.CrashAt(18*time.Hour, "r-03"); err != nil {
-				return err
-			}
-			return e.RestoreAt(20*time.Hour, "r-03")
+		Horizon: at(24 * time.Hour),
+		Tick:    at(2 * time.Hour),
+		Live: &scenario.LiveSpec{
+			StartAt:    at(time.Hour),
+			ProbeEvery: at(2 * time.Hour), // probes at odd hours, events at even ones
 		},
-	})
+		Events: sevenThen(diverseSeven(), time.Hour,
+			// A minority cut: 5 of 7 stay with the primary, quorum holds.
+			scenario.Event{Op: scenario.OpPartition, At: at(6 * time.Hour), IDs: []string{"r-05", "r-06"}},
+			scenario.Event{Op: scenario.OpHeal, At: at(10 * time.Hour)},
+			// A threshold cut: 4 < quorum 5, commits must stall.
+			scenario.Event{Op: scenario.OpPartition, At: at(12 * time.Hour), IDs: []string{"r-04", "r-05", "r-06"}},
+			scenario.Event{Op: scenario.OpHeal, At: at(16 * time.Hour)},
+			// One crash is well inside f=2: progress continues.
+			scenario.Event{Op: scenario.OpCrash, At: at(18 * time.Hour), IDs: []string{"r-03"}},
+			scenario.Event{Op: scenario.OpRestore, At: at(20 * time.Hour), IDs: []string{"r-03"}},
+		),
+	}
+}
 
-	scenario.Register(scenario.Def{
+func liveCompromiseCascade() *scenario.Timeline {
+	return &scenario.Timeline{
 		Name:    "live-compromise-cascade",
 		Title:   "A monoculture CVE breaches the threshold; the implants equivocate and break agreement on cue",
 		Tags:    []string{"live", "robustness", "vuln"},
-		Horizon: 4 * day,
-		Tick:    6 * time.Hour,
-		Setup: func(e *scenario.Engine) error {
-			if err := joinSeven(e, trioOnUbuntu(), 3*day); err != nil {
-				return err
-			}
-			if _, err := Attach(e, Config{
-				StartAt:    time.Hour,
-				ProbeEvery: 6 * time.Hour,
-				Attack:     AttackEquivocate, // AttackAt 0: fires at the breach
-			}); err != nil {
-				return err
-			}
-			// 3/7 compromised > 1/3: the disclosure is the breach.
-			return e.Disclose(ubuntuCVE(day))
+		Horizon: at(4 * day),
+		Tick:    at(6 * time.Hour),
+		Live: &scenario.LiveSpec{
+			StartAt:    at(time.Hour),
+			ProbeEvery: at(6 * time.Hour),
+			// No attack: the default, equivocate. No attack_at: it fires at the breach.
 		},
-	})
+		// 3/7 compromised > 1/3: the disclosure is the breach.
+		Events: sevenThen(trioOnUbuntu(), 3*day, ubuntuCVE("CVE-LIVE-0001", day)),
+	}
+}
 
-	scenario.Register(scenario.Def{
+func livePrimaryFailover() *scenario.Timeline {
+	return &scenario.Timeline{
 		Name:    "live-primary-failover",
 		Title:   "Crashing the primary on a jittery wire: the cluster rotates views and every liveness prediction holds",
 		Tags:    []string{"live", "robustness", "view-change"},
-		Horizon: 24 * time.Hour,
-		Tick:    2 * time.Hour,
-		Setup: func(e *scenario.Engine) error {
-			if err := joinSeven(e, diverseSeven(), time.Hour); err != nil {
-				return err
-			}
-			if _, err := Attach(e, Config{
-				StartAt:       time.Hour,
-				ProbeEvery:    2 * time.Hour, // probes at odd hours, events at even ones
-				ProbeDeadline: 5 * time.Second,
-				ViewTimeout:   500 * time.Millisecond,
-			}); err != nil {
-				return err
-			}
+		Horizon: at(24 * time.Hour),
+		Tick:    at(2 * time.Hour),
+		Live: &scenario.LiveSpec{
+			StartAt:       at(time.Hour),
+			ProbeEvery:    at(2 * time.Hour), // probes at odd hours, events at even ones
+			ProbeDeadline: at(5 * time.Second),
+			ViewTimeout:   at(500 * time.Millisecond),
+		},
+		Events: sevenThen(diverseSeven(), time.Hour,
 			// A mildly degraded link between two backups: drops, jitter and
 			// reordering the protocol must absorb without losing quorum.
-			if err := e.DegradeAt(4*time.Hour, "r-03", "r-04", scenario.LinkFault{
-				Drop: 0.2, ExtraLatency: 10 * time.Millisecond, Jitter: 15 * time.Millisecond, Reorder: 0.3,
-			}); err != nil {
-				return err
-			}
+			scenario.Event{Op: scenario.OpDegrade, At: at(4 * time.Hour), IDs: []string{"r-03", "r-04"}, Fault: &scenario.FaultSpec{
+				Drop: 0.2, ExtraLatency: at(10 * time.Millisecond), Jitter: at(15 * time.Millisecond), Reorder: 0.3,
+			}},
 			// Kill the initial primary: the view-aware prediction says probes
 			// keep committing because rotation elects r-01 within deadline.
-			if err := e.CrashAt(6*time.Hour, "r-00"); err != nil {
-				return err
-			}
-			if err := e.RestoreAt(16*time.Hour, "r-00"); err != nil {
-				return err
-			}
-			return e.RestoreLinkAt(20*time.Hour, "r-03", "r-04")
-		},
-	})
+			scenario.Event{Op: scenario.OpCrash, At: at(6 * time.Hour), IDs: []string{"r-00"}},
+			scenario.Event{Op: scenario.OpRestore, At: at(16 * time.Hour), IDs: []string{"r-00"}},
+			scenario.Event{Op: scenario.OpRestoreLink, At: at(20 * time.Hour), IDs: []string{"r-03", "r-04"}},
+		),
+	}
+}
 
-	scenario.Register(scenario.Def{
+func liveLossyRotation() *scenario.Timeline {
+	return &scenario.Timeline{
 		Name:    "live-lossy-rotation",
 		Title:   "Monoculture silence attack on lossy wires: reactive recovery cleanses, rotation restores liveness",
 		Tags:    []string{"live", "robustness", "view-change", "vuln", "recovery"},
-		Horizon: 4 * day,
-		Tick:    6 * time.Hour,
-		Setup: func(e *scenario.Engine) error {
-			if err := joinSeven(e, trioOnUbuntu(), 2*day); err != nil {
-				return err
-			}
-			if _, err := Attach(e, Config{
-				StartAt:       time.Hour,
-				ProbeEvery:    6 * time.Hour,
-				ProbeDeadline: 5 * time.Second,
-				ViewTimeout:   500 * time.Millisecond,
-				Attack:        AttackSilence, // AttackAt 0: fires at the breach
-				Reactive:      true,
-				ReactDelay:    6 * time.Hour,
-				Targets:       osCatalog("rocky", "suse", "mint"),
-			}); err != nil {
-				return err
-			}
+		Horizon: at(4 * day),
+		Tick:    at(6 * time.Hour),
+		Live: &scenario.LiveSpec{
+			StartAt:       at(time.Hour),
+			ProbeEvery:    at(6 * time.Hour),
+			ProbeDeadline: at(5 * time.Second),
+			ViewTimeout:   at(500 * time.Millisecond),
+			Attack:        scenario.AttackSilence, // no attack_at: fires at the breach
+			Reactive:      true,
+			ReactDelay:    at(6 * time.Hour),
+			Targets:       recoveryTargets(),
+		},
+		Events: sevenThen(trioOnUbuntu(), 2*day,
 			// Lossy links touch only the two spare backups (n - quorum = 2),
 			// so a clean quorum core always exists among r-00..r-04.
-			if err := e.DegradeAt(2*time.Hour, "r-05", "r-06", scenario.LinkFault{
+			scenario.Event{Op: scenario.OpDegrade, At: at(2 * time.Hour), IDs: []string{"r-05", "r-06"}, Fault: &scenario.FaultSpec{
 				Drop: 0.4, Duplicate: 0.2, Reorder: 0.3,
-			}); err != nil {
-				return err
-			}
-			if err := e.DegradeAt(3*time.Hour, "r-01", "r-05", scenario.LinkFault{
-				Drop: 0.2, ExtraLatency: 5 * time.Millisecond, Jitter: 20 * time.Millisecond,
-			}); err != nil {
-				return err
-			}
+			}},
+			scenario.Event{Op: scenario.OpDegrade, At: at(3 * time.Hour), IDs: []string{"r-01", "r-05"}, Fault: &scenario.FaultSpec{
+				Drop: 0.2, ExtraLatency: at(5 * time.Millisecond), Jitter: at(20 * time.Millisecond),
+			}},
 			// Day 1: the CVE breaches the threshold; the silence attack mutes
 			// the trio and probes stall. Six hours later reactive recovery
 			// migrates and rejuvenates; the stalled backlog commits after a
 			// view change (the TTR span lands on the trace).
-			if err := e.Disclose(ubuntuCVE(day)); err != nil {
-				return err
-			}
+			ubuntuCVE("CVE-LIVE-0001", day),
 			// Day 2: crash the post-recovery primary; rotation elects the
 			// next view's and commits resume on the degraded wire.
-			if err := e.CrashAt(2*day, "r-01"); err != nil {
-				return err
-			}
-			if err := e.RestoreAt(3*day, "r-01"); err != nil {
-				return err
-			}
-			return e.RestoreLinkAt(3*day+6*time.Hour, "r-05", "r-06")
-		},
-	})
+			scenario.Event{Op: scenario.OpCrash, At: at(2 * day), IDs: []string{"r-01"}},
+			scenario.Event{Op: scenario.OpRestore, At: at(3 * day), IDs: []string{"r-01"}},
+			scenario.Event{Op: scenario.OpRestoreLink, At: at(3*day + 6*time.Hour), IDs: []string{"r-05", "r-06"}},
+		),
+	}
+}
 
-	scenario.Register(scenario.Def{
+func liveReactiveRecovery() *scenario.Timeline {
+	return &scenario.Timeline{
 		Name:    "live-reactive-recovery",
 		Title:   "Reactive recovery migrates and rejuvenates the implanted trio; the late attack finds nothing",
 		Tags:    []string{"live", "robustness", "recovery"},
-		Horizon: 6 * day,
-		Tick:    12 * time.Hour,
-		Setup: func(e *scenario.Engine) error {
-			if err := joinSeven(e, trioOnUbuntu(), 2*day); err != nil {
-				return err
-			}
-			if _, err := Attach(e, Config{
-				StartAt:    time.Hour,
-				ProbeEvery: 6 * time.Hour,
-				Attack:     AttackEquivocate,
-				AttackAt:   5 * day, // after recovery: the trigger finds no implants
-				Reactive:   true,
-				ReactDelay: 6 * time.Hour,
-				Targets:    osCatalog("rocky", "suse", "mint"),
-			}); err != nil {
-				return err
-			}
-			return e.Disclose(ubuntuCVE(day))
+		Horizon: at(6 * day),
+		Tick:    at(12 * time.Hour),
+		Live: &scenario.LiveSpec{
+			StartAt:    at(time.Hour),
+			ProbeEvery: at(6 * time.Hour),
+			Attack:     scenario.AttackEquivocate,
+			AttackAt:   at(5 * day), // after recovery: the trigger finds no implants
+			Reactive:   true,
+			ReactDelay: at(6 * time.Hour),
+			Targets:    recoveryTargets(),
 		},
-	})
+		Events: sevenThen(trioOnUbuntu(), 2*day, ubuntuCVE("CVE-LIVE-0001", day)),
+	}
 }

@@ -1,10 +1,12 @@
 // Package liveloop closes the loop between the analytic monitor and a
-// running consensus cluster: it attaches a real internal/bftlive protocol
-// instance (the deterministic SimCluster transport over internal/simnet)
-// to a scenario engine, mirrors every scenario fault — partitions,
-// crashes, vulnerability-driven compromises — onto the live cluster, and
-// cross-checks the monitor's predictions against observed protocol
-// behavior after every event:
+// running consensus cluster: a timeline's `live` block (scenario.LiveSpec)
+// attaches a real internal/bftlive protocol instance (the deterministic
+// SimCluster transport over internal/simnet) to the scenario's run, through
+// the hook this package registers with scenario.SetLiveAttach — import it,
+// blank if need be, and live timelines run. The harness mirrors every
+// scenario fault — partitions, crashes, vulnerability-driven compromises —
+// onto the live cluster, and cross-checks the monitor's predictions against
+// observed protocol behavior after every event:
 //
 //   - liveness: a committed probe value ⇔ the analytic view (registry
 //     powers, partition/crash state, launched attacks) says a quorum of
@@ -14,7 +16,7 @@
 //
 // Mismatches are recorded as divergences in the trace (Record.Divergence).
 // In reactive mode the harness also closes the control loop: when the
-// assessment crosses the threshold it waits ReactDelay, then migrates
+// assessment crosses the threshold it waits react_delay, then migrates
 // still-exposed victims to clean configurations (internal/planner) and
 // rejuvenates their implants (the internal/recovery cleansing model),
 // recording the virtual time from threshold breach back to assessed-safe
@@ -22,7 +24,7 @@
 //
 // Everything — protocol messages, probes, attacks, reactions — runs on the
 // scenario's single discrete-event scheduler, so a live scenario replays
-// byte-identically from (Def, seed) like every other scenario.
+// byte-identically from (timeline, seed) like every other scenario.
 package liveloop
 
 import (
@@ -41,66 +43,6 @@ import (
 	"repro/internal/vuln"
 )
 
-// AttackMode selects what compromised replicas do once the adversary
-// pulls the trigger.
-type AttackMode int
-
-// Attack modes.
-const (
-	// AttackEquivocate turns implanted replicas Promiscuous and has an
-	// implanted primary propose two conflicting values — the safety attack.
-	AttackEquivocate AttackMode = iota
-	// AttackSilence mutes implanted replicas — the liveness attack.
-	AttackSilence
-)
-
-// String returns the canonical lowercase mode name.
-func (m AttackMode) String() string {
-	switch m {
-	case AttackEquivocate:
-		return "equivocate"
-	case AttackSilence:
-		return "silence"
-	default:
-		return "unknown"
-	}
-}
-
-// Config parameterizes a live harness.
-type Config struct {
-	// StartAt is the virtual instant the live cluster comes up. The
-	// scenario's membership must be final by then: joins or leaves after
-	// StartAt abort the run (the runtime cluster has fixed membership).
-	StartAt time.Duration
-	// Latency is the fixed one-way message latency (default 20ms).
-	Latency time.Duration
-	// ProbeEvery is the liveness-probe cadence; 0 disables probes.
-	ProbeEvery time.Duration
-	// ProbeDeadline is how long after a probe (or attack) the harness
-	// waits before judging the outcome (default 500ms).
-	ProbeDeadline time.Duration
-	// ViewTimeout, when positive, enables primary rotation on the live
-	// cluster (bftlive.SimWithViewTimeout): a stalled cluster elects
-	// primary v mod n. 0 keeps the fixed primary — the pre-rotation
-	// behavior, byte-identical traces included.
-	ViewTimeout time.Duration
-
-	// Attack is what implanted replicas do when the attack launches.
-	Attack AttackMode
-	// AttackAt schedules the attack explicitly; 0 launches it automatically
-	// at the first threshold breach.
-	AttackAt time.Duration
-
-	// Reactive enables the recovery loop: ReactDelay after a breach the
-	// harness migrates still-exposed implanted replicas to clean
-	// configurations drawn from Targets (nil Targets: rejuvenation only)
-	// and cleanses their implants, repeating every ReactDelay until the
-	// assessment is safe again.
-	Reactive   bool
-	ReactDelay time.Duration
-	Targets    *config.Catalog
-}
-
 // pendingCheck carries one cross-check verdict from the event callback
 // that computed it into the observer, which writes it onto that event's
 // trace record.
@@ -110,11 +52,12 @@ type pendingCheck struct {
 	divergence bool
 }
 
-// Harness wires one live cluster into one scenario run. Create it with
-// Attach; all further work happens through the engine's event callbacks
-// and the Observer hook.
-type Harness struct {
-	cfg     Config
+// harness wires one live cluster into one scenario run. Attach creates it;
+// all further work happens through the engine's event callbacks and the
+// Observer hook.
+type harness struct {
+	spec    scenario.LiveSpec // defaults filled in
+	targets *config.Catalog   // the spec's migration targets; nil: rejuvenation only
 	horizon time.Duration
 
 	started bool
@@ -142,49 +85,23 @@ type Harness struct {
 	pending *pendingCheck
 }
 
-// init registers the live-attach hook so data-first timelines carrying a
-// LiveSpec can boot the harness without scenario importing this package.
-func init() {
-	scenario.SetLiveAttach(func(e *scenario.Engine, spec *scenario.LiveSpec) error {
-		_, err := Attach(e, Config{
-			StartAt:       spec.StartAt.D(),
-			Latency:       spec.Latency.D(),
-			ProbeEvery:    spec.ProbeEvery.D(),
-			ProbeDeadline: spec.ProbeDeadline.D(),
-			ViewTimeout:   spec.ViewTimeout.D(),
-		})
-		return err
-	})
-}
+// init registers the live-attach hook: a timeline carrying a LiveSpec boots
+// the harness without scenario importing this package.
+func init() { scenario.SetLiveAttach(Attach) }
 
-// Attach creates a harness on the engine: the cluster comes up at
-// cfg.StartAt, probes and the explicit attack (if any) are scheduled, and
-// the harness registers itself as the run's observer. Call from a
-// scenario's Setup.
-func Attach(e *scenario.Engine, cfg Config) (*Harness, error) {
-	if e == nil {
-		return nil, errors.New("liveloop: nil engine")
+// Attach creates a harness on the engine per the timeline's (validated)
+// live block: the cluster comes up at start_at, probes and the explicit
+// attack (if any) are scheduled, and the harness registers itself as the
+// run's observer. What the spec alone cannot show — at least four replicas,
+// of equal power, at start_at — fails the run at that instant.
+func Attach(e *scenario.Engine, spec *scenario.LiveSpec) error {
+	targets, err := spec.TargetCatalog()
+	if err != nil {
+		return err
 	}
-	if cfg.Latency <= 0 {
-		cfg.Latency = 20 * time.Millisecond
-	}
-	if cfg.ProbeDeadline <= 0 {
-		cfg.ProbeDeadline = 500 * time.Millisecond
-	}
-	if cfg.StartAt < 0 || cfg.StartAt >= e.Horizon() {
-		return nil, fmt.Errorf("liveloop: StartAt %v outside horizon %v", cfg.StartAt, e.Horizon())
-	}
-	if cfg.Reactive && cfg.ReactDelay <= 0 {
-		return nil, errors.New("liveloop: Reactive requires a positive ReactDelay")
-	}
-	if cfg.ViewTimeout < 0 {
-		return nil, fmt.Errorf("liveloop: negative ViewTimeout %v", cfg.ViewTimeout)
-	}
-	if cfg.AttackAt > 0 && (cfg.AttackAt <= cfg.StartAt || cfg.AttackAt+cfg.ProbeDeadline >= e.Horizon()) {
-		return nil, fmt.Errorf("liveloop: AttackAt %v outside (StartAt, horizon)", cfg.AttackAt)
-	}
-	h := &Harness{
-		cfg:         cfg,
+	h := &harness{
+		spec:        spec.WithDefaults(),
+		targets:     targets,
 		horizon:     e.Horizon(),
 		idx:         make(map[registry.ReplicaID]int),
 		partitioned: make(map[int]bool),
@@ -196,40 +113,38 @@ func Attach(e *scenario.Engine, cfg Config) (*Harness, error) {
 		probeValue:  func(k int) string { return fmt.Sprintf("probe-%04d", k) },
 	}
 	e.Observe(h)
-	if err := e.At(cfg.StartAt, "live-start", h.start); err != nil {
-		return nil, err
+	startAt, every, deadline := h.spec.StartAt.D(), h.spec.ProbeEvery.D(), h.spec.ProbeDeadline.D()
+	if err := e.At(startAt, "live-start", h.start); err != nil {
+		return err
 	}
-	if cfg.ProbeEvery > 0 {
+	if every > 0 {
 		k := 0
-		for t := cfg.StartAt + cfg.ProbeEvery; t+cfg.ProbeDeadline < e.Horizon(); t += cfg.ProbeEvery {
+		for t := startAt + every; t+deadline < e.Horizon(); t += every {
 			k++
 			probe := k
 			if err := e.At(t, "live-probe", func(e *scenario.Engine) (string, error) {
 				return h.probe(e, probe)
 			}); err != nil {
-				return nil, err
+				return err
 			}
-			if err := e.At(t+cfg.ProbeDeadline, "live-check", func(e *scenario.Engine) (string, error) {
+			if err := e.At(t+deadline, "live-check", func(e *scenario.Engine) (string, error) {
 				return h.check(e, probe)
 			}); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
-	if cfg.AttackAt > 0 {
+	if h.spec.AttackAt > 0 {
 		h.attackScheduled = true
-		if err := h.scheduleAttack(e, cfg.AttackAt); err != nil {
-			return nil, err
+		if err := h.scheduleAttack(e, h.spec.AttackAt.D()); err != nil {
+			return err
 		}
 	}
-	return h, nil
+	return nil
 }
 
-// Cluster exposes the live cluster once started (nil before StartAt).
-func (h *Harness) Cluster() *bftlive.SimCluster { return h.cluster }
-
 // start brings the cluster up against the membership as it stands.
-func (h *Harness) start(e *scenario.Engine) (string, error) {
+func (h *harness) start(e *scenario.Engine) (string, error) {
 	snap, err := e.Registry().Snapshot(registry.DefaultWeighting)
 	if err != nil {
 		return "", err
@@ -246,13 +161,13 @@ func (h *Harness) start(e *scenario.Engine) (string, error) {
 		h.ids = append(h.ids, registry.ReplicaID(r.Name))
 		h.idx[registry.ReplicaID(r.Name)] = i
 	}
-	net, err := simnet.New(e.Scheduler(), simnet.FixedLatency(h.cfg.Latency), 0)
+	net, err := simnet.New(e.Scheduler(), simnet.FixedLatency(h.spec.Latency.D()), 0)
 	if err != nil {
 		return "", err
 	}
 	var opts []bftlive.SimOption
-	if h.cfg.ViewTimeout > 0 {
-		opts = append(opts, bftlive.SimWithViewTimeout(h.cfg.ViewTimeout))
+	if h.spec.ViewTimeout > 0 {
+		opts = append(opts, bftlive.SimWithViewTimeout(h.spec.ViewTimeout.D()))
 	}
 	cluster, err := bftlive.NewSimCluster(net, n, opts...)
 	if err != nil {
@@ -262,16 +177,16 @@ func (h *Harness) start(e *scenario.Engine) (string, error) {
 	h.cluster = cluster
 	h.started = true
 	detail := fmt.Sprintf("cluster up: n=%d quorum=%d primary=%s latency=%v",
-		n, cluster.Quorum(), h.ids[0], h.cfg.Latency)
-	if h.cfg.ViewTimeout > 0 {
-		detail += fmt.Sprintf(" view-timeout=%v", h.cfg.ViewTimeout)
+		n, cluster.Quorum(), h.ids[0], h.spec.Latency)
+	if h.spec.ViewTimeout > 0 {
+		detail += fmt.Sprintf(" view-timeout=%v", h.spec.ViewTimeout)
 	}
 	return detail, nil
 }
 
 // probe submits a liveness probe and freezes the analytic expectation for
 // its verdict.
-func (h *Harness) probe(_ *scenario.Engine, k int) (string, error) {
+func (h *harness) probe(_ *scenario.Engine, k int) (string, error) {
 	if !h.started {
 		return "", errors.New("liveloop: probe before start")
 	}
@@ -283,7 +198,7 @@ func (h *Harness) probe(_ *scenario.Engine, k int) (string, error) {
 }
 
 // check judges a probe: observation against the frozen prediction.
-func (h *Harness) check(_ *scenario.Engine, k int) (string, error) {
+func (h *harness) check(_ *scenario.Engine, k int) (string, error) {
 	if !h.started {
 		return "", errors.New("liveloop: check before start")
 	}
@@ -311,9 +226,9 @@ func (h *Harness) check(_ *scenario.Engine, k int) (string, error) {
 // some view reachable within the probe deadline — budgeting one view
 // timeout plus protocol round-trips per rotation — has a votable primary
 // whose partition side holds a quorum.
-func (h *Harness) predictCommit() (ok bool, voters int) {
+func (h *harness) predictCommit() (ok bool, voters int) {
 	p := h.cluster.Primary()
-	silenceLive := h.attackLaunched && h.cfg.Attack == AttackSilence
+	silenceLive := h.attackLaunched && h.spec.Attack == scenario.AttackSilence
 	silent := func(i int) bool {
 		return h.crashed[i] || (silenceLive && h.assessed[i])
 	}
@@ -330,13 +245,13 @@ func (h *Harness) predictCommit() (ok bool, voters int) {
 	if !silent(p) && voters >= h.cluster.Quorum() {
 		return true, voters
 	}
-	if h.cfg.ViewTimeout <= 0 {
+	if h.spec.ViewTimeout <= 0 {
 		return false, voters
 	}
 	n := h.cluster.N()
 	view := h.cluster.View()
-	rotation := h.cfg.ViewTimeout + 6*h.cfg.Latency
-	for k := uint64(1); time.Duration(k+1)*rotation <= h.cfg.ProbeDeadline; k++ {
+	rotation := (h.spec.ViewTimeout + 6*h.spec.Latency).D()
+	for k := uint64(1); time.Duration(k+1)*rotation <= h.spec.ProbeDeadline.D(); k++ {
 		cand := int((view + k) % uint64(n))
 		if !silent(cand) && sideVoters(h.partitioned[cand]) >= h.cluster.Quorum() {
 			return true, voters
@@ -346,16 +261,16 @@ func (h *Harness) predictCommit() (ok bool, voters int) {
 }
 
 // scheduleAttack arms the attack and its verdict check.
-func (h *Harness) scheduleAttack(e *scenario.Engine, at time.Duration) error {
+func (h *harness) scheduleAttack(e *scenario.Engine, at time.Duration) error {
 	if err := e.At(at, "live-attack", h.attack); err != nil {
 		return err
 	}
-	return e.At(at+h.cfg.ProbeDeadline, "live-verdict", h.verdict)
+	return e.At(at+h.spec.ProbeDeadline.D(), "live-verdict", h.verdict)
 }
 
 // attack pulls the trigger on every implanted replica per the configured
 // mode and freezes the monitor-grounded prediction for the verdict.
-func (h *Harness) attack(e *scenario.Engine) (string, error) {
+func (h *harness) attack(e *scenario.Engine) (string, error) {
 	if !h.started {
 		return "", errors.New("liveloop: attack before start")
 	}
@@ -367,8 +282,8 @@ func (h *Harness) attack(e *scenario.Engine) (string, error) {
 	victims := h.implantIndices()
 	h.attackLaunched = true
 	h.syncAssessed(a.Injection.Faults)
-	switch h.cfg.Attack {
-	case AttackEquivocate:
+	switch h.spec.Attack {
+	case scenario.AttackEquivocate:
 		// Violation predicted iff the monitor says compromised power
 		// exceeds the tolerance (and the adversary holds the *current*
 		// primary — under rotation that is the latest installed view's).
@@ -389,7 +304,7 @@ func (h *Harness) attack(e *scenario.Engine) (string, error) {
 		}
 		return fmt.Sprintf("equivocation launched via %d implants (predict violation=%t, monitor compromised=%s)",
 			len(victims), h.attackExpect, fmtFrac(a.Injection.TotalFraction)), nil
-	case AttackSilence:
+	case scenario.AttackSilence:
 		for _, i := range victims {
 			h.attacked[i] = true
 			if err := h.cluster.SetBehavior(i, bftlive.Silent); err != nil {
@@ -402,19 +317,19 @@ func (h *Harness) attack(e *scenario.Engine) (string, error) {
 		return fmt.Sprintf("silence launched via %d implants (predict commit=%t voters=%d)",
 			len(victims), expect, voters), nil
 	default:
-		return "", fmt.Errorf("liveloop: unknown attack mode %d", h.cfg.Attack)
+		return "", fmt.Errorf("liveloop: unknown attack mode %q", h.spec.Attack)
 	}
 }
 
 // verdict judges the attack outcome against the frozen prediction.
-func (h *Harness) verdict(_ *scenario.Engine) (string, error) {
+func (h *harness) verdict(_ *scenario.Engine) (string, error) {
 	if !h.started || !h.attackLaunched {
 		return "", errors.New("liveloop: verdict before attack")
 	}
 	var detail string
 	var divergence bool
-	switch h.cfg.Attack {
-	case AttackSilence:
+	switch h.spec.Attack {
+	case scenario.AttackSilence:
 		committed := h.cluster.CommittedBy([]byte("attack-probe"))
 		observed := committed > 0
 		divergence = observed != h.attackExpect
@@ -435,7 +350,7 @@ func (h *Harness) verdict(_ *scenario.Engine) (string, error) {
 // react is one reactive-recovery round: migrate still-exposed implanted
 // replicas to clean configurations, cleanse every implant, restore honest
 // behavior. The observer re-arms it while the breach persists.
-func (h *Harness) react(e *scenario.Engine) (string, error) {
+func (h *harness) react(e *scenario.Engine) (string, error) {
 	if !h.started {
 		return "", errors.New("liveloop: react before start")
 	}
@@ -455,8 +370,8 @@ func (h *Harness) react(e *scenario.Engine) (string, error) {
 		}
 	}
 	var parts []string
-	if len(exposed) > 0 && h.cfg.Targets != nil {
-		clean, err := cleanTargets(h.cfg.Targets, e.Catalog())
+	if len(exposed) > 0 && h.targets != nil {
+		clean, err := cleanTargets(h.targets, e.Catalog())
 		if err != nil {
 			return "", err
 		}
@@ -485,7 +400,7 @@ func (h *Harness) react(e *scenario.Engine) (string, error) {
 }
 
 // syncAssessed rebuilds the non-sticky compromised set from a fault list.
-func (h *Harness) syncAssessed(faults []vuln.Fault) {
+func (h *harness) syncAssessed(faults []vuln.Fault) {
 	h.assessed = make(map[int]bool)
 	for _, f := range faults {
 		for _, name := range f.Compromised {
@@ -497,7 +412,7 @@ func (h *Harness) syncAssessed(faults []vuln.Fault) {
 }
 
 // implantIndices returns the implanted replica indices in ascending order.
-func (h *Harness) implantIndices() []int {
+func (h *harness) implantIndices() []int {
 	out := make([]int, 0, len(h.implants))
 	for i := range h.implants {
 		out = append(out, i)
@@ -508,7 +423,7 @@ func (h *Harness) implantIndices() []int {
 
 // byzFraction is the fraction of replicas currently running a non-honest
 // behavior on the live cluster.
-func (h *Harness) byzFraction() float64 {
+func (h *harness) byzFraction() float64 {
 	if h.cluster == nil {
 		return 0
 	}
@@ -525,7 +440,7 @@ func (h *Harness) byzFraction() float64 {
 // AfterEvent implements scenario.Observer: mirror the event onto the live
 // cluster, sync implants from the assessment, annotate the record, and
 // drive the breach/recovery state machine.
-func (h *Harness) AfterEvent(e *scenario.Engine, info scenario.EventInfo, rec *scenario.Record) error {
+func (h *harness) AfterEvent(e *scenario.Engine, info scenario.EventInfo, rec *scenario.Record) error {
 	if !h.started {
 		return nil // pre-start records stay untouched
 	}
@@ -566,8 +481,8 @@ func (h *Harness) AfterEvent(e *scenario.Engine, info scenario.EventInfo, rec *s
 		}
 		f := simnet.Fault{
 			Drop:         info.Fault.Drop,
-			ExtraLatency: info.Fault.ExtraLatency,
-			Jitter:       info.Fault.Jitter,
+			ExtraLatency: info.Fault.ExtraLatency.D(),
+			Jitter:       info.Fault.Jitter.D(),
 			Duplicate:    info.Fault.Duplicate,
 			Reorder:      info.Fault.Reorder,
 		}
@@ -591,7 +506,7 @@ func (h *Harness) AfterEvent(e *scenario.Engine, info scenario.EventInfo, rec *s
 			delete(h.crashed, i)
 			b := bftlive.Honest
 			if h.attacked[i] {
-				if h.cfg.Attack == AttackSilence {
+				if h.spec.Attack == scenario.AttackSilence {
 					b = bftlive.Silent
 				} else {
 					b = bftlive.Promiscuous
@@ -636,14 +551,14 @@ func (h *Harness) AfterEvent(e *scenario.Engine, info scenario.EventInfo, rec *s
 		h.inBreach = true
 		h.breachAt = now
 		rec.BreachAtNanos = int64(now)
-		if h.cfg.AttackAt == 0 && !h.attackScheduled && now+h.cfg.ProbeDeadline < h.horizon {
+		if h.spec.AttackAt == 0 && !h.attackScheduled && now+h.spec.ProbeDeadline.D() < h.horizon {
 			h.attackScheduled = true
 			if err := h.scheduleAttack(e, now); err != nil {
 				return err
 			}
 		}
-		if h.cfg.Reactive && now+h.cfg.ReactDelay < h.horizon {
-			if err := e.At(now+h.cfg.ReactDelay, "live-react", h.react); err != nil {
+		if h.spec.Reactive && now+h.spec.ReactDelay.D() < h.horizon {
+			if err := e.At(now+h.spec.ReactDelay.D(), "live-react", h.react); err != nil {
 				return err
 			}
 		}
@@ -653,8 +568,8 @@ func (h *Harness) AfterEvent(e *scenario.Engine, info scenario.EventInfo, rec *s
 		rec.RecoverNanos = int64(now - h.breachAt)
 	}
 	// Re-arm the recovery loop while the breach persists.
-	if info.Kind == "live-react" && h.inBreach && h.cfg.Reactive && now+h.cfg.ReactDelay < h.horizon {
-		if err := e.At(now+h.cfg.ReactDelay, "live-react", h.react); err != nil {
+	if info.Kind == "live-react" && h.inBreach && h.spec.Reactive && now+h.spec.ReactDelay.D() < h.horizon {
+		if err := e.At(now+h.spec.ReactDelay.D(), "live-react", h.react); err != nil {
 			return err
 		}
 	}
@@ -663,7 +578,7 @@ func (h *Harness) AfterEvent(e *scenario.Engine, info scenario.EventInfo, rec *s
 
 // linkEndpoints resolves a degrade/restore-link event's two endpoints to
 // replica indices.
-func (h *Harness) linkEndpoints(info scenario.EventInfo) (int, int, error) {
+func (h *harness) linkEndpoints(info scenario.EventInfo) (int, int, error) {
 	if len(info.IDs) != 2 {
 		return 0, 0, fmt.Errorf("liveloop: %s event with %d endpoints", info.Kind, len(info.IDs))
 	}
@@ -677,7 +592,7 @@ func (h *Harness) linkEndpoints(info scenario.EventInfo) (int, int, error) {
 
 // setLink applies a fault model to both directions of a link (a zero fault
 // restores the link to clean).
-func (h *Harness) setLink(a, b int, f simnet.Fault) error {
+func (h *harness) setLink(a, b int, f simnet.Fault) error {
 	for _, dir := range [2][2]int{{a, b}, {b, a}} {
 		if err := h.net.SetLinkFault(simnet.NodeID(dir[0]), simnet.NodeID(dir[1]), f); err != nil {
 			return err
@@ -687,7 +602,7 @@ func (h *Harness) setLink(a, b int, f simnet.Fault) error {
 }
 
 // applyPartitions pushes the harness's partition set onto the network.
-func (h *Harness) applyPartitions() {
+func (h *harness) applyPartitions() {
 	if len(h.partitioned) == 0 {
 		h.net.SetPartitions()
 		return

@@ -1,6 +1,7 @@
 package liveloop
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -195,46 +196,62 @@ func TestLiveScenariosRegistered(t *testing.T) {
 	}
 }
 
-// TestAttachValidation: bad harness configs fail at Attach, not mid-run.
-func TestAttachValidation(t *testing.T) {
-	def := scenario.Def{
-		Name: "attach-bad", Title: "t", Horizon: time.Hour,
-		Setup: func(e *scenario.Engine) error {
-			if _, err := Attach(e, Config{StartAt: 2 * time.Hour}); err == nil {
-				t.Error("StartAt past horizon accepted")
-			}
-			if _, err := Attach(e, Config{Reactive: true}); err == nil {
-				t.Error("Reactive without ReactDelay accepted")
-			}
-			if _, err := Attach(e, Config{AttackAt: 2 * time.Hour}); err == nil {
-				t.Error("AttackAt past horizon accepted")
-			}
-			if _, err := Attach(nil, Config{}); err == nil {
-				t.Error("nil engine accepted")
-			}
-			return nil
-		},
+// liveTimeline is a one-hour timeline of n unit-power replicas (the first
+// with power p0) carrying the given live block, as the JSON an operator
+// would hand the CLI.
+func liveTimeline(t *testing.T, n int, p0 float64, live scenario.LiveSpec) []byte {
+	t.Helper()
+	tl := &scenario.Timeline{Name: "attach-bad", Horizon: at(time.Hour), Live: &live}
+	for i := 0; i < n; i++ {
+		tl.Events = append(tl.Events, scenario.Event{Op: scenario.OpJoin, ID: fmt.Sprintf("r-%02d", i), Config: osSpec("mint", "1"), Power: 1})
 	}
-	if _, err := scenario.Run(def, 1); err != nil {
+	tl.Events[0].Power = p0
+	data, err := tl.MarshalIndent()
+	if err != nil {
 		t.Fatal(err)
+	}
+	return data
+}
+
+// TestAttachValidation: a bad live block fails when the timeline is parsed,
+// with the timeline's name, never mid-run; what only the run can show — the
+// membership at start_at — fails the run at that instant.
+func TestAttachValidation(t *testing.T) {
+	for why, live := range map[string]scenario.LiveSpec{
+		"start_at past the horizon":    {StartAt: at(2 * time.Hour)},
+		"start_at at the horizon":      {StartAt: at(time.Hour)},
+		"reactive without react_delay": {Reactive: true},
+		"attack_at past the horizon":   {AttackAt: at(2 * time.Hour)},
+		"an unknown attack":            {Attack: "bribe"},
+	} {
+		if _, err := scenario.ParseTimeline(liveTimeline(t, 7, 1, live)); err == nil || !strings.Contains(err.Error(), "timeline attach-bad: live") {
+			t.Errorf("%s accepted at parse: %v", why, err)
+		}
+	}
+	for why, data := range map[string][]byte{
+		"at least 4 replicas": liveTimeline(t, 3, 1, scenario.LiveSpec{StartAt: at(time.Minute)}),
+		"equal-power":         liveTimeline(t, 7, 2, scenario.LiveSpec{StartAt: at(time.Minute)}),
+	} {
+		tl, err := scenario.ParseTimeline(data)
+		if err != nil {
+			t.Fatalf("%s: %v", why, err)
+		}
+		if _, err := scenario.Run(tl.Def(), 1); err == nil || !strings.Contains(err.Error(), why) {
+			t.Errorf("a membership breaking %q ran: %v", why, err)
+		}
 	}
 }
 
 // TestLiveMembershipIsFixed: a join after StartAt aborts the run.
 func TestLiveMembershipIsFixed(t *testing.T) {
-	def := scenario.Def{
-		Name: "live-join-after-start", Title: "t", Horizon: 3 * time.Hour,
-		Setup: func(e *scenario.Engine) error {
-			if err := joinSeven(e, diverseSeven(), time.Hour); err != nil {
-				return err
-			}
-			if _, err := Attach(e, Config{StartAt: time.Hour}); err != nil {
-				return err
-			}
-			return e.JoinAt(2*time.Hour, "r-99", osCfg("mint", "1"), 1, time.Hour)
-		},
+	tl := &scenario.Timeline{
+		Name: "live-join-after-start", Horizon: at(3 * time.Hour),
+		Live: &scenario.LiveSpec{StartAt: at(time.Hour)},
+		Events: sevenThen(diverseSeven(), time.Hour, scenario.Event{
+			Op: scenario.OpJoin, At: at(2 * time.Hour), ID: "r-99", Config: osSpec("mint", "1"), Power: 1, PatchLatency: at(time.Hour),
+		}),
 	}
-	if _, err := scenario.Run(def, 1); err == nil || !strings.Contains(err.Error(), "fixed membership") {
+	if _, err := scenario.Run(tl.Def(), 1); err == nil || !strings.Contains(err.Error(), "fixed membership") {
 		t.Fatalf("join after start did not abort: %v", err)
 	}
 }

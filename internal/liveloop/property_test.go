@@ -6,42 +6,41 @@ import (
 	"time"
 
 	"repro/internal/scenario"
-	"repro/internal/vuln"
 )
 
 // compromiseDef builds a generated compromise timeline: the ubuntu trio
 // (including the primary) is exploitable from `disclosed`, the attack
 // fires at `attackAt`, and reactive recovery is on or off. The shape is
 // parameterized so the property holds across a family of timelines, not
-// one hand-tuned scenario.
-func compromiseDef(name string, mode AttackMode, disclosed, patchLatency, attackAt, reactDelay time.Duration, reactive bool) scenario.Def {
-	return scenario.Def{
-		Name: name, Title: "generated compromise timeline", Horizon: 8 * day, Tick: 12 * time.Hour,
-		Setup: func(e *scenario.Engine) error {
-			if err := joinSeven(e, trioOnUbuntu(), patchLatency); err != nil {
-				return err
-			}
-			cfg := Config{
-				StartAt:    time.Hour,
-				ProbeEvery: 12 * time.Hour,
-				Attack:     mode,
-				AttackAt:   attackAt,
-				Reactive:   reactive,
-			}
-			if reactive {
-				cfg.ReactDelay = reactDelay
-				cfg.Targets = osCatalog("rocky", "suse", "mint")
-			}
-			if _, err := Attach(e, cfg); err != nil {
-				return err
-			}
-			return e.Disclose(vuln.Vulnerability{
-				ID: "CVE-GEN-0001", Class: trioOnUbuntu()[0].Components()[0].Class,
-				Product: "ubuntu", Version: "22.04",
-				Disclosed: disclosed, PatchAt: disclosed + day, Severity: 1,
-			})
-		},
+// one hand-tuned scenario — and each member runs from its JSON, so the
+// whole live block is exercised the way a file would carry it.
+func compromiseDef(t *testing.T, name, mode string, disclosed, patchLatency, attackAt, reactDelay time.Duration, reactive bool) scenario.Def {
+	t.Helper()
+	live := &scenario.LiveSpec{
+		StartAt:    at(time.Hour),
+		ProbeEvery: at(12 * time.Hour),
+		Attack:     mode,
+		AttackAt:   at(attackAt),
+		Reactive:   reactive,
 	}
+	if reactive {
+		live.ReactDelay = at(reactDelay)
+		live.Targets = recoveryTargets()
+	}
+	tl := &scenario.Timeline{
+		Name: name, Title: "generated compromise timeline", Horizon: at(8 * day), Tick: at(12 * time.Hour),
+		Live:   live,
+		Events: sevenThen(trioOnUbuntu(), patchLatency, ubuntuCVE("CVE-GEN-0001", disclosed)),
+	}
+	data, err := tl.MarshalIndent()
+	if err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := scenario.ParseTimeline(data)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return parsed.Def()
 }
 
 // TestPropertyReactiveRecoveryIsBounded: with reactive recovery enabled,
@@ -49,7 +48,7 @@ func compromiseDef(name string, mode AttackMode, disclosed, patchLatency, attack
 // of the react delay — finite, bounded time-to-recover on every generated
 // timeline, with zero prediction/observation divergences.
 func TestPropertyReactiveRecoveryIsBounded(t *testing.T) {
-	modes := []AttackMode{AttackEquivocate, AttackSilence}
+	modes := []string{scenario.AttackEquivocate, scenario.AttackSilence}
 	for i, disclosed := range []time.Duration{day, 36 * time.Hour, 2 * day} {
 		for j, patchLatency := range []time.Duration{day, 2 * day} {
 			for k, reactDelay := range []time.Duration{3 * time.Hour, 9 * time.Hour} {
@@ -59,7 +58,7 @@ func TestPropertyReactiveRecoveryIsBounded(t *testing.T) {
 				// moment a surviving implant would be invisible to the
 				// monitor. Recovery must have cleansed it by then.
 				attackAt := disclosed + day + patchLatency + time.Hour
-				def := compromiseDef(name, mode, disclosed, patchLatency, attackAt, reactDelay, true)
+				def := compromiseDef(t, name, mode, disclosed, patchLatency, attackAt, reactDelay, true)
 				res, err := scenario.Run(def, int64(1000+i*100+j*10+k))
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
@@ -93,11 +92,11 @@ func TestPropertyReactiveRecoveryIsBounded(t *testing.T) {
 // post-window attack contradicts the monitor's safe assessment — at least
 // one divergence, and no recovery record ever.
 func TestPropertyNoRecoveryDiverges(t *testing.T) {
-	for i, mode := range []AttackMode{AttackEquivocate, AttackSilence} {
+	for i, mode := range []string{scenario.AttackEquivocate, scenario.AttackSilence} {
 		disclosed, patchLatency := day, day
 		attackAt := disclosed + day + patchLatency + time.Hour
 		name := fmt.Sprintf("gen-unprotected-%d", i)
-		def := compromiseDef(name, mode, disclosed, patchLatency, attackAt, 0, false)
+		def := compromiseDef(t, name, mode, disclosed, patchLatency, attackAt, 0, false)
 		res, err := scenario.Run(def, int64(2000+i))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -112,7 +111,7 @@ func TestPropertyNoRecoveryDiverges(t *testing.T) {
 		if sum.Divergences == 0 {
 			t.Fatalf("%s: surviving implants never contradicted the monitor", name)
 		}
-		if mode == AttackEquivocate && sum.Violations == 0 {
+		if mode == scenario.AttackEquivocate && sum.Violations == 0 {
 			t.Fatalf("%s: equivocation after window close produced no violation", name)
 		}
 	}

@@ -125,9 +125,9 @@ func TestLiveLossyRotationRecoversAndRotates(t *testing.T) {
 	}
 }
 
-// TestTimelineLiveAttach: a data-first timeline carrying a LiveSpec boots
-// the live harness through the hook this package registers in init — no
-// Setup closure involved — and the run rotates views over a lossy wire.
+// TestTimelineLiveAttach: a timeline carrying a LiveSpec boots the live
+// harness through the hook this package registers in init, and the run
+// rotates views over a lossy wire.
 func TestTimelineLiveAttach(t *testing.T) {
 	osSpec := func(name string) []scenario.ComponentSpec {
 		return []scenario.ComponentSpec{{Class: config.ClassOperatingSystem.String(), Name: name, Version: "1"}}
@@ -207,18 +207,10 @@ func TestGeneratedLossyWireViewLiveness(t *testing.T) {
 	}
 }
 
-// TestViewTimeoutValidation: a negative ViewTimeout fails at Attach.
+// TestViewTimeoutValidation: a negative view_timeout fails at parse.
 func TestViewTimeoutValidation(t *testing.T) {
-	def := scenario.Def{
-		Name: "attach-bad-view", Title: "t", Horizon: time.Hour,
-		Setup: func(e *scenario.Engine) error {
-			if _, err := Attach(e, Config{ViewTimeout: -time.Second}); err == nil {
-				t.Error("negative ViewTimeout accepted")
-			}
-			return nil
-		},
-	}
-	if _, err := scenario.Run(def, 1); err != nil {
-		t.Fatal(err)
+	data := liveTimeline(t, 7, 1, scenario.LiveSpec{ViewTimeout: at(-time.Second)})
+	if _, err := scenario.ParseTimeline(data); err == nil || !strings.Contains(err.Error(), "negative live cadence") {
+		t.Fatalf("negative view_timeout accepted: %v", err)
 	}
 }

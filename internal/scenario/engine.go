@@ -4,14 +4,15 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"strconv"
 	"time"
 
 	"repro/internal/adversary"
+	"repro/internal/committee"
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/diversity"
 	"repro/internal/registry"
 	"repro/internal/sim"
 	"repro/internal/vuln"
@@ -19,9 +20,9 @@ import (
 
 // Engine hosts one scenario run: a sim scheduler owning virtual time, a
 // registry and vulnerability catalog mutated only from scheduled events,
-// and a monitor assessed inline after every event. Scenario Setup hooks
-// program the timeline through the *At helpers; Run executes it and
-// collects the trace.
+// and a monitor assessed inline after every event. Run builds the def's
+// timeline, applies it (Timeline.Apply schedules every event), executes the
+// schedule and collects the trace.
 //
 // Everything happens on the scheduler's goroutine in (time, scheduling
 // order), so a run is a pure function of (Def, seed): no wall clock, no
@@ -42,68 +43,13 @@ type Engine struct {
 	observers []Observer
 
 	// parked holds the pre-partition power of replicas currently cut off
-	// by PartitionAt, so HealAt can restore it. crashed does the same for
-	// CrashAt/RestoreAt; the two faults are mutually exclusive per replica.
+	// by a partition, so a heal can restore it. crashed does the same for
+	// crash/restore; the two faults are mutually exclusive per replica.
 	parked  map[registry.ReplicaID]parkedPower
 	crashed map[registry.ReplicaID]parkedPower
-	// links tracks currently degraded replica pairs (DegradeAt), so
-	// RestoreLinkAt can reject restoring a link that was never degraded.
-	links map[linkPair]LinkFault
-}
-
-// LinkFault describes a degraded link between two replicas: the scenario
-// grammar's mirror of simnet.Fault, kept separate so the analytic engine
-// does not depend on the wire package.
-type LinkFault struct {
-	Drop         float64       // extra per-message loss probability, [0, 1)
-	ExtraLatency time.Duration // constant added delay
-	Jitter       time.Duration // uniform random added delay in [0, Jitter]
-	Duplicate    float64       // probability of a second delivery, [0, 1]
-	Reorder      float64       // probability of a hold-back, [0, 1]
-}
-
-// Validate applies the same domain rules as simnet.Fault.Validate.
-func (f LinkFault) Validate() error {
-	if f.Drop < 0 || f.Drop >= 1 {
-		return fmt.Errorf("scenario: link fault drop %v out of [0,1)", f.Drop)
-	}
-	if f.ExtraLatency < 0 {
-		return fmt.Errorf("scenario: negative link fault extra latency %v", f.ExtraLatency)
-	}
-	if f.Jitter < 0 {
-		return fmt.Errorf("scenario: negative link fault jitter %v", f.Jitter)
-	}
-	if f.Duplicate < 0 || f.Duplicate > 1 {
-		return fmt.Errorf("scenario: link fault duplicate %v out of [0,1]", f.Duplicate)
-	}
-	if f.Reorder < 0 || f.Reorder > 1 {
-		return fmt.Errorf("scenario: link fault reorder %v out of [0,1]", f.Reorder)
-	}
-	return nil
-}
-
-// String renders the non-zero fault parameters for trace details.
-func (f LinkFault) String() string {
-	s := ""
-	if f.Drop > 0 {
-		s += fmt.Sprintf(" drop=%s", fmtPower(f.Drop))
-	}
-	if f.ExtraLatency > 0 {
-		s += fmt.Sprintf(" extra=%v", f.ExtraLatency)
-	}
-	if f.Jitter > 0 {
-		s += fmt.Sprintf(" jitter=%v", f.Jitter)
-	}
-	if f.Duplicate > 0 {
-		s += fmt.Sprintf(" dup=%s", fmtPower(f.Duplicate))
-	}
-	if f.Reorder > 0 {
-		s += fmt.Sprintf(" reorder=%s", fmtPower(f.Reorder))
-	}
-	if s == "" {
-		return "clean"
-	}
-	return s[1:]
+	// links tracks currently degraded replica pairs, so restore-link can
+	// reject restoring a link that was never degraded.
+	links map[linkPair]bool
 }
 
 // linkPair is an unordered replica pair (degradations are symmetric).
@@ -127,7 +73,7 @@ type EventInfo struct {
 	// Fault is the link fault for "degrade" events; IDs holds its two
 	// endpoints. Nil for every other kind (including "restore-link",
 	// where IDs alone identify the healed link).
-	Fault *LinkFault
+	Fault *FaultSpec
 }
 
 // Observer is called after every event's assessment with a pointer to the
@@ -181,26 +127,19 @@ func newEngine(def Def, seed int64) (*Engine, error) {
 		mon:     mon,
 		parked:  make(map[registry.ReplicaID]parkedPower),
 		crashed: make(map[registry.ReplicaID]parkedPower),
-		links:   make(map[linkPair]LinkFault),
+		links:   make(map[linkPair]bool),
 	}, nil
 }
-
-// Def returns the definition this engine is running — observers use it to
-// read run-level configuration such as a timeline's LiveSpec.
-func (e *Engine) Def() Def { return e.def }
 
 // Scheduler exposes the run's scheduler (virtual clock, deterministic RNG).
 func (e *Engine) Scheduler() *sim.Scheduler { return e.sched }
 
-// Rand is the run's seeded RNG; scenario code must draw all randomness
-// from it to stay replayable.
-func (e *Engine) Rand() *rand.Rand { return e.sched.Rand() }
-
-// Registry exposes the membership under assessment. Mutate it only
-// through the *At helpers so mutations land in the trace.
+// Registry exposes the membership under assessment. Mutate it only from
+// inside an event (a timeline's, or one scheduled with At) so the mutation
+// lands in the trace.
 func (e *Engine) Registry() *registry.Registry { return e.reg }
 
-// Catalog exposes the vulnerability catalog; populate it via Disclose.
+// Catalog exposes the vulnerability catalog; disclose events populate it.
 func (e *Engine) Catalog() *vuln.Catalog { return e.catalog }
 
 // Monitor exposes the assessing monitor (BFT substrate, default
@@ -220,9 +159,10 @@ func (e *Engine) fail(err error) {
 
 // At schedules a custom event at virtual time t: fn runs, and its detail
 // string lands in a trace record of the given kind together with the
-// post-event assessment. fn returning an error aborts the run. Scheduling
-// from within a running event is allowed for t >= now, which is how the
-// live loop injects its reactions.
+// post-event assessment. fn returning an error aborts the run. This is how a
+// harness schedules events of its own that are not grammar — the live loop's
+// start, probes, attack and reactions; scheduling from within a running
+// event is allowed for t >= now.
 func (e *Engine) At(t time.Duration, event string, fn func(e *Engine) (detail string, err error)) error {
 	if fn == nil {
 		return errors.New("scenario: nil event func")
@@ -234,7 +174,7 @@ func (e *Engine) At(t time.Duration, event string, fn func(e *Engine) (detail st
 }
 
 // atEvent is At with a structured EventInfo returned by the callback, used
-// by the *At helpers so observers see which replicas an event touched.
+// by the grammar's events so observers see which replicas an event touched.
 func (e *Engine) atEvent(t time.Duration, event string, fn func(e *Engine) (string, EventInfo, error)) error {
 	_, err := e.sched.At(t, event, func() {
 		if e.runErr != nil {
@@ -255,8 +195,8 @@ func (e *Engine) atEvent(t time.Duration, event string, fn func(e *Engine) (stri
 // fmtPower renders voting power for trace details.
 func fmtPower(p float64) string { return strconv.FormatFloat(p, 'g', -1, 64) }
 
-// JoinAt schedules a declared join.
-func (e *Engine) JoinAt(t time.Duration, id registry.ReplicaID, cfg config.Configuration, power float64, patchLatency time.Duration) error {
+// joinAt schedules a declared join.
+func (e *Engine) joinAt(t time.Duration, id registry.ReplicaID, cfg config.Configuration, power float64, patchLatency time.Duration) error {
 	return e.atEvent(t, "join", func(*Engine) (string, EventInfo, error) {
 		info := EventInfo{Kind: "join", IDs: []registry.ReplicaID{id}}
 		if err := e.reg.JoinDeclared(id, cfg, power, patchLatency); err != nil {
@@ -266,9 +206,9 @@ func (e *Engine) JoinAt(t time.Duration, id registry.ReplicaID, cfg config.Confi
 	})
 }
 
-// LeaveAt schedules a leave. A replica leaving while partitioned forfeits
+// leaveAt schedules a leave. A replica leaving while partitioned forfeits
 // its parked power — a later heal must not resurrect it.
-func (e *Engine) LeaveAt(t time.Duration, id registry.ReplicaID) error {
+func (e *Engine) leaveAt(t time.Duration, id registry.ReplicaID) error {
 	return e.atEvent(t, "leave", func(*Engine) (string, EventInfo, error) {
 		info := EventInfo{Kind: "leave", IDs: []registry.ReplicaID{id}}
 		if err := e.reg.Leave(id); err != nil {
@@ -280,11 +220,11 @@ func (e *Engine) LeaveAt(t time.Duration, id registry.ReplicaID) error {
 	})
 }
 
-// SetPowerAt schedules a power shift (hash-rate drift, stake movement).
+// setPowerAt schedules a power shift (hash-rate drift, stake movement).
 // A shift landing on a partitioned replica applies to its parked power —
-// the replica still cannot vote, but the new value is what HealAt
+// the replica still cannot vote, but the new value is what the heal
 // restores, so a drift during the partition is not lost.
-func (e *Engine) SetPowerAt(t time.Duration, id registry.ReplicaID, power float64) error {
+func (e *Engine) setPowerAt(t time.Duration, id registry.ReplicaID, power float64) error {
 	return e.atEvent(t, "power", func(*Engine) (string, EventInfo, error) {
 		info := EventInfo{Kind: "power", IDs: []registry.ReplicaID{id}}
 		rec, ok := e.reg.Get(id)
@@ -309,10 +249,10 @@ func (e *Engine) SetPowerAt(t time.Duration, id registry.ReplicaID, power float6
 	})
 }
 
-// MigrateAt schedules a product/version migration: the replica stays but
+// migrateAt schedules a product/version migration: the replica stays but
 // its configuration changes (patch rollout waves are migrations to the
 // fixed version).
-func (e *Engine) MigrateAt(t time.Duration, id registry.ReplicaID, cfg config.Configuration) error {
+func (e *Engine) migrateAt(t time.Duration, id registry.ReplicaID, cfg config.Configuration) error {
 	return e.atEvent(t, "migrate", func(*Engine) (string, EventInfo, error) {
 		info := EventInfo{Kind: "migrate", IDs: []registry.ReplicaID{id}}
 		if err := e.reg.Migrate(id, cfg); err != nil {
@@ -322,14 +262,13 @@ func (e *Engine) MigrateAt(t time.Duration, id registry.ReplicaID, cfg config.Co
 	})
 }
 
-// Disclose schedules a vulnerability's lifecycle: the catalog learns it at
+// disclose schedules a vulnerability's lifecycle: the catalog learns it at
 // its disclosure instant (a "disclose" record) and, when the patch ships
-// inside the horizon, a "patch" marker record at PatchAt. Exploit-window
-// effects per replica follow from patch latencies automatically.
-func (e *Engine) Disclose(v vuln.Vulnerability) error {
-	if err := v.Validate(); err != nil {
-		return err
-	}
+// inside the horizon, a "patch" marker record at PatchAt — queued here, with
+// its disclose, so it fires ahead of any later-listed event at PatchAt.
+// Exploit-window effects per replica follow from patch latencies
+// automatically.
+func (e *Engine) disclose(v vuln.Vulnerability) error {
 	err := e.atEvent(v.Disclosed, "disclose", func(*Engine) (string, EventInfo, error) {
 		info := EventInfo{Kind: "disclose", Vuln: &v}
 		if err := e.catalog.Add(v); err != nil {
@@ -352,11 +291,11 @@ func (e *Engine) Disclose(v vuln.Vulnerability) error {
 	return nil
 }
 
-// PartitionAt schedules a network partition that cuts the given replicas
-// off from consensus: their effective power drops to zero until HealAt
+// partitionAt schedules a network partition that cuts the given replicas
+// off from consensus: their effective power drops to zero until a heal
 // restores it (a partitioned replica cannot vote, so from the safety
 // condition's viewpoint its power is gone).
-func (e *Engine) PartitionAt(t time.Duration, ids ...registry.ReplicaID) error {
+func (e *Engine) partitionAt(t time.Duration, ids ...registry.ReplicaID) error {
 	return e.atEvent(t, "partition", func(*Engine) (string, EventInfo, error) {
 		info := EventInfo{Kind: "partition", IDs: ids}
 		now := e.sched.Now()
@@ -380,11 +319,11 @@ func (e *Engine) PartitionAt(t time.Duration, ids ...registry.ReplicaID) error {
 	})
 }
 
-// HealAt schedules the heal of a previous partition: every currently
+// healAt schedules the heal of a previous partition: every currently
 // partitioned replica gets its pre-partition power back. A replica that
 // left while partitioned is simply forgotten — its parked power must not
 // survive into a later incarnation of the same id.
-func (e *Engine) HealAt(t time.Duration) error {
+func (e *Engine) healAt(t time.Duration) error {
 	return e.atEvent(t, "heal", func(*Engine) (string, EventInfo, error) {
 		ids := make([]registry.ReplicaID, 0, len(e.parked))
 		for id := range e.parked {
@@ -410,11 +349,11 @@ func (e *Engine) HealAt(t time.Duration) error {
 	})
 }
 
-// CrashAt schedules a replica crash (or stall): like a partition, the
+// crashAt schedules a replica crash (or stall): like a partition, the
 // replica's effective power drops to zero — it cannot vote — until
-// RestoreAt brings it back. Crash and partition are mutually exclusive
+// a restore brings it back. Crash and partition are mutually exclusive
 // faults per replica so their parked powers cannot shadow each other.
-func (e *Engine) CrashAt(t time.Duration, ids ...registry.ReplicaID) error {
+func (e *Engine) crashAt(t time.Duration, ids ...registry.ReplicaID) error {
 	return e.atEvent(t, "crash", func(*Engine) (string, EventInfo, error) {
 		info := EventInfo{Kind: "crash", IDs: ids}
 		now := e.sched.Now()
@@ -438,10 +377,10 @@ func (e *Engine) CrashAt(t time.Duration, ids ...registry.ReplicaID) error {
 	})
 }
 
-// RestoreAt schedules the restart of crashed replicas: the named ones (or
+// restoreAt schedules the restart of crashed replicas: the named ones (or
 // every crashed replica when none are named) get their pre-crash power
 // back. A replica that left while crashed stays gone.
-func (e *Engine) RestoreAt(t time.Duration, ids ...registry.ReplicaID) error {
+func (e *Engine) restoreAt(t time.Duration, ids ...registry.ReplicaID) error {
 	return e.atEvent(t, "restore", func(*Engine) (string, EventInfo, error) {
 		targets := ids
 		if len(targets) == 0 {
@@ -473,44 +412,34 @@ func (e *Engine) RestoreAt(t time.Duration, ids ...registry.ReplicaID) error {
 	})
 }
 
-// DegradeAt schedules a symmetric link degradation between two replicas:
+// degradeAt schedules a symmetric link degradation between two replicas:
 // the wire between them becomes lossy, slow, jittery, duplicating or
 // reordering per the fault model. Unlike partitions and crashes it has no
 // analytic power effect — a degraded replica still votes; whether it votes
 // in time is exactly what the live harness (which mirrors the fault onto
 // simnet) measures. Degrading an already degraded link replaces its fault.
-func (e *Engine) DegradeAt(t time.Duration, a, b registry.ReplicaID, f LinkFault) error {
-	if err := f.Validate(); err != nil {
-		return err
-	}
-	if a == b {
-		return fmt.Errorf("scenario: degrade needs two distinct replicas, got %s twice", a)
-	}
+func (e *Engine) degradeAt(t time.Duration, a, b registry.ReplicaID, f FaultSpec) error {
 	return e.atEvent(t, "degrade", func(*Engine) (string, EventInfo, error) {
-		fault := f
-		info := EventInfo{Kind: "degrade", IDs: []registry.ReplicaID{a, b}, Fault: &fault}
+		info := EventInfo{Kind: "degrade", IDs: []registry.ReplicaID{a, b}, Fault: &f}
 		for _, id := range []registry.ReplicaID{a, b} {
 			if _, ok := e.reg.Get(id); !ok {
 				return "", info, fmt.Errorf("degrade: unknown replica %s", id)
 			}
 		}
-		e.links[linkPairOf(a, b)] = f
+		e.links[linkPairOf(a, b)] = true
 		return fmt.Sprintf("%s<->%s %s", a, b, f), info, nil
 	})
 }
 
-// RestoreLinkAt schedules the repair of a previously degraded link: the
+// restoreLinkAt schedules the repair of a previously degraded link: the
 // wire between the two replicas is clean again. Restoring a link that was
-// never degraded (or already restored) is an error, mirroring RestoreAt's
+// never degraded (or already restored) is an error, mirroring restoreAt's
 // strictness about crashed replicas.
-func (e *Engine) RestoreLinkAt(t time.Duration, a, b registry.ReplicaID) error {
-	if a == b {
-		return fmt.Errorf("scenario: restore-link needs two distinct replicas, got %s twice", a)
-	}
+func (e *Engine) restoreLinkAt(t time.Duration, a, b registry.ReplicaID) error {
 	return e.atEvent(t, "restore-link", func(*Engine) (string, EventInfo, error) {
 		info := EventInfo{Kind: "restore-link", IDs: []registry.ReplicaID{a, b}}
 		key := linkPairOf(a, b)
-		if _, degraded := e.links[key]; !degraded {
+		if !e.links[key] {
 			return "", info, fmt.Errorf("restore-link: link %s<->%s is not degraded", a, b)
 		}
 		delete(e.links, key)
@@ -518,13 +447,10 @@ func (e *Engine) RestoreLinkAt(t time.Duration, a, b registry.ReplicaID) error {
 	})
 }
 
-// ProbeAt schedules an adversary probe: the strategy re-plans its best
+// probeAt schedules an adversary probe: the strategy re-plans its best
 // attack against the membership and catalog as they stand at t, and the
 // plan lands in the trace's adversary columns.
-func (e *Engine) ProbeAt(t time.Duration, s adversary.Strategy) error {
-	if s == nil {
-		return errors.New("scenario: nil strategy")
-	}
+func (e *Engine) probeAt(t time.Duration, s adversary.Strategy) error {
 	_, err := e.sched.At(t, "probe", func() {
 		if e.runErr != nil {
 			return
@@ -550,6 +476,41 @@ func (e *Engine) ProbeAt(t time.Duration, s adversary.Strategy) error {
 		}
 	})
 	return err
+}
+
+// rotateAt schedules a committee rotation: a diversity-aware selection
+// (committee.SelectDiverse) of `size` replicas over the membership as it
+// stands at t, by stake and configuration. The membership is untouched; the
+// committee's entropy next to the population's is the record's point.
+func (e *Engine) rotateAt(t time.Duration, size int) error {
+	return e.At(t, "rotate", func(*Engine) (string, error) {
+		records := e.reg.Records()
+		candidates := make([]committee.Candidate, len(records))
+		for i, rec := range records {
+			candidates[i] = committee.Candidate{
+				ID:          string(rec.ID),
+				Stake:       rec.Power,
+				ConfigLabel: rec.Config.Digest().Short(),
+			}
+		}
+		selected, err := committee.SelectDiverse(candidates, size)
+		if err != nil {
+			return "", err
+		}
+		members := make([]diversity.Member, len(selected))
+		for i, c := range selected {
+			members[i] = diversity.Member{Label: c.ConfigLabel, Power: c.Stake}
+		}
+		pop, err := diversity.NewPopulation(members)
+		if err != nil {
+			return "", err
+		}
+		rep, err := diversity.ReportForPopulation(pop)
+		if err != nil {
+			return "", err
+		}
+		return fmt.Sprintf("k=%d committee entropy=%.3fb effective-configs=%.2f", size, rep.Entropy, rep.EffectiveConfigurations), nil
+	})
 }
 
 // emit assesses the membership at the current instant and appends one
@@ -648,11 +609,10 @@ type runConfig struct {
 	tick      time.Duration
 }
 
-// WithObserver registers an observer on the engine before Setup runs, so
-// harnesses that need no scheduling of their own (the invariant oracle,
-// trace probes) can watch any def — including data-first Timeline defs —
-// without wrapping its Setup. Observers registered this way run before
-// any the Setup hook adds.
+// WithObserver registers an observer on the engine before the timeline is
+// applied, so harnesses that need no scheduling of their own (the invariant
+// oracle, trace probes) can watch any def. Observers registered this way run
+// before the live harness, which attaches when the timeline is applied.
 func WithObserver(o Observer) RunOpt {
 	return func(rc *runConfig) {
 		if o != nil {
@@ -678,8 +638,7 @@ func Run(def Def, baseSeed int64, opts ...RunOpt) (*Result, error) {
 			opt(&rc)
 		}
 	}
-	setup := def.setup()
-	if setup == nil || def.Horizon <= 0 {
+	if def.Build == nil || def.Horizon <= 0 {
 		return nil, fmt.Errorf("scenario: invalid definition %q", def.Name)
 	}
 	seed := DeriveSeed(baseSeed, def.Name)
@@ -690,8 +649,12 @@ func Run(def Def, baseSeed int64, opts ...RunOpt) (*Result, error) {
 	for _, o := range rc.observers {
 		e.Observe(o)
 	}
-	if err := setup(e); err != nil {
-		return nil, fmt.Errorf("scenario %s: setup: %w", def.Name, err)
+	tl := def.Build(e.sched.Rand())
+	if tl == nil || tl.Name != def.Name || tl.Horizon.D() != def.Horizon {
+		return nil, fmt.Errorf("scenario %s: the def's timeline does not carry its name and horizon", def.Name)
+	}
+	if err := tl.Apply(e); err != nil {
+		return nil, fmt.Errorf("scenario %s: %w", def.Name, err)
 	}
 	tick := rc.tick
 	if tick <= 0 {

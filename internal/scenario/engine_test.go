@@ -7,51 +7,58 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/adversary"
 	"repro/internal/config"
 	"repro/internal/registry"
 	"repro/internal/vuln"
 )
 
-func testCfg(os string) config.Configuration {
-	return config.MustNew(config.Component{
-		Class: config.ClassOperatingSystem, Name: os, Version: "1",
-	})
+func testCfg(os string) []ComponentSpec { return osSpec(os, "1") }
+
+// testDef is the def of a test timeline: the events, sorted by instant.
+func testDef(name string, horizon, tick time.Duration, events ...Event) Def {
+	tl := &Timeline{Name: name, Title: "t", Horizon: Duration(horizon), Tick: Duration(tick), Events: events}
+	tl.SortEvents()
+	return tl.Def()
 }
 
-// TestEngineTimeline drives a small explicit timeline through every event
-// helper and checks the resulting trace records in order.
+// Event literals the engine tests list by the dozen (join, migrate, disclose
+// and exploitProbe are the library's).
+
+func leave(at time.Duration, id string) Event { return Event{Op: OpLeave, At: Duration(at), ID: id} }
+
+func power(at time.Duration, id string, p float64) Event {
+	return Event{Op: OpPower, At: Duration(at), ID: id, Power: p}
+}
+
+func partition(at time.Duration, ids ...string) Event {
+	return Event{Op: OpPartition, At: Duration(at), IDs: ids}
+}
+
+func heal(at time.Duration) Event { return Event{Op: OpHeal, At: Duration(at)} }
+
+func crash(at time.Duration, ids ...string) Event {
+	return Event{Op: OpCrash, At: Duration(at), IDs: ids}
+}
+
+func restore(at time.Duration, ids ...string) Event {
+	return Event{Op: OpRestore, At: Duration(at), IDs: ids}
+}
+
+// TestEngineTimeline drives a small explicit timeline through the common
+// ops and checks the resulting trace records in order.
 func TestEngineTimeline(t *testing.T) {
-	def := Def{
-		Name:    "timeline",
-		Title:   "t",
-		Horizon: 10 * time.Hour,
-		Tick:    5 * time.Hour,
-		Setup: func(e *Engine) error {
-			if err := e.JoinAt(0, "a", testCfg("linux"), 10, time.Hour); err != nil {
-				return err
-			}
-			if err := e.JoinAt(time.Hour, "b", testCfg("bsd"), 10, time.Hour); err != nil {
-				return err
-			}
-			if err := e.SetPowerAt(2*time.Hour, "a", 30); err != nil {
-				return err
-			}
-			if err := e.MigrateAt(3*time.Hour, "b", testCfg("linux")); err != nil {
-				return err
-			}
-			if err := e.Disclose(vuln.Vulnerability{
-				ID: "CVE-T-1", Class: config.ClassOperatingSystem, Product: "linux", Version: "1",
-				Disclosed: 4 * time.Hour, PatchAt: 6 * time.Hour, Severity: 1,
-			}); err != nil {
-				return err
-			}
-			if err := e.ProbeAt(4*time.Hour+30*time.Minute, adversary.ExploitStrategy{Budget: 1}); err != nil {
-				return err
-			}
-			return e.LeaveAt(8*time.Hour, "b")
-		},
-	}
+	def := testDef("timeline", 10*time.Hour, 5*time.Hour,
+		join(0, "a", testCfg("linux"), 10, time.Hour),
+		join(time.Hour, "b", testCfg("bsd"), 10, time.Hour),
+		power(2*time.Hour, "a", 30),
+		migrate(3*time.Hour, "b", testCfg("linux")),
+		disclose(vuln.Vulnerability{
+			ID: "CVE-T-1", Class: config.ClassOperatingSystem, Product: "linux", Version: "1",
+			Disclosed: 4 * time.Hour, PatchAt: 6 * time.Hour, Severity: 1,
+		}),
+		exploitProbe(4*time.Hour+30*time.Minute, 1),
+		leave(8*time.Hour, "b"),
+	)
 	res, err := Run(def, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -90,18 +97,46 @@ func TestEngineTimeline(t *testing.T) {
 	}
 }
 
+// TestSameInstantEventsFireAsListed: events sharing an instant fire in
+// listing order, and a disclosure's patch marker counts as listed with its
+// disclose — ahead of every later-listed event at the patch instant, whatever
+// that event's place among its own instant's events.
+func TestSameInstantEventsFireAsListed(t *testing.T) {
+	def := testDef("same-instant", 4*time.Hour, 4*time.Hour,
+		join(0, "b", testCfg("bsd"), 30, 0),
+		join(0, "a", testCfg("linux"), 10, 0),
+		disclose(vuln.Vulnerability{
+			ID: "CVE-T-2", Class: config.ClassOperatingSystem, Product: "linux", Version: "1",
+			Disclosed: time.Hour, PatchAt: 2 * time.Hour, Severity: 1,
+		}),
+		partition(2*time.Hour, "b"),
+		power(2*time.Hour, "b", 50),
+		heal(2*time.Hour),
+		migrate(2*time.Hour, "a", testCfg("bsd")),
+	)
+	res, err := Run(def, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, rec := range res.Records {
+		if rec.Event != "tick" && rec.Event != "final" {
+			got = append(got, rec.Event+" "+strings.Fields(rec.Detail)[0])
+		}
+	}
+	want := "join b,join a,disclose CVE-T-2,patch CVE-T-2,partition 1,power b,heal 1,migrate a"
+	if strings.Join(got, ",") != want {
+		t.Fatalf("event order\n got %s\nwant %s", strings.Join(got, ","), want)
+	}
+}
+
 // TestEngineEventErrorAborts: a failing mutation (duplicate join) aborts
 // the run with a descriptive error instead of emitting a bogus trace.
 func TestEngineEventErrorAborts(t *testing.T) {
-	def := Def{
-		Name: "dup", Title: "t", Horizon: time.Hour,
-		Setup: func(e *Engine) error {
-			if err := e.JoinAt(0, "a", testCfg("linux"), 10, 0); err != nil {
-				return err
-			}
-			return e.JoinAt(time.Minute, "a", testCfg("bsd"), 10, 0)
-		},
-	}
+	def := testDef("dup", time.Hour, 0,
+		join(0, "a", testCfg("linux"), 10, 0),
+		join(time.Minute, "a", testCfg("bsd"), 10, 0),
+	)
 	_, err := Run(def, 1)
 	if err == nil {
 		t.Fatal("duplicate join did not abort the run")
@@ -114,45 +149,33 @@ func TestEngineEventErrorAborts(t *testing.T) {
 // TestEnginePartitionHeal: partition parks power, heal restores it
 // exactly, and double-partitioning is rejected.
 func TestEnginePartitionHeal(t *testing.T) {
-	def := Def{
-		Name: "part", Title: "t", Horizon: 4 * time.Hour, Tick: 4 * time.Hour,
-		Setup: func(e *Engine) error {
-			if err := e.JoinAt(0, "a", testCfg("linux"), 10, 0); err != nil {
-				return err
-			}
-			if err := e.JoinAt(0, "b", testCfg("bsd"), 30, 0); err != nil {
-				return err
-			}
-			if err := e.PartitionAt(time.Hour, "b"); err != nil {
-				return err
-			}
-			return e.HealAt(2 * time.Hour)
-		},
-	}
+	def := testDef("part", 4*time.Hour, 4*time.Hour,
+		join(0, "a", testCfg("linux"), 10, 0),
+		join(0, "b", testCfg("bsd"), 30, 0),
+		partition(time.Hour, "b"),
+		heal(2*time.Hour),
+	)
 	res, err := Run(def, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var part, heal Record
+	var part, healRec Record
 	for _, rec := range res.Records {
 		switch rec.Event {
 		case "partition":
 			part = rec
 		case "heal":
-			heal = rec
+			healRec = rec
 		}
 	}
 	if part.Power != 10 || part.Replicas != 2 {
 		t.Errorf("partition record power=%v replicas=%d, want 10/2", part.Power, part.Replicas)
 	}
-	if heal.Power != 40 {
-		t.Errorf("heal record power=%v, want 40", heal.Power)
+	if healRec.Power != 40 {
+		t.Errorf("heal record power=%v, want 40", healRec.Power)
 	}
 
-	unknown := Def{
-		Name: "part-unknown", Title: "t", Horizon: time.Hour,
-		Setup: func(e *Engine) error { return e.PartitionAt(time.Minute, "ghost") },
-	}
+	unknown := testDef("part-unknown", time.Hour, 0, partition(time.Minute, "ghost"))
 	if _, err := Run(unknown, 1); err == nil {
 		t.Error("partitioning an unknown replica did not abort")
 	}
@@ -162,32 +185,17 @@ func TestEnginePartitionHeal(t *testing.T) {
 // re-joins *before* the heal is a new incarnation — the heal must not
 // overwrite its fresh power with the dead incarnation's parked value.
 func TestEngineRejoinBeforeHeal(t *testing.T) {
-	def := Def{
-		Name: "part-rejoin", Title: "t", Horizon: 5 * time.Hour, Tick: 5 * time.Hour,
-		Setup: func(e *Engine) error {
-			if err := e.JoinAt(0, "a", testCfg("linux"), 10, 0); err != nil {
-				return err
-			}
-			if err := e.JoinAt(0, "b", testCfg("bsd"), 30, 0); err != nil {
-				return err
-			}
-			if err := e.PartitionAt(time.Hour, "b"); err != nil {
-				return err
-			}
-			if err := e.LeaveAt(2*time.Hour, "b"); err != nil {
-				return err
-			}
-			if err := e.JoinAt(3*time.Hour, "b", testCfg("bsd"), 7, 0); err != nil {
-				return err
-			}
-			// The re-joined incarnation can be partitioned again...
-			if err := e.PartitionAt(3*time.Hour+30*time.Minute, "b"); err != nil {
-				return err
-			}
-			// ...and one heal restores only the live incarnation's power.
-			return e.HealAt(4 * time.Hour)
-		},
-	}
+	def := testDef("part-rejoin", 5*time.Hour, 5*time.Hour,
+		join(0, "a", testCfg("linux"), 10, 0),
+		join(0, "b", testCfg("bsd"), 30, 0),
+		partition(time.Hour, "b"),
+		leave(2*time.Hour, "b"),
+		join(3*time.Hour, "b", testCfg("bsd"), 7, 0),
+		// The re-joined incarnation can be partitioned again...
+		partition(3*time.Hour+30*time.Minute, "b"),
+		// ...and one heal restores only the live incarnation's power.
+		heal(4*time.Hour),
+	)
 	res, err := Run(def, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -203,39 +211,28 @@ func TestEngineRejoinBeforeHeal(t *testing.T) {
 	}
 }
 
-// TestEnginePowerShiftDuringPartition: a SetPowerAt landing on a
+// TestEnginePowerShiftDuringPartition: a power shift landing on a
 // partitioned replica updates the parked power (it stays at 0 effective
 // power until heal, which then restores the shifted value).
 func TestEnginePowerShiftDuringPartition(t *testing.T) {
-	def := Def{
-		Name: "part-shift", Title: "t", Horizon: 4 * time.Hour, Tick: 4 * time.Hour,
-		Setup: func(e *Engine) error {
-			if err := e.JoinAt(0, "a", testCfg("linux"), 10, 0); err != nil {
-				return err
-			}
-			if err := e.JoinAt(0, "b", testCfg("bsd"), 30, 0); err != nil {
-				return err
-			}
-			if err := e.PartitionAt(time.Hour, "b"); err != nil {
-				return err
-			}
-			if err := e.SetPowerAt(2*time.Hour, "b", 50); err != nil {
-				return err
-			}
-			return e.HealAt(3 * time.Hour)
-		},
-	}
+	def := testDef("part-shift", 4*time.Hour, 4*time.Hour,
+		join(0, "a", testCfg("linux"), 10, 0),
+		join(0, "b", testCfg("bsd"), 30, 0),
+		partition(time.Hour, "b"),
+		power(2*time.Hour, "b", 50),
+		heal(3*time.Hour),
+	)
 	res, err := Run(def, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var shift, heal Record
+	var shift, healRec Record
 	for _, rec := range res.Records {
 		switch rec.Event {
 		case "power":
 			shift = rec
 		case "heal":
-			heal = rec
+			healRec = rec
 		}
 	}
 	// While partitioned the shift must not restore the vote...
@@ -246,8 +243,8 @@ func TestEnginePowerShiftDuringPartition(t *testing.T) {
 		t.Errorf("shift detail %q", shift.Detail)
 	}
 	// ...and the heal restores the shifted value, not the stale one.
-	if heal.Power != 60 {
-		t.Errorf("power after heal = %v, want 60 (10 + shifted 50)", heal.Power)
+	if healRec.Power != 60 {
+		t.Errorf("power after heal = %v, want 60 (10 + shifted 50)", healRec.Power)
 	}
 }
 
@@ -255,35 +252,18 @@ func TestEnginePowerShiftDuringPartition(t *testing.T) {
 // forgotten at heal — its parked power must not block or corrupt a later
 // incarnation of the same id.
 func TestEngineLeaveWhilePartitioned(t *testing.T) {
-	def := Def{
-		Name: "part-leave", Title: "t", Horizon: 6 * time.Hour, Tick: 6 * time.Hour,
-		Setup: func(e *Engine) error {
-			if err := e.JoinAt(0, "a", testCfg("linux"), 10, 0); err != nil {
-				return err
-			}
-			if err := e.JoinAt(0, "b", testCfg("bsd"), 30, 0); err != nil {
-				return err
-			}
-			if err := e.PartitionAt(time.Hour, "b"); err != nil {
-				return err
-			}
-			if err := e.LeaveAt(2*time.Hour, "b"); err != nil {
-				return err
-			}
-			if err := e.HealAt(3 * time.Hour); err != nil {
-				return err
-			}
-			// The id re-joins with different power and gets partitioned
-			// again: the dead incarnation's parked power must be gone.
-			if err := e.JoinAt(4*time.Hour, "b", testCfg("bsd"), 7, 0); err != nil {
-				return err
-			}
-			if err := e.PartitionAt(5*time.Hour, "b"); err != nil {
-				return err
-			}
-			return e.HealAt(5*time.Hour + 30*time.Minute)
-		},
-	}
+	def := testDef("part-leave", 6*time.Hour, 6*time.Hour,
+		join(0, "a", testCfg("linux"), 10, 0),
+		join(0, "b", testCfg("bsd"), 30, 0),
+		partition(time.Hour, "b"),
+		leave(2*time.Hour, "b"),
+		heal(3*time.Hour),
+		// The id re-joins with different power and gets partitioned
+		// again: the dead incarnation's parked power must be gone.
+		join(4*time.Hour, "b", testCfg("bsd"), 7, 0),
+		partition(5*time.Hour, "b"),
+		heal(5*time.Hour+30*time.Minute),
+	)
 	res, err := Run(def, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -309,73 +289,50 @@ func TestEngineLeaveWhilePartitioned(t *testing.T) {
 // restore brings it back, and the two fault kinds are mutually exclusive
 // per replica.
 func TestEngineCrashRestore(t *testing.T) {
-	def := Def{
-		Name: "crash", Title: "t", Horizon: 5 * time.Hour, Tick: 5 * time.Hour,
-		Setup: func(e *Engine) error {
-			if err := e.JoinAt(0, "a", testCfg("linux"), 10, 0); err != nil {
-				return err
-			}
-			if err := e.JoinAt(0, "b", testCfg("bsd"), 30, 0); err != nil {
-				return err
-			}
-			if err := e.CrashAt(time.Hour, "b"); err != nil {
-				return err
-			}
-			if err := e.SetPowerAt(90*time.Minute, "b", 50); err != nil {
-				return err
-			}
-			return e.RestoreAt(2 * time.Hour)
-		},
-	}
+	def := testDef("crash", 5*time.Hour, 5*time.Hour,
+		join(0, "a", testCfg("linux"), 10, 0),
+		join(0, "b", testCfg("bsd"), 30, 0),
+		crash(time.Hour, "b"),
+		power(90*time.Minute, "b", 50),
+		restore(2*time.Hour),
+	)
 	res, err := Run(def, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var crash, shift, restore Record
+	var crashRec, shift, restoreRec Record
 	for _, rec := range res.Records {
 		switch rec.Event {
 		case "crash":
-			crash = rec
+			crashRec = rec
 		case "power":
 			shift = rec
 		case "restore":
-			restore = rec
+			restoreRec = rec
 		}
 	}
-	if crash.Power != 10 || crash.Detail != "1 replicas crashed" {
-		t.Errorf("crash record power=%v detail=%q", crash.Power, crash.Detail)
+	if crashRec.Power != 10 || crashRec.Detail != "1 replicas crashed" {
+		t.Errorf("crash record power=%v detail=%q", crashRec.Power, crashRec.Detail)
 	}
 	if shift.Power != 10 || shift.Detail != "b power=50 (crashed; applies at restore)" {
 		t.Errorf("shift record power=%v detail=%q", shift.Power, shift.Detail)
 	}
-	if restore.Power != 60 || restore.Detail != "1 replicas restored" {
-		t.Errorf("restore record power=%v detail=%q", restore.Power, restore.Detail)
+	if restoreRec.Power != 60 || restoreRec.Detail != "1 replicas restored" {
+		t.Errorf("restore record power=%v detail=%q", restoreRec.Power, restoreRec.Detail)
 	}
 
-	conflict := Def{
-		Name: "crash-partitioned", Title: "t", Horizon: time.Hour,
-		Setup: func(e *Engine) error {
-			if err := e.JoinAt(0, "a", testCfg("linux"), 10, 0); err != nil {
-				return err
-			}
-			if err := e.PartitionAt(time.Minute, "a"); err != nil {
-				return err
-			}
-			return e.CrashAt(2*time.Minute, "a")
-		},
-	}
+	conflict := testDef("crash-partitioned", time.Hour, 0,
+		join(0, "a", testCfg("linux"), 10, 0),
+		partition(time.Minute, "a"),
+		crash(2*time.Minute, "a"),
+	)
 	if _, err := Run(conflict, 1); err == nil {
 		t.Error("crashing a partitioned replica did not abort")
 	}
-	notCrashed := Def{
-		Name: "restore-up", Title: "t", Horizon: time.Hour,
-		Setup: func(e *Engine) error {
-			if err := e.JoinAt(0, "a", testCfg("linux"), 10, 0); err != nil {
-				return err
-			}
-			return e.RestoreAt(time.Minute, "a")
-		},
-	}
+	notCrashed := testDef("restore-up", time.Hour, 0,
+		join(0, "a", testCfg("linux"), 10, 0),
+		restore(time.Minute, "a"),
+	)
 	if _, err := Run(notCrashed, 1); err == nil {
 		t.Error("restoring an up replica did not abort")
 	}
@@ -403,23 +360,13 @@ func (o *recordingObserver) AfterEvent(e *Engine, info EventInfo, rec *Record) e
 // their record annotations land in the trace; an observer error aborts.
 func TestEngineObserver(t *testing.T) {
 	obs := &recordingObserver{}
-	def := Def{
-		Name: "observed", Title: "t", Horizon: 2 * time.Hour, Tick: 2 * time.Hour,
-		Setup: func(e *Engine) error {
-			e.Observe(obs)
-			if err := e.JoinAt(0, "a", testCfg("linux"), 10, 0); err != nil {
-				return err
-			}
-			if err := e.JoinAt(0, "b", testCfg("bsd"), 10, 0); err != nil {
-				return err
-			}
-			if err := e.CrashAt(time.Hour, "b"); err != nil {
-				return err
-			}
-			return e.RestoreAt(90 * time.Minute)
-		},
-	}
-	res, err := Run(def, 1)
+	def := testDef("observed", 2*time.Hour, 2*time.Hour,
+		join(0, "a", testCfg("linux"), 10, 0),
+		join(0, "b", testCfg("bsd"), 10, 0),
+		crash(time.Hour, "b"),
+		restore(90*time.Minute),
+	)
+	res, err := Run(def, 1, WithObserver(obs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,14 +387,8 @@ func TestEngineObserver(t *testing.T) {
 		t.Fatal("no crash record")
 	}
 
-	failing := Def{
-		Name: "observer-fail", Title: "t", Horizon: time.Hour,
-		Setup: func(e *Engine) error {
-			e.Observe(&recordingObserver{fail: true})
-			return e.JoinAt(0, "a", testCfg("linux"), 10, 0)
-		},
-	}
-	if _, err := Run(failing, 1); err == nil || !strings.Contains(err.Error(), "observer boom") {
+	failing := testDef("observer-fail", time.Hour, 0, join(0, "a", testCfg("linux"), 10, 0))
+	if _, err := Run(failing, 1, WithObserver(&recordingObserver{fail: true})); err == nil || !strings.Contains(err.Error(), "observer boom") {
 		t.Errorf("observer error not propagated: %v", err)
 	}
 }
@@ -455,12 +396,7 @@ func TestEngineObserver(t *testing.T) {
 // TestEngineEmptyMembership: records with no effective power carry zeroed
 // metrics and stay safe instead of erroring.
 func TestEngineEmptyMembership(t *testing.T) {
-	def := Def{
-		Name: "empty", Title: "t", Horizon: 2 * time.Hour, Tick: time.Hour,
-		Setup: func(e *Engine) error {
-			return e.JoinAt(90*time.Minute, "a", testCfg("linux"), 10, 0)
-		},
-	}
+	def := testDef("empty", 2*time.Hour, time.Hour, join(90*time.Minute, "a", testCfg("linux"), 10, 0))
 	res, err := Run(def, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -477,12 +413,7 @@ func TestEngineEmptyMembership(t *testing.T) {
 
 // TestEngineTickDefault: Tick <= 0 falls back to horizon/24.
 func TestEngineTickDefault(t *testing.T) {
-	def := Def{
-		Name: "ticks", Title: "t", Horizon: 24 * time.Hour,
-		Setup: func(e *Engine) error {
-			return e.JoinAt(0, "a", testCfg("linux"), 1, 0)
-		},
-	}
+	def := testDef("ticks", 24*time.Hour, 0, join(0, "a", testCfg("linux"), 1, 0))
 	res, err := Run(def, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -501,12 +432,7 @@ func TestEngineTickDefault(t *testing.T) {
 // TestEngineProbeOnEmptySurface: probing before anyone joined yields an
 // empty plan, not an error.
 func TestEngineProbeOnEmptySurface(t *testing.T) {
-	def := Def{
-		Name: "probe-empty", Title: "t", Horizon: time.Hour, Tick: time.Hour,
-		Setup: func(e *Engine) error {
-			return e.ProbeAt(time.Minute, adversary.ExploitStrategy{Budget: 3})
-		},
-	}
+	def := testDef("probe-empty", time.Hour, time.Hour, exploitProbe(time.Minute, 3))
 	res, err := Run(def, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -526,24 +452,15 @@ func TestEngineProbeOnEmptySurface(t *testing.T) {
 // the engine's cost model honest: hundreds of churn events and ticks in
 // one run, still exact.
 func TestEngineManyEventsScale(t *testing.T) {
-	def := Def{
-		Name: "dense", Title: "t", Horizon: 100 * time.Hour, Tick: time.Hour,
-		Setup: func(e *Engine) error {
-			for i := 0; i < 200; i++ {
-				id := registry.ReplicaID(fmt.Sprintf("r-%03d", i))
-				if err := e.JoinAt(time.Duration(i)*30*time.Minute, id, testCfg(fmt.Sprintf("os-%d", i%7)), float64(1+i%13), time.Hour); err != nil {
-					return err
-				}
-			}
-			for i := 0; i < 50; i++ {
-				id := registry.ReplicaID(fmt.Sprintf("r-%03d", i))
-				if err := e.LeaveAt(time.Duration(120+i)*30*time.Minute, id); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
+	var events []Event
+	for i := 0; i < 200; i++ {
+		events = append(events, join(time.Duration(i)*30*time.Minute, fmt.Sprintf("r-%03d", i),
+			testCfg(fmt.Sprintf("os-%d", i%7)), float64(1+i%13), time.Hour))
 	}
+	for i := 0; i < 50; i++ {
+		events = append(events, leave(time.Duration(120+i)*30*time.Minute, fmt.Sprintf("r-%03d", i)))
+	}
+	def := testDef("dense", 100*time.Hour, time.Hour, events...)
 	res, err := Run(def, 3)
 	if err != nil {
 		t.Fatal(err)

@@ -40,6 +40,29 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
+// TestNothingGeneratedCarriesStrayOperands: the per-op operand table
+// (opOperands) rejects nothing this repo produces — timelines 0–39 of every
+// profile at seed 42, and every candidate the shrinker tries on the timeline
+// CI shrinks (the committed golden timeline and the every-op test timeline
+// are parsed by their own tests).
+func TestNothingGeneratedCarriesStrayOperands(t *testing.T) {
+	for _, p := range Profiles() {
+		for index := 0; index < 40; index++ {
+			if err := p.Generate(42, index).Validate(); err != nil {
+				t.Errorf("%s index %d: %v", p.Name, index, err)
+			}
+		}
+	}
+	p, _ := LookupProfile("disclosure-storm")
+	s := &shrinker{seed: 42, target: NeverUnsafe()}
+	if _, err := s.shrink(p.Generate(42, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if s.runs == 0 || s.invalid != 0 {
+		t.Errorf("Validate rejected %d of the shrinker's %d candidates", s.invalid, s.runs)
+	}
+}
+
 // TestGeneratedTimelinesRunClean: the first few timelines of every profile
 // validate (Generate panics otherwise), run without error, and satisfy the
 // default invariants — the sweep's acceptance bar, in miniature.

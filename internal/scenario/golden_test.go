@@ -50,32 +50,49 @@ func TestGoldenTimeline(t *testing.T) {
 // hands the CLI, arbitrary bytes: it must reject or accept without
 // panicking, and whatever it accepts re-marshals to a fixed point — the
 // canonical artifact — that parses back to an equal timeline. Seeded from
-// the committed golden timelines, the every-op test timeline and one
-// generated timeline per profile (lossy-wire's carries a Live block and
-// FaultSpecs). The generated seeds are 5–15 kB: run it with
-// -fuzzminimizetime 1s or minimizing them eats the budget.
+// the committed golden timelines, the every-op test timeline, one generated
+// timeline per profile (lossy-wire's carries a Live block and FaultSpecs)
+// and the eleven library timelines — the six analytic ones built here at
+// seed 42 (committee-rotation's is the seed with rotate events), the five
+// live ones from the files internal/liveloop's round-trip test keeps equal
+// to its library (the seeds with attack, reactive, targets). Every seed must
+// parse. The generated seeds are 5–15 kB: run it with -fuzzminimizetime 1s
+// or minimizing them eats the budget.
 func FuzzParseTimeline(f *testing.F) {
 	golden, err := filepath.Glob(filepath.Join("testdata", "*.json"))
 	if err != nil || len(golden) == 0 {
 		f.Fatalf("no golden timelines: %v", err)
 	}
-	for _, path := range golden {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(data)
+	live, err := filepath.Glob(filepath.Join("testdata", "library-live", "*.json"))
+	if err != nil || len(live) != 5 {
+		f.Fatalf("want the 5 live library timelines, have %d: %v", len(live), err)
 	}
 	seeds := []*Timeline{fullGrammarTimeline()} // small: cheap to mutate and to minimize
 	for _, p := range Profiles() {
 		seeds = append(seeds, p.Generate(42, 0))
 	}
-	for _, tl := range seeds {
-		data, err := tl.MarshalIndent()
+	for _, def := range All() {
+		seeds = append(seeds, def.TimelineAt(42))
+	}
+	n := 0
+	add := func(data []byte, err error) {
+		if err == nil {
+			_, err = ParseTimeline(data)
+		}
 		if err != nil {
-			f.Fatal(err)
+			f.Fatalf("seed#%d: %v", n, err)
 		}
 		f.Add(data)
+		n++
+	}
+	for _, path := range golden {
+		add(os.ReadFile(path))
+	}
+	for _, tl := range seeds {
+		add(tl.MarshalIndent())
+	}
+	for _, path := range live {
+		add(os.ReadFile(path))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tl, err := ParseTimeline(data)

@@ -65,10 +65,7 @@ func (reentrantObserver) AfterEvent(e *Engine, info EventInfo, rec *Record) erro
 // TestEmitIsNotReentrant: a record emitted while another is being observed
 // fails the run instead of re-slicing the trace under the outer record.
 func TestEmitIsNotReentrant(t *testing.T) {
-	def := Def{
-		Name: "reentrant", Title: "t", Horizon: time.Hour,
-		Setup: func(e *Engine) error { return e.JoinAt(0, "a", testCfg("linux"), 1, 0) },
-	}
+	def := testDef("reentrant", time.Hour, 0, join(0, "a", testCfg("linux"), 1, 0))
 	if _, err := Run(def, 1, WithObserver(reentrantObserver{})); err == nil || !strings.Contains(err.Error(), "emit re-entered") {
 		t.Fatalf("nested emit did not fail the run: %v", err)
 	}

@@ -25,14 +25,16 @@ package scenario
 import (
 	"fmt"
 	"hash/fnv"
+	"math/rand"
 	"sort"
 	"strings"
 	"time"
+
+	"repro/internal/sim"
 )
 
-// Def is one named scenario: metadata plus the program that fills the
-// timeline onto a fresh Engine — either a Setup closure or a data-first
-// Timeline (exactly one of the two must be set).
+// Def is one named scenario: metadata for listings plus the one program
+// that says what a run does — a function from the run's RNG to a Timeline.
 type Def struct {
 	// Name is the stable identifier (kebab-case, e.g. "flash-churn").
 	Name string
@@ -44,27 +46,20 @@ type Def struct {
 	Horizon time.Duration
 	// Tick is the periodic assessment cadence; 0 defaults to Horizon/24.
 	Tick time.Duration
-	// Setup programs the timeline: it schedules every churn, disclosure
-	// and probe event on the engine before the run starts. It must not
-	// mutate the registry or catalog directly — only through the engine's
-	// *At scheduling helpers — or the trace would miss the mutation.
-	Setup func(e *Engine) error
-	// Timeline is the data-first alternative to Setup: a serialized event
-	// list applied verbatim (see Timeline.Apply). Generated, replayed and
-	// shrunk scenarios are all Timeline defs.
-	Timeline *Timeline
+	// Build returns the run's timeline, carrying the def's name and horizon.
+	// rng is the run's own seeded RNG, for the scenarios whose operands are
+	// drawn per seed (flash-churn's powers, committee-rotation's late
+	// joiners); a def made by Timeline.Def ignores it and returns that
+	// timeline. What Build draws it must draw in a fixed order: the run is a
+	// pure function of (def, seed) only then.
+	Build func(rng *rand.Rand) *Timeline
 }
 
-// setup resolves the def's program: the Setup closure, or the Timeline's
-// Apply when the def is data-first.
-func (d Def) setup() func(e *Engine) error {
-	if d.Setup != nil {
-		return d.Setup
-	}
-	if d.Timeline != nil {
-		return d.Timeline.Apply
-	}
-	return nil
+// TimelineAt builds the timeline a run at the base seed applies: the same
+// Build, on an RNG seeded as the run's is. A def whose Build draws nothing
+// returns the same timeline at every seed.
+func (d Def) TimelineAt(baseSeed int64) *Timeline {
+	return d.Build(sim.NewScheduler(DeriveSeed(baseSeed, d.Name)).Rand())
 }
 
 var (
@@ -87,11 +82,8 @@ func Register(d Def) {
 	if d.Name == "" || d.Title == "" || d.Horizon <= 0 {
 		panic(fmt.Sprintf("scenario: incomplete registration %q", d.Name))
 	}
-	if d.Setup == nil && d.Timeline == nil {
-		panic(fmt.Sprintf("scenario: %q has neither Setup nor Timeline", d.Name))
-	}
-	if d.Setup != nil && d.Timeline != nil {
-		panic(fmt.Sprintf("scenario: %q has both Setup and Timeline", d.Name))
+	if d.Build == nil {
+		panic(fmt.Sprintf("scenario: %q has no timeline", d.Name))
 	}
 	if d.Tick < 0 {
 		panic(fmt.Sprintf("scenario: %q has negative tick %v", d.Name, d.Tick))

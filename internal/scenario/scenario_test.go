@@ -267,8 +267,7 @@ func TestRegisterValidation(t *testing.T) {
 		}()
 		Register(d)
 	}
-	noop := func(e *Engine) error { return nil }
-	valid := Def{Name: "reg-valid", Title: "t", Horizon: time.Hour, Setup: noop}
+	valid := (&Timeline{Name: "reg-valid", Title: "t", Horizon: Duration(time.Hour)}).Def()
 
 	d := valid
 	d.Name = ""
@@ -283,12 +282,8 @@ func TestRegisterValidation(t *testing.T) {
 	mustPanic(t, "a negative tick", d)
 
 	d = valid
-	d.Setup = nil
-	mustPanic(t, "a def with neither Setup nor Timeline", d)
-
-	d = valid
-	d.Timeline = &Timeline{Name: d.Name, Title: d.Title, Horizon: Duration(d.Horizon)}
-	mustPanic(t, "a def with both Setup and Timeline", d)
+	d.Build = nil
+	mustPanic(t, "a def without a timeline", d)
 
 	d = valid
 	d.Name = " reg-padded "

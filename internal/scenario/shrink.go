@@ -30,9 +30,10 @@ type ShrinkResult struct {
 
 // shrinker carries the search state.
 type shrinker struct {
-	seed   int64
-	target Invariant
-	runs   int
+	seed    int64
+	target  Invariant
+	runs    int
+	invalid int // candidates Validate rejected; the passes only drop events and simplify operands, so it stays 0
 }
 
 // reproduces reports whether the candidate still violates the target, and
@@ -42,6 +43,7 @@ type shrinker struct {
 func (s *shrinker) reproduces(tl *Timeline) ([]Violation, bool) {
 	s.runs++
 	if err := tl.Validate(); err != nil {
+		s.invalid++
 		return nil, false
 	}
 	_, violations, err := CheckRun(tl.Def(), s.seed, []Invariant{s.target})
@@ -193,7 +195,7 @@ func (s *shrinker) simplify(tl *Timeline) (*Timeline, bool) {
 // eventsEqual compares two events structurally (cheap field walk; the
 // shrinker only needs "did the mod change anything").
 func eventsEqual(a, b Event) bool {
-	if a.Op != b.Op || a.At != b.At || a.ID != b.ID || a.Power != b.Power || a.PatchLatency != b.PatchLatency {
+	if a.Op != b.Op || a.At != b.At || a.ID != b.ID || a.Power != b.Power || a.PatchLatency != b.PatchLatency || a.Size != b.Size {
 		return false
 	}
 	if len(a.IDs) != len(b.IDs) || len(a.Config) != len(b.Config) {
@@ -238,10 +240,13 @@ const shrinkMaxPasses = 8
 // single-event removal. Errors only when the input does not violate the
 // target in the first place.
 func Shrink(tl *Timeline, seed int64, target Invariant) (*ShrinkResult, error) {
-	s := &shrinker{seed: seed, target: target}
+	return (&shrinker{seed: seed, target: target}).shrink(tl)
+}
+
+func (s *shrinker) shrink(tl *Timeline) (*ShrinkResult, error) {
 	if _, ok := s.reproduces(tl); !ok {
 		return nil, fmt.Errorf("scenario: timeline %s does not violate %s at seed %d; nothing to shrink",
-			tl.Name, target.Name, seed)
+			tl.Name, s.target.Name, s.seed)
 	}
 	original := len(tl.Events)
 	cur := tl.Clone()

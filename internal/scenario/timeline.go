@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/adversary"
@@ -14,11 +16,10 @@ import (
 )
 
 // Timeline is a scenario as data: an ordered list of typed events over the
-// engine's grammar, plus the horizon and tick cadence a run needs. Unlike a
-// Setup closure, a Timeline can be serialized, stored, replayed, diffed and
-// shrunk — which is what makes generated scenarios first-class citizens:
-// every sweep run, every invariant violation and every shrunk
-// counterexample is a Timeline JSON artifact.
+// engine's grammar, plus the horizon and tick cadence a run needs. It is the
+// one way to program a run — the named library, generated timelines, shrunk
+// counterexamples and hand-written files are all Timeline values — so every
+// scenario can be serialized, stored, replayed, diffed and shrunk.
 //
 // The JSON encoding is the spec the README documents: durations are Go
 // duration strings ("36h0m0s"), configurations are component lists with
@@ -47,21 +48,113 @@ type Timeline struct {
 	Events []Event `json:"events"`
 }
 
-// LiveSpec serializes the live-harness attachment: when the cluster boots,
-// its wire latency, the liveness-probe cadence, and the view timeout that
-// turns on primary rotation (0 keeps the fixed primary). Zero cadences use
-// the harness defaults.
+// LiveSpec is the live harness's whole configuration: when the cluster
+// boots, its wire and probe cadences, what the adversary's implants do once
+// triggered, and the reactive-recovery loop. Every key but start_at is
+// omitempty and WithDefaults names what an omitted one means, so an artifact
+// written before a key existed parses, re-marshals and runs as before.
 type LiveSpec struct {
-	StartAt       Duration `json:"start_at"`
-	Latency       Duration `json:"latency,omitempty"`
-	ProbeEvery    Duration `json:"probe_every,omitempty"`
+	// StartAt is the virtual instant the live cluster comes up. The
+	// membership must be final before then: the cluster boots ahead of any
+	// timeline event at StartAt itself, and a join or leave after it aborts
+	// the run (the runtime cluster has fixed membership).
+	StartAt Duration `json:"start_at"`
+	// Latency is the fixed one-way message latency (default 20ms).
+	Latency Duration `json:"latency,omitempty"`
+	// ProbeEvery is the liveness-probe cadence; 0 disables probes.
+	ProbeEvery Duration `json:"probe_every,omitempty"`
+	// ProbeDeadline is how long after a probe (or attack) the harness waits
+	// before judging the outcome (default 500ms).
 	ProbeDeadline Duration `json:"probe_deadline,omitempty"`
-	ViewTimeout   Duration `json:"view_timeout,omitempty"`
+	// ViewTimeout, when positive, turns on primary rotation: a stalled
+	// cluster elects primary v mod n. 0 keeps the fixed primary.
+	ViewTimeout Duration `json:"view_timeout,omitempty"`
+	// Attack is what implanted replicas do when the attack launches:
+	// AttackEquivocate (the default) or AttackSilence.
+	Attack string `json:"attack,omitempty"`
+	// AttackAt schedules the attack explicitly; 0 launches it at the first
+	// threshold breach.
+	AttackAt Duration `json:"attack_at,omitempty"`
+	// Reactive enables the recovery loop: ReactDelay after a breach the
+	// harness migrates still-exposed implanted replicas to clean
+	// configurations drawn from Targets (none: rejuvenation only) and
+	// cleanses their implants, every ReactDelay until the assessment is safe.
+	Reactive   bool            `json:"reactive,omitempty"`
+	ReactDelay Duration        `json:"react_delay,omitempty"`
+	Targets    []ComponentSpec `json:"targets,omitempty"`
 }
 
-// liveAttach is the hook a live harness registers so data-first timelines
-// can boot it without scenario importing the harness (which imports
-// scenario). internal/liveloop installs the real hook in its init.
+// Attack modes of a LiveSpec.
+const (
+	// AttackEquivocate turns implanted replicas promiscuous and has an
+	// implanted primary propose two conflicting values — the safety attack.
+	AttackEquivocate = "equivocate"
+	// AttackSilence mutes implanted replicas — the liveness attack.
+	AttackSilence = "silence"
+)
+
+// WithDefaults returns the spec with every omitted key that has a default
+// filled in — the one place those defaults live, for Validate and the
+// harness alike.
+func (s LiveSpec) WithDefaults() LiveSpec {
+	if s.Latency <= 0 {
+		s.Latency = Duration(20 * time.Millisecond)
+	}
+	if s.ProbeDeadline <= 0 {
+		s.ProbeDeadline = Duration(500 * time.Millisecond)
+	}
+	if s.Attack == "" {
+		s.Attack = AttackEquivocate
+	}
+	return s
+}
+
+// TargetCatalog materializes the migration targets (nil when there are none).
+func (s LiveSpec) TargetCatalog() (*config.Catalog, error) {
+	if len(s.Targets) == 0 {
+		return nil, nil
+	}
+	cat := config.NewCatalog()
+	for _, t := range s.Targets {
+		c, err := t.component()
+		if err != nil {
+			return nil, err
+		}
+		if err := cat.Add(c); err != nil {
+			return nil, err
+		}
+	}
+	return cat, nil
+}
+
+// validate checks the whole live block against the run's horizon, so a bad
+// one fails when the timeline is parsed. What is left for the harness to
+// reject depends on the run: the membership at StartAt.
+func (s LiveSpec) validate(horizon Duration) error {
+	if s.StartAt < 0 || s.StartAt >= horizon {
+		return fmt.Errorf("live start %v outside [0, %v)", s.StartAt, horizon)
+	}
+	if s.Latency < 0 || s.ProbeEvery < 0 || s.ProbeDeadline < 0 || s.ViewTimeout < 0 || s.AttackAt < 0 || s.ReactDelay < 0 {
+		return errors.New("negative live cadence")
+	}
+	if s.Attack != "" && s.Attack != AttackEquivocate && s.Attack != AttackSilence {
+		return fmt.Errorf("live attack %q is neither %s nor %s", s.Attack, AttackEquivocate, AttackSilence)
+	}
+	if s.Reactive && s.ReactDelay <= 0 {
+		return errors.New("live reactive recovery needs a positive react_delay")
+	}
+	if deadline := s.WithDefaults().ProbeDeadline; s.AttackAt > 0 && (s.AttackAt <= s.StartAt || s.AttackAt+deadline >= horizon) {
+		return fmt.Errorf("live attack_at %v outside (%v, %v)", s.AttackAt, s.StartAt, horizon-deadline)
+	}
+	if _, err := s.TargetCatalog(); err != nil {
+		return fmt.Errorf("live targets: %w", err)
+	}
+	return nil
+}
+
+// liveAttach is the hook a live harness registers so a timeline can boot it
+// without scenario importing the harness (which imports scenario).
+// internal/liveloop installs the real hook in its init.
 var liveAttach func(e *Engine, spec *LiveSpec) error
 
 // SetLiveAttach registers the live-harness hook used by Timeline.Apply
@@ -102,7 +195,7 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// Event ops, mirroring the Engine's *At helpers one to one.
+// Event ops: the engine's whole grammar.
 const (
 	OpJoin        = "join"
 	OpLeave       = "leave"
@@ -116,12 +209,13 @@ const (
 	OpProbe       = "probe"
 	OpDegrade     = "degrade"
 	OpRestoreLink = "restore-link"
+	OpRotate      = "rotate"
 )
 
-// Event is one typed timeline entry. Exactly the fields its op needs are
-// set; Validate rejects everything else so serialized timelines cannot
-// smuggle ambiguous state. The zero fields are omitted from JSON, keeping
-// generated artifacts small and diffs readable.
+// Event is one typed timeline entry. Exactly the fields its op uses are
+// set: Validate rejects any other (see opOperands), so a serialized timeline
+// cannot carry state the run would silently drop. The zero fields are
+// omitted from JSON, keeping generated artifacts small and diffs readable.
 type Event struct {
 	// Op is the event kind (the Op* constants).
 	Op string `json:"op"`
@@ -148,42 +242,111 @@ type Event struct {
 	Strategy *StrategySpec `json:"strategy,omitempty"`
 	// Fault describes the link degradation for degrade events.
 	Fault *FaultSpec `json:"fault,omitempty"`
+	// Size is the committee size for rotate events: a diversity-aware
+	// selection (committee.SelectDiverse) of that many replicas over the
+	// membership, whose entropy lands in the record's detail.
+	Size int `json:"size,omitempty"`
 }
 
-// FaultSpec is the serializable form of a degraded-link fault model,
-// mirroring simnet.Fault field for field.
+// Operand fields of an Event, as bits: opOperands says which of them each op
+// may set.
+const (
+	fID = 1 << iota
+	fIDs
+	fConfig
+	fPower
+	fPatchLatency
+	fVuln
+	fStrategy
+	fFault
+	fSize
+)
+
+// operandNames are the operand fields' JSON keys, in bit order.
+var operandNames = [...]string{"id", "ids", "config", "power", "patch_latency", "vuln", "strategy", "fault", "size"}
+
+var opOperands = map[string]uint{
+	OpJoin:        fID | fConfig | fPower | fPatchLatency,
+	OpLeave:       fID,
+	OpPower:       fID | fPower,
+	OpMigrate:     fID | fConfig,
+	OpDisclose:    fVuln,
+	OpPartition:   fIDs,
+	OpHeal:        0,
+	OpCrash:       fIDs,
+	OpRestore:     fIDs,
+	OpProbe:       fStrategy,
+	OpDegrade:     fIDs | fFault,
+	OpRestoreLink: fIDs,
+	OpRotate:      fSize,
+}
+
+// operands reports which operand fields the event sets.
+func (ev *Event) operands() (set uint) {
+	for i, isSet := range [...]bool{
+		ev.ID != "", len(ev.IDs) > 0, len(ev.Config) > 0, ev.Power != 0, ev.PatchLatency != 0,
+		ev.Vuln != nil, ev.Strategy != nil, ev.Fault != nil, ev.Size != 0,
+	} {
+		if isSet {
+			set |= 1 << i
+		}
+	}
+	return set
+}
+
+// FaultSpec is a degraded link's fault model: the scenario grammar's mirror
+// of simnet.Fault, field for field, kept separate so the analytic engine does
+// not depend on the wire package.
 type FaultSpec struct {
-	Drop         float64  `json:"drop,omitempty"`
-	ExtraLatency Duration `json:"extra_latency,omitempty"`
-	Jitter       Duration `json:"jitter,omitempty"`
-	Duplicate    float64  `json:"duplicate,omitempty"`
-	Reorder      float64  `json:"reorder,omitempty"`
+	Drop         float64  `json:"drop,omitempty"`          // extra per-message loss probability, [0, 1)
+	ExtraLatency Duration `json:"extra_latency,omitempty"` // constant added delay
+	Jitter       Duration `json:"jitter,omitempty"`        // uniform random added delay in [0, Jitter]
+	Duplicate    float64  `json:"duplicate,omitempty"`     // probability of a second delivery, [0, 1]
+	Reorder      float64  `json:"reorder,omitempty"`       // probability of a hold-back, [0, 1]
 }
 
-// LinkFault materializes and validates the spec.
-func (s FaultSpec) LinkFault() (LinkFault, error) {
-	f := LinkFault{
-		Drop:         s.Drop,
-		ExtraLatency: s.ExtraLatency.D(),
-		Jitter:       s.Jitter.D(),
-		Duplicate:    s.Duplicate,
-		Reorder:      s.Reorder,
+// Validate applies the same domain rules as simnet.Fault.Validate.
+func (f FaultSpec) Validate() error {
+	if f.Drop < 0 || f.Drop >= 1 {
+		return fmt.Errorf("scenario: link fault drop %v out of [0,1)", f.Drop)
 	}
-	if err := f.Validate(); err != nil {
-		return LinkFault{}, err
+	if f.ExtraLatency < 0 {
+		return fmt.Errorf("scenario: negative link fault extra latency %v", f.ExtraLatency)
 	}
-	return f, nil
+	if f.Jitter < 0 {
+		return fmt.Errorf("scenario: negative link fault jitter %v", f.Jitter)
+	}
+	if f.Duplicate < 0 || f.Duplicate > 1 {
+		return fmt.Errorf("scenario: link fault duplicate %v out of [0,1]", f.Duplicate)
+	}
+	if f.Reorder < 0 || f.Reorder > 1 {
+		return fmt.Errorf("scenario: link fault reorder %v out of [0,1]", f.Reorder)
+	}
+	return nil
 }
 
-// NewFaultSpec serializes a link fault.
-func NewFaultSpec(f LinkFault) *FaultSpec {
-	return &FaultSpec{
-		Drop:         f.Drop,
-		ExtraLatency: Duration(f.ExtraLatency),
-		Jitter:       Duration(f.Jitter),
-		Duplicate:    f.Duplicate,
-		Reorder:      f.Reorder,
+// String renders the non-zero fault parameters for trace details.
+func (f FaultSpec) String() string {
+	s := ""
+	if f.Drop > 0 {
+		s += fmt.Sprintf(" drop=%s", fmtPower(f.Drop))
 	}
+	if f.ExtraLatency > 0 {
+		s += fmt.Sprintf(" extra=%v", f.ExtraLatency)
+	}
+	if f.Jitter > 0 {
+		s += fmt.Sprintf(" jitter=%v", f.Jitter)
+	}
+	if f.Duplicate > 0 {
+		s += fmt.Sprintf(" dup=%s", fmtPower(f.Duplicate))
+	}
+	if f.Reorder > 0 {
+		s += fmt.Sprintf(" reorder=%s", fmtPower(f.Reorder))
+	}
+	if s == "" {
+		return "clean"
+	}
+	return s[1:]
 }
 
 // ComponentSpec is the serializable form of one config.Component.
@@ -193,15 +356,21 @@ type ComponentSpec struct {
 	Version string `json:"version"`
 }
 
+// component materializes the spec.
+func (s ComponentSpec) component() (config.Component, error) {
+	class, err := config.ParseClass(s.Class)
+	return config.Component{Class: class, Name: s.Name, Version: s.Version}, err
+}
+
 // BuildConfiguration materializes the spec list into a config.Configuration.
 func BuildConfiguration(specs []ComponentSpec) (config.Configuration, error) {
 	components := make([]config.Component, 0, len(specs))
 	for _, s := range specs {
-		class, err := config.ParseClass(s.Class)
+		c, err := s.component()
 		if err != nil {
 			return config.Configuration{}, err
 		}
-		components = append(components, config.Component{Class: class, Name: s.Name, Version: s.Version})
+		components = append(components, c)
 	}
 	return config.New(components...)
 }
@@ -283,8 +452,7 @@ func (s StrategySpec) Strategy() (adversary.Strategy, error) {
 // Validate checks a timeline's structural invariants: canonical ordering,
 // per-op field completeness, and in-horizon times. It does NOT simulate the
 // run — semantic errors (partitioning a replica that already left, a
-// duplicate join) surface when the run executes, exactly as they do for
-// Setup closures.
+// duplicate join) surface when the run executes.
 func (tl *Timeline) Validate() error {
 	if tl == nil {
 		return errors.New("scenario: nil timeline")
@@ -299,15 +467,13 @@ func (tl *Timeline) Validate() error {
 		return fmt.Errorf("scenario: timeline %s: negative tick %v", tl.Name, tl.Tick)
 	}
 	if tl.Live != nil {
-		if tl.Live.StartAt < 0 || tl.Live.StartAt > tl.Horizon {
-			return fmt.Errorf("scenario: timeline %s: live start %v outside [0, %v]", tl.Name, tl.Live.StartAt, tl.Horizon)
-		}
-		if tl.Live.Latency < 0 || tl.Live.ProbeEvery < 0 || tl.Live.ProbeDeadline < 0 || tl.Live.ViewTimeout < 0 {
-			return fmt.Errorf("scenario: timeline %s: negative live cadence", tl.Name)
+		if err := tl.Live.validate(tl.Horizon); err != nil {
+			return fmt.Errorf("scenario: timeline %s: %w", tl.Name, err)
 		}
 	}
 	var prev Duration
-	for i, ev := range tl.Events {
+	for i := range tl.Events {
+		ev := &tl.Events[i]
 		if err := tl.validateEvent(ev); err != nil {
 			return fmt.Errorf("scenario: timeline %s: event %d: %w", tl.Name, i, err)
 		}
@@ -320,12 +486,25 @@ func (tl *Timeline) Validate() error {
 	return nil
 }
 
-func (tl *Timeline) validateEvent(ev Event) error {
+func (tl *Timeline) validateEvent(ev *Event) error {
 	if ev.At < 0 {
 		return fmt.Errorf("%s at negative time %v", ev.Op, ev.At)
 	}
 	if ev.At > tl.Horizon {
 		return fmt.Errorf("%s at %v beyond horizon %v", ev.Op, ev.At, tl.Horizon)
+	}
+	allowed, known := opOperands[ev.Op]
+	if !known {
+		return fmt.Errorf("unknown op %q", ev.Op)
+	}
+	if stray := ev.operands() &^ allowed; stray != 0 {
+		var names []string
+		for i, name := range operandNames {
+			if stray&(1<<i) != 0 {
+				names = append(names, name)
+			}
+		}
+		return fmt.Errorf("%s carries %s, which it does not use", ev.Op, strings.Join(names, ", "))
 	}
 	needsID := func() error {
 		if ev.ID == "" {
@@ -399,7 +578,7 @@ func (tl *Timeline) validateEvent(ev Event) error {
 		if ev.Fault == nil {
 			return errors.New("degrade without a fault model")
 		}
-		if _, err := ev.Fault.LinkFault(); err != nil {
+		if err := ev.Fault.Validate(); err != nil {
 			return err
 		}
 	case OpRestoreLink:
@@ -413,15 +592,18 @@ func (tl *Timeline) validateEvent(ev Event) error {
 		if _, err := ev.Strategy.Strategy(); err != nil {
 			return err
 		}
-	default:
-		return fmt.Errorf("unknown op %q", ev.Op)
+	case OpRotate:
+		if ev.Size <= 0 {
+			return fmt.Errorf("rotate with non-positive committee size %d", ev.Size)
+		}
 	}
 	return nil
 }
 
-// Apply schedules every timeline event onto the engine — the Setup hook of
-// a data-first scenario. It validates first so a hand-edited timeline
-// fails with a position rather than a mid-run scheduler error.
+// Apply schedules every timeline event onto the engine, in listing order, so
+// same-instant events fire as listed. It validates first so a hand-edited
+// timeline fails with a position rather than a mid-run scheduler error, and
+// attaches the live harness before any event.
 func (tl *Timeline) Apply(e *Engine) error {
 	if err := tl.Validate(); err != nil {
 		return err
@@ -434,60 +616,59 @@ func (tl *Timeline) Apply(e *Engine) error {
 			return fmt.Errorf("scenario: timeline %s: live attach: %w", tl.Name, err)
 		}
 	}
-	for i, ev := range tl.Events {
-		if err := applyEvent(e, ev); err != nil {
+	for i := range tl.Events {
+		if err := applyEvent(e, &tl.Events[i]); err != nil {
 			return fmt.Errorf("scenario: timeline %s: event %d: %w", tl.Name, i, err)
 		}
 	}
 	return nil
 }
 
-func applyEvent(e *Engine, ev Event) error {
+// applyEvent schedules one validated event.
+func applyEvent(e *Engine, ev *Event) error {
 	switch ev.Op {
 	case OpJoin:
 		cfg, err := BuildConfiguration(ev.Config)
 		if err != nil {
 			return err
 		}
-		return e.JoinAt(ev.At.D(), registry.ReplicaID(ev.ID), cfg, ev.Power, ev.PatchLatency.D())
+		return e.joinAt(ev.At.D(), registry.ReplicaID(ev.ID), cfg, ev.Power, ev.PatchLatency.D())
 	case OpLeave:
-		return e.LeaveAt(ev.At.D(), registry.ReplicaID(ev.ID))
+		return e.leaveAt(ev.At.D(), registry.ReplicaID(ev.ID))
 	case OpPower:
-		return e.SetPowerAt(ev.At.D(), registry.ReplicaID(ev.ID), ev.Power)
+		return e.setPowerAt(ev.At.D(), registry.ReplicaID(ev.ID), ev.Power)
 	case OpMigrate:
 		cfg, err := BuildConfiguration(ev.Config)
 		if err != nil {
 			return err
 		}
-		return e.MigrateAt(ev.At.D(), registry.ReplicaID(ev.ID), cfg)
+		return e.migrateAt(ev.At.D(), registry.ReplicaID(ev.ID), cfg)
 	case OpDisclose:
 		v, err := ev.Vuln.Vulnerability()
 		if err != nil {
 			return err
 		}
-		return e.Disclose(v)
+		return e.disclose(v)
 	case OpPartition:
-		return e.PartitionAt(ev.At.D(), replicaIDs(ev.IDs)...)
+		return e.partitionAt(ev.At.D(), replicaIDs(ev.IDs)...)
 	case OpHeal:
-		return e.HealAt(ev.At.D())
+		return e.healAt(ev.At.D())
 	case OpCrash:
-		return e.CrashAt(ev.At.D(), replicaIDs(ev.IDs)...)
+		return e.crashAt(ev.At.D(), replicaIDs(ev.IDs)...)
 	case OpRestore:
-		return e.RestoreAt(ev.At.D(), replicaIDs(ev.IDs)...)
+		return e.restoreAt(ev.At.D(), replicaIDs(ev.IDs)...)
 	case OpProbe:
 		s, err := ev.Strategy.Strategy()
 		if err != nil {
 			return err
 		}
-		return e.ProbeAt(ev.At.D(), s)
+		return e.probeAt(ev.At.D(), s)
 	case OpDegrade:
-		f, err := ev.Fault.LinkFault()
-		if err != nil {
-			return err
-		}
-		return e.DegradeAt(ev.At.D(), registry.ReplicaID(ev.IDs[0]), registry.ReplicaID(ev.IDs[1]), f)
+		return e.degradeAt(ev.At.D(), registry.ReplicaID(ev.IDs[0]), registry.ReplicaID(ev.IDs[1]), *ev.Fault)
 	case OpRestoreLink:
-		return e.RestoreLinkAt(ev.At.D(), registry.ReplicaID(ev.IDs[0]), registry.ReplicaID(ev.IDs[1]))
+		return e.restoreLinkAt(ev.At.D(), registry.ReplicaID(ev.IDs[0]), registry.ReplicaID(ev.IDs[1]))
+	case OpRotate:
+		return e.rotateAt(ev.At.D(), ev.Size)
 	default:
 		return fmt.Errorf("unknown op %q", ev.Op)
 	}
@@ -501,16 +682,16 @@ func replicaIDs(names []string) []registry.ReplicaID {
 	return out
 }
 
-// Def wraps the timeline as a runnable scenario definition — the
-// data-first counterpart of a Setup closure.
+// Def wraps the timeline as a runnable scenario definition: its metadata,
+// and a Build that returns the timeline itself whatever the seed.
 func (tl *Timeline) Def() Def {
 	return Def{
-		Name:     tl.Name,
-		Title:    tl.Title,
-		Tags:     append([]string(nil), tl.Tags...),
-		Horizon:  tl.Horizon.D(),
-		Tick:     tl.Tick.D(),
-		Timeline: tl,
+		Name:    tl.Name,
+		Title:   tl.Title,
+		Tags:    append([]string(nil), tl.Tags...),
+		Horizon: tl.Horizon.D(),
+		Tick:    tl.Tick.D(),
+		Build:   func(*rand.Rand) *Timeline { return tl },
 	}
 }
 
@@ -521,6 +702,7 @@ func (tl *Timeline) Clone() *Timeline {
 	out.Tags = append([]string(nil), tl.Tags...)
 	if tl.Live != nil {
 		live := *tl.Live
+		live.Targets = append([]ComponentSpec(nil), tl.Live.Targets...)
 		out.Live = &live
 	}
 	out.Events = make([]Event, len(tl.Events))

@@ -3,19 +3,13 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/adversary"
 	"repro/internal/config"
-	"repro/internal/vuln"
 )
-
-// osSpec builds the serialized configuration for a one-component OS config.
-func osSpec(name, version string) []ComponentSpec {
-	return []ComponentSpec{{Class: config.ClassOperatingSystem.String(), Name: name, Version: version}}
-}
 
 // fullGrammarTimeline exercises every op the grammar has, in a run that
 // succeeds end to end.
@@ -41,6 +35,7 @@ func fullGrammarTimeline() *Timeline {
 				{Kind: "exploit", Budget: 1}, {Kind: "corruption", Budget: 1},
 			}}},
 			{Op: OpHeal, At: Duration(6 * time.Hour)},
+			{Op: OpRotate, At: Duration(7 * time.Hour), Size: 2},
 			{Op: OpCrash, At: Duration(8 * time.Hour), IDs: []string{"r-1"}},
 			{Op: OpRestore, At: Duration(10 * time.Hour)},
 			{Op: OpMigrate, At: Duration(12 * time.Hour), ID: "r-0", Config: osSpec("haiku", "2")},
@@ -87,57 +82,57 @@ func TestTimelineRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTimelineMatchesEquivalentSetup: a Timeline def and a Setup closure
-// scheduling the same events produce byte-identical traces — data-first is
-// not a second-class path through the engine.
+// fullGrammarJSON is fullGrammarTimeline as an operator would write it by
+// hand: the README's spelling of every key, durations in mixed units,
+// zero-valued keys left out.
+const fullGrammarJSON = `{
+  "name": "tl-full-grammar", "title": "every op once", "tags": ["test"],
+  "horizon": "48h", "tick": "6h",
+  "events": [
+    {"op": "join", "at": "0s", "id": "r-0", "power": 3, "patch_latency": "1h",
+     "config": [{"class": "operating-system", "name": "linux", "version": "1"}]},
+    {"op": "join", "at": "0s", "id": "r-1", "power": 2,
+     "config": [{"class": "operating-system", "name": "bsd", "version": "1"}]},
+    {"op": "join", "at": "60m", "id": "r-2", "power": 1,
+     "config": [{"class": "operating-system", "name": "illumos", "version": "1"}]},
+    {"op": "disclose", "at": "2h", "vuln": {"id": "CVE-TL-1", "class": "operating-system",
+     "product": "linux", "version": "1", "disclosed": "2h", "patch_at": "20h", "severity": 1}},
+    {"op": "power", "at": "3h", "id": "r-1", "power": 4},
+    {"op": "partition", "at": "4h", "ids": ["r-2"]},
+    {"op": "probe", "at": "5h", "strategy": {"kind": "adaptive", "strategies": [
+      {"kind": "exploit", "budget": 1}, {"kind": "corruption", "budget": 1}]}},
+    {"op": "heal", "at": "6h"},
+    {"op": "rotate", "at": "7h", "size": 2},
+    {"op": "crash", "at": "8h", "ids": ["r-1"]},
+    {"op": "restore", "at": "10h"},
+    {"op": "migrate", "at": "12h", "id": "r-0",
+     "config": [{"class": "operating-system", "name": "haiku", "version": "2"}]},
+    {"op": "degrade", "at": "14h", "ids": ["r-0", "r-1"], "fault": {"drop": 0.2,
+     "extra_latency": "10ms", "jitter": "5ms", "duplicate": 0.1, "reorder": 0.3}},
+    {"op": "restore-link", "at": "16h", "ids": ["r-0", "r-1"]},
+    {"op": "leave", "at": "30h", "id": "r-2"}
+  ]
+}`
+
+// TestTimelineMatchesEquivalentSetup: the Go-literal timeline and the same
+// timeline written by hand as JSON are one value and run to byte-identical
+// traces — there is one grammar, and the file spelling of every op and key
+// is pinned here. (The name dates from when a second, closure grammar
+// existed and this test compared the two.)
 func TestTimelineMatchesEquivalentSetup(t *testing.T) {
 	tl := fullGrammarTimeline()
-	setupDef := Def{
-		Name:    tl.Name, // same name => same derived seed
-		Title:   tl.Title,
-		Horizon: tl.Horizon.D(),
-		Tick:    tl.Tick.D(),
-		Setup: func(e *Engine) error {
-			cfg := func(name, version string) config.Configuration {
-				return config.MustNew(config.Component{Class: config.ClassOperatingSystem, Name: name, Version: version})
-			}
-			steps := []error{
-				e.JoinAt(0, "r-0", cfg("linux", "1"), 3, time.Hour),
-				e.JoinAt(0, "r-1", cfg("bsd", "1"), 2, 0),
-				e.JoinAt(time.Hour, "r-2", cfg("illumos", "1"), 1, 0),
-				e.Disclose(vuln.Vulnerability{
-					ID: "CVE-TL-1", Class: config.ClassOperatingSystem, Product: "linux", Version: "1",
-					Disclosed: 2 * time.Hour, PatchAt: 20 * time.Hour, Severity: 1,
-				}),
-				e.SetPowerAt(3*time.Hour, "r-1", 4),
-				e.PartitionAt(4*time.Hour, "r-2"),
-				e.ProbeAt(5*time.Hour, adversary.AdaptiveStrategy{Strategies: []adversary.Strategy{
-					adversary.ExploitStrategy{Budget: 1}, adversary.CorruptionStrategy{Budget: 1},
-				}}),
-				e.HealAt(6 * time.Hour),
-				e.CrashAt(8*time.Hour, "r-1"),
-				e.RestoreAt(10 * time.Hour),
-				e.MigrateAt(12*time.Hour, "r-0", cfg("haiku", "2")),
-				e.DegradeAt(14*time.Hour, "r-0", "r-1", LinkFault{
-					Drop: 0.2, ExtraLatency: 10 * time.Millisecond, Jitter: 5 * time.Millisecond,
-					Duplicate: 0.1, Reorder: 0.3,
-				}),
-				e.RestoreLinkAt(16*time.Hour, "r-0", "r-1"),
-				e.LeaveAt(30*time.Hour, "r-2"),
-			}
-			for _, err := range steps {
-				if err != nil {
-					return err
-				}
-			}
-			return nil
-		},
+	parsed, err := ParseTimeline([]byte(fullGrammarJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(tl, parsed) {
+		t.Fatalf("hand-written JSON parses to a different timeline:\n%+v\n---\n%+v", parsed, tl)
 	}
 	a, err := Run(tl.Def(), 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(setupDef, 42)
+	b, err := Run(parsed.Def(), 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +140,7 @@ func TestTimelineMatchesEquivalentSetup(t *testing.T) {
 		t.Fatal("empty trace")
 	}
 	if ja, jb := mustTraceJSON(t, a), mustTraceJSON(t, b); ja != jb {
-		t.Fatalf("timeline and setup traces differ:\n%s\n---\n%s", ja, jb)
+		t.Fatalf("literal and JSON traces differ:\n%s\n---\n%s", ja, jb)
 	}
 }
 
@@ -250,6 +245,39 @@ func TestTimelineValidate(t *testing.T) {
 		{"unknown op", func(tl *Timeline) {
 			tl.Events = append(tl.Events, Event{Op: "teleport", At: Duration(time.Hour)})
 		}, "unknown op"},
+		{"rotate without size", func(tl *Timeline) {
+			tl.Events = append(tl.Events, Event{Op: OpRotate, At: Duration(time.Hour)})
+		}, "non-positive committee size"},
+	}
+	// One operand its op does not use, per op: each used to parse, run, and
+	// be silently dropped.
+	linux, drop := osSpec("linux", "1"), &FaultSpec{Drop: 0.5}
+	cve := &VulnSpec{ID: "CVE-X", Class: "operating-system", Product: "linux", Disclosed: Duration(time.Hour), PatchAt: Duration(2 * time.Hour), Severity: 1}
+	for _, stray := range []struct {
+		ev   Event
+		want string
+	}{
+		{Event{Op: OpJoin, ID: "r-1", Config: linux, Power: 1, Size: 3}, "join carries size"},
+		{Event{Op: OpLeave, ID: "r-0", Power: 2, PatchLatency: Duration(time.Hour)}, "leave carries power, patch_latency"},
+		{Event{Op: OpPower, ID: "r-0", Power: 2, IDs: []string{"r-0"}}, "power carries ids"},
+		{Event{Op: OpMigrate, ID: "r-0", Config: linux, Power: 2}, "migrate carries power"},
+		{Event{Op: OpDisclose, Vuln: cve, ID: "r-0"}, "disclose carries id"},
+		{Event{Op: OpPartition, IDs: []string{"r-0"}, Fault: drop}, "partition carries fault"},
+		{Event{Op: OpHeal, IDs: []string{"r-0"}, Power: 2, Vuln: cve}, "heal carries ids, power, vuln"},
+		{Event{Op: OpCrash, IDs: []string{"r-0"}, ID: "r-0"}, "crash carries id"},
+		{Event{Op: OpRestore, Config: linux}, "restore carries config"},
+		{Event{Op: OpProbe, Strategy: &StrategySpec{Kind: "exploit", Budget: 1}, Power: 1}, "probe carries power"},
+		{Event{Op: OpDegrade, IDs: []string{"r-0", "r-1"}, Fault: drop, Strategy: &StrategySpec{Kind: "exploit"}}, "degrade carries strategy"},
+		{Event{Op: OpRestoreLink, IDs: []string{"r-0", "r-1"}, Fault: drop}, "restore-link carries fault"},
+		{Event{Op: OpRotate, Size: 3, ID: "r-0"}, "rotate carries id"},
+	} {
+		ev := stray.ev
+		ev.At = Duration(time.Hour)
+		cases = append(cases, struct {
+			name string
+			mod  func(tl *Timeline)
+			want string
+		}{"stray operand on " + ev.Op, func(tl *Timeline) { tl.Events = append(tl.Events, ev) }, "event 1: " + stray.want})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -263,6 +291,72 @@ func TestTimelineValidate(t *testing.T) {
 	}
 	if err := base().Validate(); err != nil {
 		t.Fatalf("base timeline should validate: %v", err)
+	}
+}
+
+// TestLiveSpecValidate: Validate is the one place the whole live block is
+// checked, so a hand-edited block fails at parse with the timeline's name
+// instead of mid-Apply in the harness.
+func TestLiveSpecValidate(t *testing.T) {
+	const horizon = 2 * time.Hour
+	h := func(d time.Duration) Duration { return Duration(d) }
+	cases := []struct {
+		name string
+		live LiveSpec
+		want string // "" = valid
+	}{
+		{"zero block", LiveSpec{}, ""},
+		{"start just inside the horizon", LiveSpec{StartAt: h(horizon - 1)}, ""},
+		{"start at the horizon", LiveSpec{StartAt: h(horizon)}, "live start 2h0m0s outside [0, 2h0m0s)"},
+		{"negative start", LiveSpec{StartAt: -1}, "live start"},
+		{"negative latency", LiveSpec{Latency: -1}, "negative live cadence"},
+		{"negative probe cadence", LiveSpec{ProbeEvery: -1}, "negative live cadence"},
+		{"negative probe deadline", LiveSpec{ProbeDeadline: -1}, "negative live cadence"},
+		{"negative view timeout", LiveSpec{ViewTimeout: -1}, "negative live cadence"},
+		{"negative attack_at", LiveSpec{AttackAt: -1}, "negative live cadence"},
+		{"negative react_delay", LiveSpec{ReactDelay: -1}, "negative live cadence"},
+		{"both attack names", LiveSpec{Attack: AttackSilence}, ""},
+		{"unknown attack", LiveSpec{Attack: "bribe"}, `live attack "bribe"`},
+		{"reactive without a delay", LiveSpec{Reactive: true}, "positive react_delay"},
+		{"reactive", LiveSpec{Reactive: true, ReactDelay: h(time.Minute)}, ""},
+		{"attack_at at start", LiveSpec{StartAt: h(time.Hour), AttackAt: h(time.Hour)}, "live attack_at"},
+		{"attack_at inside", LiveSpec{StartAt: h(time.Hour), AttackAt: h(time.Hour + 1)}, ""},
+		{"attack_at a default deadline short of the horizon", LiveSpec{AttackAt: h(horizon - 500*time.Millisecond)}, "live attack_at 1h59m59.5s outside (0s, 1h59m59.5s)"},
+		{"attack_at just before that", LiveSpec{AttackAt: h(horizon - 500*time.Millisecond - 1)}, ""},
+		{"attack_at against its own deadline", LiveSpec{AttackAt: h(time.Hour), ProbeDeadline: h(time.Hour)}, "live attack_at"},
+		{"targets", LiveSpec{Targets: osSpec("rocky", "1")}, ""},
+		{"targets with a bad class", LiveSpec{Targets: []ComponentSpec{{Class: "flux-capacitor", Name: "x"}}}, "live targets"},
+		{"targets without a name", LiveSpec{Targets: []ComponentSpec{{Class: "operating-system"}}}, "live targets"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			live := tc.live
+			tl := &Timeline{Name: "tl-live", Horizon: h(horizon), Live: &live}
+			data, err := tl.MarshalIndent()
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = ParseTimeline(data)
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("rejected: %v", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), "timeline tl-live: ") || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("ParseTimeline = %v, want an error naming the timeline and %q", err, tc.want)
+			}
+		})
+	}
+	// An artefact from before the five newer keys existed parses, re-marshals
+	// byte for byte and means the default attack.
+	old := "{\n  \"name\": \"tl-old\",\n  \"horizon\": \"2h0m0s\",\n  \"live\": {\n    \"start_at\": \"1h0m0s\",\n    \"view_timeout\": \"500ms\"\n  },\n  \"events\": null\n}\n"
+	tl, err := ParseTimeline([]byte(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := tl.MarshalIndent(); err != nil || string(again) != old {
+		t.Fatalf("old live block does not re-marshal byte for byte (%v):\n%s", err, again)
+	}
+	if got := tl.Live.WithDefaults(); got.Attack != AttackEquivocate || got.ProbeDeadline.D() != 500*time.Millisecond || got.Latency.D() != 20*time.Millisecond {
+		t.Fatalf("defaults of an old live block: %+v", got)
 	}
 }
 
@@ -294,11 +388,13 @@ func TestDurationJSON(t *testing.T) {
 // TestTimelineClone: mutating a clone leaves the original untouched.
 func TestTimelineClone(t *testing.T) {
 	tl := fullGrammarTimeline()
+	tl.Live = &LiveSpec{StartAt: Duration(time.Hour), Targets: osSpec("rocky", "1")}
 	orig, err := tl.MarshalIndent()
 	if err != nil {
 		t.Fatal(err)
 	}
 	cl := tl.Clone()
+	cl.Live.Targets[0].Name = "mutated"
 	cl.Events = cl.Events[:3]
 	cl.Events[0].ID = "mutated"
 	cl.Events[0].Config[0].Name = "mutated"
