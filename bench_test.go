@@ -705,37 +705,23 @@ func BenchmarkLossyWireTimeline(b *testing.B) {
 	}
 }
 
-// TestLiveWireAllocations caps the objects of the live wire path at the
-// measured values plus 10 %: a warm clean commit on seven replicas (90
-// messages, 112 scheduler events) allocates 69, a whole checked lossy-wire
-// timeline 4461. Deliveries fire as bursts from reused records (one record
-// per message made these 173 and 9831), and each of a commit's digests —
-// one per replica at the request, the proposal check and the commit — is
-// one object.
+// TestLiveWireAllocations caps the objects of one checked lossy-wire
+// timeline at the measured 2312 plus 10 %. Under bftlive (whose per-commit
+// ceiling is its own TestSimClusterCommitAllocations) a timeline's
+// messages, rounds and self-deliveries are now a few dozen chunks and
+// records, down from 4461 objects when every hop boxed its message and
+// every replica copied the value at every phase. What remains is not the
+// wire's: the registry, engine and cluster a run builds afresh, the trace
+// records and their detail strings, the invariant observers, the probes'
+// closures and events, and simnet's delivery records while it warms up.
 func TestLiveWireAllocations(t *testing.T) {
-	sched, cl := liveWireCluster(t, 0)
-	value, i := []byte("v-00000000"), 0
-	if got := testing.AllocsPerRun(200, func() {
-		i++
-		value = strconv.AppendInt(value[:2], int64(i), 10)
-		cl.Submit(value)
-		if err := sched.Run(sched.Now() + time.Minute); err != nil {
-			t.Fatal(err)
-		}
-	}); got > 76 {
-		t.Errorf("a clean 7-replica commit allocates %.0f objects, want ≤ 76", got)
-	}
-	if v := cl.Violation(); v != nil {
-		t.Fatalf("agreement violated: %v", v)
-	}
-
 	def, invs := generatedDef(t, "lossy-wire"), scenario.DefaultInvariants()
 	if got := testing.AllocsPerRun(10, func() {
 		if _, violations, err := scenario.CheckRun(def, 42, invs); err != nil || len(violations) != 0 {
 			t.Fatalf("%d violations, err %v", len(violations), err)
 		}
-	}); got > 4900 {
-		t.Errorf("CheckRun of lossy-wire#0@42 allocates %.0f objects, want ≤ 4900", got)
+	}); got > 2543 {
+		t.Errorf("CheckRun of lossy-wire#0@42 allocates %.0f objects, want ≤ 2543", got)
 	}
 }
 

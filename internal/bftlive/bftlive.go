@@ -21,6 +21,19 @@
 // quorum of votes installs primary v mod n, and the new primary
 // re-proposes the orphaned backlog. Rotation is opt-in (WithViewTimeout /
 // SimWithViewTimeout); the default remains the fixed-primary runtime.
+//
+// Who hashes: newRequest, once, where a value enters (Submit); every
+// replica, once, where the protocol checks a proposal's digest against its
+// value; EquivocateNext and CommittedBy, on the values a caller hands them.
+// Everything else — backlogs, rounds, commits, the cluster's tallies —
+// goes by the digest a message or Commit already carries. Who copies:
+// newRequest, once; the slice is read-only and shared from then on.
+//
+// Who may recycle: a driver owns the storage of the messages it hands to
+// node.handle, which reads them in place and keeps only the value slice.
+// SimCluster reuses what it can see the end of (a fired self-delivery
+// record) and never what it cannot (a message the network still holds is
+// in a chunk that is filled once and left to the collector).
 package bftlive
 
 import (
@@ -45,18 +58,32 @@ const (
 
 type message struct {
 	kind   msgKind
-	from   int
+	from   int // the sending replica; unset on a request
 	view   uint64
 	seq    uint64
 	digest cryptoutil.Digest
-	value  []byte
+	// value is newRequest's copy of what the client submitted. Nobody
+	// writes to it after that: requests, backlogs, proposals, rounds and
+	// commits of every replica share the one slice.
+	value []byte
+}
+
+// newRequest builds the client request for value. It is where a value
+// enters the protocol: copied once, so the caller keeps its slice, and
+// hashed once, so replicas bank and propose it under the digest it carries.
+func newRequest(value []byte) message {
+	v := append([]byte(nil), value...)
+	return message{kind: kindRequest, digest: digestOf(v), value: v}
 }
 
 // Commit is a committed slot reported on the cluster's commit stream.
 type Commit struct {
 	Replica int
 	Seq     uint64
-	Value   []byte
+	// Value is the slice every replica shares (see message.value): read it,
+	// do not write to it.
+	Value  []byte
+	digest cryptoutil.Digest // of the proposal the replica committed
 }
 
 // Cluster is a set of live replicas connected by channels.
@@ -253,7 +280,7 @@ func (c *Cluster) run(ctx context.Context, id int, nd *node) {
 			if c.isCrashed(id) {
 				continue
 			}
-			nd.handle(m)
+			nd.handle(&m)
 		case <-tick:
 			if c.isCrashed(id) {
 				continue
@@ -279,7 +306,7 @@ func (c *Cluster) Stop() {
 // primary proposes it, and the rest bank it so a later view's primary can
 // re-propose if the proposal dies with a crashed primary.
 func (c *Cluster) Submit(value []byte) {
-	c.broadcast(message{kind: kindRequest, value: append([]byte(nil), value...)})
+	c.broadcast(newRequest(value))
 }
 
 // send delivers to one inbox, dropping when the inbox is full (backpressure

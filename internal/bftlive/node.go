@@ -52,7 +52,7 @@ func digestOf(value []byte) cryptoutil.Digest {
 // committed value again commits nothing.
 type pendingReq struct {
 	digest cryptoutil.Digest
-	value  []byte
+	value  []byte // the request's slice, shared and never written (see message.value)
 }
 
 // voterSet is a set of replica indices that keeps the summed voting power
@@ -101,7 +101,12 @@ type liveRound struct {
 	digest    cryptoutil.Digest // the honest-accepted proposal
 	committed bool
 	proposals []proposal
+	first     [1]proposal // where proposals starts out: a second digest moves it to the heap
 }
+
+// roundChunk is how many rounds a node carves from one allocation. A round
+// lives as long as its node, so the chunks are never reused.
+const roundChunk = 8
 
 // find returns the round's state for digest d, or nil if d was never seen.
 // The pointer is good until the next call to proposal.
@@ -148,6 +153,9 @@ type node struct {
 	pending   []pendingReq         // uncommitted client requests, arrival order
 	committed int                  // local commit count (progress signal)
 	rounds    map[uint64]*liveRound
+	lastSeq   uint64      // the sequence number round was last asked for,
+	last      *liveRound  // and what it returned: most votes are for the open slot
+	spare     []liveRound // the unused rest of the current chunk of rounds
 	// done holds the digest of every value this node has committed; a
 	// request for one of them is neither banked nor proposed.
 	done map[cryptoutil.Digest]struct{}
@@ -196,7 +204,7 @@ func (n *node) addPending(d cryptoutil.Digest, value []byte) {
 			return
 		}
 	}
-	n.pending = append(n.pending, pendingReq{digest: d, value: append([]byte(nil), value...)})
+	n.pending = append(n.pending, pendingReq{digest: d, value: value})
 }
 
 func (n *node) removePending(d cryptoutil.Digest) {
@@ -221,7 +229,7 @@ func (n *node) pendingValue(d cryptoutil.Digest) []byte {
 // the node's current view.
 func (n *node) propose(d cryptoutil.Digest, value []byte) {
 	n.maxSeq++
-	n.out(message{kind: kindPrePrepare, from: n.id, view: n.view, seq: n.maxSeq, digest: d, value: append([]byte(nil), value...)})
+	n.out(message{kind: kindPrePrepare, from: n.id, view: n.view, seq: n.maxSeq, digest: d, value: value})
 }
 
 // suspect votes to rotate past the highest view this replica has voted
@@ -281,7 +289,7 @@ func (n *node) installView(v uint64) {
 // at a full quorum. With equal power the echo rule is floor(n/3)+1 voters:
 // the count rule (n-1)/3+1 it replaces asked for one voter fewer exactly
 // when 3 divides n.
-func (n *node) handleViewChange(m message) {
+func (n *node) handleViewChange(m *message) {
 	v := m.view
 	if v <= n.view {
 		return
@@ -301,17 +309,33 @@ func (n *node) handleViewChange(m message) {
 	}
 }
 
+// round returns the state of sequence slot seq, creating it on first sight.
 func (n *node) round(seq uint64) *liveRound {
+	if n.last != nil && n.lastSeq == seq {
+		return n.last
+	}
 	rd, ok := n.rounds[seq]
 	if !ok {
-		rd = &liveRound{}
+		if len(n.spare) == 0 {
+			n.spare = make([]liveRound, roundChunk)
+		}
+		rd, n.spare = &n.spare[0], n.spare[1:]
+		rd.proposals = rd.first[:0]
 		n.rounds[seq] = rd
 	}
+	n.lastSeq, n.last = seq, rd
 	return rd
 }
 
-func (n *node) handle(m message) {
+// handle runs one message through the state machine. It reads m in place —
+// wherever the driver keeps it — and keeps nothing of it but the value slice.
+func (n *node) handle(m *message) {
 	if n.behavior() == Silent {
+		return
+	}
+	// Only a request has no sender; anything else claiming to come from
+	// outside the replica set is dropped before it touches state.
+	if m.kind != kindRequest && (m.from < 0 || m.from >= len(n.power)) {
 		return
 	}
 	switch m.kind {
@@ -319,13 +343,14 @@ func (n *node) handle(m message) {
 		// Every replica banks the request so a later view's primary can
 		// re-propose it; only the current view's primary proposes now. A
 		// value this node has already committed is not requested twice.
-		d := digestOf(m.value)
-		if _, ok := n.done[d]; ok {
+		// The digest is newRequest's: a wrong one proposes a value every
+		// replica then rejects — a stall, never a commit.
+		if _, ok := n.done[m.digest]; ok {
 			return
 		}
-		n.addPending(d, m.value)
+		n.addPending(m.digest, m.value)
 		if n.id == n.primaryOf(n.view) {
-			n.propose(d, m.value)
+			n.propose(m.digest, m.value)
 		}
 	case kindPrePrepare:
 		// Accept only from the claimed view's primary, never from a view
@@ -341,7 +366,7 @@ func (n *node) handle(m message) {
 		}
 		rd := n.round(m.seq)
 		p := rd.proposal(m.digest)
-		p.value = append([]byte(nil), m.value...)
+		p.value = m.value
 		switch n.behavior() {
 		case Promiscuous:
 			if !p.sentPrep {
@@ -401,7 +426,7 @@ func (n *node) progress(seq uint64, rd *liveRound) {
 func (n *node) commit(seq uint64, rd *liveRound, p *proposal) {
 	rd.committed = true
 	n.committed++
-	n.onCommit(Commit{Replica: n.id, Seq: seq, Value: p.value})
+	n.onCommit(Commit{Replica: n.id, Seq: seq, Value: p.value, digest: p.digest})
 	n.removePending(p.digest)
 	n.done[p.digest] = struct{}{}
 }

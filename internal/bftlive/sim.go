@@ -45,8 +45,11 @@ type SimCluster struct {
 	nodes       []*node
 	behaviors   []Behavior
 
+	msgs     []message       // the current chunk of broadcast storage; see store
+	freeSelf []*selfDelivery // fired self-deliveries, reused by later broadcasts
+
 	honestCommits int
-	committedBy   map[string]int // value -> count of honest replicas committed
+	committedBy   map[cryptoutil.Digest]int // value digest -> count of honest replicas committed
 	agreed        map[uint64]simCommit
 	violation     *Violation
 
@@ -108,7 +111,7 @@ func NewSimCluster(net *simnet.Network, n int, opts ...SimOption) (*SimCluster, 
 		net:           net,
 		n:             n,
 		behaviors:     make([]Behavior, n),
-		committedBy:   make(map[string]int),
+		committedBy:   make(map[cryptoutil.Digest]int),
 		agreed:        make(map[uint64]simCommit),
 		lastCommitted: make([]int, n),
 	}
@@ -137,7 +140,7 @@ func NewSimCluster(net *simnet.Network, n int, opts ...SimOption) (*SimCluster, 
 		}
 		s.nodes = append(s.nodes, nd)
 		if err := net.Register(simnet.NodeID(i), simnet.HandlerFunc(func(from simnet.NodeID, msg any) {
-			if m, ok := msg.(message); ok {
+			if m, ok := msg.(*message); ok {
 				nd.handle(m)
 			}
 		})); err != nil {
@@ -190,24 +193,56 @@ func (s *SimCluster) N() int { return s.n }
 // fraction and no single count describes it.
 func (s *SimCluster) Quorum() int { return 2*s.n/3 + 1 }
 
+// msgChunk is how many messages the cluster carves from one allocation.
+const msgChunk = 64
+
+// store copies m into cluster storage and returns where it lives. The
+// network holds that pointer until the last destination fires or is
+// dropped, an end the cluster cannot see, so a chunk is filled once and
+// never reused: it dies with the last reference into it. Storage whose end
+// the cluster does see — a self-delivery is dead once fired — is recycled
+// instead (freeSelf).
+func (s *SimCluster) store(m message) *message {
+	if len(s.msgs) == cap(s.msgs) {
+		s.msgs = make([]message, 0, msgChunk)
+	}
+	s.msgs = append(s.msgs, m)
+	return &s.msgs[len(s.msgs)-1]
+}
+
 // broadcast sends to every other replica over the network and self-delivers
 // on the next scheduler step, so a vote counts itself without reentrant
-// handling.
+// handling. Both read the one stored message.
 func (s *SimCluster) broadcast(from int, m message) {
-	s.net.Broadcast(simnet.NodeID(from), m)
-	d := &selfDelivery{nd: s.nodes[from], m: m}
+	p := s.store(m)
+	s.net.Broadcast(simnet.NodeID(from), p)
+	var d *selfDelivery
+	if last := len(s.freeSelf) - 1; last >= 0 {
+		d, s.freeSelf = s.freeSelf[last], s.freeSelf[:last]
+	} else {
+		d = &selfDelivery{s: s}
+	}
+	d.to, d.m = from, p
 	s.net.Scheduler().Schedule(&d.ev, 0, "self-deliver", d)
 }
 
 // selfDelivery is a replica's own broadcast on its way back to it.
 type selfDelivery struct {
 	ev sim.Event
-	nd *node
-	m  message
+	s  *SimCluster
+	to int
+	m  *message
 }
 
-// Fire implements sim.Action.
-func (d *selfDelivery) Fire() { d.nd.handle(d.m) }
+// Fire implements sim.Action. The record is back on the free list before
+// the handler runs — the scheduler is done with a fired event, and the
+// message is not the record's — so the broadcast a vote provokes reuses it.
+func (d *selfDelivery) Fire() {
+	nd, m := d.s.nodes[d.to], d.m
+	d.m = nil
+	d.s.freeSelf = append(d.s.freeSelf, d)
+	nd.handle(m)
+}
 
 // Submit schedules a client value for every replica after the client hop:
 // the current primary proposes it, the rest bank it for re-proposal after
@@ -215,10 +250,10 @@ func (d *selfDelivery) Fire() { d.nd.handle(d.m) }
 // network traffic, so RNG consumption matches the fixed-primary runtime.
 // Call from a scheduler callback (or before Run).
 func (s *SimCluster) Submit(value []byte) {
-	v := append([]byte(nil), value...)
+	m := newRequest(value)
 	s.net.Scheduler().After(clientLatency, "client request", func() {
 		for _, nd := range s.nodes {
-			nd.handle(message{kind: kindRequest, value: v})
+			nd.handle(&m)
 		}
 	})
 }
@@ -257,8 +292,8 @@ func (s *SimCluster) EquivocateNext(a, b []byte) error {
 	}
 	nd.maxSeq++
 	seq := nd.maxSeq
-	ma := message{kind: kindPrePrepare, from: p, view: nd.view, seq: seq, digest: digestOf(a), value: append([]byte(nil), a...)}
-	mb := message{kind: kindPrePrepare, from: p, view: nd.view, seq: seq, digest: digestOf(b), value: append([]byte(nil), b...)}
+	ma := s.store(message{kind: kindPrePrepare, from: p, view: nd.view, seq: seq, digest: digestOf(a), value: append([]byte(nil), a...)})
+	mb := s.store(message{kind: kindPrePrepare, from: p, view: nd.view, seq: seq, digest: digestOf(b), value: append([]byte(nil), b...)})
 	var honest []int
 	for i := 0; i < s.n; i++ {
 		if i != p && s.behaviors[i] == Honest {
@@ -293,8 +328,8 @@ func (s *SimCluster) onCommit(i int, c Commit) {
 		return
 	}
 	s.honestCommits++
-	s.committedBy[string(c.Value)]++
-	d := digestOf(c.Value)
+	d := c.digest
+	s.committedBy[d]++
 	prev, ok := s.agreed[c.Seq]
 	if !ok {
 		s.agreed[c.Seq] = simCommit{replica: i, digest: d}
@@ -314,7 +349,7 @@ func (s *SimCluster) CommitCount() int { return s.honestCommits }
 
 // CommittedBy returns how many replicas committed the value while honest.
 func (s *SimCluster) CommittedBy(value []byte) int {
-	return s.committedBy[string(value)]
+	return s.committedBy[digestOf(value)]
 }
 
 // Violation returns the first observed agreement violation, or nil.
