@@ -20,6 +20,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/nakamoto"
 	"repro/internal/pooldata"
@@ -97,10 +98,10 @@ func runDoubleSpend(ctx context.Context, pools []nakamoto.Pool, k, z, trials int
 	tab.AddRowf("confirmations z", z)
 	// The Nakamoto family's tolerance, selected by value rather than a
 	// hard-coded constant: above it the attacker out-mines the network.
-	if sub := nakamoto.Substrate(); q >= sub.Tolerance() {
+	if q >= core.Nakamoto.Tolerance {
 		tab.AddRowf("success probability", 1.0)
 		tab.AddNote("q >= %s tolerance %.2f: the attacker out-mines the network; success is certain",
-			sub.Name(), sub.Tolerance())
+			core.Nakamoto.Name, core.Nakamoto.Tolerance)
 		fmt.Print(tab.String())
 		return
 	}

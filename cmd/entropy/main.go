@@ -23,24 +23,22 @@ import (
 	"strconv"
 	"syscall"
 
-	"repro/internal/bft"
 	"repro/internal/core"
 	"repro/internal/diversity"
 	"repro/internal/metrics"
-	"repro/internal/nakamoto"
 	"repro/internal/pooldata"
 )
 
 // tolString renders a family's tolerance as the paper's fraction where it
 // is one (1/3, 1/2), decimal otherwise.
 func tolString(s core.Substrate) string {
-	switch s.Tolerance() {
+	switch s.Tolerance {
 	case core.BFTThreshold:
 		return "1/3"
 	case core.NakamotoThreshold:
 		return "1/2"
 	default:
-		return fmt.Sprintf("%.3f", s.Tolerance())
+		return fmt.Sprintf("%.3f", s.Tolerance)
 	}
 }
 
@@ -124,12 +122,12 @@ func printReport(w io.Writer, name string, d diversity.Distribution) error {
 	tab.AddRowf("simpson index", rep.SimpsonIndex)
 	tab.AddRowf("max configuration share", rep.MaxShare)
 	// Break resilience per consensus family, selected by value.
-	for _, sub := range []core.Substrate{bft.Substrate(), nakamoto.Substrate()} {
-		faults, err := d.MinFaultsToExceed(sub.Tolerance())
+	for _, sub := range []core.Substrate{core.BFT, core.Nakamoto} {
+		faults, err := d.MinFaultsToExceed(sub.Tolerance)
 		if err != nil {
 			return err
 		}
-		tab.AddRowf(fmt.Sprintf("min faults to break %s (f=%s)", sub.Name(), tolString(sub)), faults)
+		tab.AddRowf(fmt.Sprintf("min faults to break %s (f=%s)", sub.Name, tolString(sub)), faults)
 	}
 	if rep.Kappa > 0 {
 		tab.AddRowf("κ-optimal (Definition 1)", rep.Kappa)

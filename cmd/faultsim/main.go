@@ -4,8 +4,8 @@
 // and reports the Sec. II-C safety condition over the vulnerability window.
 //
 // The consensus family is selected by value (-substrate bft|nakamoto|
-// committee) via the core.Substrate interface; -threshold overrides the
-// family's tolerance with a bespoke fraction.
+// committee) as a core.Substrate; -threshold replaces it with a bespoke
+// fraction.
 //
 // Usage:
 //
@@ -25,12 +25,9 @@ import (
 	"time"
 
 	"repro/internal/adversary"
-	"repro/internal/bft"
-	"repro/internal/committee"
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/nakamoto"
 	"repro/internal/registry"
 	"repro/internal/vuln"
 )
@@ -65,23 +62,22 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	opts := []core.Option{core.WithSubstrate(sub)}
 	if thresholdSet {
-		opts = append(opts, core.WithThreshold(*threshold))
+		sub = core.Threshold(*threshold)
 	}
 
 	reg, catalog, err := buildScenario(*replicas, *configs)
 	if err != nil {
 		log.Fatal(err)
 	}
-	mon, err := core.NewMonitor(reg, append(opts, core.WithCatalog(catalog))...)
+	mon, err := core.NewMonitor(reg, core.WithSubstrate(sub), core.WithCatalog(catalog))
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	timeline := metrics.NewTable(
 		fmt.Sprintf("safety condition over time (n=%d, κ=%d, %s f=%.3f)",
-			*replicas, *configs, mon.Substrate().Name(), mon.Threshold()),
+			*replicas, *configs, mon.Substrate().Name, mon.Threshold()),
 		"t (hours)", "entropy", "Σ f_t^i", "safe")
 	for _, h := range []int{0, 12, 24, 48, 72, 120} {
 		a, err := mon.Assess(time.Duration(h) * time.Hour)
@@ -125,13 +121,13 @@ func main() {
 func substrateFor(name string, seats int) (core.Substrate, error) {
 	switch name {
 	case "bft":
-		return bft.Substrate(), nil
+		return core.BFT, nil
 	case "nakamoto":
-		return nakamoto.Substrate(), nil
+		return core.Nakamoto, nil
 	case "committee":
-		return committee.Substrate(seats)
+		return core.Committee(seats)
 	default:
-		return nil, fmt.Errorf("unknown substrate %q (have bft, nakamoto, committee)", name)
+		return core.Substrate{}, fmt.Errorf("unknown substrate %q (have bft, nakamoto, committee)", name)
 	}
 }
 

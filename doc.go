@@ -12,6 +12,6 @@
 // pieces tie it together: the experiment registry (internal/experiment)
 // that cmd/experiments and bench_test.go both drive off; the
 // functional-options core.Monitor with its streaming Watch; and the
-// core.Substrate interface through which callers select a consensus
-// family (bft, nakamoto, committee) by value.
+// core.Substrate values (BFT, Nakamoto, Committee, Threshold) through
+// which callers select a consensus family.
 package repro

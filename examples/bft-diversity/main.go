@@ -17,8 +17,8 @@ import (
 	"log"
 	"time"
 
-	"repro/internal/bft"
 	"repro/internal/bftlive"
+	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 )
@@ -27,9 +27,8 @@ const n = 12
 
 func main() {
 	log.SetFlags(0)
-	sub := bft.Substrate()
 	fmt.Printf("one zero-day vs two 12-replica BFT clusters (%s family, f = %.3f of voting power)\n",
-		sub.Name(), sub.Tolerance())
+		core.BFT.Name, core.BFT.Tolerance)
 	fmt.Println()
 	runCase("monoculture-heavy (κ=2: 6 replicas share the vulnerable config)", 2)
 	fmt.Println()
@@ -61,7 +60,7 @@ func runCase(title string, kappa int) {
 	}
 	frac := float64(len(compromised)) / n
 	verdict := "within tolerance — safety predicted to hold"
-	if frac > bft.Substrate().Tolerance() {
+	if frac > core.BFT.Tolerance {
 		verdict = "exceeds tolerance — safety predicted to break"
 	}
 	fmt.Printf("compromised replicas: %v (%d/%d = %.0f%% of voting power; %s)\n",

@@ -14,7 +14,6 @@ import (
 	"log"
 	"time"
 
-	"repro/internal/bft"
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/registry"
@@ -62,7 +61,7 @@ func main() {
 	//    constant.
 	mon, err := core.NewMonitor(reg,
 		core.WithCatalog(catalog),
-		core.WithSubstrate(bft.Substrate()),
+		core.WithSubstrate(core.BFT),
 	)
 	if err != nil {
 		log.Fatal(err)

@@ -18,7 +18,6 @@ import (
 	"log"
 	"time"
 
-	"repro/internal/bft"
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/registry"
@@ -62,7 +61,7 @@ func main() {
 	vt := core.NewVirtualTime()
 	mon, err := core.NewMonitor(reg,
 		core.WithCatalog(catalog),
-		core.WithSubstrate(bft.Substrate()),
+		core.WithSubstrate(core.BFT),
 		core.WithVirtualTime(vt),
 		core.WithWatchInterval(6*time.Hour),
 	)
@@ -71,7 +70,7 @@ func main() {
 	}
 
 	fmt.Printf("streaming assessments (%s family, f=%.3f), one emission = 6 virtual hours\n\n",
-		mon.Substrate().Name(), mon.Threshold())
+		mon.Substrate().Name, mon.Threshold())
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

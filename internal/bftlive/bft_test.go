@@ -1,17 +1,15 @@
-// The tests of this package run the repo's one BFT runtime,
-// bftlive.SimCluster, against the bound bft.Substrate declares: safety
-// while Byzantine voting power is at most 1/3, liveness while a quorum of
-// strictly more than 2/3 can talk.
-package bft_test
+// The tests of this file and partition_test.go hold SimCluster, through
+// its exported surface only, to the bound of the BFT family (core.BFT,
+// f = 1/3): safety while Byzantine voting power is at most 1/3, liveness
+// while a quorum of strictly more than 2/3 can talk.
+package bftlive_test
 
 import (
 	"fmt"
 	"testing"
 	"time"
 
-	"repro/internal/bft"
 	"repro/internal/bftlive"
-	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 )
@@ -75,9 +73,6 @@ func TestNewClusterValidation(t *testing.T) {
 	}
 	if _, err := bftlive.NewSimCluster(net, 4, bftlive.SimWithPower([]float64{1, 1, 1, 0})); err == nil {
 		t.Fatal("zero weight accepted")
-	}
-	if s := bft.Substrate(); s.Name() != "bft" || s.Tolerance() != core.BFTThreshold {
-		t.Fatalf("substrate %q tolerates %v, want bft at %v", s.Name(), s.Tolerance(), core.BFTThreshold)
 	}
 }
 

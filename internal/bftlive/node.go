@@ -4,10 +4,9 @@ import (
 	"repro/internal/cryptoutil"
 )
 
-// Behavior selects how a replica conducts itself in the protocol. The
-// channel-backed Cluster always runs Honest replicas (crashes are modelled
-// by dropping input); the SimCluster exposes the full set so the live loop
-// can turn an implanted replica Byzantine mid-run.
+// Behavior selects how a replica conducts itself in the protocol.
+// SimCluster.SetBehavior switches it, so the live loop can turn an
+// implanted replica Byzantine mid-run.
 type Behavior uint8
 
 // Replica behaviors.
@@ -36,7 +35,7 @@ func (b Behavior) String() string {
 	}
 }
 
-// digestOf is the domain-separated value digest both transports share.
+// digestOf is the domain-separated value digest.
 func digestOf(value []byte) cryptoutil.Digest {
 	return cryptoutil.Hash([]byte("repro/bftlive/value/v1"), value)
 }
@@ -129,10 +128,10 @@ func (rd *liveRound) proposal(d cryptoutil.Digest) *proposal {
 	return &rd.proposals[len(rd.proposals)-1]
 }
 
-// node is the transport-agnostic replica state machine shared by the
-// channel-backed Cluster and the simnet-backed SimCluster. Drivers must
-// serialize calls into one node: the Cluster does it with a per-replica
-// goroutine loop, the SimCluster with single-threaded scheduler callbacks.
+// node is the replica state machine. It knows no wire: out, onCommit and
+// behavior are what SimCluster (or a test's recorder) plugs in. Calls into
+// one node must be serialized; SimCluster's single-threaded scheduler
+// callbacks are.
 type node struct {
 	id       int
 	power    []float64 // voting power per replica, one slice shared by the cluster's nodes

@@ -1,4 +1,4 @@
-package bft_test
+package bftlive_test
 
 import (
 	"testing"

@@ -263,6 +263,9 @@ func (s *SimCluster) SetBehavior(i int, b Behavior) error {
 	if i < 0 || i >= s.n {
 		return fmt.Errorf("bftlive: replica %d out of range", i)
 	}
+	if b > Promiscuous {
+		return fmt.Errorf("bftlive: unknown behavior %d", b)
+	}
 	s.behaviors[i] = b
 	return nil
 }

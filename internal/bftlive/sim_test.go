@@ -37,6 +37,26 @@ func TestSimClusterValidation(t *testing.T) {
 	if _, err := NewSimCluster(nil, 4); err == nil {
 		t.Fatal("nil network accepted")
 	}
+	s, err := NewSimCluster(net, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{-1, 4} {
+		if err := s.SetBehavior(i, Silent); err == nil {
+			t.Errorf("SetBehavior(%d, Silent) accepted on 4 replicas", i)
+		}
+		if b := s.BehaviorOf(i); b != Silent {
+			t.Errorf("BehaviorOf(%d) = %v on 4 replicas, want silent", i, b)
+		}
+	}
+	// A behaviour the protocol does not know would vote on the wire and be
+	// counted nowhere.
+	if err := s.SetBehavior(0, Behavior(7)); err == nil {
+		t.Error("SetBehavior(0, Behavior(7)) accepted")
+	}
+	if b := s.BehaviorOf(0); b != Honest {
+		t.Errorf("replica 0 is %v after the rejected SetBehavior, want honest", b)
+	}
 }
 
 func TestSimWithPowerValidation(t *testing.T) {

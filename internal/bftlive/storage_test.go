@@ -1,7 +1,6 @@
 package bftlive
 
 import (
-	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -123,36 +122,6 @@ func TestSubmitCopiesTheValue(t *testing.T) {
 		for _, c := range *seen {
 			if string(c.Value) != "mine" {
 				t.Fatalf("replica %d reports %q, want the submitted bytes", c.Replica, c.Value)
-			}
-		}
-	})
-	t.Run("Cluster", func(t *testing.T) {
-		c, err := New(4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		if err := c.Start(ctx); err != nil {
-			t.Fatal(err)
-		}
-		defer c.Stop()
-		v := []byte("mine")
-		c.Submit(v)
-		copy(v, "XXXX")
-		var seen []Commit
-		for deadline := time.After(10 * time.Second); len(seen) < 4; {
-			select {
-			case ev := <-c.Commits():
-				seen = append(seen, ev)
-			case <-deadline:
-				t.Fatalf("timeout after %d commits", len(seen))
-			}
-		}
-		copy(v, "YYYY")
-		for _, ev := range seen {
-			if string(ev.Value) != "mine" || ev.digest != digestOf([]byte("mine")) {
-				t.Fatalf("replica %d reports %q, want the submitted bytes under their digest", ev.Replica, ev.Value)
 			}
 		}
 	})

@@ -1,7 +1,6 @@
 package bftlive
 
 import (
-	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -247,86 +246,4 @@ func TestSimRotationDeterminism(t *testing.T) {
 			})
 		}
 	})
-}
-
-// collectValue reads commit events until at least want replicas have
-// committed the value, or the deadline elapses.
-func collectValue(t *testing.T, c *Cluster, value string, want int, timeout time.Duration) map[int]bool {
-	t.Helper()
-	got := make(map[int]bool)
-	deadline := time.After(timeout)
-	for len(got) < want {
-		select {
-		case ev := <-c.Commits():
-			if string(ev.Value) == value {
-				got[ev.Replica] = true
-			}
-		case <-deadline:
-			t.Fatalf("timeout waiting for %q: have %v", value, got)
-		}
-	}
-	return got
-}
-
-func TestClusterViewChangeOnPrimaryCrash(t *testing.T) {
-	c, err := New(7, WithViewTimeout(50*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	if err := c.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-	defer c.Stop()
-	c.Submit([]byte("pre-crash"))
-	collectValue(t, c, "pre-crash", 7, 10*time.Second)
-	if err := c.Crash(0); err != nil {
-		t.Fatal(err)
-	}
-	c.Submit([]byte("post-crash"))
-	got := collectValue(t, c, "post-crash", 6, 30*time.Second)
-	if got[0] {
-		t.Fatal("crashed primary committed")
-	}
-	if c.View() < 1 || c.ViewChanges() < 1 {
-		t.Fatalf("no rotation: view=%d changes=%d", c.View(), c.ViewChanges())
-	}
-}
-
-func TestClusterViewChangeEscalatesPastDeadPrimaries(t *testing.T) {
-	c, err := New(7, WithViewTimeout(40*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	if err := c.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-	defer c.Stop()
-	// Crash the primaries of views 0 and 1 at once: rotation must escalate
-	// until it lands on a live one (f = 2 for n = 7).
-	if err := c.Crash(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Crash(1); err != nil {
-		t.Fatal(err)
-	}
-	c.Submit([]byte("escalate"))
-	got := collectValue(t, c, "escalate", 5, 30*time.Second)
-	for id := range got {
-		if id == 0 || id == 1 {
-			t.Fatalf("crashed replica %d committed", id)
-		}
-	}
-	if c.View() < 2 {
-		t.Fatalf("view %d did not escalate past dead primaries", c.View())
-	}
-}
-
-func TestClusterViewTimeoutValidation(t *testing.T) {
-	if _, err := New(4, WithViewTimeout(-time.Second)); err == nil {
-		t.Fatal("negative view timeout accepted")
-	}
 }

@@ -103,28 +103,3 @@ func TestSelectorMatchesDirectFunctions(t *testing.T) {
 		}
 	}
 }
-
-func TestCommitteeSubstrate(t *testing.T) {
-	if _, err := Substrate(3); err == nil {
-		t.Fatal("3-seat substrate accepted")
-	}
-	for _, c := range []struct {
-		seats int
-		tol   float64
-	}{
-		{4, 1.0 / 4.0},   // tolerates 1 of 4
-		{7, 2.0 / 7.0},   // tolerates 2 of 7
-		{10, 3.0 / 10.0}, // tolerates 3 of 10
-	} {
-		s, err := Substrate(c.seats)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.Tolerance() != c.tol {
-			t.Fatalf("tolerance(%d) = %v, want %v", c.seats, s.Tolerance(), c.tol)
-		}
-		if s.Name() != fmt.Sprintf("committee(%d)", c.seats) {
-			t.Fatalf("name = %q", s.Name())
-		}
-	}
-}

@@ -11,8 +11,8 @@
 //     entropy without excluding anyone (permissionless systems cannot
 //     reject joiners; they can only discount weight).
 //
-// The committee substrate (internal/committee) provides the third
-// enforcement point: diversity-aware membership selection.
+// Committee selection (internal/committee) provides the third
+// enforcement point: diversity-aware membership.
 package core
 
 import (
@@ -144,12 +144,12 @@ type CacheStats struct {
 //
 //	mon, err := core.NewMonitor(reg,
 //		core.WithCatalog(catalog),
-//		core.WithSubstrate(bft.Substrate()),
+//		core.WithSubstrate(core.Nakamoto),
 //		core.WithWeighting(registry.Weighting{Attested: 1, Declared: 0.5}),
 //	)
 //
-// Defaults: empty catalog, registry.DefaultWeighting, a BFT-family
-// substrate (f = 1/3), a wall-clock Watch clock, and a 1s Watch interval.
+// Defaults: empty catalog, registry.DefaultWeighting, the BFT substrate
+// (f = 1/3), a wall-clock Watch clock, and a 1s Watch interval.
 func NewMonitor(reg *registry.Registry, opts ...Option) (*Monitor, error) {
 	if reg == nil {
 		return nil, errors.New("core: nil registry")
@@ -159,7 +159,7 @@ func NewMonitor(reg *registry.Registry, opts ...Option) (*Monitor, error) {
 		reg:       reg,
 		catalog:   vuln.NewCatalog(),
 		weighting: registry.DefaultWeighting,
-		substrate: Family{FamilyName: "bft", FaultTolerance: BFTThreshold},
+		substrate: BFT,
 		clock:     func() time.Duration { return time.Since(start) },
 		interval:  time.Second,
 	}
@@ -185,7 +185,7 @@ func (m *Monitor) Stats() CacheStats {
 }
 
 // Threshold returns the tolerated Byzantine power fraction in force.
-func (m *Monitor) Threshold() float64 { return m.substrate.Tolerance() }
+func (m *Monitor) Threshold() float64 { return m.substrate.Tolerance }
 
 // refreshLocked brings the caches (diversity report, exposure index) up
 // to date with the registry's current snapshot and the catalog's current
@@ -288,9 +288,9 @@ func (m *Monitor) assessmentLocked(inj vuln.Injection) Assessment {
 		At:        inj.At,
 		Diversity: m.report,
 		Injection: inj,
-		Substrate: m.substrate.Name(),
-		Threshold: m.substrate.Tolerance(),
-		Safe:      m.substrate.Assess(inj),
+		Substrate: m.substrate.Name,
+		Threshold: m.substrate.Tolerance,
+		Safe:      m.substrate.Safe(inj),
 	}
 }
 
@@ -414,7 +414,7 @@ func EvaluateTwoTier(reg *registry.Registry, catalog *vuln.Catalog, threshold fl
 	if discount < 0 || discount > 1 || math.IsNaN(discount) {
 		return TwoTierOutcome{}, fmt.Errorf("core: discount %v out of [0,1]", discount)
 	}
-	plainMon, err := NewMonitor(reg, WithCatalog(catalog), WithThreshold(threshold))
+	plainMon, err := NewMonitor(reg, WithCatalog(catalog), WithSubstrate(Threshold(threshold)))
 	if err != nil {
 		return TwoTierOutcome{}, err
 	}
@@ -431,7 +431,7 @@ func EvaluateTwoTier(reg *registry.Registry, catalog *vuln.Catalog, threshold fl
 			return TwoTierOutcome{}, errors.New("core: discount 0 with no attested power would zero the system")
 		}
 	}
-	weightedMon, err := NewMonitor(reg, WithCatalog(catalog), WithWeighting(w), WithThreshold(threshold))
+	weightedMon, err := NewMonitor(reg, WithCatalog(catalog), WithWeighting(w), WithSubstrate(Threshold(threshold)))
 	if err != nil {
 		return TwoTierOutcome{}, err
 	}

@@ -59,17 +59,6 @@ func TestNewMonitorValidation(t *testing.T) {
 	if _, err := NewMonitor(reg, WithWeighting(registry.Weighting{Attested: -1, Declared: 1})); err == nil {
 		t.Fatal("bad weighting accepted")
 	}
-	for _, f := range []float64{0, -0.5, 1, 1.5, math.NaN()} {
-		if _, err := NewMonitor(reg, WithThreshold(f)); err == nil {
-			t.Fatalf("threshold %v accepted", f)
-		}
-	}
-	if _, err := NewMonitor(reg, WithSubstrate(nil)); err == nil {
-		t.Fatal("nil substrate accepted")
-	}
-	if _, err := NewMonitor(reg, WithSubstrate(Family{FamilyName: "bad", FaultTolerance: 0})); err == nil {
-		t.Fatal("zero-tolerance substrate accepted")
-	}
 	if _, err := NewMonitor(reg, WithClock(nil)); err == nil {
 		t.Fatal("nil clock accepted")
 	}
@@ -89,8 +78,8 @@ func TestMonitorDefaults(t *testing.T) {
 	if mon.Threshold() != BFTThreshold {
 		t.Fatalf("default threshold = %v, want %v", mon.Threshold(), BFTThreshold)
 	}
-	if mon.Substrate().Name() != "bft" {
-		t.Fatalf("default substrate = %q, want bft", mon.Substrate().Name())
+	if mon.Substrate() != BFT {
+		t.Fatalf("default substrate = %+v, want %+v", mon.Substrate(), BFT)
 	}
 	// Empty default catalog: always safe, whatever the time.
 	a, err := mon.Assess(15 * time.Hour)
@@ -106,8 +95,7 @@ func TestMonitorSubstrateSelection(t *testing.T) {
 	reg := testRegistry(t)
 	// Under a Nakamoto-family tolerance (1/2), debian's 60% still breaks;
 	// under a permissive custom family it does not.
-	nak, err := NewMonitor(reg, WithCatalog(debianVuln()),
-		WithSubstrate(Family{FamilyName: "nakamoto", FaultTolerance: NakamotoThreshold}))
+	nak, err := NewMonitor(reg, WithCatalog(debianVuln()), WithSubstrate(Nakamoto))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +106,7 @@ func TestMonitorSubstrateSelection(t *testing.T) {
 	if mid.Safe || mid.Substrate != "nakamoto" || mid.Threshold != NakamotoThreshold {
 		t.Fatalf("nakamoto assessment = %+v", mid)
 	}
-	loose, err := NewMonitor(reg, WithCatalog(debianVuln()), WithThreshold(0.75))
+	loose, err := NewMonitor(reg, WithCatalog(debianVuln()), WithSubstrate(Threshold(0.75)))
 	if err != nil {
 		t.Fatal(err)
 	}

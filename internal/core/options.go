@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/registry"
@@ -38,26 +39,13 @@ func WithWeighting(w registry.Weighting) Option {
 	}
 }
 
-// WithThreshold sets a bespoke tolerated Byzantine power fraction f in
-// (0,1). It is shorthand for WithSubstrate(Family{...}); prefer selecting
-// a consensus family via WithSubstrate where one applies.
-func WithThreshold(f float64) Option {
-	return func(m *Monitor) error {
-		s := Family{FamilyName: fmt.Sprintf("custom(f=%.4g)", f), FaultTolerance: f}
-		if err := validateSubstrate(s); err != nil {
-			return fmt.Errorf("core: threshold %v out of (0,1)", f)
-		}
-		m.substrate = s
-		return nil
-	}
-}
-
-// WithSubstrate selects the consensus family whose tolerance and safety
-// rule the monitor applies. Default: Family{"bft", 1/3}.
+// WithSubstrate selects the consensus family whose tolerance the monitor
+// applies; f must lie in (0,1), which the zero Substrate does not.
+// Default: BFT.
 func WithSubstrate(s Substrate) Option {
 	return func(m *Monitor) error {
-		if err := validateSubstrate(s); err != nil {
-			return err
+		if math.IsNaN(s.Tolerance) || s.Tolerance <= 0 || s.Tolerance >= 1 {
+			return fmt.Errorf("core: substrate %q tolerance %v out of (0,1)", s.Name, s.Tolerance)
 		}
 		m.substrate = s
 		return nil

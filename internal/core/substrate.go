@@ -2,53 +2,52 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/vuln"
 )
 
-// Substrate identifies a consensus family by value: its name, the
-// Byzantine power fraction f it tolerates, and the family's safety rule
-// applied to an injected fault picture. Callers select a family (BFT,
-// Nakamoto, committee) instead of wiring threshold constants; each family
-// is declared by its own package (internal/bft, internal/nakamoto,
-// internal/committee), next to or apart from the code that runs it —
-// internal/bft holds only the declaration, internal/bftlive the protocol.
-type Substrate interface {
-	// Name identifies the consensus family (e.g. "bft", "nakamoto").
-	Name() string
-	// Tolerance is the tolerated Byzantine power fraction f in (0,1).
-	Tolerance() float64
-	// Assess applies the family's safety condition (Sec. II-C:
-	// Tolerance >= Σ f_t^i) to the fault picture at one instant.
-	Assess(inj vuln.Injection) bool
+// Substrate is a consensus family as the paper has it (Sec. II-A): a name
+// and the resilience f — the Byzantine power fraction the family tolerates,
+// "derived from the total number of replicas according to the quorum
+// theory". Every family is one of the values or constructors below; the
+// protocols themselves run elsewhere (internal/bftlive, internal/nakamoto,
+// internal/committee) and do not know this package.
+type Substrate struct {
+	Name      string
+	Tolerance float64 // f, in (0,1)
 }
 
-// Family is the generic value-type Substrate: a named tolerance applying
-// the paper's Sec. II-C condition verbatim. Backends embed or return it;
-// callers with a bespoke threshold can construct one directly.
-type Family struct {
-	FamilyName     string
-	FaultTolerance float64
+// Safe is the Sec. II-C condition, f ≥ Σ f_t^i, on the fault picture at
+// one instant: the deduplicated compromised fraction may reach f, not
+// pass it.
+func (s Substrate) Safe(inj vuln.Injection) bool { return inj.Safe(s.Tolerance) }
+
+var (
+	// BFT is the quorum-BFT family: a three-phase commit whose quorums are
+	// strictly more than 2/3 of the power is safe while Byzantine power
+	// stays at or below f = 1/3.
+	BFT = Substrate{Name: "bft", Tolerance: BFTThreshold}
+	// Nakamoto is the longest-chain family: above f = 1/2 the attacker
+	// out-mines the network and a double spend is certain (see
+	// nakamoto.DoubleSpendProbability).
+	Nakamoto = Substrate{Name: "nakamoto", Tolerance: NakamotoThreshold}
+)
+
+// Committee is a quorum protocol over a fixed number of seats (>= 4),
+// tolerating floor((seats-1)/3) Byzantine seats: unlike the open BFT
+// family, f depends on the committee's size.
+func Committee(seats int) (Substrate, error) {
+	if seats < 4 {
+		return Substrate{}, fmt.Errorf("core: committee substrate needs >= 4 seats, got %d", seats)
+	}
+	return Substrate{
+		Name:      fmt.Sprintf("committee(%d)", seats),
+		Tolerance: float64((seats-1)/3) / float64(seats),
+	}, nil
 }
 
-// Name implements Substrate.
-func (f Family) Name() string { return f.FamilyName }
-
-// Tolerance implements Substrate.
-func (f Family) Tolerance() float64 { return f.FaultTolerance }
-
-// Assess implements Substrate: safe iff Σ f_t^i ≤ Tolerance.
-func (f Family) Assess(inj vuln.Injection) bool { return inj.Safe(f.FaultTolerance) }
-
-// validateSubstrate rejects nil substrates and tolerances outside (0,1).
-func validateSubstrate(s Substrate) error {
-	if s == nil {
-		return fmt.Errorf("core: nil substrate")
-	}
-	tol := s.Tolerance()
-	if math.IsNaN(tol) || tol <= 0 || tol >= 1 {
-		return fmt.Errorf("core: substrate %q tolerance %v out of (0,1)", s.Name(), tol)
-	}
-	return nil
+// Threshold is a family known only by its tolerance f; WithSubstrate
+// rejects an f outside (0,1).
+func Threshold(f float64) Substrate {
+	return Substrate{Name: fmt.Sprintf("custom(f=%.4g)", f), Tolerance: f}
 }

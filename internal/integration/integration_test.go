@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/attest"
-	"repro/internal/bft"
 	"repro/internal/bftlive"
 	"repro/internal/config"
 	"repro/internal/core"
@@ -75,7 +74,7 @@ func TestAttestedPipelineMonitorsSafety(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	mon, err := core.NewMonitor(reg, core.WithCatalog(cat), core.WithSubstrate(bft.Substrate()))
+	mon, err := core.NewMonitor(reg, core.WithCatalog(cat), core.WithSubstrate(core.BFT))
 	if err != nil {
 		t.Fatal(err)
 	}

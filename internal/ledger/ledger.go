@@ -140,9 +140,6 @@ func NewChain(genesis *Block) (*Chain, error) {
 	}, nil
 }
 
-// Genesis returns the genesis block id.
-func (c *Chain) Genesis() cryptoutil.Digest { return c.genesis }
-
 // Tip returns the current best tip id.
 func (c *Chain) Tip() cryptoutil.Digest { return c.tip }
 

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bft"
 	"repro/internal/core"
 )
 
@@ -51,7 +50,7 @@ func encodeFresh(t *testing.T, v any) []byte {
 // no memo, no kept body.
 func fromScratch(t *testing.T, tn *Tenant, at time.Duration) map[string][]byte {
 	t.Helper()
-	mon, err := core.NewMonitor(tn.Registry, core.WithCatalog(tn.Catalog), core.WithSubstrate(bft.Substrate()))
+	mon, err := core.NewMonitor(tn.Registry, core.WithCatalog(tn.Catalog), core.WithSubstrate(core.BFT))
 	if err != nil {
 		t.Fatal(err)
 	}

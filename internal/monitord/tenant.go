@@ -8,9 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bft"
 	"repro/internal/core"
-	"repro/internal/nakamoto"
 	"repro/internal/registry"
 	"repro/internal/vuln"
 )
@@ -176,7 +174,7 @@ func buildTenant(name string, spec TenantSpec) (*Tenant, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts = append(opts, sub)
+	opts = append(opts, core.WithSubstrate(sub))
 	if spec.Weighting != nil {
 		opts = append(opts, core.WithWeighting(registry.Weighting{
 			Attested: spec.Weighting.Attested,
@@ -188,7 +186,7 @@ func buildTenant(name string, spec TenantSpec) (*Tenant, error) {
 		return nil, err
 	}
 	t.Monitor = mon
-	t.substrate = mon.Substrate().Name()
+	t.substrate = mon.Substrate().Name
 	t.threshold = mon.Threshold()
 	t.hub = newHub(mon)
 
@@ -209,22 +207,22 @@ func buildTenant(name string, spec TenantSpec) (*Tenant, error) {
 	return t, nil
 }
 
-// substrateFor maps the spec's consensus selection to a monitor option:
-// a bespoke threshold wins, then the named family, defaulting to BFT.
-func substrateFor(spec TenantSpec) (core.Option, error) {
+// substrateFor maps the spec's consensus selection to a family: a bespoke
+// threshold wins, then the named family, defaulting to BFT.
+func substrateFor(spec TenantSpec) (core.Substrate, error) {
 	if spec.Threshold != 0 {
 		if spec.Substrate != "" {
-			return nil, fmt.Errorf("monitord: substrate %q and threshold %v are mutually exclusive", spec.Substrate, spec.Threshold)
+			return core.Substrate{}, fmt.Errorf("monitord: substrate %q and threshold %v are mutually exclusive", spec.Substrate, spec.Threshold)
 		}
-		return core.WithThreshold(spec.Threshold), nil
+		return core.Threshold(spec.Threshold), nil
 	}
 	switch spec.Substrate {
 	case "", "bft":
-		return core.WithSubstrate(bft.Substrate()), nil
+		return core.BFT, nil
 	case "nakamoto":
-		return core.WithSubstrate(nakamoto.Substrate()), nil
+		return core.Nakamoto, nil
 	default:
-		return nil, fmt.Errorf("monitord: unknown substrate %q (have bft, nakamoto, or set threshold)", spec.Substrate)
+		return core.Substrate{}, fmt.Errorf("monitord: unknown substrate %q (have bft, nakamoto, or set threshold)", spec.Substrate)
 	}
 }
 

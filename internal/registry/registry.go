@@ -98,14 +98,6 @@ func (w Weighting) Validate() error {
 	return nil
 }
 
-// Apply returns the effective power of a record under the weighting.
-func (w Weighting) Apply(r *Record) float64 {
-	if r.Tier == TierAttested {
-		return r.Power * w.Attested
-	}
-	return r.Power * w.Declared
-}
-
 // tierMultiplier returns the weight multiplier for a tier.
 func (w Weighting) tierMultiplier(t Tier) float64 {
 	if t == TierAttested {

@@ -41,7 +41,6 @@ type Snapshot struct {
 
 	buckets []*SnapBucket // label-ascending
 	members int
-	total   float64 // Σ weighted power (== Distribution.Total())
 	// classes counts members per weighted power — the histogram Report's
 	// operator-fault resilience needs. A delta snapshot copies its
 	// predecessor's and re-counts only the changed buckets.
@@ -62,12 +61,6 @@ type Snapshot struct {
 
 // NumReplicas reports the population size in O(1).
 func (s *Snapshot) NumReplicas() int { return s.members }
-
-// TotalPower returns the summed weighted power.
-func (s *Snapshot) TotalPower() float64 { return s.total }
-
-// Buckets returns the label-ascending bucket list. Read-only.
-func (s *Snapshot) Buckets() []*SnapBucket { return s.buckets }
 
 // BucketSpecs adapts the buckets for vuln.NewGroupInjector. The specs
 // share the snapshot's group slices; read-only.
@@ -211,7 +204,6 @@ func (r *Registry) finalizeSnapshot(buckets []*SnapBucket, classes map[float64]i
 		Distribution: dist,
 		buckets:      buckets,
 		members:      members,
-		total:        dist.Total(),
 		classes:      classes,
 	}, nil
 }

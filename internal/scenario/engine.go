@@ -606,7 +606,6 @@ type RunOpt func(*runConfig)
 
 type runConfig struct {
 	observers []Observer
-	tick      time.Duration
 }
 
 // WithObserver registers an observer on the engine before the timeline is
@@ -619,13 +618,6 @@ func WithObserver(o Observer) RunOpt {
 			rc.observers = append(rc.observers, o)
 		}
 	}
-}
-
-// WithTick overrides the def's assessment cadence for this run only —
-// e.g. a sweep densifying ticks on a suspicious timeline without editing
-// it. d <= 0 keeps the def's own cadence.
-func WithTick(d time.Duration) RunOpt {
-	return func(rc *runConfig) { rc.tick = d }
 }
 
 // Run executes one scenario at the given base seed and returns its trace.
@@ -656,10 +648,7 @@ func Run(def Def, baseSeed int64, opts ...RunOpt) (*Result, error) {
 	if err := tl.Apply(e); err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", def.Name, err)
 	}
-	tick := rc.tick
-	if tick <= 0 {
-		tick = def.Tick
-	}
+	tick := def.Tick
 	if tick <= 0 {
 		tick = def.Horizon / 24
 	}

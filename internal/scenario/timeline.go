@@ -375,16 +375,6 @@ func BuildConfiguration(specs []ComponentSpec) (config.Configuration, error) {
 	return config.New(components...)
 }
 
-// ConfigSpec serializes a configuration as its canonical component list.
-func ConfigSpec(cfg config.Configuration) []ComponentSpec {
-	components := cfg.Components()
-	out := make([]ComponentSpec, len(components))
-	for i, c := range components {
-		out[i] = ComponentSpec{Class: c.Class.String(), Name: c.Name, Version: c.Version}
-	}
-	return out
-}
-
 // VulnSpec is the serializable form of one vuln.Vulnerability.
 type VulnSpec struct {
 	ID        string   `json:"id"`
