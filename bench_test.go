@@ -555,7 +555,7 @@ func TestAssessPathAllocations(t *testing.T) {
 
 // TestAnalyticPathAllocations pins what "derive once per snapshot, never
 // per record" bought on the analytic run: a fresh group injector is carved
-// out of three slabs (it was 4-5 objects per bucket plus one per group:
+// out of slabs (it was 4-5 objects per bucket plus one per group:
 // 2501 on this shape), and a whole checked timeline stays under ~70 % of the
 // 6164 objects it took when every record rebuilt its derived views.
 func TestAnalyticPathAllocations(t *testing.T) {

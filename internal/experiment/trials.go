@@ -10,12 +10,13 @@ import (
 	"sync/atomic"
 
 	"repro/internal/metrics"
+	"repro/internal/sim"
 )
 
 // Monte Carlo parallelism.
 //
 // Trials are partitioned into fixed-size chunks; each chunk gets its own
-// rand.Rand seeded by a SplitMix64 derivation of (base seed, chunk index).
+// rand.Rand seeded by sim.ChunkSeed(base seed, chunk index).
 // The partitioning and seeding depend only on (seed, trials), never on the
 // worker count, so a run with 16 workers counts exactly the same wins as a
 // serial run — Monte Carlo tables stay byte-identical while regeneration
@@ -25,22 +26,6 @@ import (
 // enough to amortise rng construction (rand.NewSource allocates ~5 KB of
 // generator state), small enough to load-balance across workers.
 const trialChunkSize = 1024
-
-// ChunkSeed derives the deterministic seed for chunk c via SplitMix64 —
-// one cheap, well-mixed 64-bit permutation step per chunk, so neighbouring
-// chunks get uncorrelated streams even for small base seeds. Exported
-// because the scenario sweep reuses the same discipline to seed generated
-// timelines by generation index: any fixed-size-index fan-out that must not
-// depend on worker count wants exactly this derivation.
-func ChunkSeed(seed int64, c int) int64 {
-	x := uint64(seed) + (uint64(c)+1)*0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return int64(x)
-}
 
 // RunTrials executes trials independent Monte Carlo trials across workers
 // goroutines and returns how many reported success. workers <= 1 runs
@@ -61,7 +46,7 @@ func RunTrials(ctx context.Context, workers, trials int, seed int64, trial func(
 	}
 	nChunks := (trials + trialChunkSize - 1) / trialChunkSize
 	runChunk := func(c int) int {
-		rng := rand.New(rand.NewSource(ChunkSeed(seed, c)))
+		rng := rand.New(rand.NewSource(sim.ChunkSeed(seed, c)))
 		n := trialChunkSize
 		if c == nChunks-1 {
 			n = trials - c*trialChunkSize

@@ -5,13 +5,13 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/experiment"
+	"repro/internal/sim"
 )
 
 // Generative scenarios: a profile is a family of timelines, and
 // (profile, base seed, generation index) is a pure address into that
 // family. Generation draws all randomness from one rng seeded by
-// experiment.ChunkSeed(DeriveSeed(base, "gen-"+profile), index) — the same
+// sim.ChunkSeed(DeriveSeed(base, "gen-"+profile), index) — the same
 // two-level derivation the Monte Carlo trials use — so a sweep's timeline
 // #317 is the same timeline whether it is generated by worker 1 of 1 or
 // worker 7 of 16, and can be regenerated in isolation to replay or shrink
@@ -65,7 +65,7 @@ func (p GenProfile) Generate(baseSeed int64, index int) *Timeline {
 	if p.gen == nil {
 		panic(fmt.Sprintf("scenario: profile %q has no generator", p.Name))
 	}
-	seed := experiment.ChunkSeed(DeriveSeed(baseSeed, "gen-"+p.Name), index)
+	seed := sim.ChunkSeed(DeriveSeed(baseSeed, "gen-"+p.Name), index)
 	rng := rand.New(rand.NewSource(seed))
 	tl := &Timeline{
 		Name:  fmt.Sprintf("gen-%s-%d-%04d", p.Name, baseSeed, index),

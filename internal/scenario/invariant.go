@@ -214,15 +214,20 @@ func PatchMonotone() Invariant {
 	}
 }
 
-// oracleEvery samples every Nth record for the oracle cross-check; the flat
-// injection is O(replicas x vulns) so checking every record would dominate
-// sweep time on churn-heavy timelines.
+// oracleEvery samples every Nth record for the oracle cross-check. Both
+// rebuilds match every vulnerability against the whole membership — the
+// flat one per replica, O(replicas x vulns) — so checking every record would
+// dominate sweep time on churn-heavy timelines; the storage is recycled, the
+// matching is not.
 const oracleEvery = 4
 
 // oracleObserver cross-checks the monitor's incremental fraction and a
-// freshly built GroupInjector's full injection against the flat oracle at
-// sampled instants.
+// GroupInjector rebuilt from scratch against the flat oracle at sampled
+// instants. It keeps one injector of each kind and rebuilds both from every
+// sampled snapshot, so only their storage outlives a sample.
 type oracleObserver struct {
+	flat       vuln.Injector
+	grouped    vuln.GroupInjector
 	violations []Violation
 }
 
@@ -235,10 +240,10 @@ func (o *oracleObserver) AfterEvent(e *Engine, info EventInfo, rec *Record) erro
 	if err != nil {
 		return err
 	}
-	flat, err := vuln.Inject(e.Catalog(), snap.Replicas(), now)
-	if err != nil {
+	if err := o.flat.Rebuild(e.Catalog(), snap.Replicas()); err != nil {
 		return err
 	}
+	flat := o.flat.Inject(now)
 	add := func(format string, args ...any) {
 		o.violations = append(o.violations, Violation{
 			Invariant: "oracle-agreement",
@@ -255,13 +260,12 @@ func (o *oracleObserver) AfterEvent(e *Engine, info EventInfo, rec *Record) erro
 	if rec.Power > 0 && rec.Compromised != flat.TotalFraction {
 		add("incremental fraction %g != flat oracle %g", rec.Compromised, flat.TotalFraction)
 	}
-	// A GroupInjector built fresh from the same snapshot must agree with the
+	// A GroupInjector rebuilt from the same snapshot must agree with the
 	// flat path fault for fault: names, powers and fractions of every fault.
-	gi, err := vuln.NewGroupInjector(e.Catalog(), snap.BucketSpecs())
-	if err != nil {
+	if err := o.grouped.Rebuild(e.Catalog(), snap.BucketSpecs()); err != nil {
 		return err
 	}
-	grouped := gi.Inject(now)
+	grouped := o.grouped.Inject(now)
 	if !sameInjection(flat, grouped) {
 		// Marshal only to word the violation; a clean run never encodes.
 		fj, err := json.Marshal(flat)

@@ -137,19 +137,13 @@ func Tags() []string {
 
 // DeriveSeed maps (base seed, scenario name) to the scenario's scheduler
 // seed: an FNV-1a hash of the name mixed with the base through a
-// SplitMix64 step. Deriving per scenario — rather than sharing one RNG —
-// is what makes a scenario's trace independent of which other scenarios
-// run in the same invocation and of any -parallel setting.
+// SplitMix64 step (sim.ChunkSeed's chunk 0). Deriving per scenario —
+// rather than sharing one RNG — is what makes a scenario's trace
+// independent of which other scenarios run in the same invocation and of
+// any -parallel setting.
 func DeriveSeed(base int64, name string) int64 {
 	h := fnv.New64a()
 	// Writing to an FNV hash never fails.
 	_, _ = h.Write([]byte(strings.ToLower(name)))
-	x := uint64(base) ^ h.Sum64()
-	x += 0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return int64(x)
+	return sim.ChunkSeed(base^int64(h.Sum64()), 0)
 }

@@ -363,3 +363,20 @@ func (s *Scheduler) RunAll(maxEvents uint64) uint64 {
 		n++
 	}
 }
+
+// ChunkSeed derives the deterministic seed for chunk c via SplitMix64 —
+// one cheap, well-mixed 64-bit permutation step per chunk, so neighbouring
+// chunks get uncorrelated streams even for small base seeds. The Monte
+// Carlo trial runner seeds its chunks with it and the scenario package its
+// generated timelines and per-scenario schedulers: any fixed-size-index
+// fan-out that must not depend on worker count wants exactly this
+// derivation.
+func ChunkSeed(seed int64, c int) int64 {
+	x := uint64(seed) + (uint64(c)+1)*0x9e3779b97f4a7c15
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return int64(x)
+}

@@ -55,10 +55,17 @@ type BucketSpec struct {
 type GroupInjector struct {
 	totalPower float64
 	buckets    map[string]*giBucket
-	keys       []string                 // bucket keys ascending: the one order sums over buckets are taken in
-	exposures  []*giExposure            // vulnerability-ID ascending
-	expByKey   map[string][]*giExposure // bucket key -> exposures matching it
-	known      map[ID]struct{}          // vulnerability IDs already indexed
+	keys       []string        // bucket keys ascending: the one order sums over buckets are taken in
+	exposures  []*giExposure   // vulnerability-ID ascending
+	known      map[ID]struct{} // vulnerability IDs already indexed
+
+	// Rebuild carves buckets, groups, group-pointer lists and exposures out
+	// of these slabs and reuses them, with the storage their elements hold,
+	// on the next Rebuild — unless ApplyBuckets has let the bucket slabs go.
+	bucketSlab []giBucket
+	groupSlab  []giGroup
+	ptrSlab    []*giGroup
+	expSlab    []giExposure
 
 	// Per-instant scratch: marks on groups dedup compromised members
 	// across vulnerabilities (longest prefix wins); touched lists the
@@ -86,7 +93,8 @@ type GroupInjector struct {
 
 type giBucket struct {
 	cfg        config.Configuration
-	groups     []*giGroup // power-descending
+	groups     []*giGroup    // power-descending
+	exps       []*giExposure // exposures matching the bucket, in indexing order
 	maxLatency time.Duration
 	power      float64 // Σ members × power: the bucket's share of TotalPower
 
@@ -136,41 +144,59 @@ type giExposure struct {
 // globally unique and ascending within each group (the registry snapshot
 // guarantees both).
 func NewGroupInjector(catalog *Catalog, buckets []BucketSpec) (*GroupInjector, error) {
+	gi := new(GroupInjector)
+	if err := gi.Rebuild(catalog, buckets); err != nil {
+		return nil, err
+	}
+	return gi, nil
+}
+
+// Rebuild recomputes the whole index from (catalog, buckets), exactly as
+// NewGroupInjector would, reusing only the receiver's memory: a warm Rebuild
+// over an input no larger than the last one allocates nothing. On error the
+// receiver is left as it was.
+func (gi *GroupInjector) Rebuild(catalog *Catalog, buckets []BucketSpec) error {
 	if catalog == nil {
-		return nil, errors.New("vuln: nil catalog")
+		return errors.New("vuln: nil catalog")
 	}
 	vulns := catalog.allSorted()
-	gi := &GroupInjector{
-		buckets:   make(map[string]*giBucket, len(buckets)),
-		keys:      make([]string, 0, len(buckets)),
-		exposures: make([]*giExposure, 0, len(vulns)),
-		expByKey:  make(map[string][]*giExposure, len(buckets)),
-		known:     make(map[ID]struct{}, len(vulns)),
+	if gi.buckets == nil {
+		gi.buckets = make(map[string]*giBucket, len(buckets))
+		gi.known = make(map[ID]struct{}, len(vulns))
 	}
-	// Buckets, groups and group-pointer lists are carved out of three slabs
-	// sized from the specs. ApplyBuckets replaces a bucket by pointing the
-	// map at a stand-alone one, so its slab neighbours are never touched.
+	clear(gi.buckets)
+	clear(gi.known)
+	// ApplyBuckets replaces a bucket by pointing the map at a stand-alone
+	// one and ApplyCatalog indexes into a stand-alone exposure, so patching
+	// never touches a slab neighbour.
 	nGroups := 0
 	for _, bs := range buckets {
 		nGroups += liveGroups(bs)
 	}
-	bucketSlab := make([]giBucket, len(buckets))
-	groupSlab := make([]giGroup, nGroups)
-	ptrSlab := make([]*giGroup, nGroups)
+	gi.bucketSlab = slices.Grow(gi.bucketSlab[:0], len(buckets))[:len(buckets)]
+	gi.groupSlab = slices.Grow(gi.groupSlab[:0], nGroups)[:nGroups]
+	gi.ptrSlab = slices.Grow(gi.ptrSlab[:0], nGroups)[:nGroups]
+	gi.keys = gi.keys[:0]
 	off := 0
 	for i, bs := range buckets {
-		b := &bucketSlab[i]
-		off += b.fill(bs, groupSlab[off:], ptrSlab[off:])
+		b := &gi.bucketSlab[i]
+		off += b.fill(bs, gi.groupSlab[off:], gi.ptrSlab[off:])
 		gi.buckets[bs.Key] = b
 		gi.keys = append(gi.keys, bs.Key)
 	}
 	slices.Sort(gi.keys)
 	gi.keys = slices.Compact(gi.keys)
-	for _, v := range vulns {
-		gi.exposures = append(gi.exposures, gi.addVuln(v))
+	gi.expSlab = slices.Grow(gi.expSlab[:0], len(vulns))[:len(vulns)]
+	gi.exposures = gi.exposures[:0]
+	for i, v := range vulns {
+		gi.addVuln(&gi.expSlab[i], v)
+		gi.exposures = append(gi.exposures, &gi.expSlab[i])
 	}
 	gi.recomputeTotal()
-	return gi, nil
+	gi.markGen, gi.nextBoundary = 0, 0
+	gi.touched, gi.open, gi.byDisclosed = gi.touched[:0], gi.open[:0], gi.byDisclosed[:0]
+	gi.sweepInstants, gi.sweepEvaluated = 0, 0
+	return nil
 }
 
 // liveGroups counts the spec's non-empty groups — the ones a giBucket keeps.
@@ -194,9 +220,10 @@ func newGiBucket(bs BucketSpec) *giBucket {
 
 // fill initialises b from the spec, storing its n = liveGroups(bs) groups at
 // the front of groups and the power-descending pointer list over them at
-// the front of ptrs, and returns n.
+// the front of ptrs, and returns n. Only the storage of b's exposure list
+// survives; the list itself starts empty.
 func (b *giBucket) fill(bs BucketSpec, groups []giGroup, ptrs []*giGroup) int {
-	b.cfg = bs.Config
+	*b = giBucket{cfg: bs.Config, exps: b.exps[:0]}
 	n := 0
 	for _, g := range bs.Groups {
 		if len(g.Names) == 0 {
@@ -271,21 +298,21 @@ func openPower(lat []latStep, x time.Duration) float64 {
 	return lat[lo].suffix
 }
 
-// addVuln indexes one vulnerability: match against every bucket. Exposures
-// are kept even when currently empty — a later bucket change may expose
-// them. gi.exposures stays ID-sorted because the construction loop feeds
-// vulnerabilities in ID order; ApplyCatalog inserts at the sorted position.
-func (gi *GroupInjector) addVuln(v Vulnerability) *giExposure {
-	e := &giExposure{vuln: v}
+// addVuln indexes one vulnerability into e, keeping only the storage of
+// e's key list: match against every bucket. Exposures are kept even when
+// currently empty — a later bucket change may expose them. gi.exposures
+// stays ID-sorted because Rebuild feeds vulnerabilities in ID order;
+// ApplyCatalog inserts at the sorted position.
+func (gi *GroupInjector) addVuln(e *giExposure, v Vulnerability) {
+	e.vuln, e.keys = v, e.keys[:0]
 	for _, key := range gi.keys { // ascending, so e.keys comes out sorted
-		if v.Affects(gi.buckets[key].cfg) {
+		if b := gi.buckets[key]; v.Affects(b.cfg) {
 			e.keys = append(e.keys, key)
-			gi.expByKey[key] = append(gi.expByKey[key], e)
+			b.exps = append(b.exps, e)
 		}
 	}
 	gi.refreshExposure(e)
 	gi.known[v.ID] = struct{}{}
-	return e
 }
 
 // refreshExposure recomputes an exposure's derived bounds after its
@@ -326,30 +353,36 @@ func (gi *GroupInjector) recomputeTotal() {
 // replaced wholesale), which lets callers retry after a partial failure
 // upstream.
 func (gi *GroupInjector) ApplyBuckets(changed []BucketSpec, removed []string) {
+	// A patched index is long-lived and rarely rebuilt: leave the bucket
+	// slabs to the buckets still carved from them, so a slab is freed with
+	// its last bucket instead of pinning every replaced bucket's groups. The
+	// next Rebuild allocates them afresh.
+	gi.bucketSlab, gi.groupSlab, gi.ptrSlab = nil, nil, nil
 	affected := make(map[*giExposure]struct{})
 	for _, key := range removed {
-		if gi.buckets[key] == nil {
+		b := gi.buckets[key]
+		if b == nil {
 			continue
 		}
-		for _, e := range gi.expByKey[key] {
+		for _, e := range b.exps {
 			affected[e] = struct{}{}
 		}
 		delete(gi.buckets, key)
-		delete(gi.expByKey, key)
 		i := sort.SearchStrings(gi.keys, key)
 		gi.keys = slices.Delete(gi.keys, i, i+1)
 	}
 	for _, bs := range changed {
-		if gi.buckets[bs.Key] == nil {
+		nb := newGiBucket(bs)
+		old := gi.buckets[bs.Key]
+		gi.buckets[bs.Key] = nb
+		if old == nil {
 			// New bucket: its matching vulnerability set is computed once
 			// here and stays valid for the bucket's lifetime (the key is
 			// the configuration digest, so the config never changes).
-			gi.buckets[bs.Key] = newGiBucket(bs)
 			gi.keys = slices.Insert(gi.keys, sort.SearchStrings(gi.keys, bs.Key), bs.Key)
-			var exps []*giExposure
 			for _, e := range gi.exposures {
 				if e.vuln.Affects(bs.Config) {
-					exps = append(exps, e)
+					nb.exps = append(nb.exps, e)
 					i := sort.SearchStrings(e.keys, bs.Key)
 					e.keys = append(e.keys, "")
 					copy(e.keys[i+1:], e.keys[i:])
@@ -357,11 +390,10 @@ func (gi *GroupInjector) ApplyBuckets(changed []BucketSpec, removed []string) {
 					affected[e] = struct{}{}
 				}
 			}
-			gi.expByKey[bs.Key] = exps
 			continue
 		}
-		gi.buckets[bs.Key] = newGiBucket(bs)
-		for _, e := range gi.expByKey[bs.Key] {
+		nb.exps = old.exps
+		for _, e := range nb.exps {
 			affected[e] = struct{}{}
 		}
 	}
@@ -379,7 +411,8 @@ func (gi *GroupInjector) ApplyCatalog(catalog *Catalog) {
 		if _, ok := gi.known[v.ID]; ok {
 			continue
 		}
-		e := gi.addVuln(v)
+		e := new(giExposure)
+		gi.addVuln(e, v)
 		i := sort.Search(len(gi.exposures), func(i int) bool {
 			return gi.exposures[i].vuln.ID >= v.ID
 		})
@@ -730,10 +763,10 @@ func (gi *GroupInjector) sweepBounds(instants []time.Duration) []float64 {
 	clear(bound)
 	for _, key := range gi.keys {
 		b := gi.buckets[key]
-		if b.power == 0 || len(gi.expByKey[key]) == 0 {
+		if b.power == 0 || len(b.exps) == 0 {
 			continue
 		}
-		exps := append(gi.byDisclosed[:0], gi.expByKey[key]...)
+		exps := append(gi.byDisclosed[:0], b.exps...)
 		gi.byDisclosed = exps[:0]
 		slices.SortFunc(exps, func(x, y *giExposure) int { return cmp.Compare(x.vuln.Disclosed, y.vuln.Disclosed) })
 		lat := b.latIndex()

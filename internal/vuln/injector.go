@@ -1,10 +1,13 @@
 package vuln
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 )
 
@@ -33,6 +36,8 @@ type Injector struct {
 	// counted. Bumping markGen resets all marks in O(1).
 	marks   []uint64
 	markGen uint64
+	// seen is Rebuild's duplicate-name check, kept for its storage.
+	seen map[string]struct{}
 }
 
 // exposure is one vulnerability's static exposure set: the replicas whose
@@ -53,55 +58,76 @@ type exposure struct {
 // NewInjector builds the exposure index. The replica slice is copied;
 // configurations are matched against the catalog's current contents.
 func NewInjector(catalog *Catalog, replicas []Replica) (*Injector, error) {
+	in := new(Injector)
+	if err := in.Rebuild(catalog, replicas); err != nil {
+		return nil, err
+	}
+	return in, nil
+}
+
+// Rebuild recomputes the whole index from (catalog, replicas), exactly as
+// NewInjector would, reusing only the receiver's memory: a warm Rebuild over
+// an input no larger than the last one allocates nothing. On error the
+// receiver is left as it was.
+func (in *Injector) Rebuild(catalog *Catalog, replicas []Replica) error {
 	if catalog == nil {
-		return nil, errors.New("vuln: nil catalog")
+		return errors.New("vuln: nil catalog")
 	}
-	in := &Injector{
-		replicas: append([]Replica(nil), replicas...),
-		marks:    make([]uint64, len(replicas)),
+	if in.seen == nil {
+		in.seen = make(map[string]struct{}, len(replicas))
 	}
-	seen := make(map[string]struct{}, len(replicas))
-	for _, r := range in.replicas {
-		if r.Power < 0 {
-			return nil, fmt.Errorf("vuln: replica %s has negative power", r.Name)
+	clear(in.seen)
+	var total float64
+	for _, r := range replicas {
+		if r.Power < 0 || math.IsNaN(r.Power) || math.IsInf(r.Power, 0) {
+			return fmt.Errorf("vuln: replica %s has invalid power %v", r.Name, r.Power)
 		}
 		// Names identify replicas in fault dedup; a duplicate would make
 		// "count each replica once" ambiguous, so reject it outright.
-		if _, dup := seen[r.Name]; dup {
-			return nil, fmt.Errorf("vuln: duplicate replica name %s", r.Name)
+		if _, dup := in.seen[r.Name]; dup {
+			return fmt.Errorf("vuln: duplicate replica name %s", r.Name)
 		}
-		seen[r.Name] = struct{}{}
-		in.totalPower += r.Power
+		in.seen[r.Name] = struct{}{}
+		total += r.Power
 	}
+	in.replicas = append(in.replicas[:0], replicas...)
+	in.totalPower = total
+	in.marks = slices.Grow(in.marks[:0], len(replicas))[:len(replicas)]
+	clear(in.marks)
+	in.markGen = 0
 	// Deterministic vulnerability order (by ID) so fault lists and event
-	// sweeps replay identically run to run.
+	// sweeps replay identically run to run. Each vulnerability takes the
+	// next exposure slot, keeping whatever storage a previous build left in
+	// it; a vulnerability that exposes nothing gives the slot back.
+	in.exposures = in.exposures[:0]
 	for _, v := range catalog.allSorted() {
-		e := exposure{vuln: v}
+		in.exposures = slices.Grow(in.exposures, 1)[:len(in.exposures)+1]
+		e := &in.exposures[len(in.exposures)-1]
+		e.vuln, e.exposed, e.maxClose = v, e.exposed[:0], 0
 		for i, r := range in.replicas {
 			if v.Affects(r.Config) {
 				e.exposed = append(e.exposed, i)
 			}
 		}
 		if len(e.exposed) == 0 {
+			in.exposures = in.exposures[:len(in.exposures)-1]
 			continue
 		}
-		sort.Slice(e.exposed, func(a, b int) bool {
-			ra, rb := in.replicas[e.exposed[a]], in.replicas[e.exposed[b]]
-			if ra.Power != rb.Power {
-				return ra.Power > rb.Power
+		slices.SortFunc(e.exposed, func(a, b int) int {
+			ra, rb := &in.replicas[a], &in.replicas[b]
+			if c := cmp.Compare(rb.Power, ra.Power); c != 0 {
+				return c
 			}
-			return ra.Name < rb.Name
+			return strings.Compare(ra.Name, rb.Name)
 		})
-		e.closeAt = make([]time.Duration, len(e.exposed))
-		for i, idx := range e.exposed {
-			e.closeAt[i] = v.PatchAt + in.replicas[idx].PatchLatency
-			if e.closeAt[i] > e.maxClose {
-				e.maxClose = e.closeAt[i]
-			}
+		e.closeAt = e.closeAt[:0]
+		for _, idx := range e.exposed {
+			c := v.PatchAt + in.replicas[idx].PatchLatency
+			e.closeAt = append(e.closeAt, c)
+			e.maxClose = max(e.maxClose, c)
 		}
-		in.exposures = append(in.exposures, e)
 	}
-	return in, nil
+	return nil
 }
 
 // SeverityTake is the number of exposed replicas a severity-s exploit

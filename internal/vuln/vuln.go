@@ -15,6 +15,7 @@ package vuln
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -276,8 +277,8 @@ func injectRescan(catalog *Catalog, replicas []Replica, t time.Duration) (Inject
 	}
 	var totalPower float64
 	for _, r := range replicas {
-		if r.Power < 0 {
-			return Injection{}, fmt.Errorf("vuln: replica %s has negative power", r.Name)
+		if r.Power < 0 || math.IsNaN(r.Power) || math.IsInf(r.Power, 0) {
+			return Injection{}, fmt.Errorf("vuln: replica %s has invalid power %v", r.Name, r.Power)
 		}
 		totalPower += r.Power
 	}
