@@ -2,6 +2,9 @@ package cryptoutil
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"testing"
 	"testing/quick"
 )
@@ -23,6 +26,54 @@ func TestHashFramingUnambiguous(t *testing.T) {
 	}
 }
 
+// streamHash is Hash's definition, written out as a stream: each part's
+// big-endian length, then the part, through one sha256.
+func streamHash(parts ...[]byte) Digest {
+	h := sha256.New()
+	for _, p := range parts {
+		h.Write(binary.BigEndian.AppendUint64(nil, uint64(len(p))))
+		h.Write(p)
+	}
+	var d Digest
+	h.Sum(d[:0])
+	return d
+}
+
+// TestHashMatchesStream: Hash equals the streamed framing on both sides of
+// its buffered size, whether the total counts the length prefixes (framed)
+// or only the parts (payload), with an empty part in every list of two or
+// more.
+func TestHashMatchesStream(t *testing.T) {
+	for _, total := range []int{0, 255, 256, 257, 4096} {
+		for nparts := 0; nparts <= 4; nparts++ {
+			for _, framed := range []bool{false, true} {
+				payload := total
+				if framed {
+					payload -= 8 * nparts
+				}
+				if payload < 0 || (nparts == 0 && payload > 0) {
+					continue
+				}
+				parts := make([][]byte, nparts)
+				for i := range parts {
+					if i == 1 {
+						continue // the empty part
+					}
+					n := payload
+					if i+1 < nparts {
+						n = payload / 2
+					}
+					parts[i] = bytes.Repeat([]byte{byte(total + i)}, n)
+					payload -= n
+				}
+				if got, want := Hash(parts...), streamHash(parts...); got != want {
+					t.Errorf("total %d, %d parts, framed %v: Hash %s, stream %s", total, nparts, framed, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestDigestHelpers(t *testing.T) {
 	if !ZeroDigest.IsZero() {
 		t.Fatal("ZeroDigest.IsZero() = false")
@@ -36,6 +87,9 @@ func TestDigestHelpers(t *testing.T) {
 	}
 	if len(d.Short()) != 8 {
 		t.Fatalf("Short length = %d, want 8", len(d.Short()))
+	}
+	if d.String() != hex.EncodeToString(d[:]) || d.Short() != hex.EncodeToString(d[:4]) {
+		t.Fatalf("String %s / Short %s are not the digest's hex", d, d.Short())
 	}
 }
 

@@ -3,6 +3,8 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -439,5 +441,60 @@ func TestSortEvents(t *testing.T) {
 	}
 	if tl.Events[3].Op != OpHeal {
 		t.Fatalf("events not ascending: %+v", tl.Events)
+	}
+}
+
+// TestValidateComponentWording pins, byte for byte, what Validate says about
+// a join's or a migration's component specs: an unknown class, an empty
+// name, an empty configuration, and a list holding both of the first two
+// (every class is parsed before any name is checked). The golden timeline
+// and the live library's JSON still parse.
+func TestValidateComponentWording(t *testing.T) {
+	const prefix = "scenario: timeline tl-wording: event 1: "
+	osClass := config.ClassOperatingSystem.String()
+	cases := []struct {
+		name   string
+		config []ComponentSpec
+		want   string // %s is the op
+	}{
+		{"unknown class", []ComponentSpec{{Class: "flux-capacitor", Name: "x", Version: "1"}},
+			`config: unknown component class "flux-capacitor"`},
+		{"empty name", []ComponentSpec{{Class: osClass, Version: "1"}},
+			"config: empty component name in class operating-system"},
+		{"empty config", nil, "%s r-1 without a configuration"},
+		{"empty name, then unknown class", []ComponentSpec{{Class: osClass}, {Class: "flux-capacitor", Name: "x"}},
+			`config: unknown component class "flux-capacitor"`},
+	}
+	for _, op := range []string{OpJoin, OpMigrate} {
+		for _, tc := range cases {
+			ev := Event{Op: op, At: Duration(time.Hour), ID: "r-1", Config: tc.config}
+			if op == OpJoin {
+				ev.Power = 1
+			}
+			tl := &Timeline{Name: "tl-wording", Horizon: Duration(10 * time.Hour), Events: []Event{
+				{Op: OpJoin, At: 0, ID: "r-0", Config: osSpec("linux", "1"), Power: 1}, ev,
+			}}
+			want := prefix + tc.want
+			if strings.Contains(want, "%s") {
+				want = fmt.Sprintf(want, op)
+			}
+			if err := tl.Validate(); err == nil || err.Error() != want {
+				t.Errorf("%s %s: error %v, want %q", op, tc.name, err, want)
+			}
+		}
+	}
+
+	files, err := filepath.Glob("testdata/library-live/*.json")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no library timelines: %v", err)
+	}
+	for _, path := range append(files, "testdata/golden-timeline.json") {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ParseTimeline(data); err != nil {
+			t.Errorf("%s: %v", path, err)
+		}
 	}
 }
