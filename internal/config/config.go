@@ -13,7 +13,7 @@ package config
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/cryptoutil"
@@ -96,6 +96,15 @@ func (c Component) Key() string {
 	return c.Class.String() + "/" + c.Name + "@" + c.Version
 }
 
+// appendKey appends Key's bytes to b.
+func (c Component) appendKey(b []byte) []byte {
+	b = append(b, c.Class.String()...)
+	b = append(b, '/')
+	b = append(b, c.Name...)
+	b = append(b, '@')
+	return append(b, c.Version...)
+}
+
 // Product returns the class/name identity ignoring the version, used for
 // version-range vulnerability matching.
 func (c Component) Product() string {
@@ -104,27 +113,86 @@ func (c Component) Product() string {
 
 func (c Component) String() string { return c.Key() }
 
+// Validate reports why New would reject the component: an undefined class or
+// an empty name.
+func (c Component) Validate() error {
+	if !c.Class.Valid() {
+		return fmt.Errorf("config: invalid class %d for component %q", c.Class, c.Name)
+	}
+	if c.Name == "" {
+		return fmt.Errorf("config: empty component name in class %s", c.Class)
+	}
+	return nil
+}
+
 // Configuration is a full replica stack: at most one component per class.
-// The zero value is an empty configuration; build with New or Builder-style
-// With calls. Configuration values are immutable once built via With.
+// It is a one-word handle to an immutable value that New, the only
+// constructor, computes once — the components in class order, their
+// canonical text and its digest — so copying a Configuration copies 8 bytes
+// and every read is allocation-free. The zero value is the empty
+// configuration.
+//
+// == compares identity: it holds for copies of one New result (and for two
+// empty configurations). Equal compares content.
 type Configuration struct {
-	components map[Class]Component
+	v *value
+}
+
+// value is what a Configuration points at; nothing mutates it after New.
+type value struct {
+	components []Component // present classes only, ascending
+	canonical  string
+	digest     ID
+}
+
+// digestDomain separates configuration digests from every other use of
+// cryptoutil.Hash.
+const digestDomain = "repro/config/v1"
+
+// empty backs the zero Configuration.
+var empty = value{digest: cryptoutil.Hash([]byte(digestDomain), nil)}
+
+func (cfg Configuration) val() *value {
+	if cfg.v == nil {
+		return &empty
+	}
+	return cfg.v
 }
 
 // New returns a configuration holding the given components. Later components
-// of the same class overwrite earlier ones. Invalid classes are rejected.
+// of the same class overwrite earlier ones. A component that fails Validate
+// is rejected. New keeps copies of the components, not the argument slice.
 func New(components ...Component) (Configuration, error) {
-	cfg := Configuration{components: make(map[Class]Component, len(components))}
+	var byClass [numClasses]Component // Name == "" marks an absent class
+	n := 0
 	for _, c := range components {
-		if !c.Class.Valid() {
-			return Configuration{}, fmt.Errorf("config: invalid class %d for component %q", c.Class, c.Name)
+		if err := c.Validate(); err != nil {
+			return Configuration{}, err
 		}
-		if c.Name == "" {
-			return Configuration{}, fmt.Errorf("config: empty component name in class %s", c.Class)
+		if byClass[c.Class].Name == "" {
+			n++
 		}
-		cfg.components[c.Class] = c
+		byClass[c.Class] = c
 	}
-	return cfg, nil
+	if n == 0 {
+		return Configuration{}, nil
+	}
+	v := &value{components: make([]Component, 0, n)}
+	var buf [256]byte
+	text := buf[:0]
+	for _, c := range byClass {
+		if c.Name == "" {
+			continue
+		}
+		if len(v.components) > 0 {
+			text = append(text, '\n')
+		}
+		text = c.appendKey(text)
+		v.components = append(v.components, c)
+	}
+	v.digest = cryptoutil.Hash([]byte(digestDomain), text)
+	v.canonical = string(text)
+	return Configuration{v}, nil
 }
 
 // MustNew is New for test fixtures and generators with known-good inputs;
@@ -137,71 +205,53 @@ func MustNew(components ...Component) Configuration {
 	return cfg
 }
 
-// With returns a copy of the configuration with component c set, replacing
-// any existing component of the same class.
-func (cfg Configuration) With(c Component) Configuration {
-	out := Configuration{components: make(map[Class]Component, len(cfg.components)+1)}
-	for k, v := range cfg.components {
-		out.components[k] = v
-	}
-	out.components[c.Class] = c
-	return out
-}
-
 // Component returns the component of the given class, if present.
 func (cfg Configuration) Component(class Class) (Component, bool) {
-	c, ok := cfg.components[class]
-	return c, ok
-}
-
-// Components returns all components in canonical class order.
-func (cfg Configuration) Components() []Component {
-	out := make([]Component, 0, len(cfg.components))
-	for _, class := range Classes() {
-		if c, ok := cfg.components[class]; ok {
-			out = append(out, c)
+	for _, c := range cfg.val().components {
+		if c.Class == class {
+			return c, true
 		}
 	}
+	return Component{}, false
+}
+
+// Components returns a copy of all components in canonical class order.
+func (cfg Configuration) Components() []Component {
+	cs := cfg.val().components
+	out := make([]Component, len(cs))
+	copy(out, cs)
 	return out
 }
 
 // Len reports the number of populated classes.
-func (cfg Configuration) Len() int { return len(cfg.components) }
+func (cfg Configuration) Len() int { return len(cfg.val().components) }
 
 // HasTrustedHardware reports whether the configuration includes a trusted
 // hardware component, which the registry uses for the paper's two-tier
 // (attestable vs not) replica model.
 func (cfg Configuration) HasTrustedHardware() bool {
-	_, ok := cfg.components[ClassTrustedHardware]
-	return ok
+	cs := cfg.val().components
+	return len(cs) > 0 && cs[0].Class == ClassTrustedHardware
 }
 
 // Canonical returns the canonical textual encoding: class-ordered component
 // keys joined by newlines. Digest and equality are defined over this form.
-func (cfg Configuration) Canonical() string {
-	parts := make([]string, 0, len(cfg.components))
-	for _, c := range cfg.Components() {
-		parts = append(parts, c.Key())
-	}
-	return strings.Join(parts, "\n")
-}
+func (cfg Configuration) Canonical() string { return cfg.val().canonical }
 
 // ID is the attestable identity of a configuration: the SHA-256 digest of
 // its canonical encoding. This is the value a TPM/TEE quote covers.
 type ID = cryptoutil.Digest
 
 // Digest returns the configuration's attestable identity.
-func (cfg Configuration) Digest() ID {
-	return cryptoutil.Hash([]byte("repro/config/v1"), []byte(cfg.Canonical()))
-}
+func (cfg Configuration) Digest() ID { return cfg.val().digest }
 
 // Equal reports whether two configurations contain identical components.
 func (cfg Configuration) Equal(other Configuration) bool {
-	return cfg.Canonical() == other.Canonical()
+	return cfg.v == other.v || cfg.Canonical() == other.Canonical()
 }
 
 func (cfg Configuration) String() string {
-	if len(cfg.components) == 0 {
+	if cfg.Len() == 0 {
 		return "config{}"
 	}
 	return "config{" + strings.ReplaceAll(cfg.Canonical(), "\n", ", ") + "}"
@@ -273,22 +323,26 @@ func (cat *Catalog) Enumerate(classes ...Class) []Configuration {
 			}
 		}
 	}
-	configs := []Configuration{{components: map[Class]Component{}}}
+	sets := [][]Component{nil}
 	for _, class := range classes {
 		choices := cat.choices[class]
 		if len(choices) == 0 {
 			continue
 		}
-		next := make([]Configuration, 0, len(configs)*len(choices))
-		for _, base := range configs {
+		next := make([][]Component, 0, len(sets)*len(choices))
+		for _, base := range sets {
 			for _, c := range choices {
-				next = append(next, base.With(c))
+				next = append(next, append(base[:len(base):len(base)], c))
 			}
 		}
-		configs = next
+		sets = next
 	}
-	sort.Slice(configs, func(i, j int) bool {
-		return configs[i].Canonical() < configs[j].Canonical()
+	configs := make([]Configuration, len(sets))
+	for i, set := range sets {
+		configs[i] = MustNew(set...)
+	}
+	slices.SortFunc(configs, func(a, b Configuration) int {
+		return strings.Compare(a.Canonical(), b.Canonical())
 	})
 	return configs
 }
@@ -301,15 +355,16 @@ type Rand interface {
 
 // RandomConfiguration draws one component uniformly per populated class.
 func (cat *Catalog) RandomConfiguration(rng Rand) Configuration {
-	cfg := Configuration{components: make(map[Class]Component)}
+	var buf [numClasses]Component
+	picked := buf[:0]
 	for _, class := range Classes() {
 		choices := cat.choices[class]
 		if len(choices) == 0 {
 			continue
 		}
-		cfg.components[class] = choices[rng.Intn(len(choices))]
+		picked = append(picked, choices[rng.Intn(len(choices))])
 	}
-	return cfg
+	return MustNew(picked...)
 }
 
 // DefaultCatalog returns a realistic catalog mirroring the diversity the

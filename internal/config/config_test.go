@@ -63,14 +63,25 @@ func TestNewOverwritesSameClass(t *testing.T) {
 	}
 }
 
-func TestWithIsCopyOnWrite(t *testing.T) {
-	base := MustNew(Component{Class: ClassWallet, Name: "builtin", Version: "1"})
-	derived := base.With(Component{Class: ClassWallet, Name: "hw-ledger", Version: "2"})
-	if c, _ := base.Component(ClassWallet); c.Name != "builtin" {
-		t.Fatal("With mutated the receiver")
+func TestNewCopiesArgument(t *testing.T) {
+	comps := []Component{
+		{Class: ClassWallet, Name: "builtin", Version: "1"},
+		{Class: ClassOperatingSystem, Name: "debian", Version: "12"},
 	}
-	if c, _ := derived.Component(ClassWallet); c.Name != "hw-ledger" {
-		t.Fatal("With did not apply")
+	cfg := MustNew(comps...)
+	canonical, digest := cfg.Canonical(), cfg.Digest()
+	comps[0].Name = "hw-ledger"
+	comps[1] = Component{Class: ClassTrustedHardware, Name: "tpm2", Version: "2"}
+	if c, _ := cfg.Component(ClassWallet); c.Name != "builtin" {
+		t.Fatal("mutating New's argument changed the configuration")
+	}
+	if cfg.Canonical() != canonical || cfg.Digest() != digest || cfg.HasTrustedHardware() {
+		t.Fatal("mutating New's argument changed the configuration's identity")
+	}
+	got := cfg.Components()
+	got[0].Name = "mutated"
+	if c, _ := cfg.Component(ClassOperatingSystem); c.Name != "debian" {
+		t.Fatal("Components exposed the configuration's storage")
 	}
 }
 
@@ -263,4 +274,36 @@ func TestPropDigestConsistency(t *testing.T) {
 	if err := quick.Check(func() bool { return f() }, cfg); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestConfigAllocations: New of two components allocates its value, its
+// component slice and its canonical text, nothing more; every read after
+// that allocates nothing.
+func TestConfigAllocations(t *testing.T) {
+	comps := []Component{
+		{Class: ClassOperatingSystem, Name: "debian", Version: "12"},
+		{Class: ClassCryptoLibrary, Name: "openssl", Version: "3.0.8"},
+	}
+	if n := testing.AllocsPerRun(100, func() { MustNew(comps...) }); n > 3 {
+		t.Errorf("New of two components: %v objects, ceiling 3", n)
+	}
+	a, b := MustNew(comps...), MustNew(comps[1], comps[0])
+	var sinkDigest ID
+	var sinkString string
+	var sinkBool bool
+	reads := map[string]func(){
+		"Digest":             func() { sinkDigest = a.Digest() },
+		"Canonical":          func() { sinkString = a.Canonical() },
+		"Equal":              func() { sinkBool = a.Equal(b) },
+		"Component":          func() { _, sinkBool = a.Component(ClassCryptoLibrary) },
+		"Len":                func() { sinkBool = a.Len() == 2 },
+		"HasTrustedHardware": func() { sinkBool = a.HasTrustedHardware() },
+		"zero Digest":        func() { sinkDigest = Configuration{}.Digest() },
+	}
+	for name, read := range reads {
+		if n := testing.AllocsPerRun(100, read); n != 0 {
+			t.Errorf("%s: %v objects, want 0", name, n)
+		}
+	}
+	_, _, _ = sinkDigest, sinkString, sinkBool
 }

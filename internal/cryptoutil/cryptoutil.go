@@ -27,10 +27,27 @@ type Digest [DigestSize]byte
 // ZeroDigest is the all-zero digest, used as the parent of genesis blocks.
 var ZeroDigest Digest
 
-// Hash returns the SHA-256 digest of the concatenation of the given byte
-// slices. Callers are responsible for unambiguous framing; the helpers in
-// this package always length-prefix variable-size fields.
+// hashBufSize is the largest framed input Hash digests from a stack buffer
+// in one sha256.Sum256 call; a larger one streams through a hasher.
+const hashBufSize = 256
+
+// Hash returns the SHA-256 digest of the given byte slices, each preceded by
+// its length as a big-endian uint64, so distinct part lists never frame to
+// the same bytes. An input whose framing fits hashBufSize allocates nothing.
 func Hash(parts ...[]byte) Digest {
+	n := 0
+	for _, p := range parts {
+		n += 8 + len(p)
+	}
+	if n <= hashBufSize {
+		var buf [hashBufSize]byte
+		b := buf[:0]
+		for _, p := range parts {
+			b = binary.BigEndian.AppendUint64(b, uint64(len(p)))
+			b = append(b, p...)
+		}
+		return sha256.Sum256(b)
+	}
 	h := sha256.New()
 	var lenBuf [8]byte
 	for _, p := range parts {
@@ -44,10 +61,16 @@ func Hash(parts ...[]byte) Digest {
 }
 
 // String returns the hex encoding of the digest.
-func (d Digest) String() string { return hex.EncodeToString(d[:]) }
+func (d Digest) String() string {
+	var buf [2 * DigestSize]byte
+	return string(hex.AppendEncode(buf[:0], d[:]))
+}
 
 // Short returns the first 8 hex characters, for logs and tables.
-func (d Digest) Short() string { return hex.EncodeToString(d[:4]) }
+func (d Digest) Short() string {
+	var buf [8]byte
+	return string(hex.AppendEncode(buf[:0], d[:4]))
+}
 
 // IsZero reports whether the digest is all zeroes.
 func (d Digest) IsZero() bool { return d == ZeroDigest }

@@ -74,6 +74,25 @@ func TestHashMatchesStream(t *testing.T) {
 	}
 }
 
+// TestHashAllocations: an input whose framing fits the stack buffer
+// allocates nothing.
+func TestHashAllocations(t *testing.T) {
+	domain, small, fill := []byte("repro/config/v1"), make([]byte, 100), make([]byte, hashBufSize-2*8-15)
+	var sink Digest
+	for name, parts := range map[string][][]byte{
+		"none":           nil,
+		"one empty":      {nil},
+		"two parts":      {domain, small},
+		"exactly full":   {domain, fill},
+		"three, 1 empty": {domain, nil, small},
+	} {
+		if n := testing.AllocsPerRun(100, func() { sink = Hash(parts...) }); n != 0 {
+			t.Errorf("%s: %v objects, want 0", name, n)
+		}
+	}
+	_ = sink
+}
+
 func TestDigestHelpers(t *testing.T) {
 	if !ZeroDigest.IsZero() {
 		t.Fatal("ZeroDigest.IsZero() = false")

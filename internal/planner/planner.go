@@ -148,23 +148,30 @@ func GreedyAssign(cat *config.Catalog, n int) ([]config.Configuration, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("planner: n %d < 1", n)
 	}
-	usage := make(map[string]int)
+	var choices [][]config.Component
+	for _, class := range config.Classes() {
+		if cs := cat.Choices(class); len(cs) > 0 {
+			choices = append(choices, cs)
+		}
+	}
+	// A catalog holds one component per key, so a component is its own key.
+	usage := make(map[config.Component]int)
+	picked := make([]config.Component, len(choices))
 	out := make([]config.Configuration, n)
-	for i := 0; i < n; i++ {
-		cfg := config.Configuration{}
-		for _, class := range config.Classes() {
-			choices := cat.Choices(class)
-			if len(choices) == 0 {
-				continue
-			}
-			best := choices[0]
-			for _, c := range choices[1:] {
-				if usage[c.Key()] < usage[best.Key()] {
+	for i := range out {
+		for j, cs := range choices {
+			best := cs[0]
+			for _, c := range cs[1:] {
+				if usage[c] < usage[best] {
 					best = c
 				}
 			}
-			usage[best.Key()]++
-			cfg = cfg.With(best)
+			usage[best]++
+			picked[j] = best
+		}
+		cfg, err := config.New(picked...)
+		if err != nil {
+			return nil, err
 		}
 		out[i] = cfg
 	}
@@ -204,11 +211,15 @@ func MonocultureAssign(cat *config.Catalog, n int) ([]config.Configuration, erro
 	if n < 1 {
 		return nil, fmt.Errorf("planner: n %d < 1", n)
 	}
-	cfg := config.Configuration{}
+	var firsts []config.Component
 	for _, class := range config.Classes() {
 		if choices := cat.Choices(class); len(choices) > 0 {
-			cfg = cfg.With(choices[0])
+			firsts = append(firsts, choices[0])
 		}
+	}
+	cfg, err := config.New(firsts...)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]config.Configuration, n)
 	for i := range out {

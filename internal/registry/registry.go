@@ -69,10 +69,6 @@ type Record struct {
 	VoteKey      ed25519.PublicKey
 	JoinedAt     time.Duration
 	PatchLatency time.Duration
-
-	// digest caches Config.Digest() (a SHA-256) so mutations locate their
-	// bucket without re-hashing; set on join and updated by Migrate.
-	digest config.ID
 }
 
 // Weighting assigns per-tier voting-weight multipliers, the paper's
@@ -339,7 +335,6 @@ func (r *Registry) join(rec *Record) error {
 	if rec.Power < 0 || math.IsNaN(rec.Power) || math.IsInf(rec.Power, 0) {
 		return fmt.Errorf("registry: invalid power %v", rec.Power)
 	}
-	rec.digest = rec.Config.Digest()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, exists := r.records[rec.ID]; exists {
@@ -354,7 +349,7 @@ func (r *Registry) join(rec *Record) error {
 	} else {
 		r.declared++
 	}
-	r.bumpGen(rec.digest)
+	r.bumpGen(rec.Config.Digest())
 	return nil
 }
 
@@ -374,7 +369,7 @@ func (r *Registry) Leave(id ReplicaID) error {
 		r.declared--
 	}
 	delete(r.records, id)
-	r.bumpGen(rec.digest)
+	r.bumpGen(rec.Config.Digest())
 	return nil
 }
 
@@ -393,7 +388,7 @@ func (r *Registry) SetPower(id ReplicaID, power float64) error {
 	r.bucketRemove(rec)
 	rec.Power = power
 	r.bucketAdd(rec)
-	r.bumpGen(rec.digest)
+	r.bumpGen(rec.Config.Digest())
 	return nil
 }
 
@@ -404,14 +399,13 @@ func (r *Registry) SetPower(id ReplicaID, power float64) error {
 // re-joins with a fresh quote covering the new stack, mirroring how a
 // real upgrade invalidates the previous measurement.
 func (r *Registry) Migrate(id ReplicaID, cfg config.Configuration) error {
-	digest := cfg.Digest()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	rec, ok := r.records[id]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownReplica, id)
 	}
-	oldKey := rec.digest
+	oldKey := rec.Config.Digest()
 	r.bucketRemove(rec)
 	if rec.Tier == TierAttested {
 		r.attested--
@@ -420,19 +414,19 @@ func (r *Registry) Migrate(id ReplicaID, cfg config.Configuration) error {
 	rec.Config = cfg
 	rec.Tier = TierDeclared
 	rec.VoteKey = nil
-	rec.digest = digest
 	r.bucketAdd(rec)
-	r.bumpGen(oldKey, rec.digest)
+	r.bumpGen(oldKey, cfg.Digest())
 	return nil
 }
 
 // bucketAdd places rec in its configuration bucket, creating bucket and
 // group as needed. r.mu must be held for writing.
 func (r *Registry) bucketAdd(rec *Record) {
-	b := r.buckets[rec.digest]
+	digest := rec.Config.Digest()
+	b := r.buckets[digest]
 	if b == nil {
-		b = &bucket{label: rec.digest.String(), cfg: rec.Config}
-		r.buckets[rec.digest] = b
+		b = &bucket{label: digest.String(), cfg: rec.Config}
+		r.buckets[digest] = b
 	}
 	b.groupFor(rec.Power, rec.Tier, rec.PatchLatency).insert(string(rec.ID))
 	b.count++
@@ -441,7 +435,8 @@ func (r *Registry) bucketAdd(rec *Record) {
 // bucketRemove takes rec out of its bucket, dropping emptied groups and
 // buckets. r.mu must be held for writing.
 func (r *Registry) bucketRemove(rec *Record) {
-	b := r.buckets[rec.digest]
+	digest := rec.Config.Digest()
+	b := r.buckets[digest]
 	g := b.groupFor(rec.Power, rec.Tier, rec.PatchLatency)
 	g.remove(string(rec.ID))
 	if len(g.names) == 0 {
@@ -449,7 +444,7 @@ func (r *Registry) bucketRemove(rec *Record) {
 	}
 	b.count--
 	if b.count == 0 {
-		delete(r.buckets, rec.digest)
+		delete(r.buckets, digest)
 	}
 }
 

@@ -364,7 +364,8 @@ func (s ComponentSpec) component() (config.Component, error) {
 
 // BuildConfiguration materializes the spec list into a config.Configuration.
 func BuildConfiguration(specs []ComponentSpec) (config.Configuration, error) {
-	components := make([]config.Component, 0, len(specs))
+	var buf [8]config.Component
+	components := buf[:0]
 	for _, s := range specs {
 		c, err := s.component()
 		if err != nil {
@@ -373,6 +374,23 @@ func BuildConfiguration(specs []ComponentSpec) (config.Configuration, error) {
 		components = append(components, c)
 	}
 	return config.New(components...)
+}
+
+// checkConfiguration reports the error BuildConfiguration would return for
+// specs, without building anything: an unknown class anywhere in the list
+// first, then the first component config.New would reject.
+func checkConfiguration(specs []ComponentSpec) error {
+	var invalid error
+	for _, s := range specs {
+		c, err := s.component()
+		if err != nil {
+			return err
+		}
+		if invalid == nil {
+			invalid = c.Validate()
+		}
+	}
+	return invalid
 }
 
 // VulnSpec is the serializable form of one vuln.Vulnerability.
@@ -510,7 +528,7 @@ func (tl *Timeline) validateEvent(ev *Event) error {
 		if len(ev.Config) == 0 {
 			return fmt.Errorf("join %s without a configuration", ev.ID)
 		}
-		if _, err := BuildConfiguration(ev.Config); err != nil {
+		if err := checkConfiguration(ev.Config); err != nil {
 			return err
 		}
 		if ev.Power <= 0 {
@@ -535,7 +553,7 @@ func (tl *Timeline) validateEvent(ev *Event) error {
 		if len(ev.Config) == 0 {
 			return fmt.Errorf("migrate %s without a configuration", ev.ID)
 		}
-		if _, err := BuildConfiguration(ev.Config); err != nil {
+		if err := checkConfiguration(ev.Config); err != nil {
 			return err
 		}
 	case OpDisclose:
