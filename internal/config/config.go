@@ -93,7 +93,8 @@ type Component struct {
 // Key returns the canonical string identity of the component. Vulnerability
 // matching and configuration digests are computed over this form.
 func (c Component) Key() string {
-	return c.Class.String() + "/" + c.Name + "@" + c.Version
+	var buf [64]byte
+	return string(c.appendKey(buf[:0]))
 }
 
 // appendKey appends Key's bytes to b.
@@ -273,11 +274,8 @@ func NewCatalog() *Catalog {
 // Add registers a component choice. Duplicate keys within a class are
 // ignored so catalogs can be assembled idempotently.
 func (cat *Catalog) Add(c Component) error {
-	if !c.Class.Valid() {
-		return fmt.Errorf("config: invalid class %d", c.Class)
-	}
-	if c.Name == "" {
-		return fmt.Errorf("config: empty component name in class %s", c.Class)
+	if err := c.Validate(); err != nil {
+		return err
 	}
 	for _, existing := range cat.choices[c.Class] {
 		if existing.Key() == c.Key() {

@@ -152,7 +152,9 @@ func (m refConfig) String() string {
 // classes are common, and an invalid class or an empty name turn up now and
 // then.
 func randomComponents(rng *rand.Rand) []Component {
-	names := []string{"a", "b", "ubuntu", "openssl", ""}
+	// The long name pushes a full stack's framed canonical text past the
+	// 256 bytes cryptoutil.Hash digests from a stack buffer.
+	names := []string{"a", "b", "ubuntu", "openssl", strings.Repeat("long-", 10)}
 	versions := []string{"", "1", "22.04"}
 	out := make([]Component, rng.Intn(9))
 	for i := range out {
@@ -163,7 +165,7 @@ func randomComponents(rng *rand.Rand) []Component {
 		case 1:
 			class = 200
 		}
-		name := names[rng.Intn(len(names)-1)]
+		name := names[rng.Intn(len(names))]
 		if rng.Intn(15) == 0 {
 			name = ""
 		}

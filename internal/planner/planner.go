@@ -169,11 +169,7 @@ func GreedyAssign(cat *config.Catalog, n int) ([]config.Configuration, error) {
 			usage[best]++
 			picked[j] = best
 		}
-		cfg, err := config.New(picked...)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = cfg
+		out[i] = config.MustNew(picked...) // Catalog.Add validated every choice
 	}
 	return out, nil
 }
@@ -217,10 +213,7 @@ func MonocultureAssign(cat *config.Catalog, n int) ([]config.Configuration, erro
 			firsts = append(firsts, choices[0])
 		}
 	}
-	cfg, err := config.New(firsts...)
-	if err != nil {
-		return nil, err
-	}
+	cfg := config.MustNew(firsts...) // Catalog.Add validated every choice
 	out := make([]config.Configuration, n)
 	for i := range out {
 		out[i] = cfg
