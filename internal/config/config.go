@@ -330,7 +330,7 @@ func (cat *Catalog) Enumerate(classes ...Class) []Configuration {
 		next := make([][]Component, 0, len(sets)*len(choices))
 		for _, base := range sets {
 			for _, c := range choices {
-				next = append(next, append(base[:len(base):len(base)], c))
+				next = append(next, append(slices.Clip(base), c))
 			}
 		}
 		sets = next

@@ -631,13 +631,13 @@ func GreedyAdversaryTable() (*metrics.Table, error) {
 		}
 	}
 	mkFleet := func(osNames []string) []vuln.Replica {
+		stacks := make([]config.Configuration, len(osNames))
+		for i, name := range osNames {
+			stacks[i] = config.MustNew(config.Component{Class: config.ClassOperatingSystem, Name: name, Version: "1"})
+		}
 		out := make([]vuln.Replica, 16)
 		for i := range out {
-			out[i] = vuln.Replica{
-				Name:   fmt.Sprintf("r-%02d", i),
-				Config: config.MustNew(config.Component{Class: config.ClassOperatingSystem, Name: osNames[i%len(osNames)], Version: "1"}),
-				Power:  1,
-			}
+			out[i] = vuln.Replica{Name: fmt.Sprintf("r-%02d", i), Config: stacks[i%len(stacks)], Power: 1}
 		}
 		return out
 	}
@@ -712,6 +712,21 @@ func skewedMembers(kappa, omega int) []diversity.Member {
 	return out
 }
 
+// cryptoLibStacks are the one-component stacks the crypto-library fleets
+// draw from: openssl 3.0.8, the vulnerable version, then three other
+// libraries at 1.0. Replicas on one library share its configuration.
+func cryptoLibStacks() []config.Configuration {
+	stacks := make([]config.Configuration, 0, 4)
+	for _, lib := range []string{"openssl", "boringssl", "libsodium", "golang-crypto"} {
+		version := "1.0"
+		if lib == "openssl" {
+			version = "3.0.8"
+		}
+		stacks = append(stacks, config.MustNew(config.Component{Class: config.ClassCryptoLibrary, Name: lib, Version: version}))
+	}
+	return stacks
+}
+
 // FaultIndependenceOverTime traces the Sec. II-C condition across a
 // vulnerability lifecycle for monoculture vs diverse fleets.
 func FaultIndependenceOverTime() (*metrics.Table, error) {
@@ -722,21 +737,17 @@ func FaultIndependenceOverTime() (*metrics.Table, error) {
 	}); err != nil {
 		return nil, err
 	}
-	libs := []string{"openssl", "boringssl", "libsodium", "golang-crypto"}
+	stacks := cryptoLibStacks()
 	mkFleet := func(n int, diverse bool) []vuln.Replica {
 		out := make([]vuln.Replica, n)
 		for i := range out {
-			lib := "openssl"
+			cfg := stacks[0]
 			if diverse {
-				lib = libs[i%len(libs)]
-			}
-			version := "3.0.8"
-			if lib != "openssl" {
-				version = "1.0"
+				cfg = stacks[i%len(stacks)]
 			}
 			out[i] = vuln.Replica{
 				Name:         fmt.Sprintf("r%02d", i),
-				Config:       config.MustNew(config.Component{Class: config.ClassCryptoLibrary, Name: lib, Version: version}),
+				Config:       cfg,
 				Power:        1,
 				PatchLatency: time.Duration(i%5) * 12 * time.Hour, // staggered patching
 			}

@@ -42,17 +42,17 @@ func PatchLatencySweep(latencies []time.Duration) (*metrics.Table, []PatchRow, e
 	}); err != nil {
 		return nil, nil, err
 	}
-	libs := []string{"openssl", "boringssl", "libsodium", "golang-crypto"}
+	stacks := cryptoLibStacks()
 	mkFleet := func(diverse bool, lat time.Duration) []vuln.Replica {
 		out := make([]vuln.Replica, 16)
 		for i := range out {
-			lib, version := "openssl", "3.0.8"
-			if diverse && i%len(libs) != 0 {
-				lib, version = libs[i%len(libs)], "1.0"
+			cfg := stacks[0]
+			if diverse {
+				cfg = stacks[i%len(stacks)]
 			}
 			out[i] = vuln.Replica{
 				Name:         fmt.Sprintf("r%02d", i),
-				Config:       config.MustNew(config.Component{Class: config.ClassCryptoLibrary, Name: lib, Version: version}),
+				Config:       cfg,
 				Power:        1,
 				PatchLatency: lat,
 			}
