@@ -93,11 +93,10 @@ type Component struct {
 // Key returns the canonical string identity of the component. Vulnerability
 // matching and configuration digests are computed over this form.
 func (c Component) Key() string {
-	var buf [64]byte
-	return string(c.appendKey(buf[:0]))
+	return c.Class.String() + "/" + c.Name + "@" + c.Version
 }
 
-// appendKey appends Key's bytes to b.
+// appendKey appends Key's bytes to b; New builds the canonical text with it.
 func (c Component) appendKey(b []byte) []byte {
 	b = append(b, c.Class.String()...)
 	b = append(b, '/')
@@ -131,11 +130,9 @@ func (c Component) Validate() error {
 // constructor, computes once — the components in class order, their
 // canonical text and its digest — so copying a Configuration copies 8 bytes
 // and every read is allocation-free. The zero value is the empty
-// configuration.
-//
-// == compares identity: it holds for copies of one New result (and for two
-// empty configurations). Equal compares content.
+// configuration. Compare configurations with Equal.
 type Configuration struct {
+	_ [0]func() // not comparable: == would compare identity, not content
 	v *value
 }
 
@@ -193,7 +190,7 @@ func New(components ...Component) (Configuration, error) {
 	}
 	v.digest = cryptoutil.Hash([]byte(digestDomain), text)
 	v.canonical = string(text)
-	return Configuration{v}, nil
+	return Configuration{v: v}, nil
 }
 
 // MustNew is New for test fixtures and generators with known-good inputs;
@@ -231,8 +228,8 @@ func (cfg Configuration) Len() int { return len(cfg.val().components) }
 // hardware component, which the registry uses for the paper's two-tier
 // (attestable vs not) replica model.
 func (cfg Configuration) HasTrustedHardware() bool {
-	cs := cfg.val().components
-	return len(cs) > 0 && cs[0].Class == ClassTrustedHardware
+	_, ok := cfg.Component(ClassTrustedHardware)
+	return ok
 }
 
 // Canonical returns the canonical textual encoding: class-ordered component

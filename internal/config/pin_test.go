@@ -152,8 +152,8 @@ func (m refConfig) String() string {
 // classes are common, and an invalid class or an empty name turn up now and
 // then.
 func randomComponents(rng *rand.Rand) []Component {
-	// The long name pushes a full stack's framed canonical text past the
-	// 256 bytes cryptoutil.Hash digests from a stack buffer.
+	// The long name pushes a full stack's canonical text past the 256 bytes
+	// New encodes it into on the stack.
 	names := []string{"a", "b", "ubuntu", "openssl", strings.Repeat("long-", 10)}
 	versions := []string{"", "1", "22.04"}
 	out := make([]Component, rng.Intn(9))

@@ -27,27 +27,10 @@ type Digest [DigestSize]byte
 // ZeroDigest is the all-zero digest, used as the parent of genesis blocks.
 var ZeroDigest Digest
 
-// hashBufSize is the largest framed input Hash digests from a stack buffer
-// in one sha256.Sum256 call; a larger one streams through a hasher.
-const hashBufSize = 256
-
 // Hash returns the SHA-256 digest of the given byte slices, each preceded by
 // its length as a big-endian uint64, so distinct part lists never frame to
-// the same bytes. An input whose framing fits hashBufSize allocates nothing.
+// the same bytes.
 func Hash(parts ...[]byte) Digest {
-	n := 0
-	for _, p := range parts {
-		n += 8 + len(p)
-	}
-	if n <= hashBufSize {
-		var buf [hashBufSize]byte
-		b := buf[:0]
-		for _, p := range parts {
-			b = binary.BigEndian.AppendUint64(b, uint64(len(p)))
-			b = append(b, p...)
-		}
-		return sha256.Sum256(b)
-	}
 	h := sha256.New()
 	var lenBuf [8]byte
 	for _, p := range parts {

@@ -39,10 +39,10 @@ func streamHash(parts ...[]byte) Digest {
 	return d
 }
 
-// TestHashMatchesStream: Hash equals the streamed framing on both sides of
-// its buffered size, whether the total counts the length prefixes (framed)
-// or only the parts (payload), with an empty part in every list of two or
-// more.
+// TestHashMatchesStream: Hash equals the framing written out part by part,
+// at totals from empty to 4 KiB, whether the total counts the length
+// prefixes (framed) or only the parts (payload), with an empty part in
+// every list of two or more.
 func TestHashMatchesStream(t *testing.T) {
 	for _, total := range []int{0, 255, 256, 257, 4096} {
 		for nparts := 0; nparts <= 4; nparts++ {
@@ -74,16 +74,16 @@ func TestHashMatchesStream(t *testing.T) {
 	}
 }
 
-// TestHashAllocations: an input whose framing fits the stack buffer
-// allocates nothing.
+// TestHashAllocations: an input of up to 256 framed bytes, the size of a
+// configuration's digest input, allocates nothing.
 func TestHashAllocations(t *testing.T) {
-	domain, small, fill := []byte("repro/config/v1"), make([]byte, 100), make([]byte, hashBufSize-2*8-15)
+	domain, small, fill := []byte("repro/config/v1"), make([]byte, 100), make([]byte, 256-2*8-15)
 	var sink Digest
 	for name, parts := range map[string][][]byte{
 		"none":           nil,
 		"one empty":      {nil},
 		"two parts":      {domain, small},
-		"exactly full":   {domain, fill},
+		"256 bytes":      {domain, fill},
 		"three, 1 empty": {domain, nil, small},
 	} {
 		if n := testing.AllocsPerRun(100, func() { sink = Hash(parts...) }); n != 0 {
