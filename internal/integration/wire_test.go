@@ -51,20 +51,20 @@ var wirePinClasses = []wirePin{
 		vuln:     `201 {"id":"v"}`,
 		timeline: `runtime 3600000000000`},
 	{operand: `""`,
-		join:     `400 {"error":"monitord: unknown component class \"\""}`,
-		vuln:     `400 {"error":"monitord: unknown component class \"\""}`,
+		join:     `400 {"error":"config: unknown component class \"\""}`,
+		vuln:     `400 {"error":"config: unknown component class \"\""}`,
 		timeline: `error: scenario: timeline pin: event 0: config: unknown component class ""`},
 	{operand: `"Operating-System"`,
-		join:     `400 {"error":"monitord: unknown component class \"Operating-System\""}`,
-		vuln:     `400 {"error":"monitord: unknown component class \"Operating-System\""}`,
+		join:     `400 {"error":"config: unknown component class \"Operating-System\""}`,
+		vuln:     `400 {"error":"config: unknown component class \"Operating-System\""}`,
 		timeline: `error: scenario: timeline pin: event 0: config: unknown component class "Operating-System"`},
 	{operand: `"class(1)"`,
-		join:     `400 {"error":"monitord: unknown component class \"class(1)\""}`,
-		vuln:     `400 {"error":"monitord: unknown component class \"class(1)\""}`,
+		join:     `400 {"error":"config: unknown component class \"class(1)\""}`,
+		vuln:     `400 {"error":"config: unknown component class \"class(1)\""}`,
 		timeline: `error: scenario: timeline pin: event 0: config: unknown component class "class(1)"`},
 	{operand: `"flux-capacitor"`,
-		join:     `400 {"error":"monitord: unknown component class \"flux-capacitor\""}`,
-		vuln:     `400 {"error":"monitord: unknown component class \"flux-capacitor\""}`,
+		join:     `400 {"error":"config: unknown component class \"flux-capacitor\""}`,
+		vuln:     `400 {"error":"config: unknown component class \"flux-capacitor\""}`,
 		timeline: `error: scenario: timeline pin: event 0: config: unknown component class "flux-capacitor"`},
 }
 
@@ -111,35 +111,35 @@ var wirePinDurations = []wirePin{
 		advance:  `400 {"error":"set exactly one of by/to"}`,
 		timeline: `operating-system 0`},
 	{operand: `1e9`,
-		join:     `400 {"error":"bad request body: monitord: bad duration 1e9: strconv.ParseInt: parsing \"1e9\": invalid syntax"}`,
-		vuln:     `400 {"error":"bad request body: monitord: bad duration 1e9: strconv.ParseInt: parsing \"1e9\": invalid syntax"}`,
-		advance:  `400 {"error":"bad request body: monitord: bad duration 1e9: strconv.ParseInt: parsing \"1e9\": invalid syntax"}`,
-		timeline: `error: scenario: decode timeline: scenario: duration must be a string or nanoseconds: 1e9`},
+		join:     `400 {"error":"bad request body: spec: bad duration 1e9: strconv.ParseInt: parsing \"1e9\": invalid syntax"}`,
+		vuln:     `400 {"error":"bad request body: spec: bad duration 1e9: strconv.ParseInt: parsing \"1e9\": invalid syntax"}`,
+		advance:  `400 {"error":"bad request body: spec: bad duration 1e9: strconv.ParseInt: parsing \"1e9\": invalid syntax"}`,
+		timeline: `error: scenario: decode timeline: spec: bad duration 1e9: strconv.ParseInt: parsing "1e9": invalid syntax`},
 	{operand: `1.0`,
-		join:     `400 {"error":"bad request body: monitord: bad duration 1.0: strconv.ParseInt: parsing \"1.0\": invalid syntax"}`,
-		vuln:     `400 {"error":"bad request body: monitord: bad duration 1.0: strconv.ParseInt: parsing \"1.0\": invalid syntax"}`,
-		advance:  `400 {"error":"bad request body: monitord: bad duration 1.0: strconv.ParseInt: parsing \"1.0\": invalid syntax"}`,
-		timeline: `error: scenario: decode timeline: scenario: duration must be a string or nanoseconds: 1.0`},
+		join:     `400 {"error":"bad request body: spec: bad duration 1.0: strconv.ParseInt: parsing \"1.0\": invalid syntax"}`,
+		vuln:     `400 {"error":"bad request body: spec: bad duration 1.0: strconv.ParseInt: parsing \"1.0\": invalid syntax"}`,
+		advance:  `400 {"error":"bad request body: spec: bad duration 1.0: strconv.ParseInt: parsing \"1.0\": invalid syntax"}`,
+		timeline: `error: scenario: decode timeline: spec: bad duration 1.0: strconv.ParseInt: parsing "1.0": invalid syntax`},
 	{operand: `"1e9"`,
-		join:     `400 {"error":"bad request body: monitord: bad duration \"1e9\": time: unknown unit \"e\" in duration \"1e9\""}`,
-		vuln:     `400 {"error":"bad request body: monitord: bad duration \"1e9\": time: unknown unit \"e\" in duration \"1e9\""}`,
-		advance:  `400 {"error":"bad request body: monitord: bad duration \"1e9\": time: unknown unit \"e\" in duration \"1e9\""}`,
-		timeline: `error: scenario: decode timeline: scenario: bad duration "1e9": time: unknown unit "e" in duration "1e9"`},
+		join:     `400 {"error":"bad request body: spec: bad duration \"1e9\": time: unknown unit \"e\" in duration \"1e9\""}`,
+		vuln:     `400 {"error":"bad request body: spec: bad duration \"1e9\": time: unknown unit \"e\" in duration \"1e9\""}`,
+		advance:  `400 {"error":"bad request body: spec: bad duration \"1e9\": time: unknown unit \"e\" in duration \"1e9\""}`,
+		timeline: `error: scenario: decode timeline: spec: bad duration "1e9": time: unknown unit "e" in duration "1e9"`},
 	{operand: `null`,
-		join:     `400 {"error":"bad request body: monitord: bad duration null: strconv.ParseInt: parsing \"null\": invalid syntax"}`,
-		vuln:     `400 {"error":"bad request body: monitord: bad duration null: strconv.ParseInt: parsing \"null\": invalid syntax"}`,
-		advance:  `400 {"error":"bad request body: monitord: bad duration null: strconv.ParseInt: parsing \"null\": invalid syntax"}`,
-		timeline: `error: scenario: decode timeline: scenario: bad duration "": time: invalid duration ""`},
+		join:     `400 {"error":"bad request body: spec: bad duration null: strconv.ParseInt: parsing \"null\": invalid syntax"}`,
+		vuln:     `400 {"error":"bad request body: spec: bad duration null: strconv.ParseInt: parsing \"null\": invalid syntax"}`,
+		advance:  `400 {"error":"bad request body: spec: bad duration null: strconv.ParseInt: parsing \"null\": invalid syntax"}`,
+		timeline: `error: scenario: decode timeline: spec: bad duration null: strconv.ParseInt: parsing "null": invalid syntax`},
 	{operand: `true`,
-		join:     `400 {"error":"bad request body: monitord: bad duration true: strconv.ParseInt: parsing \"true\": invalid syntax"}`,
-		vuln:     `400 {"error":"bad request body: monitord: bad duration true: strconv.ParseInt: parsing \"true\": invalid syntax"}`,
-		advance:  `400 {"error":"bad request body: monitord: bad duration true: strconv.ParseInt: parsing \"true\": invalid syntax"}`,
-		timeline: `error: scenario: decode timeline: scenario: duration must be a string or nanoseconds: true`},
+		join:     `400 {"error":"bad request body: spec: bad duration true: strconv.ParseInt: parsing \"true\": invalid syntax"}`,
+		vuln:     `400 {"error":"bad request body: spec: bad duration true: strconv.ParseInt: parsing \"true\": invalid syntax"}`,
+		advance:  `400 {"error":"bad request body: spec: bad duration true: strconv.ParseInt: parsing \"true\": invalid syntax"}`,
+		timeline: `error: scenario: decode timeline: spec: bad duration true: strconv.ParseInt: parsing "true": invalid syntax`},
 	{operand: `9223372036854775808`,
-		join:     `400 {"error":"bad request body: monitord: bad duration 9223372036854775808: strconv.ParseInt: parsing \"9223372036854775808\": value out of range"}`,
-		vuln:     `400 {"error":"bad request body: monitord: bad duration 9223372036854775808: strconv.ParseInt: parsing \"9223372036854775808\": value out of range"}`,
-		advance:  `400 {"error":"bad request body: monitord: bad duration 9223372036854775808: strconv.ParseInt: parsing \"9223372036854775808\": value out of range"}`,
-		timeline: `error: scenario: decode timeline: scenario: duration must be a string or nanoseconds: 9223372036854775808`},
+		join:     `400 {"error":"bad request body: spec: bad duration 9223372036854775808: strconv.ParseInt: parsing \"9223372036854775808\": value out of range"}`,
+		vuln:     `400 {"error":"bad request body: spec: bad duration 9223372036854775808: strconv.ParseInt: parsing \"9223372036854775808\": value out of range"}`,
+		advance:  `400 {"error":"bad request body: spec: bad duration 9223372036854775808: strconv.ParseInt: parsing \"9223372036854775808\": value out of range"}`,
+		timeline: `error: scenario: decode timeline: spec: bad duration 9223372036854775808: strconv.ParseInt: parsing "9223372036854775808": value out of range`},
 }
 
 // pinRequest sends body to a fresh virtual tenant and renders the reply;

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/registry"
+	"repro/internal/spec"
 )
 
 // maxBodyBytes bounds request bodies; specs are small and a tenant seed
@@ -170,11 +171,11 @@ func (s *Server) handleListTenants(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleCreateTenant(w http.ResponseWriter, r *http.Request) {
-	var spec TenantSpec
-	if !decodeBody(w, r, &spec) {
+	var ts TenantSpec
+	if !decodeBody(w, r, &ts) {
 		return
 	}
-	t, err := s.mgr.Create(r.PathValue("tenant"), spec)
+	t, err := s.mgr.Create(r.PathValue("tenant"), ts)
 	if err != nil {
 		status := http.StatusBadRequest
 		if errors.Is(err, ErrTenantExists) {
@@ -239,7 +240,7 @@ func (s *Server) handlePatchReplica(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if len(patch.Components) > 0 {
-		cfg, err := ReplicaSpec{Components: patch.Components}.configuration()
+		cfg, err := spec.BuildConfiguration(patch.Components)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
@@ -273,7 +274,7 @@ func (s *Server) handleDisclose(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &vs) {
 		return
 	}
-	v, err := vs.vulnerability()
+	v, err := spec.VulnSpec(vs).Vulnerability()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -342,8 +343,8 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var spec AdvanceSpec
-	if !decodeBody(w, r, &spec) {
+	var adv AdvanceSpec
+	if !decodeBody(w, r, &adv) {
 		return
 	}
 	var (
@@ -351,13 +352,13 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 		err error
 	)
 	switch {
-	case spec.By != 0 && spec.To != 0:
+	case adv.By != 0 && adv.To != 0:
 		writeError(w, http.StatusBadRequest, "set exactly one of by/to")
 		return
-	case spec.By != 0:
-		now, err = t.Advance(time.Duration(spec.By))
-	case spec.To != 0:
-		now, err = t.AdvanceTo(time.Duration(spec.To))
+	case adv.By != 0:
+		now, err = t.Advance(adv.By.D())
+	case adv.To != 0:
+		now, err = t.AdvanceTo(adv.To.D())
 	default:
 		writeError(w, http.StatusBadRequest, "set exactly one of by/to")
 		return
@@ -390,8 +391,11 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer t.hub.unsubscribe(id)
-	// The daemon gives every reply a write deadline (its -timeout); a stream
-	// outlives it by design. A writer without deadlines has none to clear.
+	// The daemon gives every request a read and a write deadline (its
+	// -timeout); a stream outlives both by design. net/http lifts the read
+	// deadline itself once the request is read, when it starts watching the
+	// connection for a hang-up, so only the write deadline is cleared here.
+	// A writer without deadlines has none to clear.
 	_ = http.NewResponseController(w).SetWriteDeadline(time.Time{})
 
 	h := w.Header()

@@ -517,7 +517,7 @@ func TestStatsCountSlowSubscriberDrops(t *testing.T) {
 	}
 }
 
-func mustJSON(t *testing.T, v any) []byte {
+func mustJSON(t testing.TB, v any) []byte {
 	t.Helper()
 	b, err := json.Marshal(v)
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/registry"
+	"repro/internal/spec"
 	"repro/internal/vuln"
 )
 
@@ -112,14 +113,14 @@ func validTenantName(name string) error {
 	return nil
 }
 
-// Create builds a tenant from spec and registers it under name. The spec's
+// Create builds a tenant from ts and registers it under name. The spec's
 // seed replicas and vulnerabilities are applied before the tenant becomes
 // visible, so the first reader already sees the seeded population.
-func (m *Manager) Create(name string, spec TenantSpec) (*Tenant, error) {
+func (m *Manager) Create(name string, ts TenantSpec) (*Tenant, error) {
 	if err := validTenantName(name); err != nil {
 		return nil, err
 	}
-	t, err := buildTenant(name, spec)
+	t, err := buildTenant(name, ts)
 	if err != nil {
 		return nil, err
 	}
@@ -137,8 +138,8 @@ func (m *Manager) Create(name string, spec TenantSpec) (*Tenant, error) {
 
 // buildTenant assembles the registry/catalog/monitor triple outside the
 // manager lock.
-func buildTenant(name string, spec TenantSpec) (*Tenant, error) {
-	interval := time.Duration(spec.WatchInterval)
+func buildTenant(name string, ts TenantSpec) (*Tenant, error) {
+	interval := ts.WatchInterval.D()
 	if interval == 0 {
 		interval = time.Second
 	}
@@ -153,7 +154,7 @@ func buildTenant(name string, spec TenantSpec) (*Tenant, error) {
 		created:  time.Now(),
 	}
 	var now func() time.Duration
-	if spec.Virtual {
+	if ts.Virtual {
 		t.vt = core.NewVirtualTime()
 		now = t.vt.Now
 	} else {
@@ -170,15 +171,15 @@ func buildTenant(name string, spec TenantSpec) (*Tenant, error) {
 	} else {
 		opts = append(opts, core.WithClock(now))
 	}
-	sub, err := substrateFor(spec)
+	sub, err := substrateFor(ts)
 	if err != nil {
 		return nil, err
 	}
 	opts = append(opts, core.WithSubstrate(sub))
-	if spec.Weighting != nil {
+	if ts.Weighting != nil {
 		opts = append(opts, core.WithWeighting(registry.Weighting{
-			Attested: spec.Weighting.Attested,
-			Declared: spec.Weighting.Declared,
+			Attested: ts.Weighting.Attested,
+			Declared: ts.Weighting.Declared,
 		}))
 	}
 	mon, err := core.NewMonitor(t.Registry, opts...)
@@ -190,13 +191,13 @@ func buildTenant(name string, spec TenantSpec) (*Tenant, error) {
 	t.threshold = mon.Threshold()
 	t.hub = newHub(mon)
 
-	for _, rs := range spec.Replicas {
+	for _, rs := range ts.Replicas {
 		if err := joinReplica(t, rs); err != nil {
 			return nil, err
 		}
 	}
-	for _, vs := range spec.Vulns {
-		v, err := vs.vulnerability()
+	for _, vs := range ts.Vulns {
+		v, err := spec.VulnSpec(vs).Vulnerability()
 		if err != nil {
 			return nil, err
 		}
@@ -209,30 +210,30 @@ func buildTenant(name string, spec TenantSpec) (*Tenant, error) {
 
 // substrateFor maps the spec's consensus selection to a family: a bespoke
 // threshold wins, then the named family, defaulting to BFT.
-func substrateFor(spec TenantSpec) (core.Substrate, error) {
-	if spec.Threshold != 0 {
-		if spec.Substrate != "" {
-			return core.Substrate{}, fmt.Errorf("monitord: substrate %q and threshold %v are mutually exclusive", spec.Substrate, spec.Threshold)
+func substrateFor(ts TenantSpec) (core.Substrate, error) {
+	if ts.Threshold != 0 {
+		if ts.Substrate != "" {
+			return core.Substrate{}, fmt.Errorf("monitord: substrate %q and threshold %v are mutually exclusive", ts.Substrate, ts.Threshold)
 		}
-		return core.Threshold(spec.Threshold), nil
+		return core.Threshold(ts.Threshold), nil
 	}
-	switch spec.Substrate {
+	switch ts.Substrate {
 	case "", "bft":
 		return core.BFT, nil
 	case "nakamoto":
 		return core.Nakamoto, nil
 	default:
-		return core.Substrate{}, fmt.Errorf("monitord: unknown substrate %q (have bft, nakamoto, or set threshold)", spec.Substrate)
+		return core.Substrate{}, fmt.Errorf("monitord: unknown substrate %q (have bft, nakamoto, or set threshold)", ts.Substrate)
 	}
 }
 
 // joinReplica applies one ReplicaSpec as a declared join.
 func joinReplica(t *Tenant, rs ReplicaSpec) error {
-	cfg, err := rs.configuration()
+	cfg, err := spec.BuildConfiguration(rs.Components)
 	if err != nil {
 		return err
 	}
-	return t.Registry.JoinDeclared(registry.ReplicaID(rs.ID), cfg, rs.Power, time.Duration(rs.PatchLatency))
+	return t.Registry.JoinDeclared(registry.ReplicaID(rs.ID), cfg, rs.Power, rs.PatchLatency.D())
 }
 
 // Get returns the named tenant.

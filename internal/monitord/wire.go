@@ -1,48 +1,17 @@
 package monitord
 
 import (
-	"encoding/json"
-	"fmt"
-	"strconv"
-	"time"
-
-	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/diversity"
-	"repro/internal/vuln"
+	"repro/internal/spec"
 )
 
-// Duration is a time.Duration that marshals as a Go duration string
-// ("36h0m0s") and unmarshals from either a duration string ("36h") or a
-// JSON number of nanoseconds.
-type Duration time.Duration
-
-// MarshalJSON renders the duration string form.
-func (d Duration) MarshalJSON() ([]byte, error) {
-	return json.Marshal(time.Duration(d).String())
-}
-
-// UnmarshalJSON accepts "72h" or 259200000000000.
-func (d *Duration) UnmarshalJSON(b []byte) error {
-	if len(b) > 0 && b[0] == '"' {
-		var s string
-		if err := json.Unmarshal(b, &s); err != nil {
-			return err
-		}
-		v, err := time.ParseDuration(s)
-		if err != nil {
-			return fmt.Errorf("monitord: bad duration %q: %w", s, err)
-		}
-		*d = Duration(v)
-		return nil
-	}
-	n, err := strconv.ParseInt(string(b), 10, 64)
-	if err != nil {
-		return fmt.Errorf("monitord: bad duration %s: %w", b, err)
-	}
-	*d = Duration(n)
-	return nil
-}
+// The wire vocabulary the request bodies share with the scenario timeline
+// grammar; see package spec. A ComponentSpec's version is always emitted.
+type (
+	Duration      = spec.Duration
+	ComponentSpec = spec.ComponentSpec
+)
 
 // TenantSpec is the PUT /tenants/{tenant} body. The zero value is a valid
 // spec: a wall-clock BFT tenant with default weighting, a 1s watch
@@ -72,49 +41,12 @@ type WeightingSpec struct {
 	Declared float64 `json:"declared"`
 }
 
-// ComponentSpec is one stack component; Class uses the canonical class
-// names ("operating-system", "crypto-library", …).
-type ComponentSpec struct {
-	Class   string `json:"class"`
-	Name    string `json:"name"`
-	Version string `json:"version,omitempty"`
-}
-
-// classByName inverts config.Class.String for wire parsing.
-var classByName = func() map[string]config.Class {
-	m := make(map[string]config.Class, len(config.Classes()))
-	for _, c := range config.Classes() {
-		m[c.String()] = c
-	}
-	return m
-}()
-
-func (cs ComponentSpec) component() (config.Component, error) {
-	class, ok := classByName[cs.Class]
-	if !ok {
-		return config.Component{}, fmt.Errorf("monitord: unknown component class %q", cs.Class)
-	}
-	return config.Component{Class: class, Name: cs.Name, Version: cs.Version}, nil
-}
-
 // ReplicaSpec is the POST …/replicas body: a declared join.
 type ReplicaSpec struct {
 	ID           string          `json:"id"`
 	Components   []ComponentSpec `json:"components"`
 	Power        float64         `json:"power"`
 	PatchLatency Duration        `json:"patchLatency,omitempty"`
-}
-
-func (rs ReplicaSpec) configuration() (config.Configuration, error) {
-	comps := make([]config.Component, 0, len(rs.Components))
-	for _, cs := range rs.Components {
-		c, err := cs.component()
-		if err != nil {
-			return config.Configuration{}, err
-		}
-		comps = append(comps, c)
-	}
-	return config.New(comps...)
 }
 
 // ReplicaPatch is the PATCH …/replicas/{id} body; both fields are
@@ -129,6 +61,8 @@ type ReplicaPatch struct {
 }
 
 // VulnSpec is the POST …/vulns body: one disclosure with its patch event.
+// It is spec.VulnSpec field for field but spells the patch key "patchAt",
+// so it converts with spec.VulnSpec(vs).
 type VulnSpec struct {
 	ID        string   `json:"id"`
 	Class     string   `json:"class"`
@@ -137,22 +71,6 @@ type VulnSpec struct {
 	Disclosed Duration `json:"disclosed"`
 	PatchAt   Duration `json:"patchAt"`
 	Severity  float64  `json:"severity"`
-}
-
-func (vs VulnSpec) vulnerability() (vuln.Vulnerability, error) {
-	class, ok := classByName[vs.Class]
-	if !ok {
-		return vuln.Vulnerability{}, fmt.Errorf("monitord: unknown component class %q", vs.Class)
-	}
-	return vuln.Vulnerability{
-		ID:        vuln.ID(vs.ID),
-		Class:     class,
-		Product:   vs.Product,
-		Version:   vs.Version,
-		Disclosed: time.Duration(vs.Disclosed),
-		PatchAt:   time.Duration(vs.PatchAt),
-		Severity:  vs.Severity,
-	}, nil
 }
 
 // ReportJSON mirrors diversity.Report on the wire.

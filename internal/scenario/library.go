@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/config"
+	"repro/internal/spec"
 	"repro/internal/vuln"
 )
 
@@ -50,8 +51,8 @@ func migrate(at time.Duration, id string, cfg []ComponentSpec) Event {
 }
 
 func disclose(v vuln.Vulnerability) Event {
-	spec := NewVulnSpec(v)
-	return Event{Op: OpDisclose, At: spec.Disclosed, Vuln: &spec}
+	vs := spec.NewVulnSpec(v)
+	return Event{Op: OpDisclose, At: vs.Disclosed, Vuln: &vs}
 }
 
 // exploitProbe is a probe by an adversary with the given exploit budget.

@@ -12,7 +12,7 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/config"
 	"repro/internal/registry"
-	"repro/internal/vuln"
+	"repro/internal/spec"
 )
 
 // Timeline is a scenario as data: an ordered list of typed events over the
@@ -116,7 +116,7 @@ func (s LiveSpec) TargetCatalog() (*config.Catalog, error) {
 	}
 	cat := config.NewCatalog()
 	for _, t := range s.Targets {
-		c, err := t.component()
+		c, err := t.Component()
 		if err != nil {
 			return nil, err
 		}
@@ -161,39 +161,13 @@ var liveAttach func(e *Engine, spec *LiveSpec) error
 // when a timeline carries a LiveSpec.
 func SetLiveAttach(fn func(*Engine, *LiveSpec) error) { liveAttach = fn }
 
-// Duration is a time.Duration that marshals as its String form, keeping
-// timeline JSON human-readable ("36h0m0s" rather than 129600000000000).
-// Unmarshalling accepts both the string form and raw nanoseconds.
-type Duration time.Duration
-
-// D returns the underlying time.Duration.
-func (d Duration) D() time.Duration { return time.Duration(d) }
-
-func (d Duration) String() string { return time.Duration(d).String() }
-
-// MarshalJSON encodes the duration as its canonical string form.
-func (d Duration) MarshalJSON() ([]byte, error) {
-	return json.Marshal(time.Duration(d).String())
-}
-
-// UnmarshalJSON decodes either a duration string or integer nanoseconds.
-func (d *Duration) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err == nil {
-		v, err := time.ParseDuration(s)
-		if err != nil {
-			return fmt.Errorf("scenario: bad duration %q: %w", s, err)
-		}
-		*d = Duration(v)
-		return nil
-	}
-	var ns int64
-	if err := json.Unmarshal(b, &ns); err != nil {
-		return fmt.Errorf("scenario: duration must be a string or nanoseconds: %s", b)
-	}
-	*d = Duration(ns)
-	return nil
-}
+// The wire vocabulary a timeline shares with monitord's request bodies; see
+// package spec.
+type (
+	Duration      = spec.Duration
+	ComponentSpec = spec.ComponentSpec
+	VulnSpec      = spec.VulnSpec
+)
 
 // Event ops: the engine's whole grammar.
 const (
@@ -349,40 +323,13 @@ func (f FaultSpec) String() string {
 	return s[1:]
 }
 
-// ComponentSpec is the serializable form of one config.Component.
-type ComponentSpec struct {
-	Class   string `json:"class"`
-	Name    string `json:"name"`
-	Version string `json:"version"`
-}
-
-// component materializes the spec.
-func (s ComponentSpec) component() (config.Component, error) {
-	class, err := config.ParseClass(s.Class)
-	return config.Component{Class: class, Name: s.Name, Version: s.Version}, err
-}
-
-// BuildConfiguration materializes the spec list into a config.Configuration.
-func BuildConfiguration(specs []ComponentSpec) (config.Configuration, error) {
-	var buf [8]config.Component
-	components := buf[:0]
-	for _, s := range specs {
-		c, err := s.component()
-		if err != nil {
-			return config.Configuration{}, err
-		}
-		components = append(components, c)
-	}
-	return config.New(components...)
-}
-
-// checkConfiguration reports the error BuildConfiguration would return for
-// specs, without building anything: an unknown class anywhere in the list
-// first, then the first component config.New would reject.
+// checkConfiguration reports the error spec.BuildConfiguration would return
+// for specs, without building anything: an unknown class anywhere in the
+// list first, then the first component config.New would reject.
 func checkConfiguration(specs []ComponentSpec) error {
 	var invalid error
 	for _, s := range specs {
-		c, err := s.component()
+		c, err := s.Component()
 		if err != nil {
 			return err
 		}
@@ -391,37 +338,6 @@ func checkConfiguration(specs []ComponentSpec) error {
 		}
 	}
 	return invalid
-}
-
-// VulnSpec is the serializable form of one vuln.Vulnerability.
-type VulnSpec struct {
-	ID        string   `json:"id"`
-	Class     string   `json:"class"`
-	Product   string   `json:"product"`
-	Version   string   `json:"version,omitempty"`
-	Disclosed Duration `json:"disclosed"`
-	PatchAt   Duration `json:"patch_at"`
-	Severity  float64  `json:"severity"`
-}
-
-// Vulnerability materializes the spec.
-func (s VulnSpec) Vulnerability() (vuln.Vulnerability, error) {
-	class, err := config.ParseClass(s.Class)
-	if err != nil {
-		return vuln.Vulnerability{}, err
-	}
-	return vuln.Vulnerability{
-		ID: vuln.ID(s.ID), Class: class, Product: s.Product, Version: s.Version,
-		Disclosed: s.Disclosed.D(), PatchAt: s.PatchAt.D(), Severity: s.Severity,
-	}, nil
-}
-
-// NewVulnSpec serializes a vulnerability.
-func NewVulnSpec(v vuln.Vulnerability) VulnSpec {
-	return VulnSpec{
-		ID: string(v.ID), Class: v.Class.String(), Product: v.Product, Version: v.Version,
-		Disclosed: Duration(v.Disclosed), PatchAt: Duration(v.PatchAt), Severity: v.Severity,
-	}
 }
 
 // StrategySpec is the serializable form of an adversary strategy: exploit
@@ -636,7 +552,7 @@ func (tl *Timeline) Apply(e *Engine) error {
 func applyEvent(e *Engine, ev *Event) error {
 	switch ev.Op {
 	case OpJoin:
-		cfg, err := BuildConfiguration(ev.Config)
+		cfg, err := spec.BuildConfiguration(ev.Config)
 		if err != nil {
 			return err
 		}
@@ -646,7 +562,7 @@ func applyEvent(e *Engine, ev *Event) error {
 	case OpPower:
 		return e.setPowerAt(ev.At.D(), registry.ReplicaID(ev.ID), ev.Power)
 	case OpMigrate:
-		cfg, err := BuildConfiguration(ev.Config)
+		cfg, err := spec.BuildConfiguration(ev.Config)
 		if err != nil {
 			return err
 		}
