@@ -11,9 +11,9 @@
 //	monitord -drain 5s          # shutdown drain budget
 //	monitord -timeout 30s       # per-request budget for non-watch routes
 //
-// A request that overruns -timeout — a slow handler, or a client that
-// stops reading its reply — ends with the connection closed, not with an
-// error body.
+// A request that overruns -timeout — a client that stalls while sending its
+// body, a slow handler, or a client that stops reading its reply — ends
+// with the connection closed, not with an error body.
 //
 // SIGINT or SIGTERM starts a graceful shutdown: the listener closes, new
 // requests are refused with 503, every SSE stream ends cleanly, and
@@ -41,7 +41,7 @@ func main() {
 	var (
 		addr    = flag.String("addr", ":8642", "listen address")
 		drain   = flag.Duration("drain", 10*time.Second, "graceful-shutdown budget for in-flight requests")
-		timeout = flag.Duration("timeout", 30*time.Second, "per-request budget for non-watch routes, from request read to reply written (0 disables)")
+		timeout = flag.Duration("timeout", 30*time.Second, "per-request budget for non-watch routes: reading the request, body included, and writing the reply (0 disables)")
 	)
 	flag.Parse()
 	if err := run(*addr, *drain, *timeout); err != nil {
@@ -92,15 +92,19 @@ func run(addr string, drain, timeout time.Duration) error {
 }
 
 // newHTTPServer is the daemon's http.Server around the service. timeout is
-// the per-request budget: a write deadline the connection gets once the
-// request has been read, so a reply not fully written by then — the handler
-// overran, or the client stopped reading — fails and closes the connection.
-// The SSE watch handler, long-lived by design, clears its own deadline.
-// Zero (or less) sets no budget.
+// the per-request budget, as two deadlines: one for reading the whole
+// request, body included, so a client that stalls mid-body is cut off; and
+// one for writing the reply, set once the headers are read, so a reply not
+// fully written by then — the handler overran, or the client stopped
+// reading — fails and closes the connection. The SSE watch stream is
+// long-lived by design: net/http lifts the read deadline once a request is
+// read, and the watch handler clears its write deadline. Zero (or less)
+// sets no budget.
 func newHTTPServer(svc http.Handler, timeout time.Duration) *http.Server {
 	return &http.Server{
 		Handler:           svc,
 		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       timeout,
 		WriteTimeout:      timeout,
 		// Reap idle keep-alive connections so stuck clients cannot pin
 		// sockets forever; SSE streams write continuously and stay alive.

@@ -76,14 +76,51 @@ func TestTimeoutClosesOverrunConnection(t *testing.T) {
 	}
 }
 
+// TestTimeoutBoundsStalledBody: a client that sends a request's headers and
+// then stalls in its body — part of a declared length, or one chunk of a
+// chunked body — does not hold the connection past the budget.
+func TestTimeoutBoundsStalledBody(t *testing.T) {
+	const budget = 100 * time.Millisecond
+	svc := monitord.NewServer()
+	defer svc.Close()
+	if _, err := svc.Manager().Create("acme", monitord.TenantSpec{Virtual: true}); err != nil {
+		t.Fatal(err)
+	}
+	ts := serve(t, svc, budget)
+	for name, head := range map[string]string{
+		"content-length": "Content-Length: 100\r\n\r\n" + `{"id":"r1",`,
+		"chunked":        "Transfer-Encoding: chunked\r\n\r\nb\r\n" + `{"id":"r1",` + "\r\n",
+	} {
+		t.Run(name, func(t *testing.T) {
+			conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			start := time.Now()
+			if _, err := io.WriteString(conn, "POST /tenants/acme/replicas HTTP/1.1\r\nHost: x\r\n"+head); err != nil {
+				t.Fatal(err)
+			}
+			_ = conn.SetReadDeadline(start.Add(50 * budget))
+			// Whatever reply there is, the server must then close.
+			if _, err := io.ReadAll(conn); err != nil {
+				t.Fatalf("connection still open %v after a stalled body: %v", time.Since(start).Round(time.Millisecond), err)
+			}
+			if took := time.Since(start); took < budget/2 {
+				t.Fatalf("closed after %v, before the %v budget", took, budget)
+			}
+		})
+	}
+}
+
 // TestTimeoutZeroBoundsNothing: -timeout 0 sets no deadline at all.
 func TestTimeoutZeroBoundsNothing(t *testing.T) {
 	slow := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		time.Sleep(60 * time.Millisecond)
 		fmt.Fprintln(w, "done")
 	})
-	if got := newHTTPServer(slow, 0).WriteTimeout; got != 0 {
-		t.Fatalf("WriteTimeout = %v with -timeout 0", got)
+	if srv := newHTTPServer(slow, 0); srv.WriteTimeout != 0 || srv.ReadTimeout != 0 {
+		t.Fatalf("WriteTimeout = %v, ReadTimeout = %v with -timeout 0", srv.WriteTimeout, srv.ReadTimeout)
 	}
 	ts := serve(t, slow, 0)
 	resp, err := http.Get(ts.URL)
