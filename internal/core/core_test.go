@@ -277,6 +277,70 @@ func TestMonitorObservesRegistryMutation(t *testing.T) {
 	}
 }
 
+// TestMonitorRefusesNonFiniteTotalPower: every power is finite but their
+// sum is not. The paper's fractions do not depend on scale, so a total the
+// monitor cannot divide by must fail the assessment, not read as safe — on
+// the rebuild path, on the delta path, and when only the weighting takes
+// the total out of range.
+func TestMonitorRefusesNonFiniteTotalPower(t *testing.T) {
+	const huge = 1.7e308
+	cat := vuln.NewCatalog()
+	if err := cat.Add(vuln.Vulnerability{
+		ID: "CVE-1", Class: config.ClassOperatingSystem, Product: "a", Version: "1",
+		PatchAt: 1000 * time.Hour, Severity: 1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	reg := registry.New(nil, nil)
+	for _, os := range []string{"a", "b"} {
+		if err := reg.JoinDeclared(registry.ReplicaID(os), osCfg(os), huge, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	setPowers := func(p float64) {
+		t.Helper()
+		for _, id := range []registry.ReplicaID{"a", "b"} {
+			if err := reg.SetPower(id, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	mon, err := NewMonitor(reg, WithCatalog(cat))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, err := mon.Assess(time.Hour); err == nil {
+		t.Fatalf("rebuild path assessed powers %v + %v: safe=%v totalFraction=%v", huge, huge, a.Safe, a.Injection.TotalFraction)
+	}
+	if _, err := mon.WorstAssessment(24 * time.Hour); err == nil {
+		t.Fatal("worst window over a non-finite total")
+	}
+	setPowers(1)
+	a, err := mon.Assess(time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Safe || a.Injection.TotalFraction != 0.5 || a.Diversity.Entropy != 1 {
+		t.Fatalf("powers 1 + 1: safe=%v totalFraction=%v entropy=%v, want false, 0.5, 1", a.Safe, a.Injection.TotalFraction, a.Diversity.Entropy)
+	}
+	setPowers(huge)
+	if _, err := mon.Assess(time.Hour); err == nil {
+		t.Fatal("delta path assessed a non-finite total")
+	}
+
+	setPowers(0.6e308) // 1.2e308 at face value, 1.8e308 weighted
+	if _, err := mon.Assess(time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	weighted, err := NewMonitor(reg, WithCatalog(cat), WithWeighting(registry.Weighting{Attested: 1, Declared: 1.5}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := weighted.Assess(time.Hour); err == nil {
+		t.Fatal("a weighting multiplier took the total past the range and the assessment stood")
+	}
+}
+
 // A vulnerability added to the catalog after the monitor has warmed its
 // caches must appear in the very next assessment, without any registry
 // mutation in between.

@@ -233,6 +233,37 @@ func TestMutationAndAssessmentEndpoints(t *testing.T) {
 	}
 }
 
+// TestOverflowingPowerIs422: two joins of finite power whose sum is not
+// finite leave the tenant unassessable — 422 on the read routes, as for
+// every assess error — rather than safe at a compromised fraction of 0.
+func TestOverflowingPowerIs422(t *testing.T) {
+	s := NewServer()
+	defer s.Close()
+	if code := do(t, s, "PUT", "/tenants/x", TenantSpec{Virtual: true, Vulns: []VulnSpec{{
+		ID: "CVE-1", Class: "operating-system", Product: "a", Version: "1",
+		PatchAt: Duration(1000 * time.Hour), Severity: 1,
+	}}}, nil); code != http.StatusCreated {
+		t.Fatalf("create: %d", code)
+	}
+	for _, os := range []string{"a", "b"} {
+		if code := do(t, s, "POST", "/tenants/x/replicas", ReplicaSpec{
+			ID: os, Power: 1.7e308, Components: []ComponentSpec{{Class: "operating-system", Name: os, Version: "1"}},
+		}, nil); code != http.StatusCreated {
+			t.Fatalf("join %s: %d", os, code)
+		}
+	}
+	if code := do(t, s, "POST", "/tenants/x/advance", AdvanceSpec{By: Duration(time.Hour)}, nil); code != http.StatusOK {
+		t.Fatalf("advance: %d", code)
+	}
+	for _, route := range readRoutes {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest("GET", "/tenants/x/"+route, nil))
+		if rec.Code != http.StatusUnprocessableEntity {
+			t.Fatalf("GET %s: %d %s, want 422", route, rec.Code, rec.Body)
+		}
+	}
+}
+
 // sseEvent is one parsed SSE frame.
 type sseEvent struct {
 	event string
