@@ -78,7 +78,7 @@ var wirePinDurations = []wirePin{
 	{operand: `"-1h"`,
 		join:     `201 {"id":"r"} | -3600000000000`,
 		vuln:     `201 {"id":"v"} | -3600000000000`,
-		advance:  `200 {"now":"0s"} | -3600000000000`,
+		advance:  `400 {"error":"negative by -1h0m0s"}`,
 		timeline: `error: scenario: timeline pin: event 0: join r with negative patch latency -1h0m0s`},
 	{operand: `"+5h"`,
 		join:     `201 {"id":"r"} | 18000000000000`,
@@ -103,7 +103,7 @@ var wirePinDurations = []wirePin{
 	{operand: `-1`,
 		join:     `201 {"id":"r"} | -1`,
 		vuln:     `201 {"id":"v"} | -1`,
-		advance:  `200 {"now":"0s"} | -1`,
+		advance:  `400 {"error":"negative by -1ns"}`,
 		timeline: `error: scenario: timeline pin: event 0: join r with negative patch latency -1ns`},
 	{operand: `0`,
 		join:     `201 {"id":"r"} | 0`,

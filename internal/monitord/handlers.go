@@ -355,6 +355,9 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	case adv.By != 0 && adv.To != 0:
 		writeError(w, http.StatusBadRequest, "set exactly one of by/to")
 		return
+	case adv.By < 0:
+		writeError(w, http.StatusBadRequest, "negative by %v", adv.By)
+		return
 	case adv.By != 0:
 		now, err = t.Advance(adv.By.D())
 	case adv.To != 0:

@@ -233,6 +233,31 @@ func TestMutationAndAssessmentEndpoints(t *testing.T) {
 	}
 }
 
+// TestAdvanceRejectsNegativeBy: a negative by is a 400 that leaves the clock
+// where it was, as GET worst answers a non-positive horizon; a to in the
+// past stays the monotone no-op it is documented as.
+func TestAdvanceRejectsNegativeBy(t *testing.T) {
+	s := NewServer()
+	defer s.Close()
+	if code := do(t, s, "PUT", "/tenants/x", TenantSpec{Virtual: true}, nil); code != http.StatusCreated {
+		t.Fatalf("create: %d", code)
+	}
+	var now map[string]Duration
+	if code := do(t, s, "POST", "/tenants/x/advance", AdvanceSpec{To: Duration(2 * time.Hour)}, &now); code != http.StatusOK {
+		t.Fatalf("advance to 2h: %d", code)
+	}
+	for _, body := range []string{`{"by":"-1h"}`, `{"by":-1}`} {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest("POST", "/tenants/x/advance", strings.NewReader(body)))
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("advance %s: %d %s, want 400", body, rec.Code, rec.Body)
+		}
+	}
+	if code := do(t, s, "POST", "/tenants/x/advance", AdvanceSpec{To: Duration(time.Hour)}, &now); code != http.StatusOK || now["now"] != Duration(2*time.Hour) {
+		t.Fatalf("advance to 1h after 2h: %d, now %v, want 200 at 2h", code, now["now"])
+	}
+}
+
 // TestOverflowingPowerIs422: two joins of finite power whose sum is not
 // finite leave the tenant unassessable — 422 on the read routes, as for
 // every assess error — rather than safe at a compromised fraction of 0.
