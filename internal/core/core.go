@@ -115,8 +115,9 @@ type Monitor struct {
 // per generation, not N rebuilds.
 type CacheStats struct {
 	// Rebuilds is the number of full cache rebuilds: the first snapshot a
-	// monitor observes, or a snapshot delta the registry journal could no
-	// longer cover.
+	// monitor observes. A snapshot the registry had to build in full (see
+	// Registry.JournalMisses) still shares nothing with its predecessor, so
+	// it is absorbed as a DeltaApply over every bucket.
 	Rebuilds uint64
 	// DeltaApplies is the number of incremental reuses: a changed registry
 	// snapshot or a grown catalog absorbed by patching the previous

@@ -16,7 +16,8 @@ import (
 )
 
 // maxBodyBytes bounds request bodies; specs are small and a tenant seed
-// with thousands of replicas still fits comfortably.
+// with thousands of replicas still fits comfortably. A longer body is a 413,
+// whatever its first 8 MiB hold.
 const maxBodyBytes = 8 << 20
 
 type errorBody struct {
@@ -93,24 +94,35 @@ func serveEncoded(w http.ResponseWriter, kept *atomic.Pointer[encodedBody], fill
 }
 
 // decodeBody strictly decodes a JSON body into v: unknown fields and
-// anything but whitespace after the value are a 400. An empty body leaves v
-// at its zero value, so "PUT /tenants/x" with no body creates a default
-// tenant.
+// anything but whitespace after the value are a 400, a body longer than
+// maxBodyBytes a 413. An empty body leaves v at its zero value, so
+// "PUT /tenants/x" with no body creates a default tenant.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		if errors.Is(err, io.EOF) {
 			return true
 		}
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return false
+		return badBody(w, err, "%v", err)
 	}
 	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
-		writeError(w, http.StatusBadRequest, "bad request body: data after the JSON value")
-		return false
+		return badBody(w, err, "data after the JSON value")
 	}
 	return true
+}
+
+// badBody answers a body decodeBody refused: 413 when err is the size
+// limit, otherwise 400 with the given detail. It returns false for
+// decodeBody to pass on.
+func badBody(w http.ResponseWriter, err error, format string, args ...any) bool {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", tooLarge.Limit)
+		return false
+	}
+	writeError(w, http.StatusBadRequest, "bad request body: "+format, args...)
+	return false
 }
 
 // tenantFor resolves the {tenant} path value or writes a 404.
@@ -157,6 +169,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		st.WorstSweeps += cs.WorstSweeps
 		st.WorstInstants += cs.WorstInstants
 		st.WorstEvaluated += cs.WorstEvaluated
+		st.JournalMisses += t.Registry.JournalMisses()
 	}
 	writeJSON(w, http.StatusOK, st)
 }

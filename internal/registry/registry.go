@@ -223,9 +223,13 @@ type journalEntry struct {
 
 const (
 	// journalKeep bounds the mutation journal; a snapshot older than this
-	// many generations falls back to a full rebuild.
+	// many generations falls back to a full rebuild (a journal miss).
 	journalKeep = 4096
 	journalMax  = 2 * journalKeep
+	// journalShrink is the backing capacity an emptied journal may keep for
+	// the next entries; a larger one, left behind by a burst of unread
+	// mutations, is released.
+	journalShrink = 256
 )
 
 // Registry tracks live replicas. Mutation (Join*/Leave/SetPower/Migrate)
@@ -252,12 +256,23 @@ type Registry struct {
 	declared int
 
 	// gen counts mutations; journal records which buckets each generation
-	// touched (ring-trimmed to journalKeep entries).
+	// touched, for the generations a cached snapshot can still ask for: none
+	// while snaps is empty, and after each Snapshot only those above the
+	// oldest cached snapshot's generation (capped at journalKeep entries for
+	// a weighting whose snapshot went stale). Its generations are
+	// consecutive.
 	gen     uint64
 	journal []journalEntry
 
+	// snaps, journal trimming and journalMisses are written by Snapshot
+	// under mu.RLock plus snapMu; bumpGen reads snaps and appends to the
+	// journal under mu.Lock. The RWMutex orders the two: a writer excludes
+	// every reader, and snapMu serializes the readers among themselves.
 	snapMu sync.Mutex
 	snaps  map[Weighting]*Snapshot
+	// journalMisses counts snapshots built in full because the journal no
+	// longer covered the cached one (first builds are not misses).
+	journalMisses uint64
 }
 
 // New creates a registry. authority may be nil when only declared joins are
@@ -420,7 +435,9 @@ func (r *Registry) Migrate(id ReplicaID, cfg config.Configuration) error {
 }
 
 // bucketAdd places rec in its configuration bucket, creating bucket and
-// group as needed. r.mu must be held for writing.
+// group as needed, and points rec at the bucket's configuration: the digest
+// is the bucket key, so the two are equal, and every replica of a bucket
+// shares one value. r.mu must be held for writing.
 func (r *Registry) bucketAdd(rec *Record) {
 	digest := rec.Config.Digest()
 	b := r.buckets[digest]
@@ -428,6 +445,7 @@ func (r *Registry) bucketAdd(rec *Record) {
 		b = &bucket{label: digest.String(), cfg: rec.Config}
 		r.buckets[digest] = b
 	}
+	rec.Config = b.cfg
 	b.groupFor(rec.Power, rec.Tier, rec.PatchLatency).insert(string(rec.ID))
 	b.count++
 }
@@ -449,9 +467,14 @@ func (r *Registry) bucketRemove(rec *Record) {
 }
 
 // bumpGen advances the mutation generation and journals the touched bucket
-// keys, trimming the journal to its retention window.
+// keys, trimming the journal to its retention window. Nothing is journalled
+// while no snapshot is cached: without one there is no delta to build.
+// r.mu must be held for writing.
 func (r *Registry) bumpGen(keys ...config.ID) {
 	r.gen++
+	if len(r.snaps) == 0 {
+		return
+	}
 	e := journalEntry{gen: r.gen, n: uint8(len(keys))}
 	copy(e.keys[:], keys)
 	r.journal = append(r.journal, e)
@@ -534,6 +557,15 @@ func (r *Registry) Generation() uint64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.gen
+}
+
+// JournalMisses reports how many snapshots were built in full because the
+// mutation journal no longer covered the weighting's cached snapshot: more
+// than journalKeep generations went unread.
+func (r *Registry) JournalMisses() uint64 {
+	r.snapMu.Lock()
+	defer r.snapMu.Unlock()
+	return r.journalMisses
 }
 
 // TierCounts reports how many replicas sit in each tier and the raw power

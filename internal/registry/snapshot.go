@@ -223,21 +223,22 @@ func (r *Registry) fullSnapshotLocked(w Weighting) (*Snapshot, error) {
 }
 
 // changedSinceLocked returns the distinct bucket keys touched since
-// prevGen, or ok=false when the journal no longer covers that range (the
-// caller then falls back to a full rebuild). Every mutation journals
-// exactly one generation, so full coverage means exactly gen−prevGen
-// entries newer than prevGen.
+// prevGen, or ok=false when the snapshot at prevGen is more than journalKeep
+// generations old (the caller then falls back to a full rebuild). Every
+// mutation since the first cached snapshot journals exactly one generation
+// and the journal keeps at least the newest journalKeep, so coverage is
+// decided before anything is walked or allocated. r.mu (read) and r.snapMu
+// must be held.
 func (r *Registry) changedSinceLocked(prevGen uint64) ([]config.ID, bool) {
 	need := r.gen - prevGen
-	seen := make(map[config.ID]struct{}, 2*need)
-	keys := make([]config.ID, 0, 2*need)
-	var covered uint64
-	for i := len(r.journal) - 1; i >= 0; i-- {
-		e := &r.journal[i]
-		if e.gen <= prevGen {
-			break
-		}
-		covered++
+	if need > journalKeep || need > uint64(len(r.journal)) {
+		return nil, false
+	}
+	walk := r.journal[len(r.journal)-int(need):]
+	seen := make(map[config.ID]struct{}, 2*len(walk))
+	keys := make([]config.ID, 0, 2*len(walk))
+	for i := len(walk) - 1; i >= 0; i-- {
+		e := &walk[i]
 		for _, k := range e.keys[:e.n] {
 			if _, dup := seen[k]; !dup {
 				seen[k] = struct{}{}
@@ -245,10 +246,29 @@ func (r *Registry) changedSinceLocked(prevGen uint64) ([]config.ID, bool) {
 			}
 		}
 	}
-	if covered != need {
-		return nil, false
-	}
 	return keys, true
+}
+
+// trimJournalLocked drops every journal entry at or below the oldest cached
+// snapshot's generation: no delta can ask for it any more. r.mu (read) and
+// r.snapMu must be held.
+func (r *Registry) trimJournalLocked() {
+	if len(r.journal) == 0 {
+		return
+	}
+	oldest := r.gen
+	for _, s := range r.snaps {
+		oldest = min(oldest, s.Generation)
+	}
+	first := r.journal[0].gen // the last is r.gen: generations are consecutive
+	if oldest < first {
+		return
+	}
+	n := copy(r.journal, r.journal[oldest-first+1:])
+	r.journal = r.journal[:n]
+	if n == 0 && cap(r.journal) > journalShrink {
+		r.journal = nil
+	}
 }
 
 // deltaSnapshotLocked builds the snapshot at the current generation by
@@ -297,10 +317,12 @@ func (r *Registry) deltaSnapshotLocked(prev *Snapshot, changed []config.ID, w We
 // Snapshot returns the memoized derived view of the membership under w.
 // On an unchanged registry it returns the previous pointer; after churn it
 // delta-applies the journalled bucket changes onto the previous snapshot
-// (falling back to a full rebuild only when the journal window was
-// exceeded). Snapshot holds the registry read lock for the whole build, so
-// a snapshot taken during churn is always internally consistent: its
-// Generation, Distribution and buckets all describe the same instant.
+// (falling back to a full rebuild, counted by JournalMisses, only when more
+// than journalKeep generations went unread), then drops the journal entries
+// no cached snapshot can ask for any more. Snapshot holds the registry read
+// lock for the whole build, so a snapshot taken during churn is always
+// internally consistent: its Generation, Distribution and buckets all
+// describe the same instant.
 func (r *Registry) Snapshot(w Weighting) (*Snapshot, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
@@ -321,6 +343,8 @@ func (r *Registry) Snapshot(w Weighting) (*Snapshot, error) {
 	if prev != nil {
 		if keys, ok := r.changedSinceLocked(prev.Generation); ok {
 			s, err = r.deltaSnapshotLocked(prev, keys, w)
+		} else {
+			r.journalMisses++
 		}
 	}
 	if s == nil && err == nil {
@@ -330,6 +354,7 @@ func (r *Registry) Snapshot(w Weighting) (*Snapshot, error) {
 		return nil, err
 	}
 	r.snaps[w] = s
+	r.trimJournalLocked()
 	return s, nil
 }
 

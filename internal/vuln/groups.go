@@ -89,6 +89,7 @@ type GroupInjector struct {
 	byDisclosed    []*giExposure
 	sweepInstants  int
 	sweepEvaluated int
+	latScratch     []latStep // latIndex's sort buffer
 }
 
 type giBucket struct {
@@ -98,8 +99,9 @@ type giBucket struct {
 	maxLatency time.Duration
 	power      float64 // Σ members × power: the bucket's share of TotalPower
 
-	// lat is the latency index, built by latIndex on first use. A bucket is
-	// replaced wholesale when its groups change, which drops the index.
+	// lat is the latency index, built by GroupInjector.latIndex on first
+	// use. A bucket is replaced wholesale when its groups change, which
+	// drops the index.
 	lat []latStep
 }
 
@@ -250,20 +252,23 @@ func (b *giBucket) fill(bs BucketSpec, groups []giGroup, ptrs []*giGroup) int {
 	return n
 }
 
-// latIndex returns the bucket's latency index, building it on first use.
+// latIndex returns b's latency index, building it on first use.
 // Under any vulnerability the groups still open at t are those with
 // latency > t − PatchAt — a suffix of this index — so one lookup gives the
 // power an exposure can reach in the bucket, and the distinct latencies are
-// the bucket's distinct window-close offsets. Built lazily because most
-// buckets of a short-lived injector are never swept.
-func (b *giBucket) latIndex() []latStep {
+// the bucket's distinct window-close offsets. Built lazily, because most
+// buckets of a short-lived injector are never swept. It is sorted and merged
+// in gi's scratch, so the index the bucket keeps has exactly one entry per
+// distinct latency.
+func (gi *GroupInjector) latIndex(b *giBucket) []latStep {
 	if b.lat != nil || len(b.groups) == 0 {
 		return b.lat
 	}
-	lat := make([]latStep, len(b.groups))
-	for i, g := range b.groups {
-		lat[i] = latStep{latency: g.latency, suffix: float64(len(g.names)) * g.power}
+	lat := slices.Grow(gi.latScratch[:0], len(b.groups))
+	for _, g := range b.groups {
+		lat = append(lat, latStep{latency: g.latency, suffix: float64(len(g.names)) * g.power})
 	}
+	gi.latScratch = lat
 	slices.SortFunc(lat, func(x, y latStep) int { return cmp.Compare(x.latency, y.latency) })
 	n := 0
 	for _, st := range lat[1:] {
@@ -274,12 +279,11 @@ func (b *giBucket) latIndex() []latStep {
 			lat[n] = st
 		}
 	}
-	lat = lat[:n+1]
-	for i := len(lat) - 2; i >= 0; i-- {
-		lat[i].suffix += lat[i+1].suffix
+	b.lat = slices.Clone(lat[:n+1])
+	for i := len(b.lat) - 2; i >= 0; i-- {
+		b.lat[i].suffix += b.lat[i+1].suffix
 	}
-	b.lat = lat
-	return lat
+	return b.lat
 }
 
 // openPower is the summed power of the bucket's groups with latency > x.
@@ -711,7 +715,7 @@ func (gi *GroupInjector) criticalInstants(horizon time.Duration, buf []time.Dura
 			if b == nil {
 				continue
 			}
-			for _, st := range b.latIndex() {
+			for _, st := range gi.latIndex(b) {
 				if c := e.vuln.PatchAt + st.latency; c > 0 && c <= horizon {
 					events = append(events, c)
 				}
@@ -769,7 +773,7 @@ func (gi *GroupInjector) sweepBounds(instants []time.Duration) []float64 {
 		exps := append(gi.byDisclosed[:0], b.exps...)
 		gi.byDisclosed = exps[:0]
 		slices.SortFunc(exps, func(x, y *giExposure) int { return cmp.Compare(x.vuln.Disclosed, y.vuln.Disclosed) })
-		lat := b.latIndex()
+		lat := gi.latIndex(b)
 		// Walk the instants from the first disclosure on, tracking the
 		// latest PatchAt among the vulnerabilities disclosed so far. While
 		// nothing is open, jump straight to the next disclosure (itself a

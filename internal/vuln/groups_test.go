@@ -386,3 +386,30 @@ func TestPrunedSweepSlackCoversRounding(t *testing.T) {
 		}
 	}
 }
+
+// TestLatencyIndexAtFinalLength: a swept bucket keeps one latency-index
+// entry per distinct patch latency, not one per group, and the index's
+// suffix sums are those of its groups.
+func TestLatencyIndexAtFinalLength(t *testing.T) {
+	cfg := config.MustNew(config.Component{Class: config.ClassOperatingSystem, Name: "debian", Version: "12"})
+	cat := NewCatalog()
+	if err := cat.Add(Vulnerability{ID: "v", Class: config.ClassOperatingSystem, Product: "debian", PatchAt: time.Hour, Severity: 1}); err != nil {
+		t.Fatal(err)
+	}
+	var groups []GroupSpec
+	for i := 0; i < 12; i++ {
+		groups = append(groups, GroupSpec{Power: float64(1 + i), Latency: time.Duration(i%3) * time.Hour, Names: []string{fmt.Sprintf("r-%02d", i)}})
+	}
+	gi, err := NewGroupInjector(cat, []BucketSpec{{Key: "k", Config: cfg, Groups: groups}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gi.WorstWindow(48 * time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	lat := gi.buckets["k"].lat
+	want := []latStep{{0, 78}, {time.Hour, 56}, {2 * time.Hour, 30}}
+	if fmt.Sprint(lat) != fmt.Sprint(want) || cap(lat) != len(want) {
+		t.Fatalf("latency index %v (cap %d), want %v (cap %d)", lat, cap(lat), want, len(want))
+	}
+}
