@@ -61,8 +61,9 @@ func heapAfterGC() uint64 {
 }
 
 // TestStaleSnapshotAllocations: a snapshot that missed more generations
-// than the journal keeps is rebuilt in full, and deciding that costs
-// nothing in proportion to the generations missed.
+// than the journal keeps is rebuilt in full, deciding that costs nothing
+// in proportion to the generations missed, and the journal lets go of the
+// burst's backing array.
 func TestStaleSnapshotAllocations(t *testing.T) {
 	r := New(nil, nil)
 	if err := r.JoinDeclared("a", testCfg("debian"), 1, time.Hour); err != nil {
@@ -84,6 +85,9 @@ func TestStaleSnapshotAllocations(t *testing.T) {
 	sameAsFull(t, r, s)
 	if m := r.JournalMisses(); m != 1 {
 		t.Errorf("journal misses = %d, want 1", m)
+	}
+	if cap(r.journal) != 0 {
+		t.Errorf("the emptied journal keeps the burst's %d entries of capacity", cap(r.journal))
 	}
 }
 
@@ -212,7 +216,7 @@ func TestRecordsShareBucketConfiguration(t *testing.T) {
 // sameValue reports whether two configurations are one value, not merely
 // equal ones.
 func sameValue(a, b config.Configuration) bool {
-	return reflect.ValueOf(a).Field(1).Pointer() == reflect.ValueOf(b).Field(1).Pointer()
+	return reflect.ValueOf(a).FieldByName("v").Pointer() == reflect.ValueOf(b).FieldByName("v").Pointer()
 }
 
 // TestResidentHeapAllocations: 32 000 joins, each with its own freshly
