@@ -383,7 +383,7 @@ func BenchmarkWatchTick(b *testing.B) {
 //   - cold: fresh monitor over the bucketed snapshot — O(groups + vulns),
 //     population-independent once group counts saturate;
 //   - incremental: one mutation + assessment on a live monitor — the O(Δ)
-//     journal/delta/patch path;
+//     dirty-bucket delta/patch path;
 //   - cached: unchanged registry and instant, the memoised assessment.
 func BenchmarkAssessScale(b *testing.B) {
 	sizes := []int{1_000, 10_000, 100_000}

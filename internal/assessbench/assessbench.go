@@ -9,8 +9,8 @@
 //     snapshot's bucket aggregates, O(groups + vulns) regardless of
 //     population;
 //   - incremental: one registry mutation followed by an assessment on a
-//     long-lived monitor, exercising the journalled snapshot delta and the
-//     O(Δ) exposure patch;
+//     long-lived monitor, exercising the dirty-bucket snapshot delta and
+//     the O(Δ) exposure patch;
 //   - cached: an assessment on an unchanged registry at an unchanged
 //     instant — the monitor's memoised answer;
 //   - worst: one registry mutation followed by a worst-window assessment

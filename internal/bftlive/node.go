@@ -55,17 +55,18 @@ type pendingReq struct {
 }
 
 // voterSet is a set of replica indices that keeps the summed voting power
-// of its members: a quorum test is one read, a vote a bit set. The zero
-// value is the empty set.
+// of its members: a quorum test is one read, a vote a bit set. Power is in
+// integer units, so the sum, and every verdict on it, is the same in
+// whatever order the votes arrive. The zero value is the empty set.
 type voterSet struct {
 	lo    uint64   // replicas 0..63
 	hi    []uint64 // replicas 64 and up, grown on demand
-	power float64  // summed power of the distinct voters
+	power uint64   // summed power units of the distinct voters
 }
 
-// add records a vote from replica i, which holds power w; a repeated vote
-// changes nothing.
-func (v *voterSet) add(i int, w float64) {
+// add records a vote from replica i, which holds w power units; a repeated
+// vote changes nothing.
+func (v *voterSet) add(i int, w uint64) {
 	word := &v.lo
 	if i >= 64 {
 		k := i/64 - 1
@@ -134,8 +135,8 @@ func (rd *liveRound) proposal(d cryptoutil.Digest) *proposal {
 // callbacks are.
 type node struct {
 	id       int
-	power    []float64 // voting power per replica, one slice shared by the cluster's nodes
-	total    float64   // summed power
+	power    []uint64 // voting power units per replica, one slice shared by the cluster's nodes
+	total    uint64   // summed power units; 3·total fits in a uint64
 	behavior func() Behavior
 	// out broadcasts a message to every replica including the sender, so a
 	// replica's own vote counts toward its quorums.
@@ -161,16 +162,16 @@ type node struct {
 }
 
 // equalPower is the default power assignment: one vote per replica.
-func equalPower(n int) []float64 {
-	p := make([]float64, n)
+func equalPower(n int) []uint64 {
+	p := make([]uint64, n)
 	for i := range p {
 		p[i] = 1
 	}
 	return p
 }
 
-func newNode(id int, power []float64, behavior func() Behavior, out func(message), onCommit func(Commit)) *node {
-	var total float64
+func newNode(id int, power []uint64, behavior func() Behavior, out func(message), onCommit func(Commit)) *node {
+	var total uint64
 	for _, w := range power {
 		total += w
 	}
@@ -193,7 +194,7 @@ func (n *node) primaryOf(v uint64) int { return int(v % uint64(len(n.power))) }
 // quorate reports whether voters holding power w are a quorum: strictly
 // more than 2/3 of the total, so any two quorums share more than 1/3 —
 // more than the Byzantine power the protocol tolerates (Sec. II-C).
-func (n *node) quorate(w float64) bool { return 3*w > 2*n.total }
+func (n *node) quorate(w uint64) bool { return 3*w > 2*n.total }
 
 func (n *node) hasPending() bool { return len(n.pending) > 0 }
 

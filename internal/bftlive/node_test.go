@@ -1,9 +1,15 @@
 package bftlive
 
 import (
+	"math/big"
+	"math/rand"
+	"strconv"
 	"testing"
+	"time"
 
 	"repro/internal/cryptoutil"
+	"repro/internal/sim"
+	"repro/internal/simnet"
 )
 
 func TestVoterSet(t *testing.T) {
@@ -13,9 +19,9 @@ func TestVoterSet(t *testing.T) {
 		t.Fatalf("empty set holds power %v", v.power)
 	}
 	for _, i := range []int{3, 3, 0, 63, 64, 3, 200, 64, 127, 128} {
-		v.add(i, float64(i+1))
+		v.add(i, uint64(i+1))
 	}
-	if want := float64(1 + 4 + 64 + 65 + 128 + 129 + 201); v.power != want {
+	if want := uint64(1 + 4 + 64 + 65 + 128 + 129 + 201); v.power != want {
 		t.Fatalf("power = %v after re-votes, want %v: each of the 7 distinct senders once, those past replica 63 included", v.power, want)
 	}
 	before := v
@@ -57,7 +63,7 @@ func recordingNode(id int) (nd *node, sent *[]message, commits *[]Commit) {
 
 // recordingNodeWithPower is recordingNode for a cluster of len(power)
 // replicas holding the given voting power.
-func recordingNodeWithPower(id int, power []float64) (nd *node, sent *[]message, commits *[]Commit) {
+func recordingNodeWithPower(id int, power []uint64) (nd *node, sent *[]message, commits *[]Commit) {
 	sent, commits = new([]message), new([]Commit)
 	nd = newNode(id, power, func() Behavior { return Honest },
 		func(m message) { *sent = append(*sent, m) },
@@ -192,7 +198,7 @@ func TestQuorumIsStrictlyMoreThanTwoThirds(t *testing.T) {
 // any two others hold 7 of 10 and are a quorum; the five small replicas
 // together hold 5 of 10 and are not, though they are five of six.
 func TestQuorumCountsPowerNotReplicas(t *testing.T) {
-	power := []float64{5, 1, 1, 1, 1, 1}
+	power := []uint64{5, 1, 1, 1, 1, 1}
 	v := []byte("v")
 	d := digestOf(v)
 	for a := 1; a < 6; a++ {
@@ -233,7 +239,7 @@ func TestViewChangeThresholds(t *testing.T) {
 
 	// The thresholds are of power: replica 0 and two others install a view
 	// with 7 of 10, the other five replicas only echo it with 5 of 10.
-	power := []float64{5, 1, 1, 1, 1, 1}
+	power := []uint64{5, 1, 1, 1, 1, 1}
 	nd, _, _ = recordingNodeWithPower(1, power)
 	for _, from := range []int{0, 2, 3} {
 		nd.handle(&message{kind: kindViewChange, from: from, view: 2})
@@ -267,5 +273,76 @@ func TestCommitCarriesTheCommittedDigest(t *testing.T) {
 	}
 	if c := (*commits)[0]; string(c.Value) != "b" || c.digest != digestOf(b) {
 		t.Fatalf("committed %q under digest %s, want b under %s", c.Value, c.digest.Short(), digestOf(b).Short())
+	}
+}
+
+// TestQuorumVerdictIsExact: the quorum (3·w > 2·total) and echo (3·w >
+// total) verdicts on a voter set are what exact rational arithmetic on the
+// SimWithPower weights gives, in every order the votes can arrive. The
+// first row is a set that holds exactly 2/3 — {0.9, 0.5, 0.4} of 2.7 — which
+// float64 sums called a quorum in one order and not in another; the rest are
+// random one-decimal weight vectors.
+func TestQuorumVerdictIsExact(t *testing.T) {
+	rows := [][]float64{{0.1, 0.9, 0.5, 0.3, 0.5, 0.4}}
+	rng := rand.New(rand.NewSource(9))
+	for len(rows) < 200 {
+		w := make([]float64, 4+rng.Intn(3))
+		for i := range w {
+			w[i] = float64(1+rng.Intn(20)) / 10
+		}
+		rows = append(rows, w)
+	}
+	for _, w := range rows {
+		net, err := simnet.New(sim.NewScheduler(1), simnet.FixedLatency(time.Millisecond), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewSimCluster(net, len(w), SimWithPower(w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		nd := s.nodes[0]
+		exact := make([]*big.Rat, len(w))
+		total := new(big.Rat)
+		for i, p := range w {
+			exact[i], _ = new(big.Rat).SetString(strconv.FormatFloat(p, 'f', -1, 64))
+			total.Add(total, exact[i])
+		}
+		for set := 1; set < 1<<len(w); set++ {
+			var voters []int
+			held := new(big.Rat)
+			for i := range w {
+				if set&(1<<i) != 0 {
+					voters = append(voters, i)
+					held.Add(held, exact[i])
+				}
+			}
+			three := new(big.Rat).Mul(big.NewRat(3, 1), held)
+			wantQuorum := three.Cmp(new(big.Rat).Mul(big.NewRat(2, 1), total)) > 0
+			wantEcho := three.Cmp(total) > 0
+			permute(voters, 0, func(order []int) {
+				var v voterSet
+				for _, i := range order {
+					v.add(i, nd.power[i])
+				}
+				if quorum, echo := nd.quorate(v.power), 3*v.power > nd.total; quorum != wantQuorum || echo != wantEcho {
+					t.Fatalf("power %v, votes in order %v: quorum %v echo %v, exact arithmetic says %v and %v", w, order, quorum, echo, wantQuorum, wantEcho)
+				}
+			})
+		}
+	}
+}
+
+// permute calls fn with every ordering of ids[k:] behind ids[:k], permuting
+// ids in place and restoring it.
+func permute(ids []int, k int, fn func([]int)) {
+	if k == len(ids) {
+		fn(ids)
+		return
+	}
+	for i := k; i < len(ids); i++ {
+		ids[k], ids[i] = ids[i], ids[k]
+		permute(ids, k+1, fn)
+		ids[k], ids[i] = ids[i], ids[k]
 	}
 }

@@ -66,16 +66,24 @@ func TestSimWithPowerValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, w := range map[string][]float64{
-		"too short": {1, 1, 1},
-		"too long":  {1, 1, 1, 1, 1},
-		"zero":      {1, 1, 1, 0},
-		"negative":  {1, 1, 1, -1},
-		"NaN":       {1, 1, 1, math.NaN()},
-		"+Inf":      {1, 1, 1, math.Inf(1)},
-		"-Inf":      {1, 1, 1, math.Inf(-1)},
+		"too short":            {1, 1, 1},
+		"too long":             {1, 1, 1, 1, 1},
+		"zero":                 {1, 1, 1, 0},
+		"negative":             {1, 1, 1, -1},
+		"NaN":                  {1, 1, 1, math.NaN()},
+		"+Inf":                 {1, 1, 1, math.Inf(1)},
+		"-Inf":                 {1, 1, 1, math.Inf(-1)},
+		"rounds to 0 units":    {1, 1, 1, 4e-10},
+		"one weight overflows": {1, 1, 1, 1e10},
+		"total overflows":      {4e9, 4e9, 1, 1},
 	} {
 		if _, err := NewSimCluster(net, 4, SimWithPower(w)); err == nil {
 			t.Errorf("%s power %v accepted", name, w)
+		}
+	}
+	for _, w := range [][]float64{{1, 1, 1, 6e-10}, {2e9, 2e9, 2e9, 1e8}} {
+		if _, err := NewSimCluster(net, 4, SimWithPower(w)); err != nil {
+			t.Errorf("power %v refused: %v", w, err)
 		}
 	}
 	w := []float64{2, 1, 1, 0.5}
@@ -85,8 +93,8 @@ func TestSimWithPowerValidation(t *testing.T) {
 	}
 	w[0] = 100 // the cluster keeps its own copy, and every node reads that one
 	for i, nd := range s.nodes {
-		if &nd.power[0] != &s.power[0] || nd.power[0] != 2 || nd.total != 4.5 {
-			t.Fatalf("node %d: power %v total %v, want the cluster's one slice [2 1 1 0.5]", i, nd.power, nd.total)
+		if &nd.power[0] != &s.power[0] || nd.power[0] != 2e9 || nd.total != 4.5e9 {
+			t.Fatalf("node %d: power %v total %v, want the cluster's one slice [2e9 1e9 1e9 0.5e9]", i, nd.power, nd.total)
 		}
 	}
 }

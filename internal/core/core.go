@@ -115,9 +115,8 @@ type Monitor struct {
 // per generation, not N rebuilds.
 type CacheStats struct {
 	// Rebuilds is the number of full cache rebuilds: the first snapshot a
-	// monitor observes. A snapshot the registry had to build in full (see
-	// Registry.JournalMisses) still shares nothing with its predecessor, so
-	// it is absorbed as a DeltaApply over every bucket.
+	// monitor observes. Every later snapshot is built by delta from the
+	// registry's previous one, however many mutations went unread.
 	Rebuilds uint64
 	// DeltaApplies is the number of incremental reuses: a changed registry
 	// snapshot or a grown catalog absorbed by patching the previous

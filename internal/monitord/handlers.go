@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/config"
 	"repro/internal/registry"
 	"repro/internal/spec"
 )
@@ -169,7 +170,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		st.WorstSweeps += cs.WorstSweeps
 		st.WorstInstants += cs.WorstInstants
 		st.WorstEvaluated += cs.WorstEvaluated
-		st.JournalMisses += t.Registry.JournalMisses()
 	}
 	writeJSON(w, http.StatusOK, st)
 }
@@ -245,6 +245,16 @@ func (s *Server) handlePatchReplica(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "empty patch: set power and/or components")
 		return
 	}
+	// Build the configuration before mutating anything: a refused patch
+	// must leave the tenant as it was.
+	var cfg config.Configuration
+	if len(patch.Components) > 0 {
+		var err error
+		if cfg, err = spec.BuildConfiguration(patch.Components); err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+	}
 	id := registry.ReplicaID(r.PathValue("id"))
 	if patch.Power != nil {
 		if err := t.Registry.SetPower(id, *patch.Power); err != nil {
@@ -253,11 +263,6 @@ func (s *Server) handlePatchReplica(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if len(patch.Components) > 0 {
-		cfg, err := spec.BuildConfiguration(patch.Components)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
 		if err := t.Registry.Migrate(id, cfg); err != nil {
 			writeError(w, registryStatus(err), "%v", err)
 			return

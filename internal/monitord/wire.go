@@ -179,10 +179,6 @@ type TenantInfo struct {
 	WatchEvents  uint64         `json:"watchEvents"`
 	WatchDropped uint64         `json:"watchDropped"`
 	Cache        CacheStatsJSON `json:"cache"`
-
-	// JournalMisses counts the registry snapshots built in full because
-	// more than 4096 mutations went unread since the last one.
-	JournalMisses uint64 `json:"journalMisses"`
 }
 
 func tenantInfo(t *Tenant) TenantInfo {
@@ -204,8 +200,6 @@ func tenantInfo(t *Tenant) TenantInfo {
 		WatchEvents:  events,
 		WatchDropped: dropped,
 		Cache:        CacheStatsJSON(cs),
-
-		JournalMisses: t.Registry.JournalMisses(),
 	}
 }
 
@@ -227,9 +221,6 @@ type ServerStats struct {
 	WorstSweeps    uint64 `json:"worstSweeps"`
 	WorstInstants  uint64 `json:"worstInstants"`
 	WorstEvaluated uint64 `json:"worstEvaluated"`
-	// JournalMisses counts registry snapshots that fell off the O(Δ) delta
-	// path: more than 4096 mutations of a tenant went unread.
-	JournalMisses uint64 `json:"journalMisses"`
 }
 
 // AdvanceSpec is the POST …/advance body; exactly one of By or To must be

@@ -8,11 +8,12 @@ import (
 )
 
 // FuzzRequestBodies: whatever body arrives on a mutating route, the daemon
-// answers without a panic and without a 5xx, and the tenant it was aimed
-// at stays readable — GET tenant 200, GET assessment 200 or 422 (a state
-// it cannot assess, such as a non-finite total power). The seeds are every
-// class name and duration form the wire vocabulary pins, and the bodies
-// the handler tests send.
+// answers without a panic and without a 5xx, a route that refuses the body
+// with a 4xx leaves the tenant's generation, vulnerability count and clock
+// as they were, and the tenant it was aimed at stays readable — GET tenant
+// 200, GET assessment 200 or 422 (a state it cannot assess, such as a
+// non-finite total power). The seeds are every class name and duration
+// form the wire vocabulary pins, and the bodies the handler tests send.
 func FuzzRequestBodies(f *testing.F) {
 	for _, class := range []string{`"operating-system"`, `"trusted-hardware"`, `"wallet"`, `""`, `"Operating-System"`, `"class(1)"`, `"flux-capacitor"`} {
 		f.Add(`{"id":"r","power":1,"components":[{"class":` + class + `,"name":"x","version":"1"}]}`)
@@ -26,6 +27,7 @@ func FuzzRequestBodies(f *testing.F) {
 	}
 	f.Add(`{"id":"strict","power":1,"components":[{"class":"operating-system","name":"plan9"}]}`)
 	f.Add(`{"power":2}`)
+	f.Add(`{"power":99,"components":[{"class":"flux-capacitor","name":"x","version":"1"}]}`)
 	f.Add(`{"power":1.7e308}`)
 	f.Add(`{"components":[{"class":"operating-system","name":"netbsd","version":"10"}]}`)
 	f.Add(`{"virtual":true,"substrate":"raft"}`)
@@ -36,8 +38,12 @@ func FuzzRequestBodies(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body string) {
 		s := NewServer()
 		defer s.Close()
-		if _, err := s.Manager().Create("x", testSpec()); err != nil {
+		x, err := s.Manager().Create("x", testSpec())
+		if err != nil {
 			t.Fatal(err)
+		}
+		state := func() [3]uint64 {
+			return [3]uint64{x.Registry.Generation(), uint64(x.Catalog.Len()), uint64(x.Now())}
 		}
 		for _, r := range []struct{ method, path string }{
 			{"PUT", "/tenants/fuzz"},
@@ -46,10 +52,14 @@ func FuzzRequestBodies(f *testing.F) {
 			{"POST", "/tenants/x/vulns"},
 			{"POST", "/tenants/x/advance"},
 		} {
+			before := state()
 			rec := httptest.NewRecorder()
 			s.ServeHTTP(rec, httptest.NewRequest(r.method, r.path, strings.NewReader(body)))
 			if rec.Code >= 500 {
 				t.Fatalf("%s %s %q: %d %s", r.method, r.path, body, rec.Code, rec.Body)
+			}
+			if after := state(); rec.Code >= 400 && after != before {
+				t.Fatalf("%s %s %q: refused with %d but (generation, vulns, now) moved from %v to %v", r.method, r.path, body, rec.Code, before, after)
 			}
 		}
 		for path, ok := range map[string]func(int) bool{

@@ -4,11 +4,14 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/attest"
+	"repro/internal/diversity"
 )
 
 // TestMigrate covers the product-version migration mutation: the config
@@ -381,19 +384,41 @@ func TestDeltaSnapshotCarriesPowerClasses(t *testing.T) {
 			if !reflect.DeepEqual(snap.classes, want) {
 				t.Fatalf("step %d, %+v: carried classes %v, counted %v", step, w, snap.classes, want)
 			}
-			r.mu.RLock()
-			r.snapMu.Lock()
-			full, err := r.fullSnapshotLocked(w)
-			r.snapMu.Unlock()
-			r.mu.RUnlock()
-			if err != nil {
-				t.Fatal(err)
-			}
 			got, err1 := snap.Report()
-			fresh, err2 := full.Report()
+			fresh, err2 := fromScratch(r, w).Report()
 			if err1 != nil || err2 != nil || got != fresh {
 				t.Fatalf("step %d, %+v: delta report %+v (%v), fresh %+v (%v)", step, w, got, err1, fresh, err2)
 			}
 		}
 	}
+}
+
+// fromScratch is the reference the delta path is checked against: r's
+// snapshot under w with every bucket exported afresh, sorted by label and
+// counted into a new power-class histogram, sharing nothing with a cached
+// snapshot.
+func fromScratch(r *Registry, w Weighting) *Snapshot {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	r.snapMu.Lock()
+	defer r.snapMu.Unlock()
+	s := &Snapshot{Generation: r.gen, Weighting: w, classes: make(map[float64]int)}
+	var labels []string
+	var weights []float64
+	for _, b := range r.buckets {
+		sb := r.exportBucketLocked(b, w)
+		s.buckets = append(s.buckets, sb)
+		s.members += sb.Count
+		countClasses(s.classes, sb, +1)
+	}
+	slices.SortFunc(s.buckets, func(a, b *SnapBucket) int { return strings.Compare(a.Key, b.Key) })
+	for _, sb := range s.buckets {
+		labels, weights = append(labels, sb.Key), append(weights, sb.Power)
+	}
+	dist, err := diversity.FromSorted(labels, weights)
+	if err != nil {
+		panic(err)
+	}
+	s.Distribution = dist
+	return s
 }

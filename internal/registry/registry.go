@@ -212,26 +212,6 @@ func (b *bucket) dropGroup(g *group) {
 	}
 }
 
-// journalEntry records which bucket(s) one mutation generation touched, so
-// Snapshot can rebuild only those buckets (delta-apply) instead of the
-// whole view.
-type journalEntry struct {
-	gen  uint64
-	keys [2]config.ID
-	n    uint8
-}
-
-const (
-	// journalKeep bounds the mutation journal; a snapshot older than this
-	// many generations falls back to a full rebuild (a journal miss).
-	journalKeep = 4096
-	journalMax  = 2 * journalKeep
-	// journalShrink is the backing capacity an emptied journal may keep for
-	// the next entries; a larger one, left behind by a burst of unread
-	// mutations, is released.
-	journalShrink = 256
-)
-
 // Registry tracks live replicas. Mutation (Join*/Leave/SetPower/Migrate)
 // and reads are synchronized internally: churn may race snapshot readers
 // (Monitor.Assess, a live Watch stream), and every reader observes either
@@ -255,24 +235,25 @@ type Registry struct {
 	attested int // replicas per tier, maintained incrementally
 	declared int
 
-	// gen counts mutations; journal records which buckets each generation
-	// touched, for the generations a cached snapshot can still ask for: none
-	// while snaps is empty, and after each Snapshot only those above the
-	// oldest cached snapshot's generation (capped at journalKeep entries for
-	// a weighting whose snapshot went stale). Its generations are
-	// consecutive.
-	gen     uint64
-	journal []journalEntry
+	// gen counts mutations.
+	gen uint64
 
-	// snaps, journal trimming and journalMisses are written by Snapshot
-	// under mu.RLock plus snapMu; bumpGen reads snaps and appends to the
-	// journal under mu.Lock. The RWMutex orders the two: a writer excludes
-	// every reader, and snapMu serializes the readers among themselves.
+	// snaps holds the last snapshot built under each weighting and the keys
+	// of the buckets mutated since. Snapshot writes it, and clears a dirty
+	// set once it has re-exported those buckets, under mu.RLock plus snapMu;
+	// bumpGen adds keys to every dirty set under mu.Lock. The RWMutex orders
+	// the two: a writer excludes every reader, and snapMu serializes the
+	// readers among themselves.
 	snapMu sync.Mutex
-	snaps  map[Weighting]*Snapshot
-	// journalMisses counts snapshots built in full because the journal no
-	// longer covered the cached one (first builds are not misses).
-	journalMisses uint64
+	snaps  map[Weighting]*cachedSnap
+}
+
+// cachedSnap is a weighting's last snapshot and the buckets mutated since.
+// A dirty set holds each touched bucket key once, however many mutations
+// went unread.
+type cachedSnap struct {
+	snap  *Snapshot
+	dirty map[config.ID]struct{}
 }
 
 // New creates a registry. authority may be nil when only declared joins are
@@ -285,6 +266,7 @@ func New(authority *attest.Authority, now func() time.Duration) *Registry {
 		authority: authority,
 		records:   make(map[ReplicaID]*Record),
 		buckets:   make(map[config.ID]*bucket),
+		snaps:     make(map[Weighting]*cachedSnap),
 		now:       now,
 	}
 }
@@ -466,21 +448,14 @@ func (r *Registry) bucketRemove(rec *Record) {
 	}
 }
 
-// bumpGen advances the mutation generation and journals the touched bucket
-// keys, trimming the journal to its retention window. Nothing is journalled
-// while no snapshot is cached: without one there is no delta to build.
-// r.mu must be held for writing.
+// bumpGen advances the mutation generation and marks the touched buckets
+// dirty for every cached weighting. r.mu must be held for writing.
 func (r *Registry) bumpGen(keys ...config.ID) {
 	r.gen++
-	if len(r.snaps) == 0 {
-		return
-	}
-	e := journalEntry{gen: r.gen, n: uint8(len(keys))}
-	copy(e.keys[:], keys)
-	r.journal = append(r.journal, e)
-	if len(r.journal) > journalMax {
-		n := copy(r.journal, r.journal[len(r.journal)-journalKeep:])
-		r.journal = r.journal[:n]
+	for _, c := range r.snaps {
+		for _, k := range keys {
+			c.dirty[k] = struct{}{}
+		}
 	}
 }
 
@@ -557,15 +532,6 @@ func (r *Registry) Generation() uint64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.gen
-}
-
-// JournalMisses reports how many snapshots were built in full because the
-// mutation journal no longer covered the weighting's cached snapshot: more
-// than journalKeep generations went unread.
-func (r *Registry) JournalMisses() uint64 {
-	r.snapMu.Lock()
-	defer r.snapMu.Unlock()
-	return r.journalMisses
 }
 
 // TierCounts reports how many replicas sit in each tier and the raw power

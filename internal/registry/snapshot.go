@@ -182,106 +182,17 @@ func (r *Registry) exportBucketLocked(b *bucket, w Weighting) *SnapBucket {
 	return sb
 }
 
-// finalizeSnapshot computes the aggregate fields from the bucket list;
-// classes is the buckets' power-class histogram, owned by the snapshot.
-func (r *Registry) finalizeSnapshot(buckets []*SnapBucket, classes map[float64]int, w Weighting) (*Snapshot, error) {
-	labels := make([]string, len(buckets))
-	weights := make([]float64, len(buckets))
-	members := 0
-	for i, sb := range buckets {
-		labels[i], weights[i] = sb.Key, sb.Power
-		members += sb.Count
-	}
-	// The bucket list is label-ascending, which is the distribution's
-	// canonical order: no map, no re-sort.
-	dist, err := diversity.FromSorted(labels, weights)
-	if err != nil {
-		return nil, err
-	}
-	return &Snapshot{
-		Generation:   r.gen,
-		Weighting:    w,
-		Distribution: dist,
-		buckets:      buckets,
-		members:      members,
-		classes:      classes,
-	}, nil
-}
-
-// fullSnapshotLocked builds a snapshot from scratch: O(B log B + G) over
-// buckets and groups. r.mu (read) and r.snapMu must be held.
-func (r *Registry) fullSnapshotLocked(w Weighting) (*Snapshot, error) {
-	buckets := make([]*SnapBucket, 0, len(r.buckets))
-	classes := make(map[float64]int)
-	for _, b := range r.buckets {
-		sb := r.exportBucketLocked(b, w)
-		buckets = append(buckets, sb)
-		countClasses(classes, sb, +1)
-	}
-	slices.SortFunc(buckets, func(a, b *SnapBucket) int { return cmp.Compare(a.Key, b.Key) })
-	return r.finalizeSnapshot(buckets, classes, w)
-}
-
-// changedSinceLocked returns the distinct bucket keys touched since
-// prevGen, or ok=false when the snapshot at prevGen is more than journalKeep
-// generations old (the caller then falls back to a full rebuild). Every
-// mutation since the first cached snapshot journals exactly one generation
-// and the journal keeps at least the newest journalKeep, so coverage is
-// decided before anything is walked or allocated. r.mu (read) and r.snapMu
-// must be held.
-func (r *Registry) changedSinceLocked(prevGen uint64) ([]config.ID, bool) {
-	need := r.gen - prevGen
-	if need > journalKeep || need > uint64(len(r.journal)) {
-		return nil, false
-	}
-	walk := r.journal[len(r.journal)-int(need):]
-	seen := make(map[config.ID]struct{}, 2*len(walk))
-	keys := make([]config.ID, 0, 2*len(walk))
-	for i := len(walk) - 1; i >= 0; i-- {
-		e := &walk[i]
-		for _, k := range e.keys[:e.n] {
-			if _, dup := seen[k]; !dup {
-				seen[k] = struct{}{}
-				keys = append(keys, k)
-			}
-		}
-	}
-	return keys, true
-}
-
-// trimJournalLocked drops every journal entry at or below the oldest cached
-// snapshot's generation: no delta can ask for it any more. r.mu (read) and
-// r.snapMu must be held.
-func (r *Registry) trimJournalLocked() {
-	if len(r.journal) == 0 {
-		return
-	}
-	oldest := r.gen
-	for _, s := range r.snaps {
-		oldest = min(oldest, s.Generation)
-	}
-	first := r.journal[0].gen // the last is r.gen: generations are consecutive
-	if oldest < first {
-		return
-	}
-	n := copy(r.journal, r.journal[oldest-first+1:])
-	r.journal = r.journal[:n]
-	if n == 0 && cap(r.journal) > journalShrink {
-		r.journal = nil
-	}
-}
-
 // deltaSnapshotLocked builds the snapshot at the current generation by
 // re-exporting only the changed buckets and sharing every other
 // *SnapBucket with prev: O(Δ·log + B) instead of O(N log N). r.mu (read)
 // and r.snapMu must be held.
-func (r *Registry) deltaSnapshotLocked(prev *Snapshot, changed []config.ID, w Weighting) (*Snapshot, error) {
+func (r *Registry) deltaSnapshotLocked(prev *Snapshot, changed map[config.ID]struct{}, w Weighting) (*Snapshot, error) {
 	type change struct {
 		label string
 		b     *bucket // nil: bucket no longer exists
 	}
 	changes := make([]change, 0, len(changed))
-	for _, key := range changed {
+	for key := range changed {
 		ch := change{b: r.buckets[key]}
 		if ch.b != nil {
 			ch.label = ch.b.label // the digest's hex form, cached at bucket creation
@@ -311,16 +222,36 @@ func (r *Registry) deltaSnapshotLocked(prev *Snapshot, changed []config.ID, w We
 		}
 	}
 	out = append(out, prev.buckets[i:]...)
-	return r.finalizeSnapshot(out, classes, w)
+
+	labels := make([]string, len(out))
+	weights := make([]float64, len(out))
+	members := 0
+	for i, sb := range out {
+		labels[i], weights[i] = sb.Key, sb.Power
+		members += sb.Count
+	}
+	// The bucket list is label-ascending, which is the distribution's
+	// canonical order: no map, no re-sort.
+	dist, err := diversity.FromSorted(labels, weights)
+	if err != nil {
+		return nil, err
+	}
+	return &Snapshot{
+		Generation:   r.gen,
+		Weighting:    w,
+		Distribution: dist,
+		buckets:      out,
+		members:      members,
+		classes:      classes,
+	}, nil
 }
 
 // Snapshot returns the memoized derived view of the membership under w.
 // On an unchanged registry it returns the previous pointer; after churn it
-// delta-applies the journalled bucket changes onto the previous snapshot
-// (falling back to a full rebuild, counted by JournalMisses, only when more
-// than journalKeep generations went unread), then drops the journal entries
-// no cached snapshot can ask for any more. Snapshot holds the registry read
-// lock for the whole build, so a snapshot taken during churn is always
+// re-exports the buckets mutated since onto the previous snapshot, however
+// many mutations that was. A first snapshot under w is the same delta, from
+// an empty snapshot with every bucket dirty. Snapshot holds the registry
+// read lock for the whole build, so a snapshot taken during churn is always
 // internally consistent: its Generation, Distribution and buckets all
 // describe the same instant.
 func (r *Registry) Snapshot(w Weighting) (*Snapshot, error) {
@@ -331,30 +262,25 @@ func (r *Registry) Snapshot(w Weighting) (*Snapshot, error) {
 	defer r.mu.RUnlock()
 	r.snapMu.Lock()
 	defer r.snapMu.Unlock()
-	if r.snaps == nil {
-		r.snaps = make(map[Weighting]*Snapshot)
-	}
-	prev := r.snaps[w]
-	if prev != nil && prev.Generation == r.gen {
-		return prev, nil
-	}
-	var s *Snapshot
-	var err error
-	if prev != nil {
-		if keys, ok := r.changedSinceLocked(prev.Generation); ok {
-			s, err = r.deltaSnapshotLocked(prev, keys, w)
-		} else {
-			r.journalMisses++
+	c := r.snaps[w]
+	if c == nil {
+		c = &cachedSnap{
+			snap:  &Snapshot{classes: map[float64]int{}},
+			dirty: make(map[config.ID]struct{}, len(r.buckets)),
 		}
+		for key := range r.buckets {
+			c.dirty[key] = struct{}{}
+		}
+	} else if c.snap.Generation == r.gen {
+		return c.snap, nil
 	}
-	if s == nil && err == nil {
-		s, err = r.fullSnapshotLocked(w)
-	}
+	s, err := r.deltaSnapshotLocked(c.snap, c.dirty, w)
 	if err != nil {
 		return nil, err
 	}
-	r.snaps[w] = s
-	r.trimJournalLocked()
+	c.snap = s
+	clear(c.dirty)
+	r.snaps[w] = c
 	return s, nil
 }
 
