@@ -92,6 +92,111 @@ func TestStaleSnapshotAllocations(t *testing.T) {
 	}
 }
 
+// TestJournalMissCount: a snapshot 4 096 generations old (the bound the
+// mutation journal once had) is a delta, and so is one a generation older:
+// there is no miss left to count. Each re-exports the two touched buckets
+// and equals a full build, and re-reading an unchanged registry returns
+// the same snapshot.
+func TestJournalMissCount(t *testing.T) {
+	const oldBound = 4096
+	r := New(nil, nil)
+	for i := 0; i < 8; i++ {
+		if err := r.JoinDeclared(ReplicaID(fmt.Sprintf("r-%d", i)), testCfg(fmt.Sprintf("os-%d", i%3)), 1, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prev := mustSnapshot(t, r, DefaultWeighting)
+	mustSnapshot(t, r, Weighting{Attested: 1, Declared: 0.5})
+	mutate := func(n int) {
+		for i := 0; i < n; i++ {
+			if err := r.SetPower(ReplicaID(fmt.Sprintf("r-%d", i%2)), float64(2+i%5)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	for _, n := range []int{oldBound, oldBound + 1} {
+		mutate(n)
+		mustSnapshot(t, r, Weighting{Attested: 1, Declared: 0.5})
+		s := mustSnapshot(t, r, DefaultWeighting)
+		if changed, removed := DiffSnapshots(prev, s); len(changed) != 2 || len(removed) != 0 {
+			t.Fatalf("delta over %d generations re-exported %d buckets and removed %d, want 2 and 0", n, len(changed), len(removed))
+		}
+		sameAsFull(t, r, s)
+		if again := mustSnapshot(t, r, DefaultWeighting); again != s {
+			t.Fatal("re-reading an unchanged registry rebuilt the snapshot")
+		}
+		prev = s
+	}
+}
+
+// TestJournalSpansCachedSnapshots: the registry keeps only what a cached
+// snapshot can still ask for. Nothing before the first snapshot, an empty
+// dirty set after a snapshot under the only weighting, and under two
+// weightings the stale one's touched buckets, each once however many
+// mutations touched it, so its next snapshot is still a delta.
+func TestJournalSpansCachedSnapshots(t *testing.T) {
+	const oldMax = 2 * 4096 // the mutation journal's former cap
+	r := New(nil, nil)
+	for i := 0; i < 12; i++ {
+		if err := r.JoinDeclared(ReplicaID(fmt.Sprintf("r-%02d", i)), testCfg(fmt.Sprintf("os-%d", i%4)), float64(1+i), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(r.snaps) != 0 {
+		t.Fatalf("%d cached snapshots before any snapshot", len(r.snaps))
+	}
+	face, half := DefaultWeighting, Weighting{Attested: 1, Declared: 0.5}
+	mustSnapshot(t, r, face)
+	if n := len(r.snaps[face].dirty); n != 0 {
+		t.Fatalf("%d dirty buckets with the only weighting current", n)
+	}
+	prevHalf := mustSnapshot(t, r, half)
+
+	// Only r-00 (bucket os-0) and r-01 (os-1) move, reading face each time.
+	for i := 0; i < 4096; i++ {
+		if err := r.SetPower(ReplicaID(fmt.Sprintf("r-%02d", i%2)), float64(20+i%3)); err != nil {
+			t.Fatal(err)
+		}
+		mustSnapshot(t, r, face)
+		if n := len(r.snaps[face].dirty); n != 0 {
+			t.Fatalf("after %d mutations: %d dirty buckets under the weighting just read", i+1, n)
+		}
+		if n, want := len(r.snaps[half].dirty), min(i+1, 2); n != want {
+			t.Fatalf("after %d mutations with half stale: %d dirty buckets, want %d", i+1, n, want)
+		}
+	}
+	s := mustSnapshot(t, r, half)
+	if changed, removed := DiffSnapshots(prevHalf, s); len(changed) != 2 || len(removed) != 0 {
+		t.Fatalf("stale weighting's delta re-exported %d buckets and removed %d, want 2 and 0", len(changed), len(removed))
+	}
+	sameAsFull(t, r, s)
+	for w, c := range r.snaps {
+		if len(c.dirty) != 0 {
+			t.Fatalf("%+v: %d dirty buckets with every weighting current", w, len(c.dirty))
+		}
+	}
+
+	// Past the journal's former cap both weightings hold one dirty bucket.
+	for i := 0; i <= oldMax; i++ {
+		if err := r.SetPower("r-03", float64(1+i%4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for w, c := range r.snaps {
+		if len(c.dirty) != 1 {
+			t.Fatalf("%+v: %d dirty buckets after %d mutations of one bucket, want 1", w, len(c.dirty), oldMax+1)
+		}
+	}
+	prevHalf = s
+	mustSnapshot(t, r, face)
+	s = mustSnapshot(t, r, half)
+	if changed, removed := DiffSnapshots(prevHalf, s); len(changed) != 1 || len(removed) != 0 {
+		t.Fatalf("delta over %d generations re-exported %d buckets and removed %d, want 1 and 0", oldMax+1, len(changed), len(removed))
+	}
+	sameAsFull(t, r, s)
+}
+
 // TestPropDirtySetsMatchFull: random Join/Leave/SetPower/Migrate under two
 // weightings, one read after every step and one about every 5 000 steps,
 // so thousands of mutations go unread between two of its snapshots. Every
