@@ -44,24 +44,27 @@ func main() {
 		timeout = flag.Duration("timeout", 30*time.Second, "per-request budget for non-watch routes: reading the request, body included, and writing the reply (0 disables)")
 	)
 	flag.Parse()
-	if err := run(*addr, *drain, *timeout); err != nil {
+
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	context.AfterFunc(ctx, stop) // a second signal kills immediately
+
+	// Listen before announcing readiness so -addr :0 can log the bound
+	// port and a supervisor can scrape it.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := run(ctx, ln, *drain, *timeout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run(addr string, drain, timeout time.Duration) error {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
+// run serves the daemon on ln until ctx ends, then shuts it down: every SSE
+// stream ends, and in-flight requests get drain to finish.
+func run(ctx context.Context, ln net.Listener, drain, timeout time.Duration) error {
 	svc := monitord.NewServer()
 	httpSrv := newHTTPServer(svc, timeout)
-
-	// Listen before announcing readiness so -addr :0 can log the bound
-	// port and a supervisor can scrape it.
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
 	log.Printf("listening on %s", ln.Addr())
 
 	serveErr := make(chan error, 1)
@@ -72,7 +75,6 @@ func run(addr string, drain, timeout time.Duration) error {
 		return err
 	case <-ctx.Done():
 	}
-	stop() // a second signal kills immediately
 	log.Printf("shutting down (drain %v)", drain)
 
 	// Order matters: closing the service first ends every SSE stream (the

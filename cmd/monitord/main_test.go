@@ -2,12 +2,17 @@ package main
 
 import (
 	"bufio"
+	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -204,5 +209,191 @@ func TestWatchOutlivesTimeout(t *testing.T) {
 	defer r2.Body.Close()
 	if r2.StatusCode != http.StatusOK {
 		t.Fatalf("assessment beside a live stream: %d", r2.StatusCode)
+	}
+}
+
+// TestRunServesLoadAndShutsDown drives run as main does, on a loopback
+// listener: a few hundred wall-clock tenants, workers mixing reads with
+// power changes, migrations and transient join + leave, and SSE watchers
+// across the fleet. Every request must answer 2xx at the first attempt,
+// every watcher must receive an event, and cancelling the context must make
+// run return nil within the drain with every stream ended cleanly.
+func TestRunServesLoadAndShutsDown(t *testing.T) {
+	const (
+		tenants  = 300
+		replicas = 4
+		workers  = 8
+		requests = 200 // per worker
+		watchers = 16
+		drain    = 5 * time.Second
+	)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	runErr := make(chan error, 1)
+	go func() { runErr <- run(ctx, ln, drain, 10*time.Second) }()
+
+	base := "http://" + ln.Addr().String()
+	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: workers + watchers}}
+	defer client.CloseIdleConnections()
+	// call sends one request, once: a loopback daemon has no transient
+	// failure to forgive.
+	call := func(method, path string, body any) bool {
+		var blob io.Reader
+		if body != nil {
+			b, err := json.Marshal(body)
+			if err != nil {
+				t.Error(err)
+				return false
+			}
+			blob = bytes.NewReader(b)
+		}
+		req, err := http.NewRequest(method, base+path, blob)
+		if err != nil {
+			t.Error(err)
+			return false
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Errorf("%s %s: %v", method, path, err)
+			return false
+		}
+		reply, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode/100 != 2 {
+			t.Errorf("%s %s: %d %s", method, path, resp.StatusCode, reply)
+			return false
+		}
+		return true
+	}
+	tenant := func(i int) string { return fmt.Sprintf("/tenants/t%03d", i) }
+	inParallel := func(n int, f func(w int)) {
+		var wg sync.WaitGroup
+		for w := 0; w < n; w++ {
+			wg.Add(1)
+			go func() { defer wg.Done(); f(w) }()
+		}
+		wg.Wait()
+	}
+
+	// Alternating OS stacks, one vulnerability open for the whole run.
+	oses := []string{"ubuntu", "freebsd", "openbsd"}
+	spec := monitord.TenantSpec{WatchInterval: monitord.Duration(20 * time.Millisecond)}
+	for r := 0; r < replicas; r++ {
+		spec.Replicas = append(spec.Replicas, monitord.ReplicaSpec{
+			ID:           fmt.Sprintf("r%d", r),
+			Components:   []monitord.ComponentSpec{{Class: "operating-system", Name: oses[r%len(oses)], Version: "1"}},
+			Power:        float64(10 + r),
+			PatchLatency: monitord.Duration(24 * time.Hour),
+		})
+	}
+	spec.Vulns = []monitord.VulnSpec{{
+		ID: "CVE-LOAD-0001", Class: "operating-system", Product: oses[0], Version: "1",
+		PatchAt: monitord.Duration(1000 * time.Hour), Severity: 1,
+	}}
+	inParallel(workers, func(w int) {
+		for i := w; i < tenants; i += workers {
+			call("PUT", tenant(i), spec)
+		}
+	})
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	// Each watcher reports its first event, then reads until the stream
+	// ends, and reports how it ended.
+	firstEvent := make(chan int, watchers)
+	streamEnd := make(chan error, watchers)
+	for w := 0; w < watchers; w++ {
+		resp, err := client.Get(base + tenant(w*tenants/watchers) + "/watch")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("watch %d: %s", w, resp.Status)
+		}
+		go func() {
+			defer resp.Body.Close()
+			sc := bufio.NewScanner(resp.Body)
+			sc.Buffer(nil, 1<<20)
+			events := 0
+			for sc.Scan() {
+				if strings.HasPrefix(sc.Text(), "event:") {
+					if events++; events == 1 {
+						firstEvent <- w
+					}
+				}
+			}
+			streamEnd <- sc.Err()
+		}()
+	}
+
+	inParallel(workers, func(w int) {
+		rng := rand.New(rand.NewSource(int64(w)))
+		for n := 0; n < requests; n++ {
+			tn := tenant(rng.Intn(tenants))
+			replica := fmt.Sprintf("%s/replicas/r%d", tn, rng.Intn(replicas))
+			switch p := rng.Intn(100); {
+			case p < 45:
+				call("GET", tn+"/assessment", nil)
+			case p < 60:
+				call("GET", tn+"/report", nil)
+			case p < 70:
+				call("GET", tn+"/worst?horizon=24h", nil)
+			case p < 82:
+				power := 1 + rng.Float64()*50
+				call("PATCH", replica, monitord.ReplicaPatch{Power: &power})
+			case p < 92:
+				name := []string{"ubuntu", "freebsd", "openbsd", "netbsd"}[rng.Intn(4)]
+				call("PATCH", replica, monitord.ReplicaPatch{
+					Components: []monitord.ComponentSpec{{Class: "operating-system", Name: name, Version: "1"}},
+				})
+			default:
+				// A worker-unique id: concurrent workers never collide on
+				// membership.
+				id := fmt.Sprintf("w%d-%d", w, n)
+				if call("POST", tn+"/replicas", monitord.ReplicaSpec{
+					ID: id, Power: 1,
+					Components: []monitord.ComponentSpec{{Class: "operating-system", Name: "netbsd", Version: "1"}},
+				}) {
+					call("DELETE", tn+"/replicas/"+id, nil)
+				}
+			}
+		}
+	})
+
+	for seen := 0; seen < watchers; seen++ {
+		select {
+		case <-firstEvent:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d of %d watchers received no event", watchers-seen, watchers)
+		}
+	}
+
+	// A connection the client dialed but never sent a request on counts as
+	// in flight for its first 5 s (net/http's rule for new connections),
+	// which would eat the drain; hang those up, and leave the streams open.
+	client.CloseIdleConnections()
+	cancel()
+	select {
+	case err := <-runErr:
+		if err != nil {
+			t.Fatalf("run after cancel: %v", err)
+		}
+	case <-time.After(drain + 5*time.Second):
+		t.Fatalf("run still serving %v after cancel", drain+5*time.Second)
+	}
+	for ended := 0; ended < watchers; ended++ {
+		select {
+		case err := <-streamEnd:
+			if err != nil {
+				t.Errorf("watch stream ended with %v", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d watch streams still open after run returned", watchers-ended, watchers)
+		}
 	}
 }

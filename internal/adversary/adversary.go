@@ -15,6 +15,8 @@ package adversary
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"time"
 
@@ -55,14 +57,15 @@ func GreedyExploits(catalog *vuln.Catalog, replicas []vuln.Replica, t time.Durat
 		return ExploitPlan{}, nil
 	}
 
-	// Precompute each vulnerability's victim set at t.
+	// Precompute each vulnerability's victim set at t, in exposed order
+	// (power descending, then name): every gain is summed in that order, so
+	// equal gains compare equal and the tie rule decides.
 	type victimSet struct {
 		id      vuln.ID
-		victims map[string]float64
+		victims []vuln.Replica
 	}
 	var sets []victimSet
 	for _, v := range catalog.DisclosedAt(t) {
-		vs := victimSet{id: v.ID, victims: make(map[string]float64)}
 		var exposed []vuln.Replica
 		for _, r := range replicas {
 			if v.Affects(r.Config) && v.WindowOpenAt(t, r.PatchLatency) {
@@ -78,12 +81,8 @@ func GreedyExploits(catalog *vuln.Catalog, replicas []vuln.Replica, t time.Durat
 		// vuln.SeverityTake is the shared victim-count rule, so the plan's
 		// fraction can never disagree with an assessment of the same
 		// instant.
-		take := vuln.SeverityTake(len(exposed), v.Severity)
-		for _, r := range exposed[:take] {
-			vs.victims[r.Name] = r.Power
-		}
-		if len(vs.victims) > 0 {
-			sets = append(sets, vs)
+		if take := vuln.SeverityTake(len(exposed), v.Severity); take > 0 {
+			sets = append(sets, victimSet{id: v.ID, victims: exposed[:take]})
 		}
 	}
 
@@ -98,9 +97,9 @@ func GreedyExploits(catalog *vuln.Catalog, replicas []vuln.Replica, t time.Durat
 				continue
 			}
 			gain := 0.0
-			for name, p := range vs.victims {
-				if _, have := owned[name]; !have {
-					gain += p
+			for _, r := range vs.victims {
+				if _, have := owned[r.Name]; !have {
+					gain += r.Power
 				}
 			}
 			if gain > bestGain || (gain == bestGain && gain > 0 && bestIdx >= 0 && vs.id < sets[bestIdx].id) {
@@ -114,13 +113,13 @@ func GreedyExploits(catalog *vuln.Catalog, replicas []vuln.Replica, t time.Durat
 		vs := sets[bestIdx]
 		used[vs.id] = true
 		plan.Chosen = append(plan.Chosen, vs.id)
-		for name, p := range vs.victims {
-			owned[name] = p
+		for _, r := range vs.victims {
+			owned[r.Name] = r.Power
 		}
 	}
 	var sum float64
-	for _, p := range owned {
-		sum += p
+	for _, name := range slices.Sorted(maps.Keys(owned)) {
+		sum += owned[name]
 	}
 	plan.Fraction = sum / totalPower
 	plan.Breaks = plan.Fraction > threshold

@@ -102,6 +102,31 @@ func TestGreedyExploitsRespectsWindows(t *testing.T) {
 	}
 }
 
+// TestGreedyExploitsTieIgnoresMapOrder: exploit a takes {0.6} and b takes
+// {0.1, 0.2, 0.3}. Summed in exposed order (power descending) b gains
+// exactly 0.6 too, so the tie rule picks a, in every call; summed as
+// 0.1 + 0.2 + 0.3 it would gain one ulp more.
+func TestGreedyExploitsTieIgnoresMapOrder(t *testing.T) {
+	cat := vuln.NewCatalog()
+	cat.Add(mkVuln("a", config.ClassOperatingSystem, "os-a"))
+	cat.Add(mkVuln("b", config.ClassOperatingSystem, "os-b"))
+	replicas := []vuln.Replica{
+		{Name: "r1", Config: osCfg("os-a"), Power: 0.6},
+		{Name: "r2", Config: osCfg("os-b"), Power: 0.1},
+		{Name: "r3", Config: osCfg("os-b"), Power: 0.2},
+		{Name: "r4", Config: osCfg("os-b"), Power: 0.3},
+	}
+	for call := 0; call < 500; call++ {
+		plan, err := GreedyExploits(cat, replicas, time.Hour, 1, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(plan.Chosen) != 1 || plan.Chosen[0] != "a" {
+			t.Fatalf("call %d: chosen %v, want [a]", call, plan.Chosen)
+		}
+	}
+}
+
 func TestGreedyExploitsValidation(t *testing.T) {
 	if _, err := GreedyExploits(nil, nil, 0, 1, 0.5); err == nil {
 		t.Fatal("nil catalog accepted")

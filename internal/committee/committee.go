@@ -9,8 +9,10 @@ package committee
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/cryptoutil"
@@ -141,12 +143,15 @@ func SelectDiverse(candidates []Candidate, size int) ([]Candidate, error) {
 		return remaining[i].ID < remaining[j].ID
 	})
 	counts := make(map[string]int)
+	var labels []string // counts' keys, sorted
 	committee := make([]Candidate, 0, size)
 	for len(committee) < size {
 		bestIdx := -1
 		bestEntropy := math.Inf(-1)
+		labels = slices.AppendSeq(labels[:0], maps.Keys(counts))
+		slices.Sort(labels)
 		for i, c := range remaining {
-			h := entropyWithIncrement(counts, c.ConfigLabel)
+			h := entropyWithIncrement(counts, labels, c.ConfigLabel)
 			// Strict improvement wins; remaining is stake-sorted so the
 			// first best index is also the highest-stake choice.
 			if h > bestEntropy+1e-15 {
@@ -163,15 +168,17 @@ func SelectDiverse(candidates []Candidate, size int) ([]Candidate, error) {
 }
 
 // entropyWithIncrement returns the entropy (bits) of counts with label's
-// count incremented by one, without mutating counts.
-func entropyWithIncrement(counts map[string]int, label string) float64 {
+// count incremented by one, without mutating counts. labels are counts'
+// keys, sorted: the terms are summed in that order, so equal committees
+// score equal bits.
+func entropyWithIncrement(counts map[string]int, labels []string, label string) float64 {
 	total := 1.0
 	for _, c := range counts {
 		total += float64(c)
 	}
 	h := 0.0
-	for l, c := range counts {
-		n := float64(c)
+	for _, l := range labels {
+		n := float64(counts[l])
 		if l == label {
 			n++
 		}

@@ -21,19 +21,23 @@ type PowerClass struct {
 // whose combined power strictly exceeds threshold × total. Classes are
 // walked in descending power order; the boundary class is resolved by
 // binary search on the same cum + j·p > T predicate the member-level loop
-// evaluates, so for integral powers the two are bit-identical.
+// evaluates, so for integral powers the two are bit-identical. The total
+// is summed over the sorted classes, so the answer is the same for every
+// order of the input.
 func MinOperatorFaultsForClasses(classes []PowerClass, threshold float64) (int, error) {
+	sorted := append([]PowerClass(nil), classes...)
+	slices.SortFunc(sorted, func(a, b PowerClass) int {
+		return cmp.Or(cmp.Compare(b.Power, a.Power), cmp.Compare(a.Count, b.Count))
+	})
 	var total float64
 	n := 0
-	for _, c := range classes {
+	for _, c := range sorted {
 		total += c.Power * float64(c.Count)
 		n += c.Count
 	}
 	if n == 0 || total <= 0 {
 		return 0, ErrNoWeight
 	}
-	sorted := append([]PowerClass(nil), classes...)
-	slices.SortFunc(sorted, func(a, b PowerClass) int { return cmp.Compare(b.Power, a.Power) })
 	limit := threshold * total
 	cum := 0.0
 	taken := 0

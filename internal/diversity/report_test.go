@@ -146,6 +146,37 @@ func TestReportThresholdsAreStrict(t *testing.T) {
 	}
 }
 
+// TestMinOperatorFaultsIgnoresClassOrder: a snapshot hands over its power
+// classes in map order, so shuffled classes must give the same answer. With
+// one-decimal powers float addition is not associative, and a total summed
+// in input order moves the 1/3 and 1/2 limits between shuffles. The first
+// fleet, {0.7, 0.6 ×3, 0.4, 0.3 ×3}, sits on the half boundary.
+func TestMinOperatorFaultsIgnoresClassOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	fleets := [][]PowerClass{{{0.7, 1}, {0.6, 3}, {0.4, 1}, {0.3, 3}}}
+	for len(fleets) < 300 {
+		var fleet []PowerClass
+		for _, tenths := range rng.Perm(20)[:2+rng.Intn(6)] {
+			fleet = append(fleet, PowerClass{Power: float64(tenths+1) / 10, Count: 1 + rng.Intn(3)})
+		}
+		fleets = append(fleets, fleet)
+	}
+	for _, fleet := range fleets {
+		for _, threshold := range []float64{1.0 / 3.0, 0.5} {
+			want, err := MinOperatorFaultsForClasses(fleet, threshold)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for shuffle := 0; shuffle < 20; shuffle++ {
+				rng.Shuffle(len(fleet), func(i, j int) { fleet[i], fleet[j] = fleet[j], fleet[i] })
+				if got, _ := MinOperatorFaultsForClasses(fleet, threshold); got != want {
+					t.Fatalf("%v at %v: %d faults, %d in another order", fleet, threshold, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestReportNoWeight(t *testing.T) {
 	for _, d := range []Distribution{{}, MustFromSlice([]float64{0, 0, 0})} {
 		if _, err := ReportForDistribution(d); !errors.Is(err, ErrNoWeight) {

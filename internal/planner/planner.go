@@ -89,30 +89,29 @@ func MinComponentFaultsToExceed(replicas []vuln.Replica, threshold float64) (int
 	if total <= 0 {
 		return 0, errors.New("planner: no voting power")
 	}
-	// victims per component key
-	victims := make(map[string]map[int]float64)
+	// victims per component key, as ascending replica indices: every sum
+	// walks them in that order, so equal gains compare equal.
+	victims := make(map[string][]int)
 	keys := make([]string, 0)
 	for i, r := range replicas {
 		for _, c := range r.Config.Components() {
 			k := c.Key()
 			if victims[k] == nil {
-				victims[k] = make(map[int]float64)
 				keys = append(keys, k)
 			}
-			victims[k][i] = r.Power
+			victims[k] = append(victims[k], i)
 		}
 	}
 	sort.Strings(keys)
-	owned := make(map[int]float64)
+	owned := make([]bool, len(replicas))
 	count := 0
-	var sum float64
 	for {
 		bestGain, bestKey := 0.0, ""
 		for _, k := range keys {
 			gain := 0.0
-			for idx, p := range victims[k] {
-				if _, have := owned[idx]; !have {
-					gain += p
+			for _, idx := range victims[k] {
+				if !owned[idx] {
+					gain += replicas[idx].Power
 				}
 			}
 			if gain > bestGain {
@@ -123,13 +122,15 @@ func MinComponentFaultsToExceed(replicas []vuln.Replica, threshold float64) (int
 			return -1, nil
 		}
 		count++
-		for idx, p := range victims[bestKey] {
-			owned[idx] = p
+		for _, idx := range victims[bestKey] {
+			owned[idx] = true
 		}
 		delete(victims, bestKey)
-		sum = 0
-		for _, p := range owned {
-			sum += p
+		var sum float64
+		for idx, o := range owned {
+			if o {
+				sum += replicas[idx].Power
+			}
 		}
 		if sum > threshold*total {
 			return count, nil

@@ -2,6 +2,7 @@ package registry
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -299,6 +300,34 @@ func TestTierCounts(t *testing.T) {
 	a, d, ap, dp := r.TierCounts()
 	if a != 1 || d != 1 || ap != 10 || dp != 30 {
 		t.Fatalf("tiers = %d/%d %v/%v", a, d, ap, dp)
+	}
+}
+
+// TestReportIgnoresClassOrder: the snapshot's power classes come out of a
+// map, in an order that changes from registry to registry. On the fleet
+// {0.3 ×3, 0.4, 0.7, 0.6 ×3}, one configuration each, 0.7 + 0.6 + 0.6 is
+// exactly half the total and does not exceed it, so every registry must
+// answer 4 operator faults to pass one half.
+func TestReportIgnoresClassOrder(t *testing.T) {
+	powers := []float64{0.3, 0.3, 0.3, 0.4, 0.7, 0.6, 0.6, 0.6}
+	for run := 0; run < 200; run++ {
+		r := New(nil, nil)
+		for i, p := range powers {
+			if err := r.JoinDeclared(ReplicaID(fmt.Sprintf("r%d", i)), testCfg(fmt.Sprintf("os-%d", i)), p, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snap, err := r.Snapshot(DefaultWeighting)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := snap.Report()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.MinOperatorFaultsToHalf != 4 {
+			t.Fatalf("registry %d: MinOperatorFaultsToHalf = %d, want 4", run, rep.MinOperatorFaultsToHalf)
+		}
 	}
 }
 

@@ -15,7 +15,9 @@ package vuln
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -316,8 +318,8 @@ func injectRescan(catalog *Catalog, replicas []Replica, t time.Duration) (Inject
 	}
 	if totalPower > 0 {
 		var dedup float64
-		for _, p := range compromisedOnce {
-			dedup += p
+		for _, name := range slices.Sorted(maps.Keys(compromisedOnce)) {
+			dedup += compromisedOnce[name]
 		}
 		inj.TotalFraction = dedup / totalPower
 	}
