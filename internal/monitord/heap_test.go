@@ -50,10 +50,11 @@ func heapAfterGC() uint64 {
 func TestTenantHeapAllocations(t *testing.T) {
 	const (
 		replicas = 2000
-		// Measured 284.3 B per replica (Go 1.24, linux/amd64; 282.5 under
-		// -race), plus 10 %.
-		ceiling = 313
-		// Bytes the tenant may grow by over the mutations: measured 30-36 kB,
+		// Measured 170.8 B per replica (Go 1.24, linux/amd64; 169.2 under
+		// -race), plus 10 %. With a record per replica, an ID-order slice
+		// and a copy of every group in the exposure index it was 284.3 B.
+		ceiling = 188
+		// Bytes the tenant may grow by over the mutations: measured 12-18 kB,
 		// where a journal of every mutation alone would hold 4 096-8 192
 		// entries of 80 B.
 		growth = 64 << 10

@@ -310,7 +310,7 @@ func TestRecordsShareBucketConfiguration(t *testing.T) {
 	}
 	b := r.buckets[testCfg("debian").Digest()]
 	for _, id := range []ReplicaID{"a", "b", "c"} {
-		if !sameValue(r.records[id].Config, b.cfg) {
+		if !sameValue(r.records[id].g.b.cfg, b.cfg) {
 			t.Errorf("%s: record keeps its own configuration value", id)
 		}
 	}
@@ -330,10 +330,11 @@ func TestResidentHeapAllocations(t *testing.T) {
 	const (
 		replicas = 32_000
 		products = 32
-		// Measured 210.6 B per replica (Go 1.24, linux/amd64, with and
-		// without -race), plus 10 %. With a configuration value per
-		// replica and a journal entry per join it was 389.2 B.
-		ceiling = 232
+		// Measured 139.4 B per replica (Go 1.24, linux/amd64, with and
+		// without -race), plus 10 %. With a record per replica and an
+		// ID-order slice it was 210.6 B; with a configuration value per
+		// replica and a journal entry per join as well, 389.2 B.
+		ceiling = 154
 	)
 	ids := make([]ReplicaID, replicas)
 	for i := range ids {

@@ -16,10 +16,12 @@
 package registry
 
 import (
+	"cmp"
 	"crypto/ed25519"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -60,7 +62,9 @@ func (t Tier) String() string {
 	}
 }
 
-// Record is one live replica.
+// Record is one live replica, as Get and Records report it. It is a view
+// built per call: the registry stores a replica as its equivalence group
+// and join time, and keeps the vote key of an attested replica aside.
 type Record struct {
 	ID           ReplicaID
 	Config       config.Configuration
@@ -106,12 +110,15 @@ func (w Weighting) tierMultiplier(t Tier) float64 {
 // tier, patch latency). Member names are kept ascending; the slice is
 // shared with exported snapshots via copy-on-write — a mutation copies it
 // only if a snapshot marked it shared since the last copy, so sustained
-// churn on an unexported group mutates in place.
+// churn on an unexported group mutates in place. A replica's power, tier,
+// latency and configuration are read from its group and the group's
+// bucket, and stored nowhere else.
 type group struct {
 	power   float64
 	tier    Tier
 	latency time.Duration
 	names   []string // ascending replica IDs
+	b       *bucket  // the bucket holding the group
 
 	// shared marks the names slice as exported into a snapshot and hence
 	// immutable. Set under the registry read lock serialized by snapMu;
@@ -159,19 +166,21 @@ func (g *group) insert(name string) {
 	g.names[i] = name
 }
 
-// remove deletes a name, copying first when the slice is shared.
-func (g *group) remove(name string) {
+// remove deletes a name, copying first when the slice is shared, and
+// returns the group's own copy of it: the string the replica joined with.
+func (g *group) remove(name string) string {
 	i := sort.SearchStrings(g.names, name)
+	stored := g.names[i]
 	if g.shared {
 		ns := make([]string, len(g.names)-1)
 		copy(ns, g.names[:i])
 		copy(ns[i:], g.names[i+1:])
 		g.names = ns
 		g.shared = false
-		return
+		return stored
 	}
-	copy(g.names[i:], g.names[i+1:])
-	g.names = g.names[:len(g.names)-1]
+	g.names = slices.Delete(g.names, i, i+1)
+	return stored
 }
 
 // bucket holds every replica sharing one configuration digest. The
@@ -194,21 +203,15 @@ func (b *bucket) groupFor(power float64, tier Tier, latency time.Duration) *grou
 	if i < len(b.groups) && b.groups[i].cmp(power, tier, latency) == 0 {
 		return b.groups[i]
 	}
-	g := &group{power: power, tier: tier, latency: latency}
-	b.groups = append(b.groups, nil)
-	copy(b.groups[i+1:], b.groups[i:])
-	b.groups[i] = g
+	g := &group{power: power, tier: tier, latency: latency, b: b}
+	b.groups = slices.Insert(b.groups, i, g)
 	return g
 }
 
 // dropGroup removes an emptied group.
 func (b *bucket) dropGroup(g *group) {
-	for i, cand := range b.groups {
-		if cand == g {
-			copy(b.groups[i:], b.groups[i+1:])
-			b.groups = b.groups[:len(b.groups)-1]
-			return
-		}
+	if i := slices.Index(b.groups, g); i >= 0 {
+		b.groups = slices.Delete(b.groups, i, i+1)
 	}
 }
 
@@ -220,14 +223,14 @@ func (b *bucket) dropGroup(g *group) {
 // and assessment on one scheduler, which is what makes its runs
 // replayable; synchronization here is what makes them safe.
 type Registry struct {
-	// mu guards records, order, buckets, the aggregates, epoch and gen.
+	// mu guards records, voteKeys, buckets, the aggregates, epoch and gen.
 	// Mutators take the write lock; readers (Get, Records, TierCounts,
 	// Snapshot construction) the read lock, so a snapshot can never
 	// observe a half-applied mutation.
 	mu        sync.RWMutex
 	authority *attest.Authority
-	records   map[ReplicaID]*Record
-	order     []ReplicaID // ascending; maintained incrementally per mutation
+	records   map[ReplicaID]member
+	voteKeys  map[ReplicaID]ed25519.PublicKey // attested replicas only
 	epoch     uint64
 	now       func() time.Duration
 
@@ -248,6 +251,17 @@ type Registry struct {
 	snaps  map[Weighting]*cachedSnap
 }
 
+// member is a replica's entry: its equivalence group, which holds its
+// name, power, tier, latency and (through the group's bucket) its
+// configuration, and the time it joined. A mutation that moves the replica
+// writes the entry back under the group's copy of the name, never the
+// caller's: assigning to an existing key stores the assigned key's string,
+// and a caller's ID may be a slice of a far larger string.
+type member struct {
+	g        *group
+	joinedAt time.Duration
+}
+
 // cachedSnap is a weighting's last snapshot and the buckets mutated since.
 // A dirty set holds each touched bucket key once, however many mutations
 // went unread.
@@ -264,7 +278,8 @@ func New(authority *attest.Authority, now func() time.Duration) *Registry {
 	}
 	return &Registry{
 		authority: authority,
-		records:   make(map[ReplicaID]*Record),
+		records:   make(map[ReplicaID]member),
+		voteKeys:  make(map[ReplicaID]ed25519.PublicKey),
 		buckets:   make(map[config.ID]*bucket),
 		snaps:     make(map[Weighting]*cachedSnap),
 		now:       now,
@@ -273,7 +288,7 @@ func New(authority *attest.Authority, now func() time.Duration) *Registry {
 
 // JoinDeclared admits a replica on its own word about its configuration.
 func (r *Registry) JoinDeclared(id ReplicaID, cfg config.Configuration, power float64, patchLatency time.Duration) error {
-	return r.join(&Record{
+	return r.join(Record{
 		ID: id, Config: cfg, Power: power, Tier: TierDeclared,
 		PatchLatency: patchLatency,
 	})
@@ -297,7 +312,7 @@ func (r *Registry) JoinAttested(id ReplicaID, cfg config.Configuration, q attest
 	if q.Measurement != cfg.Digest() {
 		return ErrMeasurement
 	}
-	return r.join(&Record{
+	return r.join(Record{
 		ID: id, Config: cfg, Power: power, Tier: TierAttested,
 		VoteKey: q.VotePublicKey, PatchLatency: patchLatency,
 	})
@@ -319,13 +334,13 @@ func (r *Registry) JoinAttestedCommitted(id ReplicaID, cfg config.Configuration,
 	if err := attest.VerifyOpening(q, cfg, salt); err != nil {
 		return fmt.Errorf("registry: %w", err)
 	}
-	return r.join(&Record{
+	return r.join(Record{
 		ID: id, Config: cfg, Power: power, Tier: TierAttested,
 		VoteKey: q.VotePublicKey, PatchLatency: patchLatency,
 	})
 }
 
-func (r *Registry) join(rec *Record) error {
+func (r *Registry) join(rec Record) error {
 	if rec.ID == "" {
 		return errors.New("registry: empty replica id")
 	}
@@ -337,11 +352,10 @@ func (r *Registry) join(rec *Record) error {
 	if _, exists := r.records[rec.ID]; exists {
 		return fmt.Errorf("%w: %s", ErrDuplicateReplica, rec.ID)
 	}
-	rec.JoinedAt = r.now()
-	r.records[rec.ID] = rec
-	r.orderInsert(rec.ID)
-	r.bucketAdd(rec)
+	g := r.bucketAdd(string(rec.ID), rec.Config, rec.Power, rec.Tier, rec.PatchLatency)
+	r.records[rec.ID] = member{g: g, joinedAt: r.now()}
 	if rec.Tier == TierAttested {
+		r.voteKeys[rec.ID] = rec.VoteKey
 		r.attested++
 	} else {
 		r.declared++
@@ -354,19 +368,19 @@ func (r *Registry) join(rec *Record) error {
 func (r *Registry) Leave(id ReplicaID) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	rec, ok := r.records[id]
+	m, ok := r.records[id]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownReplica, id)
 	}
-	r.bucketRemove(rec)
-	r.orderRemove(id)
-	if rec.Tier == TierAttested {
+	r.bucketRemove(m.g, id)
+	if m.g.tier == TierAttested {
+		delete(r.voteKeys, id)
 		r.attested--
 	} else {
 		r.declared--
 	}
 	delete(r.records, id)
-	r.bumpGen(rec.Config.Digest())
+	r.bumpGen(m.g.b.cfg.Digest())
 	return nil
 }
 
@@ -378,14 +392,15 @@ func (r *Registry) SetPower(id ReplicaID, power float64) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	rec, ok := r.records[id]
+	m, ok := r.records[id]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownReplica, id)
 	}
-	r.bucketRemove(rec)
-	rec.Power = power
-	r.bucketAdd(rec)
-	r.bumpGen(rec.Config.Digest())
+	g := m.g
+	name := r.bucketRemove(g, id)
+	m.g = r.bucketAdd(name, g.b.cfg, power, g.tier, g.latency)
+	r.records[ReplicaID(name)] = m
+	r.bumpGen(g.b.cfg.Digest())
 	return nil
 }
 
@@ -398,54 +413,54 @@ func (r *Registry) SetPower(id ReplicaID, power float64) error {
 func (r *Registry) Migrate(id ReplicaID, cfg config.Configuration) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	rec, ok := r.records[id]
+	m, ok := r.records[id]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownReplica, id)
 	}
-	oldKey := rec.Config.Digest()
-	r.bucketRemove(rec)
-	if rec.Tier == TierAttested {
+	g := m.g
+	name := r.bucketRemove(g, id)
+	if g.tier == TierAttested {
+		delete(r.voteKeys, id)
 		r.attested--
 		r.declared++
 	}
-	rec.Config = cfg
-	rec.Tier = TierDeclared
-	rec.VoteKey = nil
-	r.bucketAdd(rec)
-	r.bumpGen(oldKey, cfg.Digest())
+	m.g = r.bucketAdd(name, cfg, g.power, TierDeclared, g.latency)
+	r.records[ReplicaID(name)] = m
+	r.bumpGen(g.b.cfg.Digest(), cfg.Digest())
 	return nil
 }
 
-// bucketAdd places rec in its configuration bucket, creating bucket and
-// group as needed, and points rec at the bucket's configuration: the digest
-// is the bucket key, so the two are equal, and every replica of a bucket
-// shares one value. r.mu must be held for writing.
-func (r *Registry) bucketAdd(rec *Record) {
-	digest := rec.Config.Digest()
+// bucketAdd places the named replica in its configuration bucket, creating
+// bucket and group as needed, and returns its group. The bucket keeps the
+// configuration it was created with: the digest is the bucket key, so every
+// replica of a bucket shares one value. r.mu must be held for writing.
+func (r *Registry) bucketAdd(name string, cfg config.Configuration, power float64, tier Tier, latency time.Duration) *group {
+	digest := cfg.Digest()
 	b := r.buckets[digest]
 	if b == nil {
-		b = &bucket{label: digest.String(), cfg: rec.Config}
+		b = &bucket{label: digest.String(), cfg: cfg}
 		r.buckets[digest] = b
 	}
-	rec.Config = b.cfg
-	b.groupFor(rec.Power, rec.Tier, rec.PatchLatency).insert(string(rec.ID))
+	g := b.groupFor(power, tier, latency)
+	g.insert(name)
 	b.count++
+	return g
 }
 
-// bucketRemove takes rec out of its bucket, dropping emptied groups and
-// buckets. r.mu must be held for writing.
-func (r *Registry) bucketRemove(rec *Record) {
-	digest := rec.Config.Digest()
-	b := r.buckets[digest]
-	g := b.groupFor(rec.Power, rec.Tier, rec.PatchLatency)
-	g.remove(string(rec.ID))
+// bucketRemove takes the replica out of its group g, dropping emptied
+// groups and buckets, and returns the group's copy of its name. r.mu must
+// be held for writing.
+func (r *Registry) bucketRemove(g *group, id ReplicaID) string {
+	name := g.remove(string(id))
+	b := g.b
 	if len(g.names) == 0 {
 		b.dropGroup(g)
 	}
 	b.count--
 	if b.count == 0 {
-		delete(r.buckets, digest)
+		delete(r.buckets, b.cfg.Digest())
 	}
+	return name
 }
 
 // bumpGen advances the mutation generation and marks the touched buckets
@@ -459,35 +474,28 @@ func (r *Registry) bumpGen(keys ...config.ID) {
 	}
 }
 
-// orderInsert keeps r.order ascending; appends (the common monotonic-ID
-// join pattern) are O(1).
-func (r *Registry) orderInsert(id ReplicaID) {
-	n := len(r.order)
-	if n == 0 || r.order[n-1] < id {
-		r.order = append(r.order, id)
-		return
+// record builds the view of one replica. r.mu must be held.
+func (r *Registry) record(id ReplicaID, m member) Record {
+	return Record{
+		ID:           id,
+		Config:       m.g.b.cfg,
+		Power:        m.g.power,
+		Tier:         m.g.tier,
+		VoteKey:      r.voteKeys[id],
+		JoinedAt:     m.joinedAt,
+		PatchLatency: m.g.latency,
 	}
-	i := sort.Search(n, func(i int) bool { return r.order[i] >= id })
-	r.order = append(r.order, "")
-	copy(r.order[i+1:], r.order[i:])
-	r.order[i] = id
 }
 
-func (r *Registry) orderRemove(id ReplicaID) {
-	i := sort.Search(len(r.order), func(i int) bool { return r.order[i] >= id })
-	copy(r.order[i:], r.order[i+1:])
-	r.order = r.order[:len(r.order)-1]
-}
-
-// Get returns a copy of a replica's record.
+// Get returns a replica's record.
 func (r *Registry) Get(id ReplicaID) (Record, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	rec, ok := r.records[id]
+	m, ok := r.records[id]
 	if !ok {
 		return Record{}, false
 	}
-	return *rec, true
+	return r.record(id, m), true
 }
 
 // Size reports the number of live replicas.
@@ -513,16 +521,16 @@ func (r *Registry) AdvanceEpoch() uint64 {
 	return r.epoch
 }
 
-// Records returns copies of all records sorted by ID. The order is
-// maintained incrementally by mutations, so this is one allocation and a
-// linear copy — no per-call sort.
+// Records returns every replica's record sorted by ID. The registry keeps
+// no ID order, so each call sorts: O(N log N). Hot paths read a Snapshot.
 func (r *Registry) Records() []Record {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]Record, len(r.order))
-	for i, id := range r.order {
-		out[i] = *r.records[id]
+	out := make([]Record, 0, len(r.records))
+	for id, m := range r.records {
+		out = append(out, r.record(id, m))
 	}
+	slices.SortFunc(out, func(a, b Record) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 

@@ -17,7 +17,9 @@ import (
 // computation, so the grouped injector reasons about (count × power)
 // aggregates instead of individual replicas. Names is sorted ascending and
 // treated as immutable: producers (the registry snapshot) share the slice
-// and copy-on-write when membership changes.
+// and copy-on-write when membership changes. A GroupInjector keeps a
+// pointer to each GroupSpec it is given and reads it on every evaluation,
+// so a spec must not be mutated once handed over.
 type GroupSpec struct {
 	Power   float64 // per-member (weighted) voting power
 	Latency time.Duration
@@ -28,7 +30,10 @@ type GroupSpec struct {
 // configuration itself, and the equivalence groups over its members.
 // Because the key is the configuration digest, the set of vulnerabilities
 // matching a bucket is fixed for the bucket's lifetime — only group
-// membership changes under churn.
+// membership changes under churn. A GroupInjector retains the Groups slice
+// (see GroupSpec): replace a bucket by passing a new BucketSpec, never by
+// editing the old one. Registry snapshots, the production producer, hand
+// over immutable specs.
 type BucketSpec struct {
 	Key    string // configuration digest string
 	Config config.Configuration
@@ -59,12 +64,11 @@ type GroupInjector struct {
 	exposures  []*giExposure   // vulnerability-ID ascending
 	known      map[ID]struct{} // vulnerability IDs already indexed
 
-	// Rebuild carves buckets, groups, group-pointer lists and exposures out
-	// of these slabs and reuses them, with the storage their elements hold,
-	// on the next Rebuild — unless ApplyBuckets has let the bucket slabs go.
+	// Rebuild carves buckets, groups and exposures out of these slabs and
+	// reuses them, with the storage their elements hold, on the next
+	// Rebuild — unless ApplyBuckets has let the bucket slabs go.
 	bucketSlab []giBucket
 	groupSlab  []giGroup
-	ptrSlab    []*giGroup
 	expSlab    []giExposure
 
 	// Per-instant scratch: marks on groups dedup compromised members
@@ -94,7 +98,7 @@ type GroupInjector struct {
 
 type giBucket struct {
 	cfg        config.Configuration
-	groups     []*giGroup    // power-descending
+	groups     []giGroup     // attack order: power desc, latency asc, first name asc
 	exps       []*giExposure // exposures matching the bucket, in indexing order
 	maxLatency time.Duration
 	power      float64 // Σ members × power: the bucket's share of TotalPower
@@ -112,10 +116,11 @@ type latStep struct {
 	suffix  float64       // Σ members × power over groups with latency ≥ this one
 }
 
+// giGroup is one of the producer's groups plus the per-instant dedup
+// state. Power, latency and names are read through the spec, so the index
+// holds no copy of them.
 type giGroup struct {
-	power   float64
-	latency time.Duration
-	names   []string // ascending; shared with the producer, read-only
+	*GroupSpec // the producer's group; read-only
 
 	mark  uint64 // == GroupInjector.markGen when touched this instant
 	taken int    // longest taken prefix this instant (valid when marked)
@@ -177,12 +182,11 @@ func (gi *GroupInjector) Rebuild(catalog *Catalog, buckets []BucketSpec) error {
 	}
 	gi.bucketSlab = slices.Grow(gi.bucketSlab[:0], len(buckets))[:len(buckets)]
 	gi.groupSlab = slices.Grow(gi.groupSlab[:0], nGroups)[:nGroups]
-	gi.ptrSlab = slices.Grow(gi.ptrSlab[:0], nGroups)[:nGroups]
 	gi.keys = gi.keys[:0]
 	off := 0
 	for i, bs := range buckets {
 		b := &gi.bucketSlab[i]
-		off += b.fill(bs, gi.groupSlab[off:], gi.ptrSlab[off:])
+		off += b.fill(bs, gi.groupSlab[off:])
 		gi.buckets[bs.Key] = b
 		gi.keys = append(gi.keys, bs.Key)
 	}
@@ -214,40 +218,45 @@ func liveGroups(bs BucketSpec) int {
 
 // newGiBucket builds one stand-alone bucket (ApplyBuckets' unit of change).
 func newGiBucket(bs BucketSpec) *giBucket {
-	n := liveGroups(bs)
 	b := new(giBucket)
-	b.fill(bs, make([]giGroup, n), make([]*giGroup, n))
+	b.fill(bs, make([]giGroup, liveGroups(bs)))
 	return b
 }
 
-// fill initialises b from the spec, storing its n = liveGroups(bs) groups at
-// the front of groups and the power-descending pointer list over them at
-// the front of ptrs, and returns n. Only the storage of b's exposure list
-// survives; the list itself starts empty.
-func (b *giBucket) fill(bs BucketSpec, groups []giGroup, ptrs []*giGroup) int {
+// fill initialises b from the spec, storing its n = liveGroups(bs) groups
+// in attack order at the front of groups, and returns n. Only the storage
+// of b's exposure list survives; the list itself starts empty.
+func (b *giBucket) fill(bs BucketSpec, groups []giGroup) int {
 	*b = giBucket{cfg: bs.Config, exps: b.exps[:0]}
 	n := 0
-	for _, g := range bs.Groups {
+	for i := range bs.Groups {
+		g := &bs.Groups[i]
 		if len(g.Names) == 0 {
 			continue
 		}
-		groups[n] = giGroup{power: g.Power, latency: g.Latency, names: g.Names}
-		ptrs[n] = &groups[n]
+		groups[n] = giGroup{GroupSpec: g}
 		n++
-		if g.Latency > b.maxLatency {
-			b.maxLatency = g.Latency
+		b.maxLatency = max(b.maxLatency, g.Latency)
+	}
+	b.groups = groups[:n:n]
+	// Power-descending, so activeAt merges these lists directly into the
+	// attack-priority order walkTake consumes. The take logic resolves an
+	// equal-power class as a unit, but the float sums over groups (b.power,
+	// the latency index, the dedup total) run in this order: the tie-break
+	// makes it a total order, so the producer's listing order cannot move
+	// a fraction's last bit. Names are globally unique, so no two
+	// non-empty groups tie on the first name.
+	slices.SortFunc(b.groups, func(x, y giGroup) int {
+		if c := cmp.Compare(y.Power, x.Power); c != 0 {
+			return c
 		}
-	}
-	b.groups = ptrs[:n:n]
-	// Power-descending: activeAt merges these lists directly into the
-	// attack-priority order walkTake consumes. Ties need no tie-break —
-	// equal-power items form one class, which the take logic resolves as a
-	// unit whatever their relative order.
-	if n > 1 {
-		slices.SortFunc(b.groups, func(x, y *giGroup) int { return cmp.Compare(y.power, x.power) })
-	}
+		if c := cmp.Compare(x.Latency, y.Latency); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.Names[0], y.Names[0])
+	})
 	for _, g := range b.groups {
-		b.power += float64(len(g.names)) * g.power
+		b.power += float64(len(g.Names)) * g.Power
 	}
 	return n
 }
@@ -266,7 +275,7 @@ func (gi *GroupInjector) latIndex(b *giBucket) []latStep {
 	}
 	lat := slices.Grow(gi.latScratch[:0], len(b.groups))
 	for _, g := range b.groups {
-		lat = append(lat, latStep{latency: g.latency, suffix: float64(len(g.names)) * g.power})
+		lat = append(lat, latStep{latency: g.Latency, suffix: float64(len(g.Names)) * g.Power})
 	}
 	gi.latScratch = lat
 	slices.SortFunc(lat, func(x, y latStep) int { return cmp.Compare(x.latency, y.latency) })
@@ -335,6 +344,7 @@ func (gi *GroupInjector) refreshExposure(e *giExposure) {
 			e.maxClose = c
 		}
 	}
+	clear(e.keys[len(keys):]) // a dropped key stays unreachable
 	e.keys = keys
 }
 
@@ -361,7 +371,7 @@ func (gi *GroupInjector) ApplyBuckets(changed []BucketSpec, removed []string) {
 	// slabs to the buckets still carved from them, so a slab is freed with
 	// its last bucket instead of pinning every replaced bucket's groups. The
 	// next Rebuild allocates them afresh.
-	gi.bucketSlab, gi.groupSlab, gi.ptrSlab = nil, nil, nil
+	gi.bucketSlab, gi.groupSlab = nil, nil
 	affected := make(map[*giExposure]struct{})
 	for _, key := range removed {
 		b := gi.buckets[key]
@@ -469,11 +479,12 @@ func (gi *GroupInjector) activeAt(e *giExposure, t time.Duration) int {
 	gi.bs = bs[:0]
 	m := 0
 	if len(bs) == 1 {
-		for _, g := range bs[0].groups {
-			if c := e.vuln.PatchAt + g.latency; t < c {
+		for i := range bs[0].groups {
+			g := &bs[0].groups[i]
+			if c := e.vuln.PatchAt + g.Latency; t < c {
 				gi.open = append(gi.open, giItem{g: g, closeAt: c})
 				gi.nextBoundary = min(gi.nextBoundary, c)
-				m += len(g.names)
+				m += len(g.Names)
 			}
 		}
 		return m
@@ -491,19 +502,19 @@ func (gi *GroupInjector) activeAt(e *giExposure, t time.Duration) int {
 			if pos[i] >= len(b.groups) {
 				continue
 			}
-			if best < 0 || b.groups[pos[i]].power > bs[best].groups[pos[best]].power {
+			if best < 0 || b.groups[pos[i]].Power > bs[best].groups[pos[best]].Power {
 				best = i
 			}
 		}
 		if best < 0 {
 			return m
 		}
-		g := bs[best].groups[pos[best]]
+		g := &bs[best].groups[pos[best]]
 		pos[best]++
-		if c := e.vuln.PatchAt + g.latency; t < c {
+		if c := e.vuln.PatchAt + g.Latency; t < c {
 			gi.open = append(gi.open, giItem{g: g, closeAt: c})
 			gi.nextBoundary = min(gi.nextBoundary, c)
-			m += len(g.names)
+			m += len(g.Names)
 		}
 	}
 }
@@ -532,14 +543,14 @@ func (gi *GroupInjector) walkTake(k int) float64 {
 	open := gi.open
 	for i := 0; i < len(open) && taken < k; {
 		j, classCount := i, 0
-		p := open[i].g.power
-		for j < len(open) && open[j].g.power == p {
-			classCount += len(open[j].g.names)
+		p := open[i].g.Power
+		for j < len(open) && open[j].g.Power == p {
+			classCount += len(open[j].g.Names)
 			j++
 		}
 		if taken+classCount <= k {
 			for _, it := range open[i:j] {
-				gi.markTake(it.g, len(it.g.names))
+				gi.markTake(it.g, len(it.g.Names))
 			}
 			power += float64(classCount) * p
 			taken += classCount
@@ -575,15 +586,15 @@ func (gi *GroupInjector) resolveBoundary(items []giItem, r int, out *[]string) {
 	for n := 0; n < r; n++ {
 		best := -1
 		for i := range items {
-			if pos[i] >= len(items[i].g.names) {
+			if pos[i] >= len(items[i].g.Names) {
 				continue
 			}
-			if best < 0 || items[i].g.names[pos[i]] < items[best].g.names[pos[best]] {
+			if best < 0 || items[i].g.Names[pos[i]] < items[best].g.Names[pos[best]] {
 				best = i
 			}
 		}
 		if out != nil {
-			*out = append(*out, items[best].g.names[pos[best]])
+			*out = append(*out, items[best].g.Names[pos[best]])
 		}
 		pos[best]++
 	}
@@ -602,7 +613,7 @@ func (gi *GroupInjector) dedupFraction() float64 {
 	}
 	var dedup float64
 	for _, g := range gi.touched {
-		dedup += float64(g.taken) * g.power
+		dedup += float64(g.taken) * g.Power
 	}
 	return dedup / gi.totalPower
 }
@@ -675,9 +686,9 @@ func (gi *GroupInjector) materialize(k int, out *[]string) float64 {
 	open := gi.open
 	for i := 0; i < len(open) && taken < k; {
 		j, classCount := i, 0
-		p := open[i].g.power
-		for j < len(open) && open[j].g.power == p {
-			classCount += len(open[j].g.names)
+		p := open[i].g.Power
+		for j < len(open) && open[j].g.Power == p {
+			classCount += len(open[j].g.Names)
 			j++
 		}
 		r := classCount

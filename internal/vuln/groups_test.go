@@ -147,7 +147,7 @@ func referenceInstants(gi *GroupInjector, horizon time.Duration) []time.Duration
 		}
 		for _, key := range e.keys {
 			for _, g := range gi.buckets[key].groups {
-				if c := e.vuln.PatchAt + g.latency; c > 0 && c <= horizon {
+				if c := e.vuln.PatchAt + g.Latency; c > 0 && c <= horizon {
 					events = append(events, c)
 				}
 			}

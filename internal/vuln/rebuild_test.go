@@ -58,7 +58,7 @@ func groupedIndex(gi *GroupInjector) string {
 			s += string(e.vuln.ID) + " "
 		}
 		for _, g := range b.groups {
-			s += fmt.Sprintf("[%v %v %v mark=%d taken=%d]", g.power, g.latency, g.names, g.mark, g.taken)
+			s += fmt.Sprintf("[%v %v %v mark=%d taken=%d]", g.Power, g.Latency, g.Names, g.mark, g.taken)
 		}
 		s += "\n"
 	}
@@ -356,7 +356,7 @@ func TestApplyBucketsReleasesSlabs(t *testing.T) {
 		t.Fatal(err)
 	}
 	gi.ApplyBuckets(specs[:1], nil)
-	if gi.bucketSlab != nil || gi.groupSlab != nil || gi.ptrSlab != nil {
+	if gi.bucketSlab != nil || gi.groupSlab != nil {
 		t.Fatal("ApplyBuckets left the injector holding its bucket slabs")
 	}
 }
