@@ -12,9 +12,14 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/paper_tables.golden from this build")
 
-// goldenIDs are the tables that reproduce the paper's own claims, plus the
-// two that demonstrate its Sec. II-C condition on a running BFT cluster.
-var goldenIDs = []string{"F1", "T1", "P1", "P2", "P3", "D12", "SEC2C", "X1", "X6"}
+// goldenIDs are every registered experiment: the tables that reproduce the
+// paper's own claims, the two that demonstrate its Sec. II-C condition on a
+// running BFT cluster, and the extensions and mitigations, whose numbers a
+// refactor must not move silently either.
+var goldenIDs = []string{
+	"F1", "T1", "P1", "P2", "P3", "D12", "SEC2C", "X1", "X6",
+	"X2", "X4", "X5", "ADV", "ABL", "M1", "M2", "M3", "CHURN", "PLAN", "M4", "NT",
+}
 
 // TestGoldenPaperTables pins the rendered paper tables byte for byte, in
 // the framing cmd/experiments prints, at the parameters CI's determinism
