@@ -384,6 +384,8 @@ func BenchmarkWatchTick(b *testing.B) {
 //     population-independent once group counts saturate;
 //   - incremental: one mutation + assessment on a live monitor — the O(Δ)
 //     dirty-bucket delta/patch path;
+//   - worst: one mutation + worst-window assessment over the horizon — the
+//     delta path, then a full pruned sweep;
 //   - cached: unchanged registry and instant, the memoised assessment.
 func BenchmarkAssessScale(b *testing.B) {
 	sizes := []int{1_000, 10_000, 100_000}
@@ -444,6 +446,25 @@ func BenchmarkAssessScale(b *testing.B) {
 						b.Fatal(err)
 					}
 					if _, err := mon.Assess(assessbench.Instant); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			b.Run(name("worst"), func(b *testing.B) {
+				mon, err := core.NewMonitor(reg, core.WithCatalog(cat), core.WithSummaryFaults())
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := mon.WorstAssessment(assessbench.Horizon); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := reg.SetPower("r-0000000", float64(1+i%assessbench.PowerClasses)); err != nil {
+						b.Fatal(err)
+					}
+					if _, err := mon.WorstAssessment(assessbench.Horizon); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -15,8 +15,6 @@ package adversary
 import (
 	"errors"
 	"fmt"
-	"maps"
-	"slices"
 	"sort"
 	"time"
 
@@ -38,7 +36,9 @@ type ExploitPlan struct {
 // together compromise the greatest deduplicated voting power at time t,
 // using greedy marginal-gain selection (ties broken by vulnerability id for
 // determinism). threshold is the protocol's tolerated Byzantine fraction
-// (1/3 for BFT quorums, 1/2 for Nakamoto).
+// (1/3 for BFT quorums, 1/2 for Nakamoto). Powers are converted once to
+// integer units (vuln.PowerUnits), so gains and the fraction are exact and
+// the plan does not depend on the order replicas are listed in.
 func GreedyExploits(catalog *vuln.Catalog, replicas []vuln.Replica, t time.Duration, budget int, threshold float64) (ExploitPlan, error) {
 	if catalog == nil {
 		return ExploitPlan{}, errors.New("adversary: nil catalog")
@@ -46,37 +46,37 @@ func GreedyExploits(catalog *vuln.Catalog, replicas []vuln.Replica, t time.Durat
 	if budget < 0 {
 		return ExploitPlan{}, fmt.Errorf("adversary: negative budget %d", budget)
 	}
-	var totalPower float64
-	for _, r := range replicas {
-		if r.Power < 0 {
-			return ExploitPlan{}, fmt.Errorf("adversary: replica %s has negative power", r.Name)
-		}
-		totalPower += r.Power
+	units, total, err := vuln.ReplicaUnits(nil, replicas)
+	if err != nil {
+		return ExploitPlan{}, fmt.Errorf("adversary: %w", err)
 	}
-	if totalPower == 0 {
+	if total == 0 {
 		return ExploitPlan{}, nil
 	}
 
 	// Precompute each vulnerability's victim set at t, in exposed order
-	// (power descending, then name): every gain is summed in that order, so
-	// equal gains compare equal and the tie rule decides.
+	// (power descending, then name), the order vuln's injectors take.
+	type target struct {
+		name  string
+		units uint64
+	}
 	type victimSet struct {
 		id      vuln.ID
-		victims []vuln.Replica
+		victims []target
 	}
 	var sets []victimSet
 	for _, v := range catalog.DisclosedAt(t) {
-		var exposed []vuln.Replica
-		for _, r := range replicas {
+		var exposed []target
+		for i, r := range replicas {
 			if v.Affects(r.Config) && v.WindowOpenAt(t, r.PatchLatency) {
-				exposed = append(exposed, r)
+				exposed = append(exposed, target{r.Name, units[i]})
 			}
 		}
 		sort.Slice(exposed, func(i, j int) bool {
-			if exposed[i].Power != exposed[j].Power {
-				return exposed[i].Power > exposed[j].Power
+			if exposed[i].units != exposed[j].units {
+				return exposed[i].units > exposed[j].units
 			}
-			return exposed[i].Name < exposed[j].Name
+			return exposed[i].name < exposed[j].name
 		})
 		// vuln.SeverityTake is the shared victim-count rule, so the plan's
 		// fraction can never disagree with an assessment of the same
@@ -87,19 +87,20 @@ func GreedyExploits(catalog *vuln.Catalog, replicas []vuln.Replica, t time.Durat
 	}
 
 	plan := ExploitPlan{}
-	owned := make(map[string]float64)
+	owned := make(map[string]bool)
+	var sum uint64
 	used := make(map[vuln.ID]bool)
 	for len(plan.Chosen) < budget {
-		bestGain := 0.0
+		var bestGain uint64
 		bestIdx := -1
 		for i, vs := range sets {
 			if used[vs.id] {
 				continue
 			}
-			gain := 0.0
+			var gain uint64
 			for _, r := range vs.victims {
-				if _, have := owned[r.Name]; !have {
-					gain += r.Power
+				if !owned[r.name] {
+					gain += r.units
 				}
 			}
 			if gain > bestGain || (gain == bestGain && gain > 0 && bestIdx >= 0 && vs.id < sets[bestIdx].id) {
@@ -114,14 +115,13 @@ func GreedyExploits(catalog *vuln.Catalog, replicas []vuln.Replica, t time.Durat
 		used[vs.id] = true
 		plan.Chosen = append(plan.Chosen, vs.id)
 		for _, r := range vs.victims {
-			owned[r.Name] = r.Power
+			if !owned[r.name] {
+				owned[r.name] = true
+				sum += r.units
+			}
 		}
 	}
-	var sum float64
-	for _, name := range slices.Sorted(maps.Keys(owned)) {
-		sum += owned[name]
-	}
-	plan.Fraction = sum / totalPower
+	plan.Fraction = vuln.UnitFraction(sum, total)
 	plan.Breaks = plan.Fraction > threshold
 	return plan, nil
 }

@@ -1,7 +1,9 @@
 package adversary
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -103,9 +105,9 @@ func TestGreedyExploitsRespectsWindows(t *testing.T) {
 }
 
 // TestGreedyExploitsTieIgnoresMapOrder: exploit a takes {0.6} and b takes
-// {0.1, 0.2, 0.3}. Summed in exposed order (power descending) b gains
-// exactly 0.6 too, so the tie rule picks a, in every call; summed as
-// 0.1 + 0.2 + 0.3 it would gain one ulp more.
+// {0.1, 0.2, 0.3}. In integer power units b gains exactly 0.6 too, in any
+// order, so the tie rule picks a, in every call; as float64 0.1 + 0.2 + 0.3
+// gains one ulp more.
 func TestGreedyExploitsTieIgnoresMapOrder(t *testing.T) {
 	cat := vuln.NewCatalog()
 	cat.Add(mkVuln("a", config.ClassOperatingSystem, "os-a"))
@@ -123,6 +125,50 @@ func TestGreedyExploitsTieIgnoresMapOrder(t *testing.T) {
 		}
 		if len(plan.Chosen) != 1 || plan.Chosen[0] != "a" {
 			t.Fatalf("call %d: chosen %v, want [a]", call, plan.Chosen)
+		}
+	}
+}
+
+// TestGreedyExploitsIgnoresReplicaOrder: on one-decimal powers, where a
+// float sum would depend on its order, every listing of the same fleet
+// gives the same plan to the last bit.
+func TestGreedyExploitsIgnoresReplicaOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	oses, libs := []string{"os-a", "os-b", "os-c"}, []string{"lib-x", "lib-y"}
+	for c := 0; c < 300; c++ {
+		cat := vuln.NewCatalog()
+		for i, n := 0, 1+rng.Intn(5); i < n; i++ {
+			v := mkVuln(fmt.Sprintf("CVE-%d", i), config.ClassOperatingSystem, oses[rng.Intn(len(oses))])
+			if rng.Intn(3) == 0 {
+				v.Class, v.Product = config.ClassCryptoLibrary, libs[rng.Intn(len(libs))]
+			}
+			v.Severity = float64(1+rng.Intn(10)) / 10
+			if err := cat.Add(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		replicas := make([]vuln.Replica, 2+rng.Intn(10))
+		for i := range replicas {
+			replicas[i] = vuln.Replica{
+				Name:   fmt.Sprintf("r-%02d", i),
+				Config: libCfg(oses[rng.Intn(len(oses))], libs[rng.Intn(len(libs))]),
+				Power:  float64(1+rng.Intn(20)) / 10,
+			}
+		}
+		budget := 1 + rng.Intn(3)
+		plan := func() string {
+			p, err := GreedyExploits(cat, replicas, time.Hour, budget, 1.0/3.0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fmt.Sprint(p)
+		}
+		want := plan()
+		for s := 0; s < 10; s++ {
+			rng.Shuffle(len(replicas), func(i, j int) { replicas[i], replicas[j] = replicas[j], replicas[i] })
+			if got := plan(); got != want {
+				t.Fatalf("case %d: plan %s, %s in another replica order", c, got, want)
+			}
 		}
 	}
 }

@@ -8,8 +8,10 @@ import (
 	"time"
 
 	"repro/internal/cryptoutil"
+	"repro/internal/pooldata"
 	"repro/internal/sim"
 	"repro/internal/simnet"
+	"repro/internal/vuln"
 )
 
 func TestVoterSet(t *testing.T) {
@@ -278,21 +280,36 @@ func TestCommitCarriesTheCommittedDigest(t *testing.T) {
 
 // TestQuorumVerdictIsExact: the quorum (3·w > 2·total) and echo (3·w >
 // total) verdicts on a voter set are what exact rational arithmetic on the
-// SimWithPower weights gives, in every order the votes can arrive. The
+// weights' power units gives, in every order the votes can arrive. The
 // first row is a set that holds exactly 2/3 — {0.9, 0.5, 0.4} of 2.7 — which
-// float64 sums called a quorum in one order and not in another; the rest are
-// random one-decimal weight vectors.
+// float64 sums called a quorum in one order and not in another; then come
+// random one-decimal weight vectors, and six-pool windows of the Bitcoin
+// snapshot (Example 1), as percentages and as shares of the listed total.
+// A weight with at most nine decimals converts to exactly its decimal value.
 func TestQuorumVerdictIsExact(t *testing.T) {
-	rows := [][]float64{{0.1, 0.9, 0.5, 0.3, 0.5, 0.4}}
+	type row struct {
+		w       []float64
+		decimal bool // at most nine decimals: units are its exact value
+	}
+	rows := []row{{[]float64{0.1, 0.9, 0.5, 0.3, 0.5, 0.4}, true}}
 	rng := rand.New(rand.NewSource(9))
 	for len(rows) < 200 {
 		w := make([]float64, 4+rng.Intn(3))
 		for i := range w {
 			w[i] = float64(1+rng.Intn(20)) / 10
 		}
-		rows = append(rows, w)
+		rows = append(rows, row{w, true})
 	}
-	for _, w := range rows {
+	pools := pooldata.BitcoinSnapshotPercent
+	for start := 0; start+6 <= len(pools); start++ {
+		shares := make([]float64, 6)
+		for i, p := range pools[start : start+6] {
+			shares[i] = p / pooldata.SnapshotSumPercent
+		}
+		rows = append(rows, row{pools[start : start+6], true}, row{shares, false})
+	}
+	for _, r := range rows {
+		w := r.w
 		net, err := simnet.New(sim.NewScheduler(1), simnet.FixedLatency(time.Millisecond), 0)
 		if err != nil {
 			t.Fatal(err)
@@ -305,7 +322,14 @@ func TestQuorumVerdictIsExact(t *testing.T) {
 		exact := make([]*big.Rat, len(w))
 		total := new(big.Rat)
 		for i, p := range w {
-			exact[i], _ = new(big.Rat).SetString(strconv.FormatFloat(p, 'f', -1, 64))
+			u, err := vuln.PowerUnits(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exact[i] = new(big.Rat).SetFrac(new(big.Int).SetUint64(u), big.NewInt(vuln.PowerUnit))
+			if dec, _ := new(big.Rat).SetString(strconv.FormatFloat(p, 'f', -1, 64)); r.decimal && dec.Cmp(exact[i]) != 0 {
+				t.Fatalf("weight %v converts to %v units, not its decimal value", p, u)
+			}
 			total.Add(total, exact[i])
 		}
 		for set := 1; set < 1<<len(w); set++ {

@@ -3,12 +3,12 @@ package bftlive
 import (
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/cryptoutil"
 	"repro/internal/sim"
 	"repro/internal/simnet"
+	"repro/internal/vuln"
 )
 
 // clientLatency is the fixed client→primary hop for Submit.
@@ -79,23 +79,17 @@ func SimWithViewTimeout(d time.Duration) SimOption {
 	}
 }
 
-// powerUnit is how many integer units one unit of SimWithPower weight is.
-const powerUnit = 1e9
-
-// maxTotalUnits bounds the summed power units so that 3·total, the largest
-// product a quorum or echo test forms, fits in a uint64.
-const maxTotalUnits = math.MaxUint64 / 3
-
 // SimWithPower gives replica i voting power w[i]: quorums, and with them
 // the 1/3 safety bound, are then fractions of the summed power rather than
 // of the replica count (Sec. II-A's "voting power"). w must hold one
 // positive, finite entry per replica. The default is equal power.
 //
-// NewSimCluster converts each weight once to math.Round(w[i]·1e9) integer
-// units (nearest billionth, halves away from zero), so a weight with at
-// most nine decimals is exact and every quorum verdict is exact integer
-// arithmetic, independent of vote arrival order. A weight that rounds to
-// 0 units, or a total whose triple overflows a uint64, is an error.
+// NewSimCluster converts each weight once with vuln.PowerUnits, to
+// math.Round(w[i]·1e9) integer units, so a weight with at most nine
+// decimals is exact and every quorum verdict is exact integer arithmetic,
+// independent of vote arrival order. A weight that rounds to 0 units, or a
+// total past vuln.MaxPowerUnits (whose triple would overflow a uint64), is
+// an error.
 func SimWithPower(w []float64) SimOption {
 	return func(s *SimCluster) error {
 		if len(w) != s.n {
@@ -104,18 +98,18 @@ func SimWithPower(w []float64) SimOption {
 		s.power = make([]uint64, len(w))
 		var total uint64
 		for i, p := range w {
-			if p <= 0 || math.IsNaN(p) || math.IsInf(p, 0) {
-				return fmt.Errorf("bftlive: invalid power %v for replica %d", p, i)
+			u, err := vuln.PowerUnits(p)
+			if err == nil && u == 0 {
+				err = fmt.Errorf("invalid power %v", p)
 			}
-			u := math.Round(p * powerUnit)
-			if u == 0 {
-				return fmt.Errorf("bftlive: power %v for replica %d rounds to 0 units of 1e-9", p, i)
+			if err != nil {
+				return fmt.Errorf("bftlive: replica %d: %w", i, err)
 			}
-			if u > maxTotalUnits || uint64(u) > maxTotalUnits-total {
+			var ok bool
+			if total, ok = vuln.AddUnits(total, 1, u); !ok {
 				return fmt.Errorf("bftlive: power %v for replica %d overflows the summed power", p, i)
 			}
-			s.power[i] = uint64(u)
-			total += s.power[i]
+			s.power[i] = u
 		}
 		return nil
 	}

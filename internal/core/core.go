@@ -190,16 +190,11 @@ func (m *Monitor) Threshold() float64 { return m.substrate.Tolerance }
 // refreshLocked brings the caches (diversity report, exposure index) up
 // to date with the registry's current snapshot and the catalog's current
 // generation, so both registry churn and Catalog.Add after construction
-// show up in the very next assessment. A snapshot whose effective total
-// power is not finite is refused before it reaches the caches: every
-// fraction divides by that total. m.mu must be held.
+// show up in the very next assessment. m.mu must be held.
 func (m *Monitor) refreshLocked() error {
 	snap, err := m.reg.Snapshot(m.weighting)
 	if err != nil {
 		return err
-	}
-	if total := snap.Distribution.Total(); math.IsInf(total, 0) {
-		return fmt.Errorf("core: total effective power %v is not finite", total)
 	}
 	catGen := m.catalog.Generation()
 	if snap == m.snap && catGen == m.catGen {

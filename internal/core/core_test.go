@@ -277,13 +277,13 @@ func TestMonitorObservesRegistryMutation(t *testing.T) {
 	}
 }
 
-// TestMonitorRefusesNonFiniteTotalPower: every power is finite but their
-// sum is not. The paper's fractions do not depend on scale, so a total the
-// monitor cannot divide by must fail the assessment, not read as safe — on
-// the rebuild path, on the delta path, and when only the weighting takes
-// the total out of range.
-func TestMonitorRefusesNonFiniteTotalPower(t *testing.T) {
-	const huge = 1.7e308
+// TestMonitorRefusesOverflowingWeightedPower: the registry keeps the summed
+// raw power within vuln.MaxPowerUnits units, so a fleet at the ceiling is
+// assessed at face value. A weighting multiplier that takes the weighted
+// total past the ceiling must fail the assessment, not read as safe — on
+// the rebuild path and on the delta path.
+func TestMonitorRefusesOverflowingWeightedPower(t *testing.T) {
+	const half = 3_074_457_345.618258602 // two of these stay within vuln.MaxPowerUnits units, three do not
 	cat := vuln.NewCatalog()
 	if err := cat.Add(vuln.Vulnerability{
 		ID: "CVE-1", Class: config.ClassOperatingSystem, Product: "a", Version: "1",
@@ -293,9 +293,12 @@ func TestMonitorRefusesNonFiniteTotalPower(t *testing.T) {
 	}
 	reg := registry.New(nil, nil)
 	for _, os := range []string{"a", "b"} {
-		if err := reg.JoinDeclared(registry.ReplicaID(os), osCfg(os), huge, 0); err != nil {
+		if err := reg.JoinDeclared(registry.ReplicaID(os), osCfg(os), half, 0); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := reg.JoinDeclared("c", osCfg("c"), half, 0); err == nil {
+		t.Fatal("a join past the summed-power ceiling was accepted")
 	}
 	setPowers := func(p float64) {
 		t.Helper()
@@ -309,35 +312,30 @@ func TestMonitorRefusesNonFiniteTotalPower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a, err := mon.Assess(time.Hour); err == nil {
-		t.Fatalf("rebuild path assessed powers %v + %v: safe=%v totalFraction=%v", huge, huge, a.Safe, a.Injection.TotalFraction)
+	if a, err := mon.Assess(time.Hour); err != nil || a.Safe || a.Injection.TotalFraction != 0.5 {
+		t.Fatalf("face value at the ceiling: %+v, %v; want unsafe at 0.5", a.Injection, err)
 	}
-	if _, err := mon.WorstAssessment(24 * time.Hour); err == nil {
-		t.Fatal("worst window over a non-finite total")
+	weighted, err := NewMonitor(reg, WithCatalog(cat), WithWeighting(registry.Weighting{Attested: 1, Declared: 1.5}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, err := weighted.Assess(time.Hour); err == nil {
+		t.Fatalf("rebuild path assessed a weighted total past the ceiling: safe=%v totalFraction=%v", a.Safe, a.Injection.TotalFraction)
+	}
+	if _, err := weighted.WorstAssessment(24 * time.Hour); err == nil {
+		t.Fatal("worst window over a weighted total past the ceiling")
 	}
 	setPowers(1)
-	a, err := mon.Assess(time.Hour)
+	a, err := weighted.Assess(time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Safe || a.Injection.TotalFraction != 0.5 || a.Diversity.Entropy != 1 {
 		t.Fatalf("powers 1 + 1: safe=%v totalFraction=%v entropy=%v, want false, 0.5, 1", a.Safe, a.Injection.TotalFraction, a.Diversity.Entropy)
 	}
-	setPowers(huge)
-	if _, err := mon.Assess(time.Hour); err == nil {
-		t.Fatal("delta path assessed a non-finite total")
-	}
-
-	setPowers(0.6e308) // 1.2e308 at face value, 1.8e308 weighted
-	if _, err := mon.Assess(time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	weighted, err := NewMonitor(reg, WithCatalog(cat), WithWeighting(registry.Weighting{Attested: 1, Declared: 1.5}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	setPowers(half)
 	if _, err := weighted.Assess(time.Hour); err == nil {
-		t.Fatal("a weighting multiplier took the total past the range and the assessment stood")
+		t.Fatal("delta path assessed a weighted total past the ceiling")
 	}
 }
 

@@ -19,8 +19,20 @@ type Substrate struct {
 
 // Safe is the Sec. II-C condition, f ≥ Σ f_t^i, on the fault picture at
 // one instant: the deduplicated compromised fraction may reach f, not
-// pass it.
-func (s Substrate) Safe(inj vuln.Injection) bool { return inj.Safe(s.Tolerance) }
+// pass it. It is the one place the condition is stated.
+//
+// The verdict is exact, for a Tolerance that is the correctly rounded
+// value of a rational a/b, while the total power T in units of 1e-9 keeps
+// bT < 2^53. Below 2^53 units the compromised units c and T convert to
+// float64 exactly, so TotalFraction is the correctly rounded c/T. Rounding
+// is monotone, so c/T ≤ a/b reads safe. If c/T > a/b, the two differ by at
+// least 1/(bT) > 2^-53, more than any rounding interval in (0, 1] is wide,
+// so they round apart and the verdict is unsafe. BFT reaches further:
+// fl(1/3) = 1/3 − 2^-54/3 takes in only values below 1/3 + 2^-54/6, and
+// c/T ≥ 1/3 + 1/(3T) passes that for every T < 2^55, so its verdict is
+// exact for every T ≤ 2^53 (≈ 9.0e6 power). Past the domain a fleet one
+// unit beyond f can read safe.
+func (s Substrate) Safe(inj vuln.Injection) bool { return s.Tolerance >= inj.TotalFraction }
 
 var (
 	// BFT is the quorum-BFT family: a three-phase commit whose quorums are

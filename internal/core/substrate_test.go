@@ -1,9 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
+	"time"
 
+	"repro/internal/config"
 	"repro/internal/registry"
 	"repro/internal/vuln"
 )
@@ -55,6 +58,21 @@ func TestSubstrateTable(t *testing.T) {
 	if !BFT.Safe(vuln.Injection{TotalFraction: 0.3, SumFraction: 0.6}) {
 		t.Error("BFT unsafe at Σf = 0.3 because the double-counted sum is 0.6")
 	}
+	// Verdicts on injected fleets: one vulnerability compromises the
+	// replicas listed under exposed.
+	for _, c := range []struct {
+		exposed, rest []float64
+		safe          bool
+	}{
+		{[]float64{40, 30}, []float64{20, 10}, false},                  // one fault takes 70 % of the power
+		{[]float64{0.8}, []float64{0.6, 0.4, 0.3, 0.3}, true},          // exactly 1/3 on one-decimal powers
+		{[]float64{0.800000001}, []float64{0.6, 0.4, 0.3, 0.3}, false}, // one unit of 1e-9 past it
+	} {
+		inj := injectFleet(t, c.exposed, c.rest)
+		if got := BFT.Safe(inj); got != c.safe {
+			t.Errorf("exposed %v of %v: Safe = %t at Σf = %v, want %t", c.exposed, c.rest, got, inj.TotalFraction, c.safe)
+		}
+	}
 
 	if s, err := Committee(3); err == nil {
 		t.Errorf("Committee(3) = %+v, want an error", s)
@@ -67,4 +85,31 @@ func TestSubstrateTable(t *testing.T) {
 	if _, err := NewMonitor(registry.New(nil, nil), WithSubstrate(Substrate{})); err == nil {
 		t.Error("zero Substrate accepted")
 	}
+}
+
+// injectFleet injects one severity-1 vulnerability into a fleet whose
+// replicas with the exposed powers run the affected product and the rest
+// another one.
+func injectFleet(t *testing.T, exposed, rest []float64) vuln.Injection {
+	t.Helper()
+	cat := vuln.NewCatalog()
+	if err := cat.Add(vuln.Vulnerability{
+		ID: "CVE-1", Class: config.ClassOperatingSystem, Product: "hit", Version: "1",
+		PatchAt: time.Hour, Severity: 1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var reps []vuln.Replica
+	for i, p := range append(append([]float64(nil), exposed...), rest...) {
+		os := "hit"
+		if i >= len(exposed) {
+			os = "miss"
+		}
+		reps = append(reps, vuln.Replica{Name: fmt.Sprintf("r%d", i), Config: osCfg(os), Power: p})
+	}
+	inj, err := vuln.Inject(cat, reps, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inj
 }

@@ -177,6 +177,42 @@ func TestMinOperatorFaultsIgnoresClassOrder(t *testing.T) {
 	}
 }
 
+// TestReportForAggregatesIgnoresClassOrder: a snapshot hands over its
+// power classes and bucket counts in whatever order it holds them. On
+// one-decimal powers every listing gives the same report to the last bit.
+func TestReportForAggregatesIgnoresClassOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	for c := 0; c < 300; c++ {
+		var classes []PowerClass
+		var abundance []int
+		var weights []float64
+		members := 0
+		for _, tenths := range rng.Perm(20)[:1+rng.Intn(6)] {
+			pc := PowerClass{Power: float64(tenths+1) / 10, Count: 1 + rng.Intn(3)}
+			classes = append(classes, pc)
+			abundance = append(abundance, pc.Count)
+			weights = append(weights, pc.Power*float64(pc.Count))
+			members += pc.Count
+		}
+		d := MustFromSlice(weights)
+		want, err := ReportForAggregates(d, members, abundance, classes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s < 10; s++ {
+			rng.Shuffle(len(classes), func(i, j int) { classes[i], classes[j] = classes[j], classes[i] })
+			rng.Shuffle(len(abundance), func(i, j int) { abundance[i], abundance[j] = abundance[j], abundance[i] })
+			got, err := ReportForAggregates(d, members, abundance, classes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("case %d: report %+v, %+v in another class order", c, got, want)
+			}
+		}
+	}
+}
+
 func TestReportNoWeight(t *testing.T) {
 	for _, d := range []Distribution{{}, MustFromSlice([]float64{0, 0, 0})} {
 		if _, err := ReportForDistribution(d); !errors.Is(err, ErrNoWeight) {

@@ -766,8 +766,8 @@ func FaultIndependenceOverTime() (*metrics.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		tab.AddRowf(h, mono.TotalFraction, fmt.Sprint(mono.Safe(core.BFTThreshold)),
-			div.TotalFraction, fmt.Sprint(div.Safe(core.BFTThreshold)))
+		tab.AddRowf(h, mono.TotalFraction, fmt.Sprint(core.BFT.Safe(mono)),
+			div.TotalFraction, fmt.Sprint(core.BFT.Safe(div)))
 	}
 	tab.AddNote("diverse fleet keeps Σf ≤ 1/4 throughout; monoculture hits Σf = 1 inside the window")
 	return tab, nil

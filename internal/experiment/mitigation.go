@@ -74,9 +74,9 @@ func PatchLatencySweep(latencies []time.Duration) (*metrics.Table, []PatchRow, e
 		row := PatchRow{
 			PatchLatency: lat,
 			MonoWorst:    mono.TotalFraction,
-			MonoSafe:     mono.Safe(core.BFTThreshold),
+			MonoSafe:     core.BFT.Safe(mono),
 			DiverseWorst: div.TotalFraction,
-			DiverseSafe:  div.Safe(core.BFTThreshold),
+			DiverseSafe:  core.BFT.Safe(div),
 		}
 		rows = append(rows, row)
 		tab.AddRowf(lat.String(), row.MonoWorst, fmt.Sprint(row.MonoSafe),

@@ -19,8 +19,6 @@ import (
 // whose result cannot depend on the iteration order, keyed
 // "file:func:variable", each with the reason.
 var mapSumAllowed = map[string]string{
-	"internal/registry/registry.go:TierCounts:attestedPower":     "every caller discards the power sums or compares them with 0, and a sum of non-negative terms is 0 in any order",
-	"internal/registry/registry.go:TierCounts:declaredPower":     "every caller discards the power sums or compares them with 0, and a sum of non-negative terms is 0 in any order",
 	"internal/committee/committee.go:entropyWithIncrement:total": "sums integer counts, which float64 adds exactly in any order",
 }
 

@@ -6,11 +6,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/vuln"
 )
 
 // testSpec is the examples/watch fleet as a tenant seed: 60% of power on
@@ -258,35 +261,109 @@ func TestAdvanceRejectsNegativeBy(t *testing.T) {
 	}
 }
 
-// TestOverflowingPowerIs422: two joins of finite power whose sum is not
-// finite leave the tenant unassessable — 422 on the read routes, as for
-// every assess error — rather than safe at a compromised fraction of 0.
+// TestOverflowingPowerIs422: the registry's summed power stops at
+// vuln.MaxPowerUnits. Joins and PATCHes that reach it exactly are accepted; one
+// unit past it, like a power that rounds to 0 units, gets 400, as any
+// invalid power does, and changes nothing. A weighting that takes the
+// weighted total past the ceiling leaves the tenant unassessable — 422 on
+// the read routes, as for every assess error — rather than safe at a
+// compromised fraction of 0.
 func TestOverflowingPowerIs422(t *testing.T) {
 	s := NewServer()
 	defer s.Close()
-	if code := do(t, s, "PUT", "/tenants/x", TenantSpec{Virtual: true, Vulns: []VulnSpec{{
-		ID: "CVE-1", Class: "operating-system", Product: "a", Version: "1",
-		PatchAt: Duration(1000 * time.Hour), Severity: 1,
-	}}}, nil); code != http.StatusCreated {
-		t.Fatalf("create: %d", code)
-	}
-	for _, os := range []string{"a", "b"} {
-		if code := do(t, s, "POST", "/tenants/x/replicas", ReplicaSpec{
-			ID: os, Power: 1.7e308, Components: []ComponentSpec{{Class: "operating-system", Name: os, Version: "1"}},
-		}, nil); code != http.StatusCreated {
-			t.Fatalf("join %s: %d", os, code)
+	powers := ceilingPowers(t)
+	last := len(powers) - 1
+	for _, tenant := range []string{"face", "weighted"} {
+		spec := TenantSpec{Virtual: true, Vulns: []VulnSpec{{
+			ID: "CVE-1", Class: "operating-system", Product: "r0", Version: "1",
+			PatchAt: Duration(1000 * time.Hour), Severity: 1,
+		}}}
+		if tenant == "weighted" {
+			spec.Weighting = &WeightingSpec{Attested: 1, Declared: 1.5}
+		}
+		if code := do(t, s, "PUT", "/tenants/"+tenant, spec, nil); code != http.StatusCreated {
+			t.Fatalf("create %s: %d", tenant, code)
+		}
+		join := func(id string, p float64) int {
+			return do(t, s, "POST", "/tenants/"+tenant+"/replicas", ReplicaSpec{
+				ID: id, Power: p, Components: []ComponentSpec{{Class: "operating-system", Name: id, Version: "1"}},
+			}, nil)
+		}
+		for i, p := range powers {
+			if code := join(fmt.Sprintf("r%d", i), p); code != http.StatusCreated {
+				t.Fatalf("%s: join r%d at %v: %d", tenant, i, p, code)
+			}
+		}
+		before := readBodies(t, s, tenant)
+		if code := join("past", 1e-9); code != http.StatusBadRequest {
+			t.Fatalf("%s: join one unit past the ceiling: %d, want 400", tenant, code)
+		}
+		if code := join("zero-units", 4e-10); code != http.StatusBadRequest {
+			t.Fatalf("%s: join rounding to 0 units: %d, want 400", tenant, code)
+		}
+		lastID := fmt.Sprintf("/tenants/%s/replicas/r%d", tenant, last)
+		onePast := powers[last] + 1e-9
+		if code := do(t, s, "PATCH", lastID, ReplicaPatch{Power: &onePast}, nil); code != http.StatusBadRequest {
+			t.Fatalf("%s: PATCH one unit past the ceiling: %d, want 400", tenant, code)
+		}
+		if after := readBodies(t, s, tenant); after != before {
+			t.Fatalf("%s: refused requests changed the bodies\n got %s\nwant %s", tenant, after, before)
+		}
+		if code := do(t, s, "PATCH", lastID, ReplicaPatch{Power: &powers[last]}, nil); code != http.StatusNoContent {
+			t.Fatalf("%s: PATCH at the ceiling: %d, want 204", tenant, code)
+		}
+		want := http.StatusOK
+		if tenant == "weighted" {
+			want = http.StatusUnprocessableEntity
+		}
+		for _, route := range readRoutes {
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, httptest.NewRequest("GET", "/tenants/"+tenant+"/"+route, nil))
+			if rec.Code != want {
+				t.Fatalf("%s: GET %s: %d %s, want %d", tenant, route, rec.Code, rec.Body, want)
+			}
 		}
 	}
-	if code := do(t, s, "POST", "/tenants/x/advance", AdvanceSpec{By: Duration(time.Hour)}, nil); code != http.StatusOK {
-		t.Fatalf("advance: %d", code)
+}
+
+// ceilingPowers returns powers whose units sum to exactly vuln.MaxPowerUnits,
+// the last of them a few units, so one unit more is representable.
+func ceilingPowers(t *testing.T) []float64 {
+	t.Helper()
+	rest := uint64(vuln.MaxPowerUnits) - 6e18
+	p := float64(rest) / vuln.PowerUnit
+	u, err := vuln.PowerUnits(p)
+	for ; err == nil && u >= rest; u, err = vuln.PowerUnits(p) {
+		p = math.Nextafter(p, 0)
 	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := []float64{6e9, p, float64(rest-u) / vuln.PowerUnit}
+	var sum uint64
+	for _, p := range out {
+		u, err := vuln.PowerUnits(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum += u
+	}
+	if sum != vuln.MaxPowerUnits {
+		t.Fatalf("powers %v sum to %d units, want %d", out, sum, uint64(vuln.MaxPowerUnits))
+	}
+	return out
+}
+
+// readBodies is the status and body of every read route of the tenant.
+func readBodies(t *testing.T, s http.Handler, tenant string) string {
+	t.Helper()
+	var out string
 	for _, route := range readRoutes {
 		rec := httptest.NewRecorder()
-		s.ServeHTTP(rec, httptest.NewRequest("GET", "/tenants/x/"+route, nil))
-		if rec.Code != http.StatusUnprocessableEntity {
-			t.Fatalf("GET %s: %d %s, want 422", route, rec.Code, rec.Body)
-		}
+		s.ServeHTTP(rec, httptest.NewRequest("GET", "/tenants/"+tenant+"/"+route, nil))
+		out += fmt.Sprintf("%s %d %s\n", route, rec.Code, rec.Body)
 	}
+	return out
 }
 
 // sseEvent is one parsed SSE frame.

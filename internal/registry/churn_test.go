@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/attest"
 	"repro/internal/diversity"
+	"repro/internal/vuln"
 )
 
 // TestMigrate covers the product-version migration mutation: the config
@@ -377,9 +378,13 @@ func TestDeltaSnapshotCarriesPowerClasses(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := make(map[float64]int)
+			want := make(map[uint64]int)
 			for _, rep := range snap.Replicas() {
-				want[rep.Power]++
+				u, err := vuln.PowerUnits(rep.Power)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[u]++
 			}
 			if !reflect.DeepEqual(snap.classes, want) {
 				t.Fatalf("step %d, %+v: carried classes %v, counted %v", step, w, snap.classes, want)
@@ -402,18 +407,21 @@ func fromScratch(r *Registry, w Weighting) *Snapshot {
 	defer r.mu.RUnlock()
 	r.snapMu.Lock()
 	defer r.snapMu.Unlock()
-	s := &Snapshot{Generation: r.gen, Weighting: w, classes: make(map[float64]int)}
+	s := &Snapshot{Generation: r.gen, Weighting: w, classes: make(map[uint64]int)}
 	var labels []string
 	var weights []float64
 	for _, b := range r.buckets {
-		sb := r.exportBucketLocked(b, w)
+		sb, err := r.exportBucketLocked(b, w)
+		if err != nil {
+			panic(err)
+		}
 		s.buckets = append(s.buckets, sb)
 		s.members += sb.Count
 		countClasses(s.classes, sb, +1)
 	}
 	slices.SortFunc(s.buckets, func(a, b *SnapBucket) int { return strings.Compare(a.Key, b.Key) })
 	for _, sb := range s.buckets {
-		labels, weights = append(labels, sb.Key), append(weights, sb.Power)
+		labels, weights = append(labels, sb.Key), append(weights, vuln.UnitsPower(sb.Units))
 	}
 	dist, err := diversity.FromSorted(labels, weights)
 	if err != nil {

@@ -28,6 +28,7 @@ import (
 
 	"repro/internal/attest"
 	"repro/internal/config"
+	"repro/internal/vuln"
 )
 
 // Errors returned by registry operations.
@@ -65,6 +66,7 @@ func (t Tier) String() string {
 // Record is one live replica, as Get and Records report it. It is a view
 // built per call: the registry stores a replica as its equivalence group
 // and join time, and keeps the vote key of an attested replica aside.
+// Power is the stored units converted back (vuln.UnitsPower).
 type Record struct {
 	ID           ReplicaID
 	Config       config.Configuration
@@ -98,23 +100,24 @@ func (w Weighting) Validate() error {
 	return nil
 }
 
-// tierMultiplier returns the weight multiplier for a tier.
-func (w Weighting) tierMultiplier(t Tier) float64 {
+// weigh returns the weighted units of one member of a group holding u raw
+// units in tier t.
+func (w Weighting) weigh(u uint64, t Tier) (uint64, error) {
 	if t == TierAttested {
-		return w.Attested
+		return vuln.WeighUnits(u, w.Attested)
 	}
-	return w.Declared
+	return vuln.WeighUnits(u, w.Declared)
 }
 
-// group is one equivalence class within a bucket: members sharing (power,
-// tier, patch latency). Member names are kept ascending; the slice is
+// group is one equivalence class within a bucket: members sharing (power
+// units, tier, patch latency). Member names are kept ascending; the slice is
 // shared with exported snapshots via copy-on-write — a mutation copies it
 // only if a snapshot marked it shared since the last copy, so sustained
 // churn on an unexported group mutates in place. A replica's power, tier,
 // latency and configuration are read from its group and the group's
 // bucket, and stored nowhere else.
 type group struct {
-	power   float64
+	units   uint64 // raw power of one member, in units of 1e-9
 	tier    Tier
 	latency time.Duration
 	names   []string // ascending replica IDs
@@ -126,11 +129,11 @@ type group struct {
 	shared bool
 }
 
-// cmp orders groups by (power, tier, latency) ascending; 0 means same group.
-func (g *group) cmp(power float64, tier Tier, latency time.Duration) int {
+// cmp orders groups by (units, tier, latency) ascending; 0 means same group.
+func (g *group) cmp(units uint64, tier Tier, latency time.Duration) int {
 	switch {
-	case g.power != power:
-		if g.power < power {
+	case g.units != units:
+		if g.units < units {
 			return -1
 		}
 		return 1
@@ -191,19 +194,19 @@ type bucket struct {
 	label  string // digest string, the diversity label
 	cfg    config.Configuration
 	count  int
-	groups []*group // (power, tier, latency) ascending
+	groups []*group // (units, tier, latency) ascending
 }
 
 // groupFor returns the bucket's group for the key, creating it in sorted
 // position when absent.
-func (b *bucket) groupFor(power float64, tier Tier, latency time.Duration) *group {
+func (b *bucket) groupFor(units uint64, tier Tier, latency time.Duration) *group {
 	i := sort.Search(len(b.groups), func(i int) bool {
-		return b.groups[i].cmp(power, tier, latency) >= 0
+		return b.groups[i].cmp(units, tier, latency) >= 0
 	})
-	if i < len(b.groups) && b.groups[i].cmp(power, tier, latency) == 0 {
+	if i < len(b.groups) && b.groups[i].cmp(units, tier, latency) == 0 {
 		return b.groups[i]
 	}
-	g := &group{power: power, tier: tier, latency: latency, b: b}
+	g := &group{units: units, tier: tier, latency: latency, b: b}
 	b.groups = slices.Insert(b.groups, i, g)
 	return g
 }
@@ -237,6 +240,7 @@ type Registry struct {
 	buckets  map[config.ID]*bucket
 	attested int // replicas per tier, maintained incrementally
 	declared int
+	units    uint64 // summed raw power units, at most vuln.MaxPowerUnits
 
 	// gen counts mutations.
 	gen uint64
@@ -340,19 +344,30 @@ func (r *Registry) JoinAttestedCommitted(id ReplicaID, cfg config.Configuration,
 	})
 }
 
+// join admits rec. The power arguments of the Join* methods and SetPower
+// are converted once, by vuln.PowerUnits, to integer units of 1e-9 (a power
+// with at most nine decimals is exact), and the registry stores only the
+// units. A negative or non-finite power, a positive one that rounds to 0
+// units, and one that would take the summed power past vuln.MaxPowerUnits
+// (≈ 6.1e9) are refused before anything changes, so no sum over the
+// membership can overflow.
 func (r *Registry) join(rec Record) error {
 	if rec.ID == "" {
 		return errors.New("registry: empty replica id")
 	}
-	if rec.Power < 0 || math.IsNaN(rec.Power) || math.IsInf(rec.Power, 0) {
-		return fmt.Errorf("registry: invalid power %v", rec.Power)
+	u, err := vuln.PowerUnits(rec.Power)
+	if err != nil {
+		return fmt.Errorf("registry: %w", err)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, exists := r.records[rec.ID]; exists {
 		return fmt.Errorf("%w: %s", ErrDuplicateReplica, rec.ID)
 	}
-	g := r.bucketAdd(string(rec.ID), rec.Config, rec.Power, rec.Tier, rec.PatchLatency)
+	if err := r.reserve(0, u, rec.Power); err != nil {
+		return err
+	}
+	g := r.bucketAdd(string(rec.ID), rec.Config, u, rec.Tier, rec.PatchLatency)
 	r.records[rec.ID] = member{g: g, joinedAt: r.now()}
 	if rec.Tier == TierAttested {
 		r.voteKeys[rec.ID] = rec.VoteKey
@@ -373,6 +388,7 @@ func (r *Registry) Leave(id ReplicaID) error {
 		return fmt.Errorf("%w: %s", ErrUnknownReplica, id)
 	}
 	r.bucketRemove(m.g, id)
+	r.units -= m.g.units
 	if m.g.tier == TierAttested {
 		delete(r.voteKeys, id)
 		r.attested--
@@ -386,9 +402,10 @@ func (r *Registry) Leave(id ReplicaID) error {
 
 // SetPower updates a replica's raw voting power (hash-rate drift, stake
 // movement). Only the replica's own equivalence groups are touched.
-func (r *Registry) SetPower(id ReplicaID, power float64) error {
-	if power < 0 || math.IsNaN(power) || math.IsInf(power, 0) {
-		return fmt.Errorf("registry: invalid power %v", power)
+func (r *Registry) SetPower(id ReplicaID, p float64) error {
+	u, err := vuln.PowerUnits(p)
+	if err != nil {
+		return fmt.Errorf("registry: %w", err)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -397,8 +414,11 @@ func (r *Registry) SetPower(id ReplicaID, power float64) error {
 		return fmt.Errorf("%w: %s", ErrUnknownReplica, id)
 	}
 	g := m.g
+	if err := r.reserve(g.units, u, p); err != nil {
+		return err
+	}
 	name := r.bucketRemove(g, id)
-	m.g = r.bucketAdd(name, g.b.cfg, power, g.tier, g.latency)
+	m.g = r.bucketAdd(name, g.b.cfg, u, g.tier, g.latency)
 	r.records[ReplicaID(name)] = m
 	r.bumpGen(g.b.cfg.Digest())
 	return nil
@@ -424,9 +444,21 @@ func (r *Registry) Migrate(id ReplicaID, cfg config.Configuration) error {
 		r.attested--
 		r.declared++
 	}
-	m.g = r.bucketAdd(name, cfg, g.power, TierDeclared, g.latency)
+	m.g = r.bucketAdd(name, cfg, g.units, TierDeclared, g.latency)
 	r.records[ReplicaID(name)] = m
 	r.bumpGen(g.b.cfg.Digest(), cfg.Digest())
+	return nil
+}
+
+// reserve replaces old of the summed units by u, refusing a total past
+// vuln.MaxPowerUnits. p is the power u was converted from, for the error.
+// r.mu must be held for writing.
+func (r *Registry) reserve(old, u uint64, p float64) error {
+	total, ok := vuln.AddUnits(r.units-old, 1, u)
+	if !ok {
+		return fmt.Errorf("registry: invalid power %v: the summed power would pass the ceiling of %d units of 1e-9", p, uint64(vuln.MaxPowerUnits))
+	}
+	r.units = total
 	return nil
 }
 
@@ -434,14 +466,14 @@ func (r *Registry) Migrate(id ReplicaID, cfg config.Configuration) error {
 // bucket and group as needed, and returns its group. The bucket keeps the
 // configuration it was created with: the digest is the bucket key, so every
 // replica of a bucket shares one value. r.mu must be held for writing.
-func (r *Registry) bucketAdd(name string, cfg config.Configuration, power float64, tier Tier, latency time.Duration) *group {
+func (r *Registry) bucketAdd(name string, cfg config.Configuration, units uint64, tier Tier, latency time.Duration) *group {
 	digest := cfg.Digest()
 	b := r.buckets[digest]
 	if b == nil {
 		b = &bucket{label: digest.String(), cfg: cfg}
 		r.buckets[digest] = b
 	}
-	g := b.groupFor(power, tier, latency)
+	g := b.groupFor(units, tier, latency)
 	g.insert(name)
 	b.count++
 	return g
@@ -479,7 +511,7 @@ func (r *Registry) record(id ReplicaID, m member) Record {
 	return Record{
 		ID:           id,
 		Config:       m.g.b.cfg,
-		Power:        m.g.power,
+		Power:        vuln.UnitsPower(m.g.units),
 		Tier:         m.g.tier,
 		VoteKey:      r.voteKeys[id],
 		JoinedAt:     m.joinedAt,
@@ -544,20 +576,17 @@ func (r *Registry) Generation() uint64 {
 
 // TierCounts reports how many replicas sit in each tier and the raw power
 // they hold. Counts are maintained incrementally; power sums run over the
-// equivalence groups (O(#groups), not O(#replicas)).
+// equivalence groups (O(#groups), not O(#replicas)) in integer units.
 func (r *Registry) TierCounts() (attested, declared int, attestedPower, declaredPower float64) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	attested, declared = r.attested, r.declared
+	var att uint64
 	for _, b := range r.buckets {
 		for _, g := range b.groups {
-			pw := float64(len(g.names)) * g.power
 			if g.tier == TierAttested {
-				attestedPower += pw
-			} else {
-				declaredPower += pw
+				att += uint64(len(g.names)) * g.units
 			}
 		}
 	}
-	return attested, declared, attestedPower, declaredPower
+	return r.attested, r.declared, vuln.UnitsPower(att), vuln.UnitsPower(r.units - att)
 }

@@ -79,6 +79,81 @@ func TestJoinValidation(t *testing.T) {
 	}
 }
 
+// TestPowerCeiling: the summed raw power stops at exactly vuln.MaxPowerUnits
+// units. Joins and SetPower that reach it are accepted; one unit past it,
+// or a positive power that rounds to 0 units, is refused and changes
+// nothing. A weighting whose weighted total would pass the ceiling fails
+// the snapshot, while face value stands.
+func TestPowerCeiling(t *testing.T) {
+	r := New(nil, nil)
+	powers := ceilingPowers(t)
+	for i, p := range powers {
+		if err := r.JoinDeclared(ReplicaID(fmt.Sprint(i)), testCfg(fmt.Sprint(i)), p, 0); err != nil {
+			t.Fatalf("join %d at %v: %v", i, p, err)
+		}
+	}
+	last := ReplicaID(fmt.Sprint(len(powers) - 1))
+	gen := r.Generation()
+	if err := r.JoinDeclared("past", testCfg("x"), 1e-9, 0); err == nil {
+		t.Fatal("join one unit past the ceiling accepted")
+	}
+	if err := r.JoinDeclared("zero-units", testCfg("x"), 4e-10, 0); err == nil {
+		t.Fatal("power rounding to 0 units accepted")
+	}
+	if err := r.SetPower(last, powers[len(powers)-1]+1e-9); err == nil {
+		t.Fatal("SetPower one unit past the ceiling accepted")
+	}
+	if r.Generation() != gen || r.Size() != len(powers) {
+		t.Fatalf("refused calls moved the registry: generation %d, size %d", r.Generation(), r.Size())
+	}
+	if err := r.SetPower(last, powers[len(powers)-1]); err != nil {
+		t.Fatalf("SetPower at the ceiling: %v", err)
+	}
+	if _, err := r.Snapshot(DefaultWeighting); err != nil {
+		t.Fatalf("face-value snapshot at the ceiling: %v", err)
+	}
+	if _, err := r.Snapshot(Weighting{Attested: 1, Declared: 1.5}); err == nil {
+		t.Fatal("weighted total past the ceiling accepted")
+	}
+	if err := r.Leave("0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.JoinDeclared("past", testCfg("x"), 1e-9, 0); err != nil {
+		t.Fatalf("join after a leave freed room: %v", err)
+	}
+	if err := r.JoinDeclared("zero", testCfg("x"), 0, 0); err != nil {
+		t.Fatalf("zero power: %v", err)
+	}
+}
+
+// ceilingPowers returns powers whose units sum to exactly vuln.MaxPowerUnits,
+// the last of them a few units, so one unit more is representable.
+func ceilingPowers(t *testing.T) []float64 {
+	t.Helper()
+	rest := uint64(vuln.MaxPowerUnits) - 6e18
+	p := float64(rest) / vuln.PowerUnit
+	u, err := vuln.PowerUnits(p)
+	for ; err == nil && u >= rest; u, err = vuln.PowerUnits(p) {
+		p = math.Nextafter(p, 0)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := []float64{6e9, p, float64(rest-u) / vuln.PowerUnit}
+	var sum uint64
+	for _, p := range out {
+		u, err := vuln.PowerUnits(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum += u
+	}
+	if sum != vuln.MaxPowerUnits {
+		t.Fatalf("powers %v sum to %d units, want %d", out, sum, uint64(vuln.MaxPowerUnits))
+	}
+	return out
+}
+
 func TestJoinAttestedVerifiesQuote(t *testing.T) {
 	auth := attest.NewAuthority("tpm2")
 	r := New(auth, nil)

@@ -2,6 +2,7 @@ package registry
 
 import (
 	"cmp"
+	"errors"
 	"maps"
 	"slices"
 	"sync"
@@ -13,15 +14,15 @@ import (
 
 // SnapBucket is one configuration bucket as exported by a Snapshot: the
 // vuln.BucketSpec (key, configuration, equivalence groups with weighted
-// per-member power) plus the bucket's aggregates. SnapBuckets are immutable
-// and shared: a delta-built snapshot reuses the previous snapshot's
+// per-member power units) plus the bucket's aggregates. SnapBuckets are
+// immutable and shared: a delta-built snapshot reuses the previous snapshot's
 // *SnapBucket pointers for every bucket the intervening mutations did not
 // touch, so consumers (core.Monitor) can diff two snapshots by pointer
 // comparison and patch their derived state in O(Δ).
 type SnapBucket struct {
 	vuln.BucketSpec
-	Count int     // members in the bucket
-	Power float64 // Σ weighted member power
+	Count int    // members in the bucket
+	Units uint64 // Σ weighted member power units
 }
 
 // Snapshot is the memoized read-side view of the membership under one
@@ -41,10 +42,10 @@ type Snapshot struct {
 
 	buckets []*SnapBucket // label-ascending
 	members int
-	// classes counts members per weighted power — the histogram Report's
-	// operator-fault resilience needs. A delta snapshot copies its
+	// classes counts members per weighted power unit count — the histogram
+	// Report's operator-fault resilience needs. A delta snapshot copies its
 	// predecessor's and re-counts only the changed buckets.
-	classes map[float64]int
+	classes map[uint64]int
 
 	// The two per-replica views are materialised lazily and separately: the
 	// bucketed aggregates answer the hot paths (diversity report, exposure
@@ -85,7 +86,7 @@ func (s *Snapshot) Replicas() []vuln.Replica {
 					reps = append(reps, vuln.Replica{
 						Name:         name,
 						Config:       sb.Config,
-						Power:        g.Power,
+						Power:        vuln.UnitsPower(g.Units),
 						PatchLatency: g.Latency,
 					})
 				}
@@ -109,7 +110,7 @@ func (s *Snapshot) Population() *diversity.Population {
 		for _, sb := range s.buckets {
 			for _, g := range sb.Groups {
 				for _, name := range g.Names {
-					entries = append(entries, entry{name: name, m: diversity.Member{Label: sb.Key, Power: g.Power}})
+					entries = append(entries, entry{name: name, m: diversity.Member{Label: sb.Key, Power: vuln.UnitsPower(g.Units)}})
 				}
 			}
 		}
@@ -142,44 +143,54 @@ func (s *Snapshot) Report() (diversity.Report, error) {
 		abundance[i] = sb.Count
 	}
 	classes := make([]diversity.PowerClass, 0, len(s.classes))
-	for p, c := range s.classes {
-		classes = append(classes, diversity.PowerClass{Power: p, Count: c})
+	for u, c := range s.classes {
+		classes = append(classes, diversity.PowerClass{Power: vuln.UnitsPower(u), Count: c})
 	}
 	return diversity.ReportForAggregates(s.Distribution, s.members, abundance, classes)
 }
 
 // countClasses adds (sign +1) or removes (sign −1) a bucket's members
 // to/from the power-class histogram, dropping classes that empty out.
-func countClasses(classes map[float64]int, sb *SnapBucket, sign int) {
+func countClasses(classes map[uint64]int, sb *SnapBucket, sign int) {
 	for _, g := range sb.Groups {
-		if n := classes[g.Power] + sign*len(g.Names); n != 0 {
-			classes[g.Power] = n
+		if n := classes[g.Units] + sign*len(g.Names); n != 0 {
+			classes[g.Units] = n
 		} else {
-			delete(classes, g.Power)
+			delete(classes, g.Units)
 		}
 	}
 }
 
+// errOverflow refuses a weighting that takes the summed power past the
+// ceiling every sum over the membership relies on.
+var errOverflow = errors.New("registry: weighted power is past the ceiling of vuln.MaxPowerUnits units")
+
 // exportBucketLocked builds the immutable snapshot view of a bucket under
 // w, marking the group name slices shared so later mutations copy on
 // write. r.mu (read) and r.snapMu must be held.
-func (r *Registry) exportBucketLocked(b *bucket, w Weighting) *SnapBucket {
+func (r *Registry) exportBucketLocked(b *bucket, w Weighting) (*SnapBucket, error) {
 	sb := &SnapBucket{
 		BucketSpec: vuln.BucketSpec{Key: b.label, Config: b.cfg},
 		Count:      b.count,
 	}
 	sb.Groups = make([]vuln.GroupSpec, 0, len(b.groups))
 	for _, g := range b.groups {
-		wp := g.power * w.tierMultiplier(g.tier)
+		wu, err := w.weigh(g.units, g.tier)
+		if err != nil {
+			return nil, errOverflow
+		}
+		var ok bool
+		if sb.Units, ok = vuln.AddUnits(sb.Units, len(g.names), wu); !ok {
+			return nil, errOverflow
+		}
 		sb.Groups = append(sb.Groups, vuln.GroupSpec{
-			Power:   wp,
+			Units:   wu,
 			Latency: g.latency,
 			Names:   g.names,
 		})
-		sb.Power += float64(len(g.names)) * wp
 		g.shared = true
 	}
-	return sb
+	return sb, nil
 }
 
 // deltaSnapshotLocked builds the snapshot at the current generation by
@@ -216,7 +227,10 @@ func (r *Registry) deltaSnapshotLocked(prev *Snapshot, changed map[config.ID]str
 			i++
 		}
 		if ch.b != nil {
-			sb := r.exportBucketLocked(ch.b, w)
+			sb, err := r.exportBucketLocked(ch.b, w)
+			if err != nil {
+				return nil, err
+			}
 			out = append(out, sb)
 			countClasses(classes, sb, +1)
 		}
@@ -226,8 +240,13 @@ func (r *Registry) deltaSnapshotLocked(prev *Snapshot, changed map[config.ID]str
 	labels := make([]string, len(out))
 	weights := make([]float64, len(out))
 	members := 0
+	var total uint64
 	for i, sb := range out {
-		labels[i], weights[i] = sb.Key, sb.Power
+		var ok bool
+		if total, ok = vuln.AddUnits(total, 1, sb.Units); !ok {
+			return nil, errOverflow
+		}
+		labels[i], weights[i] = sb.Key, vuln.UnitsPower(sb.Units)
 		members += sb.Count
 	}
 	// The bucket list is label-ascending, which is the distribution's
@@ -265,7 +284,7 @@ func (r *Registry) Snapshot(w Weighting) (*Snapshot, error) {
 	c := r.snaps[w]
 	if c == nil {
 		c = &cachedSnap{
-			snap:  &Snapshot{classes: map[float64]int{}},
+			snap:  &Snapshot{classes: map[uint64]int{}},
 			dirty: make(map[config.ID]struct{}, len(r.buckets)),
 		}
 		for key := range r.buckets {

@@ -3,7 +3,6 @@ package scenario
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"strconv"
 	"time"
@@ -224,28 +223,25 @@ func (e *Engine) leaveAt(t time.Duration, id registry.ReplicaID) error {
 // A shift landing on a partitioned replica applies to its parked power —
 // the replica still cannot vote, but the new value is what the heal
 // restores, so a drift during the partition is not lost.
-func (e *Engine) setPowerAt(t time.Duration, id registry.ReplicaID, power float64) error {
+func (e *Engine) setPowerAt(t time.Duration, id registry.ReplicaID, p float64) error {
 	return e.atEvent(t, "power", func(*Engine) (string, EventInfo, error) {
 		info := EventInfo{Kind: "power", IDs: []registry.ReplicaID{id}}
-		rec, ok := e.reg.Get(id)
-		if entry, parked := e.parked[id]; parked && ok && rec.JoinedAt <= entry.at {
-			if power < 0 || math.IsNaN(power) || math.IsInf(power, 0) {
-				return "", info, fmt.Errorf("invalid power %v", power)
-			}
-			e.parked[id] = parkedPower{power: power, at: entry.at}
-			return fmt.Sprintf("%s power=%s (partitioned; applies at heal)", id, fmtPower(power)), info, nil
-		}
-		if entry, down := e.crashed[id]; down && ok && rec.JoinedAt <= entry.at {
-			if power < 0 || math.IsNaN(power) || math.IsInf(power, 0) {
-				return "", info, fmt.Errorf("invalid power %v", power)
-			}
-			e.crashed[id] = parkedPower{power: power, at: entry.at}
-			return fmt.Sprintf("%s power=%s (crashed; applies at restore)", id, fmtPower(power)), info, nil
-		}
-		if err := e.reg.SetPower(id, power); err != nil {
+		if _, err := vuln.PowerUnits(p); err != nil {
 			return "", info, err
 		}
-		return fmt.Sprintf("%s power=%s", id, fmtPower(power)), info, nil
+		rec, ok := e.reg.Get(id)
+		if entry, parked := e.parked[id]; parked && ok && rec.JoinedAt <= entry.at {
+			e.parked[id] = parkedPower{power: p, at: entry.at}
+			return fmt.Sprintf("%s power=%s (partitioned; applies at heal)", id, fmtPower(p)), info, nil
+		}
+		if entry, down := e.crashed[id]; down && ok && rec.JoinedAt <= entry.at {
+			e.crashed[id] = parkedPower{power: p, at: entry.at}
+			return fmt.Sprintf("%s power=%s (crashed; applies at restore)", id, fmtPower(p)), info, nil
+		}
+		if err := e.reg.SetPower(id, p); err != nil {
+			return "", info, err
+		}
+		return fmt.Sprintf("%s power=%s", id, fmtPower(p)), info, nil
 	})
 }
 

@@ -19,11 +19,6 @@ import (
 // a property failure, and the shrinker turns that witness into a minimal
 // timeline.
 
-// compEps absorbs float summation-order noise when comparing two
-// compromised-power fractions that are mathematically ordered but computed
-// by different summations.
-const compEps = 1e-9
-
 // Violation is one invariant failure, pinned to the trace record that
 // witnessed it.
 type Violation struct {
@@ -112,7 +107,8 @@ func SafeConsistency() Invariant {
 // WorstDominates: the predicted worst window dominates the instantaneous
 // assessment — its fraction is at least the current one, it lies inside the
 // horizon, and a record cannot be unsafe now while claiming the worst
-// window is safe.
+// window is safe. Both fractions divide exact unit sums by the same total,
+// so the comparison needs no slack.
 func WorstDominates() Invariant {
 	name := "worst-dominates"
 	return Invariant{
@@ -121,7 +117,7 @@ func WorstDominates() Invariant {
 		Check: func(res *Result) []Violation {
 			var out []Violation
 			for _, rec := range res.Records {
-				if rec.WorstFraction+compEps < rec.Compromised {
+				if rec.WorstFraction < rec.Compromised {
 					out = append(out, violate(name, res, rec,
 						"worst window %g below instantaneous %g", rec.WorstFraction, rec.Compromised))
 				}
@@ -185,7 +181,7 @@ func (o *patchMonotoneObserver) AfterEvent(e *Engine, info EventInfo, rec *Recor
 	if o.lowSev {
 		return nil
 	}
-	if rec.Compromised > o.prevComp+compEps {
+	if rec.Compromised > o.prevComp {
 		o.violations = append(o.violations, Violation{
 			Invariant: "patch-monotone",
 			Scenario:  rec.Scenario,

@@ -21,7 +21,7 @@ import (
 // pointer to each GroupSpec it is given and reads it on every evaluation,
 // so a spec must not be mutated once handed over.
 type GroupSpec struct {
-	Power   float64 // per-member (weighted) voting power
+	Units   uint64 // per-member (weighted) voting power in units of 1e-9 (PowerUnits)
 	Latency time.Duration
 	Names   []string // ascending; shared, read-only
 }
@@ -56,13 +56,18 @@ type BucketSpec struct {
 // therefore "longest taken prefix per group", which walkTake maintains in
 // per-group marks. The flat Injector remains the cross-check oracle.
 //
+// Powers are integer units (GroupSpec.Units), so every sum is exact in any
+// order and a fraction is one division of two exact integers. The summed
+// units of all buckets must not pass MaxPowerUnits, which registry
+// snapshots guarantee.
+//
 // Methods share scratch buffers and must not be called concurrently.
 type GroupInjector struct {
-	totalPower float64
-	buckets    map[string]*giBucket
-	keys       []string        // bucket keys ascending: the one order sums over buckets are taken in
-	exposures  []*giExposure   // vulnerability-ID ascending
-	known      map[ID]struct{} // vulnerability IDs already indexed
+	total     uint64 // summed units of all members
+	buckets   map[string]*giBucket
+	keys      []string        // bucket keys ascending
+	exposures []*giExposure   // vulnerability-ID ascending
+	known     map[ID]struct{} // vulnerability IDs already indexed
 
 	// Rebuild carves buckets, groups and exposures out of these slabs and
 	// reuses them, with the storage their elements hold, on the next
@@ -89,7 +94,7 @@ type GroupInjector struct {
 	// in disclosure order. sweepInstants and sweepEvaluated describe the
 	// last sweep (LastSweep).
 	instants       []time.Duration
-	bound          []float64
+	bound          []uint64
 	byDisclosed    []*giExposure
 	sweepInstants  int
 	sweepEvaluated int
@@ -101,7 +106,7 @@ type giBucket struct {
 	groups     []giGroup     // attack order: power desc, latency asc, first name asc
 	exps       []*giExposure // exposures matching the bucket, in indexing order
 	maxLatency time.Duration
-	power      float64 // Σ members × power: the bucket's share of TotalPower
+	units      uint64 // Σ members × units: the bucket's share of TotalPower
 
 	// lat is the latency index, built by GroupInjector.latIndex on first
 	// use. A bucket is replaced wholesale when its groups change, which
@@ -110,10 +115,10 @@ type giBucket struct {
 }
 
 // latStep is one entry of a bucket's latency index: a distinct patch
-// latency and the summed power of the groups patching that late or later.
+// latency and the summed units of the groups patching that late or later.
 type latStep struct {
 	latency time.Duration // distinct, ascending
-	suffix  float64       // Σ members × power over groups with latency ≥ this one
+	suffix  uint64        // Σ members × units over groups with latency ≥ this one
 }
 
 // giGroup is one of the producer's groups plus the per-instant dedup
@@ -183,10 +188,12 @@ func (gi *GroupInjector) Rebuild(catalog *Catalog, buckets []BucketSpec) error {
 	gi.bucketSlab = slices.Grow(gi.bucketSlab[:0], len(buckets))[:len(buckets)]
 	gi.groupSlab = slices.Grow(gi.groupSlab[:0], nGroups)[:nGroups]
 	gi.keys = gi.keys[:0]
+	gi.total = 0
 	off := 0
 	for i, bs := range buckets {
 		b := &gi.bucketSlab[i]
 		off += b.fill(bs, gi.groupSlab[off:])
+		gi.total += b.units
 		gi.buckets[bs.Key] = b
 		gi.keys = append(gi.keys, bs.Key)
 	}
@@ -198,7 +205,6 @@ func (gi *GroupInjector) Rebuild(catalog *Catalog, buckets []BucketSpec) error {
 		gi.addVuln(&gi.expSlab[i], v)
 		gi.exposures = append(gi.exposures, &gi.expSlab[i])
 	}
-	gi.recomputeTotal()
 	gi.markGen, gi.nextBoundary = 0, 0
 	gi.touched, gi.open, gi.byDisclosed = gi.touched[:0], gi.open[:0], gi.byDisclosed[:0]
 	gi.sweepInstants, gi.sweepEvaluated = 0, 0
@@ -241,13 +247,11 @@ func (b *giBucket) fill(bs BucketSpec, groups []giGroup) int {
 	b.groups = groups[:n:n]
 	// Power-descending, so activeAt merges these lists directly into the
 	// attack-priority order walkTake consumes. The take logic resolves an
-	// equal-power class as a unit, but the float sums over groups (b.power,
-	// the latency index, the dedup total) run in this order: the tie-break
-	// makes it a total order, so the producer's listing order cannot move
-	// a fraction's last bit. Names are globally unique, so no two
-	// non-empty groups tie on the first name.
+	// equal-power class as a unit; the tie-break makes the order total, so
+	// the producer's listing order moves nothing. Names are globally
+	// unique, so no two non-empty groups tie on the first name.
 	slices.SortFunc(b.groups, func(x, y giGroup) int {
-		if c := cmp.Compare(y.Power, x.Power); c != 0 {
+		if c := cmp.Compare(y.Units, x.Units); c != 0 {
 			return c
 		}
 		if c := cmp.Compare(x.Latency, y.Latency); c != 0 {
@@ -256,7 +260,7 @@ func (b *giBucket) fill(bs BucketSpec, groups []giGroup) int {
 		return cmp.Compare(x.Names[0], y.Names[0])
 	})
 	for _, g := range b.groups {
-		b.power += float64(len(g.Names)) * g.Power
+		b.units += uint64(len(g.Names)) * g.Units
 	}
 	return n
 }
@@ -275,7 +279,7 @@ func (gi *GroupInjector) latIndex(b *giBucket) []latStep {
 	}
 	lat := slices.Grow(gi.latScratch[:0], len(b.groups))
 	for _, g := range b.groups {
-		lat = append(lat, latStep{latency: g.Latency, suffix: float64(len(g.Names)) * g.Power})
+		lat = append(lat, latStep{latency: g.Latency, suffix: uint64(len(g.Names)) * g.Units})
 	}
 	gi.latScratch = lat
 	slices.SortFunc(lat, func(x, y latStep) int { return cmp.Compare(x.latency, y.latency) })
@@ -295,8 +299,8 @@ func (gi *GroupInjector) latIndex(b *giBucket) []latStep {
 	return b.lat
 }
 
-// openPower is the summed power of the bucket's groups with latency > x.
-func openPower(lat []latStep, x time.Duration) float64 {
+// openUnits is the summed units of the bucket's groups with latency > x.
+func openUnits(lat []latStep, x time.Duration) uint64 {
 	lo, hi := 0, len(lat)
 	for lo < hi {
 		if mid := (lo + hi) / 2; lat[mid].latency > x {
@@ -348,17 +352,6 @@ func (gi *GroupInjector) refreshExposure(e *giExposure) {
 	e.keys = keys
 }
 
-// recomputeTotal sums the cached bucket powers in bucket-key order — never
-// in map order — so two injectors over the same buckets agree on the
-// denominator of every PowerFraction to the last bit. O(#buckets).
-func (gi *GroupInjector) recomputeTotal() {
-	var total float64
-	for _, key := range gi.keys {
-		total += gi.buckets[key].power
-	}
-	gi.totalPower = total
-}
-
 // ApplyBuckets patches the index after membership churn: changed holds the
 // buckets whose group structure changed (including brand-new buckets),
 // removed the keys of buckets that emptied out. Only exposures matching an
@@ -381,6 +374,7 @@ func (gi *GroupInjector) ApplyBuckets(changed []BucketSpec, removed []string) {
 		for _, e := range b.exps {
 			affected[e] = struct{}{}
 		}
+		gi.total -= b.units
 		delete(gi.buckets, key)
 		i := sort.SearchStrings(gi.keys, key)
 		gi.keys = slices.Delete(gi.keys, i, i+1)
@@ -389,6 +383,7 @@ func (gi *GroupInjector) ApplyBuckets(changed []BucketSpec, removed []string) {
 		nb := newGiBucket(bs)
 		old := gi.buckets[bs.Key]
 		gi.buckets[bs.Key] = nb
+		gi.total += nb.units
 		if old == nil {
 			// New bucket: its matching vulnerability set is computed once
 			// here and stays valid for the bucket's lifetime (the key is
@@ -406,6 +401,7 @@ func (gi *GroupInjector) ApplyBuckets(changed []BucketSpec, removed []string) {
 			}
 			continue
 		}
+		gi.total -= old.units
 		nb.exps = old.exps
 		for _, e := range nb.exps {
 			affected[e] = struct{}{}
@@ -414,7 +410,6 @@ func (gi *GroupInjector) ApplyBuckets(changed []BucketSpec, removed []string) {
 	for e := range affected {
 		gi.refreshExposure(e)
 	}
-	gi.recomputeTotal()
 }
 
 // ApplyCatalog indexes any catalog vulnerabilities not yet known to the
@@ -436,8 +431,8 @@ func (gi *GroupInjector) ApplyCatalog(catalog *Catalog) {
 	}
 }
 
-// TotalPower returns the summed power of all members in the index.
-func (gi *GroupInjector) TotalPower() float64 { return gi.totalPower }
+// TotalPower returns the summed power units of all members in the index.
+func (gi *GroupInjector) TotalPower() uint64 { return gi.total }
 
 func (gi *GroupInjector) beginInstant() {
 	gi.markGen++
@@ -502,7 +497,7 @@ func (gi *GroupInjector) activeAt(e *giExposure, t time.Duration) int {
 			if pos[i] >= len(b.groups) {
 				continue
 			}
-			if best < 0 || b.groups[pos[i]].Power > bs[best].groups[pos[best]].Power {
+			if best < 0 || b.groups[pos[i]].Units > bs[best].groups[pos[best]].Units {
 				best = i
 			}
 		}
@@ -533,18 +528,18 @@ func (gi *GroupInjector) markTake(g *giGroup, n int) {
 }
 
 // walkTake applies one exposure's severity take of k members to the dedup
-// marks, walking gi.open by power class, and returns the fault's power.
+// marks, walking gi.open by power class, and returns the fault's units.
 // Full classes are taken whole (every group's complete prefix); the class
 // containing the k-th member is resolved by name-merge across its groups —
 // exactly the flat injector's (power desc, name asc) selection order.
-func (gi *GroupInjector) walkTake(k int) float64 {
-	var power float64
+func (gi *GroupInjector) walkTake(k int) uint64 {
+	var units uint64
 	taken := 0
 	open := gi.open
 	for i := 0; i < len(open) && taken < k; {
 		j, classCount := i, 0
-		p := open[i].g.Power
-		for j < len(open) && open[j].g.Power == p {
+		u := open[i].g.Units
+		for j < len(open) && open[j].g.Units == u {
 			classCount += len(open[j].g.Names)
 			j++
 		}
@@ -552,17 +547,17 @@ func (gi *GroupInjector) walkTake(k int) float64 {
 			for _, it := range open[i:j] {
 				gi.markTake(it.g, len(it.g.Names))
 			}
-			power += float64(classCount) * p
+			units += uint64(classCount) * u
 			taken += classCount
 		} else {
 			r := k - taken
 			gi.resolveBoundary(open[i:j], r, nil)
-			power += float64(r) * p
+			units += uint64(r) * u
 			taken = k
 		}
 		i = j
 	}
-	return power
+	return units
 }
 
 // resolveBoundary selects the r lexicographically-smallest member names
@@ -605,24 +600,26 @@ func (gi *GroupInjector) resolveBoundary(items []giItem, r int, out *[]string) {
 	}
 }
 
-// dedupFraction sums the marked prefixes — the deduplicated compromised
-// power of the current instant — as a fraction of total power.
-func (gi *GroupInjector) dedupFraction() float64 {
-	if gi.totalPower == 0 {
-		return 0
-	}
-	var dedup float64
+// dedupUnits sums the marked prefixes: the deduplicated compromised units
+// of the current instant.
+func (gi *GroupInjector) dedupUnits() uint64 {
+	var dedup uint64
 	for _, g := range gi.touched {
-		dedup += float64(g.taken) * g.Power
+		dedup += uint64(g.taken) * g.Units
 	}
-	return dedup / gi.totalPower
+	return dedup
 }
 
 // TotalFractionAt computes only the deduplicated compromised power fraction
 // at t — the quantity WorstWindow maximises — in O(open groups), without
 // materialising fault lists and without allocating after the first call.
 func (gi *GroupInjector) TotalFractionAt(t time.Duration) float64 {
-	if gi.totalPower == 0 {
+	return UnitFraction(gi.dedupAt(t), gi.total)
+}
+
+// dedupAt is the numerator of TotalFractionAt.
+func (gi *GroupInjector) dedupAt(t time.Duration) uint64 {
+	if gi.total == 0 {
 		return 0
 	}
 	gi.beginInstant()
@@ -633,7 +630,7 @@ func (gi *GroupInjector) TotalFractionAt(t time.Duration) float64 {
 		}
 		gi.walkTake(SeverityTake(m, e.vuln.Severity))
 	}
-	return gi.dedupFraction()
+	return gi.dedupUnits()
 }
 
 // Inject computes the full fault picture at instant t, byte-equivalent to
@@ -661,33 +658,32 @@ func (gi *GroupInjector) inject(t time.Duration, names bool) Injection {
 		}
 		k := SeverityTake(m, e.vuln.Severity)
 		fault := Fault{Vuln: e.vuln.ID}
+		var units uint64
 		if names {
 			fault.Compromised = make([]string, 0, k)
-			fault.Power = gi.materialize(k, &fault.Compromised)
+			units = gi.materialize(k, &fault.Compromised)
 		} else {
-			fault.Power = gi.walkTake(k)
+			units = gi.walkTake(k)
 		}
-		if gi.totalPower > 0 {
-			fault.PowerFraction = fault.Power / gi.totalPower
-		}
+		fault.Power, fault.PowerFraction = UnitsPower(units), UnitFraction(units, gi.total)
 		inj.Faults = append(inj.Faults, fault)
 		inj.SumFraction += fault.PowerFraction
 	}
-	inj.TotalFraction = gi.dedupFraction()
+	inj.TotalFraction = UnitFraction(gi.dedupUnits(), gi.total)
 	return inj
 }
 
 // materialize is walkTake with name output: every class — full or boundary
 // — is emitted as a name-ascending merge of its groups' taken prefixes,
 // reproducing the flat injector's (power desc, name asc) listing.
-func (gi *GroupInjector) materialize(k int, out *[]string) float64 {
-	var power float64
+func (gi *GroupInjector) materialize(k int, out *[]string) uint64 {
+	var units uint64
 	taken := 0
 	open := gi.open
 	for i := 0; i < len(open) && taken < k; {
 		j, classCount := i, 0
-		p := open[i].g.Power
-		for j < len(open) && open[j].g.Power == p {
+		u := open[i].g.Units
+		for j < len(open) && open[j].g.Units == u {
 			classCount += len(open[j].g.Names)
 			j++
 		}
@@ -696,11 +692,11 @@ func (gi *GroupInjector) materialize(k int, out *[]string) float64 {
 			r = k - taken
 		}
 		gi.resolveBoundary(open[i:j], r, out)
-		power += float64(r) * p
+		units += uint64(r) * u
 		taken += r
 		i = j
 	}
-	return power
+	return units
 }
 
 // CriticalInstants returns the sorted, deduplicated instants in
@@ -758,27 +754,23 @@ func (gi *GroupInjector) LastSweep() (instants, evaluated int) {
 	return gi.sweepInstants, gi.sweepEvaluated
 }
 
-// boundSlack is the relative slack the pruning test grants the bound; see
-// worstWindow for what it has to cover.
-const boundSlack = 1e-9
-
 // sweepBounds fills gi.bound with an upper bound on the deduplicated
-// compromised power at each instant. Inside a bucket the groups open at t
+// compromised units at each instant. Inside a bucket the groups open at t
 // under a vulnerability are those with latency > t − PatchAt, so the open
 // sets of all disclosed vulnerabilities matching the bucket are nested and
 // their union is the one with the latest PatchAt; whatever the severities
 // take lies inside that union. Summing its power over the buckets bounds
 // the numerator of the fraction from above, and equals it when every
-// severity is 1. Only non-negative terms are added, in bucket-key order.
-func (gi *GroupInjector) sweepBounds(instants []time.Duration) []float64 {
+// severity is 1.
+func (gi *GroupInjector) sweepBounds(instants []time.Duration) []uint64 {
 	if cap(gi.bound) < len(instants) {
-		gi.bound = make([]float64, len(instants))
+		gi.bound = make([]uint64, len(instants))
 	}
 	bound := gi.bound[:len(instants)]
 	clear(bound)
 	for _, key := range gi.keys {
 		b := gi.buckets[key]
-		if b.power == 0 || len(b.exps) == 0 {
+		if b.units == 0 || len(b.exps) == 0 {
 			continue
 		}
 		exps := append(gi.byDisclosed[:0], b.exps...)
@@ -805,7 +797,7 @@ func (gi *GroupInjector) sweepBounds(instants []time.Duration) []float64 {
 				i, _ = slices.BinarySearch(instants, exps[next].vuln.Disclosed)
 				continue
 			}
-			bound[i] += openPower(lat, t-patch)
+			bound[i] += openUnits(lat, t-patch)
 			i++
 		}
 	}
@@ -817,52 +809,39 @@ func (gi *GroupInjector) worstWindow(horizon time.Duration, names bool) (Injecti
 		return Injection{}, errors.New("vuln: negative horizon " + horizon.String())
 	}
 	gi.sweepInstants, gi.sweepEvaluated = 0, 0
-	if gi.totalPower == 0 {
+	if gi.total == 0 {
 		return Injection{}, nil
 	}
 	gi.instants = gi.criticalInstants(horizon, gi.instants)
 	instants := gi.instants
 	bound := gi.sweepBounds(instants)
 
-	// Bound-and-prune. Seed the search at the instant with the largest
-	// bound, then walk the instants evaluating the exact fraction only
-	// where the bound can still reach the best found. Why the result is the
-	// flat sweep's, bit for bit:
-	//
-	//   - A skipped instant has bound(t)·(1+boundSlack) < best·total. The
-	//     exact numerator at t sums a subset of what bound(t) sums, so in
-	//     real arithmetic it is ≤ bound(t); hence f(t) < best strictly, t is
-	//     not a maximiser, and the earliest maximiser is never skipped.
-	//   - Every comparison that decides bestT is between two exact
-	//     TotalFractionAt values, with ties going to the earlier instant —
-	//     the flat sweep's "first strict improvement in time order".
-	//
-	// boundSlack covers float rounding only: bound and numerator add
-	// non-negative terms in different orders, so each sum is off by at most
-	// about (#groups)·2⁻⁵³ relative — 1.1e-10 even if every one of the
-	// scale ladder's 1M replicas were its own group — and best·total adds
-	// two more roundings: the two sides drift apart by under 2.3e-10 <
-	// 1e-9. Do not replace the exact evaluations by running float sums:
-	// near-ties would then pick a different instant than the flat oracle.
+	// Bound-and-prune over numerators of the one fixed total. Seed the
+	// search at the instant with the largest bound, then walk the instants
+	// evaluating the exact numerator only where the bound can still reach
+	// the best found. A skipped instant has bound(t) < best, and its
+	// numerator sums a subset of what bound(t) sums, so it is not a
+	// maximiser; ties go to the earlier instant — the flat sweep's "first
+	// strict improvement in time order".
 	seed := 0
 	for i, v := range bound {
 		if v > bound[seed] {
 			seed = i
 		}
 	}
-	bestT, bestF := instants[seed], gi.TotalFractionAt(instants[seed])
+	bestT, best := instants[seed], gi.dedupAt(instants[seed])
 	evaluated := 1
 	for i, t := range instants {
-		if i == seed || bound[i]*(1+boundSlack) < bestF*gi.totalPower {
+		if i == seed || bound[i] < best {
 			continue
 		}
 		evaluated++
-		if f := gi.TotalFractionAt(t); f > bestF || (f == bestF && t < bestT) {
-			bestT, bestF = t, f
+		if n := gi.dedupAt(t); n > best || (n == best && t < bestT) {
+			bestT, best = t, n
 		}
 	}
 	gi.sweepInstants, gi.sweepEvaluated = len(instants), evaluated
-	if bestF == 0 {
+	if best == 0 {
 		// Match Injector.WorstWindow: no instant compromises anything, so
 		// report the zero injection rather than a fault-free picture at 0.
 		return Injection{}, nil

@@ -11,11 +11,20 @@ import (
 	"repro/internal/config"
 )
 
+// units is PowerUnits for a test's known-good power.
+func units(p float64) uint64 {
+	u, err := PowerUnits(p)
+	if err != nil {
+		panic(err)
+	}
+	return u
+}
+
 // bucketize groups replicas the way the registry snapshot does: one bucket
-// per configuration, one group per (power, latency), names ascending.
+// per configuration, one group per (power units, latency), names ascending.
 func bucketize(replicas []Replica) []BucketSpec {
 	type gkey struct {
-		power   float64
+		units   uint64
 		latency time.Duration
 	}
 	byKey := make(map[string]map[gkey][]string)
@@ -26,7 +35,7 @@ func bucketize(replicas []Replica) []BucketSpec {
 			byKey[key] = make(map[gkey][]string)
 			cfgs[key] = r.Config
 		}
-		k := gkey{r.Power, r.PatchLatency}
+		k := gkey{units(r.Power), r.PatchLatency}
 		byKey[key][k] = append(byKey[key][k], r.Name)
 	}
 	var out []BucketSpec
@@ -34,12 +43,12 @@ func bucketize(replicas []Replica) []BucketSpec {
 		bs := BucketSpec{Key: key, Config: cfgs[key]}
 		for k, names := range groups {
 			sort.Strings(names)
-			bs.Groups = append(bs.Groups, GroupSpec{Power: k.power, Latency: k.latency, Names: names})
+			bs.Groups = append(bs.Groups, GroupSpec{Units: k.units, Latency: k.latency, Names: names})
 		}
 		sort.Slice(bs.Groups, func(i, j int) bool {
 			a, b := bs.Groups[i], bs.Groups[j]
-			if a.Power != b.Power {
-				return a.Power < b.Power
+			if a.Units != b.Units {
+				return a.Units < b.Units
 			}
 			return a.Latency < b.Latency
 		})
@@ -79,9 +88,10 @@ func (r *recordedDraws) Intn(n int) int {
 // sweepCase generates one (catalog, membership, horizon) triple aimed at
 // where pruning is hardest: severities below 1 (the bound is loose),
 // version-less vulnerabilities matching several buckets, two component
-// classes so several exposures overlap on one bucket, small integral powers
-// (equal maxima at different instants are common; zero-power groups occur),
-// and horizons that cut a window, sit exactly on a disclosure, or are 0.
+// classes so several exposures overlap on one bucket, small one-decimal
+// powers (not dyadic, so a float sum would depend on its order; equal
+// maxima at different instants are common; zero-power groups occur), and
+// horizons that cut a window, sit exactly on a disclosure, or are 0.
 func sweepCase(d draws) (*Catalog, []Replica, time.Duration) {
 	oses := []string{"os-a", "os-b", "os-c"}
 	libs := []string{"lib-x", "lib-y"}
@@ -99,7 +109,7 @@ func sweepCase(d draws) (*Catalog, []Replica, time.Duration) {
 		replicas[i] = Replica{
 			Name:         fmt.Sprintf("r-%03d", i),
 			Config:       config.MustNew(comps...),
-			Power:        float64(d.Intn(6)),
+			Power:        float64(d.Intn(60)) / 10,
 			PatchLatency: time.Duration(d.Intn(5)) * 6 * time.Hour,
 		}
 	}
@@ -295,8 +305,8 @@ func fractionalBuckets() []BucketSpec {
 	for k := range buckets {
 		name := fmt.Sprintf("os-%02d", k)
 		buckets[k] = BucketSpec{Key: name, Config: osCfg(name), Groups: []GroupSpec{
-			{Power: 0.1 * float64(k+1), Names: []string{name + "-a", name + "-b"}},
-			{Power: 1 / float64(k+3), Latency: time.Hour, Names: []string{name + "-c"}},
+			{Units: units(0.1 * float64(k+1)), Names: []string{name + "-a", name + "-b"}},
+			{Units: units(1 / float64(k+3)), Latency: time.Hour, Names: []string{name + "-c"}},
 		}}
 	}
 	return buckets
@@ -324,7 +334,7 @@ func TestTotalPowerIndependentOfMapOrder(t *testing.T) {
 	patched, _ := NewGroupInjector(cat, buckets[:25])
 	patched.ApplyBuckets(buckets[30:], []string{buckets[3].Key, buckets[7].Key})
 	final := append([]BucketSpec(nil), buckets...)
-	final[12].Groups = []GroupSpec{{Power: 0.3, Names: []string{"solo"}}}
+	final[12].Groups = []GroupSpec{{Units: units(0.3), Names: []string{"solo"}}}
 	patched.ApplyBuckets(append(final[25:30:30], final[3], final[7], final[12]), nil)
 	final = append(final[:20:20], final[21:]...)
 	patched.ApplyBuckets(nil, []string{buckets[20].Key})
@@ -334,15 +344,14 @@ func TestTotalPowerIndependentOfMapOrder(t *testing.T) {
 	}
 }
 
-// With severity 1 the bound equals the numerator in real arithmetic but is
-// summed in another order, so in floats the two differ by rounding. Equal
-// open sets reached through different vulnerabilities (one product-wide CVE
-// early, one per-version CVE each later) make instants whose fractions tie
-// up to that rounding. The pruned sweep must still pick the instant a full
-// sweep over the same exact fractions picks — which is what boundSlack is
-// for; with no slack the later instant is skipped whenever its bound rounds
-// an ulp below the best numerator.
-func TestPrunedSweepSlackCoversRounding(t *testing.T) {
+// With severity 1 the bound equals the numerator but is summed in another
+// order. Equal open sets reached through different vulnerabilities (one
+// product-wide CVE early, one per-version CVE each later) make instants
+// whose numerators tie or differ by a few units on non-dyadic powers. The
+// pruned sweep must pick the instant a full sweep over the same exact
+// fractions picks: a bound equal to the best numerator is evaluated, not
+// skipped.
+func TestPrunedSweepPicksFullSweepInstantOnNearTies(t *testing.T) {
 	const horizon = 400 * time.Hour
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -352,7 +361,7 @@ func TestPrunedSweepSlackCoversRounding(t *testing.T) {
 				config.Component{Class: config.ClassOperatingSystem, Name: "os", Version: version})}
 			for g := 0; g < 700; g++ {
 				bs.Groups = append(bs.Groups, GroupSpec{
-					Power:   0.1*float64(1+rng.Intn(5000)) + 1/float64(3+rng.Intn(50)),
+					Units:   units(0.1*float64(1+rng.Intn(5000)) + 1/float64(3+rng.Intn(50))),
 					Latency: time.Duration(rng.Intn(4)) * time.Hour,
 					Names:   []string{fmt.Sprintf("r-%s-%04d", version, g)},
 				})
@@ -398,7 +407,7 @@ func TestLatencyIndexAtFinalLength(t *testing.T) {
 	}
 	var groups []GroupSpec
 	for i := 0; i < 12; i++ {
-		groups = append(groups, GroupSpec{Power: float64(1 + i), Latency: time.Duration(i%3) * time.Hour, Names: []string{fmt.Sprintf("r-%02d", i)}})
+		groups = append(groups, GroupSpec{Units: units(float64(1 + i)), Latency: time.Duration(i%3) * time.Hour, Names: []string{fmt.Sprintf("r-%02d", i)}})
 	}
 	gi, err := NewGroupInjector(cat, []BucketSpec{{Key: "k", Config: cfg, Groups: groups}})
 	if err != nil {
@@ -408,7 +417,7 @@ func TestLatencyIndexAtFinalLength(t *testing.T) {
 		t.Fatal(err)
 	}
 	lat := gi.buckets["k"].lat
-	want := []latStep{{0, 78}, {time.Hour, 56}, {2 * time.Hour, 30}}
+	want := []latStep{{0, 78e9}, {time.Hour, 56e9}, {2 * time.Hour, 30e9}}
 	if fmt.Sprint(lat) != fmt.Sprint(want) || cap(lat) != len(want) {
 		t.Fatalf("latency index %v (cap %d), want %v (cap %d)", lat, cap(lat), want, len(want))
 	}

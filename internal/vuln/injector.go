@@ -20,13 +20,18 @@ import (
 // re-sorting — and the event-driven WorstWindow sweep reuses internal
 // buffers so it does not allocate per instant.
 //
+// Rebuild converts each replica's Power once, with PowerUnits, and the
+// index sums only those integer units, so every sum is exact in any order
+// and a fraction is one division of two exact integers.
+//
 // An Injector is a snapshot: it does not observe later Catalog.Add calls
 // or mutations of the replica set it was built from. Its methods share
 // scratch buffers and must not be called concurrently.
 type Injector struct {
-	replicas   []Replica
-	totalPower float64
-	exposures  []exposure
+	replicas  []Replica
+	units     []uint64 // units[i] is replicas[i].Power in power units
+	total     uint64   // Σ units
+	exposures []exposure
 
 	// active holds the indices (into replicas) of the current
 	// vulnerability's open-window exposed set, reused across calls.
@@ -36,16 +41,18 @@ type Injector struct {
 	// counted. Bumping markGen resets all marks in O(1).
 	marks   []uint64
 	markGen uint64
-	// seen is Rebuild's duplicate-name check, kept for its storage.
-	seen map[string]struct{}
+	// seen is Rebuild's duplicate-name check and spare the units it
+	// converts before it commits, both kept for their storage.
+	seen  map[string]struct{}
+	spare []uint64
 }
 
 // exposure is one vulnerability's static exposure set: the replicas whose
 // configuration it affects, independent of time.
 type exposure struct {
 	vuln Vulnerability
-	// exposed indexes into Injector.replicas, sorted by power descending
-	// then name — the order an attacker prioritises targets.
+	// exposed indexes into Injector.replicas, sorted by power units
+	// descending then name — the order an attacker prioritises targets.
 	exposed []int
 	// closeAt[i] is exposed[i]'s window close: PatchAt + its patch
 	// latency. The open side (Disclosed) is shared by the whole set.
@@ -77,21 +84,21 @@ func (in *Injector) Rebuild(catalog *Catalog, replicas []Replica) error {
 		in.seen = make(map[string]struct{}, len(replicas))
 	}
 	clear(in.seen)
-	var total float64
 	for _, r := range replicas {
-		if r.Power < 0 || math.IsNaN(r.Power) || math.IsInf(r.Power, 0) {
-			return fmt.Errorf("vuln: replica %s has invalid power %v", r.Name, r.Power)
-		}
 		// Names identify replicas in fault dedup; a duplicate would make
 		// "count each replica once" ambiguous, so reject it outright.
 		if _, dup := in.seen[r.Name]; dup {
 			return fmt.Errorf("vuln: duplicate replica name %s", r.Name)
 		}
 		in.seen[r.Name] = struct{}{}
-		total += r.Power
+	}
+	units, total, err := ReplicaUnits(in.spare[:0], replicas)
+	if err != nil {
+		return err
 	}
 	in.replicas = append(in.replicas[:0], replicas...)
-	in.totalPower = total
+	in.units, in.spare = units, in.units
+	in.total = total
 	in.marks = slices.Grow(in.marks[:0], len(replicas))[:len(replicas)]
 	clear(in.marks)
 	in.markGen = 0
@@ -114,11 +121,10 @@ func (in *Injector) Rebuild(catalog *Catalog, replicas []Replica) error {
 			continue
 		}
 		slices.SortFunc(e.exposed, func(a, b int) int {
-			ra, rb := &in.replicas[a], &in.replicas[b]
-			if c := cmp.Compare(rb.Power, ra.Power); c != 0 {
+			if c := cmp.Compare(in.units[b], in.units[a]); c != 0 {
 				return c
 			}
-			return strings.Compare(ra.Name, rb.Name)
+			return strings.Compare(in.replicas[a].Name, in.replicas[b].Name)
 		})
 		e.closeAt = e.closeAt[:0]
 		for _, idx := range e.exposed {
@@ -171,7 +177,7 @@ func (in *Injector) activeAt(e *exposure, t time.Duration) bool {
 func (in *Injector) Inject(t time.Duration) Injection {
 	inj := Injection{At: t}
 	in.markGen++
-	var dedup float64
+	var dedup uint64
 	for i := range in.exposures {
 		e := &in.exposures[i]
 		if !in.activeAt(e, t) {
@@ -182,24 +188,20 @@ func (in *Injector) Inject(t time.Duration) Injection {
 			Vuln:        e.vuln.ID,
 			Compromised: make([]string, 0, take),
 		}
+		var units uint64
 		for _, idx := range in.active[:take] {
-			r := &in.replicas[idx]
-			fault.Compromised = append(fault.Compromised, r.Name)
-			fault.Power += r.Power
+			fault.Compromised = append(fault.Compromised, in.replicas[idx].Name)
+			units += in.units[idx]
 			if in.marks[idx] != in.markGen {
 				in.marks[idx] = in.markGen
-				dedup += r.Power
+				dedup += in.units[idx]
 			}
 		}
-		if in.totalPower > 0 {
-			fault.PowerFraction = fault.Power / in.totalPower
-		}
+		fault.Power, fault.PowerFraction = UnitsPower(units), UnitFraction(units, in.total)
 		inj.Faults = append(inj.Faults, fault)
 		inj.SumFraction += fault.PowerFraction
 	}
-	if in.totalPower > 0 {
-		inj.TotalFraction = dedup / in.totalPower
-	}
+	inj.TotalFraction = UnitFraction(dedup, in.total)
 	return inj
 }
 
@@ -207,11 +209,13 @@ func (in *Injector) Inject(t time.Duration) Injection {
 // fraction at t — the quantity WorstWindow maximises — without building
 // Fault lists. It allocates nothing after the first call.
 func (in *Injector) TotalFractionAt(t time.Duration) float64 {
-	if in.totalPower == 0 {
-		return 0
-	}
+	return UnitFraction(in.dedupAt(t), in.total)
+}
+
+// dedupAt is the numerator of TotalFractionAt.
+func (in *Injector) dedupAt(t time.Duration) uint64 {
 	in.markGen++
-	var dedup float64
+	var dedup uint64
 	for i := range in.exposures {
 		e := &in.exposures[i]
 		if !in.activeAt(e, t) {
@@ -221,11 +225,11 @@ func (in *Injector) TotalFractionAt(t time.Duration) float64 {
 		for _, idx := range in.active[:take] {
 			if in.marks[idx] != in.markGen {
 				in.marks[idx] = in.markGen
-				dedup += in.replicas[idx].Power
+				dedup += in.units[idx]
 			}
 		}
 	}
-	return dedup / in.totalPower
+	return dedup
 }
 
 // CriticalInstants returns the sorted, deduplicated set of instants in
@@ -272,13 +276,13 @@ func (in *Injector) WorstWindow(horizon time.Duration) (Injection, error) {
 		return Injection{}, fmt.Errorf("vuln: negative horizon %v", horizon)
 	}
 	bestT := time.Duration(0)
-	bestF := in.TotalFractionAt(0)
+	best := in.dedupAt(0)
 	for _, t := range in.CriticalInstants(horizon)[1:] {
-		if f := in.TotalFractionAt(t); f > bestF {
-			bestT, bestF = t, f
+		if n := in.dedupAt(t); n > best {
+			bestT, best = t, n
 		}
 	}
-	if bestF == 0 {
+	if best == 0 {
 		// Match the stepwise scan: no instant compromises anything, so
 		// report the zero injection rather than a fault-free picture at 0.
 		return Injection{}, nil

@@ -69,9 +69,9 @@ func TestPropEventSweepDominatesStepwise(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// WorstWindowStepwise is an independent implementation that sums
-		// deduplicated power in map order, so allow last-ulp noise.
-		if exact.TotalFraction < sampled.TotalFraction-1e-12 {
+		// WorstWindowStepwise is an independent implementation; both sum
+		// integer power units, so they compare exactly.
+		if exact.TotalFraction < sampled.TotalFraction {
 			t.Fatalf("iter %d: exact sweep %v below stepwise %v",
 				iter, exact.TotalFraction, sampled.TotalFraction)
 		}
@@ -138,9 +138,7 @@ func TestPropEventSweepExactOnFineGrid(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Same last-ulp tolerance: the stepwise scan is an independent
-		// implementation with map-ordered summation.
-		if diff := exact.TotalFraction - fine.TotalFraction; diff < -1e-12 || diff > 1e-12 {
+		if exact.TotalFraction != fine.TotalFraction {
 			t.Fatalf("iter %d: exact %v != fine-grid stepwise %v",
 				iter, exact.TotalFraction, fine.TotalFraction)
 		}

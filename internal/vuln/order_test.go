@@ -27,7 +27,7 @@ func listingCase(rng *rand.Rand) (*Catalog, []BucketSpec) {
 				next++
 			}
 			specs[k].Groups = append(specs[k].Groups, GroupSpec{
-				Power:   float64(1+rng.Intn(9)) / 10,
+				Units:   units(float64(1+rng.Intn(9)) / 10),
 				Latency: time.Duration(rng.Intn(3)) * 6 * time.Hour,
 				Names:   names,
 			})
@@ -53,7 +53,9 @@ func listingCase(rng *rand.Rand) (*Catalog, []BucketSpec) {
 // pictures renders everything an injector over specs reports: its total
 // power, the full injection at every critical instant and the worst window.
 // %v prints the shortest decimal that parses back to the same float, so two
-// renderings are equal only if every float agrees to the last bit.
+// renderings are equal only if every float agrees to the last bit. No
+// deduplicated fraction may pass 1, not even where every member is
+// compromised.
 func pictures(t *testing.T, cat *Catalog, specs []BucketSpec) string {
 	t.Helper()
 	gi, err := NewGroupInjector(cat, specs)
@@ -62,7 +64,11 @@ func pictures(t *testing.T, cat *Catalog, specs []BucketSpec) string {
 	}
 	s := fmt.Sprintln(gi.TotalPower())
 	for _, at := range gi.CriticalInstants(48 * time.Hour) {
-		s += fmt.Sprintln(gi.Inject(at))
+		inj := gi.Inject(at)
+		if inj.TotalFraction > 1 {
+			t.Fatalf("TotalFraction %v > 1 at %v", inj.TotalFraction, at)
+		}
+		s += fmt.Sprintln(inj)
 	}
 	worst, err := gi.WorstWindow(48 * time.Hour)
 	if err != nil {
@@ -96,6 +102,46 @@ func TestPropFractionsIndependentOfListingOrder(t *testing.T) {
 	}
 }
 
+// TestPropInjectIndependentOfReplicaOrder: the flat path under any listing
+// of the same one-decimal fleet gives the same injection at every critical
+// instant, and the same worst window, to the last bit.
+func TestPropInjectIndependentOfReplicaOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for c := 0; c < 300; c++ {
+		cat, replicas, horizon := sweepCase(rng)
+		want := flatPictures(t, cat, replicas, horizon)
+		for s := 0; s < 5; s++ {
+			rng.Shuffle(len(replicas), func(i, j int) { replicas[i], replicas[j] = replicas[j], replicas[i] })
+			if got := flatPictures(t, cat, replicas, horizon); got != want {
+				t.Fatalf("case %d, shuffle %d: replica order changed the result\n got %s\nwant %s", c, s, got, want)
+			}
+		}
+	}
+}
+
+// flatPictures is pictures for vuln.Inject and vuln.WorstWindow over a
+// replica list.
+func flatPictures(t *testing.T, cat *Catalog, replicas []Replica, horizon time.Duration) string {
+	t.Helper()
+	in, err := NewInjector(cat, replicas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s string
+	for _, at := range in.CriticalInstants(horizon) {
+		inj, err := Inject(cat, replicas, at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s += fmt.Sprintln(inj)
+	}
+	worst, err := WorstWindow(cat, replicas, horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s + fmt.Sprint(worst)
+}
+
 // TestDroppedKeyLeavesSpareCapacity: when an exposure's bucket empties out,
 // the key compacted out of its list does not stay in the spare capacity.
 func TestDroppedKeyLeavesSpareCapacity(t *testing.T) {
@@ -103,8 +149,8 @@ func TestDroppedKeyLeavesSpareCapacity(t *testing.T) {
 		return config.MustNew(config.Component{Class: config.ClassOperatingSystem, Name: "os", Version: version})
 	}
 	specs := []BucketSpec{
-		{Key: "os@1", Config: cfg("1"), Groups: []GroupSpec{{Power: 1, Names: []string{"a"}}}},
-		{Key: "os@2", Config: cfg("2"), Groups: []GroupSpec{{Power: 1, Names: []string{"b"}}}},
+		{Key: "os@1", Config: cfg("1"), Groups: []GroupSpec{{Units: units(1), Names: []string{"a"}}}},
+		{Key: "os@2", Config: cfg("2"), Groups: []GroupSpec{{Units: units(1), Names: []string{"b"}}}},
 	}
 	cat := NewCatalog()
 	mustAdd(t, cat, Vulnerability{ID: "CVE-1", Class: config.ClassOperatingSystem, Product: "os", PatchAt: time.Hour, Severity: 1})
@@ -152,7 +198,7 @@ func TestGroupInjectorHeapAllocations(t *testing.T) {
 	for i := 0; i < groups; i++ {
 		bs := &specs[i%buckets]
 		bs.Groups = append(bs.Groups, GroupSpec{
-			Power:   float64(1 + i),
+			Units:   units(float64(1 + i)),
 			Latency: time.Duration(i%5) * 12 * time.Hour,
 			Names:   []string{fmt.Sprintf("r-%07d", i)},
 		})

@@ -36,7 +36,7 @@ func sameInj(a, b Injection) bool {
 // flatIndex is everything an Injector derives from its input, in a form
 // fmt prints deterministically; scratch (active, seen) is left out.
 func flatIndex(in *Injector) string {
-	s := fmt.Sprintf("total=%v gen=%d marks=%v reps=%v\n", in.totalPower, in.markGen, in.marks, in.replicas)
+	s := fmt.Sprintf("total=%v gen=%d marks=%v reps=%v units=%v\n", in.total, in.markGen, in.marks, in.replicas, in.units)
 	for _, e := range in.exposures {
 		s += fmt.Sprintf("%s exposed=%v close=%v max=%v\n", e.vuln.ID, e.exposed, e.closeAt, e.maxClose)
 	}
@@ -49,16 +49,16 @@ func flatIndex(in *Injector) string {
 // starts from.
 func groupedIndex(gi *GroupInjector) string {
 	s := fmt.Sprintf("total=%v gen=%d next=%v sweep=%d/%d touched=%d keys=%v known=%v\n",
-		gi.totalPower, gi.markGen, gi.nextBoundary, gi.sweepInstants, gi.sweepEvaluated,
+		gi.total, gi.markGen, gi.nextBoundary, gi.sweepInstants, gi.sweepEvaluated,
 		len(gi.touched), gi.keys, slices.Sorted(maps.Keys(gi.known)))
 	for _, key := range gi.keys {
 		b := gi.buckets[key]
-		s += fmt.Sprintf("bucket %s cfg=%s maxLat=%v power=%v lat=%v exps=", key, b.cfg.Canonical(), b.maxLatency, b.power, b.lat)
+		s += fmt.Sprintf("bucket %s cfg=%s maxLat=%v units=%v lat=%v exps=", key, b.cfg.Canonical(), b.maxLatency, b.units, b.lat)
 		for _, e := range b.exps {
 			s += string(e.vuln.ID) + " "
 		}
 		for _, g := range b.groups {
-			s += fmt.Sprintf("[%v %v %v mark=%d taken=%d]", g.Power, g.Latency, g.Names, g.mark, g.taken)
+			s += fmt.Sprintf("[%v %v %v mark=%d taken=%d]", g.Units, g.Latency, g.Names, g.mark, g.taken)
 		}
 		s += "\n"
 	}

@@ -15,9 +15,6 @@ package vuln
 import (
 	"errors"
 	"fmt"
-	"maps"
-	"math"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -177,7 +174,8 @@ func (c *Catalog) DisclosedAt(t time.Duration) []Vulnerability {
 
 // Replica is the injector's view of one replica: its attested
 // configuration, voting power, and how long after a patch ships it deploys
-// the patch. internal/registry adapts its records to this type.
+// the patch. internal/registry adapts its records to this type. The
+// injectors convert Power once, with PowerUnits, to integer units of 1e-9.
 type Replica struct {
 	Name         string
 	Config       config.Configuration
@@ -186,7 +184,8 @@ type Replica struct {
 }
 
 // Fault is one vulnerability's effect at an instant: the replicas it
-// compromises and the voting power they carry — the paper's f_t^i.
+// compromises and the voting power they carry — the paper's f_t^i. Power
+// and PowerFraction are each one conversion of exact integer unit sums.
 type Fault struct {
 	Vuln          ID
 	Compromised   []string // replica names, deterministic order
@@ -200,17 +199,14 @@ type Injection struct {
 	At     time.Duration
 	Faults []Fault
 	// TotalFraction is Σ_i f_t^i as a fraction of total power, counting a
-	// replica once even if several vulnerabilities hit it.
+	// replica once even if several vulnerabilities hit it: one division of
+	// the exact compromised and total unit sums. core.Substrate.Safe is the
+	// verdict on it.
 	TotalFraction float64
 	// SumFraction is the naive Σ_i f_t^i with double counting, matching the
-	// paper's summation literally; >= TotalFraction.
+	// paper's summation literally: the faults' PowerFractions summed in
+	// fault order.
 	SumFraction float64
-}
-
-// Safe reports the Sec. II-C safety condition f >= Σ f_t^i using the
-// deduplicated compromised power.
-func (inj Injection) Safe(toleratedFraction float64) bool {
-	return toleratedFraction >= inj.TotalFraction
 }
 
 // Inject computes which replicas each disclosed vulnerability compromises
@@ -277,20 +273,17 @@ func injectRescan(catalog *Catalog, replicas []Replica, t time.Duration) (Inject
 	if catalog == nil {
 		return Injection{}, errors.New("vuln: nil catalog")
 	}
-	var totalPower float64
-	for _, r := range replicas {
-		if r.Power < 0 || math.IsNaN(r.Power) || math.IsInf(r.Power, 0) {
-			return Injection{}, fmt.Errorf("vuln: replica %s has invalid power %v", r.Name, r.Power)
-		}
-		totalPower += r.Power
+	units, total, err := ReplicaUnits(nil, replicas)
+	if err != nil {
+		return Injection{}, err
 	}
 	inj := Injection{At: t}
-	compromisedOnce := make(map[string]float64) // replica -> power (dedup)
+	compromisedOnce := make(map[string]uint64) // replica -> units (dedup)
 	for _, v := range catalog.DisclosedAt(t) {
-		var exposed []Replica
-		for _, r := range replicas {
+		var exposed []int
+		for i, r := range replicas {
 			if v.Affects(r.Config) && v.WindowOpenAt(t, r.PatchLatency) {
-				exposed = append(exposed, r)
+				exposed = append(exposed, i)
 			}
 		}
 		if len(exposed) == 0 {
@@ -298,30 +291,28 @@ func injectRescan(catalog *Catalog, replicas []Replica, t time.Duration) (Inject
 		}
 		// Highest-power targets first; name as tie-breaker for determinism.
 		sort.Slice(exposed, func(i, j int) bool {
-			if exposed[i].Power != exposed[j].Power {
-				return exposed[i].Power > exposed[j].Power
+			a, b := exposed[i], exposed[j]
+			if units[a] != units[b] {
+				return units[a] > units[b]
 			}
-			return exposed[i].Name < exposed[j].Name
+			return replicas[a].Name < replicas[b].Name
 		})
 		take := SeverityTake(len(exposed), v.Severity)
 		fault := Fault{Vuln: v.ID}
-		for _, r := range exposed[:take] {
-			fault.Compromised = append(fault.Compromised, r.Name)
-			fault.Power += r.Power
-			compromisedOnce[r.Name] = r.Power
+		var taken uint64
+		for _, i := range exposed[:take] {
+			fault.Compromised = append(fault.Compromised, replicas[i].Name)
+			taken += units[i]
+			compromisedOnce[replicas[i].Name] = units[i]
 		}
-		if totalPower > 0 {
-			fault.PowerFraction = fault.Power / totalPower
-		}
+		fault.Power, fault.PowerFraction = UnitsPower(taken), UnitFraction(taken, total)
 		inj.Faults = append(inj.Faults, fault)
 		inj.SumFraction += fault.PowerFraction
 	}
-	if totalPower > 0 {
-		var dedup float64
-		for _, name := range slices.Sorted(maps.Keys(compromisedOnce)) {
-			dedup += compromisedOnce[name]
-		}
-		inj.TotalFraction = dedup / totalPower
+	var dedup uint64
+	for _, u := range compromisedOnce {
+		dedup += u
 	}
+	inj.TotalFraction = UnitFraction(dedup, total)
 	return inj, nil
 }
