@@ -6,14 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/vuln"
 )
 
 // testSpec is the examples/watch fleet as a tenant seed: 60% of power on
@@ -262,8 +259,8 @@ func TestAdvanceRejectsNegativeBy(t *testing.T) {
 }
 
 // TestOverflowingPowerIs422: the registry's summed power stops at
-// vuln.MaxPowerUnits. Joins and PATCHes that reach it exactly are accepted; one
-// unit past it, like a power that rounds to 0 units, gets 400, as any
+// vuln.MaxPowerUnits. Joins and PATCHes that reach it exactly are accepted;
+// one unit past it, like a power that rounds to 0 units, gets 400, as any
 // invalid power does, and changes nothing. A weighting that takes the
 // weighted total past the ceiling leaves the tenant unassessable — 422 on
 // the read routes, as for every assess error — rather than safe at a
@@ -271,7 +268,7 @@ func TestAdvanceRejectsNegativeBy(t *testing.T) {
 func TestOverflowingPowerIs422(t *testing.T) {
 	s := NewServer()
 	defer s.Close()
-	powers := ceilingPowers(t)
+	powers := ceilingPowers
 	last := len(powers) - 1
 	for _, tenant := range []string{"face", "weighted"} {
 		spec := TenantSpec{Virtual: true, Vulns: []VulnSpec{{
@@ -326,33 +323,10 @@ func TestOverflowingPowerIs422(t *testing.T) {
 	}
 }
 
-// ceilingPowers returns powers whose units sum to exactly vuln.MaxPowerUnits,
-// the last of them a few units, so one unit more is representable.
-func ceilingPowers(t *testing.T) []float64 {
-	t.Helper()
-	rest := uint64(vuln.MaxPowerUnits) - 6e18
-	p := float64(rest) / vuln.PowerUnit
-	u, err := vuln.PowerUnits(p)
-	for ; err == nil && u >= rest; u, err = vuln.PowerUnits(p) {
-		p = math.Nextafter(p, 0)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := []float64{6e9, p, float64(rest-u) / vuln.PowerUnit}
-	var sum uint64
-	for _, p := range out {
-		u, err := vuln.PowerUnits(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum += u
-	}
-	if sum != vuln.MaxPowerUnits {
-		t.Fatalf("powers %v sum to %d units, want %d", out, sum, uint64(vuln.MaxPowerUnits))
-	}
-	return out
-}
+// ceilingPowers' units, 6e18 + 148 914 691 236 517 184 + 21, sum to
+// exactly vuln.MaxPowerUnits; the last is small, so one unit more is
+// representable.
+var ceilingPowers = []float64{6e9, 1.489146912365172e8, 2.1e-8}
 
 // readBodies is the status and body of every read route of the tenant.
 func readBodies(t *testing.T, s http.Handler, tenant string) string {

@@ -86,7 +86,7 @@ func TestJoinValidation(t *testing.T) {
 // the snapshot, while face value stands.
 func TestPowerCeiling(t *testing.T) {
 	r := New(nil, nil)
-	powers := ceilingPowers(t)
+	powers := ceilingPowers
 	for i, p := range powers {
 		if err := r.JoinDeclared(ReplicaID(fmt.Sprint(i)), testCfg(fmt.Sprint(i)), p, 0); err != nil {
 			t.Fatalf("join %d at %v: %v", i, p, err)
@@ -126,33 +126,10 @@ func TestPowerCeiling(t *testing.T) {
 	}
 }
 
-// ceilingPowers returns powers whose units sum to exactly vuln.MaxPowerUnits,
-// the last of them a few units, so one unit more is representable.
-func ceilingPowers(t *testing.T) []float64 {
-	t.Helper()
-	rest := uint64(vuln.MaxPowerUnits) - 6e18
-	p := float64(rest) / vuln.PowerUnit
-	u, err := vuln.PowerUnits(p)
-	for ; err == nil && u >= rest; u, err = vuln.PowerUnits(p) {
-		p = math.Nextafter(p, 0)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := []float64{6e9, p, float64(rest-u) / vuln.PowerUnit}
-	var sum uint64
-	for _, p := range out {
-		u, err := vuln.PowerUnits(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum += u
-	}
-	if sum != vuln.MaxPowerUnits {
-		t.Fatalf("powers %v sum to %d units, want %d", out, sum, uint64(vuln.MaxPowerUnits))
-	}
-	return out
-}
+// ceilingPowers' units, 6e18 + 148 914 691 236 517 184 + 21, sum to
+// exactly vuln.MaxPowerUnits; the last is small, so one unit more is
+// representable.
+var ceilingPowers = []float64{6e9, 1.489146912365172e8, 2.1e-8}
 
 func TestJoinAttestedVerifiesQuote(t *testing.T) {
 	auth := attest.NewAuthority("tpm2")
