@@ -103,7 +103,7 @@ type GroupInjector struct {
 
 type giBucket struct {
 	cfg        config.Configuration
-	groups     []giGroup     // attack order: power desc, latency asc, first name asc
+	groups     []giGroup     // attack order: power desc
 	exps       []*giExposure // exposures matching the bucket, in indexing order
 	maxLatency time.Duration
 	units      uint64 // Σ members × units: the bucket's share of TotalPower
@@ -247,18 +247,9 @@ func (b *giBucket) fill(bs BucketSpec, groups []giGroup) int {
 	b.groups = groups[:n:n]
 	// Power-descending, so activeAt merges these lists directly into the
 	// attack-priority order walkTake consumes. The take logic resolves an
-	// equal-power class as a unit; the tie-break makes the order total, so
-	// the producer's listing order moves nothing. Names are globally
-	// unique, so no two non-empty groups tie on the first name.
-	slices.SortFunc(b.groups, func(x, y giGroup) int {
-		if c := cmp.Compare(y.Units, x.Units); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(x.Latency, y.Latency); c != 0 {
-			return c
-		}
-		return cmp.Compare(x.Names[0], y.Names[0])
-	})
+	// equal-power class as a unit and every sum is over integers, so the
+	// order inside a class moves nothing.
+	slices.SortFunc(b.groups, func(x, y giGroup) int { return cmp.Compare(y.Units, x.Units) })
 	for _, g := range b.groups {
 		b.units += uint64(len(g.Names)) * g.Units
 	}
