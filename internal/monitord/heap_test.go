@@ -50,10 +50,9 @@ func heapAfterGC() uint64 {
 func TestTenantHeapAllocations(t *testing.T) {
 	const (
 		replicas = 2000
-		// Measured 170.8 B per replica (Go 1.24, linux/amd64; 169.2 under
-		// -race), plus 10 %. With a record per replica, an ID-order slice
-		// and a copy of every group in the exposure index it was 284.3 B.
-		ceiling = 188
+		// Measured 317.7 B per replica (Go 1.24, linux/amd64; 318.8 under
+		// -race), plus 10 %.
+		ceiling = 350
 		// Bytes the tenant may grow by over the mutations: measured 12-18 kB,
 		// where a journal of every mutation alone would hold 4 096-8 192
 		// entries of 80 B.
@@ -104,6 +103,9 @@ func TestTenantHeapAllocations(t *testing.T) {
 		t.Errorf("after 20 000 mutations the tenant grew by %d B, bound %d", grown, growth)
 	}
 	runtime.KeepAlive(s)
+	// The spec was built before base: freed any earlier, it would take its
+	// own bytes off both measurements.
+	runtime.KeepAlive(body)
 }
 
 // TestUnreadBurstOnWire: after 4 097 mutations nobody reads, the next
