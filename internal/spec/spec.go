@@ -35,9 +35,11 @@ func (d Duration) MarshalJSON() ([]byte, error) {
 // the first byte says which.
 func (d *Duration) UnmarshalJSON(b []byte) error {
 	if len(b) > 0 && b[0] == '"' {
-		var s string
-		if err := json.Unmarshal(b, &s); err != nil {
-			return err
+		s, ok := plainString(b)
+		if !ok {
+			if err := json.Unmarshal(b, &s); err != nil {
+				return err
+			}
 		}
 		v, err := time.ParseDuration(s)
 		if err != nil {
@@ -52,6 +54,23 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 	}
 	*d = Duration(n)
 	return nil
+}
+
+// plainString returns the contents of a quoted JSON string that decodes to
+// itself: printable ASCII with no escape and no inner quote, which is what
+// every duration a client writes looks like. Anything else is left to
+// json.Unmarshal, whose values and errors are the reference.
+func plainString(b []byte) (string, bool) {
+	if len(b) < 2 || b[len(b)-1] != '"' {
+		return "", false
+	}
+	inner := b[1 : len(b)-1]
+	for _, c := range inner {
+		if c < ' ' || c > '~' || c == '\\' || c == '"' {
+			return "", false
+		}
+	}
+	return string(inner), true
 }
 
 // ComponentSpec is the serializable form of one config.Component; Class is
