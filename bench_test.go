@@ -319,7 +319,7 @@ func BenchmarkWorstWindow(b *testing.B) {
 func benchMonitor(b *testing.B) (*registry.Registry, *core.Monitor) {
 	b.Helper()
 	cat, _ := benchVulnScenario(0)
-	reg := registry.New(nil, nil)
+	reg := registry.New(nil)
 	for i := 0; i < 500; i++ {
 		cfg := config.MustNew(config.Component{
 			Class: config.ClassOperatingSystem, Name: fmt.Sprintf("os-%d", i%10), Version: "1",

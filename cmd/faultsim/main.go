@@ -134,7 +134,7 @@ func substrateFor(name string, seats int) (core.Substrate, error) {
 // buildScenario spreads n replicas over κ OS configurations round-robin and
 // publishes one zero-day per OS product, staggered in time.
 func buildScenario(n, kappa int) (*registry.Registry, *vuln.Catalog, error) {
-	reg := registry.New(nil, nil)
+	reg := registry.New(nil)
 	for i := 0; i < n; i++ {
 		cfg := config.MustNew(config.Component{
 			Class:   config.ClassOperatingSystem,

@@ -25,7 +25,7 @@ func main() {
 
 	// 1. A permissionless registry: anyone can join with a declared
 	//    configuration and voting power.
-	reg := registry.New(nil, nil)
+	reg := registry.New(nil)
 	join := func(id, osName string, power float64) {
 		cfg := config.MustNew(config.Component{
 			Class: config.ClassOperatingSystem, Name: osName, Version: "22.04",

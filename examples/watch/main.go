@@ -28,7 +28,7 @@ func main() {
 	log.SetFlags(0)
 
 	// The quickstart fleet: three replicas on one OS, two diverse.
-	reg := registry.New(nil, nil)
+	reg := registry.New(nil)
 	join := func(id, osName string, power float64) {
 		cfg := config.MustNew(config.Component{
 			Class: config.ClassOperatingSystem, Name: osName, Version: "22.04",

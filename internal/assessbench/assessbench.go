@@ -84,7 +84,7 @@ func Registry(n int) (*registry.Registry, error) {
 			Class: config.ClassOperatingSystem, Name: fmt.Sprintf("os-%d", i), Version: "1",
 		})
 	}
-	reg := registry.New(nil, nil)
+	reg := registry.New(nil)
 	for i := 0; i < n; i++ {
 		id := registry.ReplicaID(fmt.Sprintf("r-%07d", i))
 		err := reg.JoinDeclared(id, configs[i%Products],

@@ -71,7 +71,7 @@ func TestSec2CBoundaryIsExact(t *testing.T) {
 			if past {
 				powers[first] += 1e-9
 			}
-			reg := registry.New(nil, nil)
+			reg := registry.New(nil)
 			var reps []vuln.Replica
 			exact, held := new(big.Rat), new(big.Rat)
 			var c, total uint64

@@ -19,7 +19,7 @@ func osCfg(name string) config.Configuration {
 
 func testRegistry(t *testing.T) *registry.Registry {
 	t.Helper()
-	reg := registry.New(nil, nil)
+	reg := registry.New(nil)
 	// 3 replicas on debian (monoculture cluster), 1 each on two others.
 	for _, j := range []struct {
 		id  registry.ReplicaID
@@ -49,7 +49,7 @@ func debianVuln() *vuln.Catalog {
 }
 
 func TestNewMonitorValidation(t *testing.T) {
-	reg := registry.New(nil, nil)
+	reg := registry.New(nil)
 	if _, err := NewMonitor(nil); err == nil {
 		t.Fatal("nil registry accepted")
 	}
@@ -291,7 +291,7 @@ func TestMonitorRefusesOverflowingWeightedPower(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	reg := registry.New(nil, nil)
+	reg := registry.New(nil)
 	for _, os := range []string{"a", "b"} {
 		if err := reg.JoinDeclared(registry.ReplicaID(os), osCfg(os), half, 0); err != nil {
 			t.Fatal(err)
@@ -516,7 +516,7 @@ func TestCapSharesValidation(t *testing.T) {
 }
 
 func TestEvaluateTwoTier(t *testing.T) {
-	reg := registry.New(nil, nil)
+	reg := registry.New(nil)
 	// Attested tier: diverse, modest power. Declared tier: a debian
 	// monoculture holding most of the power.
 	type join struct {

@@ -51,7 +51,7 @@ func TestIncrementalMatchesColdRebuild(t *testing.T) {
 	)
 	rng := rand.New(rand.NewSource(20230108))
 	weighting := registry.Weighting{Attested: 1, Declared: 0.5}
-	reg := registry.New(nil, nil)
+	reg := registry.New(nil)
 	cat := vuln.NewCatalog()
 	mon, err := NewMonitor(reg, WithCatalog(cat), WithWeighting(weighting))
 	if err != nil {

@@ -107,7 +107,7 @@ func (c *memoCase) mutate(t *testing.T) {
 
 func newMemoCase(t *testing.T, rng *rand.Rand) *memoCase {
 	t.Helper()
-	c := &memoCase{rng: rng, reg: registry.New(nil, nil), cat: vuln.NewCatalog()}
+	c := &memoCase{rng: rng, reg: registry.New(nil), cat: vuln.NewCatalog()}
 	for i, n := 0, 1+rng.Intn(24); i < n; i++ {
 		c.join(t)
 	}

@@ -39,7 +39,7 @@ func TestSubstrateTable(t *testing.T) {
 		if c.got.Name != c.name || c.got.Tolerance != c.tol {
 			t.Errorf("substrate %+v, want %s at %v", c.got, c.name, c.tol)
 		}
-		mon, err := NewMonitor(registry.New(nil, nil), WithSubstrate(c.got))
+		mon, err := NewMonitor(registry.New(nil), WithSubstrate(c.got))
 		if err != nil {
 			t.Errorf("%s rejected: %v", c.name, err)
 			continue
@@ -78,11 +78,11 @@ func TestSubstrateTable(t *testing.T) {
 		t.Errorf("Committee(3) = %+v, want an error", s)
 	}
 	for _, f := range []float64{0, 1, -0.1, 1.5, math.NaN()} {
-		if _, err := NewMonitor(registry.New(nil, nil), WithSubstrate(Threshold(f))); err == nil {
+		if _, err := NewMonitor(registry.New(nil), WithSubstrate(Threshold(f))); err == nil {
 			t.Errorf("tolerance %v accepted", f)
 		}
 	}
-	if _, err := NewMonitor(registry.New(nil, nil), WithSubstrate(Substrate{})); err == nil {
+	if _, err := NewMonitor(registry.New(nil), WithSubstrate(Substrate{})); err == nil {
 		t.Error("zero Substrate accepted")
 	}
 }

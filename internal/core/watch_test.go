@@ -124,7 +124,7 @@ func TestWatchChurnDuringStream(t *testing.T) {
 // stream closes AND the tick-source goroutine shuts down even though the
 // caller never cancels its context.
 func TestWatchStopsTickSourceOnAssessFailure(t *testing.T) {
-	reg := registry.New(nil, nil)
+	reg := registry.New(nil)
 	if err := reg.JoinDeclared("solo", osCfg("debian"), 10, 0); err != nil {
 		t.Fatal(err)
 	}

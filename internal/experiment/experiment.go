@@ -363,7 +363,7 @@ func TwoTierWeighting(discounts []float64) (*metrics.Table, []TwoTierRow, error)
 
 func buildTwoTierRegistry() (*registry.Registry, error) {
 	auth := newTestAuthority()
-	reg := registry.New(auth.authority, nil)
+	reg := registry.New(auth.authority)
 	// Attested, diverse consensus clients.
 	clients := []string{"client-a", "client-b", "client-c", "client-d", "client-e", "client-f"}
 	for i, cl := range clients {

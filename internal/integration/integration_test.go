@@ -28,7 +28,7 @@ import (
 func buildAttestedFleet(t *testing.T, n int, osOf, clientOf func(i int) string) (*registry.Registry, *attest.Authority) {
 	t.Helper()
 	auth := attest.NewAuthority("tpm2")
-	reg := registry.New(auth, nil)
+	reg := registry.New(auth)
 	for i := 0; i < n; i++ {
 		dev, err := attest.NewDevice("tpm2", uint64(i))
 		if err != nil {
@@ -179,7 +179,7 @@ func TestRecoveredRegistryRejoinsAfterRevocation(t *testing.T) {
 	// Device revocation (SGX.Fail-style trusted-hardware compromise):
 	// a revoked device cannot re-attest; a fresh device can.
 	auth := attest.NewAuthority("tpm2")
-	reg := registry.New(auth, nil)
+	reg := registry.New(auth)
 	dev, _ := attest.NewDevice("tpm2", 1)
 	cfg := config.MustNew(config.Component{Class: config.ClassOperatingSystem, Name: "debian", Version: "12"})
 	vote := cryptoutil.DeriveKeyPair("rejoin", 1)

@@ -153,23 +153,17 @@ func buildTenant(name string, ts TenantSpec) (*Tenant, error) {
 		interval: interval,
 		created:  time.Now(),
 	}
-	var now func() time.Duration
-	if ts.Virtual {
-		t.vt = core.NewVirtualTime()
-		now = t.vt.Now
-	} else {
-		now = func() time.Duration { return time.Since(t.created) }
-	}
-	t.Registry = registry.New(nil, now)
+	t.Registry = registry.New(nil)
 
 	opts := []core.Option{
 		core.WithCatalog(t.Catalog),
 		core.WithWatchInterval(interval),
 	}
-	if t.vt != nil {
+	if ts.Virtual {
+		t.vt = core.NewVirtualTime()
 		opts = append(opts, core.WithVirtualTime(t.vt))
 	} else {
-		opts = append(opts, core.WithClock(now))
+		opts = append(opts, core.WithClock(func() time.Duration { return time.Since(t.created) }))
 	}
 	sub, err := substrateFor(ts)
 	if err != nil {

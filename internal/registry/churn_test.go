@@ -21,7 +21,7 @@ import (
 // invalidates cached snapshots like any other churn.
 func TestMigrate(t *testing.T) {
 	auth := attest.NewAuthority("tpm2")
-	r := New(auth, nil)
+	r := New(auth)
 	attestedJoin(t, r, auth, "a", "debian", 10)
 	if err := r.JoinDeclared("b", testCfg("fedora"), 10, 0); err != nil {
 		t.Fatal(err)
@@ -67,7 +67,7 @@ func TestMigrate(t *testing.T) {
 // Population, Distribution and Replicas must describe the same instant —
 // even though the membership is moving underneath.
 func TestSnapshotConsistencyUnderInterleavedChurn(t *testing.T) {
-	r := New(nil, nil)
+	r := New(nil)
 	for i := 0; i < 16; i++ {
 		id := ReplicaID(fmt.Sprintf("base-%02d", i))
 		if err := r.JoinDeclared(id, testCfg(fmt.Sprintf("os-%d", i%4)), 10, time.Hour); err != nil {
@@ -190,7 +190,7 @@ func TestMigrateRacingSnapshotReaders(t *testing.T) {
 		rounds   = 600
 		readers  = 4
 	)
-	r := New(nil, nil)
+	r := New(nil)
 	allowed := make(map[string]bool)
 	for c := 0; c < configs; c++ {
 		allowed[testCfg(fmt.Sprintf("os-%d", c)).Digest().String()] = true
@@ -284,7 +284,7 @@ func TestMigrateRacingSnapshotReaders(t *testing.T) {
 // Migrate, bumps the generation and produces a fresh snapshot reflecting
 // the change.
 func TestSnapshotInvalidationPerMutationKind(t *testing.T) {
-	r := New(nil, nil)
+	r := New(nil)
 	if err := r.JoinDeclared("a", testCfg("debian"), 10, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestSnapshotInvalidationPerMutationKind(t *testing.T) {
 // emptying out, buckets disappearing and both weightings.
 func TestDeltaSnapshotCarriesPowerClasses(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	r := New(nil, nil)
+	r := New(nil)
 	weightings := []Weighting{DefaultWeighting, {Attested: 1, Declared: 0.5}}
 	var alive []ReplicaID
 	for step := 0; step < 600; step++ {

@@ -17,7 +17,7 @@ import (
 // once under the same weighting. The records must all be declared.
 func sameAsFull(t *testing.T, r *Registry, s *Snapshot) {
 	t.Helper()
-	fresh := New(nil, nil)
+	fresh := New(nil)
 	for _, rec := range r.Records() {
 		if err := fresh.JoinDeclared(rec.ID, rec.Config, rec.Power, rec.PatchLatency); err != nil {
 			t.Fatal(err)
@@ -66,7 +66,7 @@ func heapAfterGC() uint64 {
 // of one bucket re-exports that bucket alone, so it costs nothing in
 // proportion to the mutations missed.
 func TestStaleSnapshotAllocations(t *testing.T) {
-	r := New(nil, nil)
+	r := New(nil)
 	if err := r.JoinDeclared("a", testCfg("debian"), 1, time.Hour); err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestStaleSnapshotAllocations(t *testing.T) {
 // the same snapshot.
 func TestJournalMissCount(t *testing.T) {
 	const oldBound = 4096
-	r := New(nil, nil)
+	r := New(nil)
 	for i := 0; i < 8; i++ {
 		if err := r.JoinDeclared(ReplicaID(fmt.Sprintf("r-%d", i)), testCfg(fmt.Sprintf("os-%d", i%3)), 1, 0); err != nil {
 			t.Fatal(err)
@@ -137,7 +137,7 @@ func TestJournalMissCount(t *testing.T) {
 // mutations touched it, so its next snapshot is still a delta.
 func TestJournalSpansCachedSnapshots(t *testing.T) {
 	const oldMax = 2 * 4096 // the mutation journal's former cap
-	r := New(nil, nil)
+	r := New(nil)
 	for i := 0; i < 12; i++ {
 		if err := r.JoinDeclared(ReplicaID(fmt.Sprintf("r-%02d", i)), testCfg(fmt.Sprintf("os-%d", i%4)), float64(1+i), 0); err != nil {
 			t.Fatal(err)
@@ -207,7 +207,7 @@ func TestJournalSpansCachedSnapshots(t *testing.T) {
 func TestPropDirtySetsMatchFull(t *testing.T) {
 	const steps = 10_500
 	rng := rand.New(rand.NewSource(30))
-	r := New(nil, nil)
+	r := New(nil)
 	for _, id := range []ReplicaID{"quiet-0", "quiet-1"} {
 		if err := r.JoinDeclared(id, testCfg("quiet"), 3, 0); err != nil {
 			t.Fatal(err)
@@ -296,7 +296,7 @@ func TestPropDirtySetsMatchFull(t *testing.T) {
 // TestRecordsShareBucketConfiguration: a record holds its bucket's
 // configuration, not the value its join or migration built.
 func TestRecordsShareBucketConfiguration(t *testing.T) {
-	r := New(nil, nil)
+	r := New(nil)
 	for _, id := range []ReplicaID{"a", "b"} {
 		if err := r.JoinDeclared(id, testCfg("debian"), 1, 0); err != nil {
 			t.Fatal(err)
@@ -310,7 +310,7 @@ func TestRecordsShareBucketConfiguration(t *testing.T) {
 	}
 	b := r.buckets[testCfg("debian").Digest()]
 	for _, id := range []ReplicaID{"a", "b", "c"} {
-		if !sameValue(r.records[id].g.b.cfg, b.cfg) {
+		if !sameValue(r.records[id].b.cfg, b.cfg) {
 			t.Errorf("%s: record keeps its own configuration value", id)
 		}
 	}
@@ -330,18 +330,20 @@ func TestResidentHeapAllocations(t *testing.T) {
 	const (
 		replicas = 32_000
 		products = 32
-		// Measured 139.4 B per replica (Go 1.24, linux/amd64, with and
-		// without -race), plus 10 %. With a record per replica and an
-		// ID-order slice it was 210.6 B; with a configuration value per
-		// replica and a journal entry per join as well, 389.2 B.
-		ceiling = 154
+		// Measured 95.6 B per replica (Go 1.24, linux/amd64, with and
+		// without -race), plus 10 %. With a two-word entry per replica and
+		// a copy of every group in the snapshot it was 139.4 B; with a
+		// record per replica and an ID-order slice, 210.6 B; with a
+		// configuration value per replica and a journal entry per join as
+		// well, 389.2 B.
+		ceiling = 106
 	)
 	ids := make([]ReplicaID, replicas)
 	for i := range ids {
 		ids[i] = ReplicaID(fmt.Sprintf("r-%07d", i))
 	}
 	base := heapAfterGC()
-	r := New(nil, nil)
+	r := New(nil)
 	for i, id := range ids {
 		cfg := config.MustNew(config.Component{Class: config.ClassOperatingSystem, Name: fmt.Sprintf("os-%d", i%products), Version: "1"})
 		if err := r.JoinDeclared(id, cfg, float64(1+i%97), time.Duration(i%5)*12*time.Hour); err != nil {

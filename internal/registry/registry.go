@@ -64,8 +64,8 @@ func (t Tier) String() string {
 }
 
 // Record is one live replica, as Get and Records report it. It is a view
-// built per call: the registry stores a replica as its equivalence group
-// and join time, and keeps the vote key of an attested replica aside.
+// built per call: the registry stores a replica as a pointer to its
+// equivalence group, and keeps the vote key of an attested replica aside.
 // Power is the stored units converted back (vuln.UnitsPower).
 type Record struct {
 	ID           ReplicaID
@@ -73,7 +73,6 @@ type Record struct {
 	Power        float64
 	Tier         Tier
 	VoteKey      ed25519.PublicKey
-	JoinedAt     time.Duration
 	PatchLatency time.Duration
 }
 
@@ -110,30 +109,29 @@ func (w Weighting) weigh(u uint64, t Tier) (uint64, error) {
 }
 
 // group is one equivalence class within a bucket: members sharing (power
-// units, tier, patch latency). Member names are kept ascending; the slice is
-// shared with exported snapshots via copy-on-write — a mutation copies it
-// only if a snapshot marked it shared since the last copy, so sustained
-// churn on an unexported group mutates in place. A replica's power, tier,
-// latency and configuration are read from its group and the group's
-// bucket, and stored nowhere else.
+// units, tier, patch latency). Its vuln.GroupSpec holds the raw units, the
+// latency and the member names, ascending; a snapshot under a weighting
+// that leaves the units as they are exports that very GroupSpec. A
+// replica's power, tier, latency and configuration are read from its group
+// and the group's bucket, and stored nowhere else.
 type group struct {
-	units   uint64 // raw power of one member, in units of 1e-9
-	tier    Tier
-	latency time.Duration
-	names   []string // ascending replica IDs
-	b       *bucket  // the bucket holding the group
+	vuln.GroupSpec
+	tier Tier
 
-	// shared marks the names slice as exported into a snapshot and hence
-	// immutable. Set under the registry read lock serialized by snapMu;
-	// read and cleared under the write lock — never raced.
-	shared bool
+	// frozen marks a group exported into a snapshot and hence immutable: a
+	// mutation replaces it (replaceGroup) instead of editing it, so
+	// sustained churn on an unexported group edits in place. Set under the
+	// registry read lock serialized by snapMu; read under the write lock —
+	// never raced.
+	frozen bool
+	b      *bucket // the bucket holding the group
 }
 
 // cmp orders groups by (units, tier, latency) ascending; 0 means same group.
 func (g *group) cmp(units uint64, tier Tier, latency time.Duration) int {
 	switch {
-	case g.units != units:
-		if g.units < units {
+	case g.Units != units:
+		if g.Units < units {
 			return -1
 		}
 		return 1
@@ -142,48 +140,13 @@ func (g *group) cmp(units uint64, tier Tier, latency time.Duration) int {
 			return -1
 		}
 		return 1
-	case g.latency != latency:
-		if g.latency < latency {
+	case g.Latency != latency:
+		if g.Latency < latency {
 			return -1
 		}
 		return 1
 	}
 	return 0
-}
-
-// insert adds a name keeping ascending order, copying first when the slice
-// is shared with a snapshot.
-func (g *group) insert(name string) {
-	i := sort.SearchStrings(g.names, name)
-	if g.shared {
-		ns := make([]string, len(g.names)+1)
-		copy(ns, g.names[:i])
-		ns[i] = name
-		copy(ns[i+1:], g.names[i:])
-		g.names = ns
-		g.shared = false
-		return
-	}
-	g.names = append(g.names, "")
-	copy(g.names[i+1:], g.names[i:])
-	g.names[i] = name
-}
-
-// remove deletes a name, copying first when the slice is shared, and
-// returns the group's own copy of it: the string the replica joined with.
-func (g *group) remove(name string) string {
-	i := sort.SearchStrings(g.names, name)
-	stored := g.names[i]
-	if g.shared {
-		ns := make([]string, len(g.names)-1)
-		copy(ns, g.names[:i])
-		copy(ns[i:], g.names[i+1:])
-		g.names = ns
-		g.shared = false
-		return stored
-	}
-	g.names = slices.Delete(g.names, i, i+1)
-	return stored
 }
 
 // bucket holds every replica sharing one configuration digest. The
@@ -206,7 +169,7 @@ func (b *bucket) groupFor(units uint64, tier Tier, latency time.Duration) *group
 	if i < len(b.groups) && b.groups[i].cmp(units, tier, latency) == 0 {
 		return b.groups[i]
 	}
-	g := &group{units: units, tier: tier, latency: latency, b: b}
+	g := &group{GroupSpec: vuln.GroupSpec{Units: units, Latency: latency}, tier: tier, b: b}
 	b.groups = slices.Insert(b.groups, i, g)
 	return g
 }
@@ -232,10 +195,9 @@ type Registry struct {
 	// observe a half-applied mutation.
 	mu        sync.RWMutex
 	authority *attest.Authority
-	records   map[ReplicaID]member
+	records   map[ReplicaID]*group            // a replica's entry is its group
 	voteKeys  map[ReplicaID]ed25519.PublicKey // attested replicas only
 	epoch     uint64
-	now       func() time.Duration
 
 	buckets  map[config.ID]*bucket
 	attested int // replicas per tier, maintained incrementally
@@ -255,17 +217,6 @@ type Registry struct {
 	snaps  map[Weighting]*cachedSnap
 }
 
-// member is a replica's entry: its equivalence group, which holds its
-// name, power, tier, latency and (through the group's bucket) its
-// configuration, and the time it joined. A mutation that moves the replica
-// writes the entry back under the group's copy of the name, never the
-// caller's: assigning to an existing key stores the assigned key's string,
-// and a caller's ID may be a slice of a far larger string.
-type member struct {
-	g        *group
-	joinedAt time.Duration
-}
-
 // cachedSnap is a weighting's last snapshot and the buckets mutated since.
 // A dirty set holds each touched bucket key once, however many mutations
 // went unread.
@@ -275,18 +226,14 @@ type cachedSnap struct {
 }
 
 // New creates a registry. authority may be nil when only declared joins are
-// used; now supplies the virtual clock (nil means a constant zero clock).
-func New(authority *attest.Authority, now func() time.Duration) *Registry {
-	if now == nil {
-		now = func() time.Duration { return 0 }
-	}
+// used.
+func New(authority *attest.Authority) *Registry {
 	return &Registry{
 		authority: authority,
-		records:   make(map[ReplicaID]member),
+		records:   make(map[ReplicaID]*group),
 		voteKeys:  make(map[ReplicaID]ed25519.PublicKey),
 		buckets:   make(map[config.ID]*bucket),
 		snaps:     make(map[Weighting]*cachedSnap),
-		now:       now,
 	}
 }
 
@@ -367,8 +314,7 @@ func (r *Registry) join(rec Record) error {
 	if err := r.reserve(0, u, rec.Power); err != nil {
 		return err
 	}
-	g := r.bucketAdd(string(rec.ID), rec.Config, u, rec.Tier, rec.PatchLatency)
-	r.records[rec.ID] = member{g: g, joinedAt: r.now()}
+	r.records[rec.ID] = r.bucketAdd(string(rec.ID), rec.Config, u, rec.Tier, rec.PatchLatency)
 	if rec.Tier == TierAttested {
 		r.voteKeys[rec.ID] = rec.VoteKey
 		r.attested++
@@ -383,20 +329,20 @@ func (r *Registry) join(rec Record) error {
 func (r *Registry) Leave(id ReplicaID) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	m, ok := r.records[id]
+	g, ok := r.records[id]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownReplica, id)
 	}
-	r.bucketRemove(m.g, id)
-	r.units -= m.g.units
-	if m.g.tier == TierAttested {
+	r.bucketRemove(g, id)
+	r.units -= g.Units
+	if g.tier == TierAttested {
 		delete(r.voteKeys, id)
 		r.attested--
 	} else {
 		r.declared--
 	}
 	delete(r.records, id)
-	r.bumpGen(m.g.b.cfg.Digest())
+	r.bumpGen(g.b.cfg.Digest())
 	return nil
 }
 
@@ -409,17 +355,15 @@ func (r *Registry) SetPower(id ReplicaID, p float64) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	m, ok := r.records[id]
+	g, ok := r.records[id]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownReplica, id)
 	}
-	g := m.g
-	if err := r.reserve(g.units, u, p); err != nil {
+	if err := r.reserve(g.Units, u, p); err != nil {
 		return err
 	}
 	name := r.bucketRemove(g, id)
-	m.g = r.bucketAdd(name, g.b.cfg, u, g.tier, g.latency)
-	r.records[ReplicaID(name)] = m
+	r.records[ReplicaID(name)] = r.bucketAdd(name, g.b.cfg, u, g.tier, g.Latency)
 	r.bumpGen(g.b.cfg.Digest())
 	return nil
 }
@@ -433,19 +377,17 @@ func (r *Registry) SetPower(id ReplicaID, p float64) error {
 func (r *Registry) Migrate(id ReplicaID, cfg config.Configuration) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	m, ok := r.records[id]
+	g, ok := r.records[id]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownReplica, id)
 	}
-	g := m.g
 	name := r.bucketRemove(g, id)
 	if g.tier == TierAttested {
 		delete(r.voteKeys, id)
 		r.attested--
 		r.declared++
 	}
-	m.g = r.bucketAdd(name, cfg, g.units, TierDeclared, g.latency)
-	r.records[ReplicaID(name)] = m
+	r.records[ReplicaID(name)] = r.bucketAdd(name, cfg, g.Units, TierDeclared, g.Latency)
 	r.bumpGen(g.b.cfg.Digest(), cfg.Digest())
 	return nil
 }
@@ -463,9 +405,10 @@ func (r *Registry) reserve(old, u uint64, p float64) error {
 }
 
 // bucketAdd places the named replica in its configuration bucket, creating
-// bucket and group as needed, and returns its group. The bucket keeps the
-// configuration it was created with: the digest is the bucket key, so every
-// replica of a bucket shares one value. r.mu must be held for writing.
+// bucket and group as needed, and returns its group; the caller points the
+// replica's entry at it. The bucket keeps the configuration it was created
+// with: the digest is the bucket key, so every replica of a bucket shares
+// one value. r.mu must be held for writing.
 func (r *Registry) bucketAdd(name string, cfg config.Configuration, units uint64, tier Tier, latency time.Duration) *group {
 	digest := cfg.Digest()
 	b := r.buckets[digest]
@@ -474,25 +417,52 @@ func (r *Registry) bucketAdd(name string, cfg config.Configuration, units uint64
 		r.buckets[digest] = b
 	}
 	g := b.groupFor(units, tier, latency)
-	g.insert(name)
+	i := sort.SearchStrings(g.Names, name)
+	if g.frozen {
+		g = r.replaceGroup(g, slices.Concat(g.Names[:i], []string{name}, g.Names[i:]))
+	} else {
+		g.Names = slices.Insert(g.Names, i, name)
+	}
 	b.count++
 	return g
 }
 
 // bucketRemove takes the replica out of its group g, dropping emptied
-// groups and buckets, and returns the group's copy of its name. r.mu must
-// be held for writing.
+// groups and buckets, and returns the group's copy of its name: the string
+// the replica joined with. A mutation writes the replica's entry back under
+// that copy, never the caller's, because assigning to an existing key
+// stores the assigned key's string and a caller's ID may be a slice of a
+// far larger string. r.mu must be held for writing.
 func (r *Registry) bucketRemove(g *group, id ReplicaID) string {
-	name := g.remove(string(id))
+	i := sort.SearchStrings(g.Names, string(id))
+	name := g.Names[i]
 	b := g.b
-	if len(g.names) == 0 {
+	switch {
+	case len(g.Names) == 1:
 		b.dropGroup(g)
+	case g.frozen:
+		r.replaceGroup(g, slices.Concat(g.Names[:i], g.Names[i+1:]))
+	default:
+		g.Names = slices.Delete(g.Names, i, i+1)
 	}
 	b.count--
 	if b.count == 0 {
 		delete(r.buckets, b.cfg.Digest())
 	}
 	return name
+}
+
+// replaceGroup puts a copy of the frozen group g, holding names, in g's
+// place in its bucket and points the entries of names at it, so a snapshot
+// keeps g as it was. names must not share storage with g's. O(|names|), as
+// copying the names is. r.mu must be held for writing.
+func (r *Registry) replaceGroup(g *group, names []string) *group {
+	ng := &group{GroupSpec: vuln.GroupSpec{Units: g.Units, Latency: g.Latency, Names: names}, tier: g.tier, b: g.b}
+	g.b.groups[slices.Index(g.b.groups, g)] = ng
+	for _, name := range names {
+		r.records[ReplicaID(name)] = ng
+	}
+	return ng
 }
 
 // bumpGen advances the mutation generation and marks the touched buckets
@@ -507,15 +477,14 @@ func (r *Registry) bumpGen(keys ...config.ID) {
 }
 
 // record builds the view of one replica. r.mu must be held.
-func (r *Registry) record(id ReplicaID, m member) Record {
+func (r *Registry) record(id ReplicaID, g *group) Record {
 	return Record{
 		ID:           id,
-		Config:       m.g.b.cfg,
-		Power:        vuln.UnitsPower(m.g.units),
-		Tier:         m.g.tier,
+		Config:       g.b.cfg,
+		Power:        vuln.UnitsPower(g.Units),
+		Tier:         g.tier,
 		VoteKey:      r.voteKeys[id],
-		JoinedAt:     m.joinedAt,
-		PatchLatency: m.g.latency,
+		PatchLatency: g.Latency,
 	}
 }
 
@@ -523,11 +492,11 @@ func (r *Registry) record(id ReplicaID, m member) Record {
 func (r *Registry) Get(id ReplicaID) (Record, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	m, ok := r.records[id]
+	g, ok := r.records[id]
 	if !ok {
 		return Record{}, false
 	}
-	return r.record(id, m), true
+	return r.record(id, g), true
 }
 
 // Size reports the number of live replicas.
@@ -559,8 +528,8 @@ func (r *Registry) Records() []Record {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	out := make([]Record, 0, len(r.records))
-	for id, m := range r.records {
-		out = append(out, r.record(id, m))
+	for id, g := range r.records {
+		out = append(out, r.record(id, g))
 	}
 	slices.SortFunc(out, func(a, b Record) int { return cmp.Compare(a.ID, b.ID) })
 	return out
@@ -584,7 +553,7 @@ func (r *Registry) TierCounts() (attested, declared int, attestedPower, declared
 	for _, b := range r.buckets {
 		for _, g := range b.groups {
 			if g.tier == TierAttested {
-				att += uint64(len(g.names)) * g.units
+				att += uint64(len(g.Names)) * g.Units
 			}
 		}
 	}

@@ -38,7 +38,7 @@ func attestedJoin(t *testing.T, r *Registry, auth *attest.Authority, id ReplicaI
 }
 
 func TestJoinDeclaredAndLeave(t *testing.T) {
-	r := New(nil, nil)
+	r := New(nil)
 	if err := r.JoinDeclared("a", testCfg("ubuntu"), 10, time.Hour); err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestJoinDeclaredAndLeave(t *testing.T) {
 }
 
 func TestJoinValidation(t *testing.T) {
-	r := New(nil, nil)
+	r := New(nil)
 	if err := r.JoinDeclared("", testCfg("x"), 1, 0); err == nil {
 		t.Fatal("empty id accepted")
 	}
@@ -85,7 +85,7 @@ func TestJoinValidation(t *testing.T) {
 // nothing. A weighting whose weighted total would pass the ceiling fails
 // the snapshot, while face value stands.
 func TestPowerCeiling(t *testing.T) {
-	r := New(nil, nil)
+	r := New(nil)
 	powers := ceilingPowers
 	for i, p := range powers {
 		if err := r.JoinDeclared(ReplicaID(fmt.Sprint(i)), testCfg(fmt.Sprint(i)), p, 0); err != nil {
@@ -133,7 +133,7 @@ var ceilingPowers = []float64{6e9, 1.489146912365172e8, 2.1e-8}
 
 func TestJoinAttestedVerifiesQuote(t *testing.T) {
 	auth := attest.NewAuthority("tpm2")
-	r := New(auth, nil)
+	r := New(auth)
 	attestedJoin(t, r, auth, "good", "debian", 5)
 	rec, _ := r.Get("good")
 	if rec.Tier != TierAttested {
@@ -146,7 +146,7 @@ func TestJoinAttestedVerifiesQuote(t *testing.T) {
 
 func TestJoinAttestedRejectsWrongConfig(t *testing.T) {
 	auth := attest.NewAuthority("tpm2")
-	r := New(auth, nil)
+	r := New(auth)
 	dev, _ := attest.NewDevice("tpm2", 1)
 	vote := cryptoutil.DeriveKeyPair("vote", 1)
 	measured := testCfg("debian")
@@ -163,7 +163,7 @@ func TestJoinAttestedRejectsWrongConfig(t *testing.T) {
 
 func TestJoinAttestedRejectsBadQuote(t *testing.T) {
 	auth := attest.NewAuthority("tpm2")
-	r := New(auth, nil)
+	r := New(auth)
 	dev, _ := attest.NewDevice("rogue-vendor", 1)
 	vote := cryptoutil.DeriveKeyPair("vote", 1)
 	cfg := testCfg("debian")
@@ -174,7 +174,7 @@ func TestJoinAttestedRejectsBadQuote(t *testing.T) {
 }
 
 func TestJoinAttestedNoAuthority(t *testing.T) {
-	r := New(nil, nil)
+	r := New(nil)
 	if err := r.JoinAttested("a", testCfg("x"), attest.Quote{}, 1, 0); err == nil {
 		t.Fatal("attested join without authority accepted")
 	}
@@ -182,7 +182,7 @@ func TestJoinAttestedNoAuthority(t *testing.T) {
 
 func TestJoinAttestedCommitted(t *testing.T) {
 	auth := attest.NewAuthority("intel-sgx")
-	r := New(auth, nil)
+	r := New(auth)
 	dev, _ := attest.NewDevice("intel-sgx", 9)
 	vote := cryptoutil.DeriveKeyPair("vote", 9)
 	cfg := testCfg("fedora")
@@ -216,7 +216,7 @@ func TestJoinAttestedCommitted(t *testing.T) {
 }
 
 func TestSetPower(t *testing.T) {
-	r := New(nil, nil)
+	r := New(nil)
 	r.JoinDeclared("a", testCfg("x"), 1, 0)
 	if err := r.SetPower("a", 42); err != nil {
 		t.Fatal(err)
@@ -233,18 +233,8 @@ func TestSetPower(t *testing.T) {
 	}
 }
 
-func TestJoinedAtUsesClock(t *testing.T) {
-	now := 7 * time.Hour
-	r := New(nil, func() time.Duration { return now })
-	r.JoinDeclared("a", testCfg("x"), 1, 0)
-	rec, _ := r.Get("a")
-	if rec.JoinedAt != 7*time.Hour {
-		t.Fatalf("JoinedAt = %v", rec.JoinedAt)
-	}
-}
-
 func TestEpoch(t *testing.T) {
-	r := New(nil, nil)
+	r := New(nil)
 	if r.Epoch() != 0 {
 		t.Fatal("initial epoch not 0")
 	}
@@ -254,7 +244,7 @@ func TestEpoch(t *testing.T) {
 }
 
 func TestRecordsSortedCopies(t *testing.T) {
-	r := New(nil, nil)
+	r := New(nil)
 	r.JoinDeclared("b", testCfg("x"), 1, 0)
 	r.JoinDeclared("a", testCfg("y"), 2, 0)
 	recs := r.Records()
@@ -285,7 +275,7 @@ func TestWeightingValidate(t *testing.T) {
 
 func TestPopulationAndDistribution(t *testing.T) {
 	auth := attest.NewAuthority("tpm2")
-	r := New(auth, nil)
+	r := New(auth)
 	attestedJoin(t, r, auth, "att1", "debian", 10)
 	r.JoinDeclared("dec1", testCfg("debian"), 10, 0)
 	r.JoinDeclared("dec2", testCfg("ubuntu"), 20, 0)
@@ -317,7 +307,7 @@ func TestPopulationAndDistribution(t *testing.T) {
 }
 
 func TestVulnReplicasAdapter(t *testing.T) {
-	r := New(nil, nil)
+	r := New(nil)
 	r.JoinDeclared("a", testCfg("debian"), 10, 3*time.Hour)
 	vs, err := r.VulnReplicas(DefaultWeighting)
 	if err != nil {
@@ -346,7 +336,7 @@ func TestVulnReplicasAdapter(t *testing.T) {
 
 func TestTierCounts(t *testing.T) {
 	auth := attest.NewAuthority("tpm2")
-	r := New(auth, nil)
+	r := New(auth)
 	attestedJoin(t, r, auth, "att1", "debian", 10)
 	r.JoinDeclared("dec1", testCfg("ubuntu"), 30, 0)
 	a, d, ap, dp := r.TierCounts()
@@ -363,7 +353,7 @@ func TestTierCounts(t *testing.T) {
 func TestReportIgnoresClassOrder(t *testing.T) {
 	powers := []float64{0.3, 0.3, 0.3, 0.4, 0.7, 0.6, 0.6, 0.6}
 	for run := 0; run < 200; run++ {
-		r := New(nil, nil)
+		r := New(nil)
 		for i, p := range powers {
 			if err := r.JoinDeclared(ReplicaID(fmt.Sprintf("r%d", i)), testCfg(fmt.Sprintf("os-%d", i)), p, 0); err != nil {
 				t.Fatal(err)
@@ -387,7 +377,7 @@ func TestReportIgnoresClassOrder(t *testing.T) {
 // the registry is quiet, a fresh one after any mutation, and distinct
 // entries per weighting within one generation.
 func TestSnapshotMemoization(t *testing.T) {
-	r := New(nil, nil)
+	r := New(nil)
 	r.JoinDeclared("a", testCfg("debian"), 10, time.Hour)
 	r.JoinDeclared("b", testCfg("ubuntu"), 30, time.Hour)
 
@@ -462,7 +452,7 @@ func TestSnapshotMemoization(t *testing.T) {
 // VulnReplicas hands out a private copy: mutating it must not poison the
 // shared snapshot other readers see.
 func TestVulnReplicasCopyIsolation(t *testing.T) {
-	r := New(nil, nil)
+	r := New(nil)
 	r.JoinDeclared("a", testCfg("debian"), 10, time.Hour)
 	vs, err := r.VulnReplicas(DefaultWeighting)
 	if err != nil {
@@ -481,7 +471,7 @@ func TestVulnReplicasCopyIsolation(t *testing.T) {
 // Population hands out a private copy: its public Add must not poison the
 // shared snapshot (same isolation VulnReplicas has).
 func TestPopulationCopyIsolation(t *testing.T) {
-	r := New(nil, nil)
+	r := New(nil)
 	r.JoinDeclared("a", testCfg("debian"), 10, time.Hour)
 	pop, err := r.Population(DefaultWeighting)
 	if err != nil {

@@ -166,32 +166,41 @@ func countClasses(classes map[uint64]int, sb *SnapBucket, sign int) {
 var errOverflow = errors.New("registry: weighted power is past the ceiling of vuln.MaxPowerUnits units")
 
 // exportBucketLocked builds the immutable snapshot view of a bucket under
-// w, marking the group name slices shared so later mutations copy on
-// write. r.mu (read) and r.snapMu must be held.
+// w: the bucket's own groups in attack order, freezing each so a later
+// mutation replaces it instead of editing it. A group whose units w changes
+// is exported as a weighted copy sharing its names. r.mu (read) and
+// r.snapMu must be held.
 func (r *Registry) exportBucketLocked(b *bucket, w Weighting) (*SnapBucket, error) {
 	sb := &SnapBucket{
 		BucketSpec: vuln.BucketSpec{Key: b.label, Config: b.cfg},
 		Count:      b.count,
 	}
-	sb.Groups = make([]vuln.GroupSpec, 0, len(b.groups))
-	for _, g := range b.groups {
-		wu, err := w.weigh(g.units, g.tier)
+	sb.Groups = make([]*vuln.GroupSpec, 0, len(b.groups))
+	for _, g := range slices.Backward(b.groups) { // raw units descending
+		wu, err := w.weigh(g.Units, g.tier)
 		if err != nil {
 			return nil, errOverflow
 		}
 		var ok bool
-		if sb.Units, ok = vuln.AddUnits(sb.Units, len(g.names), wu); !ok {
+		if sb.Units, ok = vuln.AddUnits(sb.Units, len(g.Names), wu); !ok {
 			return nil, errOverflow
 		}
-		sb.Groups = append(sb.Groups, vuln.GroupSpec{
-			Units:   wu,
-			Latency: g.latency,
-			Names:   g.names,
-		})
-		g.shared = true
+		spec := &g.GroupSpec
+		if wu != g.Units {
+			spec = &vuln.GroupSpec{Units: wu, Latency: g.Latency, Names: g.Names}
+		}
+		sb.Groups = append(sb.Groups, spec)
+		g.frozen = true
+	}
+	// Tier multipliers can reorder the raw order.
+	if !slices.IsSortedFunc(sb.Groups, byUnitsDesc) {
+		slices.SortStableFunc(sb.Groups, byUnitsDesc)
 	}
 	return sb, nil
 }
+
+// byUnitsDesc is the attack order vuln.BucketSpec lists groups in.
+func byUnitsDesc(x, y *vuln.GroupSpec) int { return cmp.Compare(y.Units, x.Units) }
 
 // deltaSnapshotLocked builds the snapshot at the current generation by
 // re-exporting only the changed buckets and sharing every other

@@ -1,9 +1,9 @@
 package registry
 
 import (
+	"slices"
 	"strings"
 	"testing"
-	"time"
 	"unsafe"
 
 	"repro/internal/attest"
@@ -13,7 +13,7 @@ import (
 // group dropped from a bucket, do not stay reachable in the spare capacity
 // of the slice they were removed from.
 func TestRemovedEntriesLeaveSpareCapacity(t *testing.T) {
-	r := New(nil, nil)
+	r := New(nil)
 	for _, id := range []ReplicaID{"a", "b", "c"} {
 		if err := r.JoinDeclared(id, testCfg("debian"), 1, 0); err != nil {
 			t.Fatal(err)
@@ -22,11 +22,11 @@ func TestRemovedEntriesLeaveSpareCapacity(t *testing.T) {
 	if err := r.JoinDeclared("x", testCfg("debian"), 2, 0); err != nil {
 		t.Fatal(err)
 	}
-	g := r.records["a"].g
+	g := r.records["a"]
 	if err := r.Leave("c"); err != nil {
 		t.Fatal(err)
 	}
-	if names := g.names; len(names) != 2 || names[:cap(names)][len(names)] != "" {
+	if names := g.Names; len(names) != 2 || names[:cap(names)][len(names)] != "" {
 		t.Errorf("after Leave(c) the group reads %v and holds %q past its end", names, names[:cap(names)][len(names)])
 	}
 	if err := r.Leave("x"); err != nil {
@@ -40,9 +40,10 @@ func TestRemovedEntriesLeaveSpareCapacity(t *testing.T) {
 // TestMutationsKeepStoredID: SetPower and Migrate called with an ID sliced
 // out of a larger string (a request line, say) leave the registry holding
 // the string the replica joined with, in its entry's key and in its group,
-// so no mutation pins the caller's string.
+// so no mutation pins the caller's string — whether the group it leaves is
+// edited in place or, held by a snapshot, replaced.
 func TestMutationsKeepStoredID(t *testing.T) {
-	r := New(nil, func() time.Duration { return 3 * time.Hour })
+	r := New(nil)
 	joined := strings.Clone("replica-7")
 	if err := r.JoinDeclared(ReplicaID(joined), testCfg("debian"), 1, 0); err != nil {
 		t.Fatal(err)
@@ -52,35 +53,50 @@ func TestMutationsKeepStoredID(t *testing.T) {
 	caller := ReplicaID(line[i : i+len(joined)])
 	check := func(step string) {
 		t.Helper()
-		for key, m := range r.records {
+		for key, g := range r.records {
+			if key != ReplicaID(joined) {
+				continue
+			}
 			if unsafe.StringData(string(key)) != unsafe.StringData(joined) {
 				t.Errorf("after %s the entry's key is not the joined string", step)
 			}
-			for _, name := range m.g.names {
-				if unsafe.StringData(name) != unsafe.StringData(joined) {
-					t.Errorf("after %s the group's name is not the joined string", step)
-				}
+			if i := slices.Index(g.Names, joined); i < 0 || unsafe.StringData(g.Names[i]) != unsafe.StringData(joined) {
+				t.Errorf("after %s the group's name is not the joined string", step)
 			}
 		}
-		if rec, _ := r.Get(caller); rec.JoinedAt != 3*time.Hour {
-			t.Errorf("after %s JoinedAt = %v", step, rec.JoinedAt)
+	}
+	for _, snap := range []bool{false, true} {
+		if err := r.JoinDeclared("other", testCfg("debian"), 2, 0); err != nil {
+			t.Fatal(err)
+		}
+		if snap {
+			mustSnapshot(t, r, DefaultWeighting)
+		}
+		if err := r.SetPower(caller, 2); err != nil {
+			t.Fatal(err)
+		}
+		check("SetPower")
+		if snap {
+			mustSnapshot(t, r, DefaultWeighting)
+		}
+		if err := r.Migrate(caller, testCfg("ubuntu")); err != nil {
+			t.Fatal(err)
+		}
+		check("Migrate")
+		if err := r.Leave("other"); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.SetPower(caller, 1); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if err := r.SetPower(caller, 2); err != nil {
-		t.Fatal(err)
-	}
-	check("SetPower")
-	if err := r.Migrate(caller, testCfg("ubuntu")); err != nil {
-		t.Fatal(err)
-	}
-	check("Migrate")
 }
 
 // TestVoteKeysFollowTier: the side map holds a vote key exactly while its
 // replica is attested.
 func TestVoteKeysFollowTier(t *testing.T) {
 	auth := attest.NewAuthority("tpm2")
-	r := New(auth, nil)
+	r := New(auth)
 	attestedJoin(t, r, auth, "p", "debian", 1)
 	attestedJoin(t, r, auth, "q", "debian", 1)
 	if len(r.voteKeys) != 2 {

@@ -16,7 +16,7 @@ import (
 // id order can fall out of bucket or group order by accident.
 func viewsRegistry(t *testing.T) *Registry {
 	t.Helper()
-	r := New(nil, nil)
+	r := New(nil)
 	for i := 0; i < 60; i++ {
 		id := ReplicaID(fmt.Sprintf("r-%02d", (i*37)%60))
 		cfg := testCfg([]string{"debian", "fedora", "openbsd", "alpine"}[i%4])

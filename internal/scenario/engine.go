@@ -43,9 +43,12 @@ type Engine struct {
 
 	// parked holds the pre-partition power of replicas currently cut off
 	// by a partition, so a heal can restore it. crashed does the same for
-	// crash/restore; the two faults are mutually exclusive per replica.
-	parked  map[registry.ReplicaID]parkedPower
-	crashed map[registry.ReplicaID]parkedPower
+	// crash/restore; the two faults are mutually exclusive per replica. A
+	// leave deletes the replica's entry, so an entry always belongs to the
+	// live incarnation of its ID: one that left and re-joined inherits
+	// nothing.
+	parked  map[registry.ReplicaID]float64
+	crashed map[registry.ReplicaID]float64
 	// links tracks currently degraded replica pairs, so restore-link can
 	// reject restoring a link that was never degraded.
 	links map[linkPair]bool
@@ -96,19 +99,10 @@ func (e *Engine) Observe(o Observer) {
 	}
 }
 
-// parkedPower remembers one partitioned replica's pre-partition power and
-// when the partition took it. A record whose JoinedAt is later than `at`
-// is a new incarnation of the id (left and re-joined mid-partition) and
-// must not inherit the dead incarnation's power.
-type parkedPower struct {
-	power float64
-	at    time.Duration
-}
-
 // newEngine assembles the run state for one scenario at one derived seed.
 func newEngine(def Def, seed int64) (*Engine, error) {
 	sched := sim.NewScheduler(seed)
-	reg := registry.New(nil, sched.Now)
+	reg := registry.New(nil)
 	catalog := vuln.NewCatalog()
 	mon, err := core.NewMonitor(reg,
 		core.WithCatalog(catalog),
@@ -124,8 +118,8 @@ func newEngine(def Def, seed int64) (*Engine, error) {
 		reg:     reg,
 		catalog: catalog,
 		mon:     mon,
-		parked:  make(map[registry.ReplicaID]parkedPower),
-		crashed: make(map[registry.ReplicaID]parkedPower),
+		parked:  make(map[registry.ReplicaID]float64),
+		crashed: make(map[registry.ReplicaID]float64),
 		links:   make(map[linkPair]bool),
 	}, nil
 }
@@ -205,8 +199,9 @@ func (e *Engine) joinAt(t time.Duration, id registry.ReplicaID, cfg config.Confi
 	})
 }
 
-// leaveAt schedules a leave. A replica leaving while partitioned forfeits
-// its parked power — a later heal must not resurrect it.
+// leaveAt schedules a leave. A replica leaving while partitioned or crashed
+// forfeits its parked power — a later heal or restore must not resurrect
+// it, not even into a re-joined replica of the same ID.
 func (e *Engine) leaveAt(t time.Duration, id registry.ReplicaID) error {
 	return e.atEvent(t, "leave", func(*Engine) (string, EventInfo, error) {
 		info := EventInfo{Kind: "leave", IDs: []registry.ReplicaID{id}}
@@ -229,13 +224,12 @@ func (e *Engine) setPowerAt(t time.Duration, id registry.ReplicaID, p float64) e
 		if _, err := vuln.PowerUnits(p); err != nil {
 			return "", info, err
 		}
-		rec, ok := e.reg.Get(id)
-		if entry, parked := e.parked[id]; parked && ok && rec.JoinedAt <= entry.at {
-			e.parked[id] = parkedPower{power: p, at: entry.at}
+		if _, parked := e.parked[id]; parked {
+			e.parked[id] = p
 			return fmt.Sprintf("%s power=%s (partitioned; applies at heal)", id, fmtPower(p)), info, nil
 		}
-		if entry, down := e.crashed[id]; down && ok && rec.JoinedAt <= entry.at {
-			e.crashed[id] = parkedPower{power: p, at: entry.at}
+		if _, down := e.crashed[id]; down {
+			e.crashed[id] = p
 			return fmt.Sprintf("%s power=%s (crashed; applies at restore)", id, fmtPower(p)), info, nil
 		}
 		if err := e.reg.SetPower(id, p); err != nil {
@@ -294,19 +288,18 @@ func (e *Engine) disclose(v vuln.Vulnerability) error {
 func (e *Engine) partitionAt(t time.Duration, ids ...registry.ReplicaID) error {
 	return e.atEvent(t, "partition", func(*Engine) (string, EventInfo, error) {
 		info := EventInfo{Kind: "partition", IDs: ids}
-		now := e.sched.Now()
 		for _, id := range ids {
 			rec, ok := e.reg.Get(id)
 			if !ok {
 				return "", info, fmt.Errorf("partition: unknown replica %s", id)
 			}
-			if entry, already := e.parked[id]; already && rec.JoinedAt <= entry.at {
+			if _, already := e.parked[id]; already {
 				return "", info, fmt.Errorf("partition: replica %s already partitioned", id)
 			}
-			if entry, down := e.crashed[id]; down && rec.JoinedAt <= entry.at {
+			if _, down := e.crashed[id]; down {
 				return "", info, fmt.Errorf("partition: replica %s is crashed", id)
 			}
-			e.parked[id] = parkedPower{power: rec.Power, at: now}
+			e.parked[id] = rec.Power
 			if err := e.reg.SetPower(id, 0); err != nil {
 				return "", info, err
 			}
@@ -317,8 +310,7 @@ func (e *Engine) partitionAt(t time.Duration, ids ...registry.ReplicaID) error {
 
 // healAt schedules the heal of a previous partition: every currently
 // partitioned replica gets its pre-partition power back. A replica that
-// left while partitioned is simply forgotten — its parked power must not
-// survive into a later incarnation of the same id.
+// left while partitioned is not among them (leaveAt).
 func (e *Engine) healAt(t time.Duration) error {
 	return e.atEvent(t, "heal", func(*Engine) (string, EventInfo, error) {
 		ids := make([]registry.ReplicaID, 0, len(e.parked))
@@ -327,21 +319,15 @@ func (e *Engine) healAt(t time.Duration) error {
 		}
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 		info := EventInfo{Kind: "heal"}
-		n := 0
 		for _, id := range ids {
-			entry := e.parked[id]
+			power := e.parked[id]
 			delete(e.parked, id)
-			rec, ok := e.reg.Get(id)
-			if !ok || rec.JoinedAt > entry.at {
-				continue // left (and possibly re-joined) while partitioned
-			}
-			if err := e.reg.SetPower(id, entry.power); err != nil {
+			if err := e.reg.SetPower(id, power); err != nil {
 				return "", info, err
 			}
 			info.IDs = append(info.IDs, id)
-			n++
 		}
-		return fmt.Sprintf("%d replicas rejoined", n), info, nil
+		return fmt.Sprintf("%d replicas rejoined", len(info.IDs)), info, nil
 	})
 }
 
@@ -352,19 +338,18 @@ func (e *Engine) healAt(t time.Duration) error {
 func (e *Engine) crashAt(t time.Duration, ids ...registry.ReplicaID) error {
 	return e.atEvent(t, "crash", func(*Engine) (string, EventInfo, error) {
 		info := EventInfo{Kind: "crash", IDs: ids}
-		now := e.sched.Now()
 		for _, id := range ids {
 			rec, ok := e.reg.Get(id)
 			if !ok {
 				return "", info, fmt.Errorf("crash: unknown replica %s", id)
 			}
-			if entry, down := e.crashed[id]; down && rec.JoinedAt <= entry.at {
+			if _, down := e.crashed[id]; down {
 				return "", info, fmt.Errorf("crash: replica %s already crashed", id)
 			}
-			if entry, parked := e.parked[id]; parked && rec.JoinedAt <= entry.at {
+			if _, parked := e.parked[id]; parked {
 				return "", info, fmt.Errorf("crash: replica %s is partitioned", id)
 			}
-			e.crashed[id] = parkedPower{power: rec.Power, at: now}
+			e.crashed[id] = rec.Power
 			if err := e.reg.SetPower(id, 0); err != nil {
 				return "", info, err
 			}
@@ -375,7 +360,7 @@ func (e *Engine) crashAt(t time.Duration, ids ...registry.ReplicaID) error {
 
 // restoreAt schedules the restart of crashed replicas: the named ones (or
 // every crashed replica when none are named) get their pre-crash power
-// back. A replica that left while crashed stays gone.
+// back. A replica that left while crashed is no longer crashed (leaveAt).
 func (e *Engine) restoreAt(t time.Duration, ids ...registry.ReplicaID) error {
 	return e.atEvent(t, "restore", func(*Engine) (string, EventInfo, error) {
 		targets := ids
@@ -387,24 +372,18 @@ func (e *Engine) restoreAt(t time.Duration, ids ...registry.ReplicaID) error {
 			sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
 		}
 		info := EventInfo{Kind: "restore"}
-		n := 0
 		for _, id := range targets {
-			entry, down := e.crashed[id]
+			power, down := e.crashed[id]
 			if !down {
 				return "", info, fmt.Errorf("restore: replica %s is not crashed", id)
 			}
 			delete(e.crashed, id)
-			rec, ok := e.reg.Get(id)
-			if !ok || rec.JoinedAt > entry.at {
-				continue // left (and possibly re-joined) while crashed
-			}
-			if err := e.reg.SetPower(id, entry.power); err != nil {
+			if err := e.reg.SetPower(id, power); err != nil {
 				return "", info, err
 			}
 			info.IDs = append(info.IDs, id)
-			n++
 		}
-		return fmt.Sprintf("%d replicas restored", n), info, nil
+		return fmt.Sprintf("%d replicas restored", len(info.IDs)), info, nil
 	})
 }
 

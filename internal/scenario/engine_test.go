@@ -211,6 +211,34 @@ func TestEngineRejoinBeforeHeal(t *testing.T) {
 	}
 }
 
+// TestEngineRejoinBeforeRestore is the crash twin of
+// TestEngineRejoinBeforeHeal: a replica that leaves while crashed and
+// re-joins before the restore comes back at its new power, and the restore
+// gives it nothing of the old incarnation's.
+func TestEngineRejoinBeforeRestore(t *testing.T) {
+	def := testDef("crash-rejoin", 5*time.Hour, 5*time.Hour,
+		join(0, "a", testCfg("linux"), 10, 0),
+		join(0, "b", testCfg("bsd"), 30, 0),
+		crash(time.Hour, "b"),
+		leave(2*time.Hour, "b"),
+		join(3*time.Hour, "b", testCfg("bsd"), 7, 0),
+		restore(4*time.Hour),
+	)
+	res, err := Run(def, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := res.Records[len(res.Records)-1]
+	if last.Power != 17 {
+		t.Errorf("final power %v, want 17 (10 + re-joined 7)", last.Power)
+	}
+	for _, rec := range res.Records {
+		if rec.Event == "restore" && rec.Detail != "0 replicas restored" {
+			t.Errorf("restore detail %q, want nobody: the crashed incarnation left", rec.Detail)
+		}
+	}
+}
+
 // TestEnginePowerShiftDuringPartition: a power shift landing on a
 // partitioned replica updates the parked power (it stays at 0 effective
 // power until heal, which then restores the shifted value).

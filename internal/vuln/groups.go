@@ -15,11 +15,10 @@ import (
 // (the enclosing BucketSpec's), equal per-member power, and equal patch
 // latency. Members of a group are interchangeable for every assessment
 // computation, so the grouped injector reasons about (count × power)
-// aggregates instead of individual replicas. Names is sorted ascending and
-// treated as immutable: producers (the registry snapshot) share the slice
-// and copy-on-write when membership changes. A GroupInjector keeps a
-// pointer to each GroupSpec it is given and reads it on every evaluation,
-// so a spec must not be mutated once handed over.
+// aggregates instead of individual replicas. Names is sorted ascending. A
+// GroupSpec is immutable once handed over: the registry hands its own
+// groups to snapshots and replaces, never edits, a group a snapshot holds,
+// and a GroupInjector reads the specs it was given on every evaluation.
 type GroupSpec struct {
 	Units   uint64 // per-member (weighted) voting power in units of 1e-9 (PowerUnits)
 	Latency time.Duration
@@ -30,14 +29,16 @@ type GroupSpec struct {
 // configuration itself, and the equivalence groups over its members.
 // Because the key is the configuration digest, the set of vulnerabilities
 // matching a bucket is fixed for the bucket's lifetime — only group
-// membership changes under churn. A GroupInjector retains the Groups slice
-// (see GroupSpec): replace a bucket by passing a new BucketSpec, never by
-// editing the old one. Registry snapshots, the production producer, hand
-// over immutable specs.
+// membership changes under churn. Groups is in attack order, Units
+// descending, with no empty group (registry snapshots, the production
+// producer, export them so); a GroupInjector then reads the slice in place,
+// and sorts a private copy of any other listing. A GroupInjector retains
+// the Groups slice (see GroupSpec): replace a bucket by passing a new
+// BucketSpec, never by editing the old one.
 type BucketSpec struct {
 	Key    string // configuration digest string
 	Config config.Configuration
-	Groups []GroupSpec
+	Groups []*GroupSpec
 }
 
 // GroupInjector is the O(Δ)-maintainable counterpart of Injector: the same
@@ -54,7 +55,7 @@ type BucketSpec struct {
 // name-ascending selection across a class's groups always takes a prefix
 // of each group's (ascending) member list. Dedup across vulnerabilities is
 // therefore "longest taken prefix per group", which walkTake maintains in
-// per-group marks. The flat Injector remains the cross-check oracle.
+// per-instant slots. The flat Injector remains the cross-check oracle.
 //
 // Powers are integer units (GroupSpec.Units), so every sum is exact in any
 // order and a fraction is one division of two exact integers. The summed
@@ -69,18 +70,21 @@ type GroupInjector struct {
 	exposures []*giExposure   // vulnerability-ID ascending
 	known     map[ID]struct{} // vulnerability IDs already indexed
 
-	// Rebuild carves buckets, groups and exposures out of these slabs and
-	// reuses them, with the storage their elements hold, on the next
-	// Rebuild — unless ApplyBuckets has let the bucket slabs go.
+	// Rebuild carves buckets, the sorted copies of listings not in attack
+	// order, and exposures out of these slabs and reuses them, with the
+	// storage their elements hold, on the next Rebuild — unless
+	// ApplyBuckets has let the bucket slabs go.
 	bucketSlab []giBucket
-	groupSlab  []giGroup
+	groupSlab  []*GroupSpec
 	expSlab    []giExposure
 
-	// Per-instant scratch: marks on groups dedup compromised members
-	// across vulnerabilities (longest prefix wins); touched lists the
-	// groups marked this instant so summing them is O(marked groups).
+	// Per-instant scratch: taken dedups compromised members across
+	// vulnerabilities, holding the longest taken prefix (0 until one is) of
+	// every group of the buckets in marked, one run of slots per bucket
+	// from its base; a bucket whose mark is not markGen has no slots yet.
 	markGen uint64
-	touched []*giGroup
+	marked  []*giBucket
+	taken   []int
 	open    []giItem    // current exposure's open-window items
 	pos     []int       // k-way-merge cursors
 	bs      []*giBucket // current exposure's live matching buckets
@@ -103,7 +107,7 @@ type GroupInjector struct {
 
 type giBucket struct {
 	cfg        config.Configuration
-	groups     []giGroup     // attack order: power desc
+	groups     []*GroupSpec  // attack order: the spec's own slice, or a sorted copy
 	exps       []*giExposure // exposures matching the bucket, in indexing order
 	maxLatency time.Duration
 	units      uint64 // Σ members × units: the bucket's share of TotalPower
@@ -112,6 +116,11 @@ type giBucket struct {
 	// use. A bucket is replaced wholesale when its groups change, which
 	// drops the index.
 	lat []latStep
+
+	// mark == GroupInjector.markGen when the bucket has dedup slots this
+	// instant, taken[base+i] for groups[i].
+	mark uint64
+	base int
 }
 
 // latStep is one entry of a bucket's latency index: a distinct patch
@@ -121,21 +130,12 @@ type latStep struct {
 	suffix  uint64        // Σ members × units over groups with latency ≥ this one
 }
 
-// giGroup is one of the producer's groups plus the per-instant dedup
-// state. Power, latency and names are read through the spec, so the index
-// holds no copy of them.
-type giGroup struct {
-	*GroupSpec // the producer's group; read-only
-
-	mark  uint64 // == GroupInjector.markGen when touched this instant
-	taken int    // longest taken prefix this instant (valid when marked)
-}
-
 // giItem is one open (vulnerability, group) exposure at the instant under
-// evaluation: the group plus the vulnerability's window close for that
-// group's latency.
+// evaluation: the group, its dedup slot, and the vulnerability's window
+// close for that group's latency.
 type giItem struct {
-	g       *giGroup
+	g       *GroupSpec
+	slot    int // index into GroupInjector.taken
 	closeAt time.Duration
 }
 
@@ -183,7 +183,7 @@ func (gi *GroupInjector) Rebuild(catalog *Catalog, buckets []BucketSpec) error {
 	// never touches a slab neighbour.
 	nGroups := 0
 	for _, bs := range buckets {
-		nGroups += liveGroups(bs)
+		nGroups += copiedGroups(bs)
 	}
 	gi.bucketSlab = slices.Grow(gi.bucketSlab[:0], len(buckets))[:len(buckets)]
 	gi.groupSlab = slices.Grow(gi.groupSlab[:0], nGroups)[:nGroups]
@@ -206,51 +206,60 @@ func (gi *GroupInjector) Rebuild(catalog *Catalog, buckets []BucketSpec) error {
 		gi.exposures = append(gi.exposures, &gi.expSlab[i])
 	}
 	gi.markGen, gi.nextBoundary = 0, 0
-	gi.touched, gi.open, gi.byDisclosed = gi.touched[:0], gi.open[:0], gi.byDisclosed[:0]
+	gi.marked, gi.taken = gi.marked[:0], gi.taken[:0]
+	gi.open, gi.byDisclosed = gi.open[:0], gi.byDisclosed[:0]
 	gi.sweepInstants, gi.sweepEvaluated = 0, 0
 	return nil
 }
 
-// liveGroups counts the spec's non-empty groups — the ones a giBucket keeps.
-func liveGroups(bs BucketSpec) int {
+// copiedGroups is the number of group pointers a giBucket copies out of
+// the spec: 0 when the listing is already in attack order (Units
+// descending, no empty group) and is read in place, else its non-empty
+// groups, which the bucket sorts into a private copy.
+func copiedGroups(bs BucketSpec) int {
 	n := 0
 	for _, g := range bs.Groups {
 		if len(g.Names) > 0 {
 			n++
 		}
 	}
+	if n == len(bs.Groups) && slices.IsSortedFunc(bs.Groups, byUnitsDesc) {
+		return 0
+	}
 	return n
 }
+
+// byUnitsDesc is attack order. The take logic resolves an equal-power class
+// as a unit and every sum is over integers, so the order inside a class
+// moves nothing.
+func byUnitsDesc(x, y *GroupSpec) int { return cmp.Compare(y.Units, x.Units) }
 
 // newGiBucket builds one stand-alone bucket (ApplyBuckets' unit of change).
 func newGiBucket(bs BucketSpec) *giBucket {
 	b := new(giBucket)
-	b.fill(bs, make([]giGroup, liveGroups(bs)))
+	b.fill(bs, make([]*GroupSpec, copiedGroups(bs)))
 	return b
 }
 
-// fill initialises b from the spec, storing its n = liveGroups(bs) groups
-// in attack order at the front of groups, and returns n. Only the storage
-// of b's exposure list survives; the list itself starts empty.
-func (b *giBucket) fill(bs BucketSpec, groups []giGroup) int {
-	*b = giBucket{cfg: bs.Config, exps: b.exps[:0]}
-	n := 0
-	for i := range bs.Groups {
-		g := &bs.Groups[i]
-		if len(g.Names) == 0 {
-			continue
+// fill initialises b from the spec and returns n = copiedGroups(bs): the
+// spec's groups are read in place when n is 0, and otherwise copied to the
+// front of slab and sorted there, so that activeAt merges the buckets'
+// lists directly into the attack-priority order walkTake consumes. Only the
+// storage of b's exposure list survives; the list itself starts empty.
+func (b *giBucket) fill(bs BucketSpec, slab []*GroupSpec) int {
+	*b = giBucket{cfg: bs.Config, groups: bs.Groups, exps: b.exps[:0]}
+	n := copiedGroups(bs)
+	if n > 0 {
+		b.groups = slab[:0:n]
+		for _, g := range bs.Groups {
+			if len(g.Names) > 0 {
+				b.groups = append(b.groups, g)
+			}
 		}
-		groups[n] = giGroup{GroupSpec: g}
-		n++
-		b.maxLatency = max(b.maxLatency, g.Latency)
+		slices.SortFunc(b.groups, byUnitsDesc)
 	}
-	b.groups = groups[:n:n]
-	// Power-descending, so activeAt merges these lists directly into the
-	// attack-priority order walkTake consumes. The take logic resolves an
-	// equal-power class as a unit and every sum is over integers, so the
-	// order inside a class moves nothing.
-	slices.SortFunc(b.groups, func(x, y giGroup) int { return cmp.Compare(y.Units, x.Units) })
 	for _, g := range b.groups {
+		b.maxLatency = max(b.maxLatency, g.Latency)
 		b.units += uint64(len(g.Names)) * g.Units
 	}
 	return n
@@ -427,8 +436,20 @@ func (gi *GroupInjector) TotalPower() uint64 { return gi.total }
 
 func (gi *GroupInjector) beginInstant() {
 	gi.markGen++
-	gi.touched = gi.touched[:0]
+	gi.marked, gi.taken = gi.marked[:0], gi.taken[:0]
 	gi.nextBoundary = Never
+}
+
+// slots returns the first of b's dedup slots this instant, opening a zeroed
+// run of them on b's first use.
+func (gi *GroupInjector) slots(b *giBucket) int {
+	if b.mark != gi.markGen {
+		b.mark, b.base = gi.markGen, len(gi.taken)
+		gi.taken = slices.Grow(gi.taken, len(b.groups))[:b.base+len(b.groups)]
+		clear(gi.taken[b.base:])
+		gi.marked = append(gi.marked, b)
+	}
+	return b.base
 }
 
 // Never is the NextBoundary of a fault picture that cannot change any more.
@@ -465,10 +486,10 @@ func (gi *GroupInjector) activeAt(e *giExposure, t time.Duration) int {
 	gi.bs = bs[:0]
 	m := 0
 	if len(bs) == 1 {
-		for i := range bs[0].groups {
-			g := &bs[0].groups[i]
+		base := gi.slots(bs[0])
+		for i, g := range bs[0].groups {
 			if c := e.vuln.PatchAt + g.Latency; t < c {
-				gi.open = append(gi.open, giItem{g: g, closeAt: c})
+				gi.open = append(gi.open, giItem{g: g, slot: base + i, closeAt: c})
 				gi.nextBoundary = min(gi.nextBoundary, c)
 				m += len(g.Names)
 			}
@@ -495,27 +516,22 @@ func (gi *GroupInjector) activeAt(e *giExposure, t time.Duration) int {
 		if best < 0 {
 			return m
 		}
-		g := &bs[best].groups[pos[best]]
+		b, i := bs[best], pos[best]
+		g := b.groups[i]
 		pos[best]++
 		if c := e.vuln.PatchAt + g.Latency; t < c {
-			gi.open = append(gi.open, giItem{g: g, closeAt: c})
+			gi.open = append(gi.open, giItem{g: g, slot: gi.slots(b) + i, closeAt: c})
 			gi.nextBoundary = min(gi.nextBoundary, c)
 			m += len(g.Names)
 		}
 	}
 }
 
-// markTake records that n members (a name-ascending prefix) of g are
-// compromised this instant; the longest prefix across vulnerabilities wins.
-func (gi *GroupInjector) markTake(g *giGroup, n int) {
-	if g.mark != gi.markGen {
-		g.mark = gi.markGen
-		g.taken = 0
-		gi.touched = append(gi.touched, g)
-	}
-	if n > g.taken {
-		g.taken = n
-	}
+// markTake records that n members (a name-ascending prefix) of the item's
+// group are compromised this instant; the longest prefix across
+// vulnerabilities wins.
+func (gi *GroupInjector) markTake(it giItem, n int) {
+	gi.taken[it.slot] = max(gi.taken[it.slot], n)
 }
 
 // walkTake applies one exposure's severity take of k members to the dedup
@@ -536,7 +552,7 @@ func (gi *GroupInjector) walkTake(k int) uint64 {
 		}
 		if taken+classCount <= k {
 			for _, it := range open[i:j] {
-				gi.markTake(it.g, len(it.g.Names))
+				gi.markTake(it, len(it.g.Names))
 			}
 			units += uint64(classCount) * u
 			taken += classCount
@@ -559,7 +575,7 @@ func (gi *GroupInjector) walkTake(k int) uint64 {
 // names are requested.
 func (gi *GroupInjector) resolveBoundary(items []giItem, r int, out *[]string) {
 	if len(items) == 1 && out == nil {
-		gi.markTake(items[0].g, r)
+		gi.markTake(items[0], r)
 		return
 	}
 	if cap(gi.pos) < len(items) {
@@ -586,17 +602,19 @@ func (gi *GroupInjector) resolveBoundary(items []giItem, r int, out *[]string) {
 	}
 	for i, it := range items {
 		if pos[i] > 0 {
-			gi.markTake(it.g, pos[i])
+			gi.markTake(it, pos[i])
 		}
 	}
 }
 
-// dedupUnits sums the marked prefixes: the deduplicated compromised units
+// dedupUnits sums the taken prefixes: the deduplicated compromised units
 // of the current instant.
 func (gi *GroupInjector) dedupUnits() uint64 {
 	var dedup uint64
-	for _, g := range gi.touched {
-		dedup += uint64(g.taken) * g.Units
+	for _, b := range gi.marked {
+		for i, n := range gi.taken[b.base : b.base+len(b.groups)] {
+			dedup += uint64(n) * b.groups[i].Units
+		}
 	}
 	return dedup
 }

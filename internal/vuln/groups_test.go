@@ -21,7 +21,8 @@ func units(p float64) uint64 {
 }
 
 // bucketize groups replicas the way the registry snapshot does: one bucket
-// per configuration, one group per (power units, latency), names ascending.
+// per configuration, one group per (power units, latency), names ascending,
+// groups in attack order.
 func bucketize(replicas []Replica) []BucketSpec {
 	type gkey struct {
 		units   uint64
@@ -43,12 +44,12 @@ func bucketize(replicas []Replica) []BucketSpec {
 		bs := BucketSpec{Key: key, Config: cfgs[key]}
 		for k, names := range groups {
 			sort.Strings(names)
-			bs.Groups = append(bs.Groups, GroupSpec{Units: k.units, Latency: k.latency, Names: names})
+			bs.Groups = append(bs.Groups, &GroupSpec{Units: k.units, Latency: k.latency, Names: names})
 		}
 		sort.Slice(bs.Groups, func(i, j int) bool {
 			a, b := bs.Groups[i], bs.Groups[j]
 			if a.Units != b.Units {
-				return a.Units < b.Units
+				return a.Units > b.Units
 			}
 			return a.Latency < b.Latency
 		})
@@ -304,7 +305,7 @@ func fractionalBuckets() []BucketSpec {
 	buckets := make([]BucketSpec, 40)
 	for k := range buckets {
 		name := fmt.Sprintf("os-%02d", k)
-		buckets[k] = BucketSpec{Key: name, Config: osCfg(name), Groups: []GroupSpec{
+		buckets[k] = BucketSpec{Key: name, Config: osCfg(name), Groups: []*GroupSpec{
 			{Units: units(0.1 * float64(k+1)), Names: []string{name + "-a", name + "-b"}},
 			{Units: units(1 / float64(k+3)), Latency: time.Hour, Names: []string{name + "-c"}},
 		}}
@@ -334,7 +335,7 @@ func TestTotalPowerIndependentOfMapOrder(t *testing.T) {
 	patched, _ := NewGroupInjector(cat, buckets[:25])
 	patched.ApplyBuckets(buckets[30:], []string{buckets[3].Key, buckets[7].Key})
 	final := append([]BucketSpec(nil), buckets...)
-	final[12].Groups = []GroupSpec{{Units: units(0.3), Names: []string{"solo"}}}
+	final[12].Groups = []*GroupSpec{{Units: units(0.3), Names: []string{"solo"}}}
 	patched.ApplyBuckets(append(final[25:30:30], final[3], final[7], final[12]), nil)
 	final = append(final[:20:20], final[21:]...)
 	patched.ApplyBuckets(nil, []string{buckets[20].Key})
@@ -360,7 +361,7 @@ func TestPrunedSweepPicksFullSweepInstantOnNearTies(t *testing.T) {
 			bs := BucketSpec{Key: "os-" + version, Config: config.MustNew(
 				config.Component{Class: config.ClassOperatingSystem, Name: "os", Version: version})}
 			for g := 0; g < 700; g++ {
-				bs.Groups = append(bs.Groups, GroupSpec{
+				bs.Groups = append(bs.Groups, &GroupSpec{
 					Units:   units(0.1*float64(1+rng.Intn(5000)) + 1/float64(3+rng.Intn(50))),
 					Latency: time.Duration(rng.Intn(4)) * time.Hour,
 					Names:   []string{fmt.Sprintf("r-%s-%04d", version, g)},
@@ -405,9 +406,9 @@ func TestLatencyIndexAtFinalLength(t *testing.T) {
 	if err := cat.Add(Vulnerability{ID: "v", Class: config.ClassOperatingSystem, Product: "debian", PatchAt: time.Hour, Severity: 1}); err != nil {
 		t.Fatal(err)
 	}
-	var groups []GroupSpec
+	var groups []*GroupSpec
 	for i := 0; i < 12; i++ {
-		groups = append(groups, GroupSpec{Units: units(float64(1 + i)), Latency: time.Duration(i%3) * time.Hour, Names: []string{fmt.Sprintf("r-%02d", i)}})
+		groups = append(groups, &GroupSpec{Units: units(float64(1 + i)), Latency: time.Duration(i%3) * time.Hour, Names: []string{fmt.Sprintf("r-%02d", i)}})
 	}
 	gi, err := NewGroupInjector(cat, []BucketSpec{{Key: "k", Config: cfg, Groups: groups}})
 	if err != nil {

@@ -48,17 +48,17 @@ func flatIndex(in *Injector) string {
 // the known set and the per-instant and per-sweep state a fresh build
 // starts from.
 func groupedIndex(gi *GroupInjector) string {
-	s := fmt.Sprintf("total=%v gen=%d next=%v sweep=%d/%d touched=%d keys=%v known=%v\n",
+	s := fmt.Sprintf("total=%v gen=%d next=%v sweep=%d/%d marked=%d taken=%d keys=%v known=%v\n",
 		gi.total, gi.markGen, gi.nextBoundary, gi.sweepInstants, gi.sweepEvaluated,
-		len(gi.touched), gi.keys, slices.Sorted(maps.Keys(gi.known)))
+		len(gi.marked), len(gi.taken), gi.keys, slices.Sorted(maps.Keys(gi.known)))
 	for _, key := range gi.keys {
 		b := gi.buckets[key]
-		s += fmt.Sprintf("bucket %s cfg=%s maxLat=%v units=%v lat=%v exps=", key, b.cfg.Canonical(), b.maxLatency, b.units, b.lat)
+		s += fmt.Sprintf("bucket %s cfg=%s maxLat=%v units=%v lat=%v mark=%d base=%d exps=", key, b.cfg.Canonical(), b.maxLatency, b.units, b.lat, b.mark, b.base)
 		for _, e := range b.exps {
 			s += string(e.vuln.ID) + " "
 		}
 		for _, g := range b.groups {
-			s += fmt.Sprintf("[%v %v %v mark=%d taken=%d]", g.Units, g.Latency, g.Names, g.mark, g.taken)
+			s += fmt.Sprintf("[%v %v %v]", g.Units, g.Latency, g.Names)
 		}
 		s += "\n"
 	}

@@ -90,7 +90,7 @@ func TestSlabNeighboursSurviveApplyBuckets(t *testing.T) {
 
 			// Replace: same key, a different group structure.
 			changed := specs[j]
-			changed.Groups = append([]GroupSpec{{
+			changed.Groups = append([]*GroupSpec{{
 				Units:   units(float64(1 + rng.Intn(7))),
 				Latency: time.Duration(rng.Intn(5)) * 6 * time.Hour,
 				Names:   []string{fmt.Sprintf("x-%03d-%d", i, round)},
