@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"math"
 	"math/rand"
 	"slices"
@@ -26,13 +27,7 @@ func fingerprint(s *Snapshot) uint64 {
 	put(math.Float64bits(s.Weighting.Declared))
 	fmt.Fprint(h, s.Distribution)
 	put(uint64(s.members))
-	for _, u := range slices.Sorted(func(yield func(uint64) bool) {
-		for u := range s.classes {
-			if !yield(u) {
-				return
-			}
-		}
-	}) {
+	for _, u := range slices.Sorted(maps.Keys(s.classes)) {
 		put(u)
 		put(uint64(s.classes[u]))
 	}

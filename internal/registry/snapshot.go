@@ -193,14 +193,11 @@ func (r *Registry) exportBucketLocked(b *bucket, w Weighting) (*SnapBucket, erro
 		g.frozen = true
 	}
 	// Tier multipliers can reorder the raw order.
-	if !slices.IsSortedFunc(sb.Groups, byUnitsDesc) {
-		slices.SortStableFunc(sb.Groups, byUnitsDesc)
+	if !slices.IsSortedFunc(sb.Groups, vuln.AttackOrder) {
+		slices.SortStableFunc(sb.Groups, vuln.AttackOrder)
 	}
 	return sb, nil
 }
-
-// byUnitsDesc is the attack order vuln.BucketSpec lists groups in.
-func byUnitsDesc(x, y *vuln.GroupSpec) int { return cmp.Compare(y.Units, x.Units) }
 
 // deltaSnapshotLocked builds the snapshot at the current generation by
 // re-exporting only the changed buckets and sharing every other

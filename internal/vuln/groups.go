@@ -29,10 +29,10 @@ type GroupSpec struct {
 // configuration itself, and the equivalence groups over its members.
 // Because the key is the configuration digest, the set of vulnerabilities
 // matching a bucket is fixed for the bucket's lifetime — only group
-// membership changes under churn. Groups is in attack order, Units
-// descending, with no empty group (registry snapshots, the production
-// producer, export them so); a GroupInjector then reads the slice in place,
-// and sorts a private copy of any other listing. A GroupInjector retains
+// membership changes under churn. Groups is in AttackOrder with no empty
+// group (registry snapshots, the production producer, export them so); a
+// GroupInjector then reads the slice in place, and sorts a private copy of
+// any other listing. A GroupInjector retains
 // the Groups slice (see GroupSpec): replace a bucket by passing a new
 // BucketSpec, never by editing the old one.
 type BucketSpec struct {
@@ -223,16 +223,17 @@ func copiedGroups(bs BucketSpec) int {
 			n++
 		}
 	}
-	if n == len(bs.Groups) && slices.IsSortedFunc(bs.Groups, byUnitsDesc) {
+	if n == len(bs.Groups) && slices.IsSortedFunc(bs.Groups, AttackOrder) {
 		return 0
 	}
 	return n
 }
 
-// byUnitsDesc is attack order. The take logic resolves an equal-power class
-// as a unit and every sum is over integers, so the order inside a class
-// moves nothing.
-func byUnitsDesc(x, y *GroupSpec) int { return cmp.Compare(y.Units, x.Units) }
+// AttackOrder compares two groups in the order BucketSpec.Groups lists
+// them: Units descending. The take logic resolves an equal-power class as a
+// unit and every sum is over integers, so the order inside a class moves
+// nothing.
+func AttackOrder(x, y *GroupSpec) int { return cmp.Compare(y.Units, x.Units) }
 
 // newGiBucket builds one stand-alone bucket (ApplyBuckets' unit of change).
 func newGiBucket(bs BucketSpec) *giBucket {
@@ -256,7 +257,7 @@ func (b *giBucket) fill(bs BucketSpec, slab []*GroupSpec) int {
 				b.groups = append(b.groups, g)
 			}
 		}
-		slices.SortFunc(b.groups, byUnitsDesc)
+		slices.SortFunc(b.groups, AttackOrder)
 	}
 	for _, g := range b.groups {
 		b.maxLatency = max(b.maxLatency, g.Latency)

@@ -35,7 +35,7 @@ func listingCase(rng *rand.Rand) (*Catalog, []BucketSpec) {
 				Names:   names,
 			})
 		}
-		slices.SortFunc(specs[k].Groups, byUnitsDesc)
+		slices.SortFunc(specs[k].Groups, AttackOrder)
 	}
 	cat := NewCatalog()
 	for i, n := 0, 1+rng.Intn(4); i < n; i++ {
