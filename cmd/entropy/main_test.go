@@ -48,6 +48,20 @@ func TestLoadCSVErrors(t *testing.T) {
 	if _, err := loadCSV(neg); err == nil {
 		t.Fatal("negative weight accepted")
 	}
+	// Each weight becomes units of 1e-9 (vuln.PowerUnits): what does not
+	// convert is refused, and the error names the row's label.
+	for name, row := range map[string]string{
+		"rounds to 0 units": "pool-tiny,1e-12",
+		"past the ceiling":  "pool-huge,1e10",
+		"NaN":               "pool-nan,NaN",
+	} {
+		path := filepath.Join(dir, "row.csv")
+		os.WriteFile(path, []byte("pool-a,40\n"+row+"\n"), 0o600)
+		label, _, _ := strings.Cut(row, ",")
+		if _, err := loadCSV(path); err == nil || !strings.Contains(err.Error(), label) {
+			t.Errorf("%s row %q: error %v, want a refusal naming %s", name, row, err, label)
+		}
+	}
 }
 
 func TestChooseDistribution(t *testing.T) {

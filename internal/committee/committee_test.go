@@ -161,7 +161,7 @@ func TestSelectDiverseMaximisesEntropy(t *testing.T) {
 	if math.Abs(h-2) > 1e-9 {
 		t.Fatalf("diverse committee entropy = %v, want 2", h)
 	}
-	if !byCount.IsKappaOptimal(4, 0) {
+	if !byCount.IsKappaOptimal(4) {
 		t.Fatal("diverse committee not κ-optimal")
 	}
 }

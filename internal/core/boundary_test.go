@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/big"
 	"math/rand"
@@ -47,12 +48,30 @@ func boundaryFleets() []boundaryFleet {
 	return out
 }
 
+// exactFaults is the fewest of shares, largest first, whose sum is strictly
+// more than frac of total, in math/big.Rat; -1 when none is.
+func exactFaults(shares []*big.Rat, total, frac *big.Rat) int {
+	sorted := slices.Clone(shares)
+	slices.SortFunc(sorted, func(a, b *big.Rat) int { return b.Cmp(a) })
+	limit := new(big.Rat).Mul(frac, total)
+	cum := new(big.Rat)
+	for i, s := range sorted {
+		if cum.Add(cum, s).Cmp(limit) > 0 {
+			return i + 1
+		}
+	}
+	return -1
+}
+
 // TestSec2CBoundaryIsExact: a fleet whose exposed share is exactly f = 1/3
 // is safe (Sec. II-C: f ≥ Σ f_t^i), and one unit of 1e-9 more on an exposed
 // replica is not. The monitor (registry snapshot + grouped injector), the
 // flat vuln.Inject and 3·c ≤ T on the shared power units must all give the
 // verdict math/big.Rat gives on the decimal powers, whatever the order the
-// powers are summed in.
+// powers are summed in. The same assessment's report must agree with
+// math/big.Rat too: its fault counts to 1/3 and 1/2 over the per-
+// configuration sums, to 1/2 over the replicas, and whether the largest
+// configuration holds more than 1/3.
 func TestSec2CBoundaryIsExact(t *testing.T) {
 	cat := vuln.NewCatalog()
 	if err := cat.Add(vuln.Vulnerability{
@@ -61,7 +80,12 @@ func TestSec2CBoundaryIsExact(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	for n, f := range boundaryFleets() {
+	// One more fleet on four configurations: {0.2, 0.2, 0.2, 0.3} with the
+	// 0.3 exposed, whose largest configuration holds exactly 1/3.
+	fleets := append(boundaryFleets(), boundaryFleet{
+		tenths: []int{2, 2, 2, 3}, exposed: []bool{false, false, false, true}, other: []int{0, 1, 2, 0},
+	})
+	for n, f := range fleets {
 		first := slices.Index(f.exposed, true)
 		for _, past := range []bool{false, true} {
 			powers := make([]float64, len(f.tenths))
@@ -74,6 +98,8 @@ func TestSec2CBoundaryIsExact(t *testing.T) {
 			reg := registry.New(nil)
 			var reps []vuln.Replica
 			exact, held := new(big.Rat), new(big.Rat)
+			var replicas []*big.Rat
+			configs := map[string]*big.Rat{}
 			var c, total uint64
 			for i, p := range powers {
 				os := "hit"
@@ -94,6 +120,11 @@ func TestSec2CBoundaryIsExact(t *testing.T) {
 					t.Fatal(err)
 				}
 				exact.Add(exact, r)
+				replicas = append(replicas, r)
+				if configs[os] == nil {
+					configs[os] = new(big.Rat)
+				}
+				configs[os].Add(configs[os], r)
 				total += u
 				if f.exposed[i] {
 					held.Add(held, r)
@@ -122,6 +153,14 @@ func TestSec2CBoundaryIsExact(t *testing.T) {
 			}
 			if math.Float64bits(a.Injection.TotalFraction) != math.Float64bits(flat.TotalFraction) {
 				t.Fatalf("fleet %d %v: monitor Σf %v, flat %v", n, powers, a.Injection.TotalFraction, flat.TotalFraction)
+			}
+			sums := slices.Collect(maps.Values(configs))
+			third, half := big.NewRat(1, 3), big.NewRat(1, 2)
+			want3, want2, wantOp := exactFaults(sums, exact, third), exactFaults(sums, exact, half), exactFaults(replicas, exact, half)
+			if r := a.Diversity; r.MinConfigFaultsToThird != want3 || r.MinConfigFaultsToHalf != want2 ||
+				r.MinOperatorFaultsToHalf != wantOp || (r.MaxShare > 1.0/3.0) != (want3 == 1) {
+				t.Fatalf("fleet %d %v (exposed %v): report faults to 1/3 %d, 1/2 %d, operator 1/2 %d, max share %v; exact says %d, %d, %d",
+					n, powers, f.exposed, r.MinConfigFaultsToThird, r.MinConfigFaultsToHalf, r.MinOperatorFaultsToHalf, r.MaxShare, want3, want2, wantOp)
 			}
 		}
 	}

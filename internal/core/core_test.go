@@ -654,7 +654,7 @@ func TestCapToUniformIsKappaOptimal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !capped.IsKappaOptimal(d.Support(), 1e-9) {
+		if !capped.IsKappaOptimal(d.Support()) {
 			t.Fatalf("cap at min share did not produce κ-optimal: %v", weights)
 		}
 		// Tighter caps never lower entropy.

@@ -3,8 +3,10 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -29,7 +31,8 @@ func propCfg(os string) config.Configuration {
 //
 //   - the snapshot's per-replica view against a shadow membership the test
 //     maintains independently (catches any bucket/group drift);
-//   - the snapshot's Distribution against one summed member-by-member;
+//   - the snapshot's Distribution against one whose units are summed
+//     member by member;
 //   - the diversity report (incremental: bucket aggregates) against
 //     diversity.ReportForPopulation over the per-replica view;
 //   - the assessment's Injection (incremental: GroupInjector) against the
@@ -37,8 +40,8 @@ func propCfg(os string) config.Configuration {
 //   - periodically, WorstAssessment against the flat event-driven
 //     vuln.WorstWindow sweep, compared as JSON bytes.
 //
-// Powers are integral and tier weights dyadic, so every comparison is exact
-// float equality, not tolerance-based. The test runs under -race in CI.
+// Powers are whole or one-decimal and every comparison is exact equality,
+// not tolerance-based. The test runs under -race in CI.
 func TestIncrementalMatchesColdRebuild(t *testing.T) {
 	steps := 10000
 	if testing.Short() {
@@ -64,6 +67,14 @@ func TestIncrementalMatchesColdRebuild(t *testing.T) {
 	}
 	latencies := []time.Duration{0, time.Hour, 2 * time.Hour, 3 * time.Hour}
 	severities := []float64{0.25, 0.5, 1}
+	// drawPower is a whole power or, as often, a one-decimal one.
+	drawPower := func() float64 {
+		p := float64(1 + rng.Intn(100))
+		if rng.Intn(2) == 0 {
+			p /= 10
+		}
+		return p
+	}
 
 	// Shadow membership: the test's own record of what the registry must
 	// contain, maintained with none of the registry's machinery.
@@ -75,7 +86,7 @@ func TestIncrementalMatchesColdRebuild(t *testing.T) {
 		id := registry.ReplicaID(fmt.Sprintf("r-%05d", nextID))
 		nextID++
 		cfg := propCfg(osPool[rng.Intn(len(osPool))])
-		power := float64(1 + rng.Intn(100))
+		power := drawPower()
 		lat := latencies[rng.Intn(len(latencies))]
 		if err := reg.JoinDeclared(id, cfg, power, lat); err != nil {
 			t.Fatal(err)
@@ -98,7 +109,7 @@ func TestIncrementalMatchesColdRebuild(t *testing.T) {
 	}
 	setPower := func() {
 		_, id := pick()
-		power := float64(1 + rng.Intn(100))
+		power := drawPower()
 		if err := reg.SetPower(id, power); err != nil {
 			t.Fatal(err)
 		}
@@ -191,11 +202,20 @@ func TestIncrementalMatchesColdRebuild(t *testing.T) {
 			t.Fatalf("step %d: snapshot replicas diverged from shadow membership\n got %d: %+v\nwant %d: %+v",
 				step, len(got), got, len(want), want)
 		}
-		weights := make(map[string]float64, len(want))
+		byLabel := make(map[string]uint64, len(want))
 		for _, rep := range want {
-			weights[rep.Config.Digest().String()] += rep.Power
+			u, err := vuln.PowerUnits(rep.Power)
+			if err != nil {
+				t.Fatal(err)
+			}
+			byLabel[rep.Config.Digest().String()] += u
 		}
-		wantDist, err := diversity.FromWeights(weights)
+		labels := slices.Sorted(maps.Keys(byLabel))
+		units := make([]uint64, len(labels))
+		for i, label := range labels {
+			units[i] = byLabel[label]
+		}
+		wantDist, err := diversity.FromSorted(labels, units)
 		if err != nil {
 			t.Fatal(err)
 		}

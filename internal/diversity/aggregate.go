@@ -4,6 +4,8 @@ import (
 	"cmp"
 	"slices"
 	"sort"
+
+	"repro/internal/vuln"
 )
 
 // PowerClass is an aggregate of members holding identical voting power —
@@ -12,7 +14,7 @@ import (
 // incremental assessment path compute them in O(#classes) instead of
 // sorting every member.
 type PowerClass struct {
-	Power float64
+	Units uint64 // each member's power, in units of 1e-9
 	Count int
 }
 
@@ -20,35 +22,29 @@ type PowerClass struct {
 // computed over power classes: the minimum number of member-level faults
 // whose combined power strictly exceeds threshold × total. Classes are
 // walked in descending power order; the boundary class is resolved by
-// binary search on the same cum + j·p > T predicate the member-level loop
-// evaluates, so for integral powers the two are bit-identical. The total
-// is summed over the sorted classes, so the answer is the same for every
-// order of the input.
+// binary search on the same exact share test the member-level walk makes,
+// so the two agree, in any order of the input. The classes' total must
+// not pass vuln.MaxPowerUnits.
 func MinOperatorFaultsForClasses(classes []PowerClass, threshold float64) (int, error) {
-	sorted := append([]PowerClass(nil), classes...)
-	slices.SortFunc(sorted, func(a, b PowerClass) int {
-		return cmp.Or(cmp.Compare(b.Power, a.Power), cmp.Compare(a.Count, b.Count))
-	})
-	var total float64
-	n := 0
+	sorted := slices.Clone(classes)
+	slices.SortFunc(sorted, func(a, b PowerClass) int { return cmp.Compare(b.Units, a.Units) })
+	var total uint64
 	for _, c := range sorted {
-		total += c.Power * float64(c.Count)
-		n += c.Count
+		total += uint64(c.Count) * c.Units
 	}
-	if n == 0 || total <= 0 {
+	if total == 0 {
 		return 0, ErrNoWeight
 	}
-	limit := threshold * total
-	cum := 0.0
+	var cum uint64
 	taken := 0
 	for _, c := range sorted {
-		if cum+float64(c.Count)*c.Power > limit {
+		if vuln.UnitFraction(cum+uint64(c.Count)*c.Units, total) > threshold {
 			j := sort.Search(c.Count, func(j int) bool {
-				return cum+float64(j+1)*c.Power > limit
+				return vuln.UnitFraction(cum+uint64(j+1)*c.Units, total) > threshold
 			})
 			return taken + j + 1, nil
 		}
-		cum += float64(c.Count) * c.Power
+		cum += uint64(c.Count) * c.Units
 		taken += c.Count
 	}
 	return -1, nil
@@ -57,8 +53,8 @@ func MinOperatorFaultsForClasses(classes []PowerClass, threshold float64) (int, 
 // ReportForAggregates computes the full population Report from aggregates
 // alone: the power distribution over labels, the member count, the
 // per-label abundance counts, and the power classes. It is the O(#buckets)
-// counterpart of ReportForPopulation — for integral powers the results are
-// bit-identical, which the incremental-vs-cold property tests pin down.
+// counterpart of ReportForPopulation and gives the identical report, which
+// the incremental-vs-cold property tests pin down.
 func ReportForAggregates(d Distribution, members int, abundance []int, classes []PowerClass) (Report, error) {
 	r, err := ReportForDistribution(d)
 	if err != nil {

@@ -5,6 +5,14 @@
 // metric used to compare systems (minimum number of independent faults whose
 // combined voting power exceeds a protocol's tolerance threshold).
 //
+// A distribution holds voting power in the exact integer units of
+// vuln.PowerUnits, so the paper's definitions are decided exactly:
+// Definitions 1 and 2 compare units with ==, and a fault count adds units
+// and tests the running share against the threshold with a strict >, the
+// comparison core.Substrate.Safe makes. Only the entropy family (Shannon
+// entropy, Simpson and Hill numbers) is float, computed from the correctly
+// rounded shares in label order.
+//
 // Entropy is measured in bits (log base 2) throughout, matching Example 1:
 // eight uniformly weighted, uniquely configured BFT replicas have entropy
 // exactly 3.
@@ -13,65 +21,77 @@ package diversity
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"sort"
-)
 
-// DefaultTolerance is the relative tolerance used by the optimality
-// predicates when comparing floating-point weights.
-const DefaultTolerance = 1e-9
+	"repro/internal/vuln"
+)
 
 // ErrNoWeight is returned when a distribution has no positive weight.
 var ErrNoWeight = errors.New("diversity: distribution has no positive weight")
 
-// Distribution is a weighting of configuration labels. Weights are
-// non-negative and need not sum to one; all metrics normalize internally.
-// The paper's p = (p1, ..., pk) over the configuration space D corresponds
-// to the normalized weights; labels identify the d_i.
+// Distribution is a weighting of configuration labels in integer units of
+// 1e-9 power. Weights need not sum to one; all metrics normalize
+// internally. The paper's p = (p1, ..., pk) over the configuration space D
+// corresponds to the normalized weights; labels identify the d_i.
 type Distribution struct {
-	labels  []string
-	weights []float64
-	total   float64
+	labels []string
+	units  []uint64
+	total  uint64
 }
 
-// FromWeights builds a distribution from a label→weight map. Negative
-// weights are rejected; zero weights are kept (the paper's p may contain
-// zero entries — they simply do not contribute to entropy or support).
+// FromWeights builds a distribution from a label→weight map, converting
+// each weight once with vuln.PowerUnits: what it refuses (a negative or
+// non-finite weight, a positive one below half a unit, one past the
+// ceiling) is an error naming the label. Zero weights are kept (the
+// paper's p may contain zero entries — they simply do not contribute to
+// entropy or support).
 func FromWeights(weights map[string]float64) (Distribution, error) {
-	labels := make([]string, 0, len(weights))
-	for label := range weights {
-		labels = append(labels, label)
-	}
-	sort.Strings(labels)
-	ws := make([]float64, len(labels))
+	labels := slices.Sorted(maps.Keys(weights))
+	units := make([]uint64, len(labels))
 	for i, label := range labels {
-		ws[i] = weights[label]
+		u, err := vuln.PowerUnits(weights[label])
+		if err != nil {
+			return Distribution{}, fmt.Errorf("diversity: weight of %q: %w", label, err)
+		}
+		units[i] = u
 	}
-	return FromSorted(labels, ws)
+	return FromSorted(labels, units)
 }
 
-// FromSorted builds a distribution from parallel label and weight slices
+// FromSorted builds a distribution from parallel label and unit slices
 // already in canonical order: labels strictly ascending (so no duplicates),
-// weights[i] belonging to labels[i]. It is the constructor for producers
-// that keep their labels sorted anyway (the registry's bucket list) and
-// yields exactly the distribution FromWeights would. The distribution keeps
-// both slices: the caller must not modify them afterwards.
-func FromSorted(labels []string, weights []float64) (Distribution, error) {
-	if len(labels) != len(weights) {
-		return Distribution{}, fmt.Errorf("diversity: %d labels for %d weights", len(labels), len(weights))
+// units[i] belonging to labels[i]. It is the constructor for producers
+// that keep their labels sorted anyway (the registry's bucket list). The
+// distribution keeps both slices: the caller must not modify them
+// afterwards. A total past vuln.MaxPowerUnits is an error.
+func FromSorted(labels []string, units []uint64) (Distribution, error) {
+	if len(labels) != len(units) {
+		return Distribution{}, fmt.Errorf("diversity: %d labels for %d weights", len(labels), len(units))
 	}
-	d := Distribution{labels: labels, weights: weights}
-	for i, w := range weights {
+	d := Distribution{labels: labels, units: units}
+	for i, u := range units {
 		if i > 0 && labels[i-1] >= labels[i] {
 			return Distribution{}, fmt.Errorf("diversity: labels not strictly ascending at %q", labels[i])
 		}
-		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			return Distribution{}, fmt.Errorf("diversity: invalid weight %v for %q", w, labels[i])
+		var ok bool
+		if d.total, ok = vuln.AddUnits(d.total, 1, u); !ok {
+			return Distribution{}, fmt.Errorf("diversity: weight of %q takes the total past %d units of 1e-9", labels[i], uint64(vuln.MaxPowerUnits))
 		}
-		d.total += w
 	}
 	return d, nil
+}
+
+// fromUnits builds a distribution from a label→units map.
+func fromUnits(m map[string]uint64) (Distribution, error) {
+	labels := slices.Sorted(maps.Keys(m))
+	units := make([]uint64, len(labels))
+	for i, label := range labels {
+		units[i] = m[label]
+	}
+	return FromSorted(labels, units)
 }
 
 // FromSlice builds a distribution whose labels are the indices "0", "1", ...
@@ -110,7 +130,7 @@ func (d Distribution) Len() int { return len(d.labels) }
 
 // Total returns the sum of weights (the paper's n_t when weights are raw
 // voting power).
-func (d Distribution) Total() float64 { return d.total }
+func (d Distribution) Total() float64 { return vuln.UnitsPower(d.total) }
 
 // Labels returns the labels in canonical (sorted) order.
 func (d Distribution) Labels() []string { return append([]string(nil), d.labels...) }
@@ -119,20 +139,21 @@ func (d Distribution) Labels() []string { return append([]string(nil), d.labels.
 func (d Distribution) Weight(label string) float64 {
 	i := sort.SearchStrings(d.labels, label)
 	if i < len(d.labels) && d.labels[i] == label {
-		return d.weights[i]
+		return vuln.UnitsPower(d.units[i])
 	}
 	return 0
 }
 
-// Probabilities returns the normalized weights in label order. It returns
-// ErrNoWeight when the distribution has no positive weight.
+// Probabilities returns the normalized weights in label order, each one
+// correctly rounded division of exact units. It returns ErrNoWeight when
+// the distribution has no positive weight.
 func (d Distribution) Probabilities() ([]float64, error) {
-	if d.total <= 0 {
+	if d.total == 0 {
 		return nil, ErrNoWeight
 	}
-	ps := make([]float64, len(d.weights))
-	for i, w := range d.weights {
-		ps[i] = w / d.total
+	ps := make([]float64, len(d.units))
+	for i, u := range d.units {
+		ps[i] = vuln.UnitFraction(u, d.total)
 	}
 	return ps, nil
 }
@@ -141,8 +162,8 @@ func (d Distribution) Probabilities() ([]float64, error) {
 // Definition 1.
 func (d Distribution) Support() int {
 	n := 0
-	for _, w := range d.weights {
-		if w > 0 {
+	for _, u := range d.units {
+		if u > 0 {
 			n++
 		}
 	}
@@ -152,16 +173,16 @@ func (d Distribution) Support() int {
 // MaxShare returns the largest normalized weight (the strongest oligopolist)
 // and its label. It returns ErrNoWeight for an all-zero distribution.
 func (d Distribution) MaxShare() (string, float64, error) {
-	if d.total <= 0 {
+	if d.total == 0 {
 		return "", 0, ErrNoWeight
 	}
-	best, bestIdx := -1.0, -1
-	for i, w := range d.weights {
-		if w > best {
-			best, bestIdx = w, i
+	best := 0
+	for i, u := range d.units {
+		if u > d.units[best] {
+			best = i
 		}
 	}
-	return d.labels[bestIdx], best / d.total, nil
+	return d.labels[best], vuln.UnitFraction(d.units[best], d.total), nil
 }
 
 // Entropy returns the Shannon entropy H(p) in bits, with the paper's
@@ -269,45 +290,34 @@ func (d Distribution) HillNumber(q float64) (float64, error) {
 	return math.Pow(sum, 1/(1-q)), nil
 }
 
-// IsUniform reports whether all positive weights are equal within tol
-// (relative to the mean positive weight). tol <= 0 uses DefaultTolerance.
-func (d Distribution) IsUniform(tol float64) bool {
-	if tol <= 0 {
-		tol = DefaultTolerance
-	}
-	var sum float64
-	n := 0
-	for _, w := range d.weights {
-		if w > 0 {
-			sum += w
-			n++
+// IsUniform reports whether the distribution has positive weight and all
+// positive weights are equal, unit for unit.
+func (d Distribution) IsUniform() bool {
+	var w uint64
+	for _, u := range d.units {
+		if u == 0 {
+			continue
 		}
-	}
-	if n == 0 {
-		return false
-	}
-	mean := sum / float64(n)
-	for _, w := range d.weights {
-		if w > 0 && math.Abs(w-mean) > tol*mean {
+		if w != 0 && u != w {
 			return false
 		}
+		w = u
 	}
-	return true
+	return w != 0
 }
 
 // IsKappaOptimal implements Definition 1: the distribution achieves
 // κ-optimal fault independence iff exactly κ labels have non-zero weight
-// and all non-zero weights are equal (within tol).
-func (d Distribution) IsKappaOptimal(kappa int, tol float64) bool {
-	return d.Support() == kappa && kappa > 0 && d.IsUniform(tol)
+// and all non-zero weights are equal.
+func (d Distribution) IsKappaOptimal(kappa int) bool {
+	return kappa > 0 && d.Support() == kappa && d.IsUniform()
 }
 
 // Kappa returns the κ for which the distribution is κ-optimal, or
 // (0, false) when the distribution is not κ-optimal for any κ.
-func (d Distribution) Kappa(tol float64) (int, bool) {
-	s := d.Support()
-	if s > 0 && d.IsUniform(tol) {
-		return s, true
+func (d Distribution) Kappa() (int, bool) {
+	if d.IsUniform() {
+		return d.Support(), true
 	}
 	return 0, false
 }
@@ -321,22 +331,24 @@ func (d Distribution) Kappa(tol float64) (int, bool) {
 // compromising every configuration cannot exceed the threshold
 // (threshold >= 1).
 func (d Distribution) MinFaultsToExceed(threshold float64) (int, error) {
-	ps, err := d.Probabilities()
-	if err != nil {
-		return 0, err
+	if d.total == 0 {
+		return 0, ErrNoWeight
 	}
-	slices.Sort(ps)
-	return minFaults(ps, threshold), nil
+	us := slices.Clone(d.units)
+	slices.Sort(us)
+	return minFaults(us, d.total, threshold), nil
 }
 
-// minFaults walks ascending-sorted normalized weights from the largest down
-// and returns how many it takes for their running sum to strictly exceed
-// threshold, or -1 when the positive ones never do.
-func minFaults(ascending []float64, threshold float64) int {
-	cum := 0.0
+// minFaults walks ascending-sorted units from the largest down and returns
+// how many it takes for their running share of total to strictly exceed
+// threshold, or -1 when the positive ones never do. The share is one
+// correctly rounded division of exact sums, so the count agrees with
+// core.Substrate.Safe on the same units.
+func minFaults(ascending []uint64, total uint64, threshold float64) int {
+	var cum uint64
 	for i := len(ascending) - 1; i >= 0 && ascending[i] > 0; i-- {
 		cum += ascending[i]
-		if cum > threshold {
+		if vuln.UnitFraction(cum, total) > threshold {
 			return len(ascending) - i
 		}
 	}
@@ -373,38 +385,35 @@ func (d Distribution) TopShares(n int) ([]string, []float64, error) {
 }
 
 // Merge returns a distribution whose weight for each label is the sum of
-// the two inputs' weights, modelling populations joining.
-func Merge(a, b Distribution) Distribution {
-	m := make(map[string]float64, a.Len()+b.Len())
+// the two inputs' weights, modelling populations joining. A merged total
+// past vuln.MaxPowerUnits is an error.
+func Merge(a, b Distribution) (Distribution, error) {
+	m := make(map[string]uint64, a.Len()+b.Len())
 	for i, label := range a.labels {
-		m[label] += a.weights[i]
+		m[label] += a.units[i]
 	}
 	for i, label := range b.labels {
-		m[label] += b.weights[i]
+		m[label] += b.units[i]
 	}
-	d, err := FromWeights(m)
-	if err != nil {
-		// Unreachable: inputs were validated non-negative and finite.
-		panic(err)
-	}
-	return d
+	return fromUnits(m)
 }
 
-// Scale returns a copy with every weight multiplied by factor (> 0). The
+// Scale returns a copy with every weight multiplied by factor (> 0) and
+// rounded to the unit (vuln.WeighUnits). For an integral factor the
 // relative configuration abundance — and hence every diversity metric — is
-// invariant under Scale; Proposition 1's "unless the relative configuration
-// abundance remains identical" clause is exactly this invariance.
+// unchanged; Proposition 1's "unless the relative configuration abundance
+// remains identical" clause is exactly this invariance.
 func (d Distribution) Scale(factor float64) (Distribution, error) {
 	if factor <= 0 || math.IsNaN(factor) || math.IsInf(factor, 0) {
 		return Distribution{}, fmt.Errorf("diversity: invalid scale factor %v", factor)
 	}
-	out := Distribution{
-		labels:  append([]string(nil), d.labels...),
-		weights: make([]float64, len(d.weights)),
-		total:   d.total * factor,
+	units := make([]uint64, len(d.units))
+	for i, u := range d.units {
+		w, err := vuln.WeighUnits(u, factor)
+		if err != nil {
+			return Distribution{}, fmt.Errorf("diversity: %w", err)
+		}
+		units[i] = w
 	}
-	for i, w := range d.weights {
-		out.weights[i] = w * factor
-	}
-	return out, nil
+	return FromSorted(slices.Clone(d.labels), units)
 }

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/vuln"
 )
 
 func almostEqual(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
@@ -155,37 +157,40 @@ func TestHillNumbers(t *testing.T) {
 
 func TestIsUniformAndKappa(t *testing.T) {
 	d := MustFromSlice([]float64{2, 2, 0, 2})
-	if !d.IsUniform(0) {
+	if !d.IsUniform() {
 		t.Fatal("uniform-with-zeros not recognized")
 	}
-	if !d.IsKappaOptimal(3, 0) {
+	if !d.IsKappaOptimal(3) {
 		t.Fatal("κ=3 optimality not recognized")
 	}
-	if d.IsKappaOptimal(4, 0) {
+	if d.IsKappaOptimal(4) {
 		t.Fatal("wrong κ accepted")
 	}
-	k, ok := d.Kappa(0)
+	k, ok := d.Kappa()
 	if !ok || k != 3 {
 		t.Fatalf("Kappa = %d,%v want 3,true", k, ok)
 	}
 	skew := MustFromSlice([]float64{1, 2})
-	if _, ok := skew.Kappa(0); ok {
+	if _, ok := skew.Kappa(); ok {
 		t.Fatal("skewed distribution reported κ-optimal")
 	}
 	var empty Distribution
-	if empty.IsUniform(0) {
+	if empty.IsUniform() {
 		t.Fatal("empty distribution reported uniform")
 	}
 }
 
+// TestKappaToleranceRelative: Definition 1 compares units of 1e-9 exactly.
+// Jitter below half a unit rounds away when a weight is converted; one
+// unit apart, like a 10 % skew, is not κ-optimal.
 func TestKappaToleranceRelative(t *testing.T) {
-	d := MustFromSlice([]float64{1.0, 1.0 + 1e-12})
-	if !d.IsKappaOptimal(2, 1e-9) {
-		t.Fatal("tiny relative jitter rejected")
+	if !MustFromSlice([]float64{1.0, 1.0 + 1e-12}).IsKappaOptimal(2) {
+		t.Fatal("jitter below half a unit rejected")
 	}
-	d2 := MustFromSlice([]float64{1.0, 1.1})
-	if d2.IsKappaOptimal(2, 1e-9) {
-		t.Fatal("10%% skew accepted as optimal")
+	for _, ws := range [][]float64{{1.0, 1.0 + 1e-9}, {1.0, 1.1}} {
+		if MustFromSlice(ws).IsKappaOptimal(2) {
+			t.Fatalf("%v accepted as optimal", ws)
+		}
 	}
 }
 
@@ -254,12 +259,22 @@ func TestWeightLookup(t *testing.T) {
 func TestMerge(t *testing.T) {
 	a, _ := FromWeights(map[string]float64{"x": 1, "y": 2})
 	b, _ := FromWeights(map[string]float64{"y": 3, "z": 4})
-	m := Merge(a, b)
+	m, err := Merge(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if m.Weight("x") != 1 || m.Weight("y") != 5 || m.Weight("z") != 4 {
 		t.Fatalf("merge weights wrong: x=%v y=%v z=%v", m.Weight("x"), m.Weight("y"), m.Weight("z"))
 	}
 	if !almostEqual(m.Total(), 10, 1e-12) {
 		t.Fatalf("merge total = %v", m.Total())
+	}
+	half, err := FromSorted([]string{"x"}, []uint64{vuln.MaxPowerUnits/2 + 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Merge(half, half); err == nil {
+		t.Fatal("merged total past the ceiling accepted")
 	}
 }
 
@@ -313,7 +328,10 @@ func TestPropSelfMergeInvariant(t *testing.T) {
 			return true
 		}
 		d := MustFromSlice(ws)
-		m := Merge(d, d)
+		m, err := Merge(d, d)
+		if err != nil {
+			return false
+		}
 		h1, err1 := d.Entropy()
 		h2, err2 := m.Entropy()
 		if err1 != nil || err2 != nil {

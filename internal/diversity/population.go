@@ -1,10 +1,12 @@
 package diversity
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
+
+	"repro/internal/vuln"
 )
 
 // Member is one replica in a population: a configuration label plus the
@@ -21,21 +23,19 @@ type Member struct {
 // label while the power distribution weighs labels by total power.
 type Population struct {
 	members []Member
+	units   []uint64 // members[i].Power converted with vuln.PowerUnits
+	total   uint64
 }
 
 // NewPopulation validates and copies the member list.
 func NewPopulation(members []Member) (*Population, error) {
-	out := make([]Member, len(members))
+	p := &Population{members: make([]Member, 0, len(members)), units: make([]uint64, 0, len(members))}
 	for i, m := range members {
-		if m.Label == "" {
-			return nil, fmt.Errorf("diversity: member %d has empty label", i)
+		if err := p.Add(m); err != nil {
+			return nil, fmt.Errorf("%w (member %d)", err, i)
 		}
-		if m.Power < 0 || math.IsNaN(m.Power) || math.IsInf(m.Power, 0) {
-			return nil, fmt.Errorf("diversity: member %d has invalid power %v", i, m.Power)
-		}
-		out[i] = m
 	}
-	return &Population{members: out}, nil
+	return p, nil
 }
 
 // UniformPopulation returns a population of n members with unit power where
@@ -58,28 +58,34 @@ func (p *Population) Size() int { return len(p.members) }
 // Members returns a copy of the member list.
 func (p *Population) Members() []Member { return append([]Member(nil), p.members...) }
 
-// Add appends a member (join event).
+// Add appends a member (join event). It refuses an empty label, a power
+// vuln.PowerUnits refuses and a total past vuln.MaxPowerUnits.
 func (p *Population) Add(m Member) error {
 	if m.Label == "" {
-		return fmt.Errorf("diversity: empty label")
+		return errors.New("diversity: empty label")
 	}
-	if m.Power < 0 || math.IsNaN(m.Power) || math.IsInf(m.Power, 0) {
-		return fmt.Errorf("diversity: invalid power %v", m.Power)
+	u, err := vuln.PowerUnits(m.Power)
+	if err != nil {
+		return fmt.Errorf("diversity: %w", err)
 	}
-	p.members = append(p.members, m)
+	total, ok := vuln.AddUnits(p.total, 1, u)
+	if !ok {
+		return fmt.Errorf("diversity: power %v takes the total past %d units of 1e-9", m.Power, uint64(vuln.MaxPowerUnits))
+	}
+	p.members, p.units, p.total = append(p.members, m), append(p.units, u), total
 	return nil
 }
 
 // PowerDistribution aggregates member power by configuration label — the
 // paper's p over D, with weights in raw power units.
 func (p *Population) PowerDistribution() Distribution {
-	m := make(map[string]float64)
-	for _, mem := range p.members {
-		m[mem.Label] += mem.Power
+	m := make(map[string]uint64)
+	for i, mem := range p.members {
+		m[mem.Label] += p.units[i]
 	}
-	d, err := FromWeights(m)
+	d, err := fromUnits(m)
 	if err != nil {
-		// Unreachable: members validated on entry.
+		// Unreachable: Add keeps the total within the ceiling.
 		panic(err)
 	}
 	return d
@@ -133,23 +139,17 @@ func (p *Population) Omega() (int, bool) {
 // IsKappaOmegaOptimal implements Definition 2: the population is
 // (κ, ω)-optimal resilient iff its power distribution is κ-optimal
 // (Definition 1) and every configuration has abundance exactly ω.
-func (p *Population) IsKappaOmegaOptimal(kappa, omega int, tol float64) bool {
-	if !p.PowerDistribution().IsKappaOptimal(kappa, tol) {
-		return false
-	}
+func (p *Population) IsKappaOmegaOptimal(kappa, omega int) bool {
 	w, ok := p.Omega()
-	return ok && w == omega
+	return ok && w == omega && p.PowerDistribution().IsKappaOptimal(kappa)
 }
 
 // KappaOmega returns the (κ, ω) for which the population is optimal, or
 // ok=false when it is not optimal for any pair.
-func (p *Population) KappaOmega(tol float64) (kappa, omega int, ok bool) {
-	k, kOK := p.PowerDistribution().Kappa(tol)
-	if !kOK {
-		return 0, 0, false
-	}
+func (p *Population) KappaOmega() (kappa, omega int, ok bool) {
+	k, kOK := p.PowerDistribution().Kappa()
 	w, wOK := p.Omega()
-	if !wOK {
+	if !kOK || !wOK {
 		return 0, 0, false
 	}
 	return k, w, true
@@ -162,27 +162,12 @@ func (p *Population) KappaOmega(tol float64) (kappa, omega int, ok bool) {
 // members share its configuration — this is exactly why higher abundance ω
 // improves resilience against operator adversaries.
 func (p *Population) MinOperatorFaultsToExceed(threshold float64) (int, error) {
-	if len(p.members) == 0 {
+	if p.total == 0 {
 		return 0, ErrNoWeight
 	}
-	var total float64
-	powers := make([]float64, len(p.members))
-	for i, m := range p.members {
-		powers[i] = m.Power
-		total += m.Power
-	}
-	if total <= 0 {
-		return 0, ErrNoWeight
-	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(powers)))
-	cum := 0.0
-	for i, pw := range powers {
-		cum += pw
-		if cum > threshold*total {
-			return i + 1, nil
-		}
-	}
-	return -1, nil
+	us := slices.Clone(p.units)
+	slices.Sort(us)
+	return minFaults(us, p.total, threshold), nil
 }
 
 // Report bundles every diversity and resilience metric the experiments
@@ -204,8 +189,9 @@ type Report struct {
 
 // ReportForDistribution computes a Report for a bare power distribution
 // (member-level metrics are zero). It normalizes the weights once and feeds
-// every metric from that one slice with the float operations of the
-// individual Distribution methods in their order, so each field is
+// the entropy family from that one slice with the float operations of the
+// individual Distribution methods in their order, and the definitions and
+// fault counts from one sorted copy of the units, so each field is
 // bit-identical to the method it is named after.
 func ReportForDistribution(d Distribution) (Report, error) {
 	ps, err := d.Probabilities()
@@ -217,13 +203,14 @@ func ReportForDistribution(d Distribution) (Report, error) {
 	r.NormalizedEntropy = normalizeEntropy(r.Entropy, r.Support)
 	r.EffectiveConfigurations = math.Exp2(r.Entropy)
 	r.SimpsonIndex = simpson(ps)
-	if d.IsUniform(0) {
+	if d.IsUniform() {
 		r.Kappa = r.Support
 	}
-	slices.Sort(ps) // label order is no longer needed
-	r.MaxShare = ps[len(ps)-1]
-	r.MinConfigFaultsToThird = minFaults(ps, 1.0/3.0)
-	r.MinConfigFaultsToHalf = minFaults(ps, 0.5)
+	us := slices.Clone(d.units)
+	slices.Sort(us)
+	r.MaxShare = vuln.UnitFraction(us[len(us)-1], d.total)
+	r.MinConfigFaultsToThird = minFaults(us, d.total, 1.0/3.0)
+	r.MinConfigFaultsToHalf = minFaults(us, d.total, 0.5)
 	return r, nil
 }
 

@@ -74,7 +74,7 @@ func TestPowerDistributionAggregates(t *testing.T) {
 	if d.Weight("a") != 3 || d.Weight("b") != 3 {
 		t.Fatalf("weights a=%v b=%v", d.Weight("a"), d.Weight("b"))
 	}
-	if !d.IsKappaOptimal(2, 0) {
+	if !d.IsKappaOptimal(2) {
 		t.Fatal("aggregated distribution should be κ=2 optimal")
 	}
 }
@@ -107,13 +107,13 @@ func TestKappaOmegaOptimal(t *testing.T) {
 	// Definition 2: κ configurations, ω members each, uniform power.
 	labels := []string{"c0", "c1", "c2", "c3"}
 	p, _ := UniformPopulation(12, labels)
-	if !p.IsKappaOmegaOptimal(4, 3, 0) {
+	if !p.IsKappaOmegaOptimal(4, 3) {
 		t.Fatal("(4,3)-optimal population not recognized")
 	}
-	if p.IsKappaOmegaOptimal(4, 2, 0) || p.IsKappaOmegaOptimal(3, 3, 0) {
+	if p.IsKappaOmegaOptimal(4, 2) || p.IsKappaOmegaOptimal(3, 3) {
 		t.Fatal("wrong (κ,ω) accepted")
 	}
-	k, w, ok := p.KappaOmega(0)
+	k, w, ok := p.KappaOmega()
 	if !ok || k != 4 || w != 3 {
 		t.Fatalf("KappaOmega = %d,%d,%v", k, w, ok)
 	}
@@ -121,7 +121,7 @@ func TestKappaOmegaOptimal(t *testing.T) {
 	skew, _ := NewPopulation([]Member{
 		{Label: "a", Power: 10}, {Label: "b", Power: 1},
 	})
-	if _, _, ok := skew.KappaOmega(0); ok {
+	if _, _, ok := skew.KappaOmega(); ok {
 		t.Fatal("power-skewed population reported optimal")
 	}
 }

@@ -1,12 +1,15 @@
 package diversity
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"math"
+	"math/big"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
+
+	"repro/internal/vuln"
 )
 
 // randomReportDistribution draws one distribution for the bit-identity
@@ -53,22 +56,23 @@ func randomReportDistribution(rng *rand.Rand) Distribution {
 	return MustFromSlice(ws)
 }
 
-// descendingMinFaults is MinFaultsToExceed as it was written before the
-// one-pass report: a descending sort and a forward walk.
-func descendingMinFaults(t *testing.T, d Distribution, threshold float64) int {
-	t.Helper()
-	ps, err := d.Probabilities()
-	if err != nil {
-		t.Fatal(err)
+// exactMinFaults is the reference fault count in math/big.Rat: the fewest
+// of units, largest first, whose sum is strictly more than num/den of
+// their total, or -1 when none is.
+func exactMinFaults(units []uint64, num, den int64) int {
+	us := slices.Clone(units)
+	slices.SortFunc(us, func(a, b uint64) int { return cmp.Compare(b, a) })
+	total := new(big.Rat)
+	for _, u := range us {
+		total.Add(total, new(big.Rat).SetUint64(u))
 	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(ps)))
-	cum := 0.0
-	for i, p := range ps {
-		if p <= 0 {
+	limit := total.Mul(total, big.NewRat(num, den))
+	cum := new(big.Rat)
+	for i, u := range us {
+		if u == 0 {
 			break
 		}
-		cum += p
-		if cum > threshold {
+		if cum.Add(cum, new(big.Rat).SetUint64(u)).Cmp(limit) > 0 {
 			return i + 1
 		}
 	}
@@ -76,7 +80,8 @@ func descendingMinFaults(t *testing.T, d Distribution, threshold float64) int {
 }
 
 // TestPropReportEqualsIndividualMethods pins the one-pass report to the
-// individual metric methods bit for bit: every field with ==, no tolerance.
+// individual metric methods bit for bit: every field with ==, no
+// tolerance. The fault counts must also equal the math/big.Rat walk.
 func TestPropReportEqualsIndividualMethods(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for n := 0; n < 2000; n++ {
@@ -95,7 +100,7 @@ func TestPropReportEqualsIndividualMethods(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: %v", n, err)
 		}
-		kappa, _ := d.Kappa(0)
+		kappa, _ := d.Kappa()
 		third, err := d.MinFaultsToExceed(1.0 / 3.0)
 		if err != nil {
 			t.Fatalf("case %d: %v", n, err)
@@ -116,10 +121,10 @@ func TestPropReportEqualsIndividualMethods(t *testing.T) {
 			MinConfigFaultsToHalf:   half,
 		}
 		if r != want {
-			t.Fatalf("case %d (%v):\nreport  %+v\nmethods %+v", n, d.weights, r, want)
+			t.Fatalf("case %d (%v):\nreport  %+v\nmethods %+v", n, d.units, r, want)
 		}
-		if third != descendingMinFaults(t, d, 1.0/3.0) || half != descendingMinFaults(t, d, 0.5) {
-			t.Fatalf("case %d (%v): MinFaultsToExceed %d/%d differs from the descending walk", n, d.weights, third, half)
+		if wantThird, wantHalf := exactMinFaults(d.units, 1, 3), exactMinFaults(d.units, 1, 2); third != wantThird || half != wantHalf {
+			t.Fatalf("case %d (%v): MinFaultsToExceed %d/%d, exact %d/%d", n, d.units, third, half, wantThird, wantHalf)
 		}
 	}
 }
@@ -134,6 +139,9 @@ func TestReportThresholdsAreStrict(t *testing.T) {
 		{[]float64{2, 1, 1}, 1, 2},    // 1/2 then 3/4
 		{[]float64{1, 1, 1, 1}, 2, 3}, // 1/4, 1/2, 3/4
 		{[]float64{0, 7, 0}, 1, 1},    // zeros never count
+		// One-decimal powers whose float shares sum past the boundary.
+		{[]float64{0.2, 0.2, 0.2, 0.3}, 2, 2}, // 0.3 of 0.9 is exactly 1/3
+		{[]float64{0.3, 0.3, 0.3}, 2, 2},      // 0.3 of 0.9 is exactly 1/3
 	} {
 		r, err := ReportForDistribution(MustFromSlice(c.ws))
 		if err != nil {
@@ -144,20 +152,36 @@ func TestReportThresholdsAreStrict(t *testing.T) {
 				c.ws, r.MinConfigFaultsToThird, r.MinConfigFaultsToHalf, c.third, c.half)
 		}
 	}
+	// {0.3 ×3, 0.4, 0.7, 0.6 ×3}: 0.7 + 0.6 + 0.6 is exactly half of 3.8,
+	// so the operator adversary needs a fourth replica.
+	var members []Member
+	for _, p := range []float64{0.3, 0.3, 0.3, 0.4, 0.7, 0.6, 0.6, 0.6} {
+		members = append(members, Member{Label: fmt.Sprint(p), Power: p})
+	}
+	pop, err := NewPopulation(members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := ReportForPopulation(pop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	classes := []PowerClass{{3e8, 3}, {4e8, 1}, {7e8, 1}, {6e8, 3}}
+	if agg, _ := MinOperatorFaultsForClasses(classes, 0.5); r.MinOperatorFaultsToHalf != 4 || agg != 4 {
+		t.Errorf("exact-half fleet: operator faults to half = %d (classes %d), want 4", r.MinOperatorFaultsToHalf, agg)
+	}
 }
 
 // TestMinOperatorFaultsIgnoresClassOrder: a snapshot hands over its power
-// classes in map order, so shuffled classes must give the same answer. With
-// one-decimal powers float addition is not associative, and a total summed
-// in input order moves the 1/3 and 1/2 limits between shuffles. The first
-// fleet, {0.7, 0.6 ×3, 0.4, 0.3 ×3}, sits on the half boundary.
+// classes in map order, so shuffled classes must give the same answer. The
+// first fleet, {0.7, 0.6 ×3, 0.4, 0.3 ×3}, sits on the half boundary.
 func TestMinOperatorFaultsIgnoresClassOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	fleets := [][]PowerClass{{{0.7, 1}, {0.6, 3}, {0.4, 1}, {0.3, 3}}}
+	fleets := [][]PowerClass{{{7e8, 1}, {6e8, 3}, {4e8, 1}, {3e8, 3}}}
 	for len(fleets) < 300 {
 		var fleet []PowerClass
 		for _, tenths := range rng.Perm(20)[:2+rng.Intn(6)] {
-			fleet = append(fleet, PowerClass{Power: float64(tenths+1) / 10, Count: 1 + rng.Intn(3)})
+			fleet = append(fleet, PowerClass{Units: uint64(tenths+1) * 1e8, Count: 1 + rng.Intn(3)})
 		}
 		fleets = append(fleets, fleet)
 	}
@@ -185,16 +209,20 @@ func TestReportForAggregatesIgnoresClassOrder(t *testing.T) {
 	for c := 0; c < 300; c++ {
 		var classes []PowerClass
 		var abundance []int
-		var weights []float64
+		var labels []string
+		var units []uint64
 		members := 0
-		for _, tenths := range rng.Perm(20)[:1+rng.Intn(6)] {
-			pc := PowerClass{Power: float64(tenths+1) / 10, Count: 1 + rng.Intn(3)}
+		for i, tenths := range rng.Perm(20)[:1+rng.Intn(6)] {
+			pc := PowerClass{Units: uint64(tenths+1) * 1e8, Count: 1 + rng.Intn(3)}
 			classes = append(classes, pc)
 			abundance = append(abundance, pc.Count)
-			weights = append(weights, pc.Power*float64(pc.Count))
+			labels, units = append(labels, fmt.Sprint(i)), append(units, pc.Units*uint64(pc.Count))
 			members += pc.Count
 		}
-		d := MustFromSlice(weights)
+		d, err := FromSorted(labels, units)
+		if err != nil {
+			t.Fatal(err)
+		}
 		want, err := ReportForAggregates(d, members, abundance, classes)
 		if err != nil {
 			t.Fatal(err)
@@ -216,7 +244,7 @@ func TestReportForAggregatesIgnoresClassOrder(t *testing.T) {
 func TestReportNoWeight(t *testing.T) {
 	for _, d := range []Distribution{{}, MustFromSlice([]float64{0, 0, 0})} {
 		if _, err := ReportForDistribution(d); !errors.Is(err, ErrNoWeight) {
-			t.Fatalf("ReportForDistribution(%v) error = %v, want ErrNoWeight", d.weights, err)
+			t.Fatalf("ReportForDistribution(%v) error = %v, want ErrNoWeight", d.units, err)
 		}
 	}
 }
@@ -234,15 +262,17 @@ func TestFromSortedMatchesFromWeights(t *testing.T) {
 			t.Fatal(err)
 		}
 		labels := want.Labels()
-		weights := make([]float64, len(labels))
+		units := make([]uint64, len(labels))
 		for i, l := range labels {
-			weights[i] = m[l]
+			if units[i], err = vuln.PowerUnits(m[l]); err != nil {
+				t.Fatal(err)
+			}
 		}
-		got, err := FromSorted(labels, weights)
+		got, err := FromSorted(labels, units)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.total != want.total || fmt.Sprint(got.labels, got.weights) != fmt.Sprint(want.labels, want.weights) {
+		if got.total != want.total || fmt.Sprint(got.labels, got.units) != fmt.Sprint(want.labels, want.units) {
 			t.Fatalf("FromSorted = %+v, FromWeights = %+v", got, want)
 		}
 	}
@@ -250,18 +280,16 @@ func TestFromSortedMatchesFromWeights(t *testing.T) {
 
 func TestFromSortedValidation(t *testing.T) {
 	for name, c := range map[string]struct {
-		labels  []string
-		weights []float64
+		labels []string
+		units  []uint64
 	}{
-		"unsorted":        {[]string{"b", "a"}, []float64{1, 1}},
-		"duplicate":       {[]string{"a", "a"}, []float64{1, 1}},
-		"negative":        {[]string{"a", "b"}, []float64{1, -1}},
-		"NaN":             {[]string{"a"}, []float64{math.NaN()}},
-		"+Inf":            {[]string{"a"}, []float64{math.Inf(1)}},
-		"-Inf":            {[]string{"a"}, []float64{math.Inf(-1)}},
-		"length mismatch": {[]string{"a", "b"}, []float64{1}},
+		"unsorted":          {[]string{"b", "a"}, []uint64{1, 1}},
+		"duplicate":         {[]string{"a", "a"}, []uint64{1, 1}},
+		"past the ceiling":  {[]string{"a", "b"}, []uint64{vuln.MaxPowerUnits, 1}},
+		"length mismatch":   {[]string{"a", "b"}, []uint64{1}},
+		"one label too big": {[]string{"a"}, []uint64{vuln.MaxPowerUnits + 1}},
 	} {
-		if _, err := FromSorted(c.labels, c.weights); err == nil {
+		if _, err := FromSorted(c.labels, c.units); err == nil {
 			t.Errorf("%s input accepted", name)
 		}
 	}
@@ -271,7 +299,7 @@ func TestFromSortedValidation(t *testing.T) {
 }
 
 // TestReportAllocations pins the one-pass report's allocation count: the
-// normalized weights, sorted in place, are all it needs.
+// normalized weights and one sorted copy of the units are all it needs.
 func TestReportAllocations(t *testing.T) {
 	d := Uniform(32)
 	if got := testing.AllocsPerRun(50, func() {

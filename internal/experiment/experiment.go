@@ -449,7 +449,7 @@ func CommitteeDiversity(sizes []int, seed int64) (*metrics.Table, []CommitteeRow
 		if err != nil {
 			return nil, nil, err
 		}
-		if k, ok := byCount.Kappa(1e-9); ok {
+		if k, ok := byCount.Kappa(); ok {
 			row.DiverseKappa = k
 		}
 		rows = append(rows, row)
@@ -681,9 +681,9 @@ func KappaOmegaTable() (*metrics.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		k, kOK := pop.PowerDistribution().Kappa(1e-9)
+		k, kOK := pop.PowerDistribution().Kappa()
 		w, wOK := pop.Omega()
-		full := pop.IsKappaOmegaOptimal(c.kappa, c.omega, 1e-9)
+		full := pop.IsKappaOmegaOptimal(c.kappa, c.omega)
 		kStr, wStr := "-", "-"
 		if kOK {
 			kStr = fmt.Sprint(k)

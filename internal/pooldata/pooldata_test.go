@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/diversity"
+	"repro/internal/vuln"
 )
 
 func TestSnapshotSharesSum(t *testing.T) {
@@ -83,8 +84,21 @@ func TestWithUniformTailShape(t *testing.T) {
 	if d.Support() != 118 {
 		t.Fatalf("support = %d, want 118", d.Support())
 	}
-	if math.Abs(d.Total()-(SnapshotSumPercent+ResidualPercent)) > 1e-9 {
-		t.Fatalf("total = %v, want %v", d.Total(), SnapshotSumPercent+ResidualPercent)
+	// Each share is converted once to units of 1e-9, and 0.87/101 has more
+	// than nine decimals, so the total is the sum of the converted shares.
+	units := func(w float64) uint64 {
+		u, err := vuln.PowerUnits(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return u
+	}
+	want := 101 * units(ResidualPercent/101)
+	for _, share := range BitcoinSnapshotPercent {
+		want += units(share)
+	}
+	if d.Total() != vuln.UnitsPower(want) {
+		t.Fatalf("total = %v, want %v", d.Total(), vuln.UnitsPower(want))
 	}
 }
 
@@ -146,7 +160,7 @@ func TestSyntheticOligopoly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !uniform.IsKappaOptimal(16, 0) {
+	if !uniform.IsKappaOptimal(16) {
 		t.Fatal("s=0 should give a κ-optimal (uniform) distribution")
 	}
 	skewed, err := SyntheticOligopoly(16, 1.5)

@@ -409,7 +409,7 @@ func fromScratch(r *Registry, w Weighting) *Snapshot {
 	defer r.snapMu.Unlock()
 	s := &Snapshot{Generation: r.gen, Weighting: w, classes: make(map[uint64]int)}
 	var labels []string
-	var weights []float64
+	var units []uint64
 	for _, b := range r.buckets {
 		sb, err := r.exportBucketLocked(b, w)
 		if err != nil {
@@ -421,9 +421,9 @@ func fromScratch(r *Registry, w Weighting) *Snapshot {
 	}
 	slices.SortFunc(s.buckets, func(a, b *SnapBucket) int { return strings.Compare(a.Key, b.Key) })
 	for _, sb := range s.buckets {
-		labels, weights = append(labels, sb.Key), append(weights, vuln.UnitsPower(sb.Units))
+		labels, units = append(labels, sb.Key), append(units, sb.Units)
 	}
-	dist, err := diversity.FromSorted(labels, weights)
+	dist, err := diversity.FromSorted(labels, units)
 	if err != nil {
 		panic(err)
 	}

@@ -134,9 +134,9 @@ func (s *Snapshot) Population() *diversity.Population {
 // aggregates: distribution metrics from Distribution, abundance ω from
 // per-bucket counts, and operator-fault resilience from the (power → member
 // count) classes — O(#buckets + #power classes), never O(#groups) or
-// O(#replicas). For integral powers the result is bit-identical to
-// diversity.ReportForPopulation over Replicas(); the incremental-vs-cold
-// property test pins that equivalence.
+// O(#replicas). The result is identical to diversity.ReportForPopulation
+// over Population(); the incremental-vs-cold property test pins that
+// equivalence.
 func (s *Snapshot) Report() (diversity.Report, error) {
 	abundance := make([]int, len(s.buckets))
 	for i, sb := range s.buckets {
@@ -144,7 +144,7 @@ func (s *Snapshot) Report() (diversity.Report, error) {
 	}
 	classes := make([]diversity.PowerClass, 0, len(s.classes))
 	for u, c := range s.classes {
-		classes = append(classes, diversity.PowerClass{Power: vuln.UnitsPower(u), Count: c})
+		classes = append(classes, diversity.PowerClass{Units: u, Count: c})
 	}
 	return diversity.ReportForAggregates(s.Distribution, s.members, abundance, classes)
 }
@@ -244,22 +244,18 @@ func (r *Registry) deltaSnapshotLocked(prev *Snapshot, changed map[config.ID]str
 	out = append(out, prev.buckets[i:]...)
 
 	labels := make([]string, len(out))
-	weights := make([]float64, len(out))
+	units := make([]uint64, len(out))
 	members := 0
-	var total uint64
 	for i, sb := range out {
-		var ok bool
-		if total, ok = vuln.AddUnits(total, 1, sb.Units); !ok {
-			return nil, errOverflow
-		}
-		labels[i], weights[i] = sb.Key, vuln.UnitsPower(sb.Units)
+		labels[i], units[i] = sb.Key, sb.Units
 		members += sb.Count
 	}
 	// The bucket list is label-ascending, which is the distribution's
-	// canonical order: no map, no re-sort.
-	dist, err := diversity.FromSorted(labels, weights)
+	// canonical order: no map, no re-sort. So the one error left is a
+	// total past the ceiling.
+	dist, err := diversity.FromSorted(labels, units)
 	if err != nil {
-		return nil, err
+		return nil, errOverflow
 	}
 	return &Snapshot{
 		Generation:   r.gen,
