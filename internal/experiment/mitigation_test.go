@@ -90,6 +90,22 @@ func TestDelegationCollapse(t *testing.T) {
 	}
 }
 
+// TestDelegationCollapseUndelegatedMajority: with nothing delegated, n
+// equal stakeholders are n unique configurations, and for even n exactly
+// half of them is not a majority (Sec. II-C counts faults that strictly
+// exceed f = 1/2), so breaking the system takes n/2 + 1 faults.
+func TestDelegationCollapseUndelegatedMajority(t *testing.T) {
+	for _, n := range []int{10, 200, 1000, 4096} {
+		_, rows, err := DelegationCollapse(n, []float64{0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rows[0].FaultsToHalf; got != n/2+1 {
+			t.Errorf("n = %d: %d faults to exceed 1/2, want %d", n, got, n/2+1)
+		}
+	}
+}
+
 func TestChurnTrajectory(t *testing.T) {
 	_, plain, err := ChurnTrajectory(20, 25, false, 11)
 	if err != nil {
