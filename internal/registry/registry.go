@@ -113,7 +113,9 @@ func (w Weighting) weigh(u uint64, t Tier) (uint64, error) {
 // latency and the member names, ascending; a snapshot under a weighting
 // that leaves the units as they are exports that very GroupSpec. A
 // replica's power, tier, latency and configuration are read from its group
-// and the group's bucket, and stored nowhere else.
+// and the group's bucket, and stored nowhere else. The group names its
+// bucket by a 4-byte slot rather than a pointer, which keeps it at 48 bytes:
+// in a fleet of one-member groups a group is most of a replica's cost.
 type group struct {
 	vuln.GroupSpec
 	tier Tier
@@ -124,7 +126,7 @@ type group struct {
 	// registry read lock serialized by snapMu; read under the write lock —
 	// never raced.
 	frozen bool
-	b      *bucket // the bucket holding the group
+	slot   uint32 // the bucket holding the group: Registry.slots[slot]
 }
 
 // cmp orders groups by (units, tier, latency) ascending; 0 means same group.
@@ -158,6 +160,10 @@ type bucket struct {
 	cfg    config.Configuration
 	count  int
 	groups []*group // (units, tier, latency) ascending
+	slot   uint32   // the bucket's index in Registry.slots
+	// nextFree links an emptied bucket into the registry's free list: 1 +
+	// the next free slot, 0 at the end.
+	nextFree uint32
 }
 
 // groupFor returns the bucket's group for the key, creating it in sorted
@@ -169,7 +175,7 @@ func (b *bucket) groupFor(units uint64, tier Tier, latency time.Duration) *group
 	if i < len(b.groups) && b.groups[i].cmp(units, tier, latency) == 0 {
 		return b.groups[i]
 	}
-	g := &group{GroupSpec: vuln.GroupSpec{Units: units, Latency: latency}, tier: tier, b: b}
+	g := &group{GroupSpec: vuln.GroupSpec{Units: units, Latency: latency}, tier: tier, slot: b.slot}
 	b.groups = slices.Insert(b.groups, i, g)
 	return g
 }
@@ -189,10 +195,10 @@ func (b *bucket) dropGroup(g *group) {
 // and assessment on one scheduler, which is what makes its runs
 // replayable; synchronization here is what makes them safe.
 type Registry struct {
-	// mu guards records, voteKeys, buckets, the aggregates, epoch and gen.
-	// Mutators take the write lock; readers (Get, Records, TierCounts,
-	// Snapshot construction) the read lock, so a snapshot can never
-	// observe a half-applied mutation.
+	// mu guards records, voteKeys, buckets, slots, the aggregates, epoch
+	// and gen. Mutators take the write lock; readers (Get, Records,
+	// TierCounts, Snapshot construction) the read lock, so a snapshot can
+	// never observe a half-applied mutation.
 	mu        sync.RWMutex
 	authority *attest.Authority
 	records   map[ReplicaID]*group            // a replica's entry is its group
@@ -203,6 +209,15 @@ type Registry struct {
 	attested int // replicas per tier, maintained incrementally
 	declared int
 	units    uint64 // summed raw power units, at most vuln.MaxPowerUnits
+
+	// slots holds every bucket at the slot its groups name. An emptied
+	// bucket stays in its slot, cleared, and heads the free list (freeSlot
+	// is 1 + its slot, 0 when no slot is free); the next new bucket reuses
+	// it. A mutation that leaves a group must read the group's bucket
+	// before bucketRemove, which may clear it or, by the next bucketAdd,
+	// hand it to another configuration.
+	slots    []*bucket
+	freeSlot uint32
 
 	// gen counts mutations.
 	gen uint64
@@ -333,6 +348,7 @@ func (r *Registry) Leave(id ReplicaID) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownReplica, id)
 	}
+	key := r.slots[g.slot].cfg.Digest()
 	r.bucketRemove(g, id)
 	r.units -= g.Units
 	if g.tier == TierAttested {
@@ -342,7 +358,7 @@ func (r *Registry) Leave(id ReplicaID) error {
 		r.declared--
 	}
 	delete(r.records, id)
-	r.bumpGen(g.b.cfg.Digest())
+	r.bumpGen(key)
 	return nil
 }
 
@@ -362,9 +378,10 @@ func (r *Registry) SetPower(id ReplicaID, p float64) error {
 	if err := r.reserve(g.Units, u, p); err != nil {
 		return err
 	}
+	cfg := r.slots[g.slot].cfg
 	name := r.bucketRemove(g, id)
-	r.records[ReplicaID(name)] = r.bucketAdd(name, g.b.cfg, u, g.tier, g.Latency)
-	r.bumpGen(g.b.cfg.Digest())
+	r.records[ReplicaID(name)] = r.bucketAdd(name, cfg, u, g.tier, g.Latency)
+	r.bumpGen(cfg.Digest())
 	return nil
 }
 
@@ -381,6 +398,7 @@ func (r *Registry) Migrate(id ReplicaID, cfg config.Configuration) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownReplica, id)
 	}
+	old := r.slots[g.slot].cfg
 	name := r.bucketRemove(g, id)
 	if g.tier == TierAttested {
 		delete(r.voteKeys, id)
@@ -388,7 +406,7 @@ func (r *Registry) Migrate(id ReplicaID, cfg config.Configuration) error {
 		r.declared++
 	}
 	r.records[ReplicaID(name)] = r.bucketAdd(name, cfg, g.Units, TierDeclared, g.Latency)
-	r.bumpGen(g.b.cfg.Digest(), cfg.Digest())
+	r.bumpGen(old.Digest(), cfg.Digest())
 	return nil
 }
 
@@ -413,7 +431,14 @@ func (r *Registry) bucketAdd(name string, cfg config.Configuration, units uint64
 	digest := cfg.Digest()
 	b := r.buckets[digest]
 	if b == nil {
-		b = &bucket{label: digest.String(), cfg: cfg}
+		if r.freeSlot > 0 {
+			b = r.slots[r.freeSlot-1]
+			r.freeSlot, b.nextFree = b.nextFree, 0
+		} else {
+			b = &bucket{slot: uint32(len(r.slots))}
+			r.slots = append(r.slots, b)
+		}
+		b.label, b.cfg = digest.String(), cfg
 		r.buckets[digest] = b
 	}
 	g := b.groupFor(units, tier, latency)
@@ -428,7 +453,8 @@ func (r *Registry) bucketAdd(name string, cfg config.Configuration, units uint64
 }
 
 // bucketRemove takes the replica out of its group g, dropping emptied
-// groups and buckets, and returns the group's copy of its name: the string
+// groups and buckets (an emptied bucket is cleared and freed for reuse),
+// and returns the group's copy of its name: the string
 // the replica joined with. A mutation writes the replica's entry back under
 // that copy, never the caller's, because assigning to an existing key
 // stores the assigned key's string and a caller's ID may be a slice of a
@@ -436,7 +462,7 @@ func (r *Registry) bucketAdd(name string, cfg config.Configuration, units uint64
 func (r *Registry) bucketRemove(g *group, id ReplicaID) string {
 	i := sort.SearchStrings(g.Names, string(id))
 	name := g.Names[i]
-	b := g.b
+	b := r.slots[g.slot]
 	switch {
 	case len(g.Names) == 1:
 		b.dropGroup(g)
@@ -448,6 +474,8 @@ func (r *Registry) bucketRemove(g *group, id ReplicaID) string {
 	b.count--
 	if b.count == 0 {
 		delete(r.buckets, b.cfg.Digest())
+		b.label, b.cfg, b.nextFree = "", config.Configuration{}, r.freeSlot
+		r.freeSlot = b.slot + 1
 	}
 	return name
 }
@@ -457,8 +485,9 @@ func (r *Registry) bucketRemove(g *group, id ReplicaID) string {
 // keeps g as it was. names must not share storage with g's. O(|names|), as
 // copying the names is. r.mu must be held for writing.
 func (r *Registry) replaceGroup(g *group, names []string) *group {
-	ng := &group{GroupSpec: vuln.GroupSpec{Units: g.Units, Latency: g.Latency, Names: names}, tier: g.tier, b: g.b}
-	g.b.groups[slices.Index(g.b.groups, g)] = ng
+	ng := &group{GroupSpec: vuln.GroupSpec{Units: g.Units, Latency: g.Latency, Names: names}, tier: g.tier, slot: g.slot}
+	b := r.slots[g.slot]
+	b.groups[slices.Index(b.groups, g)] = ng
 	for _, name := range names {
 		r.records[ReplicaID(name)] = ng
 	}
@@ -480,7 +509,7 @@ func (r *Registry) bumpGen(keys ...config.ID) {
 func (r *Registry) record(id ReplicaID, g *group) Record {
 	return Record{
 		ID:           id,
-		Config:       g.b.cfg,
+		Config:       r.slots[g.slot].cfg,
 		Power:        vuln.UnitsPower(g.Units),
 		Tier:         g.tier,
 		VoteKey:      r.voteKeys[id],

@@ -32,7 +32,7 @@ func TestRemovedEntriesLeaveSpareCapacity(t *testing.T) {
 	if err := r.Leave("x"); err != nil {
 		t.Fatal(err)
 	}
-	if groups := g.b.groups; len(groups) != 1 || groups[:cap(groups)][len(groups)] != nil {
+	if groups := r.slots[g.slot].groups; len(groups) != 1 || groups[:cap(groups)][len(groups)] != nil {
 		t.Errorf("after Leave(x) the bucket holds %d groups and a dropped one past its end", len(groups))
 	}
 }
@@ -110,5 +110,76 @@ func TestVoteKeysFollowTier(t *testing.T) {
 	}
 	if len(r.voteKeys) != 0 {
 		t.Fatalf("vote keys %v outlive the attested tier", r.voteKeys)
+	}
+}
+
+// TestGroupFitsSizeClass: a group stays in the 48-byte allocation class.
+// Most groups of a permissionless fleet hold one replica, so a group's
+// bytes are close to a replica's; the 64-byte class costs 16 B more each.
+func TestGroupFitsSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(group{}); size > 48 {
+		t.Errorf("group is %d B, past the 48-byte size class", size)
+	}
+}
+
+// TestEmptiedBucketSlotIsReused: a bucket emptied by Leave, SetPower or
+// Migrate frees its slot, the next new bucket takes it, and every mutation
+// marks the bucket it left, not the one that inherited the slot: each
+// snapshot holds exactly the live configurations.
+func TestEmptiedBucketSlotIsReused(t *testing.T) {
+	r := New(nil)
+	for id, name := range map[ReplicaID]string{"a": "debian", "b": "ubuntu"} {
+		if err := r.JoinDeclared(id, testCfg(name), 1, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(step string, want ...string) {
+		t.Helper()
+		var got, keys []string
+		for _, b := range mustSnapshot(t, r, DefaultWeighting).BucketSpecs() {
+			got = append(got, b.Key)
+		}
+		for _, name := range want {
+			keys = append(keys, testCfg(name).Digest().String())
+		}
+		slices.Sort(keys)
+		if !slices.Equal(got, keys) {
+			t.Errorf("after %s the snapshot holds buckets %v, want %v", step, got, want)
+		}
+		free := 0
+		for s := r.freeSlot; s > 0; s = r.slots[s-1].nextFree {
+			if b := r.slots[s-1]; b.count != 0 || len(b.groups) != 0 || b.label != "" {
+				t.Errorf("after %s free slot %d holds a bucket of %d replicas", step, s-1, b.count)
+			}
+			free++
+		}
+		if len(r.slots) != 2 || free != 2-len(r.buckets) {
+			t.Errorf("after %s: %d slots, %d free, %d buckets", step, len(r.slots), free, len(r.buckets))
+		}
+		for id, g := range r.records {
+			if b := r.slots[g.slot]; b.count == 0 || b != r.buckets[b.cfg.Digest()] || !slices.Contains(b.groups, g) {
+				t.Errorf("after %s replica %s names slot %d, which does not hold its group", step, id, g.slot)
+			}
+		}
+	}
+	mustSnapshot(t, r, DefaultWeighting)
+	if err := r.Migrate("a", testCfg("fedora")); err != nil {
+		t.Fatal(err)
+	}
+	check("Migrate", "fedora", "ubuntu")
+	if err := r.SetPower("a", 2); err != nil {
+		t.Fatal(err)
+	}
+	check("SetPower", "fedora", "ubuntu")
+	if err := r.Leave("b"); err != nil {
+		t.Fatal(err)
+	}
+	check("Leave", "fedora")
+	if err := r.JoinDeclared("c", testCfg("arch"), 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	check("JoinDeclared", "arch", "fedora")
+	if rec, _ := r.Get("a"); !rec.Config.Equal(testCfg("fedora")) || rec.Power != 2 {
+		t.Errorf("a reads %v at power %v", rec.Config, rec.Power)
 	}
 }
