@@ -133,7 +133,9 @@ type CacheStats struct {
 	// critical instants those sweeps covered and WorstEvaluated the ones
 	// whose exact fraction had to be evaluated because the pruning bound
 	// could not rule them out: WorstEvaluated ≈ WorstInstants means the
-	// sweep has degraded to a full one (a saturated catalog does that).
+	// sweep has degraded to a full one. A catalog that keeps every bucket
+	// open at severity < 1 does that; at severity 1 the same catalog ties
+	// every bound at the total, and the sweep evaluates one instant.
 	WorstSweeps    uint64
 	WorstInstants  uint64
 	WorstEvaluated uint64

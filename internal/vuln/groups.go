@@ -828,11 +828,13 @@ func (gi *GroupInjector) worstWindow(horizon time.Duration, names bool) (Injecti
 
 	// Bound-and-prune over numerators of the one fixed total. Seed the
 	// search at the instant with the largest bound, then walk the instants
-	// evaluating the exact numerator only where the bound can still reach
-	// the best found. A skipped instant has bound(t) < best, and its
-	// numerator sums a subset of what bound(t) sums, so it is not a
-	// maximiser; ties go to the earlier instant — the flat sweep's "first
-	// strict improvement in time order".
+	// evaluating the exact numerator only where the bound can still win.
+	// An instant's numerator sums a subset of what bound(t) sums, so one
+	// with bound(t) < best is not a maximiser. Ties go to the earlier
+	// instant — the flat sweep's "first strict improvement in time order" —
+	// so one later than bestT with bound(t) == best cannot win either: at
+	// most it ties. On a saturated severity-1 catalog, where every bound
+	// is the total, that leaves the seed alone to evaluate.
 	seed := 0
 	for i, v := range bound {
 		if v > bound[seed] {
@@ -842,7 +844,7 @@ func (gi *GroupInjector) worstWindow(horizon time.Duration, names bool) (Injecti
 	bestT, best := instants[seed], gi.dedupAt(instants[seed])
 	evaluated := 1
 	for i, t := range instants {
-		if i == seed || bound[i] < best {
+		if i == seed || bound[i] < best || (bound[i] == best && t > bestT) {
 			continue
 		}
 		evaluated++

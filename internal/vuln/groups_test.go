@@ -299,6 +299,29 @@ func TestPrunedSweepTieGoesToEarliestInstant(t *testing.T) {
 	}
 }
 
+// A saturated severity-1 catalog: every bucket is open at every instant,
+// so every bound ties at the total. The seed, instant 0, already takes the
+// total, and no later instant can win a tie, so the sweep evaluates the
+// seed alone instead of every instant.
+func TestSaturatedSweepEvaluatesSeedOnly(t *testing.T) {
+	const products = 4
+	cat := NewCatalog()
+	for i := 0; i < 40; i++ {
+		mustAdd(t, cat, Vulnerability{ID: ID(fmt.Sprintf("CVE-%02d", i)), Class: config.ClassOperatingSystem,
+			Product:   fmt.Sprintf("os-%d", i%products),
+			Disclosed: time.Duration(max(0, i-products+1)) * time.Hour, PatchAt: 200 * time.Hour, Severity: 1})
+	}
+	var replicas []Replica
+	for i := 0; i < 3*products; i++ {
+		replicas = append(replicas, Replica{Name: fmt.Sprintf("r%02d", i), Power: float64(1 + i),
+			PatchLatency: time.Duration(i%3) * time.Hour, Config: osCfg(fmt.Sprintf("os-%d", i%products))})
+	}
+	instants, evaluated := checkPrunedMatchesFlat(t, cat, replicas, 100*time.Hour)
+	if instants < 30 || evaluated > 2 {
+		t.Errorf("saturated sweep evaluated %d of %d instants, want at most 2", evaluated, instants)
+	}
+}
+
 // fractionalBuckets is 40 buckets whose powers are not dyadic, so the order
 // a total is summed in shows in its last bits.
 func fractionalBuckets() []BucketSpec {
