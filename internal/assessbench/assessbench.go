@@ -17,6 +17,10 @@
 //     over the horizon — the incremental path plus the bound-pruned sweep
 //     of every critical instant, what a GET …/worst costs under churn.
 //
+// Beside the five timings each rung reports the live heap a tenant of its
+// size keeps resident, per replica: the registry, its snapshot and a
+// monitor that has assessed once.
+//
 // The same builder feeds BenchmarkAssessScale (bench_test.go) and
 // cmd/assessbench, which emits the committed BENCH_assess.json, so the
 // numbers in the README and the benchmarks in CI cannot drift apart.
@@ -102,9 +106,9 @@ type Rung struct {
 	Vulns    int `json:"vulns"`
 }
 
-// Measurement is one rung's results in ns/op per path, plus the headline
-// ratio: how much cheaper absorbing a single mutation is than the flat
-// cold rebuild the incremental path replaced.
+// Measurement is one rung's results in ns/op per path, the resident bytes
+// per replica, and the headline ratio: how much cheaper absorbing a single
+// mutation is than the flat cold rebuild the incremental path replaced.
 type Measurement struct {
 	Replicas           int     `json:"replicas"`
 	Vulns              int     `json:"vulns"`
@@ -113,6 +117,7 @@ type Measurement struct {
 	IncrementalNs      float64 `json:"incrementalNs"`
 	CachedNs           float64 `json:"cachedNs"`
 	WorstNs            float64 `json:"worstNs"`
+	ResidentBytes      float64 `json:"residentBytesPerReplica"`
 	SpeedupIncremental float64 `json:"speedupIncrementalVsFlat"`
 }
 
@@ -138,18 +143,42 @@ func timeOp(budget time.Duration, op func() error) (float64, error) {
 	}
 }
 
-// MeasureRung builds the rung's workload and times the five paths. budget
-// bounds the timed loop per path (a single long operation may exceed it).
+// heapAfterGC returns the live heap once the garbage is collected.
+func heapAfterGC() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// MeasureRung builds the rung's workload, measures what it keeps resident
+// and times the five paths. budget bounds the timed loop per path (a
+// single long operation may exceed it).
 func MeasureRung(r Rung, budget time.Duration) (Measurement, error) {
 	m := Measurement{Replicas: r.Replicas, Vulns: r.Vulns}
 	cat, err := Catalog(r.Vulns)
 	if err != nil {
 		return m, err
 	}
+
+	// Resident: the registry, its snapshot and an assessed monitor, before
+	// any path below caches a per-replica view (the flat path does).
+	base := heapAfterGC()
 	reg, err := Registry(r.Replicas)
 	if err != nil {
 		return m, err
 	}
+	resident, err := core.NewMonitor(reg, core.WithCatalog(cat), core.WithSummaryFaults())
+	if err != nil {
+		return m, err
+	}
+	if _, err := resident.Assess(Instant); err != nil {
+		return m, err
+	}
+	m.ResidentBytes = float64(int64(heapAfterGC())-int64(base)) / float64(r.Replicas)
+	runtime.KeepAlive(resident)
+
 	snap, err := reg.Snapshot(registry.DefaultWeighting)
 	if err != nil {
 		return m, err
