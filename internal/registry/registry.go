@@ -115,7 +115,8 @@ func (w Weighting) weigh(u uint64, t Tier) (uint64, error) {
 // replica's power, tier, latency and configuration are read from its group
 // and the group's bucket, and stored nowhere else. The group names its
 // bucket by a 4-byte slot rather than a pointer, which keeps it at 48 bytes:
-// in a fleet of one-member groups a group is most of a replica's cost.
+// in a fleet of one-member groups every byte of a group is a byte of a
+// replica.
 type group struct {
 	vuln.GroupSpec
 	tier Tier
@@ -454,11 +455,11 @@ func (r *Registry) bucketAdd(name string, cfg config.Configuration, units uint64
 
 // bucketRemove takes the replica out of its group g, dropping emptied
 // groups and buckets (an emptied bucket is cleared and freed for reuse),
-// and returns the group's copy of its name: the string
-// the replica joined with. A mutation writes the replica's entry back under
-// that copy, never the caller's, because assigning to an existing key
-// stores the assigned key's string and a caller's ID may be a slice of a
-// far larger string. r.mu must be held for writing.
+// and returns the group's copy of its name: the string the replica joined
+// with. A mutation writes the replica's entry back under that copy, never
+// the caller's, because assigning to an existing key stores the assigned
+// key's string and a caller's ID may be a slice of a far larger string.
+// r.mu must be held for writing.
 func (r *Registry) bucketRemove(g *group, id ReplicaID) string {
 	i := sort.SearchStrings(g.Names, string(id))
 	name := g.Names[i]
