@@ -16,8 +16,9 @@
 // with the connection closed, not with an error body.
 //
 // SIGINT or SIGTERM starts a graceful shutdown: the listener closes, new
-// requests are refused with 503, every SSE stream ends cleanly, and
-// in-flight requests get -drain to finish before the process exits.
+// requests are refused with 503, every SSE stream ends cleanly, a
+// connection that has not sent a request yet is closed, and in-flight
+// requests get -drain to finish before the process exits.
 package main
 
 import (
@@ -29,6 +30,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"sync"
 	"syscall"
 	"time"
 
@@ -65,6 +67,8 @@ func main() {
 func run(ctx context.Context, ln net.Listener, drain, timeout time.Duration) error {
 	svc := monitord.NewServer()
 	httpSrv := newHTTPServer(svc, timeout)
+	var unused unusedConns
+	httpSrv.ConnState = unused.track
 	log.Printf("listening on %s", ln.Addr())
 
 	serveErr := make(chan error, 1)
@@ -79,8 +83,12 @@ func run(ctx context.Context, ln net.Listener, drain, timeout time.Duration) err
 
 	// Order matters: closing the service first ends every SSE stream (the
 	// handlers select on its done channel), so Shutdown's drain below can
-	// actually finish instead of waiting on infinite streams.
+	// actually finish instead of waiting on infinite streams. Then hang up
+	// every connection that has not sent a byte yet: Shutdown counts such a
+	// connection as busy for its first 5 s, so one stray dial would hold
+	// the drain.
 	svc.Close()
+	unused.closeAll()
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
@@ -112,4 +120,41 @@ func newHTTPServer(svc http.Handler, timeout time.Duration) *http.Server {
 		// sockets forever; SSE streams write continuously and stay alive.
 		IdleTimeout: 2 * time.Minute,
 	}
+}
+
+// unusedConns tracks the connections in http.StateNew: accepted, but not a
+// byte of a request read. closeAll closes them and every one accepted after
+// it; a client sees such a connection closed without a reply, as it sees an
+// idle keep-alive connection Shutdown closes.
+type unusedConns struct {
+	mu     sync.Mutex
+	conns  map[net.Conn]struct{}
+	closed bool
+}
+
+// track is the server's ConnState hook.
+func (u *unusedConns) track(c net.Conn, state http.ConnState) {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	switch {
+	case state != http.StateNew:
+		delete(u.conns, c)
+	case u.closed:
+		c.Close()
+	default:
+		if u.conns == nil {
+			u.conns = make(map[net.Conn]struct{})
+		}
+		u.conns[c] = struct{}{}
+	}
+}
+
+func (u *unusedConns) closeAll() {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	u.closed = true
+	for c := range u.conns {
+		c.Close()
+	}
+	clear(u.conns)
 }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -373,10 +374,6 @@ func TestRunServesLoadAndShutsDown(t *testing.T) {
 		}
 	}
 
-	// A connection the client dialed but never sent a request on counts as
-	// in flight for its first 5 s (net/http's rule for new connections),
-	// which would eat the drain; hang those up, and leave the streams open.
-	client.CloseIdleConnections()
 	cancel()
 	select {
 	case err := <-runErr:
@@ -395,5 +392,61 @@ func TestRunServesLoadAndShutsDown(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatalf("%d of %d watch streams still open after run returned", watchers-ended, watchers)
 		}
+	}
+}
+
+// TestShutdownHangsUpUnusedConnection: a connection dialed but never used
+// does not hold a graceful shutdown — run returns nil well inside a drain
+// shorter than the 5 s net/http grants a new connection — and a request
+// sent on it once shutdown has begun gets no reply: the connection is
+// closed.
+func TestShutdownHangsUpUnusedConnection(t *testing.T) {
+	const drain = 500 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	runErr := make(chan error, 1)
+	go func() { runErr <- run(ctx, ln, drain, 10*time.Second) }()
+
+	stray, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stray.Close()
+	// The server accepts in dial order, so once a later connection is
+	// answered, the stray one is accepted and waiting for its request.
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	resp, err := client.Get("http://" + ln.Addr().String() + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz: %s", resp.Status)
+	}
+
+	cancel()
+	select {
+	case err := <-runErr:
+		if err != nil {
+			t.Fatalf("run with an unused connection open: %v", err)
+		}
+	case <-time.After(drain + 5*time.Second):
+		t.Fatal("run still serving after cancel")
+	}
+	_ = stray.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.WriteString(stray, "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"); err != nil {
+		return // the server's hang-up already reached the writer
+	}
+	reply, err := io.ReadAll(stray)
+	if len(reply) > 0 {
+		t.Fatalf("request on the unused connection answered after shutdown: %q", reply)
+	}
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatal("unused connection still open after run returned")
 	}
 }

@@ -155,7 +155,39 @@ func cmdRun(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	doRun(selection, *live, *seed, *parallel, mode)
+	defs, err := selectDefs(selection)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if *live {
+		defs = filterTag(defs, "live")
+		if len(defs) == 0 {
+			log.Fatal("-live selected no scenarios; none of the selection carries the live tag")
+		}
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	results, err := runAll(ctx, defs, *seed, workersFor(*parallel))
+	if err != nil {
+		log.Fatal(err)
+	}
+	// On interrupt the workers stop scheduling new scenarios; the traces
+	// of every scenario that did complete are still flushed before exiting
+	// non-zero, so a cut-short run never discards finished work.
+	done := results[:0]
+	for _, res := range results {
+		if res != nil {
+			done = append(done, res)
+		}
+	}
+	out, err := render(done, mode)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Print(out)
+	if ctx.Err() != nil {
+		log.Fatalf("interrupted: %d of %d scenarios completed", len(done), len(defs))
+	}
 }
 
 // cmdSweep generates, runs and invariant-checks N timelines across the
@@ -179,10 +211,6 @@ func cmdSweep(args []string) {
 			}
 		}
 	}
-	doSweep(opts, *out, *shrinkDir)
-}
-
-func doSweep(opts scenario.SweepOptions, out, shrinkDir string) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	report, err := scenario.Sweep(ctx, opts)
@@ -193,8 +221,8 @@ func doSweep(opts scenario.SweepOptions, out, shrinkDir string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if out != "" {
-		if err := os.WriteFile(out, b, 0o644); err != nil {
+	if *out != "" {
+		if err := os.WriteFile(*out, b, 0o644); err != nil {
 			log.Fatal(err)
 		}
 	} else {
@@ -208,8 +236,8 @@ func doSweep(opts scenario.SweepOptions, out, shrinkDir string) {
 			fmt.Fprintf(os.Stderr, "scenarios: %s violates %s at seq %d (%s): %s\n",
 				run.Name, v.Invariant, v.Seq, v.T, v.Detail)
 		}
-		if shrinkDir != "" {
-			writeShrunk(run, opts.Seed, shrinkDir)
+		if *shrinkDir != "" {
+			writeShrunk(run, opts.Seed, *shrinkDir)
 		}
 	}
 	os.Exit(1)
@@ -342,45 +370,6 @@ func loadTimeline(path string) *scenario.Timeline {
 		log.Fatal(err)
 	}
 	return tl
-}
-
-// doRun is the shared run path behind the run subcommand and the legacy
-// flag surface.
-func doRun(run string, live bool, seed int64, parallel int, mode renderMode) {
-	defs, err := selectDefs(run)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if live {
-		defs = filterTag(defs, "live")
-		if len(defs) == 0 {
-			log.Fatal("-live selected no scenarios; none of the selection carries the live tag")
-		}
-	}
-	workers := workersFor(parallel)
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	results, err := runAll(ctx, defs, seed, workers)
-	if err != nil {
-		log.Fatal(err)
-	}
-	// On interrupt the workers stop scheduling new scenarios; the traces
-	// of every scenario that did complete are still flushed before exiting
-	// non-zero, so a cut-short run never discards finished work.
-	done := results[:0]
-	for _, res := range results {
-		if res != nil {
-			done = append(done, res)
-		}
-	}
-	out, err := render(done, mode)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Print(out)
-	if ctx.Err() != nil {
-		log.Fatalf("interrupted: %d of %d scenarios completed", len(done), len(defs))
-	}
 }
 
 // selectDefs resolves a selection against the registry. Unknown names are

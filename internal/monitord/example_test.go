@@ -1,16 +1,4 @@
-// monitord demonstrates the assessment service from a client's seat: the
-// same zero-day lifecycle examples/watch streams in-process, consumed
-// entirely through monitord's HTTP/JSON API — create a tenant, seed its
-// fleet, follow the SSE watch stream, and drive virtual time forward with
-// POST …/advance until the vulnerability window opens and closes.
-//
-// The service is hosted in-process on a loopback listener so the example
-// is self-contained and deterministic (the tenant runs on a virtual
-// clock); point base at a real daemon (`go run ./cmd/monitord`) and the
-// same requests work unchanged.
-//
-// Run with: go run ./examples/monitord
-package main
+package monitord_test
 
 import (
 	"bufio"
@@ -26,17 +14,50 @@ import (
 	"repro/internal/monitord"
 )
 
-var base string
-
-func main() {
-	log.SetFlags(0)
-
+// The assessment service from a client's seat: the zero-day lifecycle
+// core's Monitor.Watch example streams in-process, consumed entirely
+// through the HTTP/JSON API — create a tenant, seed its fleet, follow the
+// SSE watch stream, and drive virtual time forward with POST …/advance
+// until the vulnerability window opens and closes.
+//
+// The service is hosted in-process on a loopback listener so the example
+// is self-contained and deterministic (the tenant runs on a virtual
+// clock); point base at a real daemon (`go run ./cmd/monitord`) and the
+// same requests work unchanged.
+func ExampleServer() {
 	// Host the service like cmd/monitord does, on a loopback listener.
 	svc := monitord.NewServer()
 	defer svc.Close()
 	ts := httptest.NewServer(svc)
 	defer ts.Close()
-	base = ts.URL
+	base := ts.URL
+
+	// do issues one JSON request against the service, fails the example
+	// on any non-2xx, and decodes the response into out when non-nil.
+	do := func(method, path, body string, out any) {
+		req, err := http.NewRequest(method, base+path, strings.NewReader(body))
+		if err != nil {
+			log.Fatal(err)
+		}
+		if body != "" {
+			req.Header.Set("Content-Type", "application/json")
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			log.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode < 200 || resp.StatusCode > 299 {
+			var buf bytes.Buffer
+			_, _ = buf.ReadFrom(resp.Body)
+			log.Fatalf("%s %s: %s: %s", method, path, resp.Status, buf.String())
+		}
+		if out != nil {
+			if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+				log.Fatal(err)
+			}
+		}
+	}
 
 	// PUT /tenants/fleet — a virtual tenant seeded with the quickstart
 	// fleet and the ubuntu zero-day (disclosed t=10h, patch published
@@ -124,31 +145,22 @@ func main() {
 	for range events {
 	}
 	fmt.Println("tenant deleted; watch stream closed cleanly")
-}
-
-// do issues one JSON request against the service, fails the example on
-// any non-2xx, and decodes the response into out when non-nil.
-func do(method, path, body string, out any) {
-	req, err := http.NewRequest(method, base+path, strings.NewReader(body))
-	if err != nil {
-		log.Fatal(err)
-	}
-	if body != "" {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		var buf bytes.Buffer
-		_, _ = buf.ReadFrom(resp.Body)
-		log.Fatalf("%s %s: %s: %s", method, path, resp.Status, buf.String())
-	}
-	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			log.Fatal(err)
-		}
-	}
+	// Output:
+	// created tenant 'fleet': 5 replicas, 1 disclosed vulnerability
+	// t=0s     safe=true  entropy=1.353 bits
+	// worst over 72h: t=10h0m0s Σf=0.60 safe=false (ubuntu carries 60% > 1/3)
+	//
+	// watching over SSE, advancing 6h per step:
+	// t=0s     SAFE   Σf=0.00
+	// t=6h0m0s SAFE   Σf=0.00
+	// t=12h0m0s UNSAFE Σf=0.60
+	// t=18h0m0s UNSAFE Σf=0.60
+	// t=24h0m0s UNSAFE Σf=0.60
+	// t=30h0m0s UNSAFE Σf=0.60
+	// t=36h0m0s UNSAFE Σf=0.60
+	// t=42h0m0s UNSAFE Σf=0.60
+	// t=48h0m0s SAFE   Σf=0.00
+	//
+	// cache: 1 rebuilds, 10 hits — 9 watch events shared one stream
+	// tenant deleted; watch stream closed cleanly
 }

@@ -13,7 +13,7 @@ import (
 	"time"
 )
 
-// testSpec is the examples/watch fleet as a tenant seed: 60% of power on
+// testSpec is ExampleServer's fleet as a tenant seed: 60% of power on
 // ubuntu with a zero-day disclosed at t=10h, patched at t=20h, and a 24h
 // replica patch latency — so the system is unsafe on [10h, 44h).
 func testSpec() TenantSpec {

@@ -1,15 +1,4 @@
-// scenario walks through the deterministic scenario engine
-// (internal/scenario) twice over:
-//
-//  1. A custom inline scenario — a minimal churn + zero-day timeline —
-//     showing that a scenario is just a Timeline: a Go literal here, the
-//     same grammar as the JSON files `scenarios replay` runs.
-//  2. A library scenario (flash-churn) run by name, showing the registry
-//     and the replay guarantee: the same (name, seed) always produces the
-//     same trace, byte for byte.
-//
-// Run with: go run ./examples/scenario
-package main
+package scenario_test
 
 import (
 	"fmt"
@@ -19,9 +8,15 @@ import (
 	"repro/internal/scenario"
 )
 
-func main() {
-	log.SetFlags(0)
-
+// The deterministic scenario engine twice over:
+//
+//  1. A custom inline scenario — a minimal churn + zero-day timeline —
+//     showing that a scenario is just a Timeline: a Go literal here, the
+//     same grammar as the JSON files `scenarios replay` runs.
+//  2. A library scenario (flash-churn) run by name, showing the registry
+//     and the replay guarantee: the same (name, seed) always produces the
+//     same trace, byte for byte.
+func ExampleRun() {
 	// --- 1. a custom scenario ---
 	at := func(d time.Duration) scenario.Duration { return scenario.Duration(d) }
 	day := 24 * time.Hour
@@ -90,4 +85,21 @@ func main() {
 	fmt.Printf("\nflash-churn @ seed 42: %d records, min entropy %.3fb, worst Σf %.3f at %v, replay byte-identical: %t\n",
 		s.Records, s.MinEntropy, s.MaxComp, s.MaxCompAt, identical)
 	fmt.Println("(the scenarios CLI lists and runs the full library: go run ./cmd/scenarios list)")
+	// Output:
+	// inline scenario: 12 trace records (derived seed -1131579766565812618)
+	//   t=0s       join     safe=true  H=0.000b Σf=0.00  r-0 cfg=1edfec75 power=10
+	//   t=0s       tick     safe=true  H=0.000b Σf=0.00
+	//   t=1h0m0s   join     safe=true  H=1.000b Σf=0.00  r-1 cfg=3e18983f power=10
+	//   t=2h0m0s   join     safe=true  H=1.585b Σf=0.00  r-2 cfg=83f00e11 power=10
+	//   t=24h0m0s  disclose safe=true  H=1.585b Σf=0.33  CVE-EX-0001 operating-system/linux@1 sev=1 patch=48h0m0s
+	//   t=24h0m0s  tick     safe=true  H=1.585b Σf=0.33
+	//   t=36h0m0s  probe    safe=true  H=1.585b Σf=0.33  [exploit(k=1) -> 0.33 breaks=false]
+	//   t=48h0m0s  patch    safe=true  H=1.585b Σf=0.33  CVE-EX-0001 patch ships; windows close per replica latency
+	//   t=48h0m0s  tick     safe=true  H=1.585b Σf=0.33
+	//   t=72h0m0s  tick     safe=true  H=1.585b Σf=0.00
+	//   t=96h0m0s  tick     safe=true  H=1.585b Σf=0.00
+	//   t=96h0m0s  final    safe=true  H=1.585b Σf=0.00
+	//
+	// flash-churn @ seed 42: 133 records, min entropy 0.000b, worst Σf 0.511 at 96h0m0s, replay byte-identical: true
+	// (the scenarios CLI lists and runs the full library: go run ./cmd/scenarios list)
 }
