@@ -23,11 +23,16 @@ type PowerClass struct {
 // whose combined power strictly exceeds threshold × total. Classes are
 // walked in descending power order; the boundary class is resolved by
 // binary search on the same exact share test the member-level walk makes,
-// so the two agree, in any order of the input. The classes' total must
-// not pass vuln.MaxPowerUnits.
+// so the two agree, in any order of the input. Input already in descending
+// power order (a registry snapshot's histogram) is walked in place; any
+// other order is sorted in a copy, never in the caller's slice. The
+// classes' total must not pass vuln.MaxPowerUnits.
 func MinOperatorFaultsForClasses(classes []PowerClass, threshold float64) (int, error) {
-	sorted := slices.Clone(classes)
-	slices.SortFunc(sorted, func(a, b PowerClass) int { return cmp.Compare(b.Units, a.Units) })
+	sorted := classes
+	if !slices.IsSortedFunc(classes, descendingUnits) {
+		sorted = slices.Clone(classes)
+		slices.SortFunc(sorted, descendingUnits)
+	}
 	var total uint64
 	for _, c := range sorted {
 		total += uint64(c.Count) * c.Units
@@ -49,6 +54,9 @@ func MinOperatorFaultsForClasses(classes []PowerClass, threshold float64) (int, 
 	}
 	return -1, nil
 }
+
+// descendingUnits orders power classes by Units, largest first.
+func descendingUnits(a, b PowerClass) int { return cmp.Compare(b.Units, a.Units) }
 
 // ReportForAggregates computes the full population Report from aggregates
 // alone: the power distribution over labels, the member count, the

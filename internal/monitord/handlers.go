@@ -55,22 +55,23 @@ type encodedBody struct {
 // string holds nothing JSON escapes.
 func atJSON(at time.Duration) string { return `"` + at.String() + `"` }
 
-// serveEncoded answers a read route with the JSON of v() for the monitor's
-// fill at instant at: from the tenant's kept body when that came from the
-// same fill — a 200 with Content-Length and one Write of the kept bytes, or
-// head + instant + tail where only the instant moved — and otherwise by
-// encoding v() and keeping the result. Concurrent misses each encode and
-// store; whichever body stays is checked against the next reader's fill
-// like any other. Write errors mean the client is gone, as in writeJSON.
-func serveEncoded(w http.ResponseWriter, kept *atomic.Pointer[encodedBody], fill uint64, at time.Duration, v func() any) {
+// serveEncoded answers a read route with the body encode() renders for the
+// monitor's fill at instant at: from the tenant's kept body when that came
+// from the same fill — a 200 with Content-Length and one Write of the kept
+// bytes, or head + instant + tail where only the instant moved — and
+// otherwise by encoding afresh and keeping the result. Concurrent misses
+// each encode and store; whichever body stays is checked against the next
+// reader's fill like any other. Write errors mean the client is gone, as in
+// writeJSON.
+func serveEncoded(w http.ResponseWriter, kept *atomic.Pointer[encodedBody], fill uint64, at time.Duration, encode func() ([]byte, error)) {
 	b := kept.Load()
 	if b == nil || b.fill != fill || (b.at != at && b.atHi == 0) {
-		var buf bytes.Buffer
-		if err := json.NewEncoder(&buf).Encode(v()); err != nil {
+		body, err := encode()
+		if err != nil {
 			writeError(w, http.StatusInternalServerError, "encode: %v", err)
 			return
 		}
-		b = &encodedBody{fill: fill, body: buf.Bytes(), at: at}
+		b = &encodedBody{fill: fill, body: body, at: at}
 		// The tenant name before the instant holds no quote
 		// (validTenantName), so the first "at" key is the field.
 		key, stamp := []byte(`"at":`), atJSON(at)
@@ -314,7 +315,7 @@ func (s *Server) handleAssessment(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, "assess: %v", err)
 		return
 	}
-	serveEncoded(w, &t.assessmentBody, fill, a.At, func() any { return assessmentJSON(t.Name, a) })
+	serveEncoded(w, &t.assessmentBody, fill, a.At, func() ([]byte, error) { return assessmentBody(t.Name, a) })
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
@@ -327,7 +328,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, "assess: %v", err)
 		return
 	}
-	serveEncoded(w, &t.reportBody, fill, 0, func() any { return reportJSON(a.Diversity) })
+	serveEncoded(w, &t.reportBody, fill, 0, func() ([]byte, error) { return reportBody(a.Diversity) })
 }
 
 // defaultWorstHorizon bounds the sweep when the query omits ?horizon=.
@@ -353,7 +354,7 @@ func (s *Server) handleWorst(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, "worst window: %v", err)
 		return
 	}
-	serveEncoded(w, &t.worstBody, fill, a.At, func() any { return assessmentJSON(t.Name, a) })
+	serveEncoded(w, &t.worstBody, fill, a.At, func() ([]byte, error) { return assessmentBody(t.Name, a) })
 }
 
 func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
@@ -427,7 +428,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 
-	enc := json.NewEncoder(w)
+	var event jsonBody // one buffer for the stream's events
 	for {
 		select {
 		case <-r.Context().Done():
@@ -438,14 +439,15 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 			if !open {
 				return
 			}
-			if _, err := fmt.Fprintf(w, "event: assessment\nid: %d\ndata: ", a.At.Nanoseconds()); err != nil {
+			event.b = append(event.b[:0], "event: assessment\nid: "...)
+			event.b = strconv.AppendInt(event.b, a.At.Nanoseconds(), 10)
+			event.raw("\ndata: ")
+			event.assessment(t.Name, a)
+			event.raw("\n\n")
+			if event.err != nil {
 				return
 			}
-			// Encode appends the newline ending the data: line itself.
-			if err := enc.Encode(assessmentJSON(t.Name, a)); err != nil {
-				return
-			}
-			if _, err := io.WriteString(w, "\n"); err != nil {
+			if _, err := w.Write(event.b); err != nil {
 				return
 			}
 			flusher.Flush()

@@ -372,7 +372,8 @@ func readSSE(t *testing.T, body io.Reader, n int, out chan<- sseEvent) {
 
 // TestWatchSSE drives a virtual tenant's clock and asserts the SSE stream
 // delivers the initial assessment plus one per crossed interval boundary,
-// then ends cleanly when the tenant is deleted.
+// each data: line the bytes encoding/json renders for it, then ends
+// cleanly when the tenant is deleted.
 func TestWatchSSE(t *testing.T) {
 	s := NewServer()
 	defer s.Close()
@@ -399,6 +400,13 @@ func TestWatchSSE(t *testing.T) {
 
 	events := make(chan sseEvent, 16)
 	go readSSE(t, resp.Body, 4, events)
+	tenant, _ := s.Manager().Get("w")
+	checkData := func(ev sseEvent, a AssessmentJSON) {
+		t.Helper()
+		if want := strings.TrimSuffix(string(fromScratch(t, tenant, time.Duration(a.At))["assessment"]), "\n"); ev.data != want {
+			t.Fatalf("event at %v:\n got %s\nwant %s", time.Duration(a.At), ev.data, want)
+		}
+	}
 
 	// The immediate first assessment at t=0.
 	first := nextEvent(t, events)
@@ -409,10 +417,10 @@ func TestWatchSSE(t *testing.T) {
 	if first.event != "assessment" || a.At != 0 || !a.Safe || a.Tenant != "w" {
 		t.Fatalf("first event = %s %+v", first.event, a)
 	}
+	checkData(first, a)
 
 	// Wait until the hub's watcher is attached, then advance 18h = three
 	// 6h boundaries → exactly three more emissions, the last two unsafe.
-	tenant, _ := s.Manager().Get("w")
 	waitFor(t, func() bool { return tenant.Hub().subscribers() == 1 })
 	advance := func(d time.Duration) {
 		body := bytes.NewReader(mustJSON(t, AdvanceSpec{By: Duration(d)}))
@@ -433,6 +441,7 @@ func TestWatchSSE(t *testing.T) {
 		if !ok || a.Safe != safe {
 			t.Fatalf("event %d: at=%v safe=%v", i, time.Duration(a.At), a.Safe)
 		}
+		checkData(ev, a)
 		delete(wantSafe, time.Duration(a.At))
 	}
 

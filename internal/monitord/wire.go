@@ -1,10 +1,6 @@
 package monitord
 
-import (
-	"repro/internal/core"
-	"repro/internal/diversity"
-	"repro/internal/spec"
-)
+import "repro/internal/spec"
 
 // The wire vocabulary the request bodies share with the scenario timeline
 // grammar; see package spec. A ComponentSpec's version is always emitted.
@@ -73,7 +69,9 @@ type VulnSpec struct {
 	Severity  float64  `json:"severity"`
 }
 
-// ReportJSON mirrors diversity.Report on the wire.
+// ReportJSON mirrors diversity.Report on the wire: the GET …/report body.
+// The daemon appends its bytes by hand (jsonBody); they are the ones
+// encoding/json renders for this struct.
 type ReportJSON struct {
 	Support                 int     `json:"support"`
 	Members                 int     `json:"members"`
@@ -88,22 +86,6 @@ type ReportJSON struct {
 	MinConfigFaultsToHalf   int     `json:"minConfigFaultsToHalf"`
 }
 
-func reportJSON(r diversity.Report) ReportJSON {
-	return ReportJSON{
-		Support:                 r.Support,
-		Members:                 r.Members,
-		Entropy:                 r.Entropy,
-		NormalizedEntropy:       r.NormalizedEntropy,
-		EffectiveConfigurations: r.EffectiveConfigurations,
-		SimpsonIndex:            r.SimpsonIndex,
-		MaxShare:                r.MaxShare,
-		Kappa:                   r.Kappa,
-		Omega:                   r.Omega,
-		MinConfigFaultsToThird:  r.MinConfigFaultsToThird,
-		MinConfigFaultsToHalf:   r.MinConfigFaultsToHalf,
-	}
-}
-
 // FaultJSON is one vulnerability's effect at the assessed instant.
 type FaultJSON struct {
 	Vuln          string   `json:"vuln"`
@@ -113,7 +95,8 @@ type FaultJSON struct {
 }
 
 // AssessmentJSON is the wire form of core.Assessment, shared by the GET
-// endpoints and the SSE stream.
+// endpoints and the SSE stream. The daemon appends its bytes by hand
+// (jsonBody); they are the ones encoding/json renders for this struct.
 type AssessmentJSON struct {
 	Tenant        string      `json:"tenant,omitempty"`
 	At            Duration    `json:"at"`
@@ -124,28 +107,6 @@ type AssessmentJSON struct {
 	SumFraction   float64     `json:"sumFraction"`
 	Diversity     ReportJSON  `json:"diversity"`
 	Faults        []FaultJSON `json:"faults,omitempty"`
-}
-
-func assessmentJSON(tenant string, a core.Assessment) AssessmentJSON {
-	out := AssessmentJSON{
-		Tenant:        tenant,
-		At:            Duration(a.At),
-		Substrate:     a.Substrate,
-		Threshold:     a.Threshold,
-		Safe:          a.Safe,
-		TotalFraction: a.Injection.TotalFraction,
-		SumFraction:   a.Injection.SumFraction,
-		Diversity:     reportJSON(a.Diversity),
-	}
-	for _, f := range a.Injection.Faults {
-		out.Faults = append(out.Faults, FaultJSON{
-			Vuln:          string(f.Vuln),
-			Compromised:   f.Compromised,
-			Power:         f.Power,
-			PowerFraction: f.PowerFraction,
-		})
-	}
-	return out
 }
 
 // CacheStatsJSON mirrors core.CacheStats.

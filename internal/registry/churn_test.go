@@ -1,9 +1,9 @@
 package registry
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -338,12 +338,13 @@ func TestSnapshotInvalidationPerMutationKind(t *testing.T) {
 		})
 }
 
-// TestDeltaSnapshotCarriesPowerClasses: a delta-built snapshot inherits its
-// predecessor's power-class histogram and re-counts only the changed
-// buckets. After every mutation the carried histogram must equal one
-// counted from the per-replica view, and the report built from it must
-// equal the report of a snapshot built from scratch — through classes
-// emptying out, buckets disappearing and both weightings.
+// TestDeltaSnapshotCarriesPowerClasses: a delta-built snapshot merges the
+// changed buckets' groups into its predecessor's power-class histogram.
+// After every mutation the carried histogram must be strictly descending in
+// Units with no zero Count, equal one counted from the per-replica view,
+// and the report built from it must equal the report of a snapshot built
+// from scratch — through classes emptying out, buckets disappearing and
+// both weightings.
 func TestDeltaSnapshotCarriesPowerClasses(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	r := New(nil)
@@ -378,15 +379,20 @@ func TestDeltaSnapshotCarriesPowerClasses(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := make(map[uint64]int)
+			counts := make(map[uint64]int)
 			for _, rep := range snap.Replicas() {
 				u, err := vuln.PowerUnits(rep.Power)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want[u]++
+				counts[u]++
 			}
-			if !reflect.DeepEqual(snap.classes, want) {
+			for i, c := range snap.classes {
+				if c.Count <= 0 || i > 0 && c.Units >= snap.classes[i-1].Units {
+					t.Fatalf("step %d, %+v: carried classes %v are not strictly descending with counts > 0", step, w, snap.classes)
+				}
+			}
+			if want := sortedClasses(counts); !slices.Equal(snap.classes, want) {
 				t.Fatalf("step %d, %+v: carried classes %v, counted %v", step, w, snap.classes, want)
 			}
 			got, err1 := snap.Report()
@@ -399,15 +405,15 @@ func TestDeltaSnapshotCarriesPowerClasses(t *testing.T) {
 }
 
 // fromScratch is the reference the delta path is checked against: r's
-// snapshot under w with every bucket exported afresh, sorted by label and
-// counted into a new power-class histogram, sharing nothing with a cached
-// snapshot.
+// snapshot under w with every bucket exported afresh, sorted by label, and
+// its power-class histogram recounted (recountClasses) rather than merged,
+// sharing nothing with a cached snapshot.
 func fromScratch(r *Registry, w Weighting) *Snapshot {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	r.snapMu.Lock()
 	defer r.snapMu.Unlock()
-	s := &Snapshot{Generation: r.gen, Weighting: w, classes: make(map[uint64]int)}
+	s := &Snapshot{Generation: r.gen, Weighting: w}
 	var labels []string
 	var units []uint64
 	for _, b := range r.buckets {
@@ -417,8 +423,8 @@ func fromScratch(r *Registry, w Weighting) *Snapshot {
 		}
 		s.buckets = append(s.buckets, sb)
 		s.members += sb.Count
-		countClasses(s.classes, sb, +1)
 	}
+	s.classes = recountClasses(s.buckets)
 	slices.SortFunc(s.buckets, func(a, b *SnapBucket) int { return strings.Compare(a.Key, b.Key) })
 	for _, sb := range s.buckets {
 		labels, units = append(labels, sb.Key), append(units, sb.Units)
@@ -429,4 +435,28 @@ func fromScratch(r *Registry, w Weighting) *Snapshot {
 	}
 	s.Distribution = dist
 	return s
+}
+
+// recountClasses is the power-class histogram of the buckets counted
+// afresh, group by group into a map: the independent reference for the
+// histogram Snapshot merges.
+func recountClasses(buckets []*SnapBucket) []diversity.PowerClass {
+	counts := make(map[uint64]int)
+	for _, sb := range buckets {
+		for _, g := range sb.Groups {
+			counts[g.Units] += len(g.Names)
+		}
+	}
+	return sortedClasses(counts)
+}
+
+// sortedClasses lists a units → members count as power classes, Units
+// descending.
+func sortedClasses(counts map[uint64]int) []diversity.PowerClass {
+	var out []diversity.PowerClass
+	for u, n := range counts {
+		out = append(out, diversity.PowerClass{Units: u, Count: n})
+	}
+	slices.SortFunc(out, func(a, b diversity.PowerClass) int { return cmp.Compare(b.Units, a.Units) })
+	return out
 }

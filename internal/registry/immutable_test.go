@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"maps"
 	"math"
 	"math/rand"
 	"slices"
@@ -14,11 +13,15 @@ import (
 	"repro/internal/attest"
 	"repro/internal/config"
 	"repro/internal/cryptoutil"
+	"repro/internal/diversity"
 )
 
 // fingerprint hashes everything a snapshot exports except its generation:
-// weighting, distribution, member count, power classes, and every bucket
-// with its groups' units, latencies and names in listing order.
+// weighting, distribution, member count, the power classes as carried and
+// as recounted from the buckets (recountClasses, so two snapshots'
+// fingerprints never agree only because one merge built both histograms),
+// and every bucket with its groups' units, latencies and names in listing
+// order.
 func fingerprint(s *Snapshot) uint64 {
 	h := fnv.New64a()
 	put := func(v uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, v)) }
@@ -27,9 +30,12 @@ func fingerprint(s *Snapshot) uint64 {
 	put(math.Float64bits(s.Weighting.Declared))
 	fmt.Fprint(h, s.Distribution)
 	put(uint64(s.members))
-	for _, u := range slices.Sorted(maps.Keys(s.classes)) {
-		put(u)
-		put(uint64(s.classes[u]))
+	for _, classes := range [][]diversity.PowerClass{s.classes, recountClasses(s.buckets)} {
+		put(uint64(len(classes)))
+		for _, c := range classes {
+			put(c.Units)
+			put(uint64(c.Count))
+		}
 	}
 	for _, sb := range s.buckets {
 		str(sb.Key)
@@ -125,6 +131,9 @@ func checkSnapshotsImmutable(t *testing.T, steps int, pick func(n int) (int, boo
 		if read, _ := pick(2); read == 1 {
 			w, _ := pick(len(immutabilityWeightings))
 			s := mustSnapshot(t, r, immutabilityWeightings[w])
+			if want := recountClasses(s.buckets); !slices.Equal(s.classes, want) {
+				t.Fatalf("step %d, %+v: carried classes %v, recounted %v", step, s.Weighting, s.classes, want)
+			}
 			snaps = append(snaps, kept{s, fingerprint(s), step})
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -345,17 +346,18 @@ func TestTierCounts(t *testing.T) {
 	}
 }
 
-// TestReportIgnoresClassOrder: the snapshot's power classes come out of a
-// map, in an order that changes from registry to registry. On the fleet
-// {0.3 ×3, 0.4, 0.7, 0.6 ×3}, one configuration each, 0.7 + 0.6 + 0.6 is
-// exactly half the total and does not exceed it, so every registry must
-// answer 4 operator faults to pass one half.
+// TestReportIgnoresClassOrder: the snapshot's power classes are merged
+// from its buckets' groups, and which power lands in which bucket changes
+// with the join order. On the fleet {0.3 ×3, 0.4, 0.7, 0.6 ×3}, one
+// configuration each, 0.7 + 0.6 + 0.6 is exactly half the total and does
+// not exceed it, so every registry, joined in any order, must answer 4
+// operator faults to pass one half.
 func TestReportIgnoresClassOrder(t *testing.T) {
 	powers := []float64{0.3, 0.3, 0.3, 0.4, 0.7, 0.6, 0.6, 0.6}
 	for run := 0; run < 200; run++ {
 		r := New(nil)
-		for i, p := range powers {
-			if err := r.JoinDeclared(ReplicaID(fmt.Sprintf("r%d", i)), testCfg(fmt.Sprintf("os-%d", i)), p, 0); err != nil {
+		for i, j := range rand.New(rand.NewSource(int64(run))).Perm(len(powers)) {
+			if err := r.JoinDeclared(ReplicaID(fmt.Sprintf("r%d", i)), testCfg(fmt.Sprintf("os-%d", i)), powers[j], 0); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -3,7 +3,6 @@ package registry
 import (
 	"cmp"
 	"errors"
-	"maps"
 	"slices"
 	"sync"
 
@@ -43,9 +42,11 @@ type Snapshot struct {
 	buckets []*SnapBucket // label-ascending
 	members int
 	// classes counts members per weighted power unit count — the histogram
-	// Report's operator-fault resilience needs. A delta snapshot copies its
-	// predecessor's and re-counts only the changed buckets.
-	classes map[uint64]int
+	// Report's operator-fault resilience needs — with Units strictly
+	// descending and no zero Count, the order that walk consumes. A delta
+	// snapshot merges its predecessor's with the changed buckets' groups
+	// (mergeClasses); it shares no storage with the predecessor's.
+	classes []diversity.PowerClass
 
 	// The two per-replica views are materialised lazily and separately: the
 	// bucketed aggregates answer the hot paths (diversity report, exposure
@@ -132,8 +133,9 @@ func (s *Snapshot) Population() *diversity.Population {
 
 // Report computes the full diversity report from the snapshot's
 // aggregates: distribution metrics from Distribution, abundance ω from
-// per-bucket counts, and operator-fault resilience from the (power → member
-// count) classes — O(#buckets + #power classes), never O(#groups) or
+// per-bucket counts, and operator-fault resilience from the power-class
+// histogram, handed over as it is kept (already descending, so nothing is
+// sorted) — O(#buckets + #power classes), never O(#groups) or
 // O(#replicas). The result is identical to diversity.ReportForPopulation
 // over Population(); the incremental-vs-cold property test pins that
 // equivalence.
@@ -142,22 +144,98 @@ func (s *Snapshot) Report() (diversity.Report, error) {
 	for i, sb := range s.buckets {
 		abundance[i] = sb.Count
 	}
-	classes := make([]diversity.PowerClass, 0, len(s.classes))
-	for u, c := range s.classes {
-		classes = append(classes, diversity.PowerClass{Units: u, Count: c})
-	}
-	return diversity.ReportForAggregates(s.Distribution, s.members, abundance, classes)
+	return diversity.ReportForAggregates(s.Distribution, s.members, abundance, s.classes)
 }
 
-// countClasses adds (sign +1) or removes (sign −1) a bucket's members
-// to/from the power-class histogram, dropping classes that empty out.
-func countClasses(classes map[uint64]int, sb *SnapBucket, sign int) {
-	for _, g := range sb.Groups {
-		if n := classes[g.Units] + sign*len(g.Names); n != 0 {
-			classes[g.Units] = n
-		} else {
-			delete(classes, g.Units)
+// groupRun is one changed bucket's groups in attack order (Units
+// descending), the sign they count with — −1 for a superseded bucket's, +1
+// for a re-exported one's — and next, the first group not yet merged.
+type groupRun struct {
+	groups []*vuln.GroupSpec
+	sign   int
+	next   int
+}
+
+// runHead is a merge heap entry: the Units of a run's next group, and the
+// run. It holds no pointer, so moving entries costs no write barrier.
+type runHead struct {
+	units uint64
+	run   int
+}
+
+// mergeClasses returns the power-class histogram prev becomes when the
+// runs' groups are taken out (sign −1) and put in (sign +1): one merge of
+// prev with the runs, each already descending, through a max-heap on the
+// runs' heads. It costs O(C + Σg·log Δ) for C classes in prev, Σg groups
+// in Δ runs, and writes a fresh slice: prev stays as its snapshot holds
+// it. A class that empties out is dropped.
+func mergeClasses(prev []diversity.PowerClass, runs []groupRun) []diversity.PowerClass {
+	var small [4]runHead // a mutation touches one or two buckets: up to four runs, unallocated
+	h, grow := small[:0], 0
+	for i, run := range runs {
+		if len(run.groups) > 0 {
+			h = append(h, runHead{run.groups[0].Units, i})
 		}
+		if run.sign > 0 {
+			grow += len(run.groups)
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	out := make([]diversity.PowerClass, 0, len(prev)+grow)
+	for len(h) > 0 {
+		u, n := h[0].units, 0
+		for len(h) > 0 && h[0].units == u {
+			run := &runs[h[0].run]
+			n += run.sign * len(run.groups[run.next].Names)
+			if run.next++; run.next < len(run.groups) {
+				h[0].units = run.groups[run.next].Units
+			} else {
+				h[0] = h[len(h)-1]
+				h = h[:len(h)-1]
+			}
+			siftDown(h, 0)
+		}
+		for len(prev) > 0 && prev[0].Units > u {
+			out = append(out, prev[0])
+			prev = prev[1:]
+		}
+		if len(prev) > 0 && prev[0].Units == u {
+			n += prev[0].Count
+			prev = prev[1:]
+		}
+		if n < 0 {
+			panic("registry: power-class histogram took out members it never counted")
+		}
+		if n > 0 {
+			out = append(out, diversity.PowerClass{Units: u, Count: n})
+		}
+	}
+	out = append(out, prev...)
+	if cap(out) > 2*len(out) {
+		// A first snapshot's bound counts every group: the histogram is
+		// kept as long as its snapshot, so keep it at its length.
+		out = slices.Clone(out)
+	}
+	return out
+}
+
+// siftDown restores the max-heap order on units below h[i].
+func siftDown(h []runHead, i int) {
+	for {
+		top, l, r := i, 2*i+1, 2*i+2
+		if l < len(h) && h[l].units > h[top].units {
+			top = l
+		}
+		if r < len(h) && h[r].units > h[top].units {
+			top = r
+		}
+		if top == i {
+			return
+		}
+		h[i], h[top] = h[top], h[i]
+		i = top
 	}
 }
 
@@ -201,8 +279,9 @@ func (r *Registry) exportBucketLocked(b *bucket, w Weighting) (*SnapBucket, erro
 
 // deltaSnapshotLocked builds the snapshot at the current generation by
 // re-exporting only the changed buckets and sharing every other
-// *SnapBucket with prev: O(Δ·log + B) instead of O(N log N). r.mu (read)
-// and r.snapMu must be held.
+// *SnapBucket with prev, and merges the changed buckets' groups into prev's
+// power-class histogram: O(B + C + changed groups) instead of O(N log N).
+// r.mu (read) and r.snapMu must be held.
 func (r *Registry) deltaSnapshotLocked(prev *Snapshot, changed map[config.ID]struct{}, w Weighting) (*Snapshot, error) {
 	type change struct {
 		label string
@@ -221,7 +300,7 @@ func (r *Registry) deltaSnapshotLocked(prev *Snapshot, changed map[config.ID]str
 	slices.SortFunc(changes, func(a, b change) int { return cmp.Compare(a.label, b.label) })
 
 	out := make([]*SnapBucket, 0, len(prev.buckets)+len(changes))
-	classes := maps.Clone(prev.classes)
+	runs := make([]groupRun, 0, 2*len(changes))
 	i := 0
 	for _, ch := range changes {
 		for i < len(prev.buckets) && prev.buckets[i].Key < ch.label {
@@ -229,7 +308,7 @@ func (r *Registry) deltaSnapshotLocked(prev *Snapshot, changed map[config.ID]str
 			i++
 		}
 		if i < len(prev.buckets) && prev.buckets[i].Key == ch.label {
-			countClasses(classes, prev.buckets[i], -1) // superseded (or removed) below
+			runs = append(runs, groupRun{groups: prev.buckets[i].Groups, sign: -1}) // superseded (or removed) below
 			i++
 		}
 		if ch.b != nil {
@@ -238,7 +317,7 @@ func (r *Registry) deltaSnapshotLocked(prev *Snapshot, changed map[config.ID]str
 				return nil, err
 			}
 			out = append(out, sb)
-			countClasses(classes, sb, +1)
+			runs = append(runs, groupRun{groups: sb.Groups, sign: +1})
 		}
 	}
 	out = append(out, prev.buckets[i:]...)
@@ -263,7 +342,7 @@ func (r *Registry) deltaSnapshotLocked(prev *Snapshot, changed map[config.ID]str
 		Distribution: dist,
 		buckets:      out,
 		members:      members,
-		classes:      classes,
+		classes:      mergeClasses(prev.classes, runs),
 	}, nil
 }
 
@@ -286,7 +365,7 @@ func (r *Registry) Snapshot(w Weighting) (*Snapshot, error) {
 	c := r.snaps[w]
 	if c == nil {
 		c = &cachedSnap{
-			snap:  &Snapshot{classes: map[uint64]int{}},
+			snap:  &Snapshot{},
 			dirty: make(map[config.ID]struct{}, len(r.buckets)),
 		}
 		for key := range r.buckets {
