@@ -11,7 +11,9 @@
 package repro
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -947,6 +949,60 @@ func TestServeReadAllocations(t *testing.T) {
 		srv.ServeHTTP(w, req)
 		if got := testing.AllocsPerRun(100, func() { srv.ServeHTTP(w, req) }); got > ceiling {
 			t.Errorf("GET %s allocates %.0f objects/op, want ≤ %d", route.path, got, ceiling)
+		}
+	}
+}
+
+// createTenantBody is the bench workload's tenant seed as its client sends
+// it: assessbench's 2000 replicas in their stripes, 50 disclosures across
+// the horizon, a virtual clock.
+func createTenantBody(tb testing.TB) []byte {
+	tb.Helper()
+	ts := monitord.TenantSpec{Virtual: true}
+	for i := 0; i < 2000; i++ {
+		ts.Replicas = append(ts.Replicas, monitord.ReplicaSpec{
+			ID: fmt.Sprintf("r-%07d", i),
+			Components: []monitord.ComponentSpec{{
+				Class: "operating-system", Name: fmt.Sprintf("os-%d", i%assessbench.Products), Version: "1",
+			}},
+			Power:        float64(1 + i%assessbench.PowerClasses),
+			PatchLatency: monitord.Duration(time.Duration(i%assessbench.LatencyClasses) * 12 * time.Hour),
+		})
+	}
+	span := assessbench.Horizon - 24*time.Hour
+	for i := 0; i < 50; i++ {
+		at := time.Duration(i) * span / 50
+		ts.Vulns = append(ts.Vulns, monitord.VulnSpec{
+			ID: fmt.Sprintf("CVE-s-%04d", i), Class: "operating-system", Product: fmt.Sprintf("os-%d", i%assessbench.Products),
+			Disclosed: monitord.Duration(at), PatchAt: monitord.Duration(at + 48*time.Hour), Severity: 1,
+		})
+	}
+	body, err := json.Marshal(ts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return body
+}
+
+// BenchmarkCreateTenant is the unit of the serve workloads' set-up without
+// the socket: one PUT of the bench tenant through Server.ServeHTTP — read,
+// decode, configurations, joins, catalog — and the DELETE that makes room
+// for the next.
+func BenchmarkCreateTenant(b *testing.B) {
+	body := createTenantBody(b)
+	srv := monitord.NewServer()
+	b.Cleanup(srv.Close)
+	w := &nullWriter{header: make(http.Header)}
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		srv.ServeHTTP(w, httptest.NewRequest(http.MethodPut, "/tenants/bench", bytes.NewReader(body)))
+		if w.status != http.StatusCreated {
+			b.Fatalf("PUT: status %d", w.status)
+		}
+		srv.ServeHTTP(w, httptest.NewRequest(http.MethodDelete, "/tenants/bench", nil))
+		if w.status != http.StatusNoContent {
+			b.Fatalf("DELETE: status %d", w.status)
 		}
 	}
 }

@@ -95,12 +95,64 @@ func serveEncoded(w http.ResponseWriter, kept *atomic.Pointer[encodedBody], fill
 	_, _ = w.Write(b.body[b.atHi:])
 }
 
-// decodeBody strictly decodes a JSON body into v: unknown fields and
-// anything but whitespace after the value are a 400, a body longer than
-// maxBodyBytes a 413. An empty body leaves v at its zero value, so
-// "PUT /tenants/x" with no body creates a default tenant.
+// decodeBody strictly decodes a JSON body into the zero value v points at,
+// one of the five request bodies: unknown fields and anything but
+// whitespace after the value are a 400, a body longer than maxBodyBytes a
+// 413. An empty body leaves v at its zero value, so "PUT /tenants/x" with
+// no body creates a default tenant.
+//
+// The body is read once. A canonical one (decodeCanonical) is decoded
+// without reflection; anything else goes to decodeJSON over the same bytes,
+// followed by the read's error if the read failed, so every value, status
+// and error text is encoding/json's.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	body, err := readBody(w, r)
+	if err == nil && decodeCanonical(body, v) {
+		return true
+	}
+	var rest io.Reader = bytes.NewReader(body)
+	if err != nil {
+		rest = io.MultiReader(rest, failedRead{err})
+	}
+	return decodeJSON(w, rest, v)
+}
+
+// readBody reads the request body up to maxBodyBytes into one buffer, sized
+// from Content-Length when the client sent it — up to 1 MiB, so that a
+// declared length alone cannot make a stalled request hold more. On error
+// it returns what it read before.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	size := 512
+	if r.ContentLength >= 0 {
+		size = int(min(r.ContentLength, 1<<20)) + 1 // + 1: room to read the end
+	}
+	buf := make([]byte, 0, size)
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	for {
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+	}
+}
+
+// failedRead fails every read with err: a body's read error replayed after
+// its bytes.
+type failedRead struct{ err error }
+
+func (f failedRead) Read([]byte) (int, error) { return 0, f.err }
+
+// decodeJSON is decodeBody by encoding/json alone: the reference for every
+// body and the decoder of any body that is not canonical.
+func decodeJSON(w http.ResponseWriter, body io.Reader, v any) bool {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		if errors.Is(err, io.EOF) {
@@ -226,7 +278,11 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &rs) {
 		return
 	}
-	if err := joinReplica(t, rs); err != nil {
+	cfg, err := spec.BuildConfiguration(rs.Components)
+	if err == nil {
+		err = joinReplica(t, rs, cfg)
+	}
+	if err != nil {
 		writeError(w, registryStatus(err), "%v", err)
 		return
 	}

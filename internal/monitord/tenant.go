@@ -1,6 +1,7 @@
 package monitord
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -8,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/registry"
 	"repro/internal/spec"
@@ -185,8 +187,13 @@ func buildTenant(name string, ts TenantSpec) (*Tenant, error) {
 	t.threshold = mon.Threshold()
 	t.hub = newHub(mon)
 
+	var configs configurations
 	for _, rs := range ts.Replicas {
-		if err := joinReplica(t, rs); err != nil {
+		cfg, err := configs.build(rs.Components)
+		if err != nil {
+			return nil, err
+		}
+		if err := joinReplica(t, rs, cfg); err != nil {
 			return nil, err
 		}
 	}
@@ -221,13 +228,40 @@ func substrateFor(ts TenantSpec) (core.Substrate, error) {
 	}
 }
 
-// joinReplica applies one ReplicaSpec as a declared join.
-func joinReplica(t *Tenant, rs ReplicaSpec) error {
-	cfg, err := spec.BuildConfiguration(rs.Components)
-	if err != nil {
-		return err
-	}
+// joinReplica applies one ReplicaSpec as a declared join of cfg, the
+// configuration its components build.
+func joinReplica(t *Tenant, rs ReplicaSpec, cfg config.Configuration) error {
 	return t.Registry.JoinDeclared(registry.ReplicaID(rs.ID), cfg, rs.Power, rs.PatchLatency.D())
+}
+
+// configurations builds the configuration of each distinct component list
+// once: a seed of thousands of replicas holds a few dozen lists. It keeps
+// only what built, so a list that fails fails again with the same error.
+type configurations struct {
+	built map[string]config.Configuration // by the list, each field length-prefixed
+	key   []byte
+}
+
+func (cs *configurations) build(specs []ComponentSpec) (config.Configuration, error) {
+	cs.key = cs.key[:0]
+	for _, s := range specs {
+		for _, field := range [...]string{s.Class, s.Name, s.Version} {
+			cs.key = binary.AppendUvarint(cs.key, uint64(len(field)))
+			cs.key = append(cs.key, field...)
+		}
+	}
+	if cfg, ok := cs.built[string(cs.key)]; ok {
+		return cfg, nil
+	}
+	cfg, err := spec.BuildConfiguration(specs)
+	if err != nil {
+		return cfg, err
+	}
+	if cs.built == nil {
+		cs.built = make(map[string]config.Configuration)
+	}
+	cs.built[string(cs.key)] = cfg
+	return cfg, nil
 }
 
 // Get returns the named tenant.

@@ -32,14 +32,20 @@ func (d Duration) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON decodes either a duration string or integer nanoseconds;
-// the first byte says which.
+// the first byte says which. A plain string (PlainQuoted) that parses is
+// read in place; any other string goes through json.Unmarshal, whose values
+// and errors are the reference.
 func (d *Duration) UnmarshalJSON(b []byte) error {
 	if len(b) > 0 && b[0] == '"' {
-		s, ok := plainString(b)
-		if !ok {
-			if err := json.Unmarshal(b, &s); err != nil {
-				return err
+		if n := PlainQuoted(b); n == len(b) {
+			if v, err := time.ParseDuration(string(b[1 : n-1])); err == nil {
+				*d = Duration(v)
+				return nil
 			}
+		}
+		s, err := unquote(b)
+		if err != nil {
+			return err
 		}
 		v, err := time.ParseDuration(s)
 		if err != nil {
@@ -56,21 +62,30 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// plainString returns the contents of a quoted JSON string that decodes to
-// itself: printable ASCII with no escape and no inner quote, which is what
-// every duration a client writes looks like. Anything else is left to
-// json.Unmarshal, whose values and errors are the reference.
-func plainString(b []byte) (string, bool) {
-	if len(b) < 2 || b[len(b)-1] != '"' {
-		return "", false
+// unquote decodes a quoted JSON string. Its string lives in this function
+// so that only the slow path of UnmarshalJSON puts one on the heap.
+func unquote(b []byte) (string, error) {
+	var s string
+	err := json.Unmarshal(b, &s)
+	return s, err
+}
+
+// PlainQuoted returns the length, quotes included, of the quoted JSON
+// string b starts with when that string decodes to its own contents:
+// printable ASCII, no backslash. It returns 0 when b starts otherwise.
+func PlainQuoted(b []byte) int {
+	if len(b) == 0 || b[0] != '"' {
+		return 0
 	}
-	inner := b[1 : len(b)-1]
-	for _, c := range inner {
-		if c < ' ' || c > '~' || c == '\\' || c == '"' {
-			return "", false
+	for i := 1; i < len(b); i++ {
+		switch c := b[i]; {
+		case c == '"':
+			return i + 1
+		case c < ' ' || c > '~' || c == '\\':
+			return 0
 		}
 	}
-	return string(inner), true
+	return 0
 }
 
 // ComponentSpec is the serializable form of one config.Component; Class is

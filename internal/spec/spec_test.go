@@ -9,7 +9,7 @@ import (
 	"time"
 )
 
-// slowDuration is Duration.UnmarshalJSON as it was before plainString:
+// slowDuration is Duration.UnmarshalJSON without its plain-string fast path:
 // every quoted token through json.Unmarshal.
 func slowDuration(b []byte) (Duration, error) {
 	if len(b) > 0 && b[0] == '"' {
@@ -59,8 +59,8 @@ func TestDurationFastPathMatchesJSON(t *testing.T) {
 			if fmt.Sprint(err) != fmt.Sprint(wantErr) || got != want {
 				t.Errorf("%q: got (%v, %v), want (%v, %v)", tok, got, err, want, wantErr)
 			}
-			if _, fast := plainString([]byte(tok)); fast != tc.fast {
-				t.Errorf("%q: fast path %v, want %v", tok, fast, tc.fast)
+			if n := PlainQuoted([]byte(tok)); (n > 0 && n == len(tok)) != tc.fast {
+				t.Errorf("%q: fast path %v, want %v", tok, !tc.fast, tc.fast)
 			}
 		}
 	}
