@@ -162,20 +162,6 @@ func BenchmarkEntropy(b *testing.B) {
 	}
 }
 
-// BenchmarkCapShares measures the share-capping enforcement policy.
-func BenchmarkCapShares(b *testing.B) {
-	d, err := pooldata.WithUniformTail(1000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.CapShares(d, 0.05); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSelectDiverse measures diversity-aware committee selection
 // through the options-built Selector.
 func BenchmarkSelectDiverse(b *testing.B) {

@@ -7,9 +7,6 @@
 //   - Operator corruption (Sec. IV-B, Prop. 3 discussion): the attacker
 //     bribes or runs malicious operators; each corruption buys exactly one
 //     replica, so configuration abundance ω is the defence.
-//
-// A third model, hash-power rental (Bonneau's "why buy when you can rent"),
-// prices attacks in rented power units for the Nakamoto experiments.
 package adversary
 
 import (
@@ -169,44 +166,4 @@ func CorruptOperators(members []diversity.Member, budget int, threshold float64)
 	plan.Fraction = sum / total
 	plan.Breaks = plan.Fraction > threshold
 	return plan, nil
-}
-
-// MinCorruptionsToBreak returns the smallest operator-corruption budget
-// that exceeds threshold, or -1 when even corrupting everyone stays at or
-// below it.
-func MinCorruptionsToBreak(members []diversity.Member, threshold float64) (int, error) {
-	for budget := 1; budget <= len(members); budget++ {
-		plan, err := CorruptOperators(members, budget, threshold)
-		if err != nil {
-			return 0, err
-		}
-		if plan.Breaks {
-			return budget, nil
-		}
-	}
-	return -1, nil
-}
-
-// RentalCost models Bonneau-style hash-power rental: the attacker needs
-// enough rented power q_extra that (owned + rented) / (total + rented)
-// exceeds threshold; the cost is rented power × pricePerUnit × duration
-// (in hours). It returns the rented units and the cost, or an error when
-// threshold >= 1.
-func RentalCost(ownedPower, totalPower, threshold, pricePerUnitHour float64, duration time.Duration) (rented, cost float64, err error) {
-	if totalPower <= 0 || ownedPower < 0 || ownedPower > totalPower {
-		return 0, 0, fmt.Errorf("adversary: invalid powers owned=%v total=%v", ownedPower, totalPower)
-	}
-	if threshold <= 0 || threshold >= 1 {
-		return 0, 0, fmt.Errorf("adversary: threshold %v out of (0,1)", threshold)
-	}
-	if pricePerUnitHour < 0 || duration < 0 {
-		return 0, 0, errors.New("adversary: negative price or duration")
-	}
-	// Solve (owned + r) / (total + r) > threshold for r.
-	if ownedPower/totalPower > threshold {
-		return 0, 0, nil // already above threshold
-	}
-	rented = (threshold*totalPower - ownedPower) / (1 - threshold)
-	cost = rented * pricePerUnitHour * duration.Hours()
-	return rented, cost, nil
 }

@@ -223,55 +223,6 @@ func TestCorruptOperators(t *testing.T) {
 	}
 }
 
-func TestMinCorruptionsToBreak(t *testing.T) {
-	// (κ=4, ω=3) unit-power population: need 7 of 12 for majority.
-	var members []diversity.Member
-	for i := 0; i < 12; i++ {
-		members = append(members, diversity.Member{Label: string(rune('a' + i)), Power: 1})
-	}
-	n, err := MinCorruptionsToBreak(members, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 7 {
-		t.Fatalf("min corruptions = %d, want 7", n)
-	}
-	// Threshold 1.0 can never be exceeded.
-	n, _ = MinCorruptionsToBreak(members, 1.0)
-	if n != -1 {
-		t.Fatalf("impossible threshold -> %d, want -1", n)
-	}
-}
-
-func TestRentalCost(t *testing.T) {
-	// Attacker owns 10 of 100 power, wants majority: needs r with
-	// (10+r)/(100+r) > 0.5 -> r = 80.
-	rented, cost, err := RentalCost(10, 100, 0.5, 2, 3*time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(rented-80) > 1e-9 {
-		t.Fatalf("rented = %v, want 80", rented)
-	}
-	if math.Abs(cost-480) > 1e-9 {
-		t.Fatalf("cost = %v, want 480", cost)
-	}
-	// Already above threshold: free.
-	r0, c0, _ := RentalCost(60, 100, 0.5, 2, time.Hour)
-	if r0 != 0 || c0 != 0 {
-		t.Fatalf("already-majority rental = %v/%v", r0, c0)
-	}
-	if _, _, err := RentalCost(-1, 100, 0.5, 1, time.Hour); err == nil {
-		t.Fatal("negative owned accepted")
-	}
-	if _, _, err := RentalCost(10, 100, 1.0, 1, time.Hour); err == nil {
-		t.Fatal("threshold 1.0 accepted")
-	}
-	if _, _, err := RentalCost(10, 100, 0.5, -1, time.Hour); err == nil {
-		t.Fatal("negative price accepted")
-	}
-}
-
 func TestDiversityDefeatsExploitsButNotCorruption(t *testing.T) {
 	// The paper's core contrast: a diverse fleet resists shared-fault
 	// exploitation, but operator corruption depends only on power split.
@@ -294,9 +245,11 @@ func TestDiversityDefeatsExploitsButNotCorruption(t *testing.T) {
 	if !mPlan.Breaks || mPlan.Fraction != 1 {
 		t.Fatalf("monoculture plan = %+v, want total compromise", mPlan)
 	}
-	// Corruption needs a majority of operators either way.
-	minC, _ := MinCorruptionsToBreak(members, 0.5)
-	if minC != 7 {
-		t.Fatalf("corruptions = %d", minC)
+	// Corruption needs a majority of operators either way: 7 of 12.
+	if six, _ := CorruptOperators(members, 6, 0.5); six.Breaks {
+		t.Fatalf("6 corruptions broke the fleet: %+v", six)
+	}
+	if seven, _ := CorruptOperators(members, 7, 0.5); !seven.Breaks {
+		t.Fatalf("7 corruptions did not break the fleet: %+v", seven)
 	}
 }

@@ -33,6 +33,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/registry"
 	"repro/internal/vuln"
 )
@@ -143,15 +144,6 @@ func timeOp(budget time.Duration, op func() error) (float64, error) {
 	}
 }
 
-// heapAfterGC returns the live heap once the garbage is collected.
-func heapAfterGC() uint64 {
-	runtime.GC()
-	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.HeapAlloc
-}
-
 // MeasureRung builds the rung's workload, measures what it keeps resident
 // and times the five paths. budget bounds the timed loop per path (a
 // single long operation may exceed it).
@@ -164,7 +156,7 @@ func MeasureRung(r Rung, budget time.Duration) (Measurement, error) {
 
 	// Resident: the registry, its snapshot and an assessed monitor, before
 	// any path below caches a per-replica view (the flat path does).
-	base := heapAfterGC()
+	base := metrics.LiveHeap()
 	reg, err := Registry(r.Replicas)
 	if err != nil {
 		return m, err
@@ -176,7 +168,7 @@ func MeasureRung(r Rung, budget time.Duration) (Measurement, error) {
 	if _, err := resident.Assess(Instant); err != nil {
 		return m, err
 	}
-	m.ResidentBytes = float64(int64(heapAfterGC())-int64(base)) / float64(r.Replicas)
+	m.ResidentBytes = float64(int64(metrics.LiveHeap())-int64(base)) / float64(r.Replicas)
 	runtime.KeepAlive(resident)
 
 	snap, err := reg.Snapshot(registry.DefaultWeighting)

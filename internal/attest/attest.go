@@ -176,9 +176,6 @@ func NewAuthority(vendors ...string) *Authority {
 	return a
 }
 
-// TrustVendor adds a vendor to the trust set.
-func (a *Authority) TrustVendor(vendor string) { a.trusted[vendor] = true }
-
 // Revoke marks a device endorsement key as compromised; subsequent quotes
 // from it fail verification. This models the paper's concern that trusted
 // hardware itself is attackable (Remark 2, SGX.Fail).

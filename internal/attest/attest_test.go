@@ -84,10 +84,10 @@ func TestQuoteUntrustedVendor(t *testing.T) {
 	if err := auth.Verify(q); !errors.Is(err, ErrUntrustedVendor) {
 		t.Fatalf("err = %v, want ErrUntrustedVendor", err)
 	}
-	auth.TrustVendor("shady-tee")
-	q2, _ := dev.QuoteConfig(testConfig(t), vote.Public, auth.IssueNonce())
-	if err := auth.Verify(q2); err != nil {
-		t.Fatalf("after TrustVendor: %v", err)
+	trusting := NewAuthority("tpm2", "shady-tee")
+	q2, _ := dev.QuoteConfig(testConfig(t), vote.Public, trusting.IssueNonce())
+	if err := trusting.Verify(q2); err != nil {
+		t.Fatalf("vendor in the trust set: %v", err)
 	}
 }
 

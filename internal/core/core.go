@@ -5,11 +5,12 @@
 //     κ/ω optimality (Definitions 1–2), effective configurations,
 //     min-faults-to-break, and the Sec. II-C safety condition
 //     f ≥ Σ f_t^i evaluated against a vulnerability catalog.
-//   - Enforcement policies: per-configuration share capping and the
-//     conclusion's two-tier (attested vs declared) vote weighting, both of
-//     which reshape the effective voting-power distribution to raise
-//     entropy without excluding anyone (permissionless systems cannot
-//     reject joiners; they can only discount weight).
+//   - Enforcement policies: an admission policy that caps each
+//     configuration's share of effective power, and the conclusion's
+//     two-tier (attested vs declared) vote weighting, both of which reshape
+//     the effective voting-power distribution to raise entropy without
+//     excluding anyone (permissionless systems cannot reject joiners; they
+//     can only discount weight).
 //
 // Committee selection (internal/committee) provides the third
 // enforcement point: diversity-aware membership.
@@ -334,71 +335,6 @@ func (m *Monitor) WorstAssessmentMemo(horizon time.Duration) (a Assessment, fill
 	m.fills++
 	m.worst, m.worstHorizon, m.worstValid, m.worstFill = m.assessmentLocked(worst), horizon, true, m.fills
 	return m.worst, m.worstFill, nil
-}
-
-// CapShares applies the share-capping enforcement policy: every
-// configuration's effective share of voting power is capped at cap; excess
-// weight is discarded (votes above the cap simply do not count). The
-// returned distribution is what a diversity-enforcing protocol would use
-// for quorum accounting. cap must be in (0, 1]; if cap × support < 1 the
-// result is still a valid (sub-normalized) weighting — metrics normalize.
-//
-// Capping can only increase entropy: it moves the distribution toward
-// uniformity without removing support.
-func CapShares(d diversity.Distribution, cap float64) (diversity.Distribution, error) {
-	if cap <= 0 || cap > 1 || math.IsNaN(cap) {
-		return diversity.Distribution{}, fmt.Errorf("core: cap %v out of (0,1]", cap)
-	}
-	probs, err := d.Probabilities()
-	if err != nil {
-		return diversity.Distribution{}, err
-	}
-	labels := d.Labels()
-	capped := make(map[string]float64, len(labels))
-	for i, label := range labels {
-		p := probs[i]
-		if p > cap {
-			p = cap
-		}
-		capped[label] = p
-	}
-	return diversity.FromWeights(capped)
-}
-
-// EnforcementGain reports the entropy before and after share capping.
-type EnforcementGain struct {
-	Cap                float64
-	EntropyBefore      float64
-	EntropyAfter       float64
-	FaultsToHalfBefore int
-	FaultsToHalfAfter  int
-	// DiscardedShare is the fraction of raw voting power whose weight the
-	// cap nullified — the price of the enforcement.
-	DiscardedShare float64
-}
-
-// EvaluateCap computes the enforcement gain of capping shares at cap.
-func EvaluateCap(d diversity.Distribution, cap float64) (EnforcementGain, error) {
-	before, err := diversity.ReportForDistribution(d)
-	if err != nil {
-		return EnforcementGain{}, err
-	}
-	capped, err := CapShares(d, cap)
-	if err != nil {
-		return EnforcementGain{}, err
-	}
-	after, err := diversity.ReportForDistribution(capped)
-	if err != nil {
-		return EnforcementGain{}, err
-	}
-	return EnforcementGain{
-		Cap:                cap,
-		EntropyBefore:      before.Entropy,
-		EntropyAfter:       after.Entropy,
-		FaultsToHalfBefore: before.MinConfigFaultsToHalf,
-		FaultsToHalfAfter:  after.MinConfigFaultsToHalf,
-		DiscardedShare:     1 - capped.Total(),
-	}, nil
 }
 
 // TwoTierOutcome compares the same population under face-value and

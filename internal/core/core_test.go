@@ -479,42 +479,6 @@ func TestCacheStatsCountComputations(t *testing.T) {
 	}
 }
 
-func TestCapSharesRaisesEntropy(t *testing.T) {
-	d := diversity.MustFromSlice([]float64{60, 20, 10, 10})
-	gain, err := EvaluateCap(d, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gain.EntropyAfter <= gain.EntropyBefore {
-		t.Fatalf("cap did not raise entropy: %v -> %v", gain.EntropyBefore, gain.EntropyAfter)
-	}
-	if gain.FaultsToHalfAfter <= gain.FaultsToHalfBefore {
-		t.Fatalf("cap did not raise fault resilience: %d -> %d",
-			gain.FaultsToHalfBefore, gain.FaultsToHalfAfter)
-	}
-	if gain.DiscardedShare <= 0 {
-		t.Fatalf("no weight discarded despite binding cap: %v", gain.DiscardedShare)
-	}
-	// A non-binding cap changes nothing.
-	loose, _ := EvaluateCap(diversity.Uniform(4), 0.5)
-	if math.Abs(loose.EntropyBefore-loose.EntropyAfter) > 1e-9 || loose.DiscardedShare > 1e-9 {
-		t.Fatalf("non-binding cap altered distribution: %+v", loose)
-	}
-}
-
-func TestCapSharesValidation(t *testing.T) {
-	d := diversity.Uniform(4)
-	for _, cap := range []float64{0, -0.1, 1.1, math.NaN()} {
-		if _, err := CapShares(d, cap); err == nil {
-			t.Fatalf("cap %v accepted", cap)
-		}
-	}
-	var empty diversity.Distribution
-	if _, err := CapShares(empty, 0.5); err == nil {
-		t.Fatal("empty distribution accepted")
-	}
-}
-
 func TestEvaluateTwoTier(t *testing.T) {
 	reg := registry.New(nil)
 	// Attested tier: diverse, modest power. Declared tier: a debian
@@ -626,48 +590,5 @@ func TestAdmissionPolicyValidation(t *testing.T) {
 	good := AdmissionPolicy{TargetShare: 0.5, DeclaredDiscount: 1}
 	if _, err := good.Decide(d, "x", math.NaN(), true); err == nil {
 		t.Fatal("NaN power accepted")
-	}
-}
-
-// Property-flavoured check: capping at (or below) the minimum positive
-// share clamps every configuration to the same weight, yielding the
-// κ-optimal (maximum-entropy) distribution; and entropy is monotone
-// non-increasing in the cap value.
-func TestCapToUniformIsKappaOptimal(t *testing.T) {
-	for _, weights := range [][]float64{
-		{90, 5, 3, 2},
-		{50, 30, 20},
-		{1, 1, 1, 1, 96},
-	} {
-		d := diversity.MustFromSlice(weights)
-		probs, err := d.Probabilities()
-		if err != nil {
-			t.Fatal(err)
-		}
-		minShare := 1.0
-		for _, p := range probs {
-			if p > 0 && p < minShare {
-				minShare = p
-			}
-		}
-		capped, err := CapShares(d, minShare)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !capped.IsKappaOptimal(d.Support()) {
-			t.Fatalf("cap at min share did not produce κ-optimal: %v", weights)
-		}
-		// Tighter caps never lower entropy.
-		prev := -1.0
-		for _, cap := range []float64{1, 0.5, 0.3, 0.1, minShare} {
-			g, err := EvaluateCap(d, cap)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if prev >= 0 && g.EntropyAfter < prev-1e-9 {
-				t.Fatalf("entropy decreased as cap tightened: %v", weights)
-			}
-			prev = g.EntropyAfter
-		}
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
-	"fmt"
 )
 
 // DigestSize is the size of a Digest in bytes.
@@ -116,64 +115,4 @@ func MerkleRoot(leaves [][]byte) (Digest, error) {
 		level = next
 	}
 	return level[0], nil
-}
-
-// MerkleProof is an inclusion proof for one leaf.
-type MerkleProof struct {
-	Index    int      // leaf position
-	Siblings []Digest // bottom-up sibling hashes
-	// Rights[i] reports whether Siblings[i] is the right-hand child at
-	// level i (i.e. the proven path is the left child there).
-	Rights []bool
-}
-
-// BuildMerkleProof returns an inclusion proof for leaves[index].
-func BuildMerkleProof(leaves [][]byte, index int) (MerkleProof, error) {
-	if len(leaves) == 0 {
-		return MerkleProof{}, ErrEmptyTree
-	}
-	if index < 0 || index >= len(leaves) {
-		return MerkleProof{}, fmt.Errorf("cryptoutil: proof index %d out of range [0,%d)", index, len(leaves))
-	}
-	level := make([]Digest, len(leaves))
-	for i, leaf := range leaves {
-		level[i] = Hash([]byte{0x00}, leaf)
-	}
-	proof := MerkleProof{Index: index}
-	pos := index
-	for len(level) > 1 {
-		next := make([]Digest, 0, (len(level)+1)/2)
-		for i := 0; i < len(level); i += 2 {
-			if i+1 == len(level) {
-				next = append(next, level[i])
-				continue
-			}
-			next = append(next, Hash([]byte{0x01}, level[i][:], level[i+1][:]))
-		}
-		sib := pos ^ 1
-		if sib < len(level) {
-			proof.Siblings = append(proof.Siblings, level[sib])
-			proof.Rights = append(proof.Rights, sib > pos)
-		}
-		pos /= 2
-		level = next
-	}
-	return proof, nil
-}
-
-// VerifyMerkleProof reports whether proof demonstrates that leaf is included
-// under root.
-func VerifyMerkleProof(root Digest, leaf []byte, proof MerkleProof) bool {
-	if len(proof.Siblings) != len(proof.Rights) {
-		return false
-	}
-	cur := Hash([]byte{0x00}, leaf)
-	for i, sib := range proof.Siblings {
-		if proof.Rights[i] {
-			cur = Hash([]byte{0x01}, cur[:], sib[:])
-		} else {
-			cur = Hash([]byte{0x01}, sib[:], cur[:])
-		}
-	}
-	return cur == root
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"testing"
-	"testing/quick"
 )
 
 func TestHashDeterministic(t *testing.T) {
@@ -181,6 +180,22 @@ func TestMerkleRootOrderSensitive(t *testing.T) {
 	}
 }
 
+// An odd node is promoted unpaired, not duplicated: over three leaves the
+// third leaf's hash meets the first pair's node directly.
+func TestMerkleRootPromotesOddNode(t *testing.T) {
+	leaves := [][]byte{[]byte("a"), []byte("b"), []byte("c")}
+	root, err := MerkleRoot(leaves)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := func(leaf []byte) Digest { return Hash([]byte{0x00}, leaf) }
+	ha, hb, hc := h(leaves[0]), h(leaves[1]), h(leaves[2])
+	ab := Hash([]byte{0x01}, ha[:], hb[:])
+	if want := Hash([]byte{0x01}, ab[:], hc[:]); root != want {
+		t.Fatalf("root %x, want %x", root, want)
+	}
+}
+
 func TestMerkleDomainSeparation(t *testing.T) {
 	// An interior node value must not be forgeable as a leaf.
 	leaves := [][]byte{[]byte("a"), []byte("b")}
@@ -188,82 +203,5 @@ func TestMerkleDomainSeparation(t *testing.T) {
 	forged, _ := MerkleRoot([][]byte{root[:]})
 	if forged == root {
 		t.Fatal("interior node reusable as leaf")
-	}
-}
-
-func TestMerkleProofRoundTrip(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 9, 16, 31} {
-		leaves := make([][]byte, n)
-		for i := range leaves {
-			leaves[i] = []byte{byte(i), byte(n)}
-		}
-		root, err := MerkleRoot(leaves)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			proof, err := BuildMerkleProof(leaves, i)
-			if err != nil {
-				t.Fatalf("n=%d i=%d: %v", n, i, err)
-			}
-			if !VerifyMerkleProof(root, leaves[i], proof) {
-				t.Fatalf("n=%d i=%d: valid proof rejected", n, i)
-			}
-			// Wrong leaf must fail.
-			if VerifyMerkleProof(root, []byte("forged"), proof) {
-				t.Fatalf("n=%d i=%d: forged leaf accepted", n, i)
-			}
-		}
-	}
-}
-
-func TestMerkleProofOutOfRange(t *testing.T) {
-	leaves := [][]byte{[]byte("a")}
-	if _, err := BuildMerkleProof(leaves, -1); err == nil {
-		t.Fatal("negative index accepted")
-	}
-	if _, err := BuildMerkleProof(leaves, 1); err == nil {
-		t.Fatal("index past end accepted")
-	}
-}
-
-func TestMerkleProofMalformed(t *testing.T) {
-	leaves := [][]byte{[]byte("a"), []byte("b"), []byte("c")}
-	root, _ := MerkleRoot(leaves)
-	proof, _ := BuildMerkleProof(leaves, 0)
-	proof.Rights = proof.Rights[:len(proof.Rights)-1]
-	if VerifyMerkleProof(root, leaves[0], proof) {
-		t.Fatal("mismatched Siblings/Rights accepted")
-	}
-}
-
-// Property: proofs verify for every leaf of any random tree, and tampering
-// with any sibling breaks verification.
-func TestPropMerkleProofs(t *testing.T) {
-	f := func(data [][]byte) bool {
-		if len(data) == 0 || len(data) > 64 {
-			return true
-		}
-		root, err := MerkleRoot(data)
-		if err != nil {
-			return false
-		}
-		for i := range data {
-			proof, err := BuildMerkleProof(data, i)
-			if err != nil || !VerifyMerkleProof(root, data[i], proof) {
-				return false
-			}
-			if len(proof.Siblings) > 0 {
-				proof.Siblings[0][0] ^= 0xff
-				if VerifyMerkleProof(root, data[i], proof) {
-					return false
-				}
-				proof.Siblings[0][0] ^= 0xff
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }

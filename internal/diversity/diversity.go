@@ -10,8 +10,8 @@
 // Definitions 1 and 2 compare units with ==, and a fault count adds units
 // and tests the running share against the threshold with a strict >, the
 // comparison core.Substrate.Safe makes. Only the entropy family (Shannon
-// entropy, Simpson and Hill numbers) is float, computed from the correctly
-// rounded shares in label order.
+// entropy, effective configurations and the Simpson index) is float,
+// computed from the correctly rounded shares in label order.
 //
 // Entropy is measured in bits (log base 2) throughout, matching Example 1:
 // eight uniformly weighted, uniquely configured BFT replicas have entropy
@@ -260,36 +260,6 @@ func simpson(ps []float64) float64 {
 	return s
 }
 
-// GiniSimpson returns 1 - Σ p_i², the complementary diversity index.
-func (d Distribution) GiniSimpson() (float64, error) {
-	s, err := d.SimpsonIndex()
-	if err != nil {
-		return 0, err
-	}
-	return 1 - s, nil
-}
-
-// HillNumber returns the Hill diversity of order q: (Σ p_i^q)^(1/(1-q)),
-// with the limits q→1 giving 2^H and q→0 giving the support size. Hill
-// numbers let the experiments show that different diversity orders rank
-// the same systems consistently.
-func (d Distribution) HillNumber(q float64) (float64, error) {
-	ps, err := d.Probabilities()
-	if err != nil {
-		return 0, err
-	}
-	if math.Abs(q-1) < 1e-12 {
-		return d.EffectiveConfigurations()
-	}
-	sum := 0.0
-	for _, p := range ps {
-		if p > 0 {
-			sum += math.Pow(p, q)
-		}
-	}
-	return math.Pow(sum, 1/(1-q)), nil
-}
-
 // IsUniform reports whether the distribution has positive weight and all
 // positive weights are equal, unit for unit.
 func (d Distribution) IsUniform() bool {
@@ -382,20 +352,6 @@ func (d Distribution) TopShares(n int) ([]string, []float64, error) {
 		shares[i] = ps[idx[i]]
 	}
 	return labels, shares, nil
-}
-
-// Merge returns a distribution whose weight for each label is the sum of
-// the two inputs' weights, modelling populations joining. A merged total
-// past vuln.MaxPowerUnits is an error.
-func Merge(a, b Distribution) (Distribution, error) {
-	m := make(map[string]uint64, a.Len()+b.Len())
-	for i, label := range a.labels {
-		m[label] += a.units[i]
-	}
-	for i, label := range b.labels {
-		m[label] += b.units[i]
-	}
-	return fromUnits(m)
 }
 
 // Scale returns a copy with every weight multiplied by factor (> 0) and

@@ -101,23 +101,6 @@ func (p *Population) AbundanceCounts() map[string]int {
 	return m
 }
 
-// RelativeAbundance returns the percent-composition distribution: weight of
-// each label proportional to its member count. The paper notes this is the
-// Bitcoin-relevant view, where relative abundance is mining-power share
-// when every member has equal power.
-func (p *Population) RelativeAbundance() Distribution {
-	counts := p.AbundanceCounts()
-	m := make(map[string]float64, len(counts))
-	for label, c := range counts {
-		m[label] = float64(c)
-	}
-	d, err := FromWeights(m)
-	if err != nil {
-		panic(err) // counts are non-negative integers
-	}
-	return d
-}
-
 // Omega returns the common configuration abundance ω when every present
 // configuration has the same member count, and (0, false) otherwise.
 func (p *Population) Omega() (int, bool) {
@@ -142,17 +125,6 @@ func (p *Population) Omega() (int, bool) {
 func (p *Population) IsKappaOmegaOptimal(kappa, omega int) bool {
 	w, ok := p.Omega()
 	return ok && w == omega && p.PowerDistribution().IsKappaOptimal(kappa)
-}
-
-// KappaOmega returns the (κ, ω) for which the population is optimal, or
-// ok=false when it is not optimal for any pair.
-func (p *Population) KappaOmega() (kappa, omega int, ok bool) {
-	k, kOK := p.PowerDistribution().Kappa()
-	w, wOK := p.Omega()
-	if !kOK || !wOK {
-		return 0, 0, false
-	}
-	return k, w, true
 }
 
 // MinOperatorFaultsToExceed returns the minimum number of *member-level*

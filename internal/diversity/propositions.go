@@ -1,9 +1,6 @@
 package diversity
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // This file turns the paper's Propositions 1–3 into executable statements.
 // Each proposition is expressed as a function that either constructs the
@@ -171,25 +168,4 @@ func CheckProposition3(kappa, omega int) (Proposition3Outcome, error) {
 		return Proposition3Outcome{}, err
 	}
 	return out, nil
-}
-
-// MaxEntropyForSupport returns log2(k), the entropy ceiling for any
-// distribution supported on k configurations — the value a κ-optimal
-// distribution attains (Sec. IV-A).
-func MaxEntropyForSupport(k int) float64 {
-	if k <= 0 {
-		return 0
-	}
-	return math.Log2(float64(k))
-}
-
-// SafetyCondition models Sec. II-C: the system is safe at an instant iff
-// the protocol's fault tolerance f (as a power fraction) is at least the
-// sum of per-vulnerability compromised power fractions Σ f_t^i.
-func SafetyCondition(toleratedFraction float64, compromisedFractions []float64) bool {
-	var sum float64
-	for _, f := range compromisedFractions {
-		sum += f
-	}
-	return toleratedFraction >= sum
 }

@@ -182,25 +182,3 @@ func TestPropProposition3ClosedForm(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestSafetyCondition(t *testing.T) {
-	// Sec. II-C: safe iff f >= Σ f_t^i.
-	if !SafetyCondition(0.33, []float64{0.1, 0.2}) {
-		t.Fatal("0.3 <= 0.33 should be safe")
-	}
-	if SafetyCondition(0.33, []float64{0.2, 0.2}) {
-		t.Fatal("0.4 > 0.33 should be unsafe")
-	}
-	if !SafetyCondition(0, nil) {
-		t.Fatal("no faults should always be safe")
-	}
-}
-
-func TestMaxEntropyForSupport(t *testing.T) {
-	if MaxEntropyForSupport(0) != 0 || MaxEntropyForSupport(-1) != 0 {
-		t.Fatal("non-positive support should give 0")
-	}
-	if !almostEqual(MaxEntropyForSupport(8), 3, 1e-12) {
-		t.Fatalf("max entropy for 8 = %v", MaxEntropyForSupport(8))
-	}
-}

@@ -1,7 +1,7 @@
 // Package ledger provides the blockchain data structures shared by the
-// consensus substrates: transactions, Merkle-rooted blocks, a tree-shaped
-// block store with longest-chain selection (for Nakamoto forks), and a
-// FIFO mempool.
+// consensus substrates: transactions, Merkle-rooted blocks and a
+// tree-shaped block store with longest-chain selection (for Nakamoto
+// forks).
 package ledger
 
 import (
@@ -30,11 +30,6 @@ func (tx Tx) Encode() []byte {
 	binary.BigEndian.PutUint64(nums[8:], tx.Nonce)
 	d := cryptoutil.Hash([]byte("repro/tx/v1"), []byte(tx.From), []byte(tx.To), nums[:], tx.Payload)
 	return d[:]
-}
-
-// Digest returns the transaction id.
-func (tx Tx) Digest() cryptoutil.Digest {
-	return cryptoutil.Hash([]byte("repro/txid/v1"), tx.Encode())
 }
 
 // Header is a block header.
@@ -209,74 +204,4 @@ func (c *Chain) PathFromGenesis(id cryptoutil.Digest) ([]cryptoutil.Digest, erro
 		rev[i], rev[j] = rev[j], rev[i]
 	}
 	return rev, nil
-}
-
-// Depth returns how many blocks have been built on top of id along the
-// current best chain: 0 when id is the tip, and ErrNotFound when id is not
-// on the best chain at all (it was reorged away). Nakamoto double-spend
-// experiments use Depth as the confirmation count.
-func (c *Chain) Depth(id cryptoutil.Digest) (int, error) {
-	path, err := c.PathFromGenesis(c.tip)
-	if err != nil {
-		return 0, err
-	}
-	for i, cur := range path {
-		if cur == id {
-			return len(path) - 1 - i, nil
-		}
-	}
-	return 0, fmt.Errorf("%w: %s not on best chain", ErrNotFound, id.Short())
-}
-
-// Mempool is a FIFO transaction pool with duplicate suppression.
-type Mempool struct {
-	byID  map[cryptoutil.Digest]Tx
-	queue []cryptoutil.Digest
-}
-
-// NewMempool returns an empty pool.
-func NewMempool() *Mempool {
-	return &Mempool{byID: make(map[cryptoutil.Digest]Tx)}
-}
-
-// Add inserts a transaction; duplicates are ignored and reported false.
-func (m *Mempool) Add(tx Tx) bool {
-	id := tx.Digest()
-	if _, dup := m.byID[id]; dup {
-		return false
-	}
-	m.byID[id] = tx
-	m.queue = append(m.queue, id)
-	return true
-}
-
-// Len reports the number of pending transactions.
-func (m *Mempool) Len() int { return len(m.byID) }
-
-// Take removes and returns up to n transactions in arrival order.
-func (m *Mempool) Take(n int) []Tx {
-	out := make([]Tx, 0, n)
-	kept := m.queue[:0]
-	for _, id := range m.queue {
-		tx, ok := m.byID[id]
-		if !ok {
-			continue // already removed
-		}
-		if len(out) < n {
-			out = append(out, tx)
-			delete(m.byID, id)
-		} else {
-			kept = append(kept, id)
-		}
-	}
-	m.queue = kept
-	return out
-}
-
-// Remove deletes the given transactions (e.g. after they were committed in
-// a block received from a peer).
-func (m *Mempool) Remove(txs []Tx) {
-	for _, tx := range txs {
-		delete(m.byID, tx.Digest())
-	}
 }

@@ -19,10 +19,10 @@ func mkTx(i int) Tx {
 
 func TestTxDigestDistinct(t *testing.T) {
 	a, b := mkTx(1), mkTx(2)
-	if a.Digest() == b.Digest() {
+	if string(a.Encode()) == string(b.Encode()) {
 		t.Fatal("distinct txs share a digest")
 	}
-	if a.Digest() != mkTx(1).Digest() {
+	if string(a.Encode()) != string(mkTx(1).Encode()) {
 		t.Fatal("digest not deterministic")
 	}
 }
@@ -148,7 +148,7 @@ func TestForkChoiceLongestChain(t *testing.T) {
 	}
 }
 
-func TestPathFromGenesisAndDepth(t *testing.T) {
+func TestPathFromGenesis(t *testing.T) {
 	g := genesis()
 	c, _ := NewChain(g)
 	prev := g
@@ -168,73 +168,13 @@ func TestPathFromGenesisAndDepth(t *testing.T) {
 	if len(path) != 6 || path[0] != g.Digest() || path[5] != c.Tip() {
 		t.Fatalf("path = %v", path)
 	}
-	d, err := c.Depth(blocks[1].Digest()) // height 2, tip height 5
-	if err != nil || d != 3 {
-		t.Fatalf("depth = %d, %v; want 3", d, err)
-	}
-	if d, _ := c.Depth(c.Tip()); d != 0 {
-		t.Fatalf("tip depth = %d", d)
-	}
-	if _, err := c.Depth(cryptoutil.Hash([]byte("missing"))); err == nil {
-		t.Fatal("depth of unknown block succeeded")
-	}
-}
-
-func TestDepthReorgedBlock(t *testing.T) {
-	g := genesis()
-	c, _ := NewChain(g)
-	a1 := NewBlock(g.Digest(), 1, "a", 1, nil)
-	c.Append(a1)
-	b1 := NewBlock(g.Digest(), 1, "b", 2, nil)
-	b2 := NewBlock(b1.Digest(), 2, "b", 3, nil)
-	c.Append(b1)
-	c.Append(b2)
-	// a1 has been reorged off the best chain.
-	if _, err := c.Depth(a1.Digest()); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("reorged depth err = %v", err)
-	}
-}
-
-func TestMempoolFIFO(t *testing.T) {
-	m := NewMempool()
-	for i := 0; i < 5; i++ {
-		if !m.Add(mkTx(i)) {
-			t.Fatalf("add %d failed", i)
+	for i, b := range blocks {
+		if path[i+1] != b.Digest() {
+			t.Fatalf("path[%d] is not the block at height %d", i+1, i+1)
 		}
 	}
-	if m.Add(mkTx(0)) {
-		t.Fatal("duplicate accepted")
-	}
-	if m.Len() != 5 {
-		t.Fatalf("len = %d", m.Len())
-	}
-	got := m.Take(3)
-	if len(got) != 3 || got[0].Amount != 0 || got[2].Amount != 2 {
-		t.Fatalf("take = %v", got)
-	}
-	if m.Len() != 2 {
-		t.Fatalf("len after take = %d", m.Len())
-	}
-	rest := m.Take(10)
-	if len(rest) != 2 || rest[0].Amount != 3 {
-		t.Fatalf("rest = %v", rest)
-	}
-	if len(m.Take(1)) != 0 {
-		t.Fatal("empty pool returned txs")
-	}
-}
-
-func TestMempoolRemove(t *testing.T) {
-	m := NewMempool()
-	m.Add(mkTx(1))
-	m.Add(mkTx(2))
-	m.Remove([]Tx{mkTx(1)})
-	if m.Len() != 1 {
-		t.Fatalf("len = %d", m.Len())
-	}
-	got := m.Take(10)
-	if len(got) != 1 || got[0].Amount != 2 {
-		t.Fatalf("take after remove = %v", got)
+	if _, err := c.PathFromGenesis(cryptoutil.Hash([]byte("missing"))); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("path to an unknown block: err = %v", err)
 	}
 }
 

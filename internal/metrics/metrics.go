@@ -1,61 +1,16 @@
-// Package metrics provides the summary statistics, histograms and aligned
-// text tables shared by every experiment harness in the repository. All
-// experiment binaries and benchmarks print their results through
-// metrics.Table so that a table regenerates byte-for-byte from its seed.
+// Package metrics provides the quantiles and aligned text tables shared by
+// every experiment harness in the repository, and the live-heap meter the
+// heap ceilings and the assessment ladder read. All experiment binaries and
+// benchmarks print their results through metrics.Table so that a table
+// regenerates byte-for-byte from its seed. Histogram is kept for the
+// daemon's latency counters, which nothing records yet.
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
-
-// Summary holds descriptive statistics over a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64 // sample standard deviation (n-1 denominator)
-	Min    float64
-	Max    float64
-	Median float64
-	P90    float64
-	P99    float64
-}
-
-// Summarize computes descriptive statistics for xs. It returns a zero
-// Summary for an empty sample.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	var sum float64
-	for _, x := range sorted {
-		sum += x
-	}
-	mean := sum / float64(len(sorted))
-	var ss float64
-	for _, x := range sorted {
-		d := x - mean
-		ss += d * d
-	}
-	sd := 0.0
-	if len(sorted) > 1 {
-		sd = math.Sqrt(ss / float64(len(sorted)-1))
-	}
-	return Summary{
-		N:      len(sorted),
-		Mean:   mean,
-		StdDev: sd,
-		Min:    sorted[0],
-		Max:    sorted[len(sorted)-1],
-		Median: Quantile(sorted, 0.5),
-		P90:    Quantile(sorted, 0.9),
-		P99:    Quantile(sorted, 0.99),
-	}
-}
 
 // Quantile returns the q-th quantile (0 <= q <= 1) of an already-sorted
 // sample using linear interpolation. It returns NaN for an empty sample.
@@ -77,16 +32,6 @@ func Quantile(sorted []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// ConfidenceInterval95 returns the half-width of a 95% confidence interval
-// for the mean, using the normal approximation (adequate for the n >= 30
-// trial counts the experiment harnesses use).
-func ConfidenceInterval95(s Summary) float64 {
-	if s.N < 2 {
-		return 0
-	}
-	return 1.96 * s.StdDev / math.Sqrt(float64(s.N))
 }
 
 // Histogram is a fixed-width bucket histogram over [Lo, Hi).

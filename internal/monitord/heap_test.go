@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // fleetSpec is a virtual tenant of n replicas striped over 32 OS products,
@@ -35,14 +37,6 @@ func fleetSpec(n int) TenantSpec {
 	return ts
 }
 
-func heapAfterGC() uint64 {
-	runtime.GC()
-	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.HeapAlloc
-}
-
 // TestTenantHeapAllocations: a 2 000-replica tenant, created and read,
 // retains at most its ceiling per replica, and 20 000 mutations with reads
 // interleaved leave it no more than a bound larger: what it keeps is its
@@ -50,42 +44,49 @@ func heapAfterGC() uint64 {
 func TestTenantHeapAllocations(t *testing.T) {
 	const (
 		replicas = 2000
-		// Measured 216.9 B per replica (Go 1.24, linux/amd64; 218.0 under
-		// -race), plus 10 %. With a bucket pointer in every registry group,
-		// which put it in the 64-byte size class, it was 232.7 B; with each
-		// group held three times (registry, snapshot copy, injector record)
-		// and a two-word entry per replica, 317.7 B.
+		// Set from 216.9 B per replica (Go 1.24, linux/amd64; 218.0 under
+		// -race), plus 10 %, read on the first tenant a server holds. The
+		// least of three tenants reads 200.4 B (201.2 under -race); the
+		// first alone, 210.9. With a bucket pointer in every registry
+		// group, which put it in the 64-byte size class, it was 232.7 B;
+		// with each group held three times (registry, snapshot copy,
+		// injector record) and a two-word entry per replica, 317.7 B.
 		ceiling = 239
-		// Bytes the tenant may grow by over the mutations: measured 12-18 kB,
-		// where a journal of every mutation alone would hold 4 096-8 192
-		// entries of 80 B.
+		// Bytes the tenant may grow by over the mutations: measured 1.9 kB
+		// (7.7-18 kB with the tenant alone on its server), where a journal
+		// of every mutation alone would hold 4 096-8 192 entries of 80 B.
 		growth = 64 << 10
 	)
 	s := NewServer()
 	defer s.Close()
 	body := fleetSpec(replicas)
-	read := func() {
-		for _, path := range []string{"/tenants/fleet/assessment", "/tenants/fleet/worst"} {
+	read := func(tenant string) {
+		for _, path := range []string{"/tenants/" + tenant + "/assessment", "/tenants/" + tenant + "/worst"} {
 			if code := do(t, s, "GET", path, nil, nil); code != http.StatusOK {
 				t.Fatalf("GET %s: %d", path, code)
 			}
 		}
 	}
 
-	base := heapAfterGC()
-	if code := do(t, s, "PUT", "/tenants/fleet", body, nil); code != http.StatusCreated {
-		t.Fatalf("create: %d", code)
-	}
-	read()
-	created := heapAfterGC()
-	perReplica := float64(created-base) / replicas
+	// Three tenants, one per reading; the server keeps each.
+	tenants := 0
+	perReplica := float64(metrics.RetainedHeap(func() any {
+		tenants++
+		tenant := fmt.Sprintf("fleet-%d", tenants)
+		if code := do(t, s, "PUT", "/tenants/"+tenant, body, nil); code != http.StatusCreated {
+			t.Fatalf("create %s: %d", tenant, code)
+		}
+		read(tenant)
+		return nil
+	})) / replicas
 	t.Logf("created and read: %.1f B per replica", perReplica)
 	if perReplica > ceiling {
 		t.Errorf("created and read: %.1f B per replica, ceiling %d", perReplica, ceiling)
 	}
 
+	created := metrics.LiveHeap()
 	for i := 0; i < 20_000; i++ {
-		path := fmt.Sprintf("/tenants/fleet/replicas/r-%07d", i*7%replicas)
+		path := fmt.Sprintf("/tenants/fleet-1/replicas/r-%07d", i*7%replicas)
 		var patch ReplicaPatch
 		if i%2 == 0 {
 			power := float64(1 + i%97)
@@ -97,16 +98,16 @@ func TestTenantHeapAllocations(t *testing.T) {
 			t.Fatalf("PATCH %s: %d", path, code)
 		}
 		if i%10 == 9 {
-			read()
+			read("fleet-1")
 		}
 	}
-	grown := int64(heapAfterGC()) - int64(created)
+	grown := int64(metrics.LiveHeap()) - int64(created)
 	t.Logf("after 20 000 mutations: grown by %d B", grown)
 	if grown > growth {
 		t.Errorf("after 20 000 mutations the tenant grew by %d B, bound %d", grown, growth)
 	}
 	runtime.KeepAlive(s)
-	// The spec was built before base: freed any earlier, it would take its
+	// The spec was built before the readings: freed any earlier, it would take its
 	// own bytes off both measurements.
 	runtime.KeepAlive(body)
 }

@@ -5,9 +5,9 @@
 //   - a full network simulation (miners/pools with hash-power shares,
 //     exponential block discovery, propagation delays, natural forks),
 //   - a fast random-walk double-spend race (Monte Carlo), and
-//   - the closed-form attack success probabilities (Nakamoto's analysis and
-//     the Eyal–Sirer selfish-mining revenue), used as analytic baselines
-//     the simulations are validated against.
+//   - the closed-form double-spend success probabilities (Nakamoto's
+//     Poisson form and Rosenfeld's exact one), the analytic baselines the
+//     race is validated against.
 //
 // Compromising k mining pools (Example 1's oligopoly) hands the adversary
 // q = Σ shares of hash power; these tools turn that q into operational
@@ -314,88 +314,4 @@ func DoubleSpendTrial(rng *rand.Rand, q float64, z int) bool {
 		}
 	}
 	return deficit <= 0
-}
-
-// SelfishMiningRevenue is the Eyal–Sirer closed-form relative revenue of a
-// selfish-mining pool with hash share q and tie-race propagation advantage
-// gamma (fraction of honest miners that build on the selfish branch during
-// a tie). Honest mining yields revenue q; selfish mining beats it above the
-// profitability threshold.
-func SelfishMiningRevenue(q, gamma float64) (float64, error) {
-	if q < 0 || q >= 0.5 || math.IsNaN(q) {
-		return 0, fmt.Errorf("nakamoto: q %v out of [0,0.5)", q)
-	}
-	if gamma < 0 || gamma > 1 || math.IsNaN(gamma) {
-		return 0, fmt.Errorf("nakamoto: gamma %v out of [0,1]", gamma)
-	}
-	num := q*(1-q)*(1-q)*(4*q+gamma*(1-2*q)) - q*q*q
-	den := 1 - q*(1+(2-q)*q)
-	if den == 0 {
-		return 0, errors.New("nakamoto: degenerate denominator")
-	}
-	return num / den, nil
-}
-
-// SimulateSelfishMining runs the Eyal–Sirer state machine for nBlocks total
-// discoveries and returns the selfish pool's empirical relative revenue.
-func SimulateSelfishMining(rng *rand.Rand, q, gamma float64, nBlocks int) (float64, error) {
-	if rng == nil {
-		return 0, errors.New("nakamoto: nil rng")
-	}
-	if q < 0 || q >= 0.5 || math.IsNaN(q) {
-		return 0, fmt.Errorf("nakamoto: q %v out of [0,0.5)", q)
-	}
-	if gamma < 0 || gamma > 1 || math.IsNaN(gamma) {
-		return 0, fmt.Errorf("nakamoto: gamma %v out of [0,1]", gamma)
-	}
-	if nBlocks <= 0 {
-		return 0, fmt.Errorf("nakamoto: nBlocks %d <= 0", nBlocks)
-	}
-	var selfishRevenue, honestRevenue float64
-	privateLead := 0 // selfish pool's unpublished lead
-	tieRace := false // a one-block tie is being raced
-	for i := 0; i < nBlocks; i++ {
-		selfishFinds := rng.Float64() < q
-		switch {
-		case tieRace:
-			// Branches tied at one block each; next block resolves it.
-			switch {
-			case selfishFinds:
-				selfishRevenue += 2 // selfish branch wins both blocks
-			case rng.Float64() < gamma:
-				// Honest miner extended the selfish branch.
-				selfishRevenue++
-				honestRevenue++
-			default:
-				honestRevenue += 2
-			}
-			tieRace = false
-		case selfishFinds:
-			privateLead++
-		default:
-			// Honest network finds a block.
-			switch privateLead {
-			case 0:
-				honestRevenue++
-			case 1:
-				tieRace = true // selfish publishes, race is on
-				privateLead = 0
-			case 2:
-				// Selfish publishes both, takes the whole fork.
-				selfishRevenue += 2
-				privateLead = 0
-			default:
-				// Lead > 2: publish one block, keep mining in front.
-				selfishRevenue++
-				privateLead--
-			}
-		}
-	}
-	// Unpublished lead at the end is published wholesale.
-	selfishRevenue += float64(privateLead)
-	totalRevenue := selfishRevenue + honestRevenue
-	if totalRevenue == 0 {
-		return 0, nil
-	}
-	return selfishRevenue / totalRevenue, nil
 }

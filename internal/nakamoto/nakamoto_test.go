@@ -289,65 +289,6 @@ func TestSimulateDoubleSpendValidation(t *testing.T) {
 	}
 }
 
-func TestSelfishMiningRevenueKnownShape(t *testing.T) {
-	// With gamma=0 the profitability threshold is q=1/3: below it selfish
-	// mining earns less than fair share, above it more.
-	below, err := SelfishMiningRevenue(0.3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if below >= 0.3 {
-		t.Fatalf("q=0.3 gamma=0 revenue %v, want < fair 0.3", below)
-	}
-	above, _ := SelfishMiningRevenue(0.4, 0)
-	if above <= 0.4 {
-		t.Fatalf("q=0.4 gamma=0 revenue %v, want > fair 0.4", above)
-	}
-	// With gamma=1 the threshold drops to 0: even q=0.2 profits.
-	g1, _ := SelfishMiningRevenue(0.2, 1)
-	if g1 <= 0.2 {
-		t.Fatalf("q=0.2 gamma=1 revenue %v, want > 0.2", g1)
-	}
-}
-
-func TestSelfishMiningValidation(t *testing.T) {
-	if _, err := SelfishMiningRevenue(0.5, 0); err == nil {
-		t.Fatal("q=0.5 accepted")
-	}
-	if _, err := SelfishMiningRevenue(0.2, 1.5); err == nil {
-		t.Fatal("gamma>1 accepted")
-	}
-	rng := rand.New(rand.NewSource(1))
-	if _, err := SimulateSelfishMining(nil, 0.2, 0, 100); err == nil {
-		t.Fatal("nil rng accepted")
-	}
-	if _, err := SimulateSelfishMining(rng, 0.6, 0, 100); err == nil {
-		t.Fatal("q=0.6 accepted")
-	}
-	if _, err := SimulateSelfishMining(rng, 0.2, -1, 100); err == nil {
-		t.Fatal("gamma<0 accepted")
-	}
-	if _, err := SimulateSelfishMining(rng, 0.2, 0, 0); err == nil {
-		t.Fatal("zero blocks accepted")
-	}
-}
-
-func TestSimulateSelfishMiningMatchesClosedForm(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, tc := range []struct{ q, gamma float64 }{
-		{0.3, 0}, {0.35, 0.5}, {0.4, 0},
-	} {
-		sim, err := SimulateSelfishMining(rng, tc.q, tc.gamma, 400000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		closed, _ := SelfishMiningRevenue(tc.q, tc.gamma)
-		if math.Abs(sim-closed) > 0.015 {
-			t.Fatalf("q=%v gamma=%v: sim %v vs closed %v", tc.q, tc.gamma, sim, closed)
-		}
-	}
-}
-
 func TestDoubleSpendTrialFullHashShareTerminates(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	// q = 1 previously spun forever in phase 1 (honest never mines).

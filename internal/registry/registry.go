@@ -196,15 +196,14 @@ func (b *bucket) dropGroup(g *group) {
 // and assessment on one scheduler, which is what makes its runs
 // replayable; synchronization here is what makes them safe.
 type Registry struct {
-	// mu guards records, voteKeys, buckets, slots, the aggregates, epoch
-	// and gen. Mutators take the write lock; readers (Get, Records,
+	// mu guards records, voteKeys, buckets, slots, the aggregates and
+	// gen. Mutators take the write lock; readers (Get, Records,
 	// TierCounts, Snapshot construction) the read lock, so a snapshot can
 	// never observe a half-applied mutation.
 	mu        sync.RWMutex
 	authority *attest.Authority
 	records   map[ReplicaID]*group            // a replica's entry is its group
 	voteKeys  map[ReplicaID]ed25519.PublicKey // attested replicas only
-	epoch     uint64
 
 	buckets  map[config.ID]*bucket
 	attested int // replicas per tier, maintained incrementally
@@ -534,22 +533,6 @@ func (r *Registry) Size() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return len(r.records)
-}
-
-// Epoch returns the current epoch counter.
-func (r *Registry) Epoch() uint64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.epoch
-}
-
-// AdvanceEpoch bumps the epoch counter; snapshots are taken per epoch by
-// callers that want history.
-func (r *Registry) AdvanceEpoch() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.epoch++
-	return r.epoch
 }
 
 // Records returns every replica's record sorted by ID. The registry keeps

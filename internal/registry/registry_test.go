@@ -234,16 +234,6 @@ func TestSetPower(t *testing.T) {
 	}
 }
 
-func TestEpoch(t *testing.T) {
-	r := New(nil)
-	if r.Epoch() != 0 {
-		t.Fatal("initial epoch not 0")
-	}
-	if e := r.AdvanceEpoch(); e != 1 || r.Epoch() != 1 {
-		t.Fatalf("epoch = %d", e)
-	}
-}
-
 func TestRecordsSortedCopies(t *testing.T) {
 	r := New(nil)
 	r.JoinDeclared("b", testCfg("x"), 1, 0)
@@ -281,10 +271,7 @@ func TestPopulationAndDistribution(t *testing.T) {
 	r.JoinDeclared("dec1", testCfg("debian"), 10, 0)
 	r.JoinDeclared("dec2", testCfg("ubuntu"), 20, 0)
 
-	d, err := r.Distribution(DefaultWeighting)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := mustSnapshot(t, r, DefaultWeighting).Distribution
 	if d.Total() != 40 {
 		t.Fatalf("total = %v", d.Total())
 	}
@@ -295,14 +282,11 @@ func TestPopulationAndDistribution(t *testing.T) {
 
 	// Two-tier weighting: discount declared replicas to half.
 	half := Weighting{Attested: 1, Declared: 0.5}
-	d2, err := r.Distribution(half)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d2 := mustSnapshot(t, r, half).Distribution
 	if d2.Total() != 25 { // 10 + 5 + 10
 		t.Fatalf("weighted total = %v, want 25", d2.Total())
 	}
-	if _, err := r.Distribution(Weighting{Attested: -1, Declared: 1}); err == nil {
+	if _, err := r.Snapshot(Weighting{Attested: -1, Declared: 1}); err == nil {
 		t.Fatal("invalid weighting accepted")
 	}
 }
@@ -470,24 +454,24 @@ func TestVulnReplicasCopyIsolation(t *testing.T) {
 	}
 }
 
-// Population hands out a private copy: its public Add must not poison the
-// shared snapshot (same isolation VulnReplicas has).
+// A snapshot's members, and a population built from them, are the
+// caller's own: editing them or calling the population's public Add must
+// not poison the shared snapshot (same isolation VulnReplicas has).
 func TestPopulationCopyIsolation(t *testing.T) {
 	r := New(nil)
 	r.JoinDeclared("a", testCfg("debian"), 10, time.Hour)
-	pop, err := r.Population(DefaultWeighting)
+	snap := mustSnapshot(t, r, DefaultWeighting)
+	members := snap.Population().Members()
+	members[0].Power = 99
+	pop, err := diversity.NewPopulation(members)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := pop.Add(diversity.Member{Label: "phantom", Power: 99}); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := r.Snapshot(DefaultWeighting)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Population().Size() != 1 || snap.Distribution.Total() != 10 {
-		t.Fatalf("snapshot poisoned by caller Add: size=%d total=%v",
-			snap.Population().Size(), snap.Distribution.Total())
+	if got := snap.Population(); got.Size() != 1 || got.Members()[0].Power != 10 || snap.Distribution.Total() != 10 {
+		t.Fatalf("snapshot poisoned by its caller: size=%d power=%v total=%v",
+			got.Size(), got.Members()[0].Power, snap.Distribution.Total())
 	}
 }

@@ -418,29 +418,6 @@ func DiffSnapshots(prev, next *Snapshot) (changed []vuln.BucketSpec, removed []s
 	return changed, removed
 }
 
-// Population returns the membership as a diversity.Population under the
-// given weighting: one member per replica, labelled by configuration
-// digest, powered by weighted power. The returned population is the
-// caller's to mutate (Population.Add is public); hot paths should use
-// Snapshot and its shared read-only Population instead.
-func (r *Registry) Population(w Weighting) (*diversity.Population, error) {
-	s, err := r.Snapshot(w)
-	if err != nil {
-		return nil, err
-	}
-	return diversity.NewPopulation(s.Population().Members())
-}
-
-// Distribution returns the weighted power distribution over configuration
-// digests — the paper's p over D for the live membership.
-func (r *Registry) Distribution(w Weighting) (diversity.Distribution, error) {
-	s, err := r.Snapshot(w)
-	if err != nil {
-		return diversity.Distribution{}, err
-	}
-	return s.Distribution, nil
-}
-
 // VulnReplicas adapts the membership for internal/vuln fault injection,
 // using weighted power so two-tier weighting shows up in fault fractions.
 // The returned slice is the caller's to mutate; hot paths should use
