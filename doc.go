@@ -11,7 +11,8 @@
 // `go run ./cmd/experiments -list` for the per-experiment index. Three
 // pieces tie it together: the experiment registry (internal/experiment)
 // that cmd/experiments and bench_test.go both drive off; the
-// functional-options core.Monitor with its streaming Watch; and the
+// functional-options core.Monitor, which assesses at the instants its
+// caller gives it (monitord paces the streams); and the
 // core.Substrate values (BFT, Nakamoto, Committee, Threshold) through
 // which callers select a consensus family.
 package repro

@@ -50,27 +50,28 @@ type Assessment struct {
 	Safe bool
 }
 
-// Monitor continuously assesses a registry against a vulnerability catalog.
+// Monitor assesses a registry against a vulnerability catalog at the
+// instants its caller gives it: Assess(t) and WorstAssessment(h). It keeps
+// no clock of its own; whoever drives the deployment (monitord's tenants,
+// the scenario engine, a test) owns time and paces any stream.
 //
 // Assessment state is cached per registry snapshot: the diversity report
 // and the vulnerability exposure index (vuln.GroupInjector) are patched
 // only when the registry mutates or the catalog grows. On top of that the
 // last Assess is memoised with the interval on which it stays true — the
-// fault picture is a step function of time — so Watch ticks and repeated
-// Assess calls on an unchanged membership evaluate nothing until the clock
-// crosses the next disclosure or window close.
-// The monitor's own methods are safe for concurrent use (Watch assesses
-// from its own goroutine), and registry mutation during a live stream is
-// synchronized by the registry itself — see Watch. Returned assessments
-// share their slices with the memo: treat them as read-only.
+// fault picture is a step function of time — so repeated Assess calls on an
+// unchanged membership evaluate nothing until the instant crosses the next
+// disclosure or window close.
+// The monitor's methods are safe for concurrent use, and registry mutation
+// between or during assessments is synchronized by the registry itself:
+// every assessment sees either the pre- or the post-mutation membership.
+// Returned assessments share their slices with the memo: treat them as
+// read-only.
 type Monitor struct {
 	reg       *registry.Registry
 	catalog   *vuln.Catalog
 	weighting registry.Weighting
 	substrate Substrate
-	clock     Clock
-	ticks     tickSource // nil = wall-ticker pacing stamped by clock
-	interval  time.Duration
 
 	mu       sync.Mutex
 	snap     *registry.Snapshot // snapshot the caches below derive from
@@ -110,7 +111,7 @@ type Monitor struct {
 // after that every registry generation or catalog growth the monitor
 // observes is a DeltaApply — only the changed buckets and the new
 // vulnerabilities are patched into the derived state — and every other
-// assessment, however many concurrent readers and Watch streams ask, is a
+// assessment, however many concurrent readers and watch streams ask, is a
 // Hit. The monitord service exposes these so a test (and an operator) can
 // prove that N watchers on one tenant cost one *incremental* computation
 // per generation, not N rebuilds.
@@ -151,20 +152,17 @@ type CacheStats struct {
 //		core.WithWeighting(registry.Weighting{Attested: 1, Declared: 0.5}),
 //	)
 //
-// Defaults: empty catalog, registry.DefaultWeighting, the BFT substrate
-// (f = 1/3), a wall-clock Watch clock, and a 1s Watch interval.
+// Defaults: empty catalog, registry.DefaultWeighting and the BFT substrate
+// (f = 1/3).
 func NewMonitor(reg *registry.Registry, opts ...Option) (*Monitor, error) {
 	if reg == nil {
 		return nil, errors.New("core: nil registry")
 	}
-	start := time.Now()
 	m := &Monitor{
 		reg:       reg,
 		catalog:   vuln.NewCatalog(),
 		weighting: registry.DefaultWeighting,
 		substrate: BFT,
-		clock:     func() time.Duration { return time.Since(start) },
-		interval:  time.Second,
 	}
 	for _, opt := range opts {
 		if opt == nil {

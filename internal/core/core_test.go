@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"math"
 	"sync"
 	"testing"
@@ -59,12 +58,6 @@ func TestNewMonitorValidation(t *testing.T) {
 	if _, err := NewMonitor(reg, WithWeighting(registry.Weighting{Attested: -1, Declared: 1})); err == nil {
 		t.Fatal("bad weighting accepted")
 	}
-	if _, err := NewMonitor(reg, WithClock(nil)); err == nil {
-		t.Fatal("nil clock accepted")
-	}
-	if _, err := NewMonitor(reg, WithWatchInterval(0)); err == nil {
-		t.Fatal("zero watch interval accepted")
-	}
 	if _, err := NewMonitor(reg, nil); err == nil {
 		t.Fatal("nil option accepted")
 	}
@@ -116,48 +109,6 @@ func TestMonitorSubstrateSelection(t *testing.T) {
 	}
 	if !a.Safe {
 		t.Fatal("60% fault unsafe against f=0.75")
-	}
-}
-
-func TestWatchStreamsAndTerminates(t *testing.T) {
-	var mu sync.Mutex
-	now := time.Duration(0)
-	clock := func() time.Duration {
-		mu.Lock()
-		defer mu.Unlock()
-		now += 5 * time.Hour // each tick advances virtual time 5h
-		return now
-	}
-	mon, err := NewMonitor(testRegistry(t),
-		WithCatalog(debianVuln()),
-		WithClock(clock),
-		WithWatchInterval(time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	stream := mon.Watch(ctx)
-	// t=5h (safe, pre-disclosure), t=10h..20h (unsafe window).
-	first, ok := <-stream
-	if !ok || !first.Safe || first.At != 5*time.Hour {
-		t.Fatalf("first assessment = %+v, ok=%v", first, ok)
-	}
-	second, ok := <-stream
-	if !ok || second.Safe {
-		t.Fatalf("second assessment = %+v, ok=%v (want unsafe inside window)", second, ok)
-	}
-	cancel()
-	// The stream must terminate: drain until close, bounded by a timeout.
-	done := make(chan struct{})
-	go func() {
-		for range stream {
-		}
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Watch did not terminate on context cancellation")
 	}
 }
 
@@ -373,7 +324,7 @@ func TestMonitorObservesCatalogAdd(t *testing.T) {
 
 // Two monitors over one registry with different weightings must not share
 // cached snapshots, and concurrent assessment on a quiescent registry must
-// be race-free (Watch assesses from its own goroutine). The monitors
+// be race-free (monitord assesses from its handlers and watch loops at once). The monitors
 // deliberately share one catalog: its lazily sorted order must survive
 // concurrent readers racing to rebuild it.
 func TestMonitorConcurrentAssess(t *testing.T) {

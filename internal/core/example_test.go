@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"context"
 	"fmt"
 	"log"
 	"time"
@@ -88,17 +87,13 @@ func Example_quickstart() {
 	// lesson: three replicas sharing one OS are one fault, not three (Sec. II-C)
 }
 
-// Continuous assessment: instead of polling Monitor.Assess at hand-picked
-// instants, Watch streams an Assessment per tick until its context is
-// cancelled — the shape a production deployment consumes (dashboard,
-// alerting, enforcement).
-//
-// The monitor runs on a VirtualTime clock: the driver advances virtual
-// time six hours at a time and Watch emits exactly one assessment per
-// six-hour boundary — no wall ticker anywhere — replaying a zero-day
-// lifecycle (disclosed t=10h, patched t=20h + 24h replica patch latency)
-// in milliseconds of wall time, deterministically.
-func ExampleMonitor_Watch() {
+// Continuous assessment: the monitor keeps no clock, so a deployment that
+// follows its fleet over time steps Monitor.Assess along its own timeline.
+// Here the driver steps virtual time six hours at a time, replaying a
+// zero-day lifecycle (disclosed t=10h, patched t=20h + 24h replica patch
+// latency) in microseconds of wall time, deterministically. monitord's SSE
+// watch paces the same steps for remote clients (see its ExampleServer).
+func ExampleMonitor_Assess() {
 	// The quickstart fleet: three replicas on one OS, two diverse.
 	reg := registry.New(nil)
 	join := func(id, osName string, power float64) {
@@ -128,27 +123,24 @@ func ExampleMonitor_Watch() {
 		log.Fatal(err)
 	}
 
-	// A virtual clock paces the stream: Watch emits one assessment per 6h
-	// of virtual time, exactly at the boundaries the driver crosses.
-	vt := core.NewVirtualTime()
 	mon, err := core.NewMonitor(reg,
 		core.WithCatalog(catalog),
 		core.WithSubstrate(core.BFT),
-		core.WithVirtualTime(vt),
-		core.WithWatchInterval(6*time.Hour),
 	)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("streaming assessments (%s family, f=%.3f), one emission = 6 virtual hours\n\n",
+	fmt.Printf("assessing every 6 virtual hours (%s family, f=%.3f)\n\n",
 		mon.Substrate().Name, mon.Threshold())
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	stream := mon.Watch(ctx)
-	wasSafe := true
-	for a := range stream {
+	wasSafe, steps := true, uint64(0)
+	for at := time.Duration(0); ; at += 6 * time.Hour {
+		steps++
+		a, err := mon.Assess(at)
+		if err != nil {
+			log.Fatal(err)
+		}
 		status := "SAFE  "
 		if !a.Safe {
 			status = "UNSAFE"
@@ -160,15 +152,14 @@ func ExampleMonitor_Watch() {
 		}
 		if a.Safe && !wasSafe {
 			fmt.Println("        ^ window closed: every ubuntu replica patched")
-			cancel() // the lifecycle has played out; stop the stream
 			break
 		}
 		wasSafe = a.Safe
-		vt.Advance(6 * time.Hour) // drive the deployment forward
 	}
-	fmt.Println("\nwatch terminated with its context — no goroutine left behind")
+	fmt.Printf("\n%d of %d steps evaluated the fault picture (start, disclosure, close); the rest were memo hits\n",
+		steps-mon.Stats().AssessMemoHits, steps)
 	// Output:
-	// streaming assessments (bft family, f=0.333), one emission = 6 virtual hours
+	// assessing every 6 virtual hours (bft family, f=0.333)
 	//
 	// t=0s    SAFE    entropy=1.353 bits  Σf=0.00
 	// t=6h0m0s SAFE    entropy=1.353 bits  Σf=0.00
@@ -182,5 +173,5 @@ func ExampleMonitor_Watch() {
 	// t=48h0m0s SAFE    entropy=1.353 bits  Σf=0.00
 	//         ^ window closed: every ubuntu replica patched
 	//
-	// watch terminated with its context — no goroutine left behind
+	// 3 of 9 steps evaluated the fault picture (start, disclosure, close); the rest were memo hits
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/registry"
 	"repro/internal/vuln"
@@ -61,52 +60,6 @@ func WithSubstrate(s Substrate) Option {
 func WithSummaryFaults() Option {
 	return func(m *Monitor) error {
 		m.summaryFaults = true
-		return nil
-	}
-}
-
-// Clock reports the current virtual time of the deployment; Watch calls
-// it at every tick to decide the assessment instant.
-type Clock func() time.Duration
-
-// WithClock sets the instant reader used to stamp Watch emissions. The
-// default clock is wall time elapsed since the monitor was constructed.
-//
-// A bare func can only be read, not waited on, so Watch pacing stays on
-// the wall ticker; use WithVirtualTime to pace ticks on virtual time too.
-func WithClock(c Clock) Option {
-	return func(m *Monitor) error {
-		if c == nil {
-			return errors.New("core: nil clock")
-		}
-		m.clock = c
-		return nil
-	}
-}
-
-// WithVirtualTime runs Watch entirely on virtual time: vt both stamps and
-// paces the stream. One assessment is emitted per watch interval of
-// *virtual* time, at the exact boundary instants, with no wall ticker —
-// whoever calls vt.Advance controls the cadence, which makes the stream
-// deterministic and replayable.
-func WithVirtualTime(vt *VirtualTime) Option {
-	return func(m *Monitor) error {
-		if vt == nil {
-			return errors.New("core: nil virtual time")
-		}
-		m.clock = vt.Now
-		m.ticks = vt.ticks
-		return nil
-	}
-}
-
-// WithWatchInterval sets the cadence of Watch emissions. Default: 1s.
-func WithWatchInterval(d time.Duration) Option {
-	return func(m *Monitor) error {
-		if d <= 0 {
-			return fmt.Errorf("core: non-positive watch interval %v", d)
-		}
-		m.interval = d
 		return nil
 	}
 }

@@ -619,24 +619,11 @@ func (h *harness) applyPartitions() {
 // window is open against the configuration at time t.
 func configExposed(catalog *vuln.Catalog, cfg config.Configuration, t, patchLatency time.Duration) bool {
 	for _, v := range catalog.All() {
-		if !v.WindowOpenAt(t, patchLatency) {
-			continue
-		}
-		if componentMatches(v, cfg) {
+		if v.WindowOpenAt(t, patchLatency) && v.Affects(cfg) {
 			return true
 		}
 	}
 	return false
-}
-
-// componentMatches reports whether the vulnerability names a component of
-// the configuration.
-func componentMatches(v vuln.Vulnerability, cfg config.Configuration) bool {
-	c, ok := cfg.Component(v.Class)
-	if !ok {
-		return false
-	}
-	return c.Name == v.Product && (v.Version == "" || v.Version == c.Version)
 }
 
 // cleanTargets filters a target catalog down to components no disclosed

@@ -15,10 +15,11 @@ import (
 )
 
 // The assessment service from a client's seat: the zero-day lifecycle
-// core's Monitor.Watch example streams in-process, consumed entirely
+// core's Monitor.Assess example steps in-process, streamed entirely
 // through the HTTP/JSON API — create a tenant, seed its fleet, follow the
 // SSE watch stream, and drive virtual time forward with POST …/advance
-// until the vulnerability window opens and closes.
+// until the vulnerability window opens and closes. The tenant's hub emits
+// one event per 6 h boundary the clock crosses.
 //
 // The service is hosted in-process on a loopback listener so the example
 // is self-contained and deterministic (the tenant runs on a virtual

@@ -449,7 +449,7 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleWatch streams the tenant's assessments as Server-Sent Events: one
-// `assessment` event per Watch emission, each `data:` line the same
+// `assessment` event per emission of the tenant's watch loop, each `data:` line the same
 // AssessmentJSON the GET endpoint returns. The stream ends when the
 // client disconnects, the tenant is deleted, or the server shuts down —
 // every path closes the connection cleanly rather than abandoning it.

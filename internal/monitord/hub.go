@@ -1,9 +1,9 @@
 package monitord
 
 import (
-	"context"
 	"errors"
 	"sync"
+	"time"
 
 	"repro/internal/core"
 )
@@ -13,40 +13,38 @@ import (
 var errHubClosed = errors.New("monitord: hub closed")
 
 // subscriberBuffer bounds each subscriber's channel. A subscriber that
-// falls further behind than this loses the oldest pending assessments
+// falls further behind than this misses new assessments until it drains
 // (drops are counted): one slow SSE client must not stall the shared
 // broadcast and with it every other watcher on the tenant.
 const subscriberBuffer = 16
 
-// hub fans one Monitor.Watch stream out to any number of subscribers.
-// The stream starts lazily with the first subscriber and stops with the
-// last, so a thousand idle tenants cost zero watch goroutines. Because
-// all subscribers ride one stream, each tick is assessed exactly once no
-// matter how many watchers are attached — the monitor's per-snapshot
-// cache then makes that one assessment itself near-free on an unchanged
-// registry (see core.CacheStats).
+// hub paces a tenant's watch and fans it out to any number of
+// subscribers. One loop goroutine runs while the tenant has subscribers and
+// none otherwise, so a thousand idle tenants cost nothing. Each instant is
+// assessed once however many watchers are attached — the monitor's
+// per-snapshot cache then makes that one assessment itself near-free on an
+// unchanged registry (see core.CacheStats).
 type hub struct {
-	mon *core.Monitor
+	t *Tenant
 
 	mu     sync.Mutex
 	subs   map[int]chan core.Assessment
 	nextID int
-	// epoch guards against a stale broadcast goroutine (from a cancelled
-	// stream that has not yet observed its context) delivering into a
-	// restarted subscriber set.
+	// epoch guards against a stopped loop that has not yet seen stop
+	// closed delivering into a restarted subscriber set.
 	epoch   uint64
-	cancel  context.CancelFunc
+	stop    chan struct{} // closed to end the running loop; nil when none runs
 	closed  bool
 	events  uint64 // assessments broadcast
 	dropped uint64 // per-subscriber deliveries lost to a full buffer
 }
 
-func newHub(mon *core.Monitor) *hub {
-	return &hub{mon: mon, subs: make(map[int]chan core.Assessment)}
+func newHub(t *Tenant) *hub {
+	return &hub{t: t, subs: make(map[int]chan core.Assessment)}
 }
 
 // subscribe attaches a new subscriber and returns its id and channel. The
-// channel is closed when the subscriber is removed, the watch stream dies,
+// channel is closed when the subscriber is removed, an assessment fails,
 // or the hub closes.
 func (h *hub) subscribe() (int, <-chan core.Assessment, error) {
 	h.mu.Lock()
@@ -58,46 +56,76 @@ func (h *hub) subscribe() (int, <-chan core.Assessment, error) {
 	h.nextID++
 	ch := make(chan core.Assessment, subscriberBuffer)
 	h.subs[id] = ch
-	if h.cancel == nil {
-		h.startLocked()
+	if h.stop == nil {
+		h.stop = make(chan struct{})
+		go h.run(h.epoch, h.stop)
 	}
 	return id, ch, nil
 }
 
-// startLocked launches the shared watch goroutine. h.mu must be held.
-func (h *hub) startLocked() {
-	ctx, cancel := context.WithCancel(context.Background())
-	h.cancel = cancel
-	epoch := h.epoch
-	stream := h.mon.Watch(ctx)
-	go func() {
-		for a := range stream {
-			h.broadcast(epoch, a)
+// run is the watch loop. It assesses at the tenant's current instant, then
+// once per interval: on a virtual tenant exactly at each boundary
+// start+k·interval as the clock crosses it (one advance across several
+// boundaries emits each), on a wall tenant at each tick of a time.Ticker,
+// stamped with the tenant's clock. It returns when stop closes or an
+// assessment fails; a failure closes every subscriber, so their SSE
+// handlers end instead of waiting on a stream that will never emit again.
+// Assessment runs outside h.mu.
+func (h *hub) run(epoch uint64, stop <-chan struct{}) {
+	t := h.t
+	var tick <-chan time.Time
+	if t.vt == nil {
+		ticker := time.NewTicker(t.interval)
+		defer ticker.Stop()
+		tick = ticker.C
+	}
+	at := t.Now()
+	for next := at + t.interval; ; next += t.interval {
+		a, err := t.Monitor.Assess(at)
+		if err != nil {
+			h.mu.Lock()
+			if h.epoch == epoch {
+				h.stopLocked()
+			}
+			h.mu.Unlock()
+			return
 		}
-		// The stream ended. If it is still the current one the cause was
-		// an assessment failure, not an unsubscribe/close: drop every
-		// subscriber so their SSE handlers terminate instead of blocking
-		// on a stream that will never emit again.
-		h.mu.Lock()
-		if h.epoch == epoch {
-			h.stopLocked()
+		h.broadcast(epoch, a)
+		if t.vt != nil {
+			if !t.vt.waitUntil(next, stop) {
+				return
+			}
+			at = next
+			continue
 		}
-		h.mu.Unlock()
-	}()
+		select {
+		case <-stop:
+			return
+		case <-tick:
+			at = t.Now()
+		}
+	}
 }
 
-// stopLocked cancels the current stream and closes every subscriber.
-// h.mu must be held.
+// stopLocked ends the running loop and closes every subscriber. h.mu must
+// be held.
 func (h *hub) stopLocked() {
-	if h.cancel != nil {
-		h.cancel()
-		h.cancel = nil
-	}
-	h.epoch++
+	h.endLoopLocked()
 	for id, ch := range h.subs {
 		delete(h.subs, id)
 		close(ch)
 	}
+}
+
+// endLoopLocked signals the running loop, if any, to return, and moves
+// the epoch on so nothing it still assesses is delivered. h.mu must be
+// held.
+func (h *hub) endLoopLocked() {
+	if h.stop != nil {
+		close(h.stop)
+		h.stop = nil
+	}
+	h.epoch++
 }
 
 // broadcast delivers one assessment to every current subscriber,
@@ -119,8 +147,7 @@ func (h *hub) broadcast(epoch uint64, a core.Assessment) {
 	}
 }
 
-// unsubscribe detaches a subscriber; the last one out stops the shared
-// watch stream.
+// unsubscribe detaches a subscriber; the last one out ends the loop.
 func (h *hub) unsubscribe(id int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -130,14 +157,12 @@ func (h *hub) unsubscribe(id int) {
 	}
 	delete(h.subs, id)
 	close(ch)
-	if len(h.subs) == 0 && h.cancel != nil {
-		h.cancel()
-		h.cancel = nil
-		h.epoch++
+	if len(h.subs) == 0 {
+		h.endLoopLocked()
 	}
 }
 
-// close tears the hub down: the stream stops and every subscriber channel
+// close tears the hub down: the loop ends and every subscriber channel
 // closes. Further subscribes fail.
 func (h *hub) close() {
 	h.mu.Lock()

@@ -1,10 +1,12 @@
 package monitord
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/config"
 	"repro/internal/core"
 )
 
@@ -38,7 +40,7 @@ func (r *recorder) snapshot() []time.Duration {
 // watch subscribers plus M concurrent readers on one tenant trigger
 // exactly one assessment computation (diversity report + exposure index
 // rebuild) per registry generation — everything else is served from the
-// monitor's per-snapshot cache through the shared Watch stream.
+// monitor's per-snapshot cache through the tenant's one watch loop.
 func TestWatchersShareOneComputationPerGeneration(t *testing.T) {
 	const (
 		watchers    = 8
@@ -55,10 +57,10 @@ func TestWatchersShareOneComputationPerGeneration(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Attach N subscribers to the hub; all ride one Watch stream. The
+	// Attach N subscribers to the hub; all ride one watch loop. The
 	// first is subscribed alone and its initial emission awaited, which
 	// pins the stream's start instant at t=0 before the others — or any
-	// mutation — can race the Watch goroutine's startup; the remaining
+	// mutation — can race the loop's startup; the remaining
 	// N-1 then see every tick from 1h on.
 	type sub struct {
 		id int
@@ -74,7 +76,7 @@ func TestWatchersShareOneComputationPerGeneration(t *testing.T) {
 		}
 	}
 	for i := range subs {
-		id, ch, err := tenant.Hub().subscribe()
+		id, ch, err := tenant.hub.subscribe()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +138,7 @@ func TestWatchersShareOneComputationPerGeneration(t *testing.T) {
 	close(stop)
 	readerWG.Wait()
 	for _, sb := range subs {
-		tenant.Hub().unsubscribe(sb.id)
+		tenant.hub.unsubscribe(sb.id)
 	}
 	wg.Wait()
 
@@ -176,7 +178,7 @@ func TestWatchersShareOneComputationPerGeneration(t *testing.T) {
 	if stats.Rebuilds == 0 || stats.Hits == 0 {
 		t.Fatalf("implausible stats %+v", stats)
 	}
-	events, dropped := tenant.Hub().stats()
+	events, dropped := tenant.hub.stats()
 	if dropped != 0 {
 		t.Fatalf("%d dropped deliveries in a paced test", dropped)
 	}
@@ -185,9 +187,9 @@ func TestWatchersShareOneComputationPerGeneration(t *testing.T) {
 	}
 }
 
-// TestHubLazyStartStop: the shared stream exists only while subscribers
-// do, so idle tenants cost no watch goroutines, and a subscriber arriving
-// after a stop gets a fresh stream.
+// TestHubLazyStartStop: the watch loop runs only while subscribers do, so
+// idle tenants cost no watch goroutines, and a subscriber arriving after a
+// stop gets a fresh loop.
 func TestHubLazyStartStop(t *testing.T) {
 	mgr := NewManager()
 	defer mgr.Close()
@@ -195,7 +197,7 @@ func TestHubLazyStartStop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := tenant.Hub()
+	h := tenant.hub
 	if h.subscribers() != 0 {
 		t.Fatal("fresh hub has subscribers")
 	}
@@ -244,5 +246,325 @@ func TestHubLazyStartStop(t *testing.T) {
 	h.close()
 	if _, _, err := h.subscribe(); err == nil {
 		t.Fatal("subscribe after close succeeded")
+	}
+}
+
+// nextEmission receives one assessment from a subscriber, failing when the
+// channel closes or nothing arrives within 5 s.
+func nextEmission(t *testing.T, ch <-chan core.Assessment) core.Assessment {
+	t.Helper()
+	select {
+	case a, open := <-ch:
+		if !open {
+			t.Fatal("subscriber closed")
+		}
+		return a
+	case <-time.After(5 * time.Second):
+		t.Fatal("no emission within 5s")
+	}
+	return core.Assessment{}
+}
+
+// expectQuiet fails if the subscriber receives anything within 20 ms.
+func expectQuiet(t *testing.T, ch <-chan core.Assessment) {
+	t.Helper()
+	select {
+	case a := <-ch:
+		t.Fatalf("unexpected emission at %v", a.At)
+	case <-time.After(20 * time.Millisecond):
+	}
+}
+
+// settledGoroutines returns runtime.NumGoroutine once two readings 10 ms
+// apart agree, so goroutines an earlier test left winding down (an HTTP
+// connection's, say) are not counted against this one.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 500; i++ {
+		time.Sleep(10 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			break
+		}
+		n = m
+	}
+	return n
+}
+
+// expectGoroutines waits up to 5 s for the goroutine count to read exactly
+// base+want.
+func expectGoroutines(t *testing.T, base, want int, what string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine()-base != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines more than before, want %d", what, runtime.NumGoroutine()-base, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func TestVirtualClockAdvance(t *testing.T) {
+	vc := newVirtualClock()
+	if vc.Now() != 0 {
+		t.Fatalf("fresh clock at %v", vc.Now())
+	}
+	if got := vc.Advance(10 * time.Second); got != 10*time.Second {
+		t.Fatalf("Advance returned %v", got)
+	}
+	if got := vc.Advance(-time.Second); got != 10*time.Second {
+		t.Fatalf("negative Advance moved the clock to %v", got)
+	}
+	if got := vc.AdvanceTo(5 * time.Second); got != 10*time.Second {
+		t.Fatalf("AdvanceTo moved the clock backwards to %v", got)
+	}
+	if got := vc.AdvanceTo(30 * time.Second); got != 30*time.Second {
+		t.Fatalf("AdvanceTo returned %v", got)
+	}
+	stop := make(chan struct{})
+	close(stop)
+	if vc.waitUntil(31*time.Second, stop) || vc.waitUntil(time.Second, stop) {
+		t.Fatal("waitUntil reported a target reached after stop closed")
+	}
+	if !vc.waitUntil(30*time.Second, nil) {
+		t.Fatal("waitUntil missed the current instant")
+	}
+}
+
+// TestHubEmitsAtVirtualBoundaries: a virtual tenant's watch emits at t=0,
+// then exactly at each boundary start+k·interval the clock crosses — one
+// advance across three boundaries emits all three — and nothing between.
+func TestHubEmitsAtVirtualBoundaries(t *testing.T) {
+	mgr := NewManager()
+	defer mgr.Close()
+	spec := testSpec()
+	spec.WatchInterval = Duration(10 * time.Second)
+	tenant, err := mgr.Create("paced", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, ch, err := tenant.hub.subscribe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tenant.hub.unsubscribe(id)
+	if a := nextEmission(t, ch); a.At != 0 {
+		t.Fatalf("first emission at %v, want 0", a.At)
+	}
+	if _, err := tenant.Advance(35 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []time.Duration{10 * time.Second, 20 * time.Second, 30 * time.Second} {
+		if a := nextEmission(t, ch); a.At != want {
+			t.Fatalf("emission at %v, want %v", a.At, want)
+		}
+	}
+	expectQuiet(t, ch) // 35s: the 40s boundary is not reached
+	if _, err := tenant.AdvanceTo(40 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if a := nextEmission(t, ch); a.At != 40*time.Second {
+		t.Fatalf("emission at %v, want 40s", a.At)
+	}
+	expectQuiet(t, ch)
+}
+
+// TestHubChurnDuringStream: registry mutation while a watch is live, run
+// under -race in CI. Mutations made before an advance show in the next
+// boundary's emission; a writer racing the advances leaves every boundary
+// emitted, each with a whole membership.
+func TestHubChurnDuringStream(t *testing.T) {
+	mgr := NewManager()
+	defer mgr.Close()
+	spec := testSpec()
+	spec.WatchInterval = Duration(time.Second)
+	tenant, err := mgr.Create("churn", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, ch, err := tenant.hub.subscribe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tenant.hub.unsubscribe(id)
+	if a := nextEmission(t, ch); a.Diversity.Members != 5 {
+		t.Fatalf("first emission sees %d members, want 5", a.Diversity.Members)
+	}
+	late := config.MustNew(config.Component{Class: config.ClassOperatingSystem, Name: "netbsd", Version: "10"})
+	if err := tenant.Registry.JoinDeclared("late", late, 50, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tenant.Advance(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if a := nextEmission(t, ch); a.Diversity.Members != 6 {
+		t.Fatalf("post-join emission sees %d members, want 6", a.Diversity.Members)
+	}
+	if err := tenant.Registry.Leave("late"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tenant.Registry.SetPower("alice", 5); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tenant.Advance(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if a := nextEmission(t, ch); a.Diversity.Members != 5 {
+		t.Fatalf("post-leave emission sees %d members, want 5", a.Diversity.Members)
+	}
+
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := tenant.Registry.JoinDeclared("late", late, 50, 0); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := tenant.Registry.Leave("late"); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for k := 3; k < 23; k++ {
+		if _, err := tenant.Advance(time.Second); err != nil {
+			t.Fatal(err)
+		}
+		a := nextEmission(t, ch)
+		if a.At != time.Duration(k)*time.Second {
+			t.Fatalf("emission at %v, want %v", a.At, time.Duration(k)*time.Second)
+		}
+		if m := a.Diversity.Members; m != 5 && m != 6 {
+			t.Fatalf("emission at %v sees %d members, want 5 or 6", a.At, m)
+		}
+	}
+	close(stop)
+	<-done
+}
+
+// TestHubAssessFailureClosesSubscribers: when an assessment fails (here
+// the only replica leaves, emptying the population), every subscriber is
+// closed and the loop ends without anyone unsubscribing.
+func TestHubAssessFailureClosesSubscribers(t *testing.T) {
+	mgr := NewManager()
+	defer mgr.Close()
+	spec := testSpec()
+	spec.WatchInterval = Duration(time.Second)
+	spec.Replicas = spec.Replicas[:1]
+	tenant, err := mgr.Create("solo", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := settledGoroutines()
+	_, ch1, err := tenant.hub.subscribe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ch2, err := tenant.hub.subscribe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nextEmission(t, ch1)
+	if err := tenant.Registry.Leave("alice"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tenant.Advance(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for _, ch := range []<-chan core.Assessment{ch1, ch2} {
+		deadline := time.After(5 * time.Second)
+		for open := true; open; { // ch2 may still hold the first emission
+			select {
+			case _, open = <-ch:
+			case <-deadline:
+				t.Fatal("subscriber still open after the failed assessment")
+			}
+		}
+	}
+	if n := tenant.hub.subscribers(); n != 0 {
+		t.Fatalf("%d subscribers left after the failure", n)
+	}
+	expectGoroutines(t, base, 0, "after a failed assessment")
+}
+
+// TestHubWallTicks: a wall tenant's watch ticks on a time.Ticker, each
+// emission stamped with the tenant's clock, and the last unsubscribe ends
+// the loop.
+func TestHubWallTicks(t *testing.T) {
+	mgr := NewManager()
+	defer mgr.Close()
+	spec := testSpec()
+	spec.Virtual = false
+	spec.WatchInterval = Duration(time.Millisecond)
+	tenant, err := mgr.Create("wall", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := settledGoroutines()
+	id, ch, err := tenant.hub.subscribe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last time.Duration
+	for i := 0; i < 3; i++ {
+		a := nextEmission(t, ch)
+		if a.At < last || a.At > tenant.Now() {
+			t.Fatalf("emission %d at %v: after %v, tenant clock %v", i, a.At, last, tenant.Now())
+		}
+		last = a.At
+	}
+	if last == 0 {
+		t.Fatal("wall ticks all stamped t=0")
+	}
+	tenant.hub.unsubscribe(id)
+	for range ch {
+	}
+	expectGoroutines(t, base, 0, "after the last unsubscribe")
+}
+
+// TestHubOneGoroutinePerWatchedTenant: a watched tenant runs exactly one
+// goroutine for its stream, however many subscribers it has, on a virtual
+// and on a wall clock, and none once the last subscriber leaves — also
+// when a virtual loop is still emitting the 86 400 000 boundaries of a
+// one-day advance at a 1 ms interval.
+func TestHubOneGoroutinePerWatchedTenant(t *testing.T) {
+	for _, virtual := range []bool{true, false} {
+		mgr := NewManager()
+		spec := testSpec()
+		spec.Virtual = virtual
+		spec.WatchInterval = Duration(time.Millisecond)
+		tenant, err := mgr.Create("counted", spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		what := map[bool]string{true: "virtual", false: "wall"}[virtual]
+		base := settledGoroutines()
+		id1, ch, err := tenant.hub.subscribe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		nextEmission(t, ch)
+		expectGoroutines(t, base, 1, what+" tenant, one subscriber")
+		id2, _, err := tenant.hub.subscribe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		expectGoroutines(t, base, 1, what+" tenant, two subscribers")
+		if virtual {
+			if _, err := tenant.Advance(24 * time.Hour); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tenant.hub.unsubscribe(id1)
+		tenant.hub.unsubscribe(id2)
+		expectGoroutines(t, base, 0, what+" tenant, unwatched")
+		mgr.Close()
 	}
 }

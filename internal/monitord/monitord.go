@@ -6,12 +6,13 @@
 // Each tenant is one named registry + vulnerability catalog + monitor.
 // The API mutates populations (join/leave/set-power/migrate), posts
 // disclosure and patch events, reads the current assessment, diversity
-// report and worst-window, and streams Monitor.Watch updates to any
-// number of subscribers over Server-Sent Events.
+// report and worst-window, and streams assessments paced by the tenant's
+// clock to any number of subscribers over Server-Sent Events.
 //
 // Concurrency model: all readers and watchers of one tenant share the
-// monitor's memoized per-snapshot assessment — one Watch stream feeds an
-// SSE hub that fans out to every subscriber, and GET readers hit the same
+// monitor's memoized per-snapshot assessment — one watch loop per watched
+// tenant (its hub) assesses each instant once and fans it out to every
+// subscriber, and GET readers hit the same
 // snapshot cache, so N watchers cost one computation per registry
 // generation (core.Monitor.Stats exposes the proof). A GET that finds the
 // registry, the catalog and the constant interval of the fault picture

@@ -421,7 +421,7 @@ func TestWatchSSE(t *testing.T) {
 
 	// Wait until the hub's watcher is attached, then advance 18h = three
 	// 6h boundaries → exactly three more emissions, the last two unsafe.
-	waitFor(t, func() bool { return tenant.Hub().subscribers() == 1 })
+	waitFor(t, func() bool { return tenant.hub.subscribers() == 1 })
 	advance := func(d time.Duration) {
 		body := bytes.NewReader(mustJSON(t, AdvanceSpec{By: Duration(d)}))
 		resp, err := client.Post(srv.URL+"/tenants/w/advance", "application/json", body)
@@ -600,12 +600,12 @@ func TestStatsCountSlowSubscriberDrops(t *testing.T) {
 
 	// Subscribe and never read: the buffer absorbs the first
 	// subscriberBuffer emissions, everything after is a drop.
-	id, _, err := tenant.Hub().subscribe()
+	id, _, err := tenant.hub.subscribe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tenant.Hub().unsubscribe(id)
-	waitFor(t, func() bool { ev, _ := tenant.Hub().stats(); return ev >= 1 })
+	defer tenant.hub.unsubscribe(id)
+	waitFor(t, func() bool { ev, _ := tenant.hub.stats(); return ev >= 1 })
 
 	// Pace the clock one watch tick at a time, waiting for each broadcast
 	// to land, until the hub has demonstrably dropped.
@@ -614,9 +614,9 @@ func TestStatsCountSlowSubscriberDrops(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := uint64(i + 2) // initial emission + one per tick
-		waitFor(t, func() bool { ev, _ := tenant.Hub().stats(); return ev >= want })
+		waitFor(t, func() bool { ev, _ := tenant.hub.stats(); return ev >= want })
 	}
-	waitFor(t, func() bool { _, dropped := tenant.Hub().stats(); return dropped > 0 })
+	waitFor(t, func() bool { _, dropped := tenant.hub.stats(); return dropped > 0 })
 
 	var st ServerStats
 	if code := do(t, s, "GET", "/stats", nil, &st); code != http.StatusOK {

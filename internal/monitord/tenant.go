@@ -24,9 +24,9 @@ var (
 	ErrWallTenant    = errors.New("monitord: tenant runs on wall time; advance applies to virtual tenants only")
 )
 
-// Tenant is one hosted deployment: a registry, a vulnerability catalog and
-// a monitor sharing one clock, plus the SSE hub fanning its Watch stream
-// out to subscribers.
+// Tenant is one hosted deployment: a registry, a vulnerability catalog, a
+// monitor assessing them at the tenant's clock, and the hub that paces the
+// tenant's watch stream and fans it out to SSE subscribers.
 type Tenant struct {
 	Name     string
 	Registry *registry.Registry
@@ -37,7 +37,7 @@ type Tenant struct {
 	threshold float64
 	interval  time.Duration
 	created   time.Time
-	vt        *core.VirtualTime // nil → wall clock
+	vt        *virtualClock // nil → wall clock
 	hub       *hub
 
 	// The last body sent on each read route (see encodedBody): a read that
@@ -75,9 +75,6 @@ func (t *Tenant) AdvanceTo(at time.Duration) (time.Duration, error) {
 	}
 	return t.vt.AdvanceTo(at), nil
 }
-
-// Hub returns the tenant's SSE fan-out hub.
-func (t *Tenant) Hub() *hub { return t.hub }
 
 // Manager owns the tenant set. All methods are safe for concurrent use;
 // per-tenant state is synchronized by the registry/monitor/hub themselves,
@@ -157,16 +154,10 @@ func buildTenant(name string, ts TenantSpec) (*Tenant, error) {
 	}
 	t.Registry = registry.New(nil)
 
-	opts := []core.Option{
-		core.WithCatalog(t.Catalog),
-		core.WithWatchInterval(interval),
-	}
 	if ts.Virtual {
-		t.vt = core.NewVirtualTime()
-		opts = append(opts, core.WithVirtualTime(t.vt))
-	} else {
-		opts = append(opts, core.WithClock(func() time.Duration { return time.Since(t.created) }))
+		t.vt = newVirtualClock()
 	}
+	opts := []core.Option{core.WithCatalog(t.Catalog)}
 	sub, err := substrateFor(ts)
 	if err != nil {
 		return nil, err
@@ -185,7 +176,7 @@ func buildTenant(name string, ts TenantSpec) (*Tenant, error) {
 	t.Monitor = mon
 	t.substrate = mon.Substrate().Name
 	t.threshold = mon.Threshold()
-	t.hub = newHub(mon)
+	t.hub = newHub(t)
 
 	var configs configurations
 	for _, rs := range ts.Replicas {

@@ -20,7 +20,7 @@ type TenantSpec struct {
 	Threshold float64 `json:"threshold,omitempty"`
 	// Weighting discounts tiers (two-tier enforcement); nil = face value.
 	Weighting *WeightingSpec `json:"weighting,omitempty"`
-	// WatchInterval paces the tenant's Watch stream. Default 1s.
+	// WatchInterval paces the tenant's watch stream. Default 1s.
 	WatchInterval Duration `json:"watchInterval,omitempty"`
 	// Virtual runs the tenant on a virtual clock driven by POST …/advance;
 	// the default is wall time since creation.

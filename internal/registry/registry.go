@@ -190,7 +190,7 @@ func (b *bucket) dropGroup(g *group) {
 
 // Registry tracks live replicas. Mutation (Join*/Leave/SetPower/Migrate)
 // and reads are synchronized internally: churn may race snapshot readers
-// (Monitor.Assess, a live Watch stream), and every reader observes either
+// (Monitor.Assess, a monitord watch loop), and every reader observes either
 // the pre- or the post-mutation membership, never a torn one. The
 // scenario engine (internal/scenario) additionally serializes mutation
 // and assessment on one scheduler, which is what makes its runs

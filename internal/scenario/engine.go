@@ -104,10 +104,7 @@ func newEngine(def Def, seed int64) (*Engine, error) {
 	sched := sim.NewScheduler(seed)
 	reg := registry.New(nil)
 	catalog := vuln.NewCatalog()
-	mon, err := core.NewMonitor(reg,
-		core.WithCatalog(catalog),
-		core.WithClock(sched.Now),
-	)
+	mon, err := core.NewMonitor(reg, core.WithCatalog(catalog))
 	if err != nil {
 		return nil, err
 	}

@@ -22,7 +22,6 @@ type wire interface {
 	Send(from, to NodeID, msg any)
 	Broadcast(from NodeID, msg any)
 	Stats() Stats
-	NodeStats(id NodeID) Stats
 }
 
 // refNet is the reference: the same send-time decisions in the same order
@@ -193,14 +192,16 @@ func runProgramme(seed int64, reference bool) progResult {
 	}
 	dropRate := []float64{0, 0, 0.15}[prng.Intn(3)]
 	var w wire
+	var nodeStats func(NodeID) Stats
 	if reference {
-		w = newRefNet(sched, latency, dropRate)
+		ref := newRefNet(sched, latency, dropRate)
+		w, nodeStats = ref, ref.NodeStats
 	} else {
 		n, err := New(sched, latency, dropRate)
 		if err != nil {
 			panic(err)
 		}
-		w = n
+		w, nodeStats = n, func(id NodeID) Stats { return n.row(id).stats }
 	}
 
 	var res progResult
@@ -317,7 +318,7 @@ func runProgramme(seed int64, reference bool) progResult {
 	}
 	res.stats = w.Stats()
 	for id := NodeID(-1); id < NodeID(nodes+3); id++ {
-		res.perNode = append(res.perNode, w.NodeStats(id))
+		res.perNode = append(res.perNode, nodeStats(id))
 	}
 	res.fired, res.draw = sched.Fired(), sched.Rand().Int63()
 	return res

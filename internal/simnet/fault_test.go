@@ -28,14 +28,14 @@ func TestFaultValidation(t *testing.T) {
 	if err := n.SetLinkFault(0, 1, Fault{Drop: 0.5, Duplicate: 1, Reorder: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := n.LinkFault(0, 1); !ok {
+	if n.row(0).faultTo(1) == (Fault{}) {
 		t.Fatal("installed fault not reported")
 	}
 	// The zero fault clears.
 	if err := n.SetLinkFault(0, 1, Fault{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := n.LinkFault(0, 1); ok {
+	if n.row(0).faultTo(1) != (Fault{}) {
 		t.Fatal("cleared fault still reported")
 	}
 }
@@ -55,8 +55,8 @@ func TestSetDropRateRuntime(t *testing.T) {
 	if err := n.SetDropRate(0.999); err != nil {
 		t.Fatal(err)
 	}
-	if n.DropRate() != 0.999 {
-		t.Fatalf("drop rate = %v", n.DropRate())
+	if n.dropRate != 0.999 {
+		t.Fatalf("drop rate = %v", n.dropRate)
 	}
 	for i := 0; i < 50; i++ {
 		n.Send(0, 1, i)

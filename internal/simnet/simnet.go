@@ -98,9 +98,6 @@ type Fault struct {
 	Reorder float64
 }
 
-// IsZero reports whether the fault is the clean link.
-func (f Fault) IsZero() bool { return f == Fault{} }
-
 // Validate rejects parameters that would silently misbehave: negative
 // durations, probabilities outside their ranges (Drop must stay below 1 —
 // a link that drops everything is a partition, and SetPartitions models
@@ -217,9 +214,6 @@ func (n *Network) SetDropRate(rate float64) error {
 	return nil
 }
 
-// DropRate returns the current global loss probability.
-func (n *Network) DropRate() float64 { return n.dropRate }
-
 // SetLinkFault installs (or, with the zero Fault, clears) the fault model
 // on the directed link from -> to, replacing any previous fault. Faults
 // are mutable at runtime — mid-scenario degradation is the point — and
@@ -238,12 +232,6 @@ func (n *Network) SetLinkFault(from, to NodeID, f Fault) error {
 	}
 	src.faults[to] = f
 	return nil
-}
-
-// LinkFault returns the fault installed on the directed link, if any.
-func (n *Network) LinkFault(from, to NodeID) (Fault, bool) {
-	f := n.row(from).faultTo(to)
-	return f, !f.IsZero()
 }
 
 // Register attaches a handler for id, replacing any previous registration.
@@ -304,12 +292,6 @@ func (n *Network) AddFilter(f Filter) {
 
 // Stats returns aggregate counters.
 func (n *Network) Stats() Stats { return n.stats }
-
-// NodeStats returns the counters for one node (messages it sent /
-// received). The zero Stats is returned for unknown nodes.
-func (n *Network) NodeStats(id NodeID) Stats {
-	return n.row(id).stats
-}
 
 // Send schedules delivery of msg from -> to, applying loss, partitions,
 // crash state, filters and per-link faults. It never fails synchronously:
@@ -467,11 +449,6 @@ func (d *delivery) Fire() {
 		d.msg, d.to, d.next = nil, d.to[:0], 0
 		n.free = append(n.free, d)
 	}
-}
-
-// Nodes returns the registered node ids in ascending order.
-func (n *Network) Nodes() []NodeID {
-	return append([]NodeID(nil), n.ids...)
 }
 
 // Scheduler exposes the driving scheduler so protocols can set timers with

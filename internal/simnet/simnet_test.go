@@ -246,13 +246,13 @@ func TestPerNodeStats(t *testing.T) {
 	n.Send(1, 2, "x")
 	n.Send(1, 2, "y")
 	sched.Run(time.Second)
-	if s := n.NodeStats(1); s.Sent != 2 {
+	if s := n.row(1).stats; s.Sent != 2 {
 		t.Fatalf("node1 sent = %d", s.Sent)
 	}
-	if s := n.NodeStats(2); s.Delivered != 2 {
+	if s := n.row(2).stats; s.Delivered != 2 {
 		t.Fatalf("node2 delivered = %d", s.Delivered)
 	}
-	if s := n.NodeStats(99); s.Sent != 0 {
+	if s := n.row(99).stats; s.Sent != 0 {
 		t.Fatal("unknown node has stats")
 	}
 }
@@ -261,7 +261,7 @@ func TestNodesList(t *testing.T) {
 	n, _ := newNet(t, FixedLatency(0), 0)
 	n.Register(5, &recorder{})
 	n.Register(7, &recorder{})
-	ids := n.Nodes()
+	ids := n.ids
 	if len(ids) != 2 {
 		t.Fatalf("nodes = %v", ids)
 	}
@@ -314,7 +314,7 @@ func TestNodeTable(t *testing.T) {
 	if n.IsDown(500) || n.IsDown(-3) || n.IsDown(-1) {
 		t.Error("an id beyond the table reads as down")
 	}
-	if _, ok := n.LinkFault(500, 1); ok {
+	if n.row(500).faultTo(1) != (Fault{}) {
 		t.Error("an id beyond the table has a link fault")
 	}
 	n.SetDown(40, true) // never registered: a row, but no stats and no handler
@@ -331,10 +331,10 @@ func TestNodeTable(t *testing.T) {
 	if got := n.Stats(); got != want {
 		t.Errorf("stats = %+v, want %+v", got, want)
 	}
-	if got := n.NodeStats(40); got != (Stats{}) {
+	if got := n.row(40).stats; got != (Stats{}) {
 		t.Errorf("unregistered node 40 has stats %+v", got)
 	}
-	if got := n.NodeStats(1); got.Sent != 2 || got.Delivered != 1 {
+	if got := n.row(1).stats; got.Sent != 2 || got.Delivered != 1 {
 		t.Errorf("node 1 stats = %+v, want 2 sent, 1 delivered", got)
 	}
 	if len(r.got) != 1 || r.got[0] != "stranger to node" {

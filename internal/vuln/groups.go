@@ -432,9 +432,6 @@ func (gi *GroupInjector) ApplyCatalog(catalog *Catalog) {
 	}
 }
 
-// TotalPower returns the summed power units of all members in the index.
-func (gi *GroupInjector) TotalPower() uint64 { return gi.total }
-
 func (gi *GroupInjector) beginInstant() {
 	gi.markGen++
 	gi.marked, gi.taken = gi.marked[:0], gi.taken[:0]

@@ -201,7 +201,7 @@ func checkPrunedMatchesFlat(t *testing.T, cat *Catalog, replicas []Replica, hori
 	if ci := gi.CriticalInstants(horizon); fmt.Sprint(ci) != fmt.Sprint(ref) {
 		t.Fatalf("critical instants %v, want %v", ci, ref)
 	}
-	if gi.TotalPower() > 0 && (instants != len(ref) || evaluated < 1 || evaluated > instants) {
+	if gi.total > 0 && (instants != len(ref) || evaluated < 1 || evaluated > instants) {
 		t.Fatalf("sweep evaluated %d of %d instants (%d critical)", evaluated, instants, len(ref))
 	}
 	return instants, evaluated
@@ -348,8 +348,8 @@ func TestTotalPowerIndependentOfMapOrder(t *testing.T) {
 	}
 	for i := 0; i < 200; i++ {
 		gi, _ := NewGroupInjector(cat, buckets)
-		if gi.TotalPower() != first.TotalPower() {
-			t.Fatalf("build %d: total %v, first build %v", i, gi.TotalPower(), first.TotalPower())
+		if gi.total != first.total {
+			t.Fatalf("build %d: total %v, first build %v", i, gi.total, first.total)
 		}
 	}
 
@@ -363,8 +363,8 @@ func TestTotalPowerIndependentOfMapOrder(t *testing.T) {
 	final = append(final[:20:20], final[21:]...)
 	patched.ApplyBuckets(nil, []string{buckets[20].Key})
 	fresh, _ := NewGroupInjector(cat, final)
-	if patched.TotalPower() != fresh.TotalPower() {
-		t.Fatalf("delta-patched total %v, freshly built %v", patched.TotalPower(), fresh.TotalPower())
+	if patched.total != fresh.total {
+		t.Fatalf("delta-patched total %v, freshly built %v", patched.total, fresh.total)
 	}
 }
 

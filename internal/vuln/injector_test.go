@@ -312,7 +312,7 @@ func TestCatalogConcurrentAddAndRead(t *testing.T) {
 			t.Fatal("seed vulnerability lost")
 		}
 		cat.Len()
-		cat.Get("CVE-seed")
+		cat.Generation()
 		cat.DisclosedAt(30 * time.Minute)
 	}
 	<-done

@@ -67,7 +67,7 @@ func pictures(t *testing.T, cat *Catalog, specs []BucketSpec) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := fmt.Sprintln(gi.TotalPower())
+	s := fmt.Sprintln(gi.total)
 	for _, at := range gi.CriticalInstants(48 * time.Hour) {
 		inj := gi.Inject(at)
 		if inj.TotalFraction > 1 {

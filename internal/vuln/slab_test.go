@@ -14,8 +14,8 @@ import (
 // instants, the worst window and the full fault picture at every instant.
 func sameInjector(t *testing.T, what string, got, want *GroupInjector, horizon time.Duration) {
 	t.Helper()
-	if got.TotalPower() != want.TotalPower() {
-		t.Fatalf("%s: total power %v, want %v", what, got.TotalPower(), want.TotalPower())
+	if got.total != want.total {
+		t.Fatalf("%s: total power %v, want %v", what, got.total, want.total)
 	}
 	instants := want.CriticalInstants(horizon)
 	if ci := got.CriticalInstants(horizon); !slices.Equal(ci, instants) {

@@ -121,14 +121,6 @@ func (c *Catalog) Generation() uint64 {
 	return c.gen
 }
 
-// Get returns the vulnerability with the given ID.
-func (c *Catalog) Get(id ID) (Vulnerability, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	v, ok := c.vulns[id]
-	return v, ok
-}
-
 // Len reports the catalog size.
 func (c *Catalog) Len() int {
 	c.mu.Lock()

@@ -112,11 +112,11 @@ func TestCatalogAddDuplicate(t *testing.T) {
 	if c.Len() != 1 {
 		t.Fatalf("len = %d", c.Len())
 	}
-	if _, ok := c.Get("CVE-1"); !ok {
-		t.Fatal("Get failed")
+	if _, ok := c.vulns["CVE-1"]; !ok {
+		t.Fatal("added vuln missing")
 	}
-	if _, ok := c.Get("CVE-none"); ok {
-		t.Fatal("Get returned missing vuln")
+	if _, ok := c.vulns["CVE-none"]; ok {
+		t.Fatal("catalog holds a vuln never added")
 	}
 }
 
