@@ -494,6 +494,51 @@ func TestHubAssessFailureClosesSubscribers(t *testing.T) {
 	expectGoroutines(t, base, 0, "after a failed assessment")
 }
 
+// TestHubStreamsAndTerminates: a virtual tenant's stream carries each
+// boundary's assessment at its instant — safe before the catalog's
+// disclosure at 10 h, unsafe inside the window — and the last unsubscribe
+// closes the subscriber and ends the loop.
+func TestHubStreamsAndTerminates(t *testing.T) {
+	mgr := NewManager()
+	defer mgr.Close()
+	spec := testSpec()
+	spec.WatchInterval = Duration(5 * time.Hour)
+	tenant, err := mgr.Create("stream", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := settledGoroutines()
+	id, ch, err := tenant.hub.subscribe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := nextEmission(t, ch); a.At != 0 || !a.Safe {
+		t.Fatalf("first emission at %v safe=%v, want 0 safe", a.At, a.Safe)
+	}
+	if _, err := tenant.Advance(10 * time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if a := nextEmission(t, ch); a.At != 5*time.Hour || !a.Safe {
+		t.Fatalf("second emission at %v safe=%v, want 5h safe (pre-disclosure)", a.At, a.Safe)
+	}
+	if a := nextEmission(t, ch); a.At != 10*time.Hour || a.Safe {
+		t.Fatalf("third emission at %v safe=%v, want 10h unsafe (inside the window)", a.At, a.Safe)
+	}
+	tenant.hub.unsubscribe(id)
+	done := make(chan struct{})
+	go func() {
+		for range ch {
+		}
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("subscriber still open after the last unsubscribe")
+	}
+	expectGoroutines(t, base, 0, "after the last unsubscribe")
+}
+
 // TestHubWallTicks: a wall tenant's watch ticks on a time.Ticker, each
 // emission stamped with the tenant's clock, and the last unsubscribe ends
 // the loop.
