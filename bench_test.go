@@ -22,6 +22,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -1002,5 +1003,73 @@ func BenchmarkCreateTenant(b *testing.B) {
 		if w.status != http.StatusNoContent {
 			b.Fatalf("DELETE: status %d", w.status)
 		}
+	}
+}
+
+// readAfterWrite returns serve-churn's unit of work on the bench tenant
+// without the socket: a PATCH of one replica's power, then a GET of the
+// assessment, both through Server.ServeHTTP. Successive calls walk the
+// replicas and alternate each one's power, so every write changes state
+// and every read pays the delta path.
+func readAfterWrite(tb testing.TB, srv *monitord.Server) func() {
+	recs, err := assessbench.Registry(2000)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ids := recs.Records()
+	w := &nullWriter{header: make(http.Header)}
+	get := httptest.NewRequest(http.MethodGet, "/tenants/bench/assessment", nil)
+	i := 0
+	return func() {
+		rec := ids[i*37%len(ids)]
+		power := rec.Power + float64(i/len(ids)%2)
+		i++
+		body := `{"power":` + strconv.FormatFloat(power+1, 'f', -1, 64) + `}`
+		srv.ServeHTTP(w, httptest.NewRequest(http.MethodPatch, "/tenants/bench/replicas/"+string(rec.ID), strings.NewReader(body)))
+		if w.status != http.StatusNoContent {
+			tb.Fatalf("PATCH %s: status %d", rec.ID, w.status)
+		}
+		w.status, w.bytes = http.StatusOK, 0 // a body written without WriteHeader is a 200
+		srv.ServeHTTP(w, get)
+		if w.status != http.StatusOK || w.bytes == 0 {
+			tb.Fatalf("GET assessment: status %d, %d bytes", w.status, w.bytes)
+		}
+	}
+}
+
+// BenchmarkServeChurn is the read after a write in process: one PATCH
+// {"power":…} and one GET assessment per op on the bench tenant.
+func BenchmarkServeChurn(b *testing.B) {
+	srv, _ := serveReadTenant(b)
+	pair := readAfterWrite(b, srv)
+	pair()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pair()
+	}
+}
+
+// TestReadAfterWriteAllocations pins what a read after a write costs on
+// the bench tenant, PATCH and GET together. When every read re-derived and
+// re-encoded every fault it took 58 objects and 22.6 kB a pair; the fault
+// the write touched is now the only one derived and encoded again.
+func TestReadAfterWriteAllocations(t *testing.T) {
+	const objectCeiling, byteCeiling = 50, 19000
+	srv, _ := serveReadTenant(t)
+	pair := readAfterWrite(t, srv)
+	pair()
+	const runs = 400
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		pair()
+	}
+	runtime.ReadMemStats(&after)
+	objects := float64(after.Mallocs-before.Mallocs) / runs
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("read after write: %.1f objects, %.0f B a pair", objects, bytes)
+	if objects > objectCeiling || bytes > byteCeiling {
+		t.Fatalf("read after write allocates %.1f objects and %.0f B a pair, want ≤ %d and ≤ %d", objects, bytes, objectCeiling, byteCeiling)
 	}
 }

@@ -66,7 +66,10 @@ type Assessment struct {
 // between or during assessments is synchronized by the registry itself:
 // every assessment sees either the pre- or the post-mutation membership.
 // Returned assessments share their slices with the memo: treat them as
-// read-only.
+// read-only. The fault slices go further: a fault's Compromised list is
+// the exposure index's kept one, shared by every later fill in which that
+// fault has not changed (see vuln.GroupInjector), so a caller may key
+// work it derives from a fault on the slice's identity.
 type Monitor struct {
 	reg       *registry.Registry
 	catalog   *vuln.Catalog

@@ -4,11 +4,11 @@ import (
 	"encoding/json"
 	"math"
 	"strconv"
-	"sync"
 	"unicode/utf8"
 
 	"repro/internal/core"
 	"repro/internal/diversity"
+	"repro/internal/vuln"
 )
 
 // jsonBody appends the assessment, worst and report bodies and the SSE
@@ -18,52 +18,109 @@ import (
 // string escaping — which FuzzAssessmentBody holds them to. Like
 // encoding/json it refuses a non-finite float: the first is kept in err.
 type jsonBody struct {
-	b       []byte
-	err     error
-	scratch *[]byte // the pooled buffer b was taken from, if any
+	b   []byte
+	err error
 }
 
-// bodyScratch holds the buffers a kept body is appended into before keep
-// copies it out at its exact length.
-var bodyScratch = sync.Pool{New: func() any { return new([]byte) }}
+// bodySlack is the room a body's buffer leaves beyond the last body of its
+// route. A kept body keeps up to twice that unused beyond its length: the
+// slack, and as much again for a body shorter than the last.
+const bodySlack = 64
 
-// scratchBody starts a body on a pooled buffer; keep must end it.
-func scratchBody() jsonBody {
-	s := bodyScratch.Get().(*[]byte)
-	return jsonBody{b: (*s)[:0], scratch: s}
-}
-
-// keep returns what was appended in a slice of exactly that length, so a
-// kept body holds no spare capacity, and gives the buffer back.
-func (j *jsonBody) keep() ([]byte, error) {
-	var body []byte
-	if j.err == nil {
-		body = append(make([]byte, 0, len(j.b)), j.b...)
+// newBody starts a body in a buffer the size of prev's, the route's last
+// kept body, and bodySlack more: the next body of a route is about as long
+// as the last, so it is appended in place, where keep leaves it. With no
+// kept body yet the buffer is size bytes.
+func newBody(prev *encodedBody, size int) jsonBody {
+	if prev != nil {
+		size = len(prev.body) + bodySlack
 	}
-	*j.scratch = j.b
-	bodyScratch.Put(j.scratch) // last: the buffer is another caller's from here
-	return body, j.err
+	return jsonBody{b: make([]byte, 0, size)}
+}
+
+// bodySize is about the length of a's body, for its first buffer: 1 kB
+// for the head, and per fault 16 bytes a name and room for the rest.
+func bodySize(a core.Assessment) int {
+	n := 1024
+	for _, f := range a.Injection.Faults {
+		n += 128 + len(f.Vuln) + 16*len(f.Compromised)
+	}
+	return n
+}
+
+// keep returns what was appended with its capacity cut to its length: in
+// its buffer when that has at most 2·bodySlack bytes to spare, else in a
+// copy of exactly that length, so that a kept body holds next to nothing
+// unused.
+func (j *jsonBody) keep() ([]byte, error) {
+	if j.err != nil {
+		return nil, j.err
+	}
+	body := j.b
+	if cap(body)-len(body) > 2*bodySlack {
+		body = append(make([]byte, 0, len(body)), body...)
+	}
+	return body[:len(body):len(body)], nil
+}
+
+// faultPiece is where one fault's piece lies in a kept assessment body:
+// body[lo:hi] runs from the fault's opening brace through its "power" key,
+// the bytes that depend on the vulnerability and its compromised names
+// only. names is the fault's Compromised slice itself. core.Monitor hands
+// out the same slice, never written, for as long as the fault is
+// unchanged, so the same vulnerability with the same slice — same array,
+// same length — is the same bytes, and the piece holds the slice so that
+// its array is not reused for another list.
+type faultPiece struct {
+	vuln   vuln.ID
+	names  []string
+	lo, hi int
+}
+
+// sameNames reports whether x and y are the same slice: the same elements
+// of the same array, or both nil, or both empty and non-nil.
+func sameNames(x, y []string) bool {
+	if len(x) != len(y) {
+		return false
+	}
+	if len(x) == 0 {
+		return (x == nil) == (y == nil)
+	}
+	return &x[0] == &y[0]
 }
 
 // assessmentBody is the JSON of a under the tenant name, newline included,
-// as json.Encoder renders AssessmentJSON.
-func assessmentBody(tenant string, a core.Assessment) ([]byte, error) {
-	j := scratchBody()
-	j.assessment(tenant, a)
+// as json.Encoder renders AssessmentJSON, and where each fault's piece lies
+// in it. A fault whose piece prev holds is copied from prev's body rather
+// than encoded again; prev may be nil.
+func assessmentBody(tenant string, a core.Assessment, prev *encodedBody) ([]byte, []faultPiece, error) {
+	j := newBody(prev, bodySize(a))
+	var pieces []faultPiece
+	if len(a.Injection.Faults) > 0 {
+		pieces = make([]faultPiece, 0, len(a.Injection.Faults))
+	}
+	j.assessment(tenant, a, prev, &pieces)
 	j.raw("\n")
-	return j.keep()
+	body, err := j.keep()
+	if err != nil {
+		return nil, nil, err
+	}
+	return body, pieces, nil
 }
 
 // reportBody is the JSON of r, newline included, as json.Encoder renders
-// ReportJSON.
-func reportBody(r diversity.Report) ([]byte, error) {
-	j := scratchBody()
+// ReportJSON; prev is the route's last kept body (see newBody).
+func reportBody(r diversity.Report, prev *encodedBody) ([]byte, error) {
+	j := newBody(prev, 512)
 	j.report(r)
 	j.raw("\n")
 	return j.keep()
 }
 
-func (j *jsonBody) assessment(tenant string, a core.Assessment) {
+// assessment appends a's JSON under the tenant name. With pieces non-nil
+// it records each fault's piece there, and reuses the pieces prev holds
+// (see assessmentBody).
+func (j *jsonBody) assessment(tenant string, a core.Assessment, prev *encodedBody, pieces *[]faultPiece) {
 	j.raw("{")
 	if tenant != "" {
 		j.raw(`"tenant":`)
@@ -86,26 +143,43 @@ func (j *jsonBody) assessment(tenant string, a core.Assessment) {
 	j.report(a.Diversity)
 	if len(a.Injection.Faults) > 0 {
 		j.raw(`,"faults":[`)
+		var kept []faultPiece
+		if prev != nil && pieces != nil {
+			kept = prev.faults
+		}
 		for i, f := range a.Injection.Faults {
 			if i > 0 {
 				j.raw(",")
 			}
-			j.raw(`{"vuln":`)
-			j.str(string(f.Vuln))
-			j.raw(`,"compromised":`)
-			if f.Compromised == nil {
-				j.raw("null")
-			} else {
-				j.raw("[")
-				for k, name := range f.Compromised {
-					if k > 0 {
-						j.raw(",")
-					}
-					j.str(name)
-				}
-				j.raw("]")
+			// Both listings are in vulnerability-ID order, so one pass
+			// finds every piece prev can lend.
+			for len(kept) > 0 && kept[0].vuln < f.Vuln {
+				kept = kept[1:]
 			}
-			j.raw(`,"power":`)
+			lo := len(j.b)
+			if len(kept) > 0 && kept[0].vuln == f.Vuln && sameNames(kept[0].names, f.Compromised) {
+				j.b = append(j.b, prev.body[kept[0].lo:kept[0].hi]...)
+			} else {
+				j.raw(`{"vuln":`)
+				j.str(string(f.Vuln))
+				j.raw(`,"compromised":`)
+				if f.Compromised == nil {
+					j.raw("null")
+				} else {
+					j.raw("[")
+					for k, name := range f.Compromised {
+						if k > 0 {
+							j.raw(",")
+						}
+						j.str(name)
+					}
+					j.raw("]")
+				}
+				j.raw(`,"power":`)
+			}
+			if pieces != nil {
+				*pieces = append(*pieces, faultPiece{vuln: f.Vuln, names: f.Compromised, lo: lo, hi: len(j.b)})
+			}
 			j.float(f.Power)
 			j.raw(`,"powerFraction":`)
 			j.float(f.PowerFraction)

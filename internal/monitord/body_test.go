@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -60,7 +61,10 @@ func assessmentJSON(tenant string, a core.Assessment) AssessmentJSON {
 // refused as encoding/json refuses it. Names are names split at '|'; the
 // three floats are spread over every float field; shape bit 0 leaves out
 // the faults, bit 1 gives an empty compromised list as nil, bit 2 makes the
-// tenant name empty (an omitted field).
+// tenant name empty (an omitted field). A second assessment body is then
+// appended with the first as the kept body to borrow pieces from: its
+// powers and fractions moved, its first fault's names the same slice and
+// its second fault's a new one, and it too must be json.Encoder's bytes.
 func FuzzAssessmentBody(f *testing.F) {
 	negZero := math.Copysign(0, -1)
 	for _, names := range []string{
@@ -115,13 +119,37 @@ func FuzzAssessmentBody(f *testing.F) {
 		for _, v := range []float64{x, y, z} {
 			finite = finite && !math.IsNaN(v) && !math.IsInf(v, 0)
 		}
+		var kept *encodedBody
+		keep := func(body []byte, faults []faultPiece, err error) ([]byte, error) {
+			if err != nil && faults != nil {
+				t.Fatalf("pieces %v kept beside error %v", faults, err)
+			}
+			for _, p := range faults {
+				if piece := string(body[p.lo:p.hi]); !strings.HasPrefix(piece, `{"vuln":`) || !strings.HasSuffix(piece, `,"power":`) {
+					t.Fatalf("piece of %q is %q", p.vuln, piece)
+				}
+			}
+			kept = &encodedBody{body: body, faults: faults}
+			return body, err
+		}
+		next := a
+		next.Injection.Faults = slices.Clone(a.Injection.Faults)
+		for i := range next.Injection.Faults {
+			f := &next.Injection.Faults[i]
+			f.Power, f.PowerFraction = f.PowerFraction, f.Power
+			if i == 1 {
+				f.Compromised = append(slices.Clone(f.Compromised), names)
+			}
+		}
 		for _, c := range []struct {
 			name string
 			got  func() ([]byte, error)
 			ref  any
 		}{
-			{"assessment", func() ([]byte, error) { return assessmentBody(tenant, a) }, assessmentJSON(tenant, a)},
-			{"report", func() ([]byte, error) { return reportBody(a.Diversity) }, reportJSON(a.Diversity)},
+			{"assessment", func() ([]byte, error) { return keep(assessmentBody(tenant, a, nil)) }, assessmentJSON(tenant, a)},
+			{"assessment from kept pieces", func() ([]byte, error) { return keep(assessmentBody(tenant, next, kept)) }, assessmentJSON(tenant, next)},
+			{"report", func() ([]byte, error) { return reportBody(a.Diversity, nil) }, reportJSON(a.Diversity)},
+			{"report after a kept body", func() ([]byte, error) { return reportBody(a.Diversity, kept) }, reportJSON(a.Diversity)},
 		} {
 			got, err := c.got()
 			var want bytes.Buffer

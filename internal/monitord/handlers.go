@@ -43,6 +43,9 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 type encodedBody struct {
 	fill uint64
 	body []byte
+	// faults locates each fault's piece in an assessment body, which the
+	// route's next encoding copies for every fault that has not changed.
+	faults []faultPiece
 	// An assessment body also serves the other instants of its fill, which
 	// differ only in the "at" value: at is the instant it was encoded for
 	// and body[atLo:atHi] the value's bytes. atHi is 0 for a body that
@@ -55,23 +58,24 @@ type encodedBody struct {
 // string holds nothing JSON escapes.
 func atJSON(at time.Duration) string { return `"` + at.String() + `"` }
 
-// serveEncoded answers a read route with the body encode() renders for the
+// serveEncoded answers a read route with the body encode renders for the
 // monitor's fill at instant at: from the tenant's kept body when that came
 // from the same fill — a 200 with Content-Length and one Write of the kept
 // bytes, or head + instant + tail where only the instant moved — and
-// otherwise by encoding afresh and keeping the result. Concurrent misses
-// each encode and store; whichever body stays is checked against the next
-// reader's fill like any other. Write errors mean the client is gone, as in
-// writeJSON.
-func serveEncoded(w http.ResponseWriter, kept *atomic.Pointer[encodedBody], fill uint64, at time.Duration, encode func() ([]byte, error)) {
+// otherwise by encoding afresh, with the kept body to borrow unchanged
+// faults' pieces from, and keeping the result. Concurrent misses each
+// encode and store; whichever body stays is checked against the next
+// reader's fill like any other. Write errors mean the client is gone, as
+// in writeJSON.
+func serveEncoded(w http.ResponseWriter, kept *atomic.Pointer[encodedBody], fill uint64, at time.Duration, encode func(prev *encodedBody) ([]byte, []faultPiece, error)) {
 	b := kept.Load()
 	if b == nil || b.fill != fill || (b.at != at && b.atHi == 0) {
-		body, err := encode()
+		body, faults, err := encode(b)
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, "encode: %v", err)
 			return
 		}
-		b = &encodedBody{fill: fill, body: body, at: at}
+		b = &encodedBody{fill: fill, body: body, faults: faults, at: at}
 		// The tenant name before the instant holds no quote
 		// (validTenantName), so the first "at" key is the field.
 		key, stamp := []byte(`"at":`), atJSON(at)
@@ -371,7 +375,9 @@ func (s *Server) handleAssessment(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, "assess: %v", err)
 		return
 	}
-	serveEncoded(w, &t.assessmentBody, fill, a.At, func() ([]byte, error) { return assessmentBody(t.Name, a) })
+	serveEncoded(w, &t.assessmentBody, fill, a.At, func(prev *encodedBody) ([]byte, []faultPiece, error) {
+		return assessmentBody(t.Name, a, prev)
+	})
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
@@ -384,7 +390,10 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, "assess: %v", err)
 		return
 	}
-	serveEncoded(w, &t.reportBody, fill, 0, func() ([]byte, error) { return reportBody(a.Diversity) })
+	serveEncoded(w, &t.reportBody, fill, 0, func(prev *encodedBody) ([]byte, []faultPiece, error) {
+		body, err := reportBody(a.Diversity, prev)
+		return body, nil, err
+	})
 }
 
 // defaultWorstHorizon bounds the sweep when the query omits ?horizon=.
@@ -410,7 +419,9 @@ func (s *Server) handleWorst(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, "worst window: %v", err)
 		return
 	}
-	serveEncoded(w, &t.worstBody, fill, a.At, func() ([]byte, error) { return assessmentBody(t.Name, a) })
+	serveEncoded(w, &t.worstBody, fill, a.At, func(prev *encodedBody) ([]byte, []faultPiece, error) {
+		return assessmentBody(t.Name, a, prev)
+	})
 }
 
 func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
@@ -498,7 +509,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 			event.b = append(event.b[:0], "event: assessment\nid: "...)
 			event.b = strconv.AppendInt(event.b, a.At.Nanoseconds(), 10)
 			event.raw("\ndata: ")
-			event.assessment(t.Name, a)
+			event.assessment(t.Name, a, nil, nil)
 			event.raw("\n\n")
 			if event.err != nil {
 				return

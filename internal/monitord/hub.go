@@ -32,8 +32,12 @@ type hub struct {
 	nextID int
 	// epoch guards against a stopped loop that has not yet seen stop
 	// closed delivering into a restarted subscriber set.
-	epoch   uint64
-	stop    chan struct{} // closed to end the running loop; nil when none runs
+	epoch uint64
+	stop  chan struct{} // closed to end the running loop; nil when none runs
+	// done is closed by the last loop started when it returns: whoever
+	// ends a loop waits on it, outside h.mu, which the loop takes to
+	// broadcast.
+	done    chan struct{}
 	closed  bool
 	events  uint64 // assessments broadcast
 	dropped uint64 // per-subscriber deliveries lost to a full buffer
@@ -57,8 +61,8 @@ func (h *hub) subscribe() (int, <-chan core.Assessment, error) {
 	ch := make(chan core.Assessment, subscriberBuffer)
 	h.subs[id] = ch
 	if h.stop == nil {
-		h.stop = make(chan struct{})
-		go h.run(h.epoch, h.stop)
+		h.stop, h.done = make(chan struct{}), make(chan struct{})
+		go h.run(h.epoch, h.stop, h.done)
 	}
 	return id, ch, nil
 }
@@ -66,12 +70,14 @@ func (h *hub) subscribe() (int, <-chan core.Assessment, error) {
 // run is the watch loop. It assesses at the tenant's current instant, then
 // once per interval: on a virtual tenant exactly at each boundary
 // start+k·interval as the clock crosses it (one advance across several
-// boundaries emits each), on a wall tenant at each tick of a time.Ticker,
-// stamped with the tenant's clock. It returns when stop closes or an
-// assessment fails; a failure closes every subscriber, so their SSE
+// boundaries emits each, up to the last subscriberBuffer of them; see
+// skip), on a wall tenant at each tick of a time.Ticker, stamped with the
+// tenant's clock. It returns when stop closes or an assessment fails, and
+// closes done when it has; a failure closes every subscriber, so their SSE
 // handlers end instead of waiting on a stream that will never emit again.
 // Assessment runs outside h.mu.
-func (h *hub) run(epoch uint64, stop <-chan struct{}) {
+func (h *hub) run(epoch uint64, stop <-chan struct{}, done chan<- struct{}) {
+	defer close(done)
 	t := h.t
 	var tick <-chan time.Time
 	if t.vt == nil {
@@ -95,6 +101,11 @@ func (h *hub) run(epoch uint64, stop <-chan struct{}) {
 			if !t.vt.waitUntil(next, stop) {
 				return
 			}
+			if n := (t.vt.Now()-next)/t.interval + 1; n > subscriberBuffer {
+				skipped := n - subscriberBuffer
+				next += skipped * t.interval
+				h.skip(epoch, uint64(skipped))
+			}
 			at = next
 			continue
 		}
@@ -107,25 +118,49 @@ func (h *hub) run(epoch uint64, stop <-chan struct{}) {
 	}
 }
 
-// stopLocked ends the running loop and closes every subscriber. h.mu must
-// be held.
-func (h *hub) stopLocked() {
-	h.endLoopLocked()
+// skip accounts for boundaries a loop of epoch passes over without
+// assessing them — those of one advance beyond its last subscriberBuffer,
+// which no subscriber's buffer could have held — as one drop per boundary
+// for every subscriber.
+func (h *hub) skip(epoch, boundaries uint64) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.closed || h.epoch != epoch {
+		return
+	}
+	h.dropped += boundaries * uint64(len(h.subs))
+}
+
+// stopLocked ends the running loop and closes every subscriber, and
+// returns what endLoopLocked does. h.mu must be held.
+func (h *hub) stopLocked() <-chan struct{} {
+	done := h.endLoopLocked()
 	for id, ch := range h.subs {
 		delete(h.subs, id)
 		close(ch)
 	}
+	return done
 }
 
 // endLoopLocked signals the running loop, if any, to return, and moves
-// the epoch on so nothing it still assesses is delivered. h.mu must be
-// held.
-func (h *hub) endLoopLocked() {
+// the epoch on so nothing it still assesses is delivered. It returns the
+// channel the last loop started closes when it returns (closed already if
+// it has; nil if none ever ran), for the caller to wait on once it has
+// released h.mu. h.mu must be held.
+func (h *hub) endLoopLocked() <-chan struct{} {
 	if h.stop != nil {
 		close(h.stop)
 		h.stop = nil
 	}
 	h.epoch++
+	return h.done
+}
+
+// wait blocks until done, if any, is closed.
+func wait(done <-chan struct{}) {
+	if done != nil {
+		<-done
+	}
 }
 
 // broadcast delivers one assessment to every current subscriber,
@@ -147,31 +182,38 @@ func (h *hub) broadcast(epoch uint64, a core.Assessment) {
 	}
 }
 
-// unsubscribe detaches a subscriber; the last one out ends the loop.
+// unsubscribe detaches a subscriber; the last one out ends the loop and
+// returns only once it has.
 func (h *hub) unsubscribe(id int) {
 	h.mu.Lock()
-	defer h.mu.Unlock()
 	ch, ok := h.subs[id]
 	if !ok {
+		h.mu.Unlock()
 		return
 	}
 	delete(h.subs, id)
 	close(ch)
+	var done <-chan struct{}
 	if len(h.subs) == 0 {
-		h.endLoopLocked()
+		done = h.endLoopLocked()
 	}
+	h.mu.Unlock()
+	wait(done)
 }
 
 // close tears the hub down: the loop ends and every subscriber channel
-// closes. Further subscribes fail.
+// closes. Further subscribes fail. It returns once the loop has, also when
+// the loop had ended itself on a failed assessment.
 func (h *hub) close() {
 	h.mu.Lock()
-	defer h.mu.Unlock()
 	if h.closed {
+		h.mu.Unlock()
 		return
 	}
 	h.closed = true
-	h.stopLocked()
+	done := h.stopLocked()
+	h.mu.Unlock()
+	wait(done)
 }
 
 // subscribers reports the current subscriber count.

@@ -1,6 +1,7 @@
 package monitord
 
 import (
+	"net/http"
 	"runtime"
 	"sync"
 	"testing"
@@ -277,8 +278,11 @@ func expectQuiet(t *testing.T, ch <-chan core.Assessment) {
 
 // settledGoroutines returns runtime.NumGoroutine once two readings 10 ms
 // apart agree, so goroutines an earlier test left winding down (an HTTP
-// connection's, say) are not counted against this one.
+// connection's, say) are not counted against this one. It first closes the
+// idle keep-alive connections earlier tests left in the default client,
+// whose two goroutines each would otherwise end at any later moment.
 func settledGoroutines() int {
+	http.DefaultClient.CloseIdleConnections()
 	n := runtime.NumGoroutine()
 	for i := 0; i < 500; i++ {
 		time.Sleep(10 * time.Millisecond)
@@ -291,16 +295,35 @@ func settledGoroutines() int {
 	return n
 }
 
-// expectGoroutines waits up to 5 s for the goroutine count to read exactly
-// base+want.
+// expectLoopEnded requires the hub's last watch loop to have returned:
+// the last unsubscribe and close wait for it.
+func expectLoopEnded(t *testing.T, h *hub, what string) {
+	t.Helper()
+	h.mu.Lock()
+	done := h.done
+	h.mu.Unlock()
+	select {
+	case <-done:
+	default:
+		t.Fatalf("%s: the watch loop is still running", what)
+	}
+}
+
+// expectGoroutines requires the goroutine count to read exactly base+want.
+// subscribe starts the loop before it returns, and the last unsubscribe
+// and close return only once the loop has: all that can still be under
+// way is the loop goroutine's own exit after its deferred close of done,
+// so the count is read again for at most 100 ms, not the 5 s a loop that
+// nobody waited for needed.
 func expectGoroutines(t *testing.T, base, want int, what string) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine()-base != want {
-		if time.Now().After(deadline) {
-			t.Fatalf("%s: %d goroutines more than before, want %d", what, runtime.NumGoroutine()-base, want)
-		}
-		time.Sleep(time.Millisecond)
+	got := runtime.NumGoroutine() - base
+	for deadline := time.Now().Add(100 * time.Millisecond); got != want && time.Now().Before(deadline); {
+		time.Sleep(100 * time.Microsecond)
+		got = runtime.NumGoroutine() - base
+	}
+	if got != want {
+		t.Fatalf("%s: %d goroutines more than before, want %d", what, got, want)
 	}
 }
 
@@ -491,6 +514,10 @@ func TestHubAssessFailureClosesSubscribers(t *testing.T) {
 	if n := tenant.hub.subscribers(); n != 0 {
 		t.Fatalf("%d subscribers left after the failure", n)
 	}
+	// The loop closed the subscribers on its way out; close waits for the
+	// rest of the way.
+	tenant.hub.close()
+	expectLoopEnded(t, tenant.hub, "after a failed assessment")
 	expectGoroutines(t, base, 0, "after a failed assessment")
 }
 
@@ -525,17 +552,14 @@ func TestHubStreamsAndTerminates(t *testing.T) {
 		t.Fatalf("third emission at %v safe=%v, want 10h unsafe (inside the window)", a.At, a.Safe)
 	}
 	tenant.hub.unsubscribe(id)
-	done := make(chan struct{})
-	go func() {
-		for range ch {
+	for open := true; open; { // closed by unsubscribe: drain what it buffered
+		select {
+		case _, open = <-ch:
+		default:
+			t.Fatal("subscriber still open after the last unsubscribe")
 		}
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("subscriber still open after the last unsubscribe")
 	}
+	expectLoopEnded(t, tenant.hub, "after the last unsubscribe")
 	expectGoroutines(t, base, 0, "after the last unsubscribe")
 }
 
@@ -577,8 +601,7 @@ func TestHubWallTicks(t *testing.T) {
 // TestHubOneGoroutinePerWatchedTenant: a watched tenant runs exactly one
 // goroutine for its stream, however many subscribers it has, on a virtual
 // and on a wall clock, and none once the last subscriber leaves — also
-// when a virtual loop is still emitting the 86 400 000 boundaries of a
-// one-day advance at a 1 ms interval.
+// right after a one-day advance at a 1 ms interval.
 func TestHubOneGoroutinePerWatchedTenant(t *testing.T) {
 	for _, virtual := range []bool{true, false} {
 		mgr := NewManager()
@@ -609,7 +632,55 @@ func TestHubOneGoroutinePerWatchedTenant(t *testing.T) {
 		}
 		tenant.hub.unsubscribe(id1)
 		tenant.hub.unsubscribe(id2)
+		expectLoopEnded(t, tenant.hub, what+" tenant, unwatched")
 		expectGoroutines(t, base, 0, what+" tenant, unwatched")
 		mgr.Close()
 	}
+}
+
+// TestHubLongAdvanceSkipsToLastBoundaries: one advance across 86 400 000
+// boundaries (a day at a 1 ms interval) emits only the last
+// subscriberBuffer of them and counts every other one as a drop for each
+// subscriber; the loop is idle again within a second.
+func TestHubLongAdvanceSkipsToLastBoundaries(t *testing.T) {
+	mgr := NewManager()
+	defer mgr.Close()
+	spec := testSpec()
+	spec.WatchInterval = Duration(time.Millisecond)
+	tenant, err := mgr.Create("long", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, ch, err := tenant.hub.subscribe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tenant.hub.unsubscribe(id)
+	if a := nextEmission(t, ch); a.At != 0 {
+		t.Fatalf("first emission at %v", a.At)
+	}
+	if _, err := tenant.Advance(24 * time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	const boundaries = 86_400_000 // 1 ms … 24 h
+	deadline := time.Now().Add(time.Second)
+	for {
+		events, dropped := tenant.hub.stats()
+		if events == 1+subscriberBuffer {
+			if want := uint64(boundaries - subscriberBuffer); dropped != want {
+				t.Fatalf("%d drops, want %d", dropped, want)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d events after 1 s, want %d", events, 1+subscriberBuffer)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for k := subscriberBuffer - 1; k >= 0; k-- {
+		if a, want := nextEmission(t, ch), 24*time.Hour-time.Duration(k)*time.Millisecond; a.At != want {
+			t.Fatalf("emission at %v, want %v", a.At, want)
+		}
+	}
+	expectQuiet(t, ch)
 }

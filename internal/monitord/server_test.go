@@ -387,6 +387,8 @@ func TestWatchSSE(t *testing.T) {
 	}
 	if resp, err := client.Do(put); err != nil || resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create: %v %v", err, resp)
+	} else {
+		resp.Body.Close()
 	}
 
 	resp, err := client.Get(srv.URL + "/tenants/w/watch")
@@ -449,6 +451,8 @@ func TestWatchSSE(t *testing.T) {
 	req, _ := http.NewRequest("DELETE", srv.URL+"/tenants/w", nil)
 	if resp, err := client.Do(req); err != nil || resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("delete: %v %v", err, resp)
+	} else {
+		resp.Body.Close()
 	}
 	deadline := time.After(5 * time.Second)
 	buf := make([]byte, 256)
@@ -482,6 +486,8 @@ func TestCloseEndsStreamsAndRejectsRequests(t *testing.T) {
 	req, _ := http.NewRequest("PUT", srv.URL+"/tenants/w", bytes.NewReader(mustJSON(t, testSpec())))
 	if resp, err := client.Do(req); err != nil || resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create: %v %v", err, resp)
+	} else {
+		resp.Body.Close()
 	}
 	resp, err := client.Get(srv.URL + "/tenants/w/watch")
 	if err != nil {

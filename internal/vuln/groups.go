@@ -62,6 +62,14 @@ type BucketSpec struct {
 // units of all buckets must not pass MaxPowerUnits, which registry
 // snapshots guarantee.
 //
+// Inject and InjectSummary keep each exposure's fault with the interval of
+// instants it holds on, and the deduplicated units of each bucket. The next
+// call re-derives only the faults of exposures whose buckets changed, that
+// are new, or whose interval does not hold the instant, and the dedup of
+// the buckets those faults take from; every other fault is the kept one.
+// A kept fault's Compromised slice is shared by every injection that lists
+// it and is never written: callers must treat it as read-only.
+//
 // Methods share scratch buffers and must not be called concurrently.
 type GroupInjector struct {
 	total     uint64 // summed units of all members
@@ -73,10 +81,26 @@ type GroupInjector struct {
 	// Rebuild carves buckets, the sorted copies of listings not in attack
 	// order, and exposures out of these slabs and reuses them, with the
 	// storage their elements hold, on the next Rebuild — unless
-	// ApplyBuckets has let the bucket slabs go.
+	// ApplyBuckets has let the bucket slabs go. The first Inject after a
+	// build carves the exposures' kept faults out of keptSlab, so an index
+	// that is never injected keeps none.
 	bucketSlab []giBucket
 	groupSlab  []*GroupSpec
 	expSlab    []giExposure
+	keptSlab   []giFault
+
+	// dedup is Σ giBucket.dedup over the live buckets: the deduplicated
+	// compromised units at the instant the kept faults were last assembled.
+	dedup uint64
+	// applyGen numbers ApplyBuckets calls (giExposure.touched).
+	applyGen uint64
+	// rec is the fault an evaluation is recording its takes into, nil
+	// when the takes are not kept (the worst-window sweep); spare is
+	// the fault a non-keeping inject evaluates into; faults is inject's
+	// listing before it is copied out at its exact length.
+	rec    *giFault
+	spare  *giFault
+	faults []Fault
 
 	// Per-instant scratch: taken dedups compromised members across
 	// vulnerabilities, holding the longest taken prefix (0 until one is) of
@@ -95,8 +119,9 @@ type GroupInjector struct {
 
 	// Per-sweep scratch (worstWindow): the critical instants, the upper
 	// bound on the compromised power at each, and one bucket's exposures
-	// in disclosure order. sweepInstants and sweepEvaluated describe the
-	// last sweep (LastSweep).
+	// in disclosure order — outside a sweep, the exposures an ApplyBuckets
+	// call touched. sweepInstants and sweepEvaluated describe the last
+	// sweep (LastSweep).
 	instants       []time.Duration
 	bound          []uint64
 	byDisclosed    []*giExposure
@@ -117,10 +142,19 @@ type giBucket struct {
 	// drops the index.
 	lat []latStep
 
-	// mark == GroupInjector.markGen when the bucket has dedup slots this
-	// instant, taken[base+i] for groups[i].
-	mark uint64
-	base int
+	// mark == uint32(GroupInjector.markGen) when the bucket has dedup slots
+	// this instant, taken[base+i] for groups[i]. 32 bits keep the bucket in
+	// its size class beside dedup; beginInstant clears the marks before
+	// they wrap.
+	mark uint32
+	base int32
+
+	// dedup is the bucket's share of GroupInjector.dedup: Σ over its groups
+	// of the longest prefix a kept fault takes × the group's units. It is 0
+	// once ApplyBuckets removes or replaces the bucket: every kept fault
+	// that took from it is re-derived by the next keeping inject, whose
+	// re-derivation of its dedup then finds nothing.
+	dedup uint64
 }
 
 // latStep is one entry of a bucket's latency index: a distinct patch
@@ -131,12 +165,12 @@ type latStep struct {
 }
 
 // giItem is one open (vulnerability, group) exposure at the instant under
-// evaluation: the group, its dedup slot, and the vulnerability's window
-// close for that group's latency.
+// evaluation: the group, and the bucket and index it has there (its dedup
+// slot is b.base + i).
 type giItem struct {
-	g       *GroupSpec
-	slot    int // index into GroupInjector.taken
-	closeAt time.Duration
+	g *GroupSpec
+	b *giBucket
+	i int
 }
 
 // giExposure is one vulnerability's matching-bucket set. Because a
@@ -149,6 +183,42 @@ type giExposure struct {
 	vuln     Vulnerability
 	keys     []string // matching bucket keys, ascending
 	maxClose time.Duration
+	// kept is the fault the last keeping inject derived, nil until one
+	// did. touched is the ApplyBuckets call that last emptied its interval.
+	kept    *giFault
+	touched uint64
+}
+
+// giFault is one exposure's fault over an interval of instants: its
+// compromised units, its names when named, and the per-group takes it
+// marks in the dedup slots. A fault holds, unchanged, on [from, until) for
+// as long as the exposure's buckets do: from is the instant it was derived
+// at, until the exposure's next disclosure or window close after it, its
+// share of NextBoundary.
+//
+// The takes are kept in the shape the severity take gives them: every
+// group open at from with Units ≥ floor is taken whole, and the boundary
+// class below the floor, if the take ended inside one, takes the prefixes
+// in partial. That is a few words per fault however many groups it takes.
+type giFault struct {
+	from, until time.Duration
+	units       uint64
+	names       []string // Compromised: shared with every injection listing it, never written
+	floor       uint64
+	partial     []giTake
+	exposed     bool // some member was open: the fault is listed
+	named       bool // names was derived
+}
+
+// giTake is one group's taken prefix: n members of b.groups[i].
+type giTake struct {
+	b    *giBucket
+	i, n int
+}
+
+// holds reports whether f answers an injection at t, with names or not.
+func (f *giFault) holds(t time.Duration, names bool) bool {
+	return f != nil && f.from <= t && t < f.until && (f.named || !names)
 }
 
 // NewGroupInjector builds the grouped exposure index from a bucketed view
@@ -205,7 +275,11 @@ func (gi *GroupInjector) Rebuild(catalog *Catalog, buckets []BucketSpec) error {
 		gi.addVuln(&gi.expSlab[i], v)
 		gi.exposures = append(gi.exposures, &gi.expSlab[i])
 	}
-	gi.markGen, gi.nextBoundary = 0, 0
+	gi.keptSlab = gi.keptSlab[:0]
+	if cap(gi.keptSlab) < len(vulns) {
+		gi.keptSlab = nil // too small: the first inject carves from one that is not
+	}
+	gi.markGen, gi.nextBoundary, gi.dedup = 0, 0, 0
 	gi.marked, gi.taken = gi.marked[:0], gi.taken[:0]
 	gi.open, gi.byDisclosed = gi.open[:0], gi.byDisclosed[:0]
 	gi.sweepInstants, gi.sweepEvaluated = 0, 0
@@ -320,9 +394,9 @@ func openUnits(lat []latStep, x time.Duration) uint64 {
 // e's key list: match against every bucket. Exposures are kept even when
 // currently empty — a later bucket change may expose them. gi.exposures
 // stays ID-sorted because Rebuild feeds vulnerabilities in ID order;
-// ApplyCatalog inserts at the sorted position.
+// ApplyCatalog inserts at the sorted position. e has no kept fault yet.
 func (gi *GroupInjector) addVuln(e *giExposure, v Vulnerability) {
-	e.vuln, e.keys = v, e.keys[:0]
+	e.vuln, e.keys, e.kept, e.touched = v, e.keys[:0], nil, 0
 	for _, key := range gi.keys { // ascending, so e.keys comes out sorted
 		if b := gi.buckets[key]; v.Affects(b.cfg) {
 			e.keys = append(e.keys, key)
@@ -356,26 +430,26 @@ func (gi *GroupInjector) refreshExposure(e *giExposure) {
 // ApplyBuckets patches the index after membership churn: changed holds the
 // buckets whose group structure changed (including brand-new buckets),
 // removed the keys of buckets that emptied out. Only exposures matching an
-// affected bucket are touched, and each refresh is O(its matching
-// buckets). Applying the same change twice is harmless (group lists are
-// replaced wholesale), which lets callers retry after a partial failure
-// upstream.
+// affected bucket are touched: each refresh is O(its matching buckets), and
+// its kept fault is re-derived by the next inject. Applying the same change
+// twice is harmless (group lists are replaced wholesale), which lets
+// callers retry after a partial failure upstream.
 func (gi *GroupInjector) ApplyBuckets(changed []BucketSpec, removed []string) {
 	// A patched index is long-lived and rarely rebuilt: leave the bucket
 	// slabs to the buckets still carved from them, so a slab is freed with
 	// its last bucket instead of pinning every replaced bucket's groups. The
 	// next Rebuild allocates them afresh.
 	gi.bucketSlab, gi.groupSlab = nil, nil
-	affected := make(map[*giExposure]struct{})
+	gi.applyGen++
 	for _, key := range removed {
 		b := gi.buckets[key]
 		if b == nil {
 			continue
 		}
 		for _, e := range b.exps {
-			affected[e] = struct{}{}
+			gi.touch(e)
 		}
-		gi.total -= b.units
+		gi.drop(b)
 		delete(gi.buckets, key)
 		i := sort.SearchStrings(gi.keys, key)
 		gi.keys = slices.Delete(gi.keys, i, i+1)
@@ -397,20 +471,42 @@ func (gi *GroupInjector) ApplyBuckets(changed []BucketSpec, removed []string) {
 					e.keys = append(e.keys, "")
 					copy(e.keys[i+1:], e.keys[i:])
 					e.keys[i] = bs.Key
-					affected[e] = struct{}{}
+					gi.touch(e)
 				}
 			}
 			continue
 		}
-		gi.total -= old.units
+		gi.drop(old)
 		nb.exps = old.exps
 		for _, e := range nb.exps {
-			affected[e] = struct{}{}
+			gi.touch(e)
 		}
 	}
-	for e := range affected {
+	for _, e := range gi.byDisclosed {
 		gi.refreshExposure(e)
 	}
+	clear(gi.byDisclosed)
+	gi.byDisclosed = gi.byDisclosed[:0]
+}
+
+// touch empties the interval of e's kept fault, so the next inject
+// re-derives it, and lists e for refreshExposure once per ApplyBuckets.
+func (gi *GroupInjector) touch(e *giExposure) {
+	if e.touched == gi.applyGen {
+		return
+	}
+	e.touched = gi.applyGen
+	if e.kept != nil {
+		e.kept.until = e.kept.from
+	}
+	gi.byDisclosed = append(gi.byDisclosed, e)
+}
+
+// drop takes a removed or replaced bucket out of the totals.
+func (gi *GroupInjector) drop(b *giBucket) {
+	gi.total -= b.units
+	gi.dedup -= b.dedup
+	b.dedup = 0
 }
 
 // ApplyCatalog indexes any catalog vulnerabilities not yet known to the
@@ -434,20 +530,33 @@ func (gi *GroupInjector) ApplyCatalog(catalog *Catalog) {
 
 func (gi *GroupInjector) beginInstant() {
 	gi.markGen++
+	if uint32(gi.markGen) == 0 {
+		gi.clearMarks()
+	}
 	gi.marked, gi.taken = gi.marked[:0], gi.taken[:0]
 	gi.nextBoundary = Never
 }
 
-// slots returns the first of b's dedup slots this instant, opening a zeroed
-// run of them on b's first use.
-func (gi *GroupInjector) slots(b *giBucket) int {
-	if b.mark != gi.markGen {
-		b.mark, b.base = gi.markGen, len(gi.taken)
-		gi.taken = slices.Grow(gi.taken, len(b.groups))[:b.base+len(b.groups)]
+// clearMarks zeroes the mark of every bucket slots can meet — the live
+// ones: a removed or replaced bucket never has slots again — and moves
+// markGen past the 0 a new bucket starts at, so that a mark from 2^32
+// instants ago never reads as this instant's.
+func (gi *GroupInjector) clearMarks() {
+	for _, b := range gi.buckets {
+		b.mark = 0
+	}
+	gi.markGen++
+}
+
+// slots opens b's dedup slots for this instant, a zeroed run of them, on
+// b's first use.
+func (gi *GroupInjector) slots(b *giBucket) {
+	if b.mark != uint32(gi.markGen) {
+		b.mark, b.base = uint32(gi.markGen), int32(len(gi.taken))
+		gi.taken = slices.Grow(gi.taken, len(b.groups))[:len(gi.taken)+len(b.groups)]
 		clear(gi.taken[b.base:])
 		gi.marked = append(gi.marked, b)
 	}
-	return b.base
 }
 
 // Never is the NextBoundary of a fault picture that cannot change any more.
@@ -464,17 +573,19 @@ func (gi *GroupInjector) NextBoundary() time.Duration { return gi.nextBoundary }
 // power-descending order — a k-way merge of the matching buckets'
 // pre-sorted group lists, computed on the fly so no per-exposure item
 // list ever has to be built or patched — and returns the open member
-// count. The single-bucket case (the common one: a vulnerability names
-// one product version) is a straight filtered copy.
-func (gi *GroupInjector) activeAt(e *giExposure, t time.Duration) int {
+// count and the first instant after t at which the open set changes: the
+// disclosure or the earliest open window's close (Never when there is
+// none). The single-bucket case (the common one: a vulnerability names one
+// product version) is a straight filtered copy.
+func (gi *GroupInjector) activeAt(e *giExposure, t time.Duration) (m int, until time.Duration) {
 	gi.open = gi.open[:0]
 	if t < e.vuln.Disclosed {
-		gi.nextBoundary = min(gi.nextBoundary, e.vuln.Disclosed)
-		return 0
+		return 0, e.vuln.Disclosed
 	}
 	if t >= e.maxClose {
-		return 0
+		return 0, Never
 	}
+	until = Never
 	bs := gi.bs[:0]
 	for _, key := range e.keys {
 		if b := gi.buckets[key]; b != nil {
@@ -482,17 +593,17 @@ func (gi *GroupInjector) activeAt(e *giExposure, t time.Duration) int {
 		}
 	}
 	gi.bs = bs[:0]
-	m := 0
 	if len(bs) == 1 {
-		base := gi.slots(bs[0])
-		for i, g := range bs[0].groups {
+		b := bs[0]
+		gi.slots(b)
+		for i, g := range b.groups {
 			if c := e.vuln.PatchAt + g.Latency; t < c {
-				gi.open = append(gi.open, giItem{g: g, slot: base + i, closeAt: c})
-				gi.nextBoundary = min(gi.nextBoundary, c)
+				gi.open = append(gi.open, giItem{g: g, b: b, i: i})
+				until = min(until, c)
 				m += len(g.Names)
 			}
 		}
-		return m
+		return m, until
 	}
 	if cap(gi.pos) < len(bs) {
 		gi.pos = make([]int, len(bs))
@@ -512,24 +623,61 @@ func (gi *GroupInjector) activeAt(e *giExposure, t time.Duration) int {
 			}
 		}
 		if best < 0 {
-			return m
+			return m, until
 		}
 		b, i := bs[best], pos[best]
 		g := b.groups[i]
 		pos[best]++
 		if c := e.vuln.PatchAt + g.Latency; t < c {
-			gi.open = append(gi.open, giItem{g: g, slot: gi.slots(b) + i, closeAt: c})
-			gi.nextBoundary = min(gi.nextBoundary, c)
+			gi.slots(b)
+			gi.open = append(gi.open, giItem{g: g, b: b, i: i})
+			until = min(until, c)
 			m += len(g.Names)
 		}
 	}
 }
 
-// markTake records that n members (a name-ascending prefix) of the item's
-// group are compromised this instant; the longest prefix across
+// markTake records that n members (a name-ascending prefix) of group i of
+// b are compromised this instant; the longest prefix across
 // vulnerabilities wins.
-func (gi *GroupInjector) markTake(it giItem, n int) {
-	gi.taken[it.slot] = max(gi.taken[it.slot], n)
+func (gi *GroupInjector) markTake(b *giBucket, i, n int) {
+	s := int(b.base) + i
+	gi.taken[s] = max(gi.taken[s], n)
+}
+
+// markKept marks in b's slots the takes e's kept fault f has there: every
+// group open at f.from at or above its floor whole, then its boundary
+// prefixes.
+func (gi *GroupInjector) markKept(e *giExposure, f *giFault, b *giBucket) {
+	if !f.exposed {
+		return
+	}
+	closed := f.from - e.vuln.PatchAt // a group is open while its latency is greater
+	for i, g := range b.groups {
+		if g.Units < f.floor {
+			break
+		}
+		if g.Latency > closed {
+			gi.markTake(b, i, len(g.Names))
+		}
+	}
+	for _, tk := range f.partial {
+		if tk.b == b {
+			gi.markTake(b, tk.i, tk.n)
+		}
+	}
+}
+
+// keepTakes records in the fault being derived, if any, how its take
+// ended: whole classes down to units u, and, when partial, the prefixes
+// resolveBoundary marked in the class of units u.
+func (gi *GroupInjector) keepTakes(u uint64, partial bool) {
+	if f := gi.rec; f != nil {
+		f.floor = u
+		if partial {
+			f.floor = u + 1
+		}
+	}
 }
 
 // walkTake applies one exposure's severity take of k members to the dedup
@@ -550,15 +698,17 @@ func (gi *GroupInjector) walkTake(k int) uint64 {
 		}
 		if taken+classCount <= k {
 			for _, it := range open[i:j] {
-				gi.markTake(it, len(it.g.Names))
+				gi.markTake(it.b, it.i, len(it.g.Names))
 			}
 			units += uint64(classCount) * u
 			taken += classCount
+			gi.keepTakes(u, false)
 		} else {
 			r := k - taken
 			gi.resolveBoundary(open[i:j], r, nil)
 			units += uint64(r) * u
 			taken = k
+			gi.keepTakes(u, true)
 		}
 		i = j
 	}
@@ -567,13 +717,20 @@ func (gi *GroupInjector) walkTake(k int) uint64 {
 
 // resolveBoundary selects the r lexicographically-smallest member names
 // across the equal-power items (the boundary power class), marks the
-// per-group prefix lengths, and — when out is non-nil — appends the
-// selected names in ascending order. The single-group case (the common
-// one: boundary classes usually live inside one group) is O(1) when no
-// names are requested.
+// per-group prefix lengths — kept as the derived fault's partial takes
+// when they leave some of the class — and, when out is non-nil, appends
+// the selected names in ascending order. The single-group case (the common
+// one: boundary classes usually live inside one group) takes the prefix
+// in one step, and in one copy when names are requested.
 func (gi *GroupInjector) resolveBoundary(items []giItem, r int, out *[]string) {
-	if len(items) == 1 && out == nil {
-		gi.markTake(items[0], r)
+	if len(items) == 1 {
+		if out != nil {
+			*out = append(*out, items[0].g.Names[:r]...)
+		}
+		gi.markTake(items[0].b, items[0].i, r)
+		if f := gi.rec; f != nil && r < len(items[0].g.Names) {
+			f.partial = append(f.partial, giTake{b: items[0].b, i: items[0].i, n: r})
+		}
 		return
 	}
 	if cap(gi.pos) < len(items) {
@@ -598,11 +755,32 @@ func (gi *GroupInjector) resolveBoundary(items []giItem, r int, out *[]string) {
 		}
 		pos[best]++
 	}
+	cut := false // the take leaves some of the class: keep its prefixes
+	if gi.rec != nil {
+		n := 0
+		for _, it := range items {
+			n += len(it.g.Names)
+		}
+		cut = r < n
+	}
 	for i, it := range items {
 		if pos[i] > 0 {
-			gi.markTake(it, pos[i])
+			gi.markTake(it.b, it.i, pos[i])
+			if cut {
+				gi.rec.partial = append(gi.rec.partial, giTake{b: it.b, i: it.i, n: pos[i]})
+			}
 		}
 	}
+}
+
+// bucketDedup sums b's taken prefixes this instant: the bucket's
+// deduplicated compromised units.
+func (gi *GroupInjector) bucketDedup(b *giBucket) uint64 {
+	var dedup uint64
+	for i, n := range gi.taken[b.base : int(b.base)+len(b.groups)] {
+		dedup += uint64(n) * b.groups[i].Units
+	}
+	return dedup
 }
 
 // dedupUnits sums the taken prefixes: the deduplicated compromised units
@@ -610,9 +788,7 @@ func (gi *GroupInjector) resolveBoundary(items []giItem, r int, out *[]string) {
 func (gi *GroupInjector) dedupUnits() uint64 {
 	var dedup uint64
 	for _, b := range gi.marked {
-		for i, n := range gi.taken[b.base : b.base+len(b.groups)] {
-			dedup += uint64(n) * b.groups[i].Units
-		}
+		dedup += gi.bucketDedup(b)
 	}
 	return dedup
 }
@@ -620,6 +796,7 @@ func (gi *GroupInjector) dedupUnits() uint64 {
 // TotalFractionAt computes only the deduplicated compromised power fraction
 // at t — the quantity WorstWindow maximises — in O(open groups), without
 // materialising fault lists and without allocating after the first call.
+// It neither reads nor replaces the faults Inject keeps.
 func (gi *GroupInjector) TotalFractionAt(t time.Duration) float64 {
 	return UnitFraction(gi.dedupAt(t), gi.total)
 }
@@ -631,7 +808,8 @@ func (gi *GroupInjector) dedupAt(t time.Duration) uint64 {
 	}
 	gi.beginInstant()
 	for _, e := range gi.exposures {
-		m := gi.activeAt(e, t)
+		m, until := gi.activeAt(e, t)
+		gi.nextBoundary = min(gi.nextBoundary, until)
 		if m == 0 {
 			continue
 		}
@@ -642,9 +820,11 @@ func (gi *GroupInjector) dedupAt(t time.Duration) uint64 {
 
 // Inject computes the full fault picture at instant t, byte-equivalent to
 // the flat Injector's: per-vulnerability compromised names in (power desc,
-// name asc) order, power sums, and the deduplicated total.
+// name asc) order, power sums, and the deduplicated total. Each fault's
+// Compromised slice is shared with the injector and with every later
+// injection that lists the same fault: read-only.
 func (gi *GroupInjector) Inject(t time.Duration) Injection {
-	return gi.inject(t, true)
+	return gi.inject(t, true, true)
 }
 
 // InjectSummary is Inject without materialising compromised-name lists:
@@ -652,32 +832,135 @@ func (gi *GroupInjector) Inject(t time.Duration) Injection {
 // scale (hundreds of thousands of exposed members per vulnerability) this
 // is the difference between O(groups) and O(population) per assessment.
 func (gi *GroupInjector) InjectSummary(t time.Duration) Injection {
-	return gi.inject(t, false)
+	return gi.inject(t, false, true)
 }
 
-func (gi *GroupInjector) inject(t time.Duration, names bool) Injection {
-	inj := Injection{At: t}
+// inject assembles the fault picture at t from each exposure's kept fault,
+// re-deriving those that do not hold at t: every one after a Rebuild, the
+// ones ApplyBuckets touched or ApplyCatalog added, and the ones t lies
+// outside the interval of. A keeping inject stores what it re-derives and
+// then re-derives the dedup of only the buckets those faults took from or
+// take from now. One that does not keep (the worst-window sweep's answer,
+// at an instant of its own) derives every fault into a spare and dedups in
+// full, so the faults a read after a write reuses stay as they were.
+func (gi *GroupInjector) inject(t time.Duration, names, keep bool) Injection {
 	gi.beginInstant()
+	if !keep && gi.spare == nil {
+		gi.spare = new(giFault)
+	}
+	faults := gi.faults[:0]
+	var sum float64
+	derived := 0
 	for _, e := range gi.exposures {
-		m := gi.activeAt(e, t)
-		if m == 0 {
+		f := e.kept
+		switch {
+		case !keep:
+			f = gi.spare
+			gi.evaluate(e, f, t, names, false)
+		case !f.holds(t, names):
+			if f == nil {
+				f = gi.keptFault()
+				e.kept = f
+			}
+			if f.exposed {
+				// The buckets f took from so far need their dedup
+				// re-derived even where it takes nothing now.
+				for _, key := range e.keys {
+					if b := gi.buckets[key]; b != nil {
+						gi.slots(b)
+					}
+				}
+			}
+			gi.evaluate(e, f, t, names, true)
+			derived++
+		}
+		gi.nextBoundary = min(gi.nextBoundary, f.until)
+		if !f.exposed {
 			continue
 		}
-		k := SeverityTake(m, e.vuln.Severity)
-		fault := Fault{Vuln: e.vuln.ID}
-		var units uint64
+		fault := Fault{Vuln: e.vuln.ID, Power: UnitsPower(f.units), PowerFraction: UnitFraction(f.units, gi.total)}
 		if names {
-			fault.Compromised = make([]string, 0, k)
-			units = gi.materialize(k, &fault.Compromised)
-		} else {
-			units = gi.walkTake(k)
+			fault.Compromised = f.names
 		}
-		fault.Power, fault.PowerFraction = UnitsPower(units), UnitFraction(units, gi.total)
-		inj.Faults = append(inj.Faults, fault)
-		inj.SumFraction += fault.PowerFraction
+		faults = append(faults, fault)
+		sum += fault.PowerFraction
 	}
-	inj.TotalFraction = UnitFraction(gi.dedupUnits(), gi.total)
+	var dedup uint64
+	if keep {
+		// When every fault was re-derived (the first inject after a
+		// build), every take is marked already.
+		dedup = gi.redup(derived < len(gi.exposures))
+	} else {
+		dedup = gi.dedupUnits()
+		gi.spare.names = nil
+	}
+	inj := Injection{At: t, SumFraction: sum, TotalFraction: UnitFraction(dedup, gi.total)}
+	if len(faults) > 0 {
+		inj.Faults = slices.Clone(faults)
+	}
+	clear(faults) // the scratch pins no names
+	gi.faults = faults[:0]
 	return inj
+}
+
+// keptFault carves a kept fault for an exposure out of keptSlab: the first
+// inject after a build carves one per exposure, from a slab that holds
+// them all. An exposure ApplyCatalog adds later gets one of its own.
+func (gi *GroupInjector) keptFault() *giFault {
+	if len(gi.keptSlab) == cap(gi.keptSlab) {
+		if len(gi.keptSlab) > 0 {
+			return new(giFault)
+		}
+		gi.keptSlab = make([]giFault, 0, len(gi.exposures))
+	}
+	gi.keptSlab = gi.keptSlab[:len(gi.keptSlab)+1]
+	f := &gi.keptSlab[len(gi.keptSlab)-1]
+	clear(f.partial[:cap(f.partial)]) // a reused slab's takes pin no bucket
+	*f = giFault{partial: f.partial[:0]}
+	return f
+}
+
+// evaluate derives e's fault at t into f, marking its takes in the dedup
+// slots: the severity take of its open members, their names when names is
+// set, and the interval from t to its next boundary on which it holds. A
+// fault that is kept records its takes too.
+func (gi *GroupInjector) evaluate(e *giExposure, f *giFault, t time.Duration, names, kept bool) {
+	m, until := gi.activeAt(e, t)
+	clear(f.partial) // so no take beyond the length pins a bucket
+	*f = giFault{from: t, until: until, partial: f.partial[:0], exposed: m > 0, named: names}
+	if m == 0 {
+		return
+	}
+	k := SeverityTake(m, e.vuln.Severity)
+	if kept {
+		gi.rec = f
+	}
+	if names {
+		f.names = make([]string, 0, k)
+		f.units = gi.materialize(k, &f.names)
+	} else {
+		f.units = gi.walkTake(k)
+	}
+	gi.rec = nil
+}
+
+// redup re-derives the dedup of the buckets this inject opened slots for —
+// those a re-derived fault took from or takes from now — adding, when
+// kept is set, the takes of every kept fault on them (a re-derived fault's
+// are marked already, and marking a take twice changes nothing), and
+// returns the deduplicated units of all buckets.
+func (gi *GroupInjector) redup(kept bool) uint64 {
+	for _, b := range gi.marked {
+		for _, e := range b.exps {
+			if e.kept != nil && kept {
+				gi.markKept(e, e.kept, b)
+			}
+		}
+		dedup := gi.bucketDedup(b)
+		gi.dedup += dedup - b.dedup
+		b.dedup = dedup
+	}
+	return gi.dedup
 }
 
 // materialize is walkTake with name output: every class — full or boundary
@@ -699,6 +982,7 @@ func (gi *GroupInjector) materialize(k int, out *[]string) uint64 {
 			r = k - taken
 		}
 		gi.resolveBoundary(open[i:j], r, out)
+		gi.keepTakes(u, r < classCount)
 		units += uint64(r) * u
 		taken += r
 		i = j
@@ -855,5 +1139,5 @@ func (gi *GroupInjector) worstWindow(horizon time.Duration, names bool) (Injecti
 		// report the zero injection rather than a fault-free picture at 0.
 		return Injection{}, nil
 	}
-	return gi.inject(bestT, names), nil
+	return gi.inject(bestT, names, false), nil
 }

@@ -1,0 +1,307 @@
+package vuln
+
+import (
+	"cmp"
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+	"time"
+
+	"repro/internal/config"
+)
+
+// incCase is what an op sequence drives: a membership, a catalog, the
+// instant under evaluation and an injector fed only ApplyBuckets and
+// ApplyCatalog, whose kept faults every step puts to the test.
+type incCase struct {
+	d        draws
+	replicas []Replica // name-ascending
+	specs    []BucketSpec
+	cat      *Catalog
+	gi       *GroupInjector
+	at       time.Duration
+	joined   int // replicas joined so far, for fresh names
+	vulns    int // vulnerabilities disclosed by the ops, for fresh IDs
+}
+
+// newIncCase starts from a sweep case at instant 0 and injects once, so
+// the first op already finds kept faults.
+func newIncCase(d draws) *incCase {
+	cat, replicas, _ := sweepCase(d)
+	c := &incCase{d: d, cat: cat, replicas: replicas, specs: bucketize(replicas)}
+	gi, err := NewGroupInjector(cat, c.specs)
+	if err != nil {
+		panic(err)
+	}
+	c.gi = gi
+	c.gi.Inject(c.at)
+	return c
+}
+
+// randomConfig draws a configuration from sweepCase's pools.
+func randomConfig(d draws) config.Configuration {
+	comps := []config.Component{{
+		Class: config.ClassOperatingSystem, Name: []string{"os-a", "os-b", "os-c"}[d.Intn(3)], Version: []string{"1", "2"}[d.Intn(2)],
+	}}
+	if d.Intn(2) == 0 {
+		comps = append(comps, config.Component{Class: config.ClassCryptoLibrary, Name: []string{"lib-x", "lib-y"}[d.Intn(2)], Version: "1"})
+	}
+	return config.MustNew(comps...)
+}
+
+// step decodes and applies one op — join, leave, power, migrate, disclose
+// or a move of the instant — and returns its name. Membership ops reach the
+// injector as the bucket diff a registry snapshot would hand it.
+func (c *incCase) step() string {
+	d := c.d
+	switch op := d.Intn(7); {
+	case op == 0 || len(c.replicas) == 0:
+		c.joined++
+		r := Replica{
+			Name:         fmt.Sprintf("j-%03d", c.joined),
+			Config:       randomConfig(d),
+			Power:        float64(d.Intn(60)) / 10,
+			PatchLatency: time.Duration(d.Intn(5)) * 6 * time.Hour,
+		}
+		i, _ := slices.BinarySearchFunc(c.replicas, r.Name, func(x Replica, name string) int { return cmp.Compare(x.Name, name) })
+		c.replicas = slices.Insert(c.replicas, i, r)
+		c.rebucket()
+		return "join " + r.Name
+	case op == 1:
+		i := d.Intn(len(c.replicas))
+		name := c.replicas[i].Name
+		c.replicas = slices.Delete(c.replicas, i, i+1)
+		c.rebucket()
+		return "leave " + name
+	case op == 2:
+		i := d.Intn(len(c.replicas))
+		c.replicas[i].Power = float64(d.Intn(60)) / 10
+		c.rebucket()
+		return fmt.Sprintf("power %s %v", c.replicas[i].Name, c.replicas[i].Power)
+	case op == 3:
+		i := d.Intn(len(c.replicas))
+		c.replicas[i].Config = randomConfig(d)
+		c.rebucket()
+		return "migrate " + c.replicas[i].Name
+	case op == 4:
+		c.vulns++
+		v := Vulnerability{
+			ID:       ID(fmt.Sprintf("CVE-n%03d", c.vulns)),
+			Class:    config.ClassOperatingSystem,
+			Product:  []string{"os-a", "os-b", "os-c"}[d.Intn(3)],
+			Severity: float64(1+d.Intn(10)) / 10,
+		}
+		if d.Intn(3) == 0 {
+			v.Class, v.Product = config.ClassCryptoLibrary, []string{"lib-x", "lib-y"}[d.Intn(2)]
+		}
+		v.Disclosed = time.Duration(d.Intn(40)) * 3 * time.Hour
+		v.PatchAt = v.Disclosed + time.Duration(d.Intn(12))*3*time.Hour
+		if err := c.cat.Add(v); err != nil {
+			panic(err)
+		}
+		c.gi.ApplyCatalog(c.cat)
+		return "disclose " + string(v.ID)
+	default:
+		// Forward, backward (the worst sweep's answer and an earlier Assess
+		// both go back), or exactly onto the boundary the kept faults end
+		// at, where every fault whose interval ends there must be re-derived.
+		switch d.Intn(3) {
+		case 0:
+			c.at += time.Duration(d.Intn(8)) * 3 * time.Hour
+		case 1:
+			c.at = max(0, c.at-time.Duration(d.Intn(8))*3*time.Hour)
+		default:
+			if next := c.gi.NextBoundary(); next != Never {
+				c.at = next
+			}
+		}
+		return fmt.Sprintf("at %v", c.at)
+	}
+}
+
+// rebucket re-derives the bucket listing and hands the injector what
+// changed: every bucket whose groups differ and every key that is gone.
+func (c *incCase) rebucket() {
+	specs := bucketize(c.replicas)
+	old := make(map[string]string, len(c.specs))
+	for _, bs := range c.specs {
+		old[bs.Key] = groupsString(bs)
+	}
+	var changed []BucketSpec
+	var removed []string
+	seen := make(map[string]bool, len(specs))
+	for _, bs := range specs {
+		seen[bs.Key] = true
+		if fp, ok := old[bs.Key]; !ok || fp != groupsString(bs) {
+			changed = append(changed, bs)
+		}
+	}
+	for _, bs := range c.specs {
+		if !seen[bs.Key] {
+			removed = append(removed, bs.Key)
+		}
+	}
+	c.specs = specs
+	c.gi.ApplyBuckets(changed, removed)
+}
+
+func groupsString(bs BucketSpec) string {
+	s := ""
+	for _, g := range bs.Groups {
+		s += fmt.Sprintf("[%d %v %v]", g.Units, g.Latency, g.Names)
+	}
+	return s
+}
+
+// check holds the incremental injector to a fresh one at the case's
+// instant: Inject and InjectSummary in the order the draw picks (a kept
+// summary fault must not answer for names), NextBoundary, TotalFractionAt,
+// and the worst window, after which the kept faults must still answer the
+// instant exactly. Inject and the worst window are also held to the flat
+// injector over the same replicas.
+func (c *incCase) check(t testing.TB, what string) {
+	t.Helper()
+	fresh, err := NewGroupInjector(c.cat, c.specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inject := func(gi *GroupInjector, names bool) Injection {
+		if names {
+			return gi.Inject(c.at)
+		}
+		return gi.InjectSummary(c.at)
+	}
+	first := c.d.Intn(2) == 0
+	for _, names := range []bool{first, !first, true} {
+		if g, w := inject(c.gi, names), inject(fresh, names); !sameInj(g, w) {
+			t.Fatalf("%s: names=%v at %v\n got %+v\nwant %+v", what, names, c.at, g, w)
+		}
+		if g, w := c.gi.NextBoundary(), fresh.NextBoundary(); g != w {
+			t.Fatalf("%s: next boundary after %v = %v, want %v", what, c.at, g, w)
+		}
+	}
+	// A fresh grouped injector shares the dedup code; the flat one, which
+	// marks replicas rather than prefixes, is the independent oracle.
+	flat, err := NewInjector(c.cat, c.replicas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := c.gi.Inject(c.at), flat.Inject(c.at); !sameInj(g, w) {
+		t.Fatalf("%s: at %v against the flat injector\n got %+v\nwant %+v", what, c.at, g, w)
+	}
+	horizon := time.Duration(c.d.Intn(70)) * 3 * time.Hour
+	g, err := c.gi.WorstWindow(horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := fresh.WorstWindow(horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameInj(g, w) {
+		t.Fatalf("%s: worst window to %v\n got %+v\nwant %+v", what, horizon, g, w)
+	}
+	if w, err := flat.WorstWindow(horizon); err != nil || !sameInj(g, w) {
+		t.Fatalf("%s: worst window to %v against the flat injector (%v)\n got %+v\nwant %+v", what, horizon, err, g, w)
+	}
+	if g, w := c.gi.TotalFractionAt(c.at), fresh.TotalFractionAt(c.at); g != w {
+		t.Fatalf("%s: TotalFractionAt(%v) = %v, want %v", what, c.at, g, w)
+	}
+	if g, w := c.gi.Inject(c.at), fresh.Inject(c.at); !sameInj(g, w) {
+		t.Fatalf("%s: after the worst window, at %v\n got %+v\nwant %+v", what, c.at, g, w)
+	}
+}
+
+// runIncCase drives steps ops from d, checking after each.
+func runIncCase(t testing.TB, d draws, steps int) {
+	t.Helper()
+	c := newIncCase(d)
+	for i := 0; i < steps; i++ {
+		op := c.step()
+		c.check(t, fmt.Sprintf("step %d (%s)", i, op))
+	}
+}
+
+// TestPropIncrementalInjectMatchesFresh: an injector kept across random
+// join / leave / power / migrate / disclose ops and instants that go
+// forward, back and onto the kept faults' boundary answers every Inject,
+// InjectSummary, NextBoundary, TotalFractionAt and worst window exactly
+// as one built fresh from the same input, names included.
+func TestPropIncrementalInjectMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	for i := 0; i < 400; i++ {
+		runIncCase(t, rng, 24)
+	}
+}
+
+func FuzzIncrementalInject(f *testing.F) {
+	rng := rand.New(rand.NewSource(45))
+	for i := 0; i < 16; i++ {
+		rec := &recordedDraws{rng: rng}
+		runIncCase(f, rec, 24)
+		f.Add(rec.data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		runIncCase(t, &byteDraws{data: data}, 24)
+	})
+}
+
+// TestPropMarksWrap runs op sequences across the wrap of the buckets'
+// 32-bit dedup marks: started a few instants short of it, an injector
+// whose buckets were marked in its first instants must not take an old
+// mark for the current one.
+func TestPropMarksWrap(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	for i := 0; i < 100; i++ {
+		c := newIncCase(rng)
+		c.gi.markGen = 1<<32 - uint64(1+rng.Intn(12))
+		for j := 0; j < 8; j++ {
+			op := c.step()
+			c.check(t, fmt.Sprintf("case %d step %d (%s)", i, j, op))
+		}
+	}
+}
+
+// TestKeptFaultsSurviveWorstWindow: a worst-window sweep, whose answer lies
+// at an instant of its own, leaves the faults a read keeps as they were:
+// the next Inject at the read's instant hands out the same Compromised
+// slices. After a change to one bucket only that bucket's fault is new.
+func TestKeptFaultsSurviveWorstWindow(t *testing.T) {
+	var specs []BucketSpec
+	cat := NewCatalog()
+	for k, product := range []string{"os-a", "os-b", "os-c"} {
+		bs := BucketSpec{Key: product, Config: osCfg(product)}
+		for i := 0; i < 4; i++ {
+			bs.Groups = append(bs.Groups, &GroupSpec{Units: units(float64(4 - i)), Latency: time.Duration(i) * time.Hour, Names: []string{fmt.Sprintf("%s-%d", product, i)}})
+		}
+		specs = append(specs, bs)
+		mustAdd(t, cat, Vulnerability{ID: ID("CVE-" + product), Class: config.ClassOperatingSystem, Product: product,
+			Disclosed: time.Duration(k) * time.Hour, PatchAt: 10 * time.Hour, Severity: 1})
+	}
+	gi, err := NewGroupInjector(cat, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const at = 5 * time.Hour
+	first := gi.Inject(at)
+	if len(first.Faults) != 3 {
+		t.Fatalf("%d faults at %v, want 3", len(first.Faults), at)
+	}
+	if _, err := gi.WorstWindow(24 * time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range gi.Inject(at).Faults {
+		if &f.Compromised[0] != &first.Faults[i].Compromised[0] {
+			t.Errorf("%s: the worst window replaced the kept fault", f.Vuln)
+		}
+	}
+	changed := specs[1]
+	changed.Groups = append([]*GroupSpec{{Units: units(9), Names: []string{"os-b-new"}}}, changed.Groups...)
+	gi.ApplyBuckets([]BucketSpec{changed}, nil)
+	for i, f := range gi.Inject(at).Faults {
+		if kept := &f.Compromised[0] == &first.Faults[i].Compromised[0]; kept != (f.Vuln != "CVE-os-b") {
+			t.Errorf("%s: kept %v after a change to os-b alone", f.Vuln, kept)
+		}
+	}
+}

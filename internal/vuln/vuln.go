@@ -186,7 +186,9 @@ type Fault struct {
 }
 
 // Injection is the full fault picture at an instant t: one Fault per
-// vulnerability with a non-empty compromised set.
+// vulnerability with a non-empty compromised set. An injection is
+// read-only: a GroupInjector shares each fault's Compromised slice with
+// every later injection in which that fault is unchanged.
 type Injection struct {
 	At     time.Duration
 	Faults []Fault
