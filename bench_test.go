@@ -1007,18 +1007,18 @@ func BenchmarkCreateTenant(b *testing.B) {
 }
 
 // readAfterWrite returns serve-churn's unit of work on the bench tenant
-// without the socket: a PATCH of one replica's power, then a GET of the
-// assessment, both through Server.ServeHTTP. Successive calls walk the
-// replicas and alternate each one's power, so every write changes state
-// and every read pays the delta path.
-func readAfterWrite(tb testing.TB, srv *monitord.Server) func() {
+// without the socket: a PATCH of one replica's power, then a GET of path —
+// one of serveReadRoutes — both through Server.ServeHTTP. Successive calls
+// walk the replicas and alternate each one's power, so every write changes
+// state and every read pays the delta path.
+func readAfterWrite(tb testing.TB, srv *monitord.Server, path string) func() {
 	recs, err := assessbench.Registry(2000)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	ids := recs.Records()
 	w := &nullWriter{header: make(http.Header)}
-	get := httptest.NewRequest(http.MethodGet, "/tenants/bench/assessment", nil)
+	get := httptest.NewRequest(http.MethodGet, path, nil)
 	i := 0
 	return func() {
 		rec := ids[i*37%len(ids)]
@@ -1032,16 +1032,15 @@ func readAfterWrite(tb testing.TB, srv *monitord.Server) func() {
 		w.status, w.bytes = http.StatusOK, 0 // a body written without WriteHeader is a 200
 		srv.ServeHTTP(w, get)
 		if w.status != http.StatusOK || w.bytes == 0 {
-			tb.Fatalf("GET assessment: status %d, %d bytes", w.status, w.bytes)
+			tb.Fatalf("GET %s: status %d, %d bytes", path, w.status, w.bytes)
 		}
 	}
 }
 
-// BenchmarkServeChurn is the read after a write in process: one PATCH
-// {"power":…} and one GET assessment per op on the bench tenant.
-func BenchmarkServeChurn(b *testing.B) {
+// benchReadAfterWrite times readAfterWrite's pairs on route path.
+func benchReadAfterWrite(b *testing.B, path string) {
 	srv, _ := serveReadTenant(b)
-	pair := readAfterWrite(b, srv)
+	pair := readAfterWrite(b, srv, path)
 	pair()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -1050,14 +1049,20 @@ func BenchmarkServeChurn(b *testing.B) {
 	}
 }
 
-// TestReadAfterWriteAllocations pins what a read after a write costs on
-// the bench tenant, PATCH and GET together. When every read re-derived and
-// re-encoded every fault it took 58 objects and 22.6 kB a pair; the fault
-// the write touched is now the only one derived and encoded again.
-func TestReadAfterWriteAllocations(t *testing.T) {
-	const objectCeiling, byteCeiling = 50, 19000
+// BenchmarkServeChurn is the read after a write in process: one PATCH
+// {"power":…} and one GET assessment per op on the bench tenant.
+func BenchmarkServeChurn(b *testing.B) { benchReadAfterWrite(b, serveReadRoutes[0].path) }
+
+// BenchmarkServeChurnWorst is BenchmarkServeChurn's twin on the worst
+// route: one PATCH {"power":…} and one GET worst per op, so every GET
+// sweeps the horizon again.
+func BenchmarkServeChurnWorst(b *testing.B) { benchReadAfterWrite(b, serveReadRoutes[2].path) }
+
+// pairAllocations is the objects and bytes one readAfterWrite pair on
+// route path allocates, averaged over 400 pairs.
+func pairAllocations(t *testing.T, path string) (objects, bytes float64) {
 	srv, _ := serveReadTenant(t)
-	pair := readAfterWrite(t, srv)
+	pair := readAfterWrite(t, srv, path)
 	pair()
 	const runs = 400
 	var before, after runtime.MemStats
@@ -1066,10 +1071,33 @@ func TestReadAfterWriteAllocations(t *testing.T) {
 		pair()
 	}
 	runtime.ReadMemStats(&after)
-	objects := float64(after.Mallocs-before.Mallocs) / runs
-	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	return float64(after.Mallocs-before.Mallocs) / runs, float64(after.TotalAlloc-before.TotalAlloc) / runs
+}
+
+// TestReadAfterWriteAllocations pins what a read after a write costs on
+// the bench tenant, PATCH and GET together. When every read re-derived and
+// re-encoded every fault it took 58 objects and 22.6 kB a pair; the fault
+// the write touched is now the only one derived and encoded again.
+func TestReadAfterWriteAllocations(t *testing.T) {
+	const objectCeiling, byteCeiling = 50, 19000
+	objects, bytes := pairAllocations(t, serveReadRoutes[0].path)
 	t.Logf("read after write: %.1f objects, %.0f B a pair", objects, bytes)
 	if objects > objectCeiling || bytes > byteCeiling {
 		t.Fatalf("read after write allocates %.1f objects and %.0f B a pair, want ≤ %d and ≤ %d", objects, bytes, objectCeiling, byteCeiling)
+	}
+}
+
+// TestWorstAfterWriteAllocations is TestReadAfterWriteAllocations on the
+// worst route: a PATCH and a GET worst. While the sweep answered with every
+// fault derived afresh it took 56 objects and 24.7 kB a pair; the sweep's
+// own kept faults leave the write's fault the only one derived and encoded
+// again. The ceilings are the 49.3 objects and 18 888 B measured then,
+// plus 10 %.
+func TestWorstAfterWriteAllocations(t *testing.T) {
+	const objectCeiling, byteCeiling = 55, 20800
+	objects, bytes := pairAllocations(t, serveReadRoutes[2].path)
+	t.Logf("worst after write: %.1f objects, %.0f B a pair", objects, bytes)
+	if objects > objectCeiling || bytes > byteCeiling {
+		t.Fatalf("worst after write allocates %.1f objects and %.0f B a pair, want ≤ %d and ≤ %d", objects, bytes, objectCeiling, byteCeiling)
 	}
 }

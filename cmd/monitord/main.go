@@ -10,6 +10,7 @@
 //	monitord -addr 127.0.0.1:0  # any free port (logged at startup)
 //	monitord -drain 5s          # shutdown drain budget
 //	monitord -timeout 30s       # per-request budget for non-watch routes
+//	monitord -cpuprofile cpu.prof  # CPU profile of the whole run, written at shutdown
 //
 // A request that overruns -timeout — a client that stalls while sending its
 // body, a slow handler, or a client that stops reading its reply — ends
@@ -30,20 +31,24 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"sync"
 	"syscall"
 	"time"
 
 	"repro/internal/monitord"
+	"repro/internal/profile"
 )
 
 func main() {
+	runtime.MemProfileRate = 0 // the daemon writes no heap profile (profile.Start)
 	log.SetFlags(0)
 	log.SetPrefix("monitord: ")
 	var (
 		addr    = flag.String("addr", ":8642", "listen address")
 		drain   = flag.Duration("drain", 10*time.Second, "graceful-shutdown budget for in-flight requests")
 		timeout = flag.Duration("timeout", 30*time.Second, "per-request budget for non-watch routes: reading the request, body included, and writing the reply (0 disables)")
+		cpuprof = flag.String("cpuprofile", "", "write a CPU profile of the run to this file once it has shut down (runtime/pprof; go tool pprof reads it)")
 	)
 	flag.Parse()
 
@@ -57,14 +62,21 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := run(ctx, ln, *drain, *timeout); err != nil {
+	if err := run(ctx, ln, *drain, *timeout, *cpuprof); err != nil {
 		log.Fatal(err)
 	}
 }
 
 // run serves the daemon on ln until ctx ends, then shuts it down: every SSE
-// stream ends, and in-flight requests get drain to finish.
-func run(ctx context.Context, ln net.Listener, drain, timeout time.Duration) error {
+// stream ends, and in-flight requests get drain to finish. With cpuprofile
+// set, the CPU is profiled from the start of serving and the profile is
+// written to that file when run returns.
+func run(ctx context.Context, ln net.Listener, drain, timeout time.Duration, cpuprofile string) (err error) {
+	stopProfile, err := profile.Start(cpuprofile, "")
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stopProfile()) }()
 	svc := monitord.NewServer()
 	httpSrv := newHTTPServer(svc, timeout)
 	var unused unusedConns

@@ -12,6 +12,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -235,7 +237,7 @@ func TestRunServesLoadAndShutsDown(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	runErr := make(chan error, 1)
-	go func() { runErr <- run(ctx, ln, drain, 10*time.Second) }()
+	go func() { runErr <- run(ctx, ln, drain, 10*time.Second, "") }()
 
 	base := "http://" + ln.Addr().String()
 	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: workers + watchers}}
@@ -409,7 +411,7 @@ func TestShutdownHangsUpUnusedConnection(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	runErr := make(chan error, 1)
-	go func() { runErr <- run(ctx, ln, drain, 10*time.Second) }()
+	go func() { runErr <- run(ctx, ln, drain, 10*time.Second, "") }()
 
 	stray, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
@@ -448,5 +450,39 @@ func TestShutdownHangsUpUnusedConnection(t *testing.T) {
 	var ne net.Error
 	if errors.As(err, &ne) && ne.Timeout() {
 		t.Fatal("unused connection still open after run returned")
+	}
+}
+
+// TestCPUProfileWrittenAtShutdown: with -cpuprofile, run profiles what it
+// serves and writes the profile once it has shut down.
+func TestCPUProfileWrittenAtShutdown(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "cpu.prof")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	runErr := make(chan error, 1)
+	go func() { runErr <- run(ctx, ln, time.Second, 10*time.Second, path) }()
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	for i := 0; i < 20; i++ {
+		resp, err := client.Get("http://" + ln.Addr().String() + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	cancel()
+	select {
+	case err := <-runErr:
+		if err != nil {
+			t.Fatalf("run: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("run still serving after cancel")
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+		t.Fatalf("CPU profile after shutdown: %v, %v", fi, err)
 	}
 }

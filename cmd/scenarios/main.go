@@ -8,6 +8,7 @@
 //	scenarios run [name...] -seed 42     # summary table (or -json / -csv)
 //	scenarios run -live -seed 42 -json   # the live-loop scenarios only
 //	scenarios sweep -n 1000 -seed 42     # generate, run, check invariants
+//	scenarios sweep -cpuprofile cpu.prof -memprofile mem.prof   # and profile the sweep
 //	scenarios gen -profile churn-heavy -index 3   # print one timeline JSON
 //	scenarios replay timeline.json -json # run a timeline file's trace
 //	scenarios shrink timeline.json       # minimize a violating timeline
@@ -36,6 +37,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/profile"
 	"repro/internal/scenario"
 
 	// The live-loop library registers the live-* scenarios at init time.
@@ -43,6 +45,7 @@ import (
 )
 
 func main() {
+	runtime.MemProfileRate = 0 // on again only for sweep -memprofile (profile.Start)
 	log.SetFlags(0)
 	log.SetPrefix("scenarios: ")
 	commands := map[string]func(args []string){
@@ -202,6 +205,8 @@ func cmdSweep(args []string) {
 	profiles := fs.String("profiles", "", "comma-separated generator profiles (default all)")
 	out := fs.String("out", "", "write the report JSON to this file instead of stdout")
 	shrinkDir := fs.String("shrink-dir", "", "shrink each violating timeline and write the minimal JSON artifacts here")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file (runtime/pprof; go tool pprof reads it)")
+	memprofile := fs.String("memprofile", "", "write a heap profile, allocations included, to this file once the sweep has run")
 	parseFlags(fs, args)
 	opts := scenario.SweepOptions{Runs: *n, Seed: *seed, Workers: workersFor(*parallel)}
 	if *profiles != "" {
@@ -213,7 +218,14 @@ func cmdSweep(args []string) {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	stopProfiles, err := profile.Start(*cpuprofile, *memprofile)
+	if err != nil {
+		log.Fatal(err)
+	}
 	report, err := scenario.Sweep(ctx, opts)
+	if perr := stopProfiles(); perr != nil {
+		log.Fatal(perr)
+	}
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -3,6 +3,8 @@ package main
 import (
 	"context"
 	"encoding/csv"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -96,6 +98,20 @@ func TestListTable(t *testing.T) {
 	for _, name := range scenario.Names() {
 		if !strings.Contains(out, name) {
 			t.Errorf("list output missing %s", name)
+		}
+	}
+}
+
+// TestSweepWritesProfiles: sweep -cpuprofile / -memprofile write both
+// profiles beside the report.
+func TestSweepWritesProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	cmdSweep([]string{"-n", "4", "-seed", "42", "-profiles", "churn-heavy", "-out", filepath.Join(dir, "report.json"),
+		"-cpuprofile", cpu, "-memprofile", mem})
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: %v, %v", filepath.Base(path), fi, err)
 		}
 	}
 }

@@ -140,7 +140,10 @@ type CacheStats struct {
 	// could not rule them out: WorstEvaluated ≈ WorstInstants means the
 	// sweep has degraded to a full one. A catalog that keeps every bucket
 	// open at severity < 1 does that; at severity 1 the same catalog ties
-	// every bound at the total, and the sweep evaluates one instant.
+	// every bound at the total, and the sweep evaluates one instant. The
+	// injector keeps the instants and their bounds across writes, so an
+	// instant covered is not an instant collected again; the one evaluated
+	// first, the seed, re-derives only the faults a write touched.
 	WorstSweeps    uint64
 	WorstInstants  uint64
 	WorstEvaluated uint64

@@ -62,13 +62,18 @@ type BucketSpec struct {
 // units of all buckets must not pass MaxPowerUnits, which registry
 // snapshots guarantee.
 //
-// Inject and InjectSummary keep each exposure's fault with the interval of
-// instants it holds on, and the deduplicated units of each bucket. The next
-// call re-derives only the faults of exposures whose buckets changed, that
-// are new, or whose interval does not hold the instant, and the dedup of
-// the buckets those faults take from; every other fault is the kept one.
-// A kept fault's Compromised slice is shared by every injection that lists
-// it and is never written: callers must treat it as read-only.
+// Each exposure keeps two faults, each with the interval of instants it
+// holds on, and each bucket the deduplicated units of both: one set for
+// Inject and InjectSummary, at the instant a read last asked for, and one
+// for WorstWindow and WorstWindowSummary, at the worst instant the last
+// sweep answered, so that neither evicts what the other reuses. The next
+// call re-derives only the faults of its set whose exposures' buckets
+// changed, that are new, or whose interval does not hold the instant, and
+// the dedup of the buckets those faults take from; every other fault is
+// the kept one. A kept fault's Compromised slice is shared by every
+// injection that lists it and is never written: callers must treat it as
+// read-only. The sweep also keeps its critical instants and the bound at
+// each across writes (giSweep).
 //
 // Methods share scratch buffers and must not be called concurrently.
 type GroupInjector struct {
@@ -81,25 +86,25 @@ type GroupInjector struct {
 	// Rebuild carves buckets, the sorted copies of listings not in attack
 	// order, and exposures out of these slabs and reuses them, with the
 	// storage their elements hold, on the next Rebuild — unless
-	// ApplyBuckets has let the bucket slabs go. The first Inject after a
-	// build carves the exposures' kept faults out of keptSlab, so an index
-	// that is never injected keeps none.
+	// ApplyBuckets has let the bucket slabs go. The first inject of a set
+	// after a build carves the exposures' kept faults of that set out of
+	// its keptSlab, so an index that is never injected keeps none, and one
+	// that is never swept keeps no worst-instant faults.
 	bucketSlab []giBucket
 	groupSlab  []*GroupSpec
 	expSlab    []giExposure
-	keptSlab   []giFault
+	keptSlab   [keptSets][]giFault
 
-	// dedup is Σ giBucket.dedup over the live buckets: the deduplicated
-	// compromised units at the instant the kept faults were last assembled.
-	dedup uint64
+	// dedup[s] is Σ giBucket.dedup[s] over the live buckets: the
+	// deduplicated compromised units at the instant set s was last
+	// assembled at.
+	dedup [keptSets]uint64
 	// applyGen numbers ApplyBuckets calls (giExposure.touched).
 	applyGen uint64
 	// rec is the fault an evaluation is recording its takes into, nil
-	// when the takes are not kept (the worst-window sweep); spare is
-	// the fault a non-keeping inject evaluates into; faults is inject's
-	// listing before it is copied out at its exact length.
+	// when the takes are not kept (dedupAt); faults is inject's listing
+	// before it is copied out at its exact length.
 	rec    *giFault
-	spare  *giFault
 	faults []Fault
 
 	// Per-instant scratch: taken dedups compromised members across
@@ -117,29 +122,47 @@ type GroupInjector struct {
 	// seen lie after the instant under evaluation (NextBoundary).
 	nextBoundary time.Duration
 
-	// Per-sweep scratch (worstWindow): the critical instants, the upper
-	// bound on the compromised power at each, and one bucket's exposures
-	// in disclosure order — outside a sweep, the exposures an ApplyBuckets
-	// call touched. sweepInstants and sweepEvaluated describe the last
-	// sweep (LastSweep).
-	instants       []time.Duration
-	bound          []uint64
-	byDisclosed    []*giExposure
-	sweepInstants  int
-	sweepEvaluated int
-	latScratch     []latStep // latIndex's sort buffer
+	sweep      giSweep
+	touched    []*giExposure   // the exposures an ApplyBuckets call touched
+	latScratch []time.Duration // latIndex's sort buffer
+}
+
+// Kept fault sets: giExposure.kept and giBucket.dedup hold one entry per
+// set, the read's and the worst-window sweep's.
+const (
+	readKept = iota
+	worstKept
+	keptSets
+)
+
+// giSweep is the worst-window sweep's kept state, built by the first sweep
+// and carried across writes: the critical instants of [0, horizon] and, at
+// each, an upper bound on the compromised units (see rebound). The
+// instants can change only when a vulnerability is added, or a bucket with
+// exposures is added, removed or replaced by one with other distinct
+// latencies; each of those drops the state and the next sweep rebuilds
+// it. Any other replacement moves that bucket's share of the bounds, over
+// its window alone.
+type giSweep struct {
+	built    bool
+	horizon  time.Duration
+	instants []time.Duration
+	bound    []uint64
+	// The last sweep's size (LastSweep).
+	lastInstants, lastEvaluated int
 }
 
 type giBucket struct {
 	cfg        config.Configuration
 	groups     []*GroupSpec  // attack order: the spec's own slice, or a sorted copy
-	exps       []*giExposure // exposures matching the bucket, in indexing order
+	exps       []*giExposure // exposures matching the bucket; rebound sorts them by disclosure
 	maxLatency time.Duration
 	units      uint64 // Σ members × units: the bucket's share of TotalPower
 
 	// lat is the latency index, built by GroupInjector.latIndex on first
 	// use. A bucket is replaced wholesale when its groups change, which
-	// drops the index.
+	// drops the index; the kept sweep reads the old bucket's to take its
+	// share of the bounds out.
 	lat []latStep
 
 	// mark == uint32(GroupInjector.markGen) when the bucket has dedup slots
@@ -149,12 +172,13 @@ type giBucket struct {
 	mark uint32
 	base int32
 
-	// dedup is the bucket's share of GroupInjector.dedup: Σ over its groups
-	// of the longest prefix a kept fault takes × the group's units. It is 0
-	// once ApplyBuckets removes or replaces the bucket: every kept fault
-	// that took from it is re-derived by the next keeping inject, whose
-	// re-derivation of its dedup then finds nothing.
-	dedup uint64
+	// dedup[s] is the bucket's share of GroupInjector.dedup[s]: Σ over its
+	// groups of the longest prefix a kept fault of set s takes × the
+	// group's units. It is 0 once ApplyBuckets removes or replaces the
+	// bucket: every kept fault that took from it is re-derived by the next
+	// inject of its set, whose re-derivation of its dedup then finds
+	// nothing.
+	dedup [keptSets]uint64
 }
 
 // latStep is one entry of a bucket's latency index: a distinct patch
@@ -183,9 +207,10 @@ type giExposure struct {
 	vuln     Vulnerability
 	keys     []string // matching bucket keys, ascending
 	maxClose time.Duration
-	// kept is the fault the last keeping inject derived, nil until one
-	// did. touched is the ApplyBuckets call that last emptied its interval.
-	kept    *giFault
+	// kept[s] is the fault the last inject of set s derived, nil until one
+	// did. touched is the ApplyBuckets call that last emptied their
+	// intervals.
+	kept    [keptSets]*giFault
 	touched uint64
 }
 
@@ -275,14 +300,16 @@ func (gi *GroupInjector) Rebuild(catalog *Catalog, buckets []BucketSpec) error {
 		gi.addVuln(&gi.expSlab[i], v)
 		gi.exposures = append(gi.exposures, &gi.expSlab[i])
 	}
-	gi.keptSlab = gi.keptSlab[:0]
-	if cap(gi.keptSlab) < len(vulns) {
-		gi.keptSlab = nil // too small: the first inject carves from one that is not
+	for s, slab := range gi.keptSlab {
+		gi.keptSlab[s] = slab[:0]
+		if cap(slab) < len(vulns) {
+			gi.keptSlab[s] = nil // too small: the first inject carves from one that is not
+		}
 	}
-	gi.markGen, gi.nextBoundary, gi.dedup = 0, 0, 0
+	gi.markGen, gi.nextBoundary, gi.dedup = 0, 0, [keptSets]uint64{}
 	gi.marked, gi.taken = gi.marked[:0], gi.taken[:0]
-	gi.open, gi.byDisclosed = gi.open[:0], gi.byDisclosed[:0]
-	gi.sweepInstants, gi.sweepEvaluated = 0, 0
+	gi.open, gi.touched = gi.open[:0], gi.touched[:0]
+	gi.sweep.built, gi.sweep.lastInstants, gi.sweep.lastEvaluated = false, 0, 0
 	return nil
 }
 
@@ -345,37 +372,75 @@ func (b *giBucket) fill(bs BucketSpec, slab []*GroupSpec) int {
 // latency > t − PatchAt — a suffix of this index — so one lookup gives the
 // power an exposure can reach in the bucket, and the distinct latencies are
 // the bucket's distinct window-close offsets. Built lazily, because most
-// buckets of a short-lived injector are never swept. It is sorted and merged
-// in gi's scratch, so the index the bucket keeps has exactly one entry per
-// distinct latency.
+// buckets of a short-lived injector are never swept. The distinct latencies
+// are sorted in gi's scratch, so the index the bucket keeps has exactly one
+// entry per distinct latency, and each group's units are summed into its
+// latency's entry; a bucket has few distinct latencies and many groups.
 func (gi *GroupInjector) latIndex(b *giBucket) []latStep {
 	if b.lat != nil || len(b.groups) == 0 {
 		return b.lat
 	}
-	lat := slices.Grow(gi.latScratch[:0], len(b.groups))
+	lats := slices.Grow(gi.latScratch[:0], len(b.groups))
 	for _, g := range b.groups {
-		lat = append(lat, latStep{latency: g.Latency, suffix: uint64(len(g.Names)) * g.Units})
+		lats = append(lats, g.Latency)
 	}
-	gi.latScratch = lat
-	slices.SortFunc(lat, func(x, y latStep) int { return cmp.Compare(x.latency, y.latency) })
-	n := 0
-	for _, st := range lat[1:] {
-		if st.latency == lat[n].latency {
-			lat[n].suffix += st.suffix
-		} else {
-			n++
-			lat[n] = st
-		}
+	gi.latScratch = lats
+	slices.Sort(lats)
+	lats = slices.Compact(lats)
+	lat := make([]latStep, len(lats))
+	for i, l := range lats {
+		lat[i].latency = l
 	}
-	b.lat = slices.Clone(lat[:n+1])
-	for i := len(b.lat) - 2; i >= 0; i-- {
-		b.lat[i].suffix += b.lat[i+1].suffix
+	for _, g := range b.groups {
+		lat[firstOpen(lat, g.Latency-1)].suffix += uint64(len(g.Names)) * g.Units
 	}
+	b.lat = suffixSums(lat)
 	return b.lat
 }
 
-// openUnits is the summed units of the bucket's groups with latency > x.
-func openUnits(lat []latStep, x time.Duration) uint64 {
+// latIndexLike builds b's latency index in one pass over its groups, with
+// no sort, when they have exactly the distinct latencies of like — a
+// replaced bucket's, and at most 64 of them — and reports whether it did.
+func latIndexLike(b *giBucket, like []latStep) bool {
+	var seen [64]bool
+	if len(like) == 0 || len(like) > len(seen) {
+		return false
+	}
+	lat := make([]latStep, len(like))
+	for i, st := range like {
+		lat[i].latency = st.latency
+	}
+	found := 0
+	for _, g := range b.groups {
+		i := firstOpen(lat, g.Latency-1)
+		if i == len(lat) || lat[i].latency != g.Latency {
+			return false
+		}
+		if !seen[i] {
+			seen[i], found = true, found+1
+		}
+		lat[i].suffix += uint64(len(g.Names)) * g.Units
+	}
+	if found < len(lat) {
+		return false
+	}
+	b.lat = suffixSums(lat)
+	return true
+}
+
+// suffixSums turns per-latency units into the index's suffix sums.
+func suffixSums(lat []latStep) []latStep {
+	for i := len(lat) - 2; i >= 0; i-- {
+		lat[i].suffix += lat[i+1].suffix
+	}
+	return lat
+}
+
+// firstOpen is the index of the first latency in lat greater than x, or
+// len(lat): the groups open at x are those of lat[firstOpen:], and
+// lat[firstOpen].suffix is their summed units. Latencies are whole
+// nanoseconds, so firstOpen(lat, l−1) finds latency l.
+func firstOpen(lat []latStep, x time.Duration) int {
 	lo, hi := 0, len(lat)
 	for lo < hi {
 		if mid := (lo + hi) / 2; lat[mid].latency > x {
@@ -384,10 +449,7 @@ func openUnits(lat []latStep, x time.Duration) uint64 {
 			lo = mid + 1
 		}
 	}
-	if lo == len(lat) {
-		return 0
-	}
-	return lat[lo].suffix
+	return lo
 }
 
 // addVuln indexes one vulnerability into e, keeping only the storage of
@@ -396,7 +458,7 @@ func openUnits(lat []latStep, x time.Duration) uint64 {
 // stays ID-sorted because Rebuild feeds vulnerabilities in ID order;
 // ApplyCatalog inserts at the sorted position. e has no kept fault yet.
 func (gi *GroupInjector) addVuln(e *giExposure, v Vulnerability) {
-	e.vuln, e.keys, e.kept, e.touched = v, e.keys[:0], nil, 0
+	e.vuln, e.keys, e.kept, e.touched = v, e.keys[:0], [keptSets]*giFault{}, 0
 	for _, key := range gi.keys { // ascending, so e.keys comes out sorted
 		if b := gi.buckets[key]; v.Affects(b.cfg) {
 			e.keys = append(e.keys, key)
@@ -431,9 +493,11 @@ func (gi *GroupInjector) refreshExposure(e *giExposure) {
 // buckets whose group structure changed (including brand-new buckets),
 // removed the keys of buckets that emptied out. Only exposures matching an
 // affected bucket are touched: each refresh is O(its matching buckets), and
-// its kept fault is re-derived by the next inject. Applying the same change
-// twice is harmless (group lists are replaced wholesale), which lets
-// callers retry after a partial failure upstream.
+// its kept faults are re-derived by the next inject of each set. A
+// replaced bucket's share of the kept sweep bounds is moved over its
+// window; a change that can move the critical instants drops them.
+// Applying the same change twice is harmless (group lists are replaced
+// wholesale), which lets callers retry after a partial failure upstream.
 func (gi *GroupInjector) ApplyBuckets(changed []BucketSpec, removed []string) {
 	// A patched index is long-lived and rarely rebuilt: leave the bucket
 	// slabs to the buckets still carved from them, so a slab is freed with
@@ -448,6 +512,9 @@ func (gi *GroupInjector) ApplyBuckets(changed []BucketSpec, removed []string) {
 		}
 		for _, e := range b.exps {
 			gi.touch(e)
+		}
+		if len(b.exps) > 0 {
+			gi.sweep.built = false // its window closes may be critical instants no more
 		}
 		gi.drop(b)
 		delete(gi.buckets, key)
@@ -474,6 +541,9 @@ func (gi *GroupInjector) ApplyBuckets(changed []BucketSpec, removed []string) {
 					gi.touch(e)
 				}
 			}
+			if len(nb.exps) > 0 {
+				gi.sweep.built = false // its window closes are new critical instants
+			}
 			continue
 		}
 		gi.drop(old)
@@ -481,42 +551,74 @@ func (gi *GroupInjector) ApplyBuckets(changed []BucketSpec, removed []string) {
 		for _, e := range nb.exps {
 			gi.touch(e)
 		}
+		gi.resweep(old, nb)
 	}
-	for _, e := range gi.byDisclosed {
+	for _, e := range gi.touched {
 		gi.refreshExposure(e)
 	}
-	clear(gi.byDisclosed)
-	gi.byDisclosed = gi.byDisclosed[:0]
+	clear(gi.touched)
+	gi.touched = gi.touched[:0]
 }
 
-// touch empties the interval of e's kept fault, so the next inject
-// re-derives it, and lists e for refreshExposure once per ApplyBuckets.
+// touch empties the intervals of e's kept faults, so the next inject of
+// each set re-derives them, and lists e for refreshExposure once per
+// ApplyBuckets.
 func (gi *GroupInjector) touch(e *giExposure) {
 	if e.touched == gi.applyGen {
 		return
 	}
 	e.touched = gi.applyGen
-	if e.kept != nil {
-		e.kept.until = e.kept.from
+	for _, f := range e.kept {
+		if f != nil {
+			f.until = f.from
+		}
 	}
-	gi.byDisclosed = append(gi.byDisclosed, e)
+	gi.touched = append(gi.touched, e)
 }
 
 // drop takes a removed or replaced bucket out of the totals.
 func (gi *GroupInjector) drop(b *giBucket) {
 	gi.total -= b.units
-	gi.dedup -= b.dedup
-	b.dedup = 0
+	for s, d := range b.dedup {
+		gi.dedup[s] -= d
+	}
+	b.dedup = [keptSets]uint64{}
+}
+
+// resweep moves a replaced bucket's share of the kept sweep bounds from
+// old's groups to nb's. Both have the same exposures, so when their
+// distinct latencies agree the two shares span the same window and the
+// instants stay; when they differ, so do the window closes, and the kept
+// state is dropped. A bucket the kept state holds has its latency index
+// built: the sweep that built the state, or the resweep that moved its
+// share, built it.
+func (gi *GroupInjector) resweep(old, nb *giBucket) {
+	if !gi.sweep.built || len(nb.exps) == 0 {
+		return
+	}
+	if latIndexLike(nb, old.lat) || sameLatencies(gi.latIndex(nb), old.lat) {
+		gi.rebound(nb, nb.lat, old.lat)
+	} else {
+		gi.sweep.built = false
+	}
+}
+
+// sameLatencies reports whether two latency indexes list the same distinct
+// latencies.
+func sameLatencies(x, y []latStep) bool {
+	return slices.EqualFunc(x, y, func(a, b latStep) bool { return a.latency == b.latency })
 }
 
 // ApplyCatalog indexes any catalog vulnerabilities not yet known to the
 // injector (Catalog only ever grows). Each new vulnerability is matched
-// against all buckets once and inserted in ID order.
+// against all buckets once and inserted in ID order; its disclosure and
+// window closes are new critical instants, so the kept sweep state goes.
 func (gi *GroupInjector) ApplyCatalog(catalog *Catalog) {
 	for _, v := range catalog.allSorted() {
 		if _, ok := gi.known[v.ID]; ok {
 			continue
 		}
+		gi.sweep.built = false
 		e := new(giExposure)
 		gi.addVuln(e, v)
 		i := sort.Search(len(gi.exposures), func(i int) bool {
@@ -824,7 +926,7 @@ func (gi *GroupInjector) dedupAt(t time.Duration) uint64 {
 // Compromised slice is shared with the injector and with every later
 // injection that lists the same fault: read-only.
 func (gi *GroupInjector) Inject(t time.Duration) Injection {
-	return gi.inject(t, true, true)
+	return gi.inject(t, true, readKept)
 }
 
 // InjectSummary is Inject without materialising compromised-name lists:
@@ -832,35 +934,27 @@ func (gi *GroupInjector) Inject(t time.Duration) Injection {
 // scale (hundreds of thousands of exposed members per vulnerability) this
 // is the difference between O(groups) and O(population) per assessment.
 func (gi *GroupInjector) InjectSummary(t time.Duration) Injection {
-	return gi.inject(t, false, true)
+	return gi.inject(t, false, readKept)
 }
 
-// inject assembles the fault picture at t from each exposure's kept fault,
-// re-deriving those that do not hold at t: every one after a Rebuild, the
-// ones ApplyBuckets touched or ApplyCatalog added, and the ones t lies
-// outside the interval of. A keeping inject stores what it re-derives and
+// inject assembles the fault picture at t from each exposure's kept fault
+// of set s, re-deriving those that do not hold at t: every one after a
+// Rebuild, the ones ApplyBuckets touched or ApplyCatalog added, and the
+// ones t lies outside the interval of. It stores what it re-derives and
 // then re-derives the dedup of only the buckets those faults took from or
-// take from now. One that does not keep (the worst-window sweep's answer,
-// at an instant of its own) derives every fault into a spare and dedups in
-// full, so the faults a read after a write reuses stay as they were.
-func (gi *GroupInjector) inject(t time.Duration, names, keep bool) Injection {
+// take from now. Reads assemble the read's set and the worst-window sweep
+// its own, at the worst instant, so neither evicts the other's faults.
+func (gi *GroupInjector) inject(t time.Duration, names bool, s int) Injection {
 	gi.beginInstant()
-	if !keep && gi.spare == nil {
-		gi.spare = new(giFault)
-	}
 	faults := gi.faults[:0]
 	var sum float64
 	derived := 0
 	for _, e := range gi.exposures {
-		f := e.kept
-		switch {
-		case !keep:
-			f = gi.spare
-			gi.evaluate(e, f, t, names, false)
-		case !f.holds(t, names):
+		f := e.kept[s]
+		if !f.holds(t, names) {
 			if f == nil {
-				f = gi.keptFault()
-				e.kept = f
+				f = gi.keptFault(s)
+				e.kept[s] = f
 			}
 			if f.exposed {
 				// The buckets f took from so far need their dedup
@@ -871,7 +965,7 @@ func (gi *GroupInjector) inject(t time.Duration, names, keep bool) Injection {
 					}
 				}
 			}
-			gi.evaluate(e, f, t, names, true)
+			gi.evaluate(e, f, t, names)
 			derived++
 		}
 		gi.nextBoundary = min(gi.nextBoundary, f.until)
@@ -885,46 +979,53 @@ func (gi *GroupInjector) inject(t time.Duration, names, keep bool) Injection {
 		faults = append(faults, fault)
 		sum += fault.PowerFraction
 	}
-	var dedup uint64
-	if keep {
-		// When every fault was re-derived (the first inject after a
-		// build), every take is marked already.
-		dedup = gi.redup(derived < len(gi.exposures))
-	} else {
-		dedup = gi.dedupUnits()
-		gi.spare.names = nil
-	}
+	// When every fault was re-derived (the first inject after a build),
+	// every take is marked already.
+	dedup := gi.redup(s, derived < len(gi.exposures))
 	inj := Injection{At: t, SumFraction: sum, TotalFraction: UnitFraction(dedup, gi.total)}
 	if len(faults) > 0 {
 		inj.Faults = slices.Clone(faults)
 	}
 	clear(faults) // the scratch pins no names
 	gi.faults = faults[:0]
+	gi.unpin()
 	return inj
 }
 
-// keptFault carves a kept fault for an exposure out of keptSlab: the first
-// inject after a build carves one per exposure, from a slab that holds
-// them all. An exposure ApplyCatalog adds later gets one of its own.
-func (gi *GroupInjector) keptFault() *giFault {
-	if len(gi.keptSlab) == cap(gi.keptSlab) {
-		if len(gi.keptSlab) > 0 {
+// unpin clears the per-instant scratch out to its capacity, so that no
+// bucket a later write replaces stays reachable from it, with the groups
+// and names it holds, until some evaluation happens to overwrite it.
+func (gi *GroupInjector) unpin() {
+	clear(gi.open[:cap(gi.open)])
+	clear(gi.bs[:cap(gi.bs)])
+	clear(gi.marked[:cap(gi.marked)])
+}
+
+// keptFault carves a kept fault of set s for an exposure out of
+// keptSlab[s]: the first inject of the set after a build carves one per
+// exposure, from a slab that holds them all. An exposure ApplyCatalog adds
+// later gets one of its own.
+func (gi *GroupInjector) keptFault(s int) *giFault {
+	slab := gi.keptSlab[s]
+	if len(slab) == cap(slab) {
+		if len(slab) > 0 {
 			return new(giFault)
 		}
-		gi.keptSlab = make([]giFault, 0, len(gi.exposures))
+		slab = make([]giFault, 0, len(gi.exposures))
 	}
-	gi.keptSlab = gi.keptSlab[:len(gi.keptSlab)+1]
-	f := &gi.keptSlab[len(gi.keptSlab)-1]
+	slab = slab[:len(slab)+1]
+	gi.keptSlab[s] = slab
+	f := &slab[len(slab)-1]
 	clear(f.partial[:cap(f.partial)]) // a reused slab's takes pin no bucket
 	*f = giFault{partial: f.partial[:0]}
 	return f
 }
 
 // evaluate derives e's fault at t into f, marking its takes in the dedup
-// slots: the severity take of its open members, their names when names is
-// set, and the interval from t to its next boundary on which it holds. A
-// fault that is kept records its takes too.
-func (gi *GroupInjector) evaluate(e *giExposure, f *giFault, t time.Duration, names, kept bool) {
+// slots and recording them in f: the severity take of its open members,
+// their names when names is set, and the interval from t to its next
+// boundary on which it holds.
+func (gi *GroupInjector) evaluate(e *giExposure, f *giFault, t time.Duration, names bool) {
 	m, until := gi.activeAt(e, t)
 	clear(f.partial) // so no take beyond the length pins a bucket
 	*f = giFault{from: t, until: until, partial: f.partial[:0], exposed: m > 0, named: names}
@@ -932,9 +1033,7 @@ func (gi *GroupInjector) evaluate(e *giExposure, f *giFault, t time.Duration, na
 		return
 	}
 	k := SeverityTake(m, e.vuln.Severity)
-	if kept {
-		gi.rec = f
-	}
+	gi.rec = f
 	if names {
 		f.names = make([]string, 0, k)
 		f.units = gi.materialize(k, &f.names)
@@ -944,23 +1043,23 @@ func (gi *GroupInjector) evaluate(e *giExposure, f *giFault, t time.Duration, na
 	gi.rec = nil
 }
 
-// redup re-derives the dedup of the buckets this inject opened slots for —
-// those a re-derived fault took from or takes from now — adding, when
-// kept is set, the takes of every kept fault on them (a re-derived fault's
-// are marked already, and marking a take twice changes nothing), and
-// returns the deduplicated units of all buckets.
-func (gi *GroupInjector) redup(kept bool) uint64 {
+// redup re-derives set s's dedup of the buckets this inject opened slots
+// for — those a re-derived fault took from or takes from now — adding,
+// when kept is set, the takes of every kept fault of the set on them (a
+// re-derived fault's are marked already, and marking a take twice changes
+// nothing), and returns the set's deduplicated units of all buckets.
+func (gi *GroupInjector) redup(s int, kept bool) uint64 {
 	for _, b := range gi.marked {
 		for _, e := range b.exps {
-			if e.kept != nil && kept {
-				gi.markKept(e, e.kept, b)
+			if f := e.kept[s]; f != nil && kept {
+				gi.markKept(e, f, b)
 			}
 		}
 		dedup := gi.bucketDedup(b)
-		gi.dedup += dedup - b.dedup
-		b.dedup = dedup
+		gi.dedup[s] += dedup - b.dedup[s]
+		b.dedup[s] = dedup
 	}
-	return gi.dedup
+	return gi.dedup[s]
 }
 
 // materialize is walkTake with name output: every class — full or boundary
@@ -1042,87 +1141,103 @@ func (gi *GroupInjector) WorstWindowSummary(horizon time.Duration) (Injection, e
 // fraction. evaluated == instants means the bound pruned nothing and the
 // sweep cost what the flat reference's does; it is never more.
 func (gi *GroupInjector) LastSweep() (instants, evaluated int) {
-	return gi.sweepInstants, gi.sweepEvaluated
+	return gi.sweep.lastInstants, gi.sweep.lastEvaluated
 }
 
-// sweepBounds fills gi.bound with an upper bound on the deduplicated
-// compromised units at each instant. Inside a bucket the groups open at t
-// under a vulnerability are those with latency > t − PatchAt, so the open
-// sets of all disclosed vulnerabilities matching the bucket are nested and
-// their union is the one with the latest PatchAt; whatever the severities
-// take lies inside that union. Summing its power over the buckets bounds
-// the numerator of the fraction from above, and equals it when every
-// severity is 1.
-func (gi *GroupInjector) sweepBounds(instants []time.Duration) []uint64 {
-	if cap(gi.bound) < len(instants) {
-		gi.bound = make([]uint64, len(instants))
+// sweepState brings the kept critical instants and bounds up to date for
+// horizon, rebuilding both when a change dropped them or the horizon is
+// another one.
+func (gi *GroupInjector) sweepState(horizon time.Duration) {
+	sw := &gi.sweep
+	if sw.built && sw.horizon == horizon {
+		return
 	}
-	bound := gi.bound[:len(instants)]
-	clear(bound)
+	sw.instants = gi.criticalInstants(horizon, sw.instants)
+	sw.bound = slices.Grow(sw.bound[:0], len(sw.instants))[:len(sw.instants)]
+	clear(sw.bound)
 	for _, key := range gi.keys {
-		b := gi.buckets[key]
-		if b.units == 0 || len(b.exps) == 0 {
+		if b := gi.buckets[key]; len(b.exps) > 0 {
+			gi.rebound(b, gi.latIndex(b), nil)
+		}
+	}
+	sw.built, sw.horizon = true, horizon
+}
+
+// rebound adds to the kept bounds b's share summed from the latency index
+// lat, and takes away the one summed from old (nil: none, else with lat's
+// latencies), over b's window. Inside a bucket the groups open at t under a
+// vulnerability are those with latency > t − PatchAt, so the open sets of
+// all disclosed vulnerabilities matching the bucket are nested and their
+// union is the one with the latest PatchAt; whatever the severities take
+// lies inside that union. Summing its power over the buckets bounds the
+// numerator of the fraction from above, and equals it when every severity
+// is 1. The sums are exact integers, so a share taken out and another put
+// in leave every bound what a fresh sum gives.
+func (gi *GroupInjector) rebound(b *giBucket, lat, old []latStep) {
+	instants, bound := gi.sweep.instants, gi.sweep.bound
+	exps := b.exps
+	slices.SortFunc(exps, func(x, y *giExposure) int { return cmp.Compare(x.vuln.Disclosed, y.vuln.Disclosed) })
+	// Walk the instants from the first disclosure on, tracking the latest
+	// PatchAt among the vulnerabilities disclosed so far. While nothing is
+	// open, jump straight to the next disclosure (itself a critical
+	// instant whenever it lies in the horizon).
+	next := 0
+	var patch time.Duration
+	for i, _ := slices.BinarySearch(instants, exps[0].vuln.Disclosed); i < len(instants); {
+		t := instants[i]
+		for ; next < len(exps) && exps[next].vuln.Disclosed <= t; next++ {
+			if p := exps[next].vuln.PatchAt; next == 0 || p > patch {
+				patch = p
+			}
+		}
+		if t-patch >= b.maxLatency {
+			if next == len(exps) {
+				break
+			}
+			i, _ = slices.BinarySearch(instants, exps[next].vuln.Disclosed)
 			continue
 		}
-		exps := append(gi.byDisclosed[:0], b.exps...)
-		gi.byDisclosed = exps[:0]
-		slices.SortFunc(exps, func(x, y *giExposure) int { return cmp.Compare(x.vuln.Disclosed, y.vuln.Disclosed) })
-		lat := gi.latIndex(b)
-		// Walk the instants from the first disclosure on, tracking the
-		// latest PatchAt among the vulnerabilities disclosed so far. While
-		// nothing is open, jump straight to the next disclosure (itself a
-		// critical instant whenever it lies in the horizon).
-		next := 0
-		var patch time.Duration
-		for i, _ := slices.BinarySearch(instants, exps[0].vuln.Disclosed); i < len(instants); {
-			t := instants[i]
-			for ; next < len(exps) && exps[next].vuln.Disclosed <= t; next++ {
-				if p := exps[next].vuln.PatchAt; next == 0 || p > patch {
-					patch = p
-				}
+		if j := firstOpen(lat, t-patch); j < len(lat) {
+			bound[i] += lat[j].suffix
+			if old != nil {
+				bound[i] -= old[j].suffix
 			}
-			if t-patch >= b.maxLatency {
-				if next == len(exps) {
-					break
-				}
-				i, _ = slices.BinarySearch(instants, exps[next].vuln.Disclosed)
-				continue
-			}
-			bound[i] += openUnits(lat, t-patch)
-			i++
 		}
+		i++
 	}
-	return bound
 }
 
+// worstWindow is the bound-and-prune sweep over numerators of the one
+// fixed total, on the kept instants and bounds. It seeds the search at the
+// instant with the largest bound, assembling the sweep's kept faults
+// there, then walks the instants evaluating the exact numerator only where
+// the bound can still win. An instant's numerator sums a subset of what
+// its bound sums, so one whose bound is below the best is not a maximiser.
+// Ties go to the earlier instant — the flat sweep's "first strict
+// improvement in time order" — so one later than the best instant whose
+// bound equals the best cannot win either: at most it ties. On a saturated
+// severity-1 catalog, where every bound is the total, that leaves the seed
+// alone to evaluate, and the answer is the seed's kept faults: after a
+// write, only the ones the write touched are derived again.
 func (gi *GroupInjector) worstWindow(horizon time.Duration, names bool) (Injection, error) {
 	if horizon < 0 {
 		return Injection{}, errors.New("vuln: negative horizon " + horizon.String())
 	}
-	gi.sweepInstants, gi.sweepEvaluated = 0, 0
+	gi.sweep.lastInstants, gi.sweep.lastEvaluated = 0, 0
 	if gi.total == 0 {
 		return Injection{}, nil
 	}
-	gi.instants = gi.criticalInstants(horizon, gi.instants)
-	instants := gi.instants
-	bound := gi.sweepBounds(instants)
-
-	// Bound-and-prune over numerators of the one fixed total. Seed the
-	// search at the instant with the largest bound, then walk the instants
-	// evaluating the exact numerator only where the bound can still win.
-	// An instant's numerator sums a subset of what bound(t) sums, so one
-	// with bound(t) < best is not a maximiser. Ties go to the earlier
-	// instant — the flat sweep's "first strict improvement in time order" —
-	// so one later than bestT with bound(t) == best cannot win either: at
-	// most it ties. On a saturated severity-1 catalog, where every bound
-	// is the total, that leaves the seed alone to evaluate.
+	gi.sweepState(horizon)
+	instants, bound := gi.sweep.instants, gi.sweep.bound
 	seed := 0
 	for i, v := range bound {
 		if v > bound[seed] {
 			seed = i
 		}
 	}
-	bestT, best := instants[seed], gi.dedupAt(instants[seed])
+	bestT := instants[seed]
+	inj := gi.inject(bestT, names, worstKept)
+	best, next := gi.dedup[worstKept], gi.nextBoundary
 	evaluated := 1
 	for i, t := range instants {
 		if i == seed || bound[i] < best || (bound[i] == best && t > bestT) {
@@ -1133,11 +1248,16 @@ func (gi *GroupInjector) worstWindow(horizon time.Duration, names bool) (Injecti
 			bestT, best = t, n
 		}
 	}
-	gi.sweepInstants, gi.sweepEvaluated = len(instants), evaluated
+	gi.sweep.lastInstants, gi.sweep.lastEvaluated = len(instants), evaluated
+	gi.unpin()
 	if best == 0 {
 		// Match Injector.WorstWindow: no instant compromises anything, so
 		// report the zero injection rather than a fault-free picture at 0.
 		return Injection{}, nil
 	}
-	return gi.inject(bestT, names, false), nil
+	if bestT != instants[seed] {
+		return gi.inject(bestT, names, worstKept), nil
+	}
+	gi.nextBoundary = next
+	return inj, nil
 }

@@ -12,8 +12,9 @@ import (
 )
 
 // incCase is what an op sequence drives: a membership, a catalog, the
-// instant under evaluation and an injector fed only ApplyBuckets and
-// ApplyCatalog, whose kept faults every step puts to the test.
+// instant under evaluation, the worst window's horizon and an injector fed
+// only ApplyBuckets and ApplyCatalog, whose kept faults and kept sweep
+// state every step puts to the test.
 type incCase struct {
 	d        draws
 	replicas []Replica // name-ascending
@@ -21,8 +22,10 @@ type incCase struct {
 	cat      *Catalog
 	gi       *GroupInjector
 	at       time.Duration
-	joined   int // replicas joined so far, for fresh names
-	vulns    int // vulnerabilities disclosed by the ops, for fresh IDs
+	horizon  time.Duration
+	swept    bool // horizon is drawn
+	joined   int  // replicas joined so far, for fresh names
+	vulns    int  // vulnerabilities disclosed by the ops, for fresh IDs
 }
 
 // newIncCase starts from a sweep case at instant 0 and injects once, so
@@ -159,7 +162,11 @@ func groupsString(bs BucketSpec) string {
 // summary fault must not answer for names), NextBoundary, TotalFractionAt,
 // and the worst window, after which the kept faults must still answer the
 // instant exactly. Inject and the worst window are also held to the flat
-// injector over the same replicas.
+// injector over the same replicas. The horizon mostly stays, so that the
+// sweep's kept instants and bounds are carried across ops; after each
+// sweep they, and the sweep's size, must be a fresh sweep's: a bound left
+// too high or an instant left behind costs time, not answers, and only
+// this comparison sees it.
 func (c *incCase) check(t testing.TB, what string) {
 	t.Helper()
 	fresh, err := NewGroupInjector(c.cat, c.specs)
@@ -190,7 +197,10 @@ func (c *incCase) check(t testing.TB, what string) {
 	if g, w := c.gi.Inject(c.at), flat.Inject(c.at); !sameInj(g, w) {
 		t.Fatalf("%s: at %v against the flat injector\n got %+v\nwant %+v", what, c.at, g, w)
 	}
-	horizon := time.Duration(c.d.Intn(70)) * 3 * time.Hour
+	if !c.swept || c.d.Intn(4) == 0 {
+		c.horizon, c.swept = time.Duration(c.d.Intn(70))*3*time.Hour, true
+	}
+	horizon := c.horizon
 	g, err := c.gi.WorstWindow(horizon)
 	if err != nil {
 		t.Fatal(err)
@@ -204,6 +214,18 @@ func (c *incCase) check(t testing.TB, what string) {
 	}
 	if w, err := flat.WorstWindow(horizon); err != nil || !sameInj(g, w) {
 		t.Fatalf("%s: worst window to %v against the flat injector (%v)\n got %+v\nwant %+v", what, horizon, err, g, w)
+	}
+	gn, ge := c.gi.LastSweep()
+	if wn, we := fresh.LastSweep(); gn != wn || ge != we {
+		t.Fatalf("%s: worst window to %v covered %d instants and evaluated %d, want %d and %d", what, horizon, gn, ge, wn, we)
+	}
+	if c.gi.total > 0 {
+		if g, w := c.gi.sweep.instants, fresh.sweep.instants; !slices.Equal(g, w) {
+			t.Fatalf("%s: kept critical instants to %v\n got %v\nwant %v", what, horizon, g, w)
+		}
+		if g, w := c.gi.sweep.bound, fresh.sweep.bound; !slices.Equal(g, w) {
+			t.Fatalf("%s: kept sweep bounds to %v\n got %v\nwant %v", what, horizon, g, w)
+		}
 	}
 	if g, w := c.gi.TotalFractionAt(c.at), fresh.TotalFractionAt(c.at); g != w {
 		t.Fatalf("%s: TotalFractionAt(%v) = %v, want %v", what, c.at, g, w)
@@ -302,6 +324,44 @@ func TestKeptFaultsSurviveWorstWindow(t *testing.T) {
 	for i, f := range gi.Inject(at).Faults {
 		if kept := &f.Compromised[0] == &first.Faults[i].Compromised[0]; kept != (f.Vuln != "CVE-os-b") {
 			t.Errorf("%s: kept %v after a change to os-b alone", f.Vuln, kept)
+		}
+	}
+}
+
+// TestSeverityOneSweepEvaluatesSeedAfterWrites: at severity 1 the bound at
+// every instant is the exact numerator, so a sweep evaluates its seed
+// alone — also on an injector that has carried its bounds across writes.
+// Power changes keep every bucket's latencies, so each one moves a bucket's
+// share of the kept bounds; a share that stayed behind would lift an
+// instant above the worst and cost an evaluation there.
+func TestSeverityOneSweepEvaluatesSeedAfterWrites(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	for i := 0; i < 100; i++ {
+		_, replicas, horizon := sweepCase(rng)
+		cat := NewCatalog()
+		for k, n := 0, 1+rng.Intn(8); k < n; k++ {
+			at := time.Duration(rng.Intn(40)) * 3 * time.Hour
+			mustAdd(t, cat, Vulnerability{ID: ID(fmt.Sprintf("CVE-%03d", k)), Class: config.ClassOperatingSystem,
+				Product: []string{"os-a", "os-b", "os-c"}[rng.Intn(3)], Disclosed: at,
+				PatchAt: at + time.Duration(rng.Intn(12))*3*time.Hour, Severity: 1})
+		}
+		c := &incCase{d: rng, cat: cat, replicas: replicas, specs: bucketize(replicas)}
+		gi, err := NewGroupInjector(cat, c.specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.gi = gi
+		for j := 0; j < 12; j++ {
+			r := &c.replicas[rng.Intn(len(c.replicas))]
+			r.Power = float64(rng.Intn(60)) / 10
+			c.rebucket()
+			if _, err := c.gi.WorstWindow(horizon); err != nil {
+				t.Fatal(err)
+			}
+			if n, evaluated := c.gi.LastSweep(); n > 0 && evaluated != 1 {
+				t.Fatalf("case %d, write %d (power %s %v): the sweep evaluated %d of %d instants, want its seed alone",
+					i, j, r.Name, r.Power, evaluated, n)
+			}
 		}
 	}
 }

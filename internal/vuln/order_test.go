@@ -190,8 +190,10 @@ func TestGroupInjectorHeapAllocations(t *testing.T) {
 		order   func(i int) float64 // a group's power
 		ceiling float64
 	}{
-		// Measured 0.65 B per group (20 688 B; Go 1.24, linux/amd64, with
-		// and without -race): the bucket and known-ID maps and the exposure
+		// Measured 0.69 B per group (0.65 before each exposure held a
+		// second kept-fault pointer, the worst-window sweep's, and each
+		// bucket a second dedup sum; Go 1.24, linux/amd64, with and
+		// without -race): the bucket and known-ID maps and the exposure
 		// slab for 32 buckets × 64 vulns. The reading was 0.2 B, and the
 		// ceiling 0.3, while a 13 568-B table of the catalog's set-up was
 		// freed inside the window. With a 24-B dedup record per group

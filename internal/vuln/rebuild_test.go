@@ -48,8 +48,8 @@ func flatIndex(in *Injector) string {
 // the known set and the per-instant and per-sweep state a fresh build
 // starts from.
 func groupedIndex(gi *GroupInjector) string {
-	s := fmt.Sprintf("total=%v gen=%d next=%v sweep=%d/%d marked=%d taken=%d keys=%v known=%v\n",
-		gi.total, gi.markGen, gi.nextBoundary, gi.sweepInstants, gi.sweepEvaluated,
+	s := fmt.Sprintf("total=%v gen=%d next=%v sweep=%v %d/%d marked=%d taken=%d keys=%v known=%v\n",
+		gi.total, gi.markGen, gi.nextBoundary, gi.sweep.built, gi.sweep.lastInstants, gi.sweep.lastEvaluated,
 		len(gi.marked), len(gi.taken), gi.keys, slices.Sorted(maps.Keys(gi.known)))
 	for _, key := range gi.keys {
 		b := gi.buckets[key]
