@@ -31,7 +31,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"sync"
 	"syscall"
 	"time"
@@ -41,7 +40,6 @@ import (
 )
 
 func main() {
-	runtime.MemProfileRate = 0 // the daemon writes no heap profile (profile.Start)
 	log.SetFlags(0)
 	log.SetPrefix("monitord: ")
 	var (

@@ -45,7 +45,6 @@ import (
 )
 
 func main() {
-	runtime.MemProfileRate = 0 // on again only for sweep -memprofile (profile.Start)
 	log.SetFlags(0)
 	log.SetPrefix("scenarios: ")
 	commands := map[string]func(args []string){

@@ -13,10 +13,11 @@ import (
 
 // heapSampling is the runtime's heap sampling rate at start-up. Linking
 // runtime/pprof turns the sampling on for the whole process, and it keeps a
-// record per distinct allocation stack, so a program that imports this
-// package sets runtime.MemProfileRate to 0 first thing and Start turns it
-// back on only for a heap profile.
+// record per distinct allocation stack, so the package turns it off as it
+// initialises and Start turns it back on only for a heap profile.
 var heapSampling = runtime.MemProfileRate
+
+func init() { runtime.MemProfileRate = 0 }
 
 // Start starts a CPU profile into the file cpu, unless cpu is
 // empty, and returns the function that ends the profiling: it stops the

@@ -123,8 +123,8 @@ type GroupInjector struct {
 	nextBoundary time.Duration
 
 	sweep      giSweep
-	touched    []*giExposure   // the exposures an ApplyBuckets call touched
-	latScratch []time.Duration // latIndex's sort buffer
+	touched    []*giExposure // the exposures an ApplyBuckets call touched
+	latScratch []latStep     // latIndex's list of distinct latencies
 }
 
 // Kept fault sets: giExposure.kept and giBucket.dedup hold one entry per
@@ -148,6 +148,8 @@ type giSweep struct {
 	horizon  time.Duration
 	instants []time.Duration
 	bound    []uint64
+	// exact: every severity is 1, so each bound is its instant's numerator.
+	exact bool
 	// The last sweep's size (LastSweep).
 	lastInstants, lastEvaluated int
 }
@@ -307,6 +309,7 @@ func (gi *GroupInjector) Rebuild(catalog *Catalog, buckets []BucketSpec) error {
 		}
 	}
 	gi.markGen, gi.nextBoundary, gi.dedup = 0, 0, [keptSets]uint64{}
+	gi.unpin()
 	gi.marked, gi.taken = gi.marked[:0], gi.taken[:0]
 	gi.open, gi.touched = gi.open[:0], gi.touched[:0]
 	gi.sweep.built, gi.sweep.lastInstants, gi.sweep.lastEvaluated = false, 0, 0
@@ -372,60 +375,26 @@ func (b *giBucket) fill(bs BucketSpec, slab []*GroupSpec) int {
 // latency > t − PatchAt — a suffix of this index — so one lookup gives the
 // power an exposure can reach in the bucket, and the distinct latencies are
 // the bucket's distinct window-close offsets. Built lazily, because most
-// buckets of a short-lived injector are never swept. The distinct latencies
-// are sorted in gi's scratch, so the index the bucket keeps has exactly one
-// entry per distinct latency, and each group's units are summed into its
-// latency's entry; a bucket has few distinct latencies and many groups.
+// buckets of a short-lived injector are never swept. A bucket has few
+// distinct latencies and many groups, so each group's units are summed into
+// its latency's entry of a short sorted list in gi's scratch, which gains an
+// entry only at a latency not seen yet, and the index the bucket keeps is
+// that list copied at its exact length.
 func (gi *GroupInjector) latIndex(b *giBucket) []latStep {
 	if b.lat != nil || len(b.groups) == 0 {
 		return b.lat
 	}
-	lats := slices.Grow(gi.latScratch[:0], len(b.groups))
-	for _, g := range b.groups {
-		lats = append(lats, g.Latency)
-	}
-	gi.latScratch = lats
-	slices.Sort(lats)
-	lats = slices.Compact(lats)
-	lat := make([]latStep, len(lats))
-	for i, l := range lats {
-		lat[i].latency = l
-	}
-	for _, g := range b.groups {
-		lat[firstOpen(lat, g.Latency-1)].suffix += uint64(len(g.Names)) * g.Units
-	}
-	b.lat = suffixSums(lat)
-	return b.lat
-}
-
-// latIndexLike builds b's latency index in one pass over its groups, with
-// no sort, when they have exactly the distinct latencies of like — a
-// replaced bucket's, and at most 64 of them — and reports whether it did.
-func latIndexLike(b *giBucket, like []latStep) bool {
-	var seen [64]bool
-	if len(like) == 0 || len(like) > len(seen) {
-		return false
-	}
-	lat := make([]latStep, len(like))
-	for i, st := range like {
-		lat[i].latency = st.latency
-	}
-	found := 0
+	lat := gi.latScratch[:0]
 	for _, g := range b.groups {
 		i := firstOpen(lat, g.Latency-1)
 		if i == len(lat) || lat[i].latency != g.Latency {
-			return false
-		}
-		if !seen[i] {
-			seen[i], found = true, found+1
+			lat = slices.Insert(lat, i, latStep{latency: g.Latency})
 		}
 		lat[i].suffix += uint64(len(g.Names)) * g.Units
 	}
-	if found < len(lat) {
-		return false
-	}
-	b.lat = suffixSums(lat)
-	return true
+	gi.latScratch = lat
+	b.lat = suffixSums(slices.Clone(lat))
+	return b.lat
 }
 
 // suffixSums turns per-latency units into the index's suffix sums.
@@ -558,6 +527,7 @@ func (gi *GroupInjector) ApplyBuckets(changed []BucketSpec, removed []string) {
 	}
 	clear(gi.touched)
 	gi.touched = gi.touched[:0]
+	gi.unpin()
 }
 
 // touch empties the intervals of e's kept faults, so the next inject of
@@ -596,7 +566,7 @@ func (gi *GroupInjector) resweep(old, nb *giBucket) {
 	if !gi.sweep.built || len(nb.exps) == 0 {
 		return
 	}
-	if latIndexLike(nb, old.lat) || sameLatencies(gi.latIndex(nb), old.lat) {
+	if sameLatencies(gi.latIndex(nb), old.lat) {
 		gi.rebound(nb, nb.lat, old.lat)
 	} else {
 		gi.sweep.built = false
@@ -988,13 +958,13 @@ func (gi *GroupInjector) inject(t time.Duration, names bool, s int) Injection {
 	}
 	clear(faults) // the scratch pins no names
 	gi.faults = faults[:0]
-	gi.unpin()
 	return inj
 }
 
 // unpin clears the per-instant scratch out to its capacity, so that no
-// bucket a later write replaces stays reachable from it, with the groups
-// and names it holds, until some evaluation happens to overwrite it.
+// bucket ApplyBuckets replaced or removed, or a Rebuild let go, stays
+// reachable from it, with the groups and names it holds, until some
+// evaluation happens to overwrite it.
 func (gi *GroupInjector) unpin() {
 	clear(gi.open[:cap(gi.open)])
 	clear(gi.bs[:cap(gi.bs)])
@@ -1155,6 +1125,10 @@ func (gi *GroupInjector) sweepState(horizon time.Duration) {
 	sw.instants = gi.criticalInstants(horizon, sw.instants)
 	sw.bound = slices.Grow(sw.bound[:0], len(sw.instants))[:len(sw.instants)]
 	clear(sw.bound)
+	sw.exact = true
+	for _, e := range gi.exposures {
+		sw.exact = sw.exact && e.vuln.Severity >= 1
+	}
 	for _, key := range gi.keys {
 		if b := gi.buckets[key]; len(b.exps) > 0 {
 			gi.rebound(b, gi.latIndex(b), nil)
@@ -1209,16 +1183,22 @@ func (gi *GroupInjector) rebound(b *giBucket, lat, old []latStep) {
 
 // worstWindow is the bound-and-prune sweep over numerators of the one
 // fixed total, on the kept instants and bounds. It seeds the search at the
-// instant with the largest bound, assembling the sweep's kept faults
-// there, then walks the instants evaluating the exact numerator only where
-// the bound can still win. An instant's numerator sums a subset of what
-// its bound sums, so one whose bound is below the best is not a maximiser.
-// Ties go to the earlier instant — the flat sweep's "first strict
-// improvement in time order" — so one later than the best instant whose
-// bound equals the best cannot win either: at most it ties. On a saturated
-// severity-1 catalog, where every bound is the total, that leaves the seed
-// alone to evaluate, and the answer is the seed's kept faults: after a
-// write, only the ones the write touched are derived again.
+// first instant with the largest bound, then walks the instants evaluating
+// the exact numerator only where the bound can still win. An instant's
+// numerator sums a subset of what its bound sums, so one whose bound is
+// below the best is not a maximiser. Ties go to the earlier instant — the
+// flat sweep's "first strict improvement in time order" — so one later than
+// the best instant whose bound equals the best cannot win either: at most
+// it ties. The answer is the sweep's kept faults at the best instant: after
+// a write, only the ones the write touched are derived again.
+//
+// When every severity is 1 each bound is its instant's numerator, so the
+// seed is the answer and the walk evaluates nothing: the seed is assembled
+// from the kept faults directly. Otherwise the seed can lose, and it is
+// evaluated without names or kept faults, so that the kept set stays at the
+// answer from one sweep to the next instead of moving to the seed and back.
+// Either way the answer needs the bounds to be upper bounds only: one left
+// too high costs evaluations, not a wrong answer.
 func (gi *GroupInjector) worstWindow(horizon time.Duration, names bool) (Injection, error) {
 	if horizon < 0 {
 		return Injection{}, errors.New("vuln: negative horizon " + horizon.String())
@@ -1236,8 +1216,13 @@ func (gi *GroupInjector) worstWindow(horizon time.Duration, names bool) (Injecti
 		}
 	}
 	bestT := instants[seed]
-	inj := gi.inject(bestT, names, worstKept)
-	best, next := gi.dedup[worstKept], gi.nextBoundary
+	var inj Injection
+	var best uint64
+	if gi.sweep.exact {
+		inj, best = gi.inject(bestT, names, worstKept), gi.dedup[worstKept]
+	} else {
+		best = gi.dedupAt(bestT)
+	}
 	evaluated := 1
 	for i, t := range instants {
 		if i == seed || bound[i] < best || (bound[i] == best && t > bestT) {
@@ -1249,15 +1234,13 @@ func (gi *GroupInjector) worstWindow(horizon time.Duration, names bool) (Injecti
 		}
 	}
 	gi.sweep.lastInstants, gi.sweep.lastEvaluated = len(instants), evaluated
-	gi.unpin()
 	if best == 0 {
 		// Match Injector.WorstWindow: no instant compromises anything, so
 		// report the zero injection rather than a fault-free picture at 0.
 		return Injection{}, nil
 	}
-	if bestT != instants[seed] {
+	if evaluated > 1 || !gi.sweep.exact {
 		return gi.inject(bestT, names, worstKept), nil
 	}
-	gi.nextBoundary = next
 	return inj, nil
 }
