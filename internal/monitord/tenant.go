@@ -1,7 +1,6 @@
 package monitord
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -178,9 +177,9 @@ func buildTenant(name string, ts TenantSpec) (*Tenant, error) {
 	t.threshold = mon.Threshold()
 	t.hub = newHub(t)
 
-	var configs configurations
+	var configs spec.Configurations
 	for _, rs := range ts.Replicas {
-		cfg, err := configs.build(rs.Components)
+		cfg, err := configs.Build(rs.Components)
 		if err != nil {
 			return nil, err
 		}
@@ -223,36 +222,6 @@ func substrateFor(ts TenantSpec) (core.Substrate, error) {
 // configuration its components build.
 func joinReplica(t *Tenant, rs ReplicaSpec, cfg config.Configuration) error {
 	return t.Registry.JoinDeclared(registry.ReplicaID(rs.ID), cfg, rs.Power, rs.PatchLatency.D())
-}
-
-// configurations builds the configuration of each distinct component list
-// once: a seed of thousands of replicas holds a few dozen lists. It keeps
-// only what built, so a list that fails fails again with the same error.
-type configurations struct {
-	built map[string]config.Configuration // by the list, each field length-prefixed
-	key   []byte
-}
-
-func (cs *configurations) build(specs []ComponentSpec) (config.Configuration, error) {
-	cs.key = cs.key[:0]
-	for _, s := range specs {
-		for _, field := range [...]string{s.Class, s.Name, s.Version} {
-			cs.key = binary.AppendUvarint(cs.key, uint64(len(field)))
-			cs.key = append(cs.key, field...)
-		}
-	}
-	if cfg, ok := cs.built[string(cs.key)]; ok {
-		return cfg, nil
-	}
-	cfg, err := spec.BuildConfiguration(specs)
-	if err != nil {
-		return cfg, err
-	}
-	if cs.built == nil {
-		cs.built = make(map[string]config.Configuration)
-	}
-	cs.built[string(cs.key)] = cfg
-	return cfg, nil
 }
 
 // Get returns the named tenant.

@@ -64,39 +64,57 @@ type Snapshot struct {
 // NumReplicas reports the population size in O(1).
 func (s *Snapshot) NumReplicas() int { return s.members }
 
-// BucketSpecs adapts the buckets for vuln.NewGroupInjector. The specs
-// share the snapshot's group slices; read-only.
+// BucketSpecs adapts the buckets for vuln.NewGroupInjector, in a new slice.
+// The specs share the snapshot's group slices; read-only.
 func (s *Snapshot) BucketSpecs() []vuln.BucketSpec {
-	out := make([]vuln.BucketSpec, len(s.buckets))
-	for i, sb := range s.buckets {
-		out[i] = sb.BucketSpec
+	return s.AppendBucketSpecs(make([]vuln.BucketSpec, 0, len(s.buckets)))
+}
+
+// AppendBucketSpecs appends BucketSpecs' specs to dst, for a caller that
+// keeps one buffer across snapshots (the scenario oracle). The appended
+// specs share the snapshot's group slices; read-only.
+func (s *Snapshot) AppendBucketSpecs(dst []vuln.BucketSpec) []vuln.BucketSpec {
+	for _, sb := range s.buckets {
+		dst = append(dst, sb.BucketSpec)
 	}
-	return out
+	return dst
 }
 
 // Replicas returns the membership adapted for vuln fault injection,
 // ID-sorted, built lazily from the snapshot's own pinned group data (not
-// live registry state, which may have moved on). Read-only: do not modify
-// elements or append.
+// live registry state, which may have moved on) and kept for the
+// snapshot's later readers. It is for the readers that want ID order: the
+// scenario engine's adversary probes, the live harness booting its
+// cluster, VulnReplicas and assessbench. A reader indifferent to the order
+// (the scenario oracle's vuln.Injector, which sorts what it needs) appends
+// the same replicas into a buffer of its own with AppendReplicas instead.
+// Read-only: do not modify elements or append.
 func (s *Snapshot) Replicas() []vuln.Replica {
 	s.repsOnce.Do(func() {
-		reps := make([]vuln.Replica, 0, s.members)
-		for _, sb := range s.buckets {
-			for _, g := range sb.Groups {
-				for _, name := range g.Names {
-					reps = append(reps, vuln.Replica{
-						Name:         name,
-						Config:       sb.Config,
-						Power:        vuln.UnitsPower(g.Units),
-						PatchLatency: g.Latency,
-					})
-				}
-			}
-		}
+		reps := s.AppendReplicas(make([]vuln.Replica, 0, s.members))
 		slices.SortFunc(reps, func(a, b vuln.Replica) int { return cmp.Compare(a.Name, b.Name) })
 		s.lazyReps = reps
 	})
 	return s.lazyReps
+}
+
+// AppendReplicas appends the membership Replicas lists to dst, in bucket
+// and group order rather than by ID. Nothing is sorted or kept on the
+// snapshot.
+func (s *Snapshot) AppendReplicas(dst []vuln.Replica) []vuln.Replica {
+	for _, sb := range s.buckets {
+		for _, g := range sb.Groups {
+			for _, name := range g.Names {
+				dst = append(dst, vuln.Replica{
+					Name:         name,
+					Config:       sb.Config,
+					Power:        vuln.UnitsPower(g.Units),
+					PatchLatency: g.Latency,
+				})
+			}
+		}
+	}
+	return dst
 }
 
 // Population returns the weighted membership for diversity metrics,

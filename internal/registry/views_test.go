@@ -3,6 +3,8 @@ package registry
 import (
 	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -88,5 +90,40 @@ func TestSnapshotViewsConcurrentFirstUse(t *testing.T) {
 		if &reps[i][0] != &reps[0][0] || pops[i] != pops[0] {
 			t.Fatalf("caller %d saw a different view", i)
 		}
+	}
+}
+
+// TestAppendViewsMatchTheirCopies: AppendReplicas lists Replicas' members
+// (the same set, in bucket order), AppendBucketSpecs BucketSpecs' specs;
+// both keep what dst held and build nothing on the snapshot.
+func TestAppendViewsMatchTheirCopies(t *testing.T) {
+	r := viewsRegistry(t)
+	s, err := r.Snapshot(DefaultWeighting)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := vuln.Replica{Name: "kept"}
+	reps := s.AppendReplicas([]vuln.Replica{prefix})
+	if s.lazyReps != nil {
+		t.Fatal("AppendReplicas built Replicas' view")
+	}
+	if !reflect.DeepEqual(reps[0], prefix) {
+		t.Fatalf("dst's element became %v", reps[0])
+	}
+	sorted := slices.Clone(reps[1:])
+	slices.SortFunc(sorted, func(a, b vuln.Replica) int { return strings.Compare(a.Name, b.Name) })
+	if !reflect.DeepEqual(sorted, s.Replicas()) {
+		t.Fatalf("appended replicas, sorted, differ from Replicas:\n got %v\nwant %v", sorted, s.Replicas())
+	}
+	if reflect.DeepEqual(reps[1:], s.Replicas()) {
+		t.Fatal("the fixture's bucket order is its ID order: the comparison above proves nothing about order")
+	}
+	specs := s.AppendBucketSpecs(make([]vuln.BucketSpec, 1, 8))
+	if !reflect.DeepEqual(specs[1:], s.BucketSpecs()) || specs[0].Key != "" {
+		t.Fatalf("AppendBucketSpecs %v, BucketSpecs %v", specs[1:], s.BucketSpecs())
+	}
+	buf := make([]vuln.Replica, 0, 60)
+	if got := testing.AllocsPerRun(20, func() { buf = s.AppendReplicas(buf[:0]) }); got != 0 {
+		t.Fatalf("AppendReplicas into a large enough buffer allocates %.0f objects", got)
 	}
 }

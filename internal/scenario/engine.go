@@ -3,6 +3,7 @@ package scenario
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -35,6 +36,7 @@ type Engine struct {
 	catalog *vuln.Catalog
 	mon     *core.Monitor
 
+	store     *workerStore // storage kept across a sweep worker's runs, or an empty one
 	seq       uint64
 	records   []Record // the trace; Run sizes it once, emit fills it in place
 	emitting  bool     // an emit is in progress (emit is not re-entrant)
@@ -99,8 +101,9 @@ func (e *Engine) Observe(o Observer) {
 	}
 }
 
-// newEngine assembles the run state for one scenario at one derived seed.
-func newEngine(def Def, seed int64) (*Engine, error) {
+// newEngine assembles the run state for one scenario at one derived seed,
+// on the storage st.
+func newEngine(def Def, seed int64, st *workerStore) (*Engine, error) {
 	sched := sim.NewScheduler(seed)
 	reg := registry.New(nil)
 	catalog := vuln.NewCatalog()
@@ -111,6 +114,7 @@ func newEngine(def Def, seed int64) (*Engine, error) {
 	return &Engine{
 		def:     def,
 		seed:    seed,
+		store:   st,
 		sched:   sched,
 		reg:     reg,
 		catalog: catalog,
@@ -578,6 +582,13 @@ type RunOpt func(*runConfig)
 
 type runConfig struct {
 	observers []Observer
+	store     *workerStore // nil: the run gets an empty one
+}
+
+// withStore runs on a sweep worker's kept storage. The Result's Records then
+// share the store's memory: the caller hands them back once it has read them.
+func withStore(st *workerStore) RunOpt {
+	return func(rc *runConfig) { rc.store = st }
 }
 
 // WithObserver registers an observer on the engine before the timeline is
@@ -605,8 +616,11 @@ func Run(def Def, baseSeed int64, opts ...RunOpt) (*Result, error) {
 	if def.Build == nil || def.Horizon <= 0 {
 		return nil, fmt.Errorf("scenario: invalid definition %q", def.Name)
 	}
+	if rc.store == nil {
+		rc.store = new(workerStore)
+	}
 	seed := DeriveSeed(baseSeed, def.Name)
-	e, err := newEngine(def, seed)
+	e, err := newEngine(def, seed, rc.store)
 	if err != nil {
 		return nil, err
 	}
@@ -627,10 +641,12 @@ func Run(def Def, baseSeed int64, opts ...RunOpt) (*Result, error) {
 	if tick <= 0 {
 		tick = def.Horizon
 	}
-	// Size the trace once: every event scheduled so far emits at most one
-	// record, then one per tick and the final one. Only a run that schedules
-	// events mid-run (the live loop's reactions) can outgrow this.
-	e.records = make([]Record, 0, e.sched.Pending()+int(def.Horizon/tick)+2)
+	// Size the trace once, in the store's records: every event scheduled so
+	// far emits at most one record, then one per tick and the final one.
+	// Only a run that schedules events mid-run (the live loop's reactions)
+	// can outgrow this. emit appends whole records, so nothing of a kept
+	// trace shows through.
+	e.records = slices.Grow(e.store.records[:0], e.sched.Pending()+int(def.Horizon/tick)+2)
 	if _, err := e.sched.Every(0, tick, "tick", func() {
 		if e.runErr != nil {
 			return

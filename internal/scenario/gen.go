@@ -62,15 +62,22 @@ func ProfileNames() []string {
 // invalid timeline is a bug in the generator, not in the caller, and
 // panics.
 func (p GenProfile) Generate(baseSeed int64, index int) *Timeline {
+	return p.generate(baseSeed, index, new(workerStore))
+}
+
+// generate is Generate on a worker's storage: the generator's source is the
+// store's, re-seeded, and the events are appended into the store's event
+// storage, which the timeline then shares until its run is over.
+func (p GenProfile) generate(baseSeed int64, index int, st *workerStore) *Timeline {
 	if p.gen == nil {
 		panic(fmt.Sprintf("scenario: profile %q has no generator", p.Name))
 	}
-	seed := sim.ChunkSeed(DeriveSeed(baseSeed, "gen-"+p.Name), index)
-	rng := rand.New(rand.NewSource(seed))
+	rng := st.genRand(sim.ChunkSeed(DeriveSeed(baseSeed, "gen-"+p.Name), index))
 	tl := &Timeline{
-		Name:  fmt.Sprintf("gen-%s-%d-%04d", p.Name, baseSeed, index),
-		Title: p.Title,
-		Tags:  []string{"generated", p.Name},
+		Name:   fmt.Sprintf("gen-%s-%d-%04d", p.Name, baseSeed, index),
+		Title:  p.Title,
+		Tags:   []string{"generated", p.Name},
+		Events: st.events[:0],
 	}
 	p.gen(rng, tl)
 	tl.SortEvents()

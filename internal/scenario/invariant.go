@@ -219,11 +219,14 @@ const oracleEvery = 4
 
 // oracleObserver cross-checks the monitor's incremental fraction and a
 // GroupInjector rebuilt from scratch against the flat oracle at sampled
-// instants. It keeps one injector of each kind and rebuilds both from every
-// sampled snapshot, so only their storage outlives a sample.
+// instants. Both references are rebuilt from every sampled snapshot; what
+// outlives a sample is storage only, and it lives in the engine's store
+// (oracleStore), so a sweep worker carries it from one timeline to the next:
+// the snapshot's replicas and buckets are appended into kept buffers, and a
+// warm Rebuild of either injector allocates nothing. The flat injector reads
+// the replicas in bucket order, not ID order: its injection is independent
+// of the order it is fed (it sorts each exposed set into attack order).
 type oracleObserver struct {
-	flat       vuln.Injector
-	grouped    vuln.GroupInjector
 	violations []Violation
 }
 
@@ -236,10 +239,12 @@ func (o *oracleObserver) AfterEvent(e *Engine, info EventInfo, rec *Record) erro
 	if err != nil {
 		return err
 	}
-	if err := o.flat.Rebuild(e.Catalog(), snap.Replicas()); err != nil {
+	kept := &e.store.oracle
+	kept.replicas = snap.AppendReplicas(kept.replicas[:0])
+	if err := kept.flat.Rebuild(e.Catalog(), kept.replicas); err != nil {
 		return err
 	}
-	flat := o.flat.Inject(now)
+	flat := kept.flat.Inject(now)
 	add := func(format string, args ...any) {
 		o.violations = append(o.violations, Violation{
 			Invariant: "oracle-agreement",
@@ -258,10 +263,11 @@ func (o *oracleObserver) AfterEvent(e *Engine, info EventInfo, rec *Record) erro
 	}
 	// A GroupInjector rebuilt from the same snapshot must agree with the
 	// flat path fault for fault: names, powers and fractions of every fault.
-	if err := o.grouped.Rebuild(e.Catalog(), snap.BucketSpecs()); err != nil {
+	kept.specs = snap.AppendBucketSpecs(kept.specs[:0])
+	if err := kept.grouped.Rebuild(e.Catalog(), kept.specs); err != nil {
 		return err
 	}
-	grouped := o.grouped.Inject(now)
+	grouped := kept.grouped.Inject(now)
 	if !sameInjection(flat, grouped) {
 		// Marshal only to word the violation; a clean run never encodes.
 		fj, err := json.Marshal(flat)

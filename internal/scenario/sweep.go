@@ -122,6 +122,14 @@ func sweepProfiles(names []string) ([]GenProfile, error) {
 // report. The first run error aborts the sweep (generated timelines are
 // expected to run clean; an error means a generator or engine bug, not a
 // property violation).
+//
+// Each worker carries one workerStore from one timeline to the next: the
+// generator's source and event storage, the configurations its joins use,
+// the oracle's buffers and injectors, and the trace's records, which go
+// back to the store once the run is summarised. Every value is still
+// recomputed from the run's own inputs, so the report does not depend on
+// which worker ran which timeline. One worker is the one-worker case of the
+// same pool.
 func Sweep(ctx context.Context, opts SweepOptions) (*SweepReport, error) {
 	if opts.Runs <= 0 {
 		return nil, fmt.Errorf("scenario: non-positive sweep size %d", opts.Runs)
@@ -149,11 +157,11 @@ func Sweep(ctx context.Context, opts SweepOptions) (*SweepReport, error) {
 
 	runs := make([]SweepRun, opts.Runs)
 	errs := make([]error, opts.Runs)
-	runOne := func(i int) error {
+	runOne := func(i int, st *workerStore) error {
 		p := profiles[i%len(profiles)]
 		index := i / len(profiles)
-		tl := p.Generate(opts.Seed, index)
-		res, violations, err := CheckRun(tl.Def(), opts.Seed, invs)
+		tl := p.generate(opts.Seed, index, st)
+		res, violations, err := CheckRun(tl.Def(), opts.Seed, invs, withStore(st))
 		if err != nil {
 			return fmt.Errorf("%s: %w", tl.Name, err)
 		}
@@ -164,6 +172,7 @@ func Sweep(ctx context.Context, opts SweepOptions) (*SweepReport, error) {
 				worst = rec.WorstFraction
 			}
 		}
+		st.recycle(tl, res)
 		runs[i] = SweepRun{
 			Name:        tl.Name,
 			Profile:     p.Name,
@@ -179,45 +188,35 @@ func Sweep(ctx context.Context, opts SweepOptions) (*SweepReport, error) {
 		return nil
 	}
 
-	if workers <= 1 {
-		for i := 0; i < opts.Runs; i++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if err := runOne(i); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		var (
-			next atomic.Int64
-			wg   sync.WaitGroup
-		)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for ctx.Err() == nil {
-					i := int(next.Add(1)) - 1
-					if i >= opts.Runs {
-						return
-					}
-					if err := runOne(i); err != nil {
-						errs[i] = err
-						cancel()
-					}
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			st := new(workerStore)
+			for ctx.Err() == nil {
+				i := int(next.Add(1)) - 1
+				if i >= opts.Runs {
+					return
 				}
-			}()
-		}
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			for _, e := range errs {
-				if e != nil {
-					return nil, e
+				if err := runOne(i, st); err != nil {
+					errs[i] = err
+					cancel()
 				}
 			}
-			return nil, err
+		}()
+	}
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		for _, e := range errs {
+			if e != nil {
+				return nil, e
+			}
 		}
+		return nil, err
 	}
 
 	// Serial aggregation in run order: identical for every worker count.

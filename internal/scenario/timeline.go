@@ -552,7 +552,7 @@ func (tl *Timeline) Apply(e *Engine) error {
 func applyEvent(e *Engine, ev *Event) error {
 	switch ev.Op {
 	case OpJoin:
-		cfg, err := spec.BuildConfiguration(ev.Config)
+		cfg, err := e.store.configs.Build(ev.Config)
 		if err != nil {
 			return err
 		}
@@ -562,7 +562,7 @@ func applyEvent(e *Engine, ev *Event) error {
 	case OpPower:
 		return e.setPowerAt(ev.At.D(), registry.ReplicaID(ev.ID), ev.Power)
 	case OpMigrate:
-		cfg, err := spec.BuildConfiguration(ev.Config)
+		cfg, err := e.store.configs.Build(ev.Config)
 		if err != nil {
 			return err
 		}

@@ -93,7 +93,8 @@ type Scheduler struct {
 	now     time.Duration
 	seq     uint64
 	queue   []entry // binary min-heap on entry.before
-	rng     *rand.Rand
+	src     lazySource
+	rng     *rand.Rand // draws from src
 	stopped bool
 	fired   uint64
 }
@@ -101,14 +102,45 @@ type Scheduler struct {
 // NewScheduler returns a scheduler whose random source is seeded with seed.
 // The same seed always produces the same run.
 func NewScheduler(seed int64) *Scheduler {
-	return &Scheduler{rng: rand.New(rand.NewSource(seed))}
+	s := &Scheduler{src: lazySource{seed: seed}}
+	s.rng = rand.New(&s.src)
+	return s
+}
+
+// lazySource is rand.NewSource(seed), built on the first draw: a run that
+// never draws (an analytic timeline's) never pays for the 607-word state or
+// its seeding. The stream is the one rand.NewSource(seed) gives, bit for bit.
+type lazySource struct {
+	seed int64
+	src  rand.Source64 // nil until the first draw
+}
+
+func (l *lazySource) get() rand.Source64 {
+	if l.src == nil {
+		// rand.NewSource's source has always been a Source64.
+		l.src = rand.NewSource(l.seed).(rand.Source64)
+	}
+	return l.src
+}
+
+func (l *lazySource) Int63() int64   { return l.get().Int63() }
+func (l *lazySource) Uint64() uint64 { return l.get().Uint64() }
+
+func (l *lazySource) Seed(seed int64) {
+	if l.src != nil {
+		l.src.Seed(seed)
+	}
+	l.seed = seed
 }
 
 // Now returns the current virtual time.
 func (s *Scheduler) Now() time.Duration { return s.now }
 
 // Rand returns the scheduler's deterministic random source. Protocol code
-// must draw all randomness from this source to remain replayable.
+// must draw all randomness from this source to remain replayable. The source
+// is seeded on its first draw, not by NewScheduler: a run that never draws
+// costs no source, and one that does sees the stream
+// rand.New(rand.NewSource(seed)) would give.
 func (s *Scheduler) Rand() *rand.Rand { return s.rng }
 
 // Fired reports how many events have been executed so far.

@@ -6,6 +6,7 @@
 package spec
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"strconv"
@@ -114,6 +115,43 @@ func BuildConfiguration(specs []ComponentSpec) (config.Configuration, error) {
 		components = append(components, c)
 	}
 	return config.New(components...)
+}
+
+// Configurations builds the configuration of each distinct component list
+// once, for a caller that materializes many lists out of a few: a monitord
+// seed of thousands of replicas holds a few dozen, a sweep worker's
+// generated timelines draw theirs from one small pool. Configurations are
+// immutable, so one value is shared by every list equal to its own. It
+// keeps only what built, so a list that fails fails again with the same
+// error. The zero value is empty and ready; it is not safe for concurrent
+// use.
+type Configurations struct {
+	built map[string]config.Configuration // by the list, each field length-prefixed
+	key   []byte
+}
+
+// Build returns BuildConfiguration(specs), built on the first call for an
+// equal list.
+func (cs *Configurations) Build(specs []ComponentSpec) (config.Configuration, error) {
+	cs.key = cs.key[:0]
+	for _, s := range specs {
+		for _, field := range [...]string{s.Class, s.Name, s.Version} {
+			cs.key = binary.AppendUvarint(cs.key, uint64(len(field)))
+			cs.key = append(cs.key, field...)
+		}
+	}
+	if cfg, ok := cs.built[string(cs.key)]; ok {
+		return cfg, nil
+	}
+	cfg, err := BuildConfiguration(specs)
+	if err != nil {
+		return cfg, err
+	}
+	if cs.built == nil {
+		cs.built = make(map[string]config.Configuration)
+	}
+	cs.built[string(cs.key)] = cfg
+	return cfg, nil
 }
 
 // VulnSpec is the serializable form of one vuln.Vulnerability.
