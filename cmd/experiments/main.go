@@ -20,10 +20,9 @@
 // and each experiment spreads its Monte Carlo trials over the remaining
 // share (so -only X4 -parallel 8 gives one experiment 8 trial workers,
 // while -parallel 8 over all experiments runs 8 of them at a time).
-// Parallel output is buffered per experiment and printed in selection
-// order; trial seeds never depend on scheduling — the bytes are identical
-// to a serial run with the same parameters. A serial run (-parallel 1,
-// the default) streams each table as it completes.
+// Tables print in selection order, each as soon as it and every earlier
+// one are done, at every -parallel; trial seeds never depend on scheduling
+// — the bytes are identical to a serial run with the same parameters.
 package main
 
 import (
@@ -33,12 +32,12 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 
 	"repro/internal/experiment"
 	"repro/internal/metrics"
+	"repro/internal/sim"
 )
 
 func main() {
@@ -63,10 +62,7 @@ func main() {
 	if *parallel < 0 {
 		log.Fatalf("-parallel %d is negative", *parallel)
 	}
-	workers := *parallel
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := sim.Workers(*parallel)
 
 	selected, err := selectExperiments(*only, *tag)
 	if err != nil {
@@ -74,44 +70,27 @@ func main() {
 	}
 	// One budget, two levels: concurrent experiments first, leftover
 	// workers to each experiment's Monte Carlo trials.
-	expWorkers := workers
-	if expWorkers > len(selected) {
-		expWorkers = len(selected)
-	}
+	expWorkers := min(workers, len(selected))
 	params := experiment.Params{Seed: *seed, Trials: *trials, Scale: *scale, Workers: workers / expWorkers}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if expWorkers <= 1 {
-		// Serial: stream each table as it completes so an error or an
-		// interrupt late in the run does not discard finished output.
-		for _, e := range selected {
-			tab, _, err := e.Run(ctx, params)
-			if err != nil {
-				log.Fatalf("%s: %v", e.ID, err)
-			}
-			fmt.Print(render([]experiment.Result{{Experiment: e, Table: tab}}, *markdown))
-		}
-		return
-	}
-	results, err := experiment.RunConcurrent(ctx, selected, params, expWorkers)
+	// Each table prints as soon as it and every earlier one are done, so an
+	// error or an interrupt late in the run does not discard finished output.
+	err = experiment.RunConcurrent(ctx, selected, params, expWorkers, func(res experiment.Result) {
+		fmt.Print(render(res, *markdown))
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(render(results, *markdown))
 }
 
-// render formats the results in their (deterministic) selection order, so
-// a -parallel run prints the same bytes as a serial one.
-func render(results []experiment.Result, markdown bool) string {
-	var b strings.Builder
-	for _, res := range results {
-		if markdown {
-			fmt.Fprintf(&b, "### %s\n\n%s\n", res.Experiment.ID, res.Table.Markdown())
-		} else {
-			fmt.Fprintf(&b, "[%s]\n%s\n", res.Experiment.ID, res.Table.String())
-		}
+// render formats one result; results print in their (deterministic)
+// selection order, so a -parallel run prints the same bytes as a serial one.
+func render(res experiment.Result, markdown bool) string {
+	if markdown {
+		return fmt.Sprintf("### %s\n\n%s\n", res.Experiment.ID, res.Table.Markdown())
 	}
-	return b.String()
+	return fmt.Sprintf("[%s]\n%s\n", res.Experiment.ID, res.Table.String())
 }
 
 // listTable renders the registry index.

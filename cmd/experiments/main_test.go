@@ -86,20 +86,24 @@ func TestParallelOutputByteIdenticalToSerial(t *testing.T) {
 	p := experiment.Params{Seed: 7, Trials: 2000, Scale: 100, Workers: 8}
 	serialParams := p
 	serialParams.Workers = 1
-	serial, err := experiment.RunConcurrent(context.Background(), selected, serialParams, 1)
-	if err != nil {
-		t.Fatal(err)
+	run := func(params experiment.Params, workers int) []experiment.Result {
+		var out []experiment.Result
+		if err := experiment.RunConcurrent(context.Background(), selected, params, workers, func(res experiment.Result) {
+			out = append(out, res)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
-	parallel, err := experiment.RunConcurrent(context.Background(), selected, p, 8)
-	if err != nil {
-		t.Fatal(err)
+	serial, parallel := run(serialParams, 1), run(p, 8)
+	if len(serial) != len(selected) || len(parallel) != len(selected) {
+		t.Fatalf("emitted %d / %d results, want %d", len(serial), len(parallel), len(selected))
 	}
 	for _, markdown := range []bool{false, true} {
-		if render(serial, markdown) != render(parallel, markdown) {
-			t.Fatalf("parallel output differs from serial (markdown=%v)", markdown)
+		for i := range serial {
+			if render(serial[i], markdown) != render(parallel[i], markdown) {
+				t.Fatalf("%s: parallel output differs from serial (markdown=%v)", selected[i].ID, markdown)
+			}
 		}
-	}
-	if render(serial, false) == "" {
-		t.Fatal("render produced no output")
 	}
 }

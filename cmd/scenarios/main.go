@@ -30,15 +30,14 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/profile"
 	"repro/internal/scenario"
+	"repro/internal/sim"
 
 	// The live-loop library registers the live-* scenarios at init time.
 	_ "repro/internal/liveloop"
@@ -96,9 +95,6 @@ func pickMode(jsonOut, csvOut bool) (renderMode, error) {
 func workersFor(parallel int) int {
 	if parallel < 0 {
 		log.Fatalf("-parallel %d is negative", parallel)
-	}
-	if parallel == 0 {
-		return runtime.GOMAXPROCS(0)
 	}
 	return parallel
 }
@@ -434,39 +430,13 @@ func filterTag(defs []scenario.Def, tag string) []scenario.Def {
 // When ctx is cancelled (SIGINT/SIGTERM) no further scenarios start;
 // in-flight ones finish and their slots are filled, leaving the rest nil.
 func runAll(ctx context.Context, defs []scenario.Def, seed int64, workers int) ([]*scenario.Result, error) {
-	if workers > len(defs) {
-		workers = len(defs)
-	}
 	results := make([]*scenario.Result, len(defs))
-	errs := make([]error, len(defs))
-	if workers <= 1 {
-		for i, d := range defs {
-			if ctx.Err() != nil {
-				break
-			}
-			results[i], errs[i] = scenario.Run(d, seed)
-		}
-	} else {
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
-		for i, d := range defs {
-			wg.Add(1)
-			go func(i int, d scenario.Def) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				if ctx.Err() != nil {
-					return
-				}
-				results[i], errs[i] = scenario.Run(d, seed)
-			}(i, d)
-		}
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	err := sim.Parallel(ctx, len(defs), workers, func(_ context.Context, _, i int) (err error) {
+		results[i], err = scenario.Run(defs[i], seed)
+		return err
+	})
+	if err != nil && err != ctx.Err() {
+		return nil, err
 	}
 	return results, nil
 }

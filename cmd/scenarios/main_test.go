@@ -3,10 +3,12 @@ package main
 import (
 	"context"
 	"encoding/csv"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/scenario"
 )
@@ -64,6 +66,47 @@ func TestOutputDeterminismAcrossParallel(t *testing.T) {
 		}
 		if len(serial) == 0 {
 			t.Errorf("mode %d produced no output", mode)
+		}
+	}
+}
+
+// An interrupt mid-run keeps the finished prefix and starts nothing more:
+// scenario k's build cancels the run, and the scenarios after it wait for
+// that cancel, so with two workers at most k+1 are in flight when it lands.
+func TestRunAllKeepsThePrefixWhenCancelled(t *testing.T) {
+	const workers = 2
+	defs := filterTag(scenario.All(), "vuln")
+	for k := 0; k < 3; k++ {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		cut := make([]scenario.Def, len(defs))
+		for i, d := range defs {
+			build := d.Build
+			d.Build = func(rng *rand.Rand) *scenario.Timeline {
+				if i == k {
+					cancel()
+				}
+				if i > k {
+					<-ctx.Done()
+				}
+				return build(rng)
+			}
+			cut[i] = d
+		}
+		results, err := runAll(ctx, cut, 42, workers)
+		cancel()
+		if err != nil || len(results) != len(defs) {
+			t.Fatalf("k=%d: %d results, err %v; want %d slots and no error", k, len(results), err, len(defs))
+		}
+		for i, res := range results {
+			if i <= k && res == nil {
+				t.Errorf("k=%d: scenario %d was started before the cancel but has no result", k, i)
+			}
+			if i > 0 && res != nil && results[i-1] == nil {
+				t.Errorf("k=%d: scenario %d finished after a gap; the finished scenarios are not a prefix", k, i)
+			}
+			if i >= k+workers && res != nil {
+				t.Errorf("k=%d: scenario %d started after the cancel", k, i)
+			}
 		}
 	}
 }

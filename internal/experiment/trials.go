@@ -2,12 +2,8 @@ package experiment
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -41,64 +37,31 @@ func RunTrials(ctx context.Context, workers, trials int, seed int64, trial func(
 	if trial == nil {
 		return 0, fmt.Errorf("experiment: nil trial function")
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	nChunks := (trials + trialChunkSize - 1) / trialChunkSize
-	runChunk := func(c int) int {
+	wins := make([]int, nChunks)
+	err := sim.Parallel(ctx, nChunks, max(workers, 1), func(_ context.Context, _, c int) error {
 		rng := rand.New(rand.NewSource(sim.ChunkSeed(seed, c)))
-		n := trialChunkSize
-		if c == nChunks-1 {
-			n = trials - c*trialChunkSize
-		}
-		wins := 0
+		n, won := min(trialChunkSize, trials-c*trialChunkSize), 0
 		for i := 0; i < n; i++ {
 			if trial(rng) {
-				wins++
+				won++
 			}
 		}
-		return wins
-	}
-	if workers > nChunks {
-		workers = nChunks
-	}
-	if workers <= 1 {
-		wins := 0
-		for c := 0; c < nChunks; c++ {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
-			wins += runChunk(c)
-		}
-		return wins, nil
-	}
-	var (
-		next  atomic.Int64
-		total atomic.Int64
-		wg    sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ctx.Err() == nil {
-				c := int(next.Add(1)) - 1
-				if c >= nChunks {
-					return
-				}
-				total.Add(int64(runChunk(c)))
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+		wins[c] = won
+		return nil
+	})
+	if err != nil {
 		return 0, err
 	}
-	return int(total.Load()), nil
+	total := 0
+	for _, w := range wins {
+		total += w
+	}
+	return total, nil
 }
 
-// Result is one experiment's regeneration output, as produced by Run or
-// RunConcurrent.
+// Result is one experiment's regeneration output, as RunConcurrent hands
+// it on.
 type Result struct {
 	Experiment Experiment
 	Table      *metrics.Table
@@ -106,79 +69,38 @@ type Result struct {
 }
 
 // RunConcurrent regenerates the given experiments across up to workers
-// goroutines and returns their results in input order. Experiments are
-// pure functions of Params, so concurrent regeneration produces the same
-// tables as a serial loop — only wall-clock time changes. The first
-// experiment error cancels the remaining ones and is returned, attributed
-// to its experiment id.
-func RunConcurrent(ctx context.Context, exps []Experiment, p Params, workers int) ([]Result, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(exps) {
-		workers = len(exps)
-	}
+// goroutines (<= 0 means GOMAXPROCS) and hands each result to emit in
+// input order: emit(exps[i]'s result) is called once it and every earlier
+// result are done, on the caller's goroutine, never concurrently.
+// Experiments are pure functions of Params, so concurrent regeneration
+// produces the same tables as a serial loop — only wall-clock time
+// changes. The first experiment error cancels the remaining ones and is
+// returned, attributed to its experiment id; every result emitted before
+// it stays emitted, and none after it is.
+func RunConcurrent(ctx context.Context, exps []Experiment, p Params, workers int, emit func(Result)) error {
 	results := make([]Result, len(exps))
-	errs := make([]error, len(exps))
-	if workers <= 1 {
-		for i, e := range exps {
-			tab, rows, err := e.Run(ctx, p)
+	// One send per experiment at most, so no worker ever blocks on it.
+	done := make(chan int, len(exps))
+	var runErr error
+	go func() {
+		runErr = sim.Parallel(ctx, len(exps), workers, func(ctx context.Context, _, i int) error {
+			tab, rows, err := exps[i].Run(ctx, p)
 			if err != nil {
-				return nil, fmt.Errorf("%s: %w", e.ID, err)
+				return fmt.Errorf("%s: %w", exps[i].ID, err)
 			}
-			results[i] = Result{Experiment: e, Table: tab, Rows: rows}
-		}
-		return results, nil
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(exps) {
-					return
-				}
-				// Registered experiments check ctx in their Run wrapper;
-				// this guard covers hand-built Experiment values too, so
-				// no queued work starts after a failure.
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					continue
-				}
-				tab, rows, err := exps[i].Run(ctx, p)
-				if err != nil {
-					errs[i] = err
-					cancel() // remaining experiments stop at their ctx check
-					continue
-				}
-				results[i] = Result{Experiment: exps[i], Table: tab, Rows: rows}
-			}
-		}()
-	}
-	wg.Wait()
-	// Prefer the root cause over the context.Canceled errors the cancel
-	// fanned out to the experiments still queued behind it.
-	var firstErr error
-	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		if firstErr == nil {
-			firstErr = fmt.Errorf("%s: %w", exps[i].ID, err)
-		}
-		if !errors.Is(err, context.Canceled) {
-			return nil, fmt.Errorf("%s: %w", exps[i].ID, err)
+			results[i] = Result{Experiment: exps[i], Table: tab, Rows: rows}
+			done <- i
+			return nil
+		})
+		close(done)
+	}()
+	ready := make([]bool, len(exps))
+	next := 0
+	for i := range done {
+		ready[i] = true
+		for ; next < len(exps) && ready[next]; next++ {
+			emit(results[next])
 		}
 	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return results, nil
+	return runErr
 }

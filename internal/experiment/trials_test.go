@@ -3,7 +3,9 @@ package experiment
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -106,14 +108,21 @@ func TestRunTrialsMatchesAnalyticRace(t *testing.T) {
 	}
 }
 
+// collect runs RunConcurrent and returns what it emitted, in emit order.
+func collect(ctx context.Context, exps []Experiment, p Params, workers int) ([]Result, error) {
+	var out []Result
+	err := RunConcurrent(ctx, exps, p, workers, func(res Result) { out = append(out, res) })
+	return out, err
+}
+
 func TestRunConcurrentMatchesSerial(t *testing.T) {
 	exps := All()
 	p := Params{Seed: 7, Trials: 500, Scale: 50, Workers: 2}
-	serial, err := RunConcurrent(context.Background(), exps, p, 1)
+	serial, err := collect(context.Background(), exps, p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunConcurrent(context.Background(), exps, p, 8)
+	parallel, err := collect(context.Background(), exps, p, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,13 +147,54 @@ func TestRunConcurrentPropagatesError(t *testing.T) {
 			return nil, nil, boom
 		}},
 	}
-	_, err := RunConcurrent(context.Background(), exps, Params{Seed: 1, Trials: 10, Scale: 10}, 4)
+	_, err := collect(context.Background(), exps, Params{Seed: 1, Trials: 10, Scale: 10}, 4)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunConcurrent(ctx, All()[:3], Params{Seed: 1, Trials: 10, Scale: 10}, 2); err == nil {
+	if _, err := collect(ctx, All()[:3], Params{Seed: 1, Trials: 10, Scale: 10}, 2); err == nil {
 		t.Fatal("cancelled context accepted")
+	}
+}
+
+// A failure at index k emits exactly the results before it, in order:
+// the in-order hand-off never skips past a hole, and every experiment
+// below k was started before k, so none is cancelled. Experiment k fails
+// only once the other workers hold experiments above it, which finish once
+// the failure's cancel reaches them and must not be emitted.
+func TestRunConcurrentEmitsThePrefixBeforeAFailure(t *testing.T) {
+	boom := errors.New("boom")
+	const n, workers = 12, 4
+	for _, k := range []int{0, 1, 5, n - 1} {
+		above := make(chan struct{}, n)
+		exps := make([]Experiment, n)
+		for i := range exps {
+			exps[i] = Experiment{ID: fmt.Sprintf("E%d", i), Run: func(ctx context.Context, _ Params) (*metrics.Table, any, error) {
+				switch {
+				case i == k:
+					for j := 0; j < min(workers-1, n-1-k); j++ {
+						<-above
+					}
+					return nil, nil, boom
+				case i > k:
+					above <- struct{}{}
+					<-ctx.Done()
+				}
+				return metrics.NewTable(fmt.Sprintf("t%d", i), "x"), i, nil
+			}}
+		}
+		got, err := collect(context.Background(), exps, Params{Seed: 1, Trials: 10, Scale: 10}, workers)
+		if !errors.Is(err, boom) || !strings.HasPrefix(err.Error(), fmt.Sprintf("E%d: ", k)) {
+			t.Fatalf("k=%d: err = %v, want E%d's boom", k, err, k)
+		}
+		if len(got) != k {
+			t.Fatalf("k=%d: emitted %d results, want %d", k, len(got), k)
+		}
+		for i, res := range got {
+			if res.Rows != i {
+				t.Fatalf("k=%d: emit %d carried experiment %v", k, i, res.Rows)
+			}
+		}
 	}
 }

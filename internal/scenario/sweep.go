@@ -4,12 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/metrics"
+	"repro/internal/sim"
 )
 
 // Sweep: run N generated timelines across the profiles, check every run
@@ -128,8 +126,7 @@ func sweepProfiles(names []string) ([]GenProfile, error) {
 // the oracle's buffers and injectors, and the trace's records, which go
 // back to the store once the run is summarised. Every value is still
 // recomputed from the run's own inputs, so the report does not depend on
-// which worker ran which timeline. One worker is the one-worker case of the
-// same pool.
+// which worker ran which timeline.
 func Sweep(ctx context.Context, opts SweepOptions) (*SweepReport, error) {
 	if opts.Runs <= 0 {
 		return nil, fmt.Errorf("scenario: non-positive sweep size %d", opts.Runs)
@@ -142,22 +139,10 @@ func Sweep(ctx context.Context, opts SweepOptions) (*SweepReport, error) {
 	if invs == nil {
 		invs = DefaultInvariants()
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > opts.Runs {
-		workers = opts.Runs
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
 	runs := make([]SweepRun, opts.Runs)
-	errs := make([]error, opts.Runs)
-	runOne := func(i int, st *workerStore) error {
+	stores := make([]workerStore, min(sim.Workers(opts.Workers), opts.Runs))
+	err = sim.Parallel(ctx, opts.Runs, opts.Workers, func(_ context.Context, w, i int) error {
+		st := &stores[w]
 		p := profiles[i%len(profiles)]
 		index := i / len(profiles)
 		tl := p.generate(opts.Seed, index, st)
@@ -186,36 +171,8 @@ func Sweep(ctx context.Context, opts SweepOptions) (*SweepReport, error) {
 			Violations:  violations,
 		}
 		return nil
-	}
-
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			st := new(workerStore)
-			for ctx.Err() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= opts.Runs {
-					return
-				}
-				if err := runOne(i, st); err != nil {
-					errs[i] = err
-					cancel()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		for _, e := range errs {
-			if e != nil {
-				return nil, e
-			}
-		}
+	})
+	if err != nil {
 		return nil, err
 	}
 

@@ -16,6 +16,11 @@
 // top of it (internal/bftlive, internal/nakamoto) are message-driven state
 // machines whose nondeterminism is confined to the seeded RNG, so a safety
 // violation observed once can be reproduced exactly from the seed.
+//
+// Independent runs fan out on Parallel, the one worker pool: it hands out
+// indices in ascending order and its callers fill slots indexed by them,
+// so together with ChunkSeed a fan-out's results do not depend on the
+// worker count.
 package sim
 
 import (

@@ -754,10 +754,12 @@ func (gi *GroupInjector) keepTakes(u uint64, partial bool) {
 
 // walkTake applies one exposure's severity take of k members to the dedup
 // marks, walking gi.open by power class, and returns the fault's units.
-// Full classes are taken whole (every group's complete prefix); the class
-// containing the k-th member is resolved by name-merge across its groups —
-// exactly the flat injector's (power desc, name asc) selection order.
-func (gi *GroupInjector) walkTake(k int) uint64 {
+// Without names (out == nil) a full class is taken whole (every group's
+// complete prefix); any other class — the one containing the k-th member,
+// or every class when names are asked for — is resolved by name-merge
+// across its groups, which appends the taken names in ascending order:
+// exactly the flat injector's (power desc, name asc) selection and listing.
+func (gi *GroupInjector) walkTake(k int, out *[]string) uint64 {
 	var units uint64
 	taken := 0
 	open := gi.open
@@ -768,20 +770,17 @@ func (gi *GroupInjector) walkTake(k int) uint64 {
 			classCount += len(open[j].g.Names)
 			j++
 		}
-		if taken+classCount <= k {
+		r := min(classCount, k-taken)
+		if r == classCount && out == nil {
 			for _, it := range open[i:j] {
 				gi.markTake(it.b, it.i, len(it.g.Names))
 			}
-			units += uint64(classCount) * u
-			taken += classCount
-			gi.keepTakes(u, false)
 		} else {
-			r := k - taken
-			gi.resolveBoundary(open[i:j], r, nil)
-			units += uint64(r) * u
-			taken = k
-			gi.keepTakes(u, true)
+			gi.resolveBoundary(open[i:j], r, out)
 		}
+		gi.keepTakes(u, r < classCount)
+		units += uint64(r) * u
+		taken += r
 		i = j
 	}
 	return units
@@ -885,7 +884,7 @@ func (gi *GroupInjector) dedupAt(t time.Duration) uint64 {
 		if m == 0 {
 			continue
 		}
-		gi.walkTake(SeverityTake(m, e.vuln.Severity))
+		gi.walkTake(SeverityTake(m, e.vuln.Severity), nil)
 	}
 	return gi.dedupUnits()
 }
@@ -1004,12 +1003,12 @@ func (gi *GroupInjector) evaluate(e *giExposure, f *giFault, t time.Duration, na
 	}
 	k := SeverityTake(m, e.vuln.Severity)
 	gi.rec = f
+	var out *[]string
 	if names {
 		f.names = make([]string, 0, k)
-		f.units = gi.materialize(k, &f.names)
-	} else {
-		f.units = gi.walkTake(k)
+		out = &f.names
 	}
+	f.units = gi.walkTake(k, out)
 	gi.rec = nil
 }
 
@@ -1030,33 +1029,6 @@ func (gi *GroupInjector) redup(s int, kept bool) uint64 {
 		b.dedup[s] = dedup
 	}
 	return gi.dedup[s]
-}
-
-// materialize is walkTake with name output: every class — full or boundary
-// — is emitted as a name-ascending merge of its groups' taken prefixes,
-// reproducing the flat injector's (power desc, name asc) listing.
-func (gi *GroupInjector) materialize(k int, out *[]string) uint64 {
-	var units uint64
-	taken := 0
-	open := gi.open
-	for i := 0; i < len(open) && taken < k; {
-		j, classCount := i, 0
-		u := open[i].g.Units
-		for j < len(open) && open[j].g.Units == u {
-			classCount += len(open[j].g.Names)
-			j++
-		}
-		r := classCount
-		if taken+classCount > k {
-			r = k - taken
-		}
-		gi.resolveBoundary(open[i:j], r, out)
-		gi.keepTakes(u, r < classCount)
-		units += uint64(r) * u
-		taken += r
-		i = j
-	}
-	return units
 }
 
 // CriticalInstants returns the sorted, deduplicated instants in
