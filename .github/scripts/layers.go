@@ -75,8 +75,7 @@ var entries = []rule{
 		"repro/internal/vuln.(*GroupInjector).TotalFractionAt", "repro/internal/vuln.(*Injector).TotalFractionAt"}},
 	{"vuln.apply_buckets", []string{"repro/internal/vuln.(*GroupInjector).ApplyBuckets"}},
 	{"vuln.apply_catalog", []string{"repro/internal/vuln.(*GroupInjector).ApplyCatalog"}},
-	{"vuln.build", []string{"repro/internal/vuln.NewGroupInjector", "repro/internal/vuln.(*GroupInjector).Rebuild",
-		"repro/internal/vuln.NewInjector", "repro/internal/vuln.(*Injector).Rebuild"}},
+	{"vuln.build", []string{"repro/internal/vuln.NewGroupInjector", "repro/internal/vuln.NewInjector", "repro/internal/vuln.(*Injector).Rebuild"}},
 	{"vuln.catalog_add", []string{"repro/internal/vuln.(*Catalog).Add"}},
 	{"registry.diff", []string{"repro/internal/registry.DiffSnapshots"}},
 	{"diversity.report", []string{"repro/internal/registry.(*Snapshot).Report", "repro/internal/diversity."}},

@@ -105,8 +105,8 @@ func linkedFuncs() (map[string]bool, error) {
 var wrapped = regexp.MustCompile(`(\.(func|gowrap|deferwrap)?[0-9]+|\.|-.*)+$`)
 
 // funcOf maps a linked symbol such as
-// "repro/internal/vuln.(*GroupInjector[…]).Rebuild.func2" to the function
-// that declares it, "vuln.GroupInjector.Rebuild", or "" when it is none.
+// "repro/internal/vuln.(*GroupInjector[…]).ApplyBuckets.func2" to the function
+// that declares it, "vuln.GroupInjector.ApplyBuckets", or "" when it is none.
 func funcOf(sym string) string {
 	sym, ok := strings.CutPrefix(sym, "repro/internal/")
 	if !ok {

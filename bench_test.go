@@ -840,11 +840,13 @@ func BenchmarkSweepAnalytic(b *testing.B) {
 // BenchmarkSweepAnalytic's 250 timelines at seed 42 on one worker. Each
 // worker keeps its storage from one timeline to the next (the trace's
 // records, the generator's source and events, the configurations its joins
-// use, the oracle's buffers and injectors); when every timeline allocated
-// all of it afresh, the job took 396 100 objects and 44.8 MB. The ceilings
-// are the 344 700 objects and 23.9 MB measured since, plus 10 %.
+// use, the oracle's replica buffer and flat injector); when every timeline
+// allocated all of it afresh, the job took 396 100 objects and 44.8 MB. The
+// ceilings are the 338 400 objects and 23.45 MB measured since, plus 10 %;
+// the race build, which CI's test step runs, reads 354 900 objects and
+// 24.95 MB.
 func TestSweepAnalyticAllocations(t *testing.T) {
-	const objectCeiling, byteCeiling = 379_200, 26_300_000
+	const objectCeiling, byteCeiling = 372_300, 25_800_000
 	sweep := func() {
 		rep, err := scenario.Sweep(context.Background(), scenario.SweepOptions{
 			Profiles: analyticProfiles, Runs: 250, Seed: 42, Workers: 1,

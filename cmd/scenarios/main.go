@@ -165,13 +165,23 @@ func cmdRun(args []string) {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	results, err := runAll(ctx, defs, *seed, workersFor(*parallel))
+	out, err := runRendered(ctx, defs, *seed, workersFor(*parallel), mode)
+	fmt.Print(out)
 	if err != nil {
 		log.Fatal(err)
 	}
-	// On interrupt the workers stop scheduling new scenarios; the traces
-	// of every scenario that did complete are still flushed before exiting
-	// non-zero, so a cut-short run never discards finished work.
+}
+
+// runRendered runs defs and renders the traces of every scenario that
+// completed. On interrupt the workers stop scheduling new scenarios; the
+// finished traces are still returned, with an error only when some scenario
+// did not complete, so a cut-short run never discards finished work and a
+// run that lost nothing is not reported as cut short.
+func runRendered(ctx context.Context, defs []scenario.Def, seed int64, workers int, mode renderMode) (string, error) {
+	results, err := runAll(ctx, defs, seed, workers)
+	if err != nil {
+		return "", err
+	}
 	done := results[:0]
 	for _, res := range results {
 		if res != nil {
@@ -180,12 +190,12 @@ func cmdRun(args []string) {
 	}
 	out, err := render(done, mode)
 	if err != nil {
-		log.Fatal(err)
+		return "", err
 	}
-	fmt.Print(out)
-	if ctx.Err() != nil {
-		log.Fatalf("interrupted: %d of %d scenarios completed", len(done), len(defs))
+	if len(done) < len(defs) {
+		return out, fmt.Errorf("interrupted: %d of %d scenarios completed", len(done), len(defs))
 	}
+	return out, nil
 }
 
 // cmdSweep generates, runs and invariant-checks N timelines across the

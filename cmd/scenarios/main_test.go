@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -107,6 +108,48 @@ func TestRunAllKeepsThePrefixWhenCancelled(t *testing.T) {
 			if i >= k+workers && res != nil {
 				t.Errorf("k=%d: scenario %d started after the cancel", k, i)
 			}
+		}
+	}
+}
+
+// An interrupt is reported only when it cost a scenario. Cancelling in
+// the last scenario's build lands after every scenario has been handed
+// out, so all of them finish: the full output and no error. Cancelling in
+// the first one's build on one worker leaves the rest unrun: the first
+// trace and the interrupt.
+func TestRunReportsAnInterruptOnlyWhenWorkIsLost(t *testing.T) {
+	defs := filterTag(scenario.All(), "vuln")
+	full, err := runRendered(context.Background(), defs, 42, 1, modeJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := runRendered(context.Background(), defs[:1], 42, 1, modeJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		cancelAt, workers int
+		want              string
+		wantErr           bool
+	}{
+		{len(defs) - 1, 1, full, false},
+		{len(defs) - 1, 2, full, false},
+		{0, 1, first, true},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		cut := slices.Clone(defs)
+		build := cut[tc.cancelAt].Build
+		cut[tc.cancelAt].Build = func(rng *rand.Rand) *scenario.Timeline {
+			cancel()
+			return build(rng)
+		}
+		out, err := runRendered(ctx, cut, 42, tc.workers, modeJSON)
+		cancel()
+		if (err != nil) != tc.wantErr {
+			t.Errorf("cancel at %d on %d workers: err %v, want an error: %v", tc.cancelAt, tc.workers, err, tc.wantErr)
+		}
+		if out != tc.want {
+			t.Errorf("cancel at %d on %d workers: output differs from the scenarios that completed", tc.cancelAt, tc.workers)
 		}
 	}
 }

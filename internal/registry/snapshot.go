@@ -67,17 +67,11 @@ func (s *Snapshot) NumReplicas() int { return s.members }
 // BucketSpecs adapts the buckets for vuln.NewGroupInjector, in a new slice.
 // The specs share the snapshot's group slices; read-only.
 func (s *Snapshot) BucketSpecs() []vuln.BucketSpec {
-	return s.AppendBucketSpecs(make([]vuln.BucketSpec, 0, len(s.buckets)))
-}
-
-// AppendBucketSpecs appends BucketSpecs' specs to dst, for a caller that
-// keeps one buffer across snapshots (the scenario oracle). The appended
-// specs share the snapshot's group slices; read-only.
-func (s *Snapshot) AppendBucketSpecs(dst []vuln.BucketSpec) []vuln.BucketSpec {
-	for _, sb := range s.buckets {
-		dst = append(dst, sb.BucketSpec)
+	specs := make([]vuln.BucketSpec, len(s.buckets))
+	for i, sb := range s.buckets {
+		specs[i] = sb.BucketSpec
 	}
-	return dst
+	return specs
 }
 
 // Replicas returns the membership adapted for vuln fault injection,

@@ -94,8 +94,9 @@ func TestSnapshotViewsConcurrentFirstUse(t *testing.T) {
 }
 
 // TestAppendViewsMatchTheirCopies: AppendReplicas lists Replicas' members
-// (the same set, in bucket order), AppendBucketSpecs BucketSpecs' specs;
-// both keep what dst held and build nothing on the snapshot.
+// (the same set, in bucket order), keeps what dst held and builds nothing
+// on the snapshot; BucketSpecs lists the snapshot's buckets in order, in a
+// slice of its own at every call.
 func TestAppendViewsMatchTheirCopies(t *testing.T) {
 	r := viewsRegistry(t)
 	s, err := r.Snapshot(DefaultWeighting)
@@ -118,9 +119,17 @@ func TestAppendViewsMatchTheirCopies(t *testing.T) {
 	if reflect.DeepEqual(reps[1:], s.Replicas()) {
 		t.Fatal("the fixture's bucket order is its ID order: the comparison above proves nothing about order")
 	}
-	specs := s.AppendBucketSpecs(make([]vuln.BucketSpec, 1, 8))
-	if !reflect.DeepEqual(specs[1:], s.BucketSpecs()) || specs[0].Key != "" {
-		t.Fatalf("AppendBucketSpecs %v, BucketSpecs %v", specs[1:], s.BucketSpecs())
+	specs := s.BucketSpecs()
+	if len(specs) != len(s.buckets) {
+		t.Fatalf("BucketSpecs lists %d buckets, the snapshot has %d", len(specs), len(s.buckets))
+	}
+	for i, sb := range s.buckets {
+		if !reflect.DeepEqual(specs[i], sb.BucketSpec) {
+			t.Fatalf("BucketSpecs[%d] = %v, want %v", i, specs[i], sb.BucketSpec)
+		}
+	}
+	if again := s.BucketSpecs(); len(again) > 0 && &again[0] == &specs[0] {
+		t.Fatal("two BucketSpecs calls share one slice")
 	}
 	buf := make([]vuln.Replica, 0, 60)
 	if got := testing.AllocsPerRun(20, func() { buf = s.AppendReplicas(buf[:0]) }); got != 0 {

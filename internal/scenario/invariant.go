@@ -210,28 +210,27 @@ func PatchMonotone() Invariant {
 	}
 }
 
-// oracleEvery samples every Nth record for the oracle cross-check. Both
-// rebuilds match every vulnerability against the whole membership — the
-// flat one per replica, O(replicas x vulns) — so checking every record would
-// dominate sweep time on churn-heavy timelines; the storage is recycled, the
-// matching is not.
+// oracleEvery samples every Nth record for the oracle cross-check. The
+// flat rebuild matches every vulnerability against every replica,
+// O(replicas x vulns), so checking every record would dominate sweep time
+// on churn-heavy timelines; the storage is recycled, the matching is not.
 const oracleEvery = 4
 
-// oracleObserver cross-checks the monitor's incremental fraction and a
-// GroupInjector rebuilt from scratch against the flat oracle at sampled
-// instants. Both references are rebuilt from every sampled snapshot; what
-// outlives a sample is storage only, and it lives in the engine's store
-// (oracleStore), so a sweep worker carries it from one timeline to the next:
-// the snapshot's replicas and buckets are appended into kept buffers, and a
-// warm Rebuild of either injector allocates nothing. The flat injector reads
-// the replicas in bucket order, not ID order: its injection is independent
-// of the order it is fed (it sorts each exposed set into attack order).
+// oracleObserver cross-checks the monitor's injection against the flat
+// oracle at sampled instants, fault for fault. The flat injector is rebuilt
+// from every sampled snapshot; what outlives a sample is storage only, and
+// it lives in the engine's store (oracleStore), so a sweep worker carries it
+// from one timeline to the next: the snapshot's replicas are appended into
+// a kept buffer, and a warm Rebuild allocates nothing. The flat injector
+// reads the replicas in bucket order, not ID order: its injection is
+// independent of the order it is fed (it sorts each exposed set into attack
+// order).
 type oracleObserver struct {
 	violations []Violation
 }
 
 func (o *oracleObserver) AfterEvent(e *Engine, info EventInfo, rec *Record) error {
-	if rec.Seq%oracleEvery != 0 {
+	if rec.Seq%oracleEvery != 0 || rec.Power == 0 {
 		return nil
 	}
 	now := time.Duration(rec.TNanos)
@@ -245,40 +244,32 @@ func (o *oracleObserver) AfterEvent(e *Engine, info EventInfo, rec *Record) erro
 		return err
 	}
 	flat := kept.flat.Inject(now)
-	add := func(format string, args ...any) {
-		o.violations = append(o.violations, Violation{
-			Invariant: "oracle-agreement",
-			Scenario:  rec.Scenario,
-			Seq:       rec.Seq,
-			T:         rec.T,
-			Detail:    fmt.Sprintf(format, args...),
-		})
-	}
-	// The trace's compromised fraction came through the monitor's long-lived
-	// incremental GroupInjector; the flat rescan is the oracle it must match
-	// exactly (the incremental path guarantees byte-equality, not just
-	// closeness).
-	if rec.Power > 0 && rec.Compromised != flat.TotalFraction {
-		add("incremental fraction %g != flat oracle %g", rec.Compromised, flat.TotalFraction)
-	}
-	// A GroupInjector rebuilt from the same snapshot must agree with the
-	// flat path fault for fault: names, powers and fractions of every fault.
-	kept.specs = snap.AppendBucketSpecs(kept.specs[:0])
-	if err := kept.grouped.Rebuild(e.Catalog(), kept.specs); err != nil {
+	// The trace came through the monitor's long-lived incremental
+	// GroupInjector; emit has just assessed this instant, so this is a memo
+	// hit on that very injection. The flat rescan is the oracle it must
+	// match exactly: names, powers and fractions of every fault, and the
+	// deduplicated fraction the record carries.
+	a, err := e.Monitor().Assess(now)
+	if err != nil {
 		return err
 	}
-	grouped := kept.grouped.Inject(now)
-	if !sameInjection(flat, grouped) {
+	if !sameInjection(flat, a.Injection) {
 		// Marshal only to word the violation; a clean run never encodes.
 		fj, err := json.Marshal(flat)
 		if err != nil {
 			return err
 		}
-		gj, err := json.Marshal(grouped)
+		mj, err := json.Marshal(a.Injection)
 		if err != nil {
 			return err
 		}
-		add("group decomposition diverges from flat oracle: %s != %s", gj, fj)
+		o.violations = append(o.violations, Violation{
+			Invariant: "oracle-agreement",
+			Scenario:  rec.Scenario,
+			Seq:       rec.Seq,
+			T:         rec.T,
+			Detail:    fmt.Sprintf("monitor injection diverges from flat oracle: %s != %s", mj, fj),
+		})
 	}
 	return nil
 }
@@ -312,12 +303,10 @@ func sameFloat(a, b float64) bool {
 
 func (o *oracleObserver) Violations() []Violation { return o.violations }
 
-// OracleAgreement: at sampled instants the flat per-replica injector — the
-// oracle — is compared against two grouped ones. The monitor's long-lived
-// GroupInjector (fed by snapshot diffs) must report exactly the oracle's
-// deduplicated fraction, which is all of it the trace carries; a
-// GroupInjector built fresh from the same snapshot must reproduce the
-// oracle's whole injection, fault for fault and name for name.
+// OracleAgreement: at sampled instants with power the monitor's injection,
+// which its long-lived GroupInjector keeps up to date from snapshot diffs,
+// must reproduce the flat per-replica injector's — the oracle's — whole
+// injection, fault for fault and name for name.
 func OracleAgreement() Invariant {
 	return Invariant{
 		Name:        "oracle-agreement",

@@ -45,12 +45,10 @@ func (st *workerStore) genRand(seed int64) *rand.Rand {
 	return st.gen
 }
 
-// oracleStore is the storage of the oracle cross-check: the buffers each
-// sampled snapshot's replicas and buckets are read into, and the two
-// reference injectors rebuilt from them.
+// oracleStore is the storage of the oracle cross-check: the buffer each
+// sampled snapshot's replicas are read into, and the flat injector rebuilt
+// from them.
 type oracleStore struct {
 	replicas []vuln.Replica
-	specs    []vuln.BucketSpec
 	flat     vuln.Injector
-	grouped  vuln.GroupInjector
 }

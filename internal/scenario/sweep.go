@@ -123,8 +123,8 @@ func sweepProfiles(names []string) ([]GenProfile, error) {
 //
 // Each worker carries one workerStore from one timeline to the next: the
 // generator's source and event storage, the configurations its joins use,
-// the oracle's buffers and injectors, and the trace's records, which go
-// back to the store once the run is summarised. Every value is still
+// the oracle's replica buffer and flat injector, and the trace's records,
+// which go back to the store once the run is summarised. Every value is still
 // recomputed from the run's own inputs, so the report does not depend on
 // which worker ran which timeline.
 func Sweep(ctx context.Context, opts SweepOptions) (*SweepReport, error) {

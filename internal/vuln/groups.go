@@ -83,17 +83,11 @@ type GroupInjector struct {
 	exposures []*giExposure   // vulnerability-ID ascending
 	known     map[ID]struct{} // vulnerability IDs already indexed
 
-	// Rebuild carves buckets, the sorted copies of listings not in attack
-	// order, and exposures out of these slabs and reuses them, with the
-	// storage their elements hold, on the next Rebuild — unless
-	// ApplyBuckets has let the bucket slabs go. The first inject of a set
-	// after a build carves the exposures' kept faults of that set out of
-	// its keptSlab, so an index that is never injected keeps none, and one
-	// that is never swept keeps no worst-instant faults.
-	bucketSlab []giBucket
-	groupSlab  []*GroupSpec
-	expSlab    []giExposure
-	keptSlab   [keptSets][]giFault
+	// The first inject of a set after the build carves the exposures' kept
+	// faults of that set out of its keptSlab, so an index that is never
+	// injected keeps none, and one that is never swept keeps no
+	// worst-instant faults.
+	keptSlab [keptSets][]giFault
 
 	// dedup[s] is Σ giBucket.dedup[s] over the live buckets: the
 	// deduplicated compromised units at the instant set s was last
@@ -253,67 +247,43 @@ func (f *giFault) holds(t time.Duration, names bool) bool {
 // globally unique and ascending within each group (the registry snapshot
 // guarantees both).
 func NewGroupInjector(catalog *Catalog, buckets []BucketSpec) (*GroupInjector, error) {
-	gi := new(GroupInjector)
-	if err := gi.Rebuild(catalog, buckets); err != nil {
-		return nil, err
-	}
-	return gi, nil
-}
-
-// Rebuild recomputes the whole index from (catalog, buckets), exactly as
-// NewGroupInjector would, reusing only the receiver's memory: a warm Rebuild
-// over an input no larger than the last one allocates nothing. On error the
-// receiver is left as it was.
-func (gi *GroupInjector) Rebuild(catalog *Catalog, buckets []BucketSpec) error {
 	if catalog == nil {
-		return errors.New("vuln: nil catalog")
+		return nil, errors.New("vuln: nil catalog")
 	}
 	vulns := catalog.allSorted()
-	if gi.buckets == nil {
-		gi.buckets = make(map[string]*giBucket, len(buckets))
-		gi.known = make(map[ID]struct{}, len(vulns))
+	gi := &GroupInjector{
+		buckets:   make(map[string]*giBucket, len(buckets)),
+		keys:      make([]string, 0, len(buckets)),
+		exposures: make([]*giExposure, len(vulns)),
+		known:     make(map[ID]struct{}, len(vulns)),
 	}
-	clear(gi.buckets)
-	clear(gi.known)
-	// ApplyBuckets replaces a bucket by pointing the map at a stand-alone
-	// one and ApplyCatalog indexes into a stand-alone exposure, so patching
-	// never touches a slab neighbour.
+	// Buckets, the sorted copies of listings not in attack order, and
+	// exposures are carved out of one slab each. ApplyBuckets replaces a
+	// bucket by pointing the map at a stand-alone one and ApplyCatalog
+	// indexes into a stand-alone exposure, so patching never touches a slab
+	// neighbour, and a slab is freed with the last element still in use.
 	nGroups := 0
 	for _, bs := range buckets {
 		nGroups += copiedGroups(bs)
 	}
-	gi.bucketSlab = slices.Grow(gi.bucketSlab[:0], len(buckets))[:len(buckets)]
-	gi.groupSlab = slices.Grow(gi.groupSlab[:0], nGroups)[:nGroups]
-	gi.keys = gi.keys[:0]
-	gi.total = 0
+	bucketSlab := make([]giBucket, len(buckets))
+	groupSlab := make([]*GroupSpec, nGroups)
 	off := 0
 	for i, bs := range buckets {
-		b := &gi.bucketSlab[i]
-		off += b.fill(bs, gi.groupSlab[off:])
+		b := &bucketSlab[i]
+		off += b.fill(bs, groupSlab[off:])
 		gi.total += b.units
 		gi.buckets[bs.Key] = b
 		gi.keys = append(gi.keys, bs.Key)
 	}
 	slices.Sort(gi.keys)
 	gi.keys = slices.Compact(gi.keys)
-	gi.expSlab = slices.Grow(gi.expSlab[:0], len(vulns))[:len(vulns)]
-	gi.exposures = gi.exposures[:0]
+	expSlab := make([]giExposure, len(vulns))
 	for i, v := range vulns {
-		gi.addVuln(&gi.expSlab[i], v)
-		gi.exposures = append(gi.exposures, &gi.expSlab[i])
+		gi.addVuln(&expSlab[i], v)
+		gi.exposures[i] = &expSlab[i]
 	}
-	for s, slab := range gi.keptSlab {
-		gi.keptSlab[s] = slab[:0]
-		if cap(slab) < len(vulns) {
-			gi.keptSlab[s] = nil // too small: the first inject carves from one that is not
-		}
-	}
-	gi.markGen, gi.nextBoundary, gi.dedup = 0, 0, [keptSets]uint64{}
-	gi.unpin()
-	gi.marked, gi.taken = gi.marked[:0], gi.taken[:0]
-	gi.open, gi.touched = gi.open[:0], gi.touched[:0]
-	gi.sweep.built, gi.sweep.lastInstants, gi.sweep.lastEvaluated = false, 0, 0
-	return nil
+	return gi, nil
 }
 
 // copiedGroups is the number of group pointers a giBucket copies out of
@@ -346,13 +316,13 @@ func newGiBucket(bs BucketSpec) *giBucket {
 	return b
 }
 
-// fill initialises b from the spec and returns n = copiedGroups(bs): the
-// spec's groups are read in place when n is 0, and otherwise copied to the
-// front of slab and sorted there, so that activeAt merges the buckets'
-// lists directly into the attack-priority order walkTake consumes. Only the
-// storage of b's exposure list survives; the list itself starts empty.
+// fill initialises the zero bucket b from the spec and returns
+// n = copiedGroups(bs): the spec's groups are read in place when n is 0,
+// and otherwise copied to the front of slab and sorted there, so that
+// activeAt merges the buckets' lists directly into the attack-priority
+// order walkTake consumes.
 func (b *giBucket) fill(bs BucketSpec, slab []*GroupSpec) int {
-	*b = giBucket{cfg: bs.Config, groups: bs.Groups, exps: b.exps[:0]}
+	b.cfg, b.groups = bs.Config, bs.Groups
 	n := copiedGroups(bs)
 	if n > 0 {
 		b.groups = slab[:0:n]
@@ -421,13 +391,13 @@ func firstOpen(lat []latStep, x time.Duration) int {
 	return lo
 }
 
-// addVuln indexes one vulnerability into e, keeping only the storage of
-// e's key list: match against every bucket. Exposures are kept even when
-// currently empty — a later bucket change may expose them. gi.exposures
-// stays ID-sorted because Rebuild feeds vulnerabilities in ID order;
-// ApplyCatalog inserts at the sorted position. e has no kept fault yet.
+// addVuln indexes one vulnerability into the zero exposure e: match
+// against every bucket. Exposures are kept even when currently empty — a
+// later bucket change may expose them. gi.exposures stays ID-sorted because
+// NewGroupInjector feeds vulnerabilities in ID order; ApplyCatalog inserts
+// at the sorted position.
 func (gi *GroupInjector) addVuln(e *giExposure, v Vulnerability) {
-	e.vuln, e.keys, e.kept, e.touched = v, e.keys[:0], [keptSets]*giFault{}, 0
+	e.vuln = v
 	for _, key := range gi.keys { // ascending, so e.keys comes out sorted
 		if b := gi.buckets[key]; v.Affects(b.cfg) {
 			e.keys = append(e.keys, key)
@@ -468,11 +438,6 @@ func (gi *GroupInjector) refreshExposure(e *giExposure) {
 // Applying the same change twice is harmless (group lists are replaced
 // wholesale), which lets callers retry after a partial failure upstream.
 func (gi *GroupInjector) ApplyBuckets(changed []BucketSpec, removed []string) {
-	// A patched index is long-lived and rarely rebuilt: leave the bucket
-	// slabs to the buckets still carved from them, so a slab is freed with
-	// its last bucket instead of pinning every replaced bucket's groups. The
-	// next Rebuild allocates them afresh.
-	gi.bucketSlab, gi.groupSlab = nil, nil
 	gi.applyGen++
 	for _, key := range removed {
 		b := gi.buckets[key]
@@ -907,8 +872,8 @@ func (gi *GroupInjector) InjectSummary(t time.Duration) Injection {
 }
 
 // inject assembles the fault picture at t from each exposure's kept fault
-// of set s, re-deriving those that do not hold at t: every one after a
-// Rebuild, the ones ApplyBuckets touched or ApplyCatalog added, and the
+// of set s, re-deriving those that do not hold at t: every one after the
+// build, the ones ApplyBuckets touched or ApplyCatalog added, and the
 // ones t lies outside the interval of. It stores what it re-derives and
 // then re-derives the dedup of only the buckets those faults took from or
 // take from now. Reads assemble the read's set and the worst-window sweep
@@ -961,9 +926,8 @@ func (gi *GroupInjector) inject(t time.Duration, names bool, s int) Injection {
 }
 
 // unpin clears the per-instant scratch out to its capacity, so that no
-// bucket ApplyBuckets replaced or removed, or a Rebuild let go, stays
-// reachable from it, with the groups and names it holds, until some
-// evaluation happens to overwrite it.
+// bucket ApplyBuckets replaced or removed stays reachable from it, with the
+// groups and names it holds, until some evaluation happens to overwrite it.
 func (gi *GroupInjector) unpin() {
 	clear(gi.open[:cap(gi.open)])
 	clear(gi.bs[:cap(gi.bs)])
@@ -984,10 +948,7 @@ func (gi *GroupInjector) keptFault(s int) *giFault {
 	}
 	slab = slab[:len(slab)+1]
 	gi.keptSlab[s] = slab
-	f := &slab[len(slab)-1]
-	clear(f.partial[:cap(f.partial)]) // a reused slab's takes pin no bucket
-	*f = giFault{partial: f.partial[:0]}
-	return f
+	return &slab[len(slab)-1]
 }
 
 // evaluate derives e's fault at t into f, marking its takes in the dedup

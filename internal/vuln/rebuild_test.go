@@ -2,7 +2,6 @@ package vuln
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"math/rand"
 	"slices"
@@ -43,31 +42,6 @@ func flatIndex(in *Injector) string {
 	return s
 }
 
-// groupedIndex is flatIndex for a GroupInjector: buckets in key order with
-// their groups and exposure lists, exposures with their keys and bounds,
-// the known set and the per-instant and per-sweep state a fresh build
-// starts from.
-func groupedIndex(gi *GroupInjector) string {
-	s := fmt.Sprintf("total=%v gen=%d next=%v sweep=%v %d/%d marked=%d taken=%d keys=%v known=%v\n",
-		gi.total, gi.markGen, gi.nextBoundary, gi.sweep.built, gi.sweep.lastInstants, gi.sweep.lastEvaluated,
-		len(gi.marked), len(gi.taken), gi.keys, slices.Sorted(maps.Keys(gi.known)))
-	for _, key := range gi.keys {
-		b := gi.buckets[key]
-		s += fmt.Sprintf("bucket %s cfg=%s maxLat=%v units=%v lat=%v mark=%d base=%d exps=", key, b.cfg.Canonical(), b.maxLatency, b.units, b.lat, b.mark, b.base)
-		for _, e := range b.exps {
-			s += string(e.vuln.ID) + " "
-		}
-		for _, g := range b.groups {
-			s += fmt.Sprintf("[%v %v %v]", g.Units, g.Latency, g.Names)
-		}
-		s += "\n"
-	}
-	for _, e := range gi.exposures {
-		s += fmt.Sprintf("%s keys=%v max=%v\n", e.vuln.ID, e.keys, e.maxClose)
-	}
-	return s
-}
-
 // extendCatalog copies cat and adds 1–4 vulnerabilities with the next IDs,
 // which a larger catalog of an earlier case may already have used.
 func extendCatalog(rng *rand.Rand, cat *Catalog) *Catalog {
@@ -98,26 +72,27 @@ func renamed(replicas []Replica, prefix string) []Replica {
 	return out
 }
 
-// TestPropRebuildMatchesFresh reuses one injector of each kind across a
-// sequence of inputs — larger, smaller and disjoint fleets, catalogs with
-// reused IDs, ApplyBuckets / ApplyCatalog on the grouped one, rebuilds that
-// fail — and after every step requires that the reused injectors hold the
-// index a fresh constructor builds from the same input and answer every
-// query exactly as it does.
+// TestPropRebuildMatchesFresh reuses one flat injector across a sequence
+// of inputs — larger, smaller and disjoint fleets, catalogs with reused
+// IDs, rebuilds that fail — and builds a grouped one at each of them, which
+// ApplyBuckets and ApplyCatalog then patch. After every step the reused
+// flat injector must hold the index a fresh constructor builds from the
+// same input, and both must answer every query exactly as fresh ones do.
 func TestPropRebuildMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	for i := 0; i < 300; i++ {
 		var flat Injector
-		var grouped GroupInjector
+		var grouped *GroupInjector
 		var (
 			cat      *Catalog
 			replicas []Replica
 			specs    []BucketSpec
 			horizon  time.Duration
 		)
-		// check compares the reused injectors with fresh ones over
-		// (cat, replicas): first their whole derived state, which only holds
-		// right after a Rebuild, then their answers at random instants.
+		// check compares the injectors with fresh ones over
+		// (cat, replicas): first the flat one's whole derived state, which
+		// only holds right after a Rebuild, then their answers at random
+		// instants.
 		check := func(step string, rebuilt bool) {
 			t.Helper()
 			what := fmt.Sprintf("case %d after %s", i, step)
@@ -132,16 +107,6 @@ func TestPropRebuildMatchesFresh(t *testing.T) {
 			if rebuilt {
 				if g, w := flatIndex(&flat), flatIndex(freshFlat); g != w {
 					t.Fatalf("%s: flat index\n got %s\nwant %s", what, g, w)
-				}
-				if g, w := groupedIndex(&grouped), groupedIndex(freshGrouped); g != w {
-					t.Fatalf("%s: grouped index\n got %s\nwant %s", what, g, w)
-				}
-				if g, w := grouped.NextBoundary(), freshGrouped.NextBoundary(); g != w {
-					t.Fatalf("%s: next boundary %v, want %v", what, g, w)
-				}
-				gi, ge := grouped.LastSweep()
-				if wi, we := freshGrouped.LastSweep(); gi != wi || ge != we {
-					t.Fatalf("%s: last sweep %d/%d, want %d/%d", what, gi, ge, wi, we)
 				}
 			}
 			for j := 0; j < 4; j++ {
@@ -191,7 +156,8 @@ func TestPropRebuildMatchesFresh(t *testing.T) {
 			if err := flat.Rebuild(cat, replicas); err != nil {
 				t.Fatal(err)
 			}
-			if err := grouped.Rebuild(cat, specs); err != nil {
+			var err error
+			if grouped, err = NewGroupInjector(cat, specs); err != nil {
 				t.Fatal(err)
 			}
 			check(step, true)
@@ -237,7 +203,8 @@ func TestPropRebuildMatchesFresh(t *testing.T) {
 				check("ApplyBuckets", false)
 				rebuild("rebuild after ApplyBuckets")
 			case op == 5:
-				// Failed rebuilds leave both injectors as they were.
+				// Failed builds leave the flat injector as it was; the
+				// grouped one refuses a nil catalog.
 				bad := append(slices.Clone(replicas), replicas[0])
 				if err := flat.Rebuild(cat, bad); err == nil {
 					t.Fatal("duplicate replica name accepted")
@@ -249,7 +216,7 @@ func TestPropRebuildMatchesFresh(t *testing.T) {
 				if err := flat.Rebuild(nil, replicas); err == nil {
 					t.Fatal("nil catalog accepted")
 				}
-				if err := grouped.Rebuild(nil, specs); err == nil {
+				if _, err := NewGroupInjector(nil, specs); err == nil {
 					t.Fatal("nil catalog accepted")
 				}
 				check("failed rebuilds", false)
@@ -258,9 +225,9 @@ func TestPropRebuildMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestRebuildAllocations: once warm, rebuilding either injector over an
-// input of the size it last held allocates nothing — every slice, slab and
-// map is reused.
+// TestRebuildAllocations: once warm, rebuilding the flat injector over an
+// input of the size it last held allocates nothing — every slice and map is
+// reused.
 func TestRebuildAllocations(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	catalog := NewCatalog()
@@ -287,27 +254,22 @@ func TestRebuildAllocations(t *testing.T) {
 		{"4 replicas", small, renamed(small, "x-")},
 		{"600 replicas", large, renamed(large, "x-")},
 	} {
-		specsA, specsB := bucketize(tc.a), bucketize(tc.b)
 		var flat Injector
-		var grouped GroupInjector
 		flip := false
 		rebuild := func() {
 			flip = !flip
-			reps, specs := tc.a, specsA
+			reps := tc.a
 			if flip {
-				reps, specs = tc.b, specsB
+				reps = tc.b
 			}
 			if err := flat.Rebuild(catalog, reps); err != nil {
-				t.Fatal(err)
-			}
-			if err := grouped.Rebuild(catalog, specs); err != nil {
 				t.Fatal(err)
 			}
 		}
 		rebuild()
 		rebuild()
 		if got := testing.AllocsPerRun(50, rebuild); got != 0 {
-			t.Errorf("%s: warm Rebuild of both injectors allocates %.1f objects, want 0", tc.name, got)
+			t.Errorf("%s: warm Rebuild allocates %.1f objects, want 0", tc.name, got)
 		}
 	}
 }
@@ -341,22 +303,5 @@ func TestNonFinitePowerRejected(t *testing.T) {
 		if after := flatIndex(in); after != before {
 			t.Errorf("failed Rebuild changed the index:\n%s\nwas\n%s", after, before)
 		}
-	}
-}
-
-// TestApplyBucketsReleasesSlabs: a patched injector keeps no reference to
-// its build slabs, so a daemon's long-lived index frees each slab with the
-// last bucket carved from it instead of pinning every replaced bucket.
-func TestApplyBucketsReleasesSlabs(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	cat, replicas, _ := sweepCase(rng)
-	specs := bucketize(replicas)
-	gi, err := NewGroupInjector(cat, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gi.ApplyBuckets(specs[:1], nil)
-	if gi.bucketSlab != nil || gi.groupSlab != nil {
-		t.Fatal("ApplyBuckets left the injector holding its bucket slabs")
 	}
 }
