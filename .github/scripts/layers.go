@@ -68,6 +68,10 @@ var owners = []rule{
 // specific entry points sit before their package's catch-all.
 var entries = []rule{
 	{"scenario.emit", []string{"repro/internal/scenario.(*Engine).emit"}},
+	// The live harness (internal/scenario/live.go): its type, methods,
+	// closures and helpers, under the name the ladder gives that layer.
+	{"liveloop.self", []string{"repro/internal/scenario.(*harness).", "repro/internal/scenario.attach",
+		"repro/internal/scenario.configExposed", "repro/internal/scenario.cleanTargets", "repro/internal/scenario.fmtFrac"}},
 	{"scenario.run", []string{"repro/internal/scenario."}},
 	{"cmd", []string{"main.", "repro/internal/profile."}},
 	{"vuln.worst_window", []string{"repro/internal/vuln.(*GroupInjector).WorstWindow", "repro/internal/vuln.(*Injector).WorstWindow", "repro/internal/vuln.WorstWindow"}},
@@ -94,7 +98,6 @@ var entries = []rule{
 	{"monitord.read_handler", []string{"repro/internal/monitord.(*Server).handle"}},
 	{"monitord.self", []string{"repro/internal/monitord.(*Server).ServeHTTP"}},
 	{"monitord.watch", []string{"repro/internal/monitord.(*hub)."}},
-	{"liveloop.self", []string{"repro/internal/liveloop."}},
 	{"bftlive.commit", []string{"repro/internal/bftlive."}},
 	{"simnet", []string{"repro/internal/simnet."}},
 	{"sim", []string{"repro/internal/sim."}},

@@ -34,7 +34,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cryptoutil"
 	"repro/internal/experiment"
-	_ "repro/internal/liveloop" // registers the live-attach hook lossy-wire timelines need
 	"repro/internal/monitord"
 	"repro/internal/nakamoto"
 	"repro/internal/planner"
@@ -750,8 +749,8 @@ func generatedDef(tb testing.TB, profile string) scenario.Def {
 
 // BenchmarkLossyWireTimeline times one generated lossy-wire timeline run
 // through CheckRun with the default invariants: the unit of work of the
-// repository benchmark's sweep-live workload, ~95 % of it liveloop +
-// bftlive.SimCluster + simnet.
+// repository benchmark's sweep-live workload, ~95 % of it scenario's live
+// harness + bftlive.SimCluster + simnet.
 func BenchmarkLossyWireTimeline(b *testing.B) {
 	def, invs := generatedDef(b, "lossy-wire"), scenario.DefaultInvariants()
 	b.ReportAllocs()

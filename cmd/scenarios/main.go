@@ -38,9 +38,6 @@ import (
 	"repro/internal/profile"
 	"repro/internal/scenario"
 	"repro/internal/sim"
-
-	// The live-loop library registers the live-* scenarios at init time.
-	_ "repro/internal/liveloop"
 )
 
 func main() {

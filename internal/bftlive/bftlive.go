@@ -5,9 +5,10 @@
 // stays at or below 1/3 (the paper's Sec. II-C) — driven by SimCluster
 // (sim.go) over internal/simnet on the discrete-event scheduler's virtual
 // clock: deterministic, byte-for-byte replayable, with Byzantine behaviors
-// (Silent, Promiscuous) and primary equivocation, so internal/liveloop can
-// cross-check the Monitor's predictions against observed safety and
-// liveness and the experiments (X1, X6, P3) can show the bound on the wire.
+// (Silent, Promiscuous) and primary equivocation, so internal/scenario's
+// live harness can cross-check the Monitor's predictions against observed
+// safety and liveness and the experiments (X1, X6, P3) can show the bound
+// on the wire.
 // Power is equal by default; SimWithPower sets it per replica.
 //
 // Primaries rotate: a replica that sees pending requests make no commit

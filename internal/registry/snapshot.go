@@ -53,7 +53,7 @@ type Snapshot struct {
 	// index), and only consumers that genuinely need per-replica data pay
 	// the O(N log N) expansion — once per snapshot and per view. Replicas
 	// feeds the scenario oracle's flat injector (the main consumer),
-	// adversary probes and the liveloop membership; Population only the
+	// adversary probes and the live harness's membership; Population only the
 	// probes and Registry.Population.
 	repsOnce sync.Once
 	lazyReps []vuln.Replica

@@ -125,9 +125,6 @@ func newEngine(def Def, seed int64, st *workerStore) (*Engine, error) {
 	}, nil
 }
 
-// Scheduler exposes the run's scheduler (virtual clock, deterministic RNG).
-func (e *Engine) Scheduler() *sim.Scheduler { return e.sched }
-
 // Registry exposes the membership under assessment. Mutate it only from
 // inside an event (a timeline's, or one scheduled with At) so the mutation
 // lands in the trace.
@@ -139,9 +136,6 @@ func (e *Engine) Catalog() *vuln.Catalog { return e.catalog }
 // Monitor exposes the assessing monitor (BFT substrate, default
 // weighting).
 func (e *Engine) Monitor() *core.Monitor { return e.mon }
-
-// Horizon returns the scenario's virtual end time.
-func (e *Engine) Horizon() time.Duration { return e.def.Horizon }
 
 // fail latches the first event error and stops the run.
 func (e *Engine) fail(err error) {

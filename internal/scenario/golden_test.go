@@ -2,6 +2,9 @@ package scenario
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -52,20 +55,16 @@ func TestGoldenTimeline(t *testing.T) {
 // canonical artifact — that parses back to an equal timeline. Seeded from
 // the committed golden timelines, the every-op test timeline, one generated
 // timeline per profile (lossy-wire's carries a Live block and FaultSpecs)
-// and the eleven library timelines — the six analytic ones built here at
-// seed 42 (committee-rotation's is the seed with rotate events), the five
-// live ones from the files internal/liveloop's round-trip test keeps equal
-// to its library (the seeds with attack, reactive, targets). Every seed must
-// parse. The generated seeds are 5–15 kB: run it with -fuzzminimizetime 1s
-// or minimizing them eats the budget.
+// and the eleven library timelines built at seed 42 — committee-rotation's
+// is the seed with rotate events, the five live ones those with attack,
+// reactive and targets. Every seed must parse, and the count is pinned so a
+// profile or library timeline cannot drop out unnoticed. The generated seeds
+// are 5–15 kB: run it with -fuzzminimizetime 1s or minimizing them eats the
+// budget.
 func FuzzParseTimeline(f *testing.F) {
 	golden, err := filepath.Glob(filepath.Join("testdata", "*.json"))
 	if err != nil || len(golden) == 0 {
 		f.Fatalf("no golden timelines: %v", err)
-	}
-	live, err := filepath.Glob(filepath.Join("testdata", "library-live", "*.json"))
-	if err != nil || len(live) != 5 {
-		f.Fatalf("want the 5 live library timelines, have %d: %v", len(live), err)
 	}
 	seeds := []*Timeline{fullGrammarTimeline()} // small: cheap to mutate and to minimize
 	for _, p := range Profiles() {
@@ -91,8 +90,8 @@ func FuzzParseTimeline(f *testing.F) {
 	for _, tl := range seeds {
 		add(tl.MarshalIndent())
 	}
-	for _, path := range live {
-		add(os.ReadFile(path))
+	if n != 18 {
+		f.Fatalf("%d seeds, want 18", n)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tl, err := ParseTimeline(data)
@@ -116,4 +115,69 @@ func FuzzParseTimeline(f *testing.F) {
 			t.Fatalf("canonical form parses to a different timeline:\n%s\nfrom\n%s", canonical, data)
 		}
 	})
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/library_traces.golden from this build")
+
+// TestLibraryTracesGolden pins every registered scenario's trace — the six
+// analytic ones and the five live ones — at base seeds 42 and 7: the record
+// count and the SHA-256 of the JSONL bytes cmd/scenarios run -json prints. A change to what a library scenario does has to show up
+// as a diff of the golden file (go test -update), never silently.
+func TestLibraryTracesGolden(t *testing.T) {
+	path := filepath.Join("testdata", "library_traces.golden")
+	var got bytes.Buffer
+	for _, def := range All() {
+		for _, seed := range []int64{42, 7} {
+			res, err := Run(def, seed)
+			if err != nil {
+				t.Fatalf("%s @ %d: %v", def.Name, seed, err)
+			}
+			fmt.Fprintf(&got, "%s seed=%d records=%d sha256=%x\n",
+				def.Name, seed, len(res.Records), sha256.Sum256([]byte(mustTraceJSON(t, res))))
+		}
+	}
+	if *update {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("library traces drifted from %s (rewrite with -update and review the diff)\ngot:\n%swant:\n%s", path, got.String(), want)
+	}
+}
+
+// TestLibraryTimelinesRoundTrip: every registered scenario is a timeline
+// that survives its own serialization — built at the seed, marshalled,
+// parsed back (so it validates) and run, it gives the trace the registered
+// def gives, byte for byte. That is what lets replay, the shrinker and any
+// later mutator reach the library.
+func TestLibraryTimelinesRoundTrip(t *testing.T) {
+	for _, def := range All() {
+		for _, seed := range []int64{42, 7} {
+			data, err := def.TimelineAt(seed).MarshalIndent()
+			if err != nil {
+				t.Fatal(err)
+			}
+			parsed, err := ParseTimeline(data)
+			if err != nil {
+				t.Fatalf("%s @ %d: %v", def.Name, seed, err)
+			}
+			want, err := Run(def, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Run(parsed.Def(), seed)
+			if err != nil {
+				t.Fatalf("%s @ %d from JSON: %v", def.Name, seed, err)
+			}
+			if mustTraceJSON(t, got) != mustTraceJSON(t, want) {
+				t.Errorf("%s @ %d: the timeline's JSON replays a different trace than the def", def.Name, seed)
+			}
+		}
+	}
 }

@@ -14,16 +14,27 @@ import (
 // mirroring the experiment registry, so cmd/scenarios list, the tests
 // and the benchmarks iterate one index. Each is a Timeline: events are
 // listed in the order same-instant ones must fire, then sorted by instant.
+// The six analytic scenarios come first, then the five live ones, whose
+// Build lists the whole timeline afresh per run like listed does.
 func init() {
-	Register(flashChurn())
-	Register(monocultureDrift())
-	Register(zeroDayUnderPartition())
-	Register(staggeredPatchRace())
-	Register(adaptiveAdversary())
-	Register(committeeRotation())
+	for _, def := range []Def{
+		flashChurn(), monocultureDrift(), zeroDayUnderPartition(), staggeredPatchRace(), adaptiveAdversary(), committeeRotation(),
+	} {
+		register(def)
+	}
+	for _, build := range []func() *Timeline{
+		livePartitionProbe, liveCompromiseCascade, livePrimaryFailover, liveLossyRotation, liveReactiveRecovery,
+	} {
+		def := build().Def()
+		def.Build = func(*rand.Rand) *Timeline { return build() }
+		register(def)
+	}
 }
 
 const day = 24 * time.Hour
+
+// at converts an instant for an event literal.
+func at(d time.Duration) Duration { return Duration(d) }
 
 // osSpec is a single-component OS configuration.
 func osSpec(name, version string) []ComponentSpec {
@@ -336,4 +347,186 @@ func committeeRotation() Def {
 		}
 		return evs
 	})
+}
+
+// recoveryTargets are the OS products reactive recovery may migrate to.
+func recoveryTargets() (targets []ComponentSpec) {
+	for _, name := range []string{"rocky", "suse", "mint"} {
+		targets = append(targets, osSpec(name, "1")...)
+	}
+	return targets
+}
+
+// diverseSeven is a fully diverse fleet: seven distinct OS products.
+func diverseSeven() [7][]ComponentSpec {
+	names := [7]string{"ubuntu", "debian", "fedora", "freebsd", "openbsd", "alpine", "arch"}
+	var out [7][]ComponentSpec
+	for i, n := range names {
+		out[i] = osSpec(n, "1")
+	}
+	return out
+}
+
+// trioOnUbuntu puts r-00, r-02 and r-04 on the same ubuntu build — the
+// correlated-failure monoculture the compromise scenarios exploit — and
+// keeps the rest diverse.
+func trioOnUbuntu() [7][]ComponentSpec {
+	cfgs := diverseSeven()
+	for _, i := range []int{0, 2, 4} {
+		cfgs[i] = osSpec("ubuntu", "22.04")
+	}
+	return cfgs
+}
+
+// sevenThen is the event list every live scenario has: seven unit-power
+// replicas r-00..r-06 joining at t=0 with the given configurations and patch
+// latency, then the scenario's own events.
+func sevenThen(cfgs [7][]ComponentSpec, patchLatency time.Duration, then ...Event) []Event {
+	evs := make([]Event, 0, len(cfgs)+len(then))
+	for i, cfg := range cfgs {
+		evs = append(evs, Event{
+			Op: OpJoin, ID: fmt.Sprintf("r-%02d", i), Config: cfg, Power: 1, PatchLatency: at(patchLatency),
+		})
+	}
+	return append(evs, then...)
+}
+
+// ubuntuCVE is the disclosure the compromise scenarios inject: every
+// ubuntu 22.04 replica is exploitable from `disclosed` until the patch
+// (shipping a day later) lands per the replicas' patch latency.
+func ubuntuCVE(id string, disclosed time.Duration) Event {
+	return Event{Op: OpDisclose, At: at(disclosed), Vuln: &VulnSpec{
+		ID: id, Class: config.ClassOperatingSystem.String(), Product: "ubuntu", Version: "22.04",
+		Disclosed: at(disclosed), PatchAt: at(disclosed + day), Severity: 1,
+	}}
+}
+
+func livePartitionProbe() *Timeline {
+	return &Timeline{
+		Name:    "live-partition-probe",
+		Title:   "Live BFT under partitions and a crash: every liveness prediction must match the wire",
+		Tags:    []string{"live", "robustness"},
+		Horizon: at(24 * time.Hour),
+		Tick:    at(2 * time.Hour),
+		Live: &LiveSpec{
+			StartAt:    at(time.Hour),
+			ProbeEvery: at(2 * time.Hour), // probes at odd hours, events at even ones
+		},
+		Events: sevenThen(diverseSeven(), time.Hour,
+			// A minority cut: 5 of 7 stay with the primary, quorum holds.
+			Event{Op: OpPartition, At: at(6 * time.Hour), IDs: []string{"r-05", "r-06"}},
+			Event{Op: OpHeal, At: at(10 * time.Hour)},
+			// A threshold cut: 4 < quorum 5, commits must stall.
+			Event{Op: OpPartition, At: at(12 * time.Hour), IDs: []string{"r-04", "r-05", "r-06"}},
+			Event{Op: OpHeal, At: at(16 * time.Hour)},
+			// One crash is well inside f=2: progress continues.
+			Event{Op: OpCrash, At: at(18 * time.Hour), IDs: []string{"r-03"}},
+			Event{Op: OpRestore, At: at(20 * time.Hour), IDs: []string{"r-03"}},
+		),
+	}
+}
+
+func liveCompromiseCascade() *Timeline {
+	return &Timeline{
+		Name:    "live-compromise-cascade",
+		Title:   "A monoculture CVE breaches the threshold; the implants equivocate and break agreement on cue",
+		Tags:    []string{"live", "robustness", "vuln"},
+		Horizon: at(4 * day),
+		Tick:    at(6 * time.Hour),
+		Live: &LiveSpec{
+			StartAt:    at(time.Hour),
+			ProbeEvery: at(6 * time.Hour),
+			// No attack: the default, equivocate. No attack_at: it fires at the breach.
+		},
+		// 3/7 compromised > 1/3: the disclosure is the breach.
+		Events: sevenThen(trioOnUbuntu(), 3*day, ubuntuCVE("CVE-LIVE-0001", day)),
+	}
+}
+
+func livePrimaryFailover() *Timeline {
+	return &Timeline{
+		Name:    "live-primary-failover",
+		Title:   "Crashing the primary on a jittery wire: the cluster rotates views and every liveness prediction holds",
+		Tags:    []string{"live", "robustness", "view-change"},
+		Horizon: at(24 * time.Hour),
+		Tick:    at(2 * time.Hour),
+		Live: &LiveSpec{
+			StartAt:       at(time.Hour),
+			ProbeEvery:    at(2 * time.Hour), // probes at odd hours, events at even ones
+			ProbeDeadline: at(5 * time.Second),
+			ViewTimeout:   at(500 * time.Millisecond),
+		},
+		Events: sevenThen(diverseSeven(), time.Hour,
+			// A mildly degraded link between two backups: drops, jitter and
+			// reordering the protocol must absorb without losing quorum.
+			Event{Op: OpDegrade, At: at(4 * time.Hour), IDs: []string{"r-03", "r-04"}, Fault: &FaultSpec{
+				Drop: 0.2, ExtraLatency: at(10 * time.Millisecond), Jitter: at(15 * time.Millisecond), Reorder: 0.3,
+			}},
+			// Kill the initial primary: the view-aware prediction says probes
+			// keep committing because rotation elects r-01 within deadline.
+			Event{Op: OpCrash, At: at(6 * time.Hour), IDs: []string{"r-00"}},
+			Event{Op: OpRestore, At: at(16 * time.Hour), IDs: []string{"r-00"}},
+			Event{Op: OpRestoreLink, At: at(20 * time.Hour), IDs: []string{"r-03", "r-04"}},
+		),
+	}
+}
+
+func liveLossyRotation() *Timeline {
+	return &Timeline{
+		Name:    "live-lossy-rotation",
+		Title:   "Monoculture silence attack on lossy wires: reactive recovery cleanses, rotation restores liveness",
+		Tags:    []string{"live", "robustness", "view-change", "vuln", "recovery"},
+		Horizon: at(4 * day),
+		Tick:    at(6 * time.Hour),
+		Live: &LiveSpec{
+			StartAt:       at(time.Hour),
+			ProbeEvery:    at(6 * time.Hour),
+			ProbeDeadline: at(5 * time.Second),
+			ViewTimeout:   at(500 * time.Millisecond),
+			Attack:        AttackSilence, // no attack_at: fires at the breach
+			Reactive:      true,
+			ReactDelay:    at(6 * time.Hour),
+			Targets:       recoveryTargets(),
+		},
+		Events: sevenThen(trioOnUbuntu(), 2*day,
+			// Lossy links touch only the two spare backups (n - quorum = 2),
+			// so a clean quorum core always exists among r-00..r-04.
+			Event{Op: OpDegrade, At: at(2 * time.Hour), IDs: []string{"r-05", "r-06"}, Fault: &FaultSpec{
+				Drop: 0.4, Duplicate: 0.2, Reorder: 0.3,
+			}},
+			Event{Op: OpDegrade, At: at(3 * time.Hour), IDs: []string{"r-01", "r-05"}, Fault: &FaultSpec{
+				Drop: 0.2, ExtraLatency: at(5 * time.Millisecond), Jitter: at(20 * time.Millisecond),
+			}},
+			// Day 1: the CVE breaches the threshold; the silence attack mutes
+			// the trio and probes stall. Six hours later reactive recovery
+			// migrates and rejuvenates; the stalled backlog commits after a
+			// view change (the TTR span lands on the trace).
+			ubuntuCVE("CVE-LIVE-0001", day),
+			// Day 2: crash the post-recovery primary; rotation elects the
+			// next view's and commits resume on the degraded wire.
+			Event{Op: OpCrash, At: at(2 * day), IDs: []string{"r-01"}},
+			Event{Op: OpRestore, At: at(3 * day), IDs: []string{"r-01"}},
+			Event{Op: OpRestoreLink, At: at(3*day + 6*time.Hour), IDs: []string{"r-05", "r-06"}},
+		),
+	}
+}
+
+func liveReactiveRecovery() *Timeline {
+	return &Timeline{
+		Name:    "live-reactive-recovery",
+		Title:   "Reactive recovery migrates and rejuvenates the implanted trio; the late attack finds nothing",
+		Tags:    []string{"live", "robustness", "recovery"},
+		Horizon: at(6 * day),
+		Tick:    at(12 * time.Hour),
+		Live: &LiveSpec{
+			StartAt:    at(time.Hour),
+			ProbeEvery: at(6 * time.Hour),
+			Attack:     AttackEquivocate,
+			AttackAt:   at(5 * day), // after recovery: the trigger finds no implants
+			Reactive:   true,
+			ReactDelay: at(6 * time.Hour),
+			Targets:    recoveryTargets(),
+		},
+		Events: sevenThen(trioOnUbuntu(), 2*day, ubuntuCVE("CVE-LIVE-0001", day)),
+	}
 }

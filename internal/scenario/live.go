@@ -1,12 +1,36 @@
-// Package liveloop closes the loop between the analytic monitor and a
-// running consensus cluster: a timeline's `live` block (scenario.LiveSpec)
-// attaches a real internal/bftlive protocol instance (the deterministic
-// SimCluster transport over internal/simnet) to the scenario's run, through
-// the hook this package registers with scenario.SetLiveAttach — import it,
-// blank if need be, and live timelines run. The harness mirrors every
-// scenario fault — partitions, crashes, vulnerability-driven compromises —
-// onto the live cluster, and cross-checks the monitor's predictions against
-// observed protocol behavior after every event:
+package scenario
+
+import (
+	"errors"
+	"fmt"
+	"sort"
+	"strings"
+	"time"
+
+	"repro/internal/bftlive"
+	"repro/internal/config"
+	"repro/internal/planner"
+	"repro/internal/registry"
+	"repro/internal/simnet"
+	"repro/internal/vuln"
+)
+
+// pendingCheck carries one cross-check verdict from the event callback
+// that computed it into the observer, which writes it onto that event's
+// trace record.
+type pendingCheck struct {
+	check      string
+	detail     string
+	divergence bool
+}
+
+// harness closes the loop between the analytic monitor and a running
+// consensus cluster: a timeline's `live` block (LiveSpec) attaches a real
+// internal/bftlive protocol instance (the deterministic SimCluster transport
+// over internal/simnet) to the run. The harness mirrors every scenario
+// fault — partitions, crashes, vulnerability-driven compromises — onto the
+// live cluster, and cross-checks the monitor's predictions against observed
+// protocol behavior after every event:
 //
 //   - liveness: a committed probe value ⇔ the analytic view (registry
 //     powers, partition/crash state, launched attacks) says a quorum of
@@ -25,40 +49,11 @@
 // Everything — protocol messages, probes, attacks, reactions — runs on the
 // scenario's single discrete-event scheduler, so a live scenario replays
 // byte-identically from (timeline, seed) like every other scenario.
-package liveloop
-
-import (
-	"errors"
-	"fmt"
-	"sort"
-	"strings"
-	"time"
-
-	"repro/internal/bftlive"
-	"repro/internal/config"
-	"repro/internal/planner"
-	"repro/internal/registry"
-	"repro/internal/scenario"
-	"repro/internal/simnet"
-	"repro/internal/vuln"
-)
-
-// pendingCheck carries one cross-check verdict from the event callback
-// that computed it into the observer, which writes it onto that event's
-// trace record.
-type pendingCheck struct {
-	check      string
-	detail     string
-	divergence bool
-}
-
-// harness wires one live cluster into one scenario run. Attach creates it;
-// all further work happens through the engine's event callbacks and the
-// Observer hook.
+// Timeline.Apply attaches one per run; all further work happens through the
+// engine's event callbacks and the Observer hook.
 type harness struct {
-	spec    scenario.LiveSpec // defaults filled in
-	targets *config.Catalog   // the spec's migration targets; nil: rejuvenation only
-	horizon time.Duration
+	spec    LiveSpec        // defaults filled in
+	targets *config.Catalog // the spec's migration targets; nil: rejuvenation only
 
 	started bool
 	ids     []registry.ReplicaID
@@ -85,24 +80,19 @@ type harness struct {
 	pending *pendingCheck
 }
 
-// init registers the live-attach hook: a timeline carrying a LiveSpec boots
-// the harness without scenario importing this package.
-func init() { scenario.SetLiveAttach(Attach) }
-
-// Attach creates a harness on the engine per the timeline's (validated)
+// attach creates a harness on the engine per the timeline's (validated)
 // live block: the cluster comes up at start_at, probes and the explicit
 // attack (if any) are scheduled, and the harness registers itself as the
 // run's observer. What the spec alone cannot show — at least four replicas,
 // of equal power, at start_at — fails the run at that instant.
-func Attach(e *scenario.Engine, spec *scenario.LiveSpec) error {
-	targets, err := spec.TargetCatalog()
+func attach(e *Engine, spec *LiveSpec) error {
+	targets, err := spec.targetCatalog()
 	if err != nil {
 		return err
 	}
 	h := &harness{
-		spec:        spec.WithDefaults(),
+		spec:        spec.withDefaults(),
 		targets:     targets,
-		horizon:     e.Horizon(),
 		idx:         make(map[registry.ReplicaID]int),
 		partitioned: make(map[int]bool),
 		crashed:     make(map[int]bool),
@@ -119,15 +109,15 @@ func Attach(e *scenario.Engine, spec *scenario.LiveSpec) error {
 	}
 	if every > 0 {
 		k := 0
-		for t := startAt + every; t+deadline < e.Horizon(); t += every {
+		for t := startAt + every; t+deadline < e.def.Horizon; t += every {
 			k++
 			probe := k
-			if err := e.At(t, "live-probe", func(e *scenario.Engine) (string, error) {
+			if err := e.At(t, "live-probe", func(e *Engine) (string, error) {
 				return h.probe(e, probe)
 			}); err != nil {
 				return err
 			}
-			if err := e.At(t+deadline, "live-check", func(e *scenario.Engine) (string, error) {
+			if err := e.At(t+deadline, "live-check", func(e *Engine) (string, error) {
 				return h.check(e, probe)
 			}); err != nil {
 				return err
@@ -144,7 +134,7 @@ func Attach(e *scenario.Engine, spec *scenario.LiveSpec) error {
 }
 
 // start brings the cluster up against the membership as it stands.
-func (h *harness) start(e *scenario.Engine) (string, error) {
+func (h *harness) start(e *Engine) (string, error) {
 	snap, err := e.Registry().Snapshot(registry.DefaultWeighting)
 	if err != nil {
 		return "", err
@@ -152,16 +142,16 @@ func (h *harness) start(e *scenario.Engine) (string, error) {
 	replicas := snap.Replicas()
 	n := len(replicas)
 	if n < 4 {
-		return "", fmt.Errorf("liveloop: need at least 4 replicas at StartAt, have %d", n)
+		return "", fmt.Errorf("live: need at least 4 replicas at StartAt, have %d", n)
 	}
 	for i, r := range replicas {
 		if r.Power != replicas[0].Power || r.Power <= 0 {
-			return "", fmt.Errorf("liveloop: replica %s power %v breaks the equal-power contract", r.Name, r.Power)
+			return "", fmt.Errorf("live: replica %s power %v breaks the equal-power contract", r.Name, r.Power)
 		}
 		h.ids = append(h.ids, registry.ReplicaID(r.Name))
 		h.idx[registry.ReplicaID(r.Name)] = i
 	}
-	net, err := simnet.New(e.Scheduler(), simnet.FixedLatency(h.spec.Latency.D()), 0)
+	net, err := simnet.New(e.sched, simnet.FixedLatency(h.spec.Latency.D()), 0)
 	if err != nil {
 		return "", err
 	}
@@ -186,9 +176,9 @@ func (h *harness) start(e *scenario.Engine) (string, error) {
 
 // probe submits a liveness probe and freezes the analytic expectation for
 // its verdict.
-func (h *harness) probe(_ *scenario.Engine, k int) (string, error) {
+func (h *harness) probe(_ *Engine, k int) (string, error) {
 	if !h.started {
-		return "", errors.New("liveloop: probe before start")
+		return "", errors.New("live: probe before start")
 	}
 	expect, voters := h.predictCommit()
 	h.probeExpect[k] = expect
@@ -198,9 +188,9 @@ func (h *harness) probe(_ *scenario.Engine, k int) (string, error) {
 }
 
 // check judges a probe: observation against the frozen prediction.
-func (h *harness) check(_ *scenario.Engine, k int) (string, error) {
+func (h *harness) check(_ *Engine, k int) (string, error) {
 	if !h.started {
-		return "", errors.New("liveloop: check before start")
+		return "", errors.New("live: check before start")
 	}
 	expect := h.probeExpect[k]
 	committed := h.cluster.CommittedBy([]byte(h.probeValue(k)))
@@ -228,7 +218,7 @@ func (h *harness) check(_ *scenario.Engine, k int) (string, error) {
 // whose partition side holds a quorum.
 func (h *harness) predictCommit() (ok bool, voters int) {
 	p := h.cluster.Primary()
-	silenceLive := h.attackLaunched && h.spec.Attack == scenario.AttackSilence
+	silenceLive := h.attackLaunched && h.spec.Attack == AttackSilence
 	silent := func(i int) bool {
 		return h.crashed[i] || (silenceLive && h.assessed[i])
 	}
@@ -261,7 +251,7 @@ func (h *harness) predictCommit() (ok bool, voters int) {
 }
 
 // scheduleAttack arms the attack and its verdict check.
-func (h *harness) scheduleAttack(e *scenario.Engine, at time.Duration) error {
+func (h *harness) scheduleAttack(e *Engine, at time.Duration) error {
 	if err := e.At(at, "live-attack", h.attack); err != nil {
 		return err
 	}
@@ -270,11 +260,11 @@ func (h *harness) scheduleAttack(e *scenario.Engine, at time.Duration) error {
 
 // attack pulls the trigger on every implanted replica per the configured
 // mode and freezes the monitor-grounded prediction for the verdict.
-func (h *harness) attack(e *scenario.Engine) (string, error) {
+func (h *harness) attack(e *Engine) (string, error) {
 	if !h.started {
-		return "", errors.New("liveloop: attack before start")
+		return "", errors.New("live: attack before start")
 	}
-	now := e.Scheduler().Now()
+	now := e.sched.Now()
 	a, err := e.Monitor().Assess(now)
 	if err != nil {
 		return "", err
@@ -283,7 +273,7 @@ func (h *harness) attack(e *scenario.Engine) (string, error) {
 	h.attackLaunched = true
 	h.syncAssessed(a.Injection.Faults)
 	switch h.spec.Attack {
-	case scenario.AttackEquivocate:
+	case AttackEquivocate:
 		// Violation predicted iff the monitor says compromised power
 		// exceeds the tolerance (and the adversary holds the *current*
 		// primary — under rotation that is the latest installed view's).
@@ -304,7 +294,7 @@ func (h *harness) attack(e *scenario.Engine) (string, error) {
 		}
 		return fmt.Sprintf("equivocation launched via %d implants (predict violation=%t, monitor compromised=%s)",
 			len(victims), h.attackExpect, fmtFrac(a.Injection.TotalFraction)), nil
-	case scenario.AttackSilence:
+	case AttackSilence:
 		for _, i := range victims {
 			h.attacked[i] = true
 			if err := h.cluster.SetBehavior(i, bftlive.Silent); err != nil {
@@ -317,19 +307,19 @@ func (h *harness) attack(e *scenario.Engine) (string, error) {
 		return fmt.Sprintf("silence launched via %d implants (predict commit=%t voters=%d)",
 			len(victims), expect, voters), nil
 	default:
-		return "", fmt.Errorf("liveloop: unknown attack mode %q", h.spec.Attack)
+		return "", fmt.Errorf("live: unknown attack mode %q", h.spec.Attack)
 	}
 }
 
 // verdict judges the attack outcome against the frozen prediction.
-func (h *harness) verdict(_ *scenario.Engine) (string, error) {
+func (h *harness) verdict(_ *Engine) (string, error) {
 	if !h.started || !h.attackLaunched {
-		return "", errors.New("liveloop: verdict before attack")
+		return "", errors.New("live: verdict before attack")
 	}
 	var detail string
 	var divergence bool
 	switch h.spec.Attack {
-	case scenario.AttackSilence:
+	case AttackSilence:
 		committed := h.cluster.CommittedBy([]byte("attack-probe"))
 		observed := committed > 0
 		divergence = observed != h.attackExpect
@@ -350,11 +340,11 @@ func (h *harness) verdict(_ *scenario.Engine) (string, error) {
 // react is one reactive-recovery round: migrate still-exposed implanted
 // replicas to clean configurations, cleanse every implant, restore honest
 // behavior. The observer re-arms it while the breach persists.
-func (h *harness) react(e *scenario.Engine) (string, error) {
+func (h *harness) react(e *Engine) (string, error) {
 	if !h.started {
-		return "", errors.New("liveloop: react before start")
+		return "", errors.New("live: react before start")
 	}
-	now := e.Scheduler().Now()
+	now := e.sched.Now()
 	victims := h.implantIndices()
 	if len(victims) == 0 {
 		return "no implants to cleanse", nil
@@ -363,7 +353,7 @@ func (h *harness) react(e *scenario.Engine) (string, error) {
 	for _, i := range victims {
 		rec, ok := e.Registry().Get(h.ids[i])
 		if !ok {
-			return "", fmt.Errorf("liveloop: implanted replica %s missing", h.ids[i])
+			return "", fmt.Errorf("live: implanted replica %s missing", h.ids[i])
 		}
 		if configExposed(e.Catalog(), rec.Config, now, rec.PatchLatency) {
 			exposed = append(exposed, i)
@@ -437,22 +427,22 @@ func (h *harness) byzFraction() float64 {
 	return float64(byz) / float64(n)
 }
 
-// AfterEvent implements scenario.Observer: mirror the event onto the live
+// AfterEvent implements Observer: mirror the event onto the live
 // cluster, sync implants from the assessment, annotate the record, and
 // drive the breach/recovery state machine.
-func (h *harness) AfterEvent(e *scenario.Engine, info scenario.EventInfo, rec *scenario.Record) error {
+func (h *harness) AfterEvent(e *Engine, info EventInfo, rec *Record) error {
 	if !h.started {
 		return nil // pre-start records stay untouched
 	}
-	now := e.Scheduler().Now()
+	now := e.sched.Now()
 	switch info.Kind {
 	case "join", "leave":
-		return fmt.Errorf("liveloop: %s after the live cluster started (fixed membership)", info.Kind)
+		return fmt.Errorf("live: %s after the live cluster started (fixed membership)", info.Kind)
 	case "partition":
 		for _, id := range info.IDs {
 			i, ok := h.idx[id]
 			if !ok {
-				return fmt.Errorf("liveloop: partition of unknown replica %s", id)
+				return fmt.Errorf("live: partition of unknown replica %s", id)
 			}
 			h.partitioned[i] = true
 		}
@@ -464,7 +454,7 @@ func (h *harness) AfterEvent(e *scenario.Engine, info scenario.EventInfo, rec *s
 		for _, id := range info.IDs {
 			i, ok := h.idx[id]
 			if !ok {
-				return fmt.Errorf("liveloop: crash of unknown replica %s", id)
+				return fmt.Errorf("live: crash of unknown replica %s", id)
 			}
 			h.crashed[i] = true
 			if err := h.cluster.SetBehavior(i, bftlive.Silent); err != nil {
@@ -477,7 +467,7 @@ func (h *harness) AfterEvent(e *scenario.Engine, info scenario.EventInfo, rec *s
 			return err
 		}
 		if info.Fault == nil {
-			return errors.New("liveloop: degrade event without a fault model")
+			return errors.New("live: degrade event without a fault model")
 		}
 		f := simnet.Fault{
 			Drop:         info.Fault.Drop,
@@ -501,12 +491,12 @@ func (h *harness) AfterEvent(e *scenario.Engine, info scenario.EventInfo, rec *s
 		for _, id := range info.IDs {
 			i, ok := h.idx[id]
 			if !ok {
-				return fmt.Errorf("liveloop: restore of unknown replica %s", id)
+				return fmt.Errorf("live: restore of unknown replica %s", id)
 			}
 			delete(h.crashed, i)
 			b := bftlive.Honest
 			if h.attacked[i] {
-				if h.spec.Attack == scenario.AttackSilence {
+				if h.spec.Attack == AttackSilence {
 					b = bftlive.Silent
 				} else {
 					b = bftlive.Promiscuous
@@ -551,13 +541,13 @@ func (h *harness) AfterEvent(e *scenario.Engine, info scenario.EventInfo, rec *s
 		h.inBreach = true
 		h.breachAt = now
 		rec.BreachAtNanos = int64(now)
-		if h.spec.AttackAt == 0 && !h.attackScheduled && now+h.spec.ProbeDeadline.D() < h.horizon {
+		if h.spec.AttackAt == 0 && !h.attackScheduled && now+h.spec.ProbeDeadline.D() < e.def.Horizon {
 			h.attackScheduled = true
 			if err := h.scheduleAttack(e, now); err != nil {
 				return err
 			}
 		}
-		if h.spec.Reactive && now+h.spec.ReactDelay.D() < h.horizon {
+		if h.spec.Reactive && now+h.spec.ReactDelay.D() < e.def.Horizon {
 			if err := e.At(now+h.spec.ReactDelay.D(), "live-react", h.react); err != nil {
 				return err
 			}
@@ -568,7 +558,7 @@ func (h *harness) AfterEvent(e *scenario.Engine, info scenario.EventInfo, rec *s
 		rec.RecoverNanos = int64(now - h.breachAt)
 	}
 	// Re-arm the recovery loop while the breach persists.
-	if info.Kind == "live-react" && h.inBreach && h.spec.Reactive && now+h.spec.ReactDelay.D() < h.horizon {
+	if info.Kind == "live-react" && h.inBreach && h.spec.Reactive && now+h.spec.ReactDelay.D() < e.def.Horizon {
 		if err := e.At(now+h.spec.ReactDelay.D(), "live-react", h.react); err != nil {
 			return err
 		}
@@ -578,14 +568,14 @@ func (h *harness) AfterEvent(e *scenario.Engine, info scenario.EventInfo, rec *s
 
 // linkEndpoints resolves a degrade/restore-link event's two endpoints to
 // replica indices.
-func (h *harness) linkEndpoints(info scenario.EventInfo) (int, int, error) {
+func (h *harness) linkEndpoints(info EventInfo) (int, int, error) {
 	if len(info.IDs) != 2 {
-		return 0, 0, fmt.Errorf("liveloop: %s event with %d endpoints", info.Kind, len(info.IDs))
+		return 0, 0, fmt.Errorf("live: %s event with %d endpoints", info.Kind, len(info.IDs))
 	}
 	a, aok := h.idx[info.IDs[0]]
 	b, bok := h.idx[info.IDs[1]]
 	if !aok || !bok {
-		return 0, 0, fmt.Errorf("liveloop: %s of unknown link %s<->%s", info.Kind, info.IDs[0], info.IDs[1])
+		return 0, 0, fmt.Errorf("live: %s of unknown link %s<->%s", info.Kind, info.IDs[0], info.IDs[1])
 	}
 	return a, b, nil
 }
@@ -651,7 +641,7 @@ func cleanTargets(targets *config.Catalog, catalog *vuln.Catalog) (*config.Catal
 		}
 	}
 	if kept == 0 {
-		return nil, errors.New("liveloop: no clean migration targets left")
+		return nil, errors.New("live: no clean migration targets left")
 	}
 	return clean, nil
 }

@@ -1,11 +1,9 @@
-package liveloop
+package scenario
 
 import (
 	"fmt"
 	"testing"
 	"time"
-
-	"repro/internal/scenario"
 )
 
 // compromiseDef builds a generated compromise timeline: the ubuntu trio
@@ -14,9 +12,9 @@ import (
 // parameterized so the property holds across a family of timelines, not
 // one hand-tuned scenario — and each member runs from its JSON, so the
 // whole live block is exercised the way a file would carry it.
-func compromiseDef(t *testing.T, name, mode string, disclosed, patchLatency, attackAt, reactDelay time.Duration, reactive bool) scenario.Def {
+func compromiseDef(t *testing.T, name, mode string, disclosed, patchLatency, attackAt, reactDelay time.Duration, reactive bool) Def {
 	t.Helper()
-	live := &scenario.LiveSpec{
+	live := &LiveSpec{
 		StartAt:    at(time.Hour),
 		ProbeEvery: at(12 * time.Hour),
 		Attack:     mode,
@@ -27,7 +25,7 @@ func compromiseDef(t *testing.T, name, mode string, disclosed, patchLatency, att
 		live.ReactDelay = at(reactDelay)
 		live.Targets = recoveryTargets()
 	}
-	tl := &scenario.Timeline{
+	tl := &Timeline{
 		Name: name, Title: "generated compromise timeline", Horizon: at(8 * day), Tick: at(12 * time.Hour),
 		Live:   live,
 		Events: sevenThen(trioOnUbuntu(), patchLatency, ubuntuCVE("CVE-GEN-0001", disclosed)),
@@ -36,7 +34,7 @@ func compromiseDef(t *testing.T, name, mode string, disclosed, patchLatency, att
 	if err != nil {
 		t.Fatal(err)
 	}
-	parsed, err := scenario.ParseTimeline(data)
+	parsed, err := ParseTimeline(data)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -48,7 +46,7 @@ func compromiseDef(t *testing.T, name, mode string, disclosed, patchLatency, att
 // of the react delay — finite, bounded time-to-recover on every generated
 // timeline, with zero prediction/observation divergences.
 func TestPropertyReactiveRecoveryIsBounded(t *testing.T) {
-	modes := []string{scenario.AttackEquivocate, scenario.AttackSilence}
+	modes := []string{AttackEquivocate, AttackSilence}
 	for i, disclosed := range []time.Duration{day, 36 * time.Hour, 2 * day} {
 		for j, patchLatency := range []time.Duration{day, 2 * day} {
 			for k, reactDelay := range []time.Duration{3 * time.Hour, 9 * time.Hour} {
@@ -59,7 +57,7 @@ func TestPropertyReactiveRecoveryIsBounded(t *testing.T) {
 				// monitor. Recovery must have cleansed it by then.
 				attackAt := disclosed + day + patchLatency + time.Hour
 				def := compromiseDef(t, name, mode, disclosed, patchLatency, attackAt, reactDelay, true)
-				res, err := scenario.Run(def, int64(1000+i*100+j*10+k))
+				res, err := Run(def, int64(1000+i*100+j*10+k))
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -92,12 +90,12 @@ func TestPropertyReactiveRecoveryIsBounded(t *testing.T) {
 // post-window attack contradicts the monitor's safe assessment — at least
 // one divergence, and no recovery record ever.
 func TestPropertyNoRecoveryDiverges(t *testing.T) {
-	for i, mode := range []string{scenario.AttackEquivocate, scenario.AttackSilence} {
+	for i, mode := range []string{AttackEquivocate, AttackSilence} {
 		disclosed, patchLatency := day, day
 		attackAt := disclosed + day + patchLatency + time.Hour
 		name := fmt.Sprintf("gen-unprotected-%d", i)
 		def := compromiseDef(t, name, mode, disclosed, patchLatency, attackAt, 0, false)
-		res, err := scenario.Run(def, int64(2000+i))
+		res, err := Run(def, int64(2000+i))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -111,7 +109,7 @@ func TestPropertyNoRecoveryDiverges(t *testing.T) {
 		if sum.Divergences == 0 {
 			t.Fatalf("%s: surviving implants never contradicted the monitor", name)
 		}
-		if mode == scenario.AttackEquivocate && sum.Violations == 0 {
+		if mode == AttackEquivocate && sum.Violations == 0 {
 			t.Fatalf("%s: equivocation after window close produced no violation", name)
 		}
 	}

@@ -1,46 +1,14 @@
-package liveloop
+package scenario
 
 import (
 	"fmt"
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/scenario"
 )
 
-// runNamed resolves a registered scenario and runs it through the unified
-// Run entrypoint.
-func runNamed(t *testing.T, name string, seed int64) *scenario.Result {
-	t.Helper()
-	def, ok := scenario.Lookup(name)
-	if !ok {
-		t.Fatalf("unknown scenario %q", name)
-	}
-	res, err := scenario.Run(def, seed)
-	if err != nil {
-		t.Fatalf("%s: %v", name, err)
-	}
-	return res
-}
-
-// traceJSON renders a whole trace as its canonical JSONL bytes.
-func traceJSON(t *testing.T, res *scenario.Result) string {
-	t.Helper()
-	var b strings.Builder
-	for _, rec := range res.Records {
-		line, err := rec.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		b.WriteString(line)
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
 func TestLivePartitionProbeHonestPath(t *testing.T) {
-	res := runNamed(t, "live-partition-probe", 42)
+	res := runByName(t, "live-partition-probe", 42)
 	sum := res.Summary()
 	if sum.Divergences != 0 {
 		t.Fatalf("honest path diverged %d times", sum.Divergences)
@@ -75,7 +43,7 @@ func TestLivePartitionProbeHonestPath(t *testing.T) {
 }
 
 func TestLiveCompromiseCascadeBreaksAgreementOnCue(t *testing.T) {
-	res := runNamed(t, "live-compromise-cascade", 42)
+	res := runByName(t, "live-compromise-cascade", 42)
 	sum := res.Summary()
 	if sum.Divergences != 0 {
 		t.Fatalf("predicted compromise diverged %d times", sum.Divergences)
@@ -89,7 +57,7 @@ func TestLiveCompromiseCascadeBreaksAgreementOnCue(t *testing.T) {
 	if sum.Violations == 0 {
 		t.Fatal("equivocation produced no observed violation")
 	}
-	var verdict *scenario.Record
+	var verdict *Record
 	for i := range res.Records {
 		if res.Records[i].Check == "safety" {
 			verdict = &res.Records[i]
@@ -113,7 +81,7 @@ func TestLiveCompromiseCascadeBreaksAgreementOnCue(t *testing.T) {
 }
 
 func TestLiveReactiveRecoveryBoundsTTR(t *testing.T) {
-	res := runNamed(t, "live-reactive-recovery", 42)
+	res := runByName(t, "live-reactive-recovery", 42)
 	sum := res.Summary()
 	if sum.Divergences != 0 {
 		t.Fatalf("reactive path diverged %d times", sum.Divergences)
@@ -127,7 +95,7 @@ func TestLiveReactiveRecoveryBoundsTTR(t *testing.T) {
 	if sum.MaxTTR != 6*time.Hour {
 		t.Fatalf("TTR %v, want the 6h react delay", sum.MaxTTR)
 	}
-	var react, verdict *scenario.Record
+	var react, verdict *Record
 	for i := range res.Records {
 		switch res.Records[i].Event {
 		case "live-react":
@@ -146,7 +114,7 @@ func TestLiveReactiveRecoveryBoundsTTR(t *testing.T) {
 	if verdict == nil || verdict.Divergence {
 		t.Fatalf("verdict record missing or divergent: %+v", verdict)
 	}
-	var attack *scenario.Record
+	var attack *Record
 	for i := range res.Records {
 		if res.Records[i].Event == "live-attack" {
 			attack = &res.Records[i]
@@ -163,8 +131,8 @@ func TestLiveReactiveRecoveryBoundsTTR(t *testing.T) {
 func TestLiveTracesAreByteDeterministic(t *testing.T) {
 	for _, name := range []string{"live-partition-probe", "live-compromise-cascade", "live-reactive-recovery",
 		"live-primary-failover", "live-lossy-rotation"} {
-		a := traceJSON(t, runNamed(t, name, 42))
-		b := traceJSON(t, runNamed(t, name, 42))
+		a := mustTraceJSON(t, runByName(t, name, 42))
+		b := mustTraceJSON(t, runByName(t, name, 42))
 		if a != b {
 			t.Fatalf("%s: two runs differ", name)
 		}
@@ -174,36 +142,14 @@ func TestLiveTracesAreByteDeterministic(t *testing.T) {
 	}
 }
 
-// TestLiveScenariosRegistered: the library registers every live scenario
-// under the "live" tag that cmd/scenarios run -live selects.
-func TestLiveScenariosRegistered(t *testing.T) {
-	want := []string{"live-partition-probe", "live-compromise-cascade", "live-reactive-recovery",
-		"live-primary-failover", "live-lossy-rotation"}
-	for _, name := range want {
-		d, ok := scenario.Lookup(name)
-		if !ok {
-			t.Fatalf("%s not registered", name)
-		}
-		tagged := false
-		for _, tag := range d.Tags {
-			if tag == "live" {
-				tagged = true
-			}
-		}
-		if !tagged {
-			t.Fatalf("%s lacks the live tag", name)
-		}
-	}
-}
-
 // liveTimeline is a one-hour timeline of n unit-power replicas (the first
 // with power p0) carrying the given live block, as the JSON an operator
 // would hand the CLI.
-func liveTimeline(t *testing.T, n int, p0 float64, live scenario.LiveSpec) []byte {
+func liveTimeline(t *testing.T, n int, p0 float64, live LiveSpec) []byte {
 	t.Helper()
-	tl := &scenario.Timeline{Name: "attach-bad", Horizon: at(time.Hour), Live: &live}
+	tl := &Timeline{Name: "attach-bad", Horizon: at(time.Hour), Live: &live}
 	for i := 0; i < n; i++ {
-		tl.Events = append(tl.Events, scenario.Event{Op: scenario.OpJoin, ID: fmt.Sprintf("r-%02d", i), Config: osSpec("mint", "1"), Power: 1})
+		tl.Events = append(tl.Events, Event{Op: OpJoin, ID: fmt.Sprintf("r-%02d", i), Config: osSpec("mint", "1"), Power: 1})
 	}
 	tl.Events[0].Power = p0
 	data, err := tl.MarshalIndent()
@@ -217,26 +163,26 @@ func liveTimeline(t *testing.T, n int, p0 float64, live scenario.LiveSpec) []byt
 // with the timeline's name, never mid-run; what only the run can show — the
 // membership at start_at — fails the run at that instant.
 func TestAttachValidation(t *testing.T) {
-	for why, live := range map[string]scenario.LiveSpec{
+	for why, live := range map[string]LiveSpec{
 		"start_at past the horizon":    {StartAt: at(2 * time.Hour)},
 		"start_at at the horizon":      {StartAt: at(time.Hour)},
 		"reactive without react_delay": {Reactive: true},
 		"attack_at past the horizon":   {AttackAt: at(2 * time.Hour)},
 		"an unknown attack":            {Attack: "bribe"},
 	} {
-		if _, err := scenario.ParseTimeline(liveTimeline(t, 7, 1, live)); err == nil || !strings.Contains(err.Error(), "timeline attach-bad: live") {
+		if _, err := ParseTimeline(liveTimeline(t, 7, 1, live)); err == nil || !strings.Contains(err.Error(), "timeline attach-bad: live") {
 			t.Errorf("%s accepted at parse: %v", why, err)
 		}
 	}
 	for why, data := range map[string][]byte{
-		"at least 4 replicas": liveTimeline(t, 3, 1, scenario.LiveSpec{StartAt: at(time.Minute)}),
-		"equal-power":         liveTimeline(t, 7, 2, scenario.LiveSpec{StartAt: at(time.Minute)}),
+		"at least 4 replicas": liveTimeline(t, 3, 1, LiveSpec{StartAt: at(time.Minute)}),
+		"equal-power":         liveTimeline(t, 7, 2, LiveSpec{StartAt: at(time.Minute)}),
 	} {
-		tl, err := scenario.ParseTimeline(data)
+		tl, err := ParseTimeline(data)
 		if err != nil {
 			t.Fatalf("%s: %v", why, err)
 		}
-		if _, err := scenario.Run(tl.Def(), 1); err == nil || !strings.Contains(err.Error(), why) {
+		if _, err := Run(tl.Def(), 1); err == nil || !strings.Contains(err.Error(), why) {
 			t.Errorf("a membership breaking %q ran: %v", why, err)
 		}
 	}
@@ -244,14 +190,14 @@ func TestAttachValidation(t *testing.T) {
 
 // TestLiveMembershipIsFixed: a join after StartAt aborts the run.
 func TestLiveMembershipIsFixed(t *testing.T) {
-	tl := &scenario.Timeline{
+	tl := &Timeline{
 		Name: "live-join-after-start", Horizon: at(3 * time.Hour),
-		Live: &scenario.LiveSpec{StartAt: at(time.Hour)},
-		Events: sevenThen(diverseSeven(), time.Hour, scenario.Event{
-			Op: scenario.OpJoin, At: at(2 * time.Hour), ID: "r-99", Config: osSpec("mint", "1"), Power: 1, PatchLatency: at(time.Hour),
+		Live: &LiveSpec{StartAt: at(time.Hour)},
+		Events: sevenThen(diverseSeven(), time.Hour, Event{
+			Op: OpJoin, At: at(2 * time.Hour), ID: "r-99", Config: osSpec("mint", "1"), Power: 1, PatchLatency: at(time.Hour),
 		}),
 	}
-	if _, err := scenario.Run(tl.Def(), 1); err == nil || !strings.Contains(err.Error(), "fixed membership") {
+	if _, err := Run(tl.Def(), 1); err == nil || !strings.Contains(err.Error(), "fixed membership") {
 		t.Fatalf("join after start did not abort: %v", err)
 	}
 }

@@ -1,19 +1,16 @@
-package liveloop
+package scenario
 
 import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/config"
-	"repro/internal/scenario"
 )
 
 // TestLivePrimaryFailoverRotatesAndPredicts: crashing the initial primary
 // on a jittery wire rotates views, commits resume, and every view-aware
 // liveness prediction matches the observation.
 func TestLivePrimaryFailoverRotatesAndPredicts(t *testing.T) {
-	res := runNamed(t, "live-primary-failover", 42)
+	res := runByName(t, "live-primary-failover", 42)
 	sum := res.Summary()
 	if sum.Divergences != 0 {
 		t.Fatalf("failover path diverged %d times", sum.Divergences)
@@ -59,7 +56,7 @@ func TestLivePrimaryFailoverRotatesAndPredicts(t *testing.T) {
 		t.Fatal("no post-crash probe committed under the rotated primary")
 	}
 	// The degrade and restore-link events land on the trace with details.
-	var degrade, restore *scenario.Record
+	var degrade, restore *Record
 	for i := range res.Records {
 		switch res.Records[i].Event {
 		case "degrade":
@@ -81,7 +78,7 @@ func TestLivePrimaryFailoverRotatesAndPredicts(t *testing.T) {
 // commits after a view change, and the day-2 primary crash rotates again —
 // all on degraded links, with zero prediction divergences.
 func TestLiveLossyRotationRecoversAndRotates(t *testing.T) {
-	res := runNamed(t, "live-lossy-rotation", 42)
+	res := runByName(t, "live-lossy-rotation", 42)
 	sum := res.Summary()
 	if sum.Divergences != 0 {
 		t.Fatalf("lossy rotation diverged %d times", sum.Divergences)
@@ -100,7 +97,7 @@ func TestLiveLossyRotationRecoversAndRotates(t *testing.T) {
 	}
 	// The day-2 crash hits the post-recovery primary; the view must advance
 	// past it and commits must resume.
-	var crash *scenario.Record
+	var crash *Record
 	crashIdx := -1
 	for i := range res.Records {
 		if res.Records[i].Event == "crash" {
@@ -126,39 +123,35 @@ func TestLiveLossyRotationRecoversAndRotates(t *testing.T) {
 }
 
 // TestTimelineLiveAttach: a timeline carrying a LiveSpec boots the live
-// harness through the hook this package registers in init, and the run
-// rotates views over a lossy wire.
+// harness, and the run rotates views over a lossy wire.
 func TestTimelineLiveAttach(t *testing.T) {
-	osSpec := func(name string) []scenario.ComponentSpec {
-		return []scenario.ComponentSpec{{Class: config.ClassOperatingSystem.String(), Name: name, Version: "1"}}
-	}
 	names := []string{"ubuntu", "debian", "fedora", "freebsd", "openbsd", "alpine", "arch"}
-	events := make([]scenario.Event, 0, len(names)+3)
+	events := make([]Event, 0, len(names)+3)
 	for i, n := range names {
-		events = append(events, scenario.Event{
-			Op: scenario.OpJoin, At: 0, ID: "r-0" + string(rune('0'+i)), Config: osSpec(n), Power: 1,
+		events = append(events, Event{
+			Op: OpJoin, At: 0, ID: "r-0" + string(rune('0'+i)), Config: osSpec(n, "1"), Power: 1,
 		})
 	}
 	events = append(events,
-		scenario.Event{Op: scenario.OpDegrade, At: scenario.Duration(2 * time.Hour),
-			IDs: []string{"r-05", "r-06"}, Fault: &scenario.FaultSpec{Drop: 0.3, Reorder: 0.2}},
-		scenario.Event{Op: scenario.OpCrash, At: scenario.Duration(4 * time.Hour), IDs: []string{"r-00"}},
-		scenario.Event{Op: scenario.OpRestoreLink, At: scenario.Duration(8 * time.Hour),
+		Event{Op: OpDegrade, At: Duration(2 * time.Hour),
+			IDs: []string{"r-05", "r-06"}, Fault: &FaultSpec{Drop: 0.3, Reorder: 0.2}},
+		Event{Op: OpCrash, At: Duration(4 * time.Hour), IDs: []string{"r-00"}},
+		Event{Op: OpRestoreLink, At: Duration(8 * time.Hour),
 			IDs: []string{"r-05", "r-06"}},
 	)
-	tl := &scenario.Timeline{
+	tl := &Timeline{
 		Name:    "live-tl-rotation",
-		Horizon: scenario.Duration(12 * time.Hour),
-		Tick:    scenario.Duration(2 * time.Hour),
-		Live: &scenario.LiveSpec{
-			StartAt:       scenario.Duration(time.Hour),
-			ProbeEvery:    scenario.Duration(2 * time.Hour),
-			ProbeDeadline: scenario.Duration(5 * time.Second),
-			ViewTimeout:   scenario.Duration(500 * time.Millisecond),
+		Horizon: Duration(12 * time.Hour),
+		Tick:    Duration(2 * time.Hour),
+		Live: &LiveSpec{
+			StartAt:       Duration(time.Hour),
+			ProbeEvery:    Duration(2 * time.Hour),
+			ProbeDeadline: Duration(5 * time.Second),
+			ViewTimeout:   Duration(500 * time.Millisecond),
 		},
 		Events: events,
 	}
-	res, err := scenario.Run(tl.Def(), 7)
+	res, err := Run(tl.Def(), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,18 +169,18 @@ func TestTimelineLiveAttach(t *testing.T) {
 }
 
 // TestGeneratedLossyWireViewLiveness: lossy-wire timelines generated by
-// the fuzzing profile run under the real live harness (this package's init
-// hook) with zero invariant violations — in particular view-liveness — and
-// at least one of them rotates views.
+// the fuzzing profile run under the real live harness with zero invariant
+// violations — in particular view-liveness — and at least one of them
+// rotates views.
 func TestGeneratedLossyWireViewLiveness(t *testing.T) {
-	p, ok := scenario.LookupProfile("lossy-wire")
+	p, ok := LookupProfile("lossy-wire")
 	if !ok {
 		t.Fatal("lossy-wire profile not registered")
 	}
 	rotated := false
 	for i := 0; i < 8; i++ {
 		tl := p.Generate(42, i)
-		res, violations, err := scenario.CheckRun(tl.Def(), 42, scenario.DefaultInvariants())
+		res, violations, err := CheckRun(tl.Def(), 42, DefaultInvariants())
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
@@ -209,8 +202,8 @@ func TestGeneratedLossyWireViewLiveness(t *testing.T) {
 
 // TestViewTimeoutValidation: a negative view_timeout fails at parse.
 func TestViewTimeoutValidation(t *testing.T) {
-	data := liveTimeline(t, 7, 1, scenario.LiveSpec{ViewTimeout: at(-time.Second)})
-	if _, err := scenario.ParseTimeline(data); err == nil || !strings.Contains(err.Error(), "negative live cadence") {
+	data := liveTimeline(t, 7, 1, LiveSpec{ViewTimeout: at(-time.Second)})
+	if _, err := ParseTimeline(data); err == nil || !strings.Contains(err.Error(), "negative live cadence") {
 		t.Fatalf("negative view_timeout accepted: %v", err)
 	}
 }

@@ -12,6 +12,9 @@
 // *over time*; the seed's Monitor could only watch a frozen population.
 // Scenarios are the missing workload: named, replayable timelines where
 // the population, the vulnerability surface and the adversary all move.
+// A timeline's live block also runs a real BFT cluster (internal/bftlive
+// over internal/simnet) on the run's clock and checks the monitor's
+// predictions against what the wire does (live.go).
 //
 // Determinism discipline (the same one internal/sim and internal/simnet
 // follow): a single scheduler owns virtual time and fires events in
@@ -67,7 +70,7 @@ var (
 	registryByName = make(map[string]Def)
 )
 
-// Register adds a scenario to the registry. The library self-registers at
+// register adds a scenario to the registry. The library self-registers at
 // init time, mirroring the experiment registry: cmd/scenarios, tests and
 // benchmarks all iterate the same index so they cannot drift.
 // Registration errors are programmer errors and panic.
@@ -78,7 +81,7 @@ var (
 // duplicates are checked on the trimmed, lowercased key. A negative Tick
 // is rejected too — it would silently fall back to the Horizon/24 default
 // at run time, hiding the typo.
-func Register(d Def) {
+func register(d Def) {
 	if d.Name == "" || d.Title == "" || d.Horizon <= 0 {
 		panic(fmt.Sprintf("scenario: incomplete registration %q", d.Name))
 	}

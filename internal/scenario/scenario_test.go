@@ -1,17 +1,22 @@
 package scenario
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
 )
 
-// TestLibraryRegistered pins the named library: the six scenarios the CLI,
-// CI and README advertise, in registration order.
+// TestLibraryRegistered pins the named library: the eleven scenarios the
+// CLI, CI and README advertise, in registration order — the six analytic
+// ones, then the five live ones, each under the "live" tag that
+// cmd/scenarios run -live selects.
 func TestLibraryRegistered(t *testing.T) {
 	want := []string{
 		"flash-churn", "monoculture-drift", "zero-day-under-partition",
 		"staggered-patch-race", "adaptive-adversary", "committee-rotation",
+		"live-partition-probe", "live-compromise-cascade", "live-primary-failover",
+		"live-lossy-rotation", "live-reactive-recovery",
 	}
 	got := Names()
 	if len(got) != len(want) {
@@ -21,11 +26,15 @@ func TestLibraryRegistered(t *testing.T) {
 		if got[i] != name {
 			t.Errorf("Names()[%d] = %q, want %q", i, got[i], name)
 		}
-		if _, ok := Lookup(name); !ok {
+		d, ok := Lookup(name)
+		if !ok {
 			t.Errorf("Lookup(%q) missing", name)
 		}
 		if _, ok := Lookup(strings.ToUpper(name)); !ok {
 			t.Errorf("Lookup is not case-insensitive for %q", name)
+		}
+		if live := strings.HasPrefix(name, "live-"); live != slices.Contains(d.Tags, "live") {
+			t.Errorf("%s: live tag %t, want %t", name, !live, live)
 		}
 	}
 	if _, ok := Lookup("no-such-scenario"); ok {
@@ -33,15 +42,19 @@ func TestLibraryRegistered(t *testing.T) {
 	}
 }
 
-// runByName resolves a registered scenario and runs it — the test-local
-// spelling of the old RunNamed entrypoint.
-func runByName(t *testing.T, name string, seed int64) (*Result, error) {
+// runByName resolves a registered scenario and runs it through the unified
+// Run entrypoint, failing the test on any error.
+func runByName(t *testing.T, name string, seed int64) *Result {
 	t.Helper()
 	def, ok := Lookup(name)
 	if !ok {
 		t.Fatalf("unknown scenario %q", name)
 	}
-	return Run(def, seed)
+	res, err := Run(def, seed)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return res
 }
 
 func TestDeriveSeed(t *testing.T) {
@@ -121,14 +134,8 @@ func TestLibraryRunsAndReplays(t *testing.T) {
 // record in the seed-dependent scenarios (flash-churn draws powers from
 // the run RNG).
 func TestLibrarySeedSensitivity(t *testing.T) {
-	a, err := runByName(t, "flash-churn", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := runByName(t, "flash-churn", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := runByName(t, "flash-churn", 1)
+	b := runByName(t, "flash-churn", 2)
 	if len(a.Records) == len(b.Records) {
 		same := true
 		for i := range a.Records {
@@ -149,10 +156,7 @@ func TestLibrarySeedSensitivity(t *testing.T) {
 // dynamics they are named for.
 func TestLibraryTellsItsStory(t *testing.T) {
 	t.Run("flash-churn breaks safety during the mob", func(t *testing.T) {
-		res, err := runByName(t, "flash-churn", 42)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := runByName(t, "flash-churn", 42)
 		s := res.Summary()
 		if s.UnsafeRecords == 0 {
 			t.Error("zero-day on the mob never broke safety")
@@ -162,10 +166,7 @@ func TestLibraryTellsItsStory(t *testing.T) {
 		}
 	})
 	t.Run("monoculture-drift erodes entropy", func(t *testing.T) {
-		res, err := runByName(t, "monoculture-drift", 42)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := runByName(t, "monoculture-drift", 42)
 		// Entropy at the start of the drift (full fleet, balanced) must
 		// exceed entropy after the drift completes.
 		var startH, preDiscloseH float64
@@ -182,10 +183,7 @@ func TestLibraryTellsItsStory(t *testing.T) {
 		}
 	})
 	t.Run("staggered-patch-race recovers by rollout", func(t *testing.T) {
-		res, err := runByName(t, "staggered-patch-race", 42)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := runByName(t, "staggered-patch-race", 42)
 		last := res.Records[len(res.Records)-1]
 		if last.Compromised != 0 {
 			t.Errorf("fleet still compromised at horizon: Σf=%v", last.Compromised)
@@ -196,10 +194,7 @@ func TestLibraryTellsItsStory(t *testing.T) {
 		}
 	})
 	t.Run("zero-day-under-partition compounds", func(t *testing.T) {
-		res, err := runByName(t, "zero-day-under-partition", 42)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := runByName(t, "zero-day-under-partition", 42)
 		// During the partition the membership count stays but power drops.
 		var sawPartition, sawHeal bool
 		for _, rec := range res.Records {
@@ -218,10 +213,7 @@ func TestLibraryTellsItsStory(t *testing.T) {
 		}
 	})
 	t.Run("adaptive-adversary probes both models", func(t *testing.T) {
-		res, err := runByName(t, "adaptive-adversary", 42)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := runByName(t, "adaptive-adversary", 42)
 		strategies := make(map[string]bool)
 		for _, rec := range res.Records {
 			if rec.Event == "probe" {
@@ -233,10 +225,7 @@ func TestLibraryTellsItsStory(t *testing.T) {
 		}
 	})
 	t.Run("committee-rotation records rotations", func(t *testing.T) {
-		res, err := runByName(t, "committee-rotation", 42)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := runByName(t, "committee-rotation", 42)
 		rotations := 0
 		for _, rec := range res.Records {
 			if rec.Event == "rotate" {
@@ -253,19 +242,19 @@ func TestLibraryTellsItsStory(t *testing.T) {
 }
 
 // TestRegisterValidation: every malformed registration panics before it
-// can pollute the registry — including the two holes Register used to
+// can pollute the registry — including the two holes register used to
 // have: a negative Tick (silently replaced by the Horizon/24 default at
 // run time) and a name that collides with an existing one only after
-// trimming/lowercasing (which Lookup normalizes but Register did not).
+// trimming/lowercasing (which Lookup normalizes but register did not).
 func TestRegisterValidation(t *testing.T) {
 	mustPanic := func(t *testing.T, why string, d Def) {
 		t.Helper()
 		defer func() {
 			if recover() == nil {
-				t.Errorf("Register accepted %s", why)
+				t.Errorf("register accepted %s", why)
 			}
 		}()
-		Register(d)
+		register(d)
 	}
 	valid := (&Timeline{Name: "reg-valid", Title: "t", Horizon: Duration(time.Hour)}).Def()
 

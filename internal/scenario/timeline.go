@@ -39,9 +39,9 @@ type Timeline struct {
 	// assessment cadence (0 defaults to Horizon/24 like Def.Tick).
 	Horizon Duration `json:"horizon"`
 	Tick    Duration `json:"tick,omitempty"`
-	// Live, when set, attaches the live BFT harness (internal/liveloop)
-	// to the run via the hook registered with SetLiveAttach. Omitted for
-	// analytic-only timelines, so old artifacts are byte-identical.
+	// Live, when set, attaches the live BFT harness (live.go) to the run.
+	// Omitted for analytic-only timelines, so old artifacts are
+	// byte-identical.
 	Live *LiveSpec `json:"live,omitempty"`
 	// Events is the timeline, ascending by At. Validate enforces the
 	// ordering so diffs and shrinking operate on a canonical form.
@@ -51,7 +51,7 @@ type Timeline struct {
 // LiveSpec is the live harness's whole configuration: when the cluster
 // boots, its wire and probe cadences, what the adversary's implants do once
 // triggered, and the reactive-recovery loop. Every key but start_at is
-// omitempty and WithDefaults names what an omitted one means, so an artifact
+// omitempty and withDefaults names what an omitted one means, so an artifact
 // written before a key existed parses, re-marshals and runs as before.
 type LiveSpec struct {
 	// StartAt is the virtual instant the live cluster comes up. The
@@ -93,10 +93,10 @@ const (
 	AttackSilence = "silence"
 )
 
-// WithDefaults returns the spec with every omitted key that has a default
+// withDefaults returns the spec with every omitted key that has a default
 // filled in — the one place those defaults live, for Validate and the
 // harness alike.
-func (s LiveSpec) WithDefaults() LiveSpec {
+func (s LiveSpec) withDefaults() LiveSpec {
 	if s.Latency <= 0 {
 		s.Latency = Duration(20 * time.Millisecond)
 	}
@@ -109,8 +109,8 @@ func (s LiveSpec) WithDefaults() LiveSpec {
 	return s
 }
 
-// TargetCatalog materializes the migration targets (nil when there are none).
-func (s LiveSpec) TargetCatalog() (*config.Catalog, error) {
+// targetCatalog materializes the migration targets (nil when there are none).
+func (s LiveSpec) targetCatalog() (*config.Catalog, error) {
 	if len(s.Targets) == 0 {
 		return nil, nil
 	}
@@ -143,23 +143,14 @@ func (s LiveSpec) validate(horizon Duration) error {
 	if s.Reactive && s.ReactDelay <= 0 {
 		return errors.New("live reactive recovery needs a positive react_delay")
 	}
-	if deadline := s.WithDefaults().ProbeDeadline; s.AttackAt > 0 && (s.AttackAt <= s.StartAt || s.AttackAt+deadline >= horizon) {
+	if deadline := s.withDefaults().ProbeDeadline; s.AttackAt > 0 && (s.AttackAt <= s.StartAt || s.AttackAt+deadline >= horizon) {
 		return fmt.Errorf("live attack_at %v outside (%v, %v)", s.AttackAt, s.StartAt, horizon-deadline)
 	}
-	if _, err := s.TargetCatalog(); err != nil {
+	if _, err := s.targetCatalog(); err != nil {
 		return fmt.Errorf("live targets: %w", err)
 	}
 	return nil
 }
-
-// liveAttach is the hook a live harness registers so a timeline can boot it
-// without scenario importing the harness (which imports scenario).
-// internal/liveloop installs the real hook in its init.
-var liveAttach func(e *Engine, spec *LiveSpec) error
-
-// SetLiveAttach registers the live-harness hook used by Timeline.Apply
-// when a timeline carries a LiveSpec.
-func SetLiveAttach(fn func(*Engine, *LiveSpec) error) { liveAttach = fn }
 
 // The wire vocabulary a timeline shares with monitord's request bodies; see
 // package spec.
@@ -533,10 +524,7 @@ func (tl *Timeline) Apply(e *Engine) error {
 		return err
 	}
 	if tl.Live != nil {
-		if liveAttach == nil {
-			return fmt.Errorf("scenario: timeline %s requires the live harness, but no live-attach hook is registered (import internal/liveloop)", tl.Name)
-		}
-		if err := liveAttach(e, tl.Live); err != nil {
+		if err := attach(e, tl.Live); err != nil {
 			return fmt.Errorf("scenario: timeline %s: live attach: %w", tl.Name, err)
 		}
 	}

@@ -3,8 +3,6 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -357,7 +355,7 @@ func TestLiveSpecValidate(t *testing.T) {
 	if again, err := tl.MarshalIndent(); err != nil || string(again) != old {
 		t.Fatalf("old live block does not re-marshal byte for byte (%v):\n%s", err, again)
 	}
-	if got := tl.Live.WithDefaults(); got.Attack != AttackEquivocate || got.ProbeDeadline.D() != 500*time.Millisecond || got.Latency.D() != 20*time.Millisecond {
+	if got := tl.Live.withDefaults(); got.Attack != AttackEquivocate || got.ProbeDeadline.D() != 500*time.Millisecond || got.Latency.D() != 20*time.Millisecond {
 		t.Fatalf("defaults of an old live block: %+v", got)
 	}
 }
@@ -447,8 +445,7 @@ func TestSortEvents(t *testing.T) {
 // TestValidateComponentWording pins, byte for byte, what Validate says about
 // a join's or a migration's component specs: an unknown class, an empty
 // name, an empty configuration, and a list holding both of the first two
-// (every class is parsed before any name is checked). The golden timeline
-// and the live library's JSON still parse.
+// (every class is parsed before any name is checked).
 func TestValidateComponentWording(t *testing.T) {
 	const prefix = "scenario: timeline tl-wording: event 1: "
 	osClass := config.ClassOperatingSystem.String()
@@ -481,20 +478,6 @@ func TestValidateComponentWording(t *testing.T) {
 			if err := tl.Validate(); err == nil || err.Error() != want {
 				t.Errorf("%s %s: error %v, want %q", op, tc.name, err, want)
 			}
-		}
-	}
-
-	files, err := filepath.Glob("testdata/library-live/*.json")
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no library timelines: %v", err)
-	}
-	for _, path := range append(files, "testdata/golden-timeline.json") {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ParseTimeline(data); err != nil {
-			t.Errorf("%s: %v", path, err)
 		}
 	}
 }

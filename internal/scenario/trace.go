@@ -61,7 +61,7 @@ type Record struct {
 	AdvFraction float64 `json:"adv_fraction"`
 	AdvBreaks   bool    `json:"adv_breaks"`
 
-	// Live-loop extensions (internal/liveloop). All omitempty: scenarios
+	// Live-loop extensions (live.go). All omitempty: scenarios
 	// without a live harness encode exactly as before. Live marks records
 	// emitted while a live cluster was attached; LiveCommits counts honest
 	// commit events so far; LiveByzFrac is the fraction of replicas running
