@@ -142,6 +142,28 @@ func TestLiveTracesAreByteDeterministic(t *testing.T) {
 	}
 }
 
+// TestLiveScenariosRegistered: the library registers every live scenario
+// under the "live" tag that cmd/scenarios run -live selects.
+func TestLiveScenariosRegistered(t *testing.T) {
+	want := []string{"live-partition-probe", "live-compromise-cascade", "live-reactive-recovery",
+		"live-primary-failover", "live-lossy-rotation"}
+	for _, name := range want {
+		d, ok := Lookup(name)
+		if !ok {
+			t.Fatalf("%s not registered", name)
+		}
+		tagged := false
+		for _, tag := range d.Tags {
+			if tag == "live" {
+				tagged = true
+			}
+		}
+		if !tagged {
+			t.Fatalf("%s lacks the live tag", name)
+		}
+	}
+}
+
 // liveTimeline is a one-hour timeline of n unit-power replicas (the first
 // with power p0) carrying the given live block, as the JSON an operator
 // would hand the CLI.
